@@ -1,36 +1,20 @@
 # Development targets. `make ci` is the gate every change must pass: a full
-# build, vet (library and commands), and the test suite under the race
-# detector (the allocation pipeline is wrapper-heavy and lock-protected;
-# races are a primary failure mode of the resilience layer, the parallel
-# equilibrium engine's serial-vs-parallel determinism tests only mean
-# something under -race, and the serving layer multiplexes sessions across
-# goroutines). ci ends with three smokes: serve-smoke boots a real rebudgetd
-# and drives it through the typed client (including a snapshot-rehydrate
-# restart), router-smoke boots a two-shard tier behind rebudget-router and
-# kills a shard mid-traffic, chaos-smoke runs the seeded rebudget-chaos soak
-# (partitions, a kill/restart, a latency spike and snapshot corruption
-# against a live two-shard tier, asserting zero lost sessions and
-# bit-identity to an undisturbed baseline), load-smoke drives a two-shard
-# tier with rebudget-loadgen and asserts throughput, a bounded 429 rate and
-# the weighted admission gauges, tenant-smoke arms the tenant budget economy
-# on one shard and drives a lend-then-reclaim cycle through live traffic
-# (idle tenant's slice lent out, then reclaimed back to the deserved split
-# when its demand returns, observed through the per-tenant gauges),
-# churn-smoke grows and shrinks a live tier 2 -> 4 -> 2 shards through the
-# router's admin API under load (zero lost sessions, gossip convergence on
-# a second router, snapshot-backed migration), density-smoke floods one
-# shard with 10k resident sessions through the loadgen's -resident mode
-# (bounded create time, zero errors, sub-250ms full-population scrape, the
-# hibernation sweep parking the idle population), and
-# bench-smoke warns (but does not fail, unless BENCH_STRICT=1) on a >10%
-# regression of the market equilibrium kernel against the newest
-# BENCH_*.json snapshot.
+# build, vet, and the test suite under the race detector (the allocation
+# pipeline is wrapper-heavy and lock-protected; races are a primary failure
+# mode of the resilience layer, the parallel equilibrium engine's
+# serial-vs-parallel determinism tests only mean something under -race, and
+# the serving layer multiplexes sessions across goroutines). bench-check
+# vets and short-tests the separately-moduled benchmark under bench/, which
+# the root build does not compile. ci ends with the end-to-end smokes, each
+# described at its target below, and bench-smoke, which warns (but does not
+# fail, unless BENCH_STRICT=1) on a >10% regression of the market
+# equilibrium kernel against the newest BENCH_*.json snapshot.
 
 GO ?= go
 
-.PHONY: ci build vet vet-cmd test race race-server race-router race-chaos race-tenant race-cluster bench bench-all bench-smoke serve-smoke router-smoke chaos-smoke load-smoke tenant-smoke churn-smoke density-smoke load-ab density-ab profile-sim
+.PHONY: ci build vet test race bench-check bench bench-all bench-smoke serve-smoke router-smoke chaos-smoke load-smoke tenant-smoke churn-smoke density-smoke density-ab profile-sim
 
-ci: build vet vet-cmd race race-server race-router race-chaos race-tenant race-cluster serve-smoke router-smoke chaos-smoke load-smoke tenant-smoke churn-smoke density-smoke bench-smoke
+ci: build vet race bench-check serve-smoke router-smoke chaos-smoke load-smoke tenant-smoke churn-smoke density-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -38,26 +22,18 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The daemon and smoke-driver commands, vetted explicitly so `make ci`
-# keeps covering them even if a future `vet` narrows its package list.
-vet-cmd:
-	$(GO) vet ./cmd/...
-
 test:
 	$(GO) test ./...
 
 race:
 	$(GO) test -race ./...
 
-# The serving layer on its own under the race detector: session loops,
-# LRU eviction, dispatcher backpressure, and the 64-session stress test.
-race-server:
-	$(GO) test -race ./internal/server/...
-
-# The sharded serving tier on its own under the race detector: ring moves,
-# proxy failover, and the cross-shard migration churn test.
-race-router:
-	$(GO) test -race ./internal/router/...
+# bench/ is its own module: root `go build ./...` does not compile it, so a
+# Config field or exported name it uses could be removed here and surface
+# only when the pipeline runs the benchmark. This keeps deletions honest.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test -short ./...
 
 # End-to-end: start rebudgetd on a random port, drive one session through
 # 3 epochs via the client, scrape /metrics, assert the counters moved,
@@ -65,25 +41,6 @@ race-router:
 # and assert the session rehydrates with its progress intact.
 serve-smoke:
 	scripts/serve_smoke.sh
-
-# The chaos layer on its own under the race detector: the injector's
-# per-target streams, the chaos transport and the faulty snapshot store
-# are all shared across goroutines in the soak.
-race-chaos:
-	$(GO) test -race ./internal/chaos/...
-
-# The cluster substrate on its own under the race detector: the consistent
-# ring, the MovedKeys rebalance planner and its minimal-movement property
-# tests, gossip digest merging, and the snapshot-store backends (HTTP and
-# N-way replicated) under the chaos FaultySnapshotStore.
-race-cluster:
-	$(GO) test -race ./internal/cluster/...
-
-# The tenant economy on its own under the race detector: the tree's
-# lend/reclaim property tests plus the governor, which is hammered from
-# every request goroutine while the epoch ticker rebalances.
-race-tenant:
-	$(GO) test -race ./internal/tenant/...
 
 # End-to-end tenancy: one rebudgetd with -tenants armed; an idle and a
 # saturated tenant must go through a full lend-then-reclaim cycle under
@@ -133,13 +90,6 @@ churn-smoke:
 # overrides the measured window (default 15s).
 load-smoke:
 	scripts/load_smoke.sh
-
-# The cost-vs-count admission A/B (90/10 cheap/expensive mix at
-# saturation): runs rebudget-loadgen against both admission modes and
-# reports the cheap class's p99 improvement. Reports land in .bench/ and
-# are folded into the next dated BENCH_*.json by scripts/bench_record.sh.
-load-ab:
-	scripts/load_ab.sh
 
 # High-density serving smoke: one shard, 10k resident sessions created
 # through the loadgen's -resident mode with the API key armed. Asserts a

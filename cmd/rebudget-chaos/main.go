@@ -222,14 +222,11 @@ func run() int {
 	for i, s := range h.shards {
 		bases[i] = s.base()
 	}
-	// Elastic membership is armed only when the schedule actually grows
-	// the tier; a static schedule runs the pre-elastic router unchanged.
 	h.rt, err = router.New(router.Config{
 		Backends:          bases,
 		ProbeInterval:     50 * time.Millisecond,
 		Transport:         h.tr,
 		Breaker:           router.BreakerConfig{FailureThreshold: 3, OpenTimeout: 400 * time.Millisecond},
-		Elastic:           hasShardAdds(events),
 		MigrationInterval: 20 * time.Millisecond,
 		MigrationBudget:   4,
 		Logger:            h.quiet,

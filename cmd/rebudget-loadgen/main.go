@@ -2,8 +2,8 @@
 // sharded tier behind rebudget-router) with a configurable mix of cheap and
 // expensive allocation sessions, and reports epoch-latency percentiles,
 // throughput, and 429 rate as JSON. It is the measurement harness behind
-// the cost-based-admission A/B: run it twice — against -admission cost and
-// -admission count daemons — and compare the cheap class's p99.
+// cost-based admission: the cheap class's p99 under a saturating mixed
+// fleet is the number that policy answers for.
 //
 // Usage (closed loop, 90/10 cheap/expensive, 30 s):
 //
@@ -195,12 +195,12 @@ type Report struct {
 	// instead of scraping /metrics.
 	Tenants map[string]ClassReport `json:"tenants,omitempty"`
 	// Density-mode (-resident) fields.
-	Resident       int     `json:"resident,omitempty"`
-	WorkingSet     int     `json:"working_set,omitempty"`
-	CreateSec      float64 `json:"create_sec,omitempty"`
-	CreatePerSec   float64 `json:"create_per_sec,omitempty"`
-	ScrapeMs       float64 `json:"scrape_ms,omitempty"`
-	ScrapeBytes    int64   `json:"scrape_bytes,omitempty"`
+	Resident     int     `json:"resident,omitempty"`
+	WorkingSet   int     `json:"working_set,omitempty"`
+	CreateSec    float64 `json:"create_sec,omitempty"`
+	CreatePerSec float64 `json:"create_per_sec,omitempty"`
+	ScrapeMs     float64 `json:"scrape_ms,omitempty"`
+	ScrapeBytes  int64   `json:"scrape_bytes,omitempty"`
 }
 
 func main() {
@@ -680,19 +680,19 @@ func runResident(cl *client.Client, rc residentConfig) {
 	scrape := time.Since(scrapeStart)
 
 	rep := Report{
-		Label:       rc.label,
-		Target:      rc.target,
-		Mode:        "resident",
-		RatePerSec:  rc.rate,
-		DurationSec: elapsed.Seconds(),
-		Sessions:    rc.resident,
-		Resident:    rc.resident,
-		WorkingSet:  rc.workingSet,
+		Label:        rc.label,
+		Target:       rc.target,
+		Mode:         "resident",
+		RatePerSec:   rc.rate,
+		DurationSec:  elapsed.Seconds(),
+		Sessions:     rc.resident,
+		Resident:     rc.resident,
+		WorkingSet:   rc.workingSet,
 		CreateSec:    createElapsed.Seconds(),
 		CreatePerSec: float64(rc.resident) / createElapsed.Seconds(),
 		ScrapeMs:     scrape.Seconds() * 1000,
-		ScrapeBytes: int64(len(body)),
-		Classes:     map[string]ClassReport{},
+		ScrapeBytes:  int64(len(body)),
+		Classes:      map[string]ClassReport{},
 	}
 	cr := reportFor(stats, rc.resident, elapsed)
 	rep.Classes["resident"] = cr

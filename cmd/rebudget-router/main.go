@@ -9,11 +9,12 @@
 // failover amplification during brownouts. See DESIGN.md, "Sharded
 // serving" and "Failure model & chaos", and the README quick-start.
 //
-// With -admin-token the router turns elastic: POST/DELETE /admin/shards
-// add and remove shards under live traffic (resident sessions migrate by
+// Membership is elastic: with -admin-token, POST/DELETE /admin/shards add
+// and remove shards under live traffic (resident sessions migrate by
 // snapshot at a bounded per-tick budget), -backends-file re-reads the
 // shard list on SIGHUP, and -gossip-peers exchanges probe state and
-// membership with sibling routers. See DESIGN.md, "Elastic membership".
+// membership with sibling routers. A plain -backends list is a membership
+// that never changes. See DESIGN.md, "Elastic membership".
 //
 // Usage:
 //
@@ -38,51 +39,62 @@ import (
 	"rebudget/internal/router"
 )
 
-func main() {
-	var (
-		addr          = flag.String("addr", ":8343", "listen address")
-		backends      = flag.String("backends", "", "comma-separated shard base URLs (required)")
-		vnodes        = flag.Int("vnodes", 64, "virtual nodes per shard on the hash ring")
-		probeInterval = flag.Duration("probe-interval", time.Second, "/healthz polling period")
-		probeJitter   = flag.Float64("probe-jitter", 0.2, "probe-period jitter fraction (decorrelates router replicas)")
-		proxyTimeout  = flag.Duration("proxy-timeout", 30*time.Second, "per-proxied-request deadline")
-		breakerFails  = flag.Int("breaker-failures", 3, "consecutive shard failures that open its circuit breaker")
-		breakerOpen   = flag.Duration("breaker-open-timeout", 5*time.Second, "how long an open breaker rejects before a half-open trial")
-		retryBudget   = flag.Int("retry-budget", 2, "failover retries allowed per request after the first attempt")
-		retryRate     = flag.Float64("retry-rate", 16, "router-wide retry tokens per second (bounds retry amplification)")
-		retryBurst    = flag.Float64("retry-burst", 0, "retry token bucket burst (default 2x -retry-rate)")
-		backendKey    = flag.String("backend-api-key", "", "bearer token for shards running with -api-key: sent on the router's own calls and injected on proxied requests that carry no Authorization")
-		logFormat     = flag.String("log", "text", "log format: text or json")
+// options is the parsed command line: the router config the flags fill in
+// directly, plus what main itself consumes. DESIGN.md's "Serving knobs"
+// table documents every flag; main_test.go fails when the two drift.
+type options struct {
+	cfg router.Config
 
-		adminToken     = flag.String("admin-token", "", "bearer token for /admin endpoints; setting it turns on elastic membership")
-		backendsFile   = flag.String("backends-file", "", "file of shard URLs (one per line, # comments); re-read and applied on SIGHUP")
-		migBudget      = flag.Int("migration-budget", 0, "sessions migrated per tick during a rebalance (0 = 8)")
-		migInterval    = flag.Duration("migration-interval", 0, "migration tick period (0 = 200ms)")
-		gossipPeers    = flag.String("gossip-peers", "", "comma-separated sibling router URLs for probe-state gossip")
-		gossipInterval = flag.Duration("gossip-interval", 0, "gossip exchange period (0 = 1s)")
-	)
+	addr, backends, logFormat, backendsFile, gossipPeers string
+}
+
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.addr, "addr", ":8343", "listen address")
+	fs.StringVar(&o.backends, "backends", "", "comma-separated shard base URLs (required)")
+	fs.DurationVar(&o.cfg.ProbeInterval, "probe-interval", time.Second, "/healthz polling period")
+	fs.DurationVar(&o.cfg.ProxyTimeout, "proxy-timeout", 30*time.Second, "per-proxied-request deadline")
+	fs.IntVar(&o.cfg.Breaker.FailureThreshold, "breaker-failures", 3, "consecutive shard failures that open its circuit breaker")
+	fs.DurationVar(&o.cfg.Breaker.OpenTimeout, "breaker-open-timeout", 5*time.Second, "how long an open breaker rejects before a half-open trial")
+	fs.IntVar(&o.cfg.RetryBudget, "retry-budget", 2, "failover retries allowed per request after the first attempt")
+	fs.Float64Var(&o.cfg.RetryRate, "retry-rate", 16, "router-wide retry tokens per second (bounds retry amplification)")
+	fs.Float64Var(&o.cfg.RetryBurst, "retry-burst", 0, "retry token bucket burst (default 2x -retry-rate)")
+	fs.StringVar(&o.cfg.BackendAPIKey, "backend-api-key", "", "bearer token for shards running with -api-key: sent on the router's own calls and injected on proxied requests that carry no Authorization")
+	fs.StringVar(&o.logFormat, "log", "text", "log format: text or json")
+
+	fs.StringVar(&o.cfg.AdminToken, "admin-token", "", "bearer token for the /admin membership endpoints (mounted only when set) and for /gossip")
+	fs.StringVar(&o.backendsFile, "backends-file", "", "file of shard URLs (one per line, # comments); re-read and applied on SIGHUP")
+	fs.IntVar(&o.cfg.MigrationBudget, "migration-budget", 0, "sessions migrated per tick during a rebalance (0 = 8)")
+	fs.DurationVar(&o.cfg.MigrationInterval, "migration-interval", 0, "migration tick period (0 = 200ms)")
+	fs.StringVar(&o.gossipPeers, "gossip-peers", "", "comma-separated sibling router URLs for probe-state gossip")
+	fs.DurationVar(&o.cfg.GossipInterval, "gossip-interval", 0, "gossip exchange period (0 = 1s)")
+	return o
+}
+
+func main() {
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
 
 	var handler slog.Handler
-	switch *logFormat {
+	switch o.logFormat {
 	case "json":
 		handler = slog.NewJSONHandler(os.Stderr, nil)
 	case "text":
 		handler = slog.NewTextHandler(os.Stderr, nil)
 	default:
-		fmt.Fprintf(os.Stderr, "rebudget-router: unknown -log format %q\n", *logFormat)
+		fmt.Fprintf(os.Stderr, "rebudget-router: unknown -log format %q\n", o.logFormat)
 		os.Exit(2)
 	}
 	log := slog.New(handler)
 
 	var bases []string
-	for _, b := range strings.Split(*backends, ",") {
+	for _, b := range strings.Split(o.backends, ",") {
 		if b = strings.TrimSpace(b); b != "" {
 			bases = append(bases, b)
 		}
 	}
-	if *backendsFile != "" {
-		fileBases, err := readBackendsFile(*backendsFile)
+	if o.backendsFile != "" {
+		fileBases, err := readBackendsFile(o.backendsFile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rebudget-router: %v\n", err)
 			os.Exit(2)
@@ -94,43 +106,22 @@ func main() {
 		os.Exit(2)
 	}
 
-	var peers []string
-	for _, p := range strings.Split(*gossipPeers, ",") {
+	for _, p := range strings.Split(o.gossipPeers, ",") {
 		if p = strings.TrimSpace(p); p != "" {
-			peers = append(peers, p)
+			o.cfg.GossipPeers = append(o.cfg.GossipPeers, p)
 		}
 	}
-
-	rt, err := router.New(router.Config{
-		Backends:      bases,
-		VNodes:        *vnodes,
-		ProbeInterval: *probeInterval,
-		ProbeJitter:   *probeJitter,
-		ProxyTimeout:  *proxyTimeout,
-		Breaker: router.BreakerConfig{
-			FailureThreshold: *breakerFails,
-			OpenTimeout:      *breakerOpen,
-		},
-		BackendAPIKey:     *backendKey,
-		RetryBudget:       *retryBudget,
-		RetryRate:         *retryRate,
-		RetryBurst:        *retryBurst,
-		AdminToken:        *adminToken,
-		GossipPeers:       peers,
-		GossipInterval:    *gossipInterval,
-		MigrationBudget:   *migBudget,
-		MigrationInterval: *migInterval,
-		Elastic:           *backendsFile != "",
-		Logger:            log,
-	})
+	o.cfg.Backends = bases
+	o.cfg.Logger = log
+	rt, err := router.New(o.cfg)
 	if err != nil {
 		log.Error("router construction failed", "err", err)
 		os.Exit(1)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
-		log.Error("listen failed", "addr", *addr, "err", err)
+		log.Error("listen failed", "addr", o.addr, "err", err)
 		os.Exit(1)
 	}
 	hs := &http.Server{Handler: rt.Handler(), ReadHeaderTimeout: 5 * time.Second}
@@ -141,7 +132,7 @@ func main() {
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	if *backendsFile != "" {
+	if o.backendsFile != "" {
 		signal.Notify(sigc, syscall.SIGHUP)
 	}
 	for {
@@ -150,7 +141,7 @@ func main() {
 			if sig == syscall.SIGHUP {
 				// Config reload: re-read the shard list and reconcile the
 				// ring against it (adds and drains happen under traffic).
-				fileBases, err := readBackendsFile(*backendsFile)
+				fileBases, err := readBackendsFile(o.backendsFile)
 				if err != nil {
 					log.Warn("reload skipped: backends file unreadable", "err", err)
 					continue

@@ -1,0 +1,14 @@
+package main
+
+import (
+	"flag"
+	"testing"
+
+	"rebudget/internal/flagdoc"
+)
+
+func TestFlagsMatchServingKnobsTable(t *testing.T) {
+	fs := flag.NewFlagSet("rebudget-router", flag.ContinueOnError)
+	registerFlags(fs)
+	flagdoc.Check(t, "../../DESIGN.md", "rebudget-router", fs)
+}

@@ -29,62 +29,72 @@ import (
 	"rebudget/internal/server"
 )
 
+// options is the parsed command line: the configs the flags fill in
+// directly, plus what main itself consumes. DESIGN.md's "Serving knobs"
+// table documents every flag; main_test.go fails when the two drift.
+type options struct {
+	cfg     server.Config
+	tenancy server.TenancyConfig
+
+	addr, snapshotDir, snapshotURL, logFormat, tenants string
+	drainWait                                          time.Duration
+}
+
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.addr, "addr", ":8344", "listen address")
+	fs.IntVar(&o.cfg.MaxSessions, "max-sessions", 128, "resident session cap (LRU eviction beyond it)")
+	fs.DurationVar(&o.cfg.IdleTTL, "idle-ttl", 10*time.Minute, "evict sessions idle this long (0 disables)")
+	fs.IntVar(&o.cfg.Workers, "workers", 0, "allocation worker slots (0 = GOMAXPROCS)")
+	fs.IntVar(&o.cfg.MaxWaiting, "max-waiting", 0, "queued allocation requests before 429 (0 = default)")
+	fs.Float64Var(&o.cfg.CostCapacity, "cost-capacity", 0, "dispatcher budget in cost units (0 = 8x workers)")
+	fs.Float64Var(&o.cfg.MaxQueuedCost, "max-queued-cost", 0, "queued cost units before 429 (0 = 4x capacity)")
+	fs.DurationVar(&o.cfg.RequestTimeout, "timeout", 10*time.Second, "per-request allocation deadline")
+	fs.DurationVar(&o.drainWait, "drain-wait", 10*time.Second, "graceful shutdown budget")
+	fs.StringVar(&o.snapshotDir, "snapshot-dir", "", "persist session snapshots here; evicted/drained sessions rehydrate on next touch (empty disables)")
+	fs.StringVar(&o.snapshotURL, "snapshot-url", "", "rebudget-snapstore base URL for snapshots; with -snapshot-dir too, writes replicate to both and reads pick the freshest")
+	fs.Float64Var(&o.cfg.SessionRPS, "session-rps", 0, "per-session epoch budget, epochs/sec (0 disables rate limiting)")
+	fs.StringVar(&o.logFormat, "log", "text", "log format: text or json")
+
+	fs.DurationVar(&o.cfg.ParkAfter, "park-after", 0, "hibernate sessions idle this long: loop goroutine exits, engine is dropped, next touch rebuilds bit-identically (0 = 5m default, negative disables)")
+	fs.BoolVar(&o.cfg.PerSessionMetrics, "metrics-per-session", false, "export per-session-id debug series on /metrics (unbounded cardinality; default keeps the bounded histogram + top-K)")
+	fs.StringVar(&o.cfg.APIKey, "api-key", "", "require this bearer token on mutating endpoints; GET/HEAD, /healthz and /metrics stay open (empty disables)")
+
+	fs.StringVar(&o.tenants, "tenants", "", "arm the tenant budget economy: comma-separated path[:share[:weight[:floor]]] entries (e.g. acme/prod:3:2:0.5,free); empty with -tenant-epoch 0 disables tenancy")
+	fs.DurationVar(&o.tenancy.Epoch, "tenant-epoch", 0, "tenant rebalance period (0 = 250ms when tenancy is armed)")
+	fs.Float64Var(&o.tenancy.Capacity, "tenant-capacity", 0, "tenant-tree root budget in cost units (0 = the dispatcher cost capacity)")
+	fs.Float64Var(&o.tenancy.MBRFloor, "tenant-mbr", 0, "default per-tenant fairness floor in (0,1] (0 = 0.25)")
+	fs.StringVar(&o.tenancy.DefaultTenant, "tenant-default", "", "tenant label for unlabelled sessions (empty = \"default\")")
+	return o
+}
+
 func main() {
-	var (
-		addr        = flag.String("addr", ":8344", "listen address")
-		maxSessions = flag.Int("max-sessions", 128, "resident session cap (LRU eviction beyond it)")
-		idleTTL     = flag.Duration("idle-ttl", 10*time.Minute, "evict sessions idle this long (0 disables)")
-		workers     = flag.Int("workers", 0, "allocation worker slots (0 = GOMAXPROCS)")
-		maxWaiting  = flag.Int("max-waiting", 0, "queued allocation requests before 429 (0 = default)")
-		admission   = flag.String("admission", server.AdmissionCost, "dispatcher admission pricing: cost (weighted units from per-session estimates) or count (one unit per request, the pre-cost contract)")
-		costCap     = flag.Float64("cost-capacity", 0, "dispatcher budget in cost units under -admission cost (0 = 8x workers)")
-		maxQueued   = flag.Float64("max-queued-cost", 0, "queued cost units before 429 under -admission cost (0 = 4x capacity)")
-		timeout     = flag.Duration("timeout", 10*time.Second, "per-request allocation deadline")
-		drainWait   = flag.Duration("drain-wait", 10*time.Second, "graceful shutdown budget")
-		snapshotDir = flag.String("snapshot-dir", "", "persist session snapshots here; evicted/drained sessions rehydrate on next touch (empty disables)")
-		snapshotURL = flag.String("snapshot-url", "", "rebudget-snapstore base URL for snapshots; with -snapshot-dir too, writes replicate to both and reads pick the freshest")
-		sessionRPS  = flag.Float64("session-rps", 0, "per-session epoch budget, epochs/sec (0 disables rate limiting)")
-		logFormat   = flag.String("log", "text", "log format: text or json")
-
-		storeSegments = flag.Int("store-segments", 0, "session-store lock stripes, rounded up to a power of two (0 = auto-size from -max-sessions; 1 = the pre-density global-LRU store)")
-		parkAfter     = flag.Duration("park-after", 0, "hibernate sessions idle this long: loop goroutine exits, engine is dropped, next touch rebuilds bit-identically (0 = 5m default, negative disables)")
-		noWheel       = flag.Bool("no-ticker-wheel", false, "give each ticker session its own time.Ticker instead of the shared timer wheel (the pre-density behaviour)")
-		wheelGran     = flag.Duration("wheel-granularity", 0, "timer-wheel tick; ticker periods quantise up to it (0 = 20ms)")
-		perSessionMet = flag.Bool("metrics-per-session", false, "export per-session-id debug series on /metrics (unbounded cardinality; default keeps the bounded histogram + top-K)")
-		apiKey        = flag.String("api-key", "", "require this bearer token on mutating endpoints; GET/HEAD, /healthz and /metrics stay open (empty disables)")
-
-		tenants       = flag.String("tenants", "", "arm the tenant budget economy: comma-separated path[:share[:weight[:floor]]] entries (e.g. acme/prod:3:2:0.5,free); empty with -tenant-epoch 0 disables tenancy")
-		tenantEpoch   = flag.Duration("tenant-epoch", 0, "tenant rebalance period (0 = 250ms when tenancy is armed)")
-		tenantCap     = flag.Float64("tenant-capacity", 0, "tenant-tree root budget in cost units (0 = the dispatcher cost capacity)")
-		tenantFloor   = flag.Float64("tenant-mbr", 0, "default per-tenant fairness floor in (0,1] (0 = 0.25)")
-		tenantStatic  = flag.Bool("tenant-static", false, "freeze tenants at static quotas (no lending; the A/B control)")
-		tenantDefault = flag.String("tenant-default", "", "tenant label for unlabelled sessions (empty = \"default\")")
-	)
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
 
 	var handler slog.Handler
-	switch *logFormat {
+	switch o.logFormat {
 	case "json":
 		handler = slog.NewJSONHandler(os.Stderr, nil)
 	case "text":
 		handler = slog.NewTextHandler(os.Stderr, nil)
 	default:
-		fmt.Fprintf(os.Stderr, "rebudgetd: unknown -log format %q\n", *logFormat)
+		fmt.Fprintf(os.Stderr, "rebudgetd: unknown -log format %q\n", o.logFormat)
 		os.Exit(2)
 	}
 	log := slog.New(handler)
 
 	var stores []server.SnapshotStore
-	if *snapshotDir != "" {
-		fs, err := server.NewFileSnapshotStore(*snapshotDir)
+	if o.snapshotDir != "" {
+		fs, err := server.NewFileSnapshotStore(o.snapshotDir)
 		if err != nil {
-			log.Error("snapshot store failed", "dir", *snapshotDir, "err", err)
+			log.Error("snapshot store failed", "dir", o.snapshotDir, "err", err)
 			os.Exit(1)
 		}
 		stores = append(stores, fs)
 	}
-	if *snapshotURL != "" {
-		stores = append(stores, cluster.NewHTTPSnapshotStore(*snapshotURL, nil))
+	if o.snapshotURL != "" {
+		stores = append(stores, cluster.NewHTTPSnapshotStore(o.snapshotURL, nil))
 	}
 	var snaps server.SnapshotStore
 	switch len(stores) {
@@ -102,52 +112,26 @@ func main() {
 
 	// Tenancy is armed by any -tenant* flag; with none set, admission keeps
 	// the flat dispatcher budget (the pre-tenancy contract, bit-identical).
-	var tenancy *server.TenancyConfig
-	if *tenants != "" || *tenantEpoch > 0 || *tenantCap > 0 || *tenantFloor > 0 || *tenantStatic || *tenantDefault != "" {
-		specs, err := server.ParseTenants(*tenants)
+	if t := &o.tenancy; o.tenants != "" || t.Epoch > 0 || t.Capacity > 0 || t.MBRFloor > 0 || t.DefaultTenant != "" {
+		specs, err := server.ParseTenants(o.tenants)
 		if err != nil {
 			log.Error("bad -tenants", "err", err)
 			os.Exit(2)
 		}
-		if *tenantFloor < 0 || *tenantFloor > 1 {
-			log.Error("bad -tenant-mbr", "floor", *tenantFloor, "want", "(0,1]")
+		if t.MBRFloor < 0 || t.MBRFloor > 1 {
+			log.Error("bad -tenant-mbr", "floor", t.MBRFloor, "want", "(0,1]")
 			os.Exit(2)
 		}
-		tenancy = &server.TenancyConfig{
-			Tenants:        specs,
-			Epoch:          *tenantEpoch,
-			Capacity:       *tenantCap,
-			MBRFloor:       *tenantFloor,
-			DisableLending: *tenantStatic,
-			DefaultTenant:  *tenantDefault,
-		}
+		t.Tenants = specs
+		o.cfg.Tenancy = t
 	}
+	o.cfg.Snapshots = snaps
+	o.cfg.Logger = log
+	srv := server.New(o.cfg)
 
-	srv := server.New(server.Config{
-		MaxSessions:    *maxSessions,
-		IdleTTL:        *idleTTL,
-		Workers:        *workers,
-		MaxWaiting:     *maxWaiting,
-		Admission:      *admission,
-		CostCapacity:   *costCap,
-		MaxQueuedCost:  *maxQueued,
-		RequestTimeout: *timeout,
-		Snapshots:      snaps,
-		SessionRPS:     *sessionRPS,
-		Tenancy:        tenancy,
-		Logger:         log,
-
-		StoreSegments:      *storeSegments,
-		ParkAfter:          *parkAfter,
-		DisableTickerWheel: *noWheel,
-		WheelGranularity:   *wheelGran,
-		PerSessionMetrics:  *perSessionMet,
-		APIKey:             *apiKey,
-	})
-
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
-		log.Error("listen failed", "addr", *addr, "err", err)
+		log.Error("listen failed", "addr", o.addr, "err", err)
 		os.Exit(1)
 	}
 	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
@@ -162,7 +146,7 @@ func main() {
 	case sig := <-sigc:
 		log.Info("signal received, draining", "signal", sig.String())
 		srv.StartDrain()
-		ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
+		ctx, cancel := context.WithTimeout(context.Background(), o.drainWait)
 		defer cancel()
 		if err := hs.Shutdown(ctx); err != nil {
 			log.Warn("shutdown incomplete", "err", err)

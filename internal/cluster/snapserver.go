@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"hash/crc32"
 	"io"
 	"log/slog"
@@ -12,6 +11,8 @@ import (
 	"regexp"
 	"sync"
 	"time"
+
+	"rebudget/internal/expo"
 )
 
 // SnapServer is the HTTP snapshot service behind cmd/rebudget-snapstore: a
@@ -198,12 +199,19 @@ func (ss *SnapServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		bytes += len(b.data)
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprintf(w, "# TYPE snapstore_puts_total counter\nsnapstore_puts_total %d\n", ss.puts)
-	fmt.Fprintf(w, "# TYPE snapstore_gets_total counter\nsnapstore_gets_total %d\n", ss.gets)
-	fmt.Fprintf(w, "# TYPE snapstore_deletes_total counter\nsnapstore_deletes_total %d\n", ss.deletes)
-	fmt.Fprintf(w, "# TYPE snapstore_misses_total counter\nsnapstore_misses_total %d\n", ss.misses)
-	fmt.Fprintf(w, "# TYPE snapstore_corrupt_total counter\nsnapstore_corrupt_total %d\n", ss.corrupt)
-	fmt.Fprintf(w, "# TYPE snapstore_dedup_hits_total counter\nsnapstore_dedup_hits_total %d\n", ss.dedups)
-	fmt.Fprintf(w, "# TYPE snapstore_snapshots gauge\nsnapstore_snapshots %d\n", len(ss.index))
-	fmt.Fprintf(w, "# TYPE snapstore_blob_bytes gauge\nsnapstore_blob_bytes %d\n", bytes)
+	e := expo.Acquire(w)
+	defer e.Release()
+	// Integer samples: blob_bytes in %g notation would be harder to read.
+	sample := func(name, help, typ string, v int64) {
+		e.Header(name, help, typ)
+		e.Int(name, v)
+	}
+	sample("snapstore_puts_total", "Blob PUTs accepted.", "counter", int64(ss.puts))
+	sample("snapstore_gets_total", "Blob GETs received.", "counter", int64(ss.gets))
+	sample("snapstore_deletes_total", "Blob DELETEs received.", "counter", int64(ss.deletes))
+	sample("snapstore_misses_total", "GETs for an id the index does not hold.", "counter", int64(ss.misses))
+	sample("snapstore_corrupt_total", "GETs refused because the stored blob failed its integrity check.", "counter", int64(ss.corrupt))
+	sample("snapstore_dedup_hits_total", "PUTs whose content was already stored under another id.", "counter", int64(ss.dedups))
+	sample("snapstore_snapshots", "Snapshot ids in the index.", "gauge", int64(len(ss.index)))
+	sample("snapstore_blob_bytes", "Bytes held across unique blobs.", "gauge", int64(bytes))
 }

@@ -9,6 +9,7 @@ import (
 	"rebudget/internal/cmpsim"
 	"rebudget/internal/core"
 	"rebudget/internal/fault"
+	"rebudget/internal/market"
 	"rebudget/internal/metrics"
 	"rebudget/internal/numeric"
 	"rebudget/internal/workload"
@@ -106,6 +107,16 @@ func (f *floorWatch) WithRoundHook(hook func(iteration int) bool) core.Allocator
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.inner = core.WithRoundHook(f.inner, hook)
+	return f
+}
+
+// WithMarketConfig implements core.MarketConfigurer, in place like
+// WithRoundHook: it is how the chip's "fault-injected runs force serial
+// rounds" reaches the wrapped mechanism.
+func (f *floorWatch) WithMarketConfig(apply func(market.Config) market.Config) core.Allocator {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.inner = core.WithMarketConfig(f.inner, apply)
 	return f
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -60,13 +61,9 @@ func newElasticTier(t *testing.T, n int, extra func(*Config)) ([]*shard, *server
 func waitDrained(t *testing.T, rt *Router) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		queued, pinned := rt.pendingMigrations()
-		if queued == 0 && pinned == 0 {
-			return
-		}
+	for rt.pendingMigrations() > 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("migration never drained: %d queued, %d pinned", queued, pinned)
+			t.Fatalf("migration never drained: %d moves pending", rt.pendingMigrations())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -276,8 +273,8 @@ func TestAdminAPIOverHTTP(t *testing.T) {
 	if err := json.Unmarshal(body, &mb); err != nil || mb.Epoch != 2 || len(mb.Members) != 3 {
 		t.Fatalf("add response: %s (%v)", body, err)
 	}
-	// The epoch header rides every response in elastic mode (stamped at
-	// request start, so the new epoch shows from the next request on).
+	// The epoch header rides every response (stamped at request start, so
+	// the new epoch shows from the next request on).
 	resp, _ = do(http.MethodGet, "/admin/membership", "secret", nil)
 	if got := resp.Header.Get(server.EpochHeader); got != "2" {
 		t.Fatalf("epoch header after add = %q, want \"2\"", got)
@@ -397,7 +394,7 @@ func TestGossipPropagatesMembership(t *testing.T) {
 	// Both replicas now compute identical placements.
 	for i := 0; i < 50; i++ {
 		id := fmt.Sprintf("place-%d", i)
-		if p1, p2 := rt1.primaryFor(id), rt2.primaryFor(id); p1.base != p2.base {
+		if p1, p2 := rt1.routeFor(id), rt2.routeFor(id); p1.base != p2.base {
 			t.Fatalf("replicas disagree on %s: %s vs %s", id, p1.base, p2.base)
 		}
 	}
@@ -455,54 +452,52 @@ func TestSetBackendsReload(t *testing.T) {
 	}
 }
 
-// With elastic mode off, the router's outward surface is bit-identical to
-// the pre-elastic router: no epoch header, no membership fields, no
-// elastic metrics, no admin or gossip routes.
-func TestStaticModeSurfaceUnchanged(t *testing.T) {
-	_, rt, _ := newTier(t, 2, server.Config{})
+// A router started from a plain backend list is a membership that never
+// changes — the epoch stays at 1 on every response and in /healthz
+// (TestRouterMetrics pins the zeroed membership series) — and the routes
+// that could change it are mounted only for a router that was given the
+// means to authenticate their callers.
+func TestFixedMembershipSurface(t *testing.T) {
+	_, rt, c := newTier(t, 2, server.Config{})
 	ts := httptest.NewServer(rt.Handler())
 	defer ts.Close()
+	mustCreate(t, c, fig3Spec("fixed"))
 
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	do := func(base, method, path string) (*http.Response, []byte) {
+		t.Helper()
+		req, _ := http.NewRequest(method, base+path, strings.NewReader("{}"))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp, body
 	}
-	var buf bytes.Buffer
-	_, _ = buf.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if got := resp.Header.Get(server.EpochHeader); got != "" {
-		t.Fatalf("static router leaks epoch header %q", got)
-	}
-	if strings.Contains(buf.String(), "membership_epoch") {
-		t.Fatalf("static healthz leaks membership epoch: %s", buf.String())
-	}
-
-	resp, err = http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	_, _ = buf.ReadFrom(resp.Body)
-	resp.Body.Close()
-	for _, leak := range []string{"membership", "migration", "gossip"} {
-		if strings.Contains(buf.String(), leak) {
-			t.Fatalf("static /metrics leaks %q series", leak)
+	for i := 0; i < 50; i++ {
+		resp, _ := do(ts.URL, http.MethodPost, "/v1/sessions/fixed/epoch")
+		if got := resp.Header.Get(server.EpochHeader); resp.StatusCode != http.StatusOK || got != "1" {
+			t.Fatalf("request %d: status %d, epoch header %q, want 200 and \"1\"", i, resp.StatusCode, got)
 		}
 	}
+	var hz HealthzBody
+	if _, body := do(ts.URL, http.MethodGet, "/healthz"); json.Unmarshal(body, &hz) != nil || hz.MembershipEpoch != 1 {
+		t.Fatalf("healthz without membership epoch 1: %s", body)
+	}
 
+	// No token, no peers: nothing that could reshape the ring is mounted.
 	for _, probe := range []struct{ method, path string }{
 		{http.MethodGet, "/admin/membership"},
 		{http.MethodPost, "/admin/shards"},
 		{http.MethodPost, "/gossip"},
 	} {
-		req, _ := http.NewRequest(probe.method, ts.URL+probe.path, strings.NewReader("{}"))
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
+		if resp, _ := do(ts.URL, probe.method, probe.path); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s with neither token nor peers: %d, want 404", probe.method, probe.path, resp.StatusCode)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("static router answers %s %s with %d, want 404", probe.method, probe.path, resp.StatusCode)
-		}
+	}
+	// A token mounts /gossip, behind the token.
+	_, _, _, keyed := newElasticTier(t, 2, nil)
+	if resp, _ := do(keyed, http.MethodPost, "/gossip"); resp.StatusCode != http.StatusUnauthorized {
+		t.Errorf("POST /gossip with a token configured but no bearer: %d, want 401", resp.StatusCode)
 	}
 }

@@ -114,30 +114,29 @@ func (rt *Router) probeAll(ctx context.Context) {
 	wg.Wait()
 }
 
-// prober is the background health loop. Each sleep is jittered over
-// [1-j/2, 1+j/2]×ProbeInterval so a fleet of router replicas watching
-// the same shards drifts apart instead of probing in lockstep — N
-// replicas × M shards of synchronized /healthz traffic is a self-made
-// thundering herd on exactly the shards one is worried about. The jitter
-// source is deliberately wall-clock seeded: decorrelating replicas is
-// the whole point, so this is the one place the router wants real
-// nondeterminism.
+// probeJitter spreads each prober sleep uniformly over
+// [1-j/2, 1+j/2]×ProbeInterval, i.e. ±10%.
+const probeJitter = 0.2
+
+// prober is the background health loop. Each sleep is jittered by
+// probeJitter so a fleet of router replicas watching the same shards drifts
+// apart instead of probing in lockstep — N replicas × M shards of
+// synchronized /healthz traffic is a self-made thundering herd on exactly
+// the shards one is worried about. The jitter source is deliberately
+// wall-clock seeded: decorrelating replicas is the whole point, so this is
+// the one place the router wants real nondeterminism.
 func (rt *Router) prober() {
-	defer close(rt.proberDone)
+	defer rt.loopsDone.Done()
 	rng := numeric.NewRand(uint64(time.Now().UnixNano()) | 1)
 	next := func() time.Duration {
-		j := rt.cfg.ProbeJitter
-		if j <= 0 {
-			return rt.cfg.ProbeInterval
-		}
-		scale := 1 - j/2 + j*rng.Float64()
+		scale := 1 - probeJitter/2 + probeJitter*rng.Float64()
 		return time.Duration(float64(rt.cfg.ProbeInterval) * scale)
 	}
 	t := time.NewTimer(next())
 	defer t.Stop()
 	for {
 		select {
-		case <-rt.proberStop:
+		case <-rt.loopStop:
 			return
 		case <-t.C:
 			rt.probeAll(context.Background())

@@ -87,7 +87,7 @@ func (rt *Router) AddShard(ctx context.Context, raw string) (moved int, err erro
 		ids = append(ids, id)
 	}
 	newMembers := append(append([]string{}, oldMembers...), base)
-	movedKeys := cluster.MovedKeys(oldMembers, newMembers, rt.cfg.VNodes, ids)
+	movedKeys := cluster.MovedKeys(oldMembers, newMembers, 0, ids)
 
 	rt.mu.Lock()
 	if _, dup := rt.backends[base]; dup {
@@ -302,16 +302,16 @@ func (rt *Router) enqueueMigrations(plan []migration) {
 	rt.migMu.Unlock()
 }
 
-// pendingMigrations reports queued moves plus still-pinned sessions (for
-// /metrics; the two sets overlap until a move completes).
-func (rt *Router) pendingMigrations() (queued, pinned int) {
+// pendingMigrations reports session moves queued or pinned mid-move (the
+// two sets overlap until a move completes, so the larger stands for both).
+func (rt *Router) pendingMigrations() int {
 	rt.migMu.Lock()
-	queued = len(rt.migQueue)
+	queued := len(rt.migQueue)
 	rt.migMu.Unlock()
 	rt.mu.RLock()
-	pinned = len(rt.pins)
+	pinned := len(rt.pins)
 	rt.mu.RUnlock()
-	return queued, pinned
+	return max(queued, pinned)
 }
 
 // migrator is the background drain loop: every tick it asks the fleet's
@@ -541,16 +541,11 @@ func (rt *Router) membershipBody() MembershipBody {
 	}
 	rt.mu.RUnlock()
 	sort.Strings(draining)
-	queued, pinned := rt.pendingMigrations()
-	mig := queued
-	if pinned > mig {
-		mig = pinned
-	}
 	return MembershipBody{
 		Epoch:     rt.epoch.Load(),
 		Members:   members,
 		Draining:  draining,
-		Migrating: mig,
+		Migrating: rt.pendingMigrations(),
 	}
 }
 

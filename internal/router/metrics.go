@@ -1,24 +1,15 @@
 package router
 
 import (
-	"fmt"
 	"io"
-	"math"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"rebudget/internal/expo"
 )
 
-// proxyBuckets are the proxied-request latency histogram bounds, in
-// seconds. Proxied epochs pay the shard's allocation cost plus one local
-// hop, so the range matches the daemon's own request histogram.
-var proxyBuckets = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-	0.05, 0.1, 0.25, 0.5, 1, 2.5, 5}
-
-// rtrMetrics is the router's observability state, rendered in Prometheus
-// text exposition format (hand-rolled like the daemon's — the repo takes
-// no dependencies, but the output is scrape-compatible).
+// rtrMetrics is the router's observability state and series definitions,
+// rendered through internal/expo like the daemon's.
 type rtrMetrics struct {
 	sessionsPlaced atomic.Int64 // creates proxied successfully
 	failovers      atomic.Int64 // requests skipped past an unhealthy/unreachable shard
@@ -28,8 +19,6 @@ type rtrMetrics struct {
 	retries        atomic.Int64 // failover attempts beyond a request's first
 	retryExhausted atomic.Int64 // retries refused by the router-wide token bucket
 
-	// Elastic-membership counters (rendered only in elastic mode, so a
-	// static router's /metrics stays bit-identical to the pre-elastic one).
 	migrations        atomic.Int64 // sessions moved to a new owner
 	migrationRetries  atomic.Int64 // 410s swallowed and re-routed mid-migration
 	migrationDropped  atomic.Int64 // moves abandoned (owner gone; snapshot-or-cold)
@@ -38,179 +27,84 @@ type rtrMetrics struct {
 	gossipAdopted     atomic.Int64 // peer observations adopted locally
 	gossipFailures    atomic.Int64 // unreachable peers
 
-	requests labelCounters // route|code
-
-	latCount atomic.Int64
-	latSum   atomicFloat
-	latBkt   [13]atomic.Int64 // parallel to proxyBuckets
+	requests expo.RouteCodeCounters // route × status code
+	latency  expo.Histogram
 }
-
-func init() {
-	if len(proxyBuckets) != len((&rtrMetrics{}).latBkt) {
-		panic("router: latBkt array out of sync with proxyBuckets")
-	}
-}
-
-// labelCounters is a small label-value → counter map (the daemon keeps an
-// identical unexported helper; the packages stay decoupled).
-type labelCounters struct {
-	mu sync.Mutex
-	m  map[string]*int64
-}
-
-func (lc *labelCounters) inc(label string) {
-	lc.mu.Lock()
-	if lc.m == nil {
-		lc.m = make(map[string]*int64)
-	}
-	c, ok := lc.m[label]
-	if !ok {
-		c = new(int64)
-		lc.m[label] = c
-	}
-	*c++
-	lc.mu.Unlock()
-}
-
-func (lc *labelCounters) snapshot() ([]string, []int64) {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	labels := make([]string, 0, len(lc.m))
-	for l := range lc.m {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	counts := make([]int64, len(labels))
-	for i, l := range labels {
-		counts[i] = *lc.m[l]
-	}
-	return labels, counts
-}
-
-// atomicFloat accumulates float64 via CAS on the bit pattern.
-type atomicFloat struct{ bits atomic.Uint64 }
-
-func (f *atomicFloat) add(v float64) {
-	for {
-		old := f.bits.Load()
-		neu := math.Float64bits(math.Float64frombits(old) + v)
-		if f.bits.CompareAndSwap(old, neu) {
-			return
-		}
-	}
-}
-
-func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()) }
 
 // observe records one routed request.
 func (m *rtrMetrics) observe(route string, code int, dur time.Duration) {
-	m.requests.inc(fmt.Sprintf("route=%q,code=\"%d\"", route, code))
-	sec := dur.Seconds()
-	m.latCount.Add(1)
-	m.latSum.add(sec)
-	for i, ub := range proxyBuckets {
-		if sec <= ub {
-			m.latBkt[i].Add(1)
-		}
-	}
+	m.requests.Inc(route, code)
+	m.latency.Observe(dur.Seconds())
 }
 
-// render writes the exposition: router counters, the proxied latency
-// histogram, and per-shard gauges (health, probed session counts).
-func (m *rtrMetrics) render(w io.Writer, backends []*backend, uptime time.Duration) {
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", name, help, name, name, fmtFloat(v))
-	}
-	counter := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %s\n", name, help, name, name, fmtFloat(v))
-	}
+// render writes the exposition: router counters, per-shard gauges (health,
+// probed session counts, breaker position), the proxied latency histogram,
+// and the membership, migration and gossip series. pending is the count of
+// session moves queued or pinned mid-move.
+func (m *rtrMetrics) render(w io.Writer, backends []*backend, uptime time.Duration, epoch uint64, pending int) {
+	e := expo.Acquire(w)
+	defer e.Release()
 
-	gauge("rebudget_router_up", "Router liveness (always 1 while serving).", 1)
-	gauge("rebudget_router_uptime_seconds", "Seconds since the router started.", uptime.Seconds())
-	gauge("rebudget_router_shards", "Configured shard count.", float64(len(backends)))
-	healthyN := 0
+	e.Gauge("rebudget_router_up", "Router liveness (always 1 while serving).", 1)
+	e.Gauge("rebudget_router_uptime_seconds", "Seconds since the router started.", uptime.Seconds())
+	e.Gauge("rebudget_router_shards", "Configured shard count.", float64(len(backends)))
+	healthyN := int64(0)
 	for _, b := range backends {
-		if b.healthy.Load() {
-			healthyN++
-		}
+		healthyN += b2i(b.healthy.Load())
 	}
-	gauge("rebudget_router_shards_healthy", "Shards currently passing health probes.", float64(healthyN))
-	counter("rebudget_router_sessions_placed_total", "Sessions created through the router.", float64(m.sessionsPlaced.Load()))
-	counter("rebudget_router_failovers_total", "Requests moved past an unhealthy or unreachable shard.", float64(m.failovers.Load()))
-	counter("rebudget_router_rerouted_epochs_total", "Epoch requests served by a non-primary shard.", float64(m.reroutedEpochs.Load()))
-	counter("rebudget_router_no_shard_total", "Requests failed because no shard was healthy.", float64(m.noShard.Load()))
-	counter("rebudget_router_breaker_rejections_total", "Shards skipped on the first pass because their circuit breaker was open.", float64(m.breakerRejects.Load()))
-	counter("rebudget_router_retries_total", "Failover attempts beyond a request's first.", float64(m.retries.Load()))
-	counter("rebudget_router_retry_budget_exhausted_total", "Retries refused by the router-wide retry token bucket.", float64(m.retryExhausted.Load()))
+	e.Gauge("rebudget_router_shards_healthy", "Shards currently passing health probes.", float64(healthyN))
+	e.Counter("rebudget_router_sessions_placed_total", "Sessions created through the router.", float64(m.sessionsPlaced.Load()))
+	e.Counter("rebudget_router_failovers_total", "Requests moved past an unhealthy or unreachable shard.", float64(m.failovers.Load()))
+	e.Counter("rebudget_router_rerouted_epochs_total", "Epoch requests served by a non-primary shard.", float64(m.reroutedEpochs.Load()))
+	e.Counter("rebudget_router_no_shard_total", "Requests failed because no shard was healthy.", float64(m.noShard.Load()))
+	e.Counter("rebudget_router_breaker_rejections_total", "Shards skipped on the first pass because their circuit breaker was open.", float64(m.breakerRejects.Load()))
+	e.Counter("rebudget_router_retries_total", "Failover attempts beyond a request's first.", float64(m.retries.Load()))
+	e.Counter("rebudget_router_retry_budget_exhausted_total", "Retries refused by the router-wide retry token bucket.", float64(m.retryExhausted.Load()))
 
-	fmt.Fprintf(w, "# HELP rebudget_router_shard_up Shard health by probe (1 healthy).\n# TYPE rebudget_router_shard_up gauge\n")
+	e.Header("rebudget_router_shard_up", "Shard health by probe (1 healthy).", "gauge")
 	for _, b := range backends {
-		up := 0
-		if b.healthy.Load() {
-			up = 1
-		}
-		fmt.Fprintf(w, "rebudget_router_shard_up{shard=%q} %d\n", b.base, up)
+		e.Int("rebudget_router_shard_up", b2i(b.healthy.Load()), "shard", b.base)
 	}
-	fmt.Fprintf(w, "# HELP rebudget_router_shard_sessions Resident sessions per shard, from its last good /healthz.\n# TYPE rebudget_router_shard_sessions gauge\n")
+	e.Header("rebudget_router_shard_sessions", "Resident sessions per shard, from its last good /healthz.", "gauge")
 	for _, b := range backends {
-		fmt.Fprintf(w, "rebudget_router_shard_sessions{shard=%q} %d\n", b.base, b.sessions.Load())
+		e.Int("rebudget_router_shard_sessions", b.sessions.Load(), "shard", b.base)
 	}
-	fmt.Fprintf(w, "# HELP rebudget_router_shard_probes_total Health probes completed per shard.\n# TYPE rebudget_router_shard_probes_total counter\n")
+	e.Header("rebudget_router_shard_probes_total", "Health probes completed per shard.", "counter")
 	for _, b := range backends {
-		fmt.Fprintf(w, "rebudget_router_shard_probes_total{shard=%q} %d\n", b.base, b.probes.Load())
+		e.Int("rebudget_router_shard_probes_total", b.probes.Load(), "shard", b.base)
 	}
-	fmt.Fprintf(w, "# HELP rebudget_router_breaker_state Circuit breaker position per shard (one-hot over states).\n# TYPE rebudget_router_breaker_state gauge\n")
+	e.Header("rebudget_router_breaker_state", "Circuit breaker position per shard (one-hot over states).", "gauge")
 	for _, b := range backends {
 		cur := b.br.currentState()
 		for _, s := range breakerStates {
-			v := 0
-			if s == cur {
-				v = 1
-			}
-			fmt.Fprintf(w, "rebudget_router_breaker_state{shard=%q,state=%q} %d\n", b.base, s.String(), v)
+			e.Int("rebudget_router_breaker_state", b2i(s == cur), "shard", b.base, "state", s.String())
 		}
 	}
-	fmt.Fprintf(w, "# HELP rebudget_router_breaker_transitions_total Circuit breaker entries into each state per shard.\n# TYPE rebudget_router_breaker_transitions_total counter\n")
+	e.Header("rebudget_router_breaker_transitions_total", "Circuit breaker entries into each state per shard.", "counter")
 	for _, b := range backends {
 		tc := b.br.transitionCounts()
 		for _, s := range breakerStates {
-			fmt.Fprintf(w, "rebudget_router_breaker_transitions_total{shard=%q,to=%q} %d\n", b.base, s.String(), tc[s])
+			e.Int("rebudget_router_breaker_transitions_total", tc[s], "shard", b.base, "to", s.String())
 		}
 	}
 
-	labels, counts := m.requests.snapshot()
-	fmt.Fprintf(w, "# HELP rebudget_router_requests_total Requests routed, by route and status code.\n# TYPE rebudget_router_requests_total counter\n")
-	for i, l := range labels {
-		fmt.Fprintf(w, "rebudget_router_requests_total{%s} %d\n", l, counts[i])
-	}
-	fmt.Fprintf(w, "# HELP rebudget_router_request_seconds Proxied request latency.\n# TYPE rebudget_router_request_seconds histogram\n")
-	for i, ub := range proxyBuckets {
-		fmt.Fprintf(w, "rebudget_router_request_seconds_bucket{le=%q} %d\n", fmtFloat(ub), m.latBkt[i].Load())
-	}
-	fmt.Fprintf(w, "rebudget_router_request_seconds_bucket{le=\"+Inf\"} %d\n", m.latCount.Load())
-	fmt.Fprintf(w, "rebudget_router_request_seconds_sum %s\n", fmtFloat(m.latSum.load()))
-	fmt.Fprintf(w, "rebudget_router_request_seconds_count %d\n", m.latCount.Load())
+	e.Labelled("rebudget_router_requests_total", "Requests routed, by route and status code.", &m.requests)
+	e.Histogram("rebudget_router_request_seconds", "Proxied request latency.", &m.latency)
+
+	e.Gauge("rebudget_router_membership_epoch", "Current membership epoch (1 until the first change).", float64(epoch))
+	e.Counter("rebudget_router_membership_changes_total", "Ring flips applied (admin API, config reload, or gossip adoption).", float64(m.membershipChanges.Load()))
+	e.Counter("rebudget_router_migrations_total", "Sessions migrated to a new owner via snapshot evict/rehydrate.", float64(m.migrations.Load()))
+	e.Counter("rebudget_router_migration_retries_total", "Requests re-routed after a session moved mid-flight (swallowed 410s).", float64(m.migrationRetries.Load()))
+	e.Counter("rebudget_router_migrations_dropped_total", "Migrations abandoned because the owning shard stayed unreachable.", float64(m.migrationDropped.Load()))
+	e.Gauge("rebudget_router_migrations_pending", "Session moves queued or pinned mid-move.", float64(pending))
+	e.Counter("rebudget_router_gossip_rounds_total", "Gossip digests pushed to peers.", float64(m.gossipRounds.Load()))
+	e.Counter("rebudget_router_gossip_adopted_total", "Peer shard observations adopted locally.", float64(m.gossipAdopted.Load()))
+	e.Counter("rebudget_router_gossip_failures_total", "Gossip pushes that failed to reach their peer.", float64(m.gossipFailures.Load()))
 }
 
-// renderElastic appends the elastic-membership series: epoch, migration
-// and gossip counters. Called only in elastic mode — the whole section is
-// absent from a static router's exposition.
-func (m *rtrMetrics) renderElastic(w io.Writer, epoch uint64, queued, pinned int) {
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", name, help, name, name, fmtFloat(v))
+func b2i(b bool) int64 {
+	if b {
+		return 1
 	}
-	counter := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %s\n", name, help, name, name, fmtFloat(v))
-	}
-	gauge("rebudget_router_membership_epoch", "Current membership epoch (1 until the first change).", float64(epoch))
-	counter("rebudget_router_membership_changes_total", "Ring flips applied (admin API, config reload, or gossip adoption).", float64(m.membershipChanges.Load()))
-	counter("rebudget_router_migrations_total", "Sessions migrated to a new owner via snapshot evict/rehydrate.", float64(m.migrations.Load()))
-	counter("rebudget_router_migration_retries_total", "Requests re-routed after a session moved mid-flight (swallowed 410s).", float64(m.migrationRetries.Load()))
-	counter("rebudget_router_migrations_dropped_total", "Migrations abandoned because the owning shard stayed unreachable.", float64(m.migrationDropped.Load()))
-	gauge("rebudget_router_migrations_pending", "Session moves queued or pinned mid-move.", float64(max(queued, pinned)))
-	counter("rebudget_router_gossip_rounds_total", "Gossip digests pushed to peers.", float64(m.gossipRounds.Load()))
-	counter("rebudget_router_gossip_adopted_total", "Peer shard observations adopted locally.", float64(m.gossipAdopted.Load()))
-	counter("rebudget_router_gossip_failures_total", "Gossip pushes that failed to reach their peer.", float64(m.gossipFailures.Load()))
+	return 0
 }
-
-func fmtFloat(v float64) string { return fmt.Sprintf("%g", v) }

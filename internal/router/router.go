@@ -1,3 +1,15 @@
+// Package router is the sharded serving tier in front of N rebudgetd
+// backends: a reverse proxy that places sessions on shards via a
+// consistent-hash ring (stable session-id → shard mapping, virtual nodes
+// for balance), probes each shard's /healthz, and fails open to the next
+// ring position when a shard is down or draining. Paired with a shared
+// snapshot store on the daemons (rebudgetd -snapshot-dir or -snapshot-url),
+// a ring move is a warm migration: the receiving shard rehydrates the
+// session from its snapshot and resumes with one warm-started equilibrium
+// instead of a cold solve. Each shard's market equilibrium is independent
+// (the mechanism is per-chip), so routing preserves ReBudget's numerics
+// exactly — epoch allocations through the router are bit-identical to a
+// direct daemon. See DESIGN.md, "Sharded serving" and "Elastic membership".
 package router
 
 import (
@@ -15,6 +27,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rebudget/internal/cluster"
+	"rebudget/internal/expo"
 	"rebudget/internal/server"
 )
 
@@ -23,8 +37,6 @@ type Config struct {
 	// Backends are the shard base URLs (e.g. "http://127.0.0.1:9001").
 	// At least one is required.
 	Backends []string
-	// VNodes is the virtual nodes per shard on the hash ring (default 64).
-	VNodes int
 	// ProbeInterval is the /healthz polling period (default 1s).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe sweep (default 2s).
@@ -56,11 +68,6 @@ type Config struct {
 	RetryRate float64
 	// RetryBurst is the bucket depth (default 2×RetryRate).
 	RetryBurst float64
-	// ProbeJitter spreads each prober sleep uniformly over
-	// [1-j/2, 1+j/2]×ProbeInterval (default 0.2, i.e. ±10%), so N router
-	// replicas pointed at the same shards don't synchronize their sweeps
-	// into a thundering probe herd. Set negative for none.
-	ProbeJitter float64
 
 	// BackendAPIKey is the bearer token for shards running with -api-key.
 	// The router sends it on its own shard-directed calls (migration
@@ -69,12 +76,12 @@ type Config struct {
 	// router→shard hop only, or pass client tokens through end to end.
 	BackendAPIKey string
 
-	// AdminToken, when set, enables the authenticated membership API
-	// (POST/DELETE /admin/shards, GET /admin/membership) and arms elastic
-	// mode. Requests must carry "Authorization: Bearer <token>".
+	// AdminToken, when set, mounts the authenticated membership API
+	// (POST/DELETE /admin/shards, GET /admin/membership) and guards
+	// /gossip. Requests must carry "Authorization: Bearer <token>".
 	AdminToken string
 	// GossipPeers are sibling router base URLs for probe-state gossip.
-	// Non-empty arms elastic mode and starts the anti-entropy loop.
+	// Non-empty starts the anti-entropy loop and mounts /gossip.
 	GossipPeers []string
 	// GossipInterval is the digest push period (default 1s).
 	GossipInterval time.Duration
@@ -84,19 +91,9 @@ type Config struct {
 	MigrationBudget int
 	// MigrationInterval is the migrator tick period (default 200ms).
 	MigrationInterval time.Duration
-	// Elastic arms elastic mode without an admin token or gossip peers —
-	// for deployments whose only membership channel is the SIGHUP
-	// config-reload path. When elastic mode is off (the default with none
-	// of the three set), the router's outputs are bit-identical to the
-	// pre-elastic router: no epoch header, no membership metrics, no
-	// admin or gossip routes.
-	Elastic bool
 }
 
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
 	}
@@ -126,11 +123,6 @@ func (c Config) withDefaults() Config {
 	if c.RetryBurst <= 0 {
 		c.RetryBurst = 2 * c.RetryRate
 	}
-	if c.ProbeJitter == 0 {
-		c.ProbeJitter = 0.2
-	} else if c.ProbeJitter < 0 {
-		c.ProbeJitter = 0
-	}
 	if c.GossipInterval <= 0 {
 		c.GossipInterval = time.Second
 	}
@@ -140,26 +132,21 @@ func (c Config) withDefaults() Config {
 	if c.MigrationInterval <= 0 {
 		c.MigrationInterval = 200 * time.Millisecond
 	}
-	if c.AdminToken != "" || len(c.GossipPeers) > 0 {
-		c.Elastic = true
-	}
 	return c
 }
 
 // Router is the sharded serving tier: it owns the hash ring, the health
-// prober and the proxy loop — and, in elastic mode, the membership state
-// machine (admin API, budget-bounded session migrator, gossip loop).
-// Construct with New, mount Handler, Close when done.
+// prober, the proxy loop and the membership state machine (admin API,
+// budget-bounded session migrator, gossip loop). A static -backends list is
+// a membership that never changes. Construct with New, mount Handler, Close
+// when done.
 type Router struct {
-	cfg     Config
-	log     *slog.Logger
-	elastic bool
+	cfg Config
+	log *slog.Logger
 
 	// mu guards the membership view: ring, backends, order, retired, pins.
-	// In static deployments it is only ever write-locked during New, so the
-	// read-lock on the data path is uncontended.
 	mu       sync.RWMutex
-	ring     *Ring
+	ring     *cluster.Ring
 	backends map[string]*backend // every reachable shard, active and retired
 	order    []*backend          // active shards, configured order, for stable /metrics rendering
 	retired  map[string]*backend // removed from the ring, kept reachable while their sessions drain
@@ -183,10 +170,8 @@ type Router struct {
 	idSalt  string
 	idSeq   atomic.Int64
 
-	proberStop chan struct{}
-	proberDone chan struct{}
-	loopStop   chan struct{} // migrator + gossip (elastic mode only)
-	loopsDone  sync.WaitGroup
+	loopStop  chan struct{} // prober, migrator, gossip
+	loopsDone sync.WaitGroup
 }
 
 // migration is one session move: evict id from shard `from`, then let the
@@ -198,8 +183,8 @@ type migration struct {
 
 // New builds a router over the configured backends, probes them once
 // synchronously (so routing decisions are informed from the first
-// request), and starts the background prober (plus, in elastic mode, the
-// migrator and gossip loops).
+// request), and starts the background prober, the migrator and — with
+// gossip peers configured — the gossip loop.
 func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Backends) == 0 {
@@ -208,8 +193,7 @@ func New(cfg Config) (*Router, error) {
 	rt := &Router{
 		cfg:      cfg,
 		log:      cfg.Logger,
-		elastic:  cfg.Elastic,
-		ring:     NewRing(cfg.VNodes),
+		ring:     cluster.NewRing(0),
 		backends: make(map[string]*backend),
 		retired:  make(map[string]*backend),
 		pins:     make(map[string]string),
@@ -226,10 +210,8 @@ func New(cfg Config) (*Router, error) {
 		// The salt keeps generated ids from colliding across router
 		// restarts (each daemon's own "s-%06d" sequence has the same
 		// problem scoped to one process; the router outlives many).
-		idSalt:     strconv.FormatInt(time.Now().UnixNano(), 36),
-		proberStop: make(chan struct{}),
-		proberDone: make(chan struct{}),
-		loopStop:   make(chan struct{}),
+		idSalt:   strconv.FormatInt(time.Now().UnixNano(), 36),
+		loopStop: make(chan struct{}),
 	}
 	rt.epoch.Store(1)
 	rt.retry = newRetryBudget(cfg.RetryRate, cfg.RetryBurst, time.Now)
@@ -248,14 +230,12 @@ func New(cfg Config) (*Router, error) {
 	}
 	rt.routes()
 	rt.probeAll(context.Background())
+	rt.loopsDone.Add(2)
 	go rt.prober()
-	if rt.elastic {
+	go rt.migrator()
+	if len(cfg.GossipPeers) > 0 {
 		rt.loopsDone.Add(1)
-		go rt.migrator()
-		if len(cfg.GossipPeers) > 0 {
-			rt.loopsDone.Add(1)
-			go rt.gossiper()
-		}
+		go rt.gossiper()
 	}
 	return rt, nil
 }
@@ -267,14 +247,16 @@ func (rt *Router) routes() {
 	rt.mux.HandleFunc("/v1/sessions/{id}/{verb}", rt.handleSession)
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	// Elastic routes exist only in elastic mode: a static router answers
-	// 404 on these paths, exactly as it did before elastic membership.
+	// The membership-changing routes are mounted only for a router that was
+	// given the means to authenticate or name its callers: one configured
+	// with neither answers 404, so no unauthenticated caller can push it a
+	// membership digest.
 	if rt.cfg.AdminToken != "" {
 		rt.mux.HandleFunc("POST /admin/shards", rt.handleAdminAdd)
 		rt.mux.HandleFunc("DELETE /admin/shards", rt.handleAdminRemove)
 		rt.mux.HandleFunc("GET /admin/membership", rt.handleMembership)
 	}
-	if rt.elastic {
+	if rt.cfg.AdminToken != "" || len(rt.cfg.GossipPeers) > 0 {
 		rt.mux.HandleFunc("POST /gossip", rt.handleGossip)
 	}
 }
@@ -283,15 +265,13 @@ func (rt *Router) routes() {
 func (rt *Router) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		if rt.elastic {
-			// The epoch header is how long-lived clients learn membership
-			// moved and refresh their sticky/fallback state.
-			w.Header().Set(server.EpochHeader, strconv.FormatUint(rt.epoch.Load(), 10))
-		}
+		// The epoch header is how long-lived clients learn membership
+		// moved and refresh their sticky/fallback state.
+		w.Header().Set(server.EpochHeader, strconv.FormatUint(rt.epoch.Load(), 10))
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		rt.mux.ServeHTTP(rec, r)
 		dur := time.Since(start)
-		route := routeLabel(r.URL.Path)
+		route := expo.RouteLabel(r.URL.Path)
 		rt.met.observe(route, rec.code, dur)
 		rt.log.Info("routed",
 			"method", r.Method, "route", route, "path", r.URL.Path,
@@ -299,13 +279,10 @@ func (rt *Router) Handler() http.Handler {
 	})
 }
 
-// Close stops the health prober and, in elastic mode, the migrator and
-// gossip loops. The HTTP listener (owned by the caller) should be shut
-// down first; the backends keep running — they are not the router's to
-// stop.
+// Close stops the health prober, the migrator and the gossip loop. The HTTP
+// listener (owned by the caller) should be shut down first; the backends
+// keep running — they are not the router's to stop.
 func (rt *Router) Close() {
-	close(rt.proberStop)
-	<-rt.proberDone
 	close(rt.loopStop)
 	rt.loopsDone.Wait()
 }
@@ -379,18 +356,6 @@ func (rt *Router) sequenceFor(id string) []*backend {
 	return seq
 }
 
-// primaryFor is the ring's current primary for id, pins ignored — the
-// routing answer once a session's migration has fully drained.
-func (rt *Router) primaryFor(id string) *backend {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	p := rt.ring.Primary(id)
-	if p == "" {
-		return nil
-	}
-	return rt.backends[p]
-}
-
 // routeFor is the retry target after a swallowed 410/404 revealed a
 // session mid-move: the pin while one is still set, the ring primary
 // once it clears. Retrying a *pinned* session on the ring primary would
@@ -447,11 +412,11 @@ const (
 // router-wide bucket — an outage can't turn N incoming requests into
 // N×ring-length attempts against shards that are already browning out.
 //
-// In elastic mode one 410 per request is swallowed and retried against
-// the ring's current primary: a session evicted for migration between
-// this request's routing decision and its arrival answers "gone" on the
-// old owner, and the retry is what turns that race into one warm
-// rehydrate instead of a client-visible error.
+// One 410 per request is swallowed and retried against the ring's current
+// primary: a session evicted for migration between this request's routing
+// decision and its arrival answers "gone" on the old owner, and the retry is
+// what turns that race into one warm rehydrate instead of a client-visible
+// error.
 //
 // The returned flag reports whether body is safe to recycle: after a
 // transport-level failure the http.Transport's write goroutine may still
@@ -488,13 +453,13 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id string, body 
 			rt.met.retries.Add(1)
 		}
 		attempts++
-		swallowGone := rt.elastic && !movedRetried
+		swallowGone := !movedRetried
 		// A 404 is swallowed (and waited out) only while this request is
 		// entangled with a live migration: it already followed a 410 hand-
 		// off, it already waited once, or the session is pinned — meaning a
 		// move is in flight and the pin may have routed us to an owner that
 		// just evicted it. Genuine unknown-session 404s stay instant.
-		swallowMiss := rt.elastic && settled < settleRetries &&
+		swallowMiss := settled < settleRetries &&
 			(movedRetried || settled > 0 || rt.isPinned(id))
 		if _, err := rt.forward(w, r, b, body, swallowGone, swallowMiss); err != nil {
 			if errors.Is(err, errSessionMoved) {
@@ -760,22 +725,20 @@ type ShardHealth struct {
 	Sessions int64  `json:"sessions"`
 }
 
-// HealthzBody is the router's /healthz response. MembershipEpoch appears
-// only in elastic mode (omitempty keeps the static router's body
-// bit-identical to the pre-elastic one).
+// HealthzBody is the router's /healthz response.
 type HealthzBody struct {
 	Status          string        `json:"status"`
 	Shards          []ShardHealth `json:"shards"`
 	UptimeSeconds   int64         `json:"uptime_seconds"`
-	MembershipEpoch uint64        `json:"membership_epoch,omitempty"`
+	MembershipEpoch uint64        `json:"membership_epoch"`
 }
 
 // handleHealthz reports the router healthy while at least one shard is:
 // a degraded tier still serves (rerouted) traffic.
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	body := HealthzBody{UptimeSeconds: int64(time.Since(rt.started).Seconds())}
-	if rt.elastic {
-		body.MembershipEpoch = rt.epoch.Load()
+	body := HealthzBody{
+		UptimeSeconds:   int64(time.Since(rt.started).Seconds()),
+		MembershipEpoch: rt.epoch.Load(),
 	}
 	order := rt.activeBackends()
 	healthyN := 0
@@ -803,11 +766,8 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	rt.met.render(w, rt.activeBackends(), time.Since(rt.started))
-	if rt.elastic {
-		queued, pinned := rt.pendingMigrations()
-		rt.met.renderElastic(w, rt.epoch.Load(), queued, pinned)
-	}
+	rt.met.render(w, rt.activeBackends(), time.Since(rt.started),
+		rt.epoch.Load(), rt.pendingMigrations())
 }
 
 // --- HTTP plumbing (mirrors the daemon's) ---
@@ -830,30 +790,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func writeErr(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
-}
-
-// routeLabel bounds metric cardinality exactly like the daemon's.
-func routeLabel(path string) string {
-	parts := strings.Split(strings.Trim(path, "/"), "/")
-	switch {
-	case len(parts) >= 1 && parts[0] == "healthz":
-		return "/healthz"
-	case len(parts) >= 1 && parts[0] == "metrics":
-		return "/metrics"
-	case len(parts) >= 1 && parts[0] == "gossip":
-		return "/gossip"
-	case len(parts) >= 1 && parts[0] == "admin":
-		return "/admin"
-	case len(parts) >= 2 && parts[0] == "v1" && parts[1] == "sessions":
-		switch len(parts) {
-		case 2:
-			return "/v1/sessions"
-		case 3:
-			return "/v1/sessions/{id}"
-		default:
-			return "/v1/sessions/{id}/" + parts[3]
-		}
-	default:
-		return "other"
-	}
 }

@@ -234,6 +234,12 @@ func TestRouterMetrics(t *testing.T) {
 		`rebudget_router_shard_up{shard="` + shards[0].ts.URL + `"} 1`,
 		`route="/v1/sessions/{id}/epoch"`,
 		"rebudget_router_request_seconds_bucket",
+		// A plain backend list is a membership that never changes.
+		"rebudget_router_membership_epoch 1\n",
+		"rebudget_router_membership_changes_total 0\n",
+		"rebudget_router_migrations_total 0\n",
+		"rebudget_router_migrations_pending 0\n",
+		"rebudget_router_gossip_rounds_total 0\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q", want)

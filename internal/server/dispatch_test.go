@@ -346,3 +346,15 @@ func waitQueued(t *testing.T, d *dispatcher, n int64) {
 		}
 	}
 }
+
+// TestAdmissionDefaults pins the dispatcher's default sizing: capacity 8×
+// workers in cost units, queue depth 4× capacity.
+func TestAdmissionDefaults(t *testing.T) {
+	srv, _ := newTestDaemon(t, Config{Workers: 2, MaxWaiting: 5})
+	if srv.disp.capacity != 16 {
+		t.Fatalf("cost capacity = %g, want 8×workers = 16", srv.disp.capacity)
+	}
+	if srv.disp.maxQueuedCost != 64 {
+		t.Fatalf("max queued cost = %g, want 4×capacity = 64", srv.disp.maxQueuedCost)
+	}
+}

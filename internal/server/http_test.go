@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"rebudget/internal/expo"
 )
 
 func quietLogger() *slog.Logger {
@@ -255,11 +257,13 @@ func TestRouteLabelBoundsCardinality(t *testing.T) {
 		"/v1/sessions/x-1/result":   "/v1/sessions/{id}/result",
 		"/v1/sessions/q/telemetry":  "/v1/sessions/{id}/telemetry",
 		"/favicon.ico":              "other",
+		"/gossip":                   "/gossip", // the router's two constant routes: 404 here,
+		"/admin/shards":             "/admin",  // but still a bounded label
 		"/v2/things/whatever/else3": "other",
 	}
 	for path, want := range cases {
-		if got := routeLabel(path); got != want {
-			t.Errorf("routeLabel(%q) = %q, want %q", path, got, want)
+		if got := expo.RouteLabel(path); got != want {
+			t.Errorf("RouteLabel(%q) = %q, want %q", path, got, want)
 		}
 	}
 }

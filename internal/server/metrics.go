@@ -1,24 +1,15 @@
 package server
 
 import (
-	"bufio"
-	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"rebudget/internal/expo"
 	"rebudget/internal/metrics"
 )
-
-// latencyBuckets are the request-latency histogram upper bounds, in seconds.
-// Allocation epochs land mid-range; reads land in the first buckets.
-var latencyBuckets = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-	0.05, 0.1, 0.25, 0.5, 1, 2.5, 5}
 
 // costBuckets are the per-epoch cost-estimate histogram upper bounds, in
 // cost units. One unit is a cheap 8-core epoch (the dispatcher's pricing
@@ -32,8 +23,7 @@ const costTopK = 5
 
 // srvMetrics is the daemon's observability state: lock-free counters on the
 // hot paths, a mutex-guarded label map for per-route request accounting, and
-// a renderer emitting Prometheus text exposition format. No client library —
-// the repo takes no dependencies — but the output is scrape-compatible.
+// the series definitions rendered through internal/expo.
 type srvMetrics struct {
 	sessionsCreated atomic.Int64
 	epochsServed    atomic.Int64
@@ -41,14 +31,12 @@ type srvMetrics struct {
 	parked          atomic.Int64 // sessions ever hibernated
 	unparked        atomic.Int64 // sessions ever woken from hibernation
 
-	evicted   labelCounters     // reason: capacity | idle | deleted | drain
-	rejected  labelCounters     // reason: busy | mailbox | draining | timeout | ratelimit | tenant | auth
-	requests  routeCodeCounters // route × status code
-	snapshots labelCounters     // op: save | restore | verified | corrupt | save_error | load_error | restore_error
+	evicted   expo.LabelCounters     // reason: capacity | idle | deleted | drain
+	rejected  expo.LabelCounters     // reason: busy | mailbox | draining | timeout | ratelimit | tenant | auth
+	requests  expo.RouteCodeCounters // route × status code
+	snapshots expo.LabelCounters     // op: save | restore | verified | corrupt | save_error | load_error | restore_error
 
-	latCount atomic.Int64
-	latSum   atomicFloat
-	latBkt   [13]atomic.Int64 // parallel to latencyBuckets
+	latency expo.Histogram
 
 	// eq is the server-wide equilibrium profile: the observer installed on
 	// every session's allocator, surviving session eviction so the counters
@@ -56,176 +44,10 @@ type srvMetrics struct {
 	eq metrics.EquilibriumProfile
 }
 
-func init() {
-	if len(latencyBuckets) != len((&srvMetrics{}).latBkt) {
-		panic("server: latBkt array out of sync with latencyBuckets")
-	}
-}
-
-// labelCounters is a small label-value → counter map.
-type labelCounters struct {
-	mu sync.Mutex
-	m  map[string]*int64
-}
-
-func (lc *labelCounters) inc(label string) {
-	lc.mu.Lock()
-	if lc.m == nil {
-		lc.m = make(map[string]*int64)
-	}
-	c, ok := lc.m[label]
-	if !ok {
-		c = new(int64)
-		lc.m[label] = c
-	}
-	*c++
-	lc.mu.Unlock()
-}
-
-// snapshot returns the labels sorted with their counts.
-func (lc *labelCounters) snapshot() ([]string, []int64) {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	labels := make([]string, 0, len(lc.m))
-	for l := range lc.m {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	counts := make([]int64, len(labels))
-	for i, l := range labels {
-		counts[i] = *lc.m[l]
-	}
-	return labels, counts
-}
-
-// routeCodeCounters counts requests by (route, status code) under a struct
-// key: the per-request path must not format a label string (the Sprintf it
-// replaced showed up in the epoch hot-path allocation profile). Labels are
-// rendered at scrape time instead.
-type routeCodeCounters struct {
-	mu sync.Mutex
-	m  map[reqKey]*int64
-}
-
-type reqKey struct {
-	route string
-	code  int
-}
-
-func (rc *routeCodeCounters) inc(route string, code int) {
-	rc.mu.Lock()
-	if rc.m == nil {
-		rc.m = make(map[reqKey]*int64)
-	}
-	k := reqKey{route: route, code: code}
-	c, ok := rc.m[k]
-	if !ok {
-		c = new(int64)
-		rc.m[k] = c
-	}
-	*c++
-	rc.mu.Unlock()
-}
-
-// snapshot renders the labels in the exposition's historical format and
-// order (sorted by formatted label).
-func (rc *routeCodeCounters) snapshot() ([]string, []int64) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	labels := make([]string, 0, len(rc.m))
-	byLabel := make(map[string]int64, len(rc.m))
-	for k, c := range rc.m {
-		l := fmt.Sprintf("route=%q,code=\"%d\"", k.route, k.code)
-		labels = append(labels, l)
-		byLabel[l] = *c
-	}
-	sort.Strings(labels)
-	counts := make([]int64, len(labels))
-	for i, l := range labels {
-		counts[i] = byLabel[l]
-	}
-	return labels, counts
-}
-
-// atomicFloat accumulates float64 via CAS on the bit pattern.
-type atomicFloat struct{ bits atomic.Uint64 }
-
-func (f *atomicFloat) add(v float64) {
-	for {
-		old := f.bits.Load()
-		neu := math.Float64bits(math.Float64frombits(old) + v)
-		if f.bits.CompareAndSwap(old, neu) {
-			return
-		}
-	}
-}
-
-func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()) }
-
 // observeRequest records one served HTTP request.
 func (m *srvMetrics) observeRequest(route string, code int, dur time.Duration) {
-	m.requests.inc(route, code)
-	sec := dur.Seconds()
-	m.latCount.Add(1)
-	m.latSum.add(sec)
-	for i, ub := range latencyBuckets {
-		if sec <= ub {
-			m.latBkt[i].Add(1)
-		}
-	}
-}
-
-// expo is a pooled exposition writer: one bufio.Writer plus a number-format
-// scratch buffer, reused across scrapes. Every line is assembled with
-// strconv.Append* into the buffered writer — at a 50k-session scrape the
-// per-line fmt.Fprintf it replaced was the dominant cost (one format-parse
-// and several interface allocations per line).
-type expo struct {
-	w   *bufio.Writer
-	num []byte
-}
-
-var expoPool = sync.Pool{New: func() any {
-	return &expo{w: bufio.NewWriterSize(io.Discard, 32<<10), num: make([]byte, 0, 64)}
-}}
-
-func (e *expo) str(s string)  { e.w.WriteString(s) }
-func (e *expo) byte(b byte)   { e.w.WriteByte(b) }
-func (e *expo) int(v int64)   { e.num = strconv.AppendInt(e.num[:0], v, 10); e.w.Write(e.num) }
-func (e *expo) float(v float64) {
-	// %g and AppendFloat('g', -1) produce identical shortest representations,
-	// so the exposition text is byte-identical to the Fprintf renderer's.
-	e.num = strconv.AppendFloat(e.num[:0], v, 'g', -1, 64)
-	e.w.Write(e.num)
-}
-func (e *expo) quoted(s string) { e.num = strconv.AppendQuote(e.num[:0], s); e.w.Write(e.num) }
-
-// header writes the # HELP / # TYPE preamble for a metric.
-func (e *expo) header(name, help, typ string) {
-	e.str("# HELP ")
-	e.str(name)
-	e.byte(' ')
-	e.str(help)
-	e.str("\n# TYPE ")
-	e.str(name)
-	e.byte(' ')
-	e.str(typ)
-	e.byte('\n')
-}
-
-// scalar writes a headerless `name value` line.
-func (e *expo) scalarFloat(name string, v float64) {
-	e.str(name)
-	e.byte(' ')
-	e.float(v)
-	e.byte('\n')
-}
-
-func (e *expo) scalarInt(name string, v int64) {
-	e.str(name)
-	e.byte(' ')
-	e.int(v)
-	e.byte('\n')
+	m.requests.Inc(route, code)
+	m.latency.Observe(dur.Seconds())
 }
 
 // render writes the exposition. Default mode keeps cardinality bounded:
@@ -236,35 +58,8 @@ func (e *expo) scalarInt(name string, v int64) {
 // not steady-state telemetry.
 func (m *srvMetrics) render(w io.Writer, sessions []*session, disp *dispatcher,
 	gov *tenantGovernor, draining, perSession bool, uptime time.Duration) {
-	e := expoPool.Get().(*expo)
-	e.w.Reset(w)
-	defer func() {
-		e.w.Flush()
-		e.w.Reset(io.Discard) // drop the handler's writer reference
-		expoPool.Put(e)
-	}()
-
-	gauge := func(name, help string, v float64) {
-		e.header(name, help, "gauge")
-		e.scalarFloat(name, v)
-	}
-	counter := func(name, help string, v float64) {
-		e.header(name, help, "counter")
-		e.scalarFloat(name, v)
-	}
-	labelled := func(name, help, typ string, lc *labelCounters) {
-		e.header(name, help, typ)
-		labels, counts := lc.snapshot()
-		for i, l := range labels {
-			e.str(name)
-			e.byte('{')
-			e.str(l)
-			e.str("} ")
-			e.int(counts[i])
-			e.byte('\n')
-		}
-	}
-
+	e := expo.Acquire(w)
+	defer e.Release()
 	parked := 0
 	for _, s := range sessions {
 		if s.isParked() {
@@ -272,30 +67,30 @@ func (m *srvMetrics) render(w io.Writer, sessions []*session, disp *dispatcher,
 		}
 	}
 
-	gauge("rebudgetd_up", "Daemon liveness (always 1 while serving).", 1)
-	gauge("rebudgetd_uptime_seconds", "Seconds since the daemon started.", uptime.Seconds())
+	e.Gauge("rebudgetd_up", "Daemon liveness (always 1 while serving).", 1)
+	e.Gauge("rebudgetd_uptime_seconds", "Seconds since the daemon started.", uptime.Seconds())
 	drainVal := 0.0
 	if draining {
 		drainVal = 1
 	}
-	gauge("rebudgetd_draining", "1 while the daemon is draining for shutdown.", drainVal)
-	gauge("rebudgetd_sessions_live", "Sessions currently resident.", float64(len(sessions)))
-	gauge("rebudgetd_sessions_parked", "Resident sessions currently hibernating (no goroutine, engine collapsed to a snapshot).", float64(parked))
-	counter("rebudgetd_sessions_created_total", "Sessions ever created.", float64(m.sessionsCreated.Load()))
-	counter("rebudgetd_sessions_parked_total", "Sessions ever hibernated by the park sweep.", float64(m.parked.Load()))
-	counter("rebudgetd_sessions_unparked_total", "Hibernated sessions woken by a touch.", float64(m.unparked.Load()))
-	labelled("rebudgetd_sessions_evicted_total", "Sessions removed, by reason.", "counter", &m.evicted)
-	counter("rebudgetd_epochs_served_total", "Allocation epochs stepped across all sessions.", float64(m.epochsServed.Load()))
-	counter("rebudgetd_ticker_epochs_dropped_total", "Ticker epochs dropped under dispatcher backpressure.", float64(m.tickerDropped.Load()))
-	labelled("rebudgetd_rejected_total", "Requests rejected, by reason.", "counter", &m.rejected)
-	labelled("rebudgetd_snapshots_total", "Session snapshot operations, by outcome.", "counter", &m.snapshots)
+	e.Gauge("rebudgetd_draining", "1 while the daemon is draining for shutdown.", drainVal)
+	e.Gauge("rebudgetd_sessions_live", "Sessions currently resident.", float64(len(sessions)))
+	e.Gauge("rebudgetd_sessions_parked", "Resident sessions currently hibernating (no goroutine, engine collapsed to a snapshot).", float64(parked))
+	e.Counter("rebudgetd_sessions_created_total", "Sessions ever created.", float64(m.sessionsCreated.Load()))
+	e.Counter("rebudgetd_sessions_parked_total", "Sessions ever hibernated by the park sweep.", float64(m.parked.Load()))
+	e.Counter("rebudgetd_sessions_unparked_total", "Hibernated sessions woken by a touch.", float64(m.unparked.Load()))
+	e.Labelled("rebudgetd_sessions_evicted_total", "Sessions removed, by reason.", &m.evicted)
+	e.Counter("rebudgetd_epochs_served_total", "Allocation epochs stepped across all sessions.", float64(m.epochsServed.Load()))
+	e.Counter("rebudgetd_ticker_epochs_dropped_total", "Ticker epochs dropped under dispatcher backpressure.", float64(m.tickerDropped.Load()))
+	e.Labelled("rebudgetd_rejected_total", "Requests rejected, by reason.", &m.rejected)
+	e.Labelled("rebudgetd_snapshots_total", "Session snapshot operations, by outcome.", &m.snapshots)
 	// Dispatcher admission state, in cost units — the canonical series
 	// since cost-based admission landed. (The deprecated request-count
 	// aliases rebudgetd_dispatch_in_flight/_queued were removed after
 	// their one-release grace period; see DESIGN.md, "Metrics migration".)
-	gauge("rebudgetd_dispatch_in_flight_cost", "Cost units currently claimed by admitted requests.", disp.inFlightCost())
-	gauge("rebudgetd_dispatch_queued_cost", "Cost units waiting for dispatcher capacity.", disp.queuedCostUnits())
-	gauge("rebudgetd_dispatch_capacity_cost", "Dispatcher concurrent budget, in cost units.", disp.capacity)
+	e.Gauge("rebudgetd_dispatch_in_flight_cost", "Cost units currently claimed by admitted requests.", disp.inFlightCost())
+	e.Gauge("rebudgetd_dispatch_queued_cost", "Cost units waiting for dispatcher capacity.", disp.queuedCostUnits())
+	e.Gauge("rebudgetd_dispatch_capacity_cost", "Dispatcher concurrent budget, in cost units.", disp.capacity)
 
 	// Tenant budget economy (only when the governor is armed): the tree's
 	// budget state and the admission-side counters, one series per tenant.
@@ -303,52 +98,41 @@ func (m *srvMetrics) render(w io.Writer, sessions []*session, disp *dispatcher,
 	// through a lend-then-reclaim cycle.
 	if gov != nil {
 		rows, epochs := gov.metricsSnapshot()
-		counter("rebudgetd_tenant_rebalance_epochs_total", "Tenant-tree rebalance epochs run.", float64(epochs))
+		e.Counter("rebudgetd_tenant_rebalance_epochs_total", "Tenant-tree rebalance epochs run.", float64(epochs))
 		tenantSeries := func(name, help, typ string, value func(tenantMetric) float64) {
-			e.header(name, help, typ)
+			e.Header(name, help, typ)
 			for _, row := range rows {
-				e.str(name)
-				e.str("{tenant=")
-				e.quoted(row.Path)
-				e.str("} ")
-				e.float(value(row))
-				e.byte('\n')
+				e.Float(name, value(row), "tenant", row.Path)
 			}
 		}
-		tg := func(name, help string, value func(tenantMetric) float64) {
-			tenantSeries(name, help, "gauge", value)
-		}
-		tc := func(name, help string, value func(tenantMetric) float64) {
-			tenantSeries(name, help, "counter", value)
-		}
-		tg("rebudgetd_tenant_deserved_cost", "Deserved budget (cost units): the tenant's static entitlement.",
+		tenantSeries("rebudgetd_tenant_deserved_cost", "Deserved budget (cost units): the tenant's static entitlement.", "gauge",
 			func(r tenantMetric) float64 { return r.Deserved })
-		tg("rebudgetd_tenant_granted_cost", "Granted budget (cost units): what the tenant may use now.",
+		tenantSeries("rebudgetd_tenant_granted_cost", "Granted budget (cost units): what the tenant may use now.", "gauge",
 			func(r tenantMetric) float64 { return r.Granted })
-		tg("rebudgetd_tenant_lent_cost", "Budget currently lent out: max(0, deserved-granted).",
+		tenantSeries("rebudgetd_tenant_lent_cost", "Budget currently lent out: max(0, deserved-granted).", "gauge",
 			func(r tenantMetric) float64 { return r.Lent })
-		tg("rebudgetd_tenant_borrowed_cost", "Budget currently borrowed: max(0, granted-deserved).",
+		tenantSeries("rebudgetd_tenant_borrowed_cost", "Budget currently borrowed: max(0, granted-deserved).", "gauge",
 			func(r tenantMetric) float64 { return r.Borrowed })
-		tg("rebudgetd_tenant_demand_cost", "Demand signal fed to the tree (peak wanted in-flight cost, decayed).",
+		tenantSeries("rebudgetd_tenant_demand_cost", "Demand signal fed to the tree (peak wanted in-flight cost, decayed).", "gauge",
 			func(r tenantMetric) float64 { return r.Demand })
-		tg("rebudgetd_tenant_in_flight_cost", "Cost units currently admitted under the tenant's grant.",
+		tenantSeries("rebudgetd_tenant_in_flight_cost", "Cost units currently admitted under the tenant's grant.", "gauge",
 			func(r tenantMetric) float64 { return r.InFlight })
-		tg("rebudgetd_tenant_mbr_floor", "Configured fairness floor: granted never drops below floor x slice while demanding.",
+		tenantSeries("rebudgetd_tenant_mbr_floor", "Configured fairness floor: granted never drops below floor x slice while demanding.", "gauge",
 			func(r tenantMetric) float64 { return r.MBRFloor })
-		tg("rebudgetd_tenant_fairness", "Realized budget share: granted/deserved (1 = exactly the deserved share).",
+		tenantSeries("rebudgetd_tenant_fairness", "Realized budget share: granted/deserved (1 = exactly the deserved share).", "gauge",
 			func(r tenantMetric) float64 {
 				if r.Deserved <= 0 {
 					return 1
 				}
 				return r.Granted / r.Deserved
 			})
-		tc("rebudgetd_tenant_lent_cost_total", "Cumulative budget-epochs spent below the deserved share (lender side).",
+		tenantSeries("rebudgetd_tenant_lent_cost_total", "Cumulative budget-epochs spent below the deserved share (lender side).", "counter",
 			func(r tenantMetric) float64 { return r.LentTotal })
-		tc("rebudgetd_tenant_reclaimed_cost_total", "Cumulative budget cut back by bounded reclaim.",
+		tenantSeries("rebudgetd_tenant_reclaimed_cost_total", "Cumulative budget cut back by bounded reclaim.", "counter",
 			func(r tenantMetric) float64 { return r.ReclaimedTotal })
-		tc("rebudgetd_tenant_admitted_total", "Requests admitted under the tenant's sub-budget.",
+		tenantSeries("rebudgetd_tenant_admitted_total", "Requests admitted under the tenant's sub-budget.", "counter",
 			func(r tenantMetric) float64 { return float64(r.Admitted) })
-		tc("rebudgetd_tenant_rejected_total", "Requests refused because the tenant's grant was exhausted.",
+		tenantSeries("rebudgetd_tenant_rejected_total", "Requests refused because the tenant's grant was exhausted.", "counter",
 			func(r tenantMetric) float64 { return float64(r.Rejected) })
 		bySessTenant := map[string]int{}
 		for _, s := range sessions {
@@ -356,63 +140,31 @@ func (m *srvMetrics) render(w io.Writer, sessions []*session, disp *dispatcher,
 				bySessTenant[t]++
 			}
 		}
-		e.header("rebudgetd_tenant_sessions", "Resident sessions per tenant.", "gauge")
+		e.Header("rebudgetd_tenant_sessions", "Resident sessions per tenant.", "gauge")
 		for _, row := range rows {
-			e.str("rebudgetd_tenant_sessions{tenant=")
-			e.quoted(row.Path)
-			e.str("} ")
-			e.int(int64(bySessTenant[row.Path]))
-			e.byte('\n')
+			e.Int("rebudgetd_tenant_sessions", int64(bySessTenant[row.Path]), "tenant", row.Path)
 		}
 	}
 
 	// Equilibrium convergence cost (from metrics.EquilibriumProfile).
 	eq := m.eq.Snapshot()
-	counter("rebudgetd_equilibrium_runs_total", "Equilibrium computations performed.", float64(eq.Runs))
-	counter("rebudgetd_equilibrium_rounds_total", "Bidding-pricing rounds summed over all equilibria.", float64(eq.Rounds))
-	counter("rebudgetd_equilibrium_bid_steps_total", "Per-player bid updates summed over all equilibria.", float64(eq.BidSteps))
-	counter("rebudgetd_equilibrium_wall_seconds_total", "Wall time spent inside equilibrium computations.", eq.Wall.Seconds())
+	e.Counter("rebudgetd_equilibrium_runs_total", "Equilibrium computations performed.", float64(eq.Runs))
+	e.Counter("rebudgetd_equilibrium_rounds_total", "Bidding-pricing rounds summed over all equilibria.", float64(eq.Rounds))
+	e.Counter("rebudgetd_equilibrium_bid_steps_total", "Per-player bid updates summed over all equilibria.", float64(eq.BidSteps))
+	e.Counter("rebudgetd_equilibrium_wall_seconds_total", "Wall time spent inside equilibrium computations.", eq.Wall.Seconds())
 
 	// Request accounting.
-	e.header("rebudgetd_requests_total", "HTTP requests served, by route and status code.", "counter")
-	reqLabels, reqCounts := m.requests.snapshot()
-	for i, l := range reqLabels {
-		e.str("rebudgetd_requests_total{")
-		e.str(l)
-		e.str("} ")
-		e.int(reqCounts[i])
-		e.byte('\n')
-	}
-	e.header("rebudgetd_request_seconds", "HTTP request latency.", "histogram")
-	for i, ub := range latencyBuckets {
-		e.str("rebudgetd_request_seconds_bucket{le=\"")
-		e.float(ub)
-		e.str("\"} ")
-		e.int(m.latBkt[i].Load())
-		e.byte('\n')
-	}
-	e.str("rebudgetd_request_seconds_bucket{le=\"+Inf\"} ")
-	e.int(m.latCount.Load())
-	e.byte('\n')
-	e.str("rebudgetd_request_seconds_sum ")
-	e.float(m.latSum.load())
-	e.byte('\n')
-	e.str("rebudgetd_request_seconds_count ")
-	e.int(m.latCount.Load())
-	e.byte('\n')
+	e.Labelled("rebudgetd_requests_total", "HTTP requests served, by route and status code.", &m.requests)
+	e.Histogram("rebudgetd_request_seconds", "HTTP request latency.", &m.latency)
 
 	// Degradation FSM: population counts per state.
 	byState := map[metrics.HealthState]int{}
 	for _, s := range sessions {
 		byState[s.Health()]++
 	}
-	e.header("rebudgetd_sessions_by_state", "Sessions per degradation-FSM state.", "gauge")
+	e.Header("rebudgetd_sessions_by_state", "Sessions per degradation-FSM state.", "gauge")
 	for _, st := range []metrics.HealthState{metrics.Healthy, metrics.Degraded, metrics.Recovering} {
-		e.str("rebudgetd_sessions_by_state{state=")
-		e.quoted(st.String())
-		e.str("} ")
-		e.int(int64(byState[st]))
-		e.byte('\n')
+		e.Int("rebudgetd_sessions_by_state", int64(byState[st]), "state", st.String())
 	}
 
 	// Per-epoch cost estimates as a bounded distribution snapshot plus the
@@ -427,16 +179,15 @@ func (m *srvMetrics) render(w io.Writer, sessions []*session, disp *dispatcher,
 }
 
 // renderCostProfile emits the cost histogram and top-K offender series.
-func (m *srvMetrics) renderCostProfile(e *expo, sessions []*session) {
-	counts := make([]int64, len(costBuckets)+1) // +Inf tail
+func (m *srvMetrics) renderCostProfile(e *expo.Writer, sessions []*session) {
+	cum := make([]int64, len(costBuckets)+1) // +Inf tail
 	var sum float64
 	top := make([]*session, 0, costTopK)
 	topCost := make([]float64, 0, costTopK)
 	for _, s := range sessions {
 		c := s.costEstimate()
 		sum += c
-		i := sort.SearchFloat64s(costBuckets, c)
-		counts[i]++
+		cum[sort.SearchFloat64s(costBuckets, c)]++
 		// Bounded insertion into the descending offender list — K is 5, a
 		// linear scan beats cleverness.
 		if len(top) < costTopK || c > topCost[len(topCost)-1] {
@@ -457,65 +208,32 @@ func (m *srvMetrics) renderCostProfile(e *expo, sessions []*session) {
 			topCost[ins] = c
 		}
 	}
-	e.header("rebudgetd_session_epoch_cost", "Distribution of per-epoch EWMA cost estimates across live sessions (recomputed each scrape).", "histogram")
-	cum := int64(0)
-	for i, ub := range costBuckets {
-		cum += counts[i]
-		e.str("rebudgetd_session_epoch_cost_bucket{le=\"")
-		e.float(ub)
-		e.str("\"} ")
-		e.int(cum)
-		e.byte('\n')
+	for i := 1; i < len(cum); i++ {
+		cum[i] += cum[i-1]
 	}
-	cum += counts[len(costBuckets)]
-	e.str("rebudgetd_session_epoch_cost_bucket{le=\"+Inf\"} ")
-	e.int(cum)
-	e.byte('\n')
-	e.str("rebudgetd_session_epoch_cost_sum ")
-	e.float(sum)
-	e.byte('\n')
-	e.str("rebudgetd_session_epoch_cost_count ")
-	e.int(int64(len(sessions)))
-	e.byte('\n')
+	e.Header("rebudgetd_session_epoch_cost", "Distribution of per-epoch EWMA cost estimates across live sessions (recomputed each scrape).", "histogram")
+	e.Buckets("rebudgetd_session_epoch_cost", costBuckets, cum, sum, int64(len(sessions)))
 
-	e.header("rebudgetd_session_cost_topk", "The K most expensive live sessions by per-epoch cost estimate (bounded cardinality; rank 1 = costliest).", "gauge")
+	e.Header("rebudgetd_session_cost_topk", "The K most expensive live sessions by per-epoch cost estimate (bounded cardinality; rank 1 = costliest).", "gauge")
 	for i, s := range top {
-		e.str("rebudgetd_session_cost_topk{rank=\"")
-		e.int(int64(i + 1))
-		e.str("\",session=")
-		e.quoted(s.id)
-		e.str("} ")
-		e.float(topCost[i])
-		e.byte('\n')
+		e.Float("rebudgetd_session_cost_topk", topCost[i], "rank", strconv.Itoa(i+1), "session", s.id)
 	}
 }
 
 // renderPerSession emits the unbounded per-session-id debug series — one or
 // more lines per resident session, gated behind Config.PerSessionMetrics.
-func (m *srvMetrics) renderPerSession(e *expo, sessions []*session) {
-	e.header("rebudgetd_session_epochs", "Epochs served, per live session.", "gauge")
+func (m *srvMetrics) renderPerSession(e *expo.Writer, sessions []*session) {
+	e.Header("rebudgetd_session_epochs", "Epochs served, per live session.", "gauge")
 	for _, s := range sessions {
-		e.str("rebudgetd_session_epochs{id=")
-		e.quoted(s.id)
-		e.str("} ")
-		e.int(s.Epochs())
-		e.byte('\n')
+		e.Int("rebudgetd_session_epochs", s.Epochs(), "id", s.id)
 	}
-	e.header("rebudgetd_session_health", "Degradation-FSM state, per live session (1 = current state).", "gauge")
+	e.Header("rebudgetd_session_health", "Degradation-FSM state, per live session (1 = current state).", "gauge")
 	for _, s := range sessions {
-		e.str("rebudgetd_session_health{id=")
-		e.quoted(s.id)
-		e.str(",state=")
-		e.quoted(s.Health().String())
-		e.str("} 1\n")
+		e.Int("rebudgetd_session_health", 1, "id", s.id, "state", s.Health().String())
 	}
-	e.header("rebudgetd_session_epoch_cost_per_id", "EWMA admission-cost estimate (cost units per epoch), per live session.", "gauge")
+	e.Header("rebudgetd_session_epoch_cost_per_id", "EWMA admission-cost estimate (cost units per epoch), per live session.", "gauge")
 	for _, s := range sessions {
-		e.str("rebudgetd_session_epoch_cost_per_id{id=")
-		e.quoted(s.id)
-		e.str("} ")
-		e.float(s.costEstimate())
-		e.byte('\n')
+		e.Float("rebudgetd_session_epoch_cost_per_id", s.costEstimate(), "id", s.id)
 	}
 	// Rate-limit bucket fill, per live session (only when buckets are armed).
 	now := time.Now()
@@ -526,67 +244,9 @@ func (m *srvMetrics) renderPerSession(e *expo, sessions []*session) {
 			continue
 		}
 		if !wroteHeader {
-			e.header("rebudgetd_session_tokens", "Rate-limit tokens currently available, per live session.", "gauge")
+			e.Header("rebudgetd_session_tokens", "Rate-limit tokens currently available, per live session.", "gauge")
 			wroteHeader = true
 		}
-		e.str("rebudgetd_session_tokens{id=")
-		e.quoted(s.id)
-		e.str("} ")
-		e.float(level)
-		e.byte('\n')
+		e.Float("rebudgetd_session_tokens", level, "id", s.id)
 	}
-}
-
-// routeLabel normalises a request path into a bounded label set so metric
-// cardinality cannot grow with session IDs. The outer request's mux pattern
-// is invisible to middleware (ServeMux matches on a copy), hence by hand.
-// Known routes return constant strings — this runs per request, and the
-// strings.Split version it replaced was a visible slice allocation in the
-// epoch hot-path profile.
-func routeLabel(path string) string {
-	p := strings.Trim(path, "/")
-	seg, rest := cutSeg(p)
-	switch seg {
-	case "healthz":
-		return "/healthz"
-	case "metrics":
-		return "/metrics"
-	case "v1":
-		seg, rest = cutSeg(rest)
-		if seg != "sessions" {
-			return "other"
-		}
-		if rest == "" {
-			return "/v1/sessions"
-		}
-		_, rest = cutSeg(rest) // the session id
-		if rest == "" {
-			return "/v1/sessions/{id}"
-		}
-		action, _ := cutSeg(rest)
-		switch action {
-		case "epoch":
-			return "/v1/sessions/{id}/epoch"
-		case "telemetry":
-			return "/v1/sessions/{id}/telemetry"
-		case "result":
-			return "/v1/sessions/{id}/result"
-		}
-		return "/v1/sessions/{id}/" + action
-	default:
-		return "other"
-	}
-}
-
-// cutSeg splits the first path segment off a pre-trimmed path.
-func cutSeg(p string) (seg, rest string) {
-	if i := strings.IndexByte(p, '/'); i >= 0 {
-		return p[:i], p[i+1:]
-	}
-	return p, ""
-}
-
-func fmtFloat(v float64) string {
-	s := fmt.Sprintf("%g", v)
-	return s
 }

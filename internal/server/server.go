@@ -14,6 +14,8 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
+
+	"rebudget/internal/expo"
 )
 
 // Config sizes the daemon. Zero values select the documented defaults.
@@ -21,12 +23,6 @@ type Config struct {
 	// MaxSessions caps resident sessions; the LRU session is evicted to
 	// admit a new one past the cap (default 128).
 	MaxSessions int
-	// StoreSegments stripes the session registry's lock: ids hash onto this
-	// many independently locked LRU segments (rounded up to a power of two).
-	// 0 auto-sizes from MaxSessions (one segment per 64 sessions, max 64);
-	// 1 is the pre-density single-mutex layout with exact global LRU
-	// eviction order. With more segments, capacity eviction is per-segment.
-	StoreSegments int
 	// IdleTTL evicts sessions untouched by any client for this long
 	// (default 10m; <0 disables).
 	IdleTTL time.Duration
@@ -38,14 +34,6 @@ type Config struct {
 	// <0 disables. Parking is what lets 100k resident-but-idle sessions
 	// cost ~0 goroutines.
 	ParkAfter time.Duration
-	// DisableTickerWheel reverts ticker-driven sessions (TickerMillis > 0)
-	// to one time.Ticker per session loop — the pre-density behaviour, kept
-	// for exact tick-period semantics. By default ticker epochs are driven
-	// by one shared coarse timer wheel (see WheelGranularity).
-	DisableTickerWheel bool
-	// WheelGranularity is the shared timer wheel's tick (default 20ms).
-	// Ticker periods are quantised up to it.
-	WheelGranularity time.Duration
 	// PerSessionMetrics re-enables the unbounded per-session-id /metrics
 	// series (rebudgetd_session_epochs{id}, _health{id}, _epoch_cost{id},
 	// _tokens{id}) for debugging. Off by default: at density those series
@@ -62,22 +50,15 @@ type Config struct {
 	// MaxWaiting bounds requests queued for a worker slot; beyond it the
 	// daemon answers 429 + Retry-After (default 4×Workers, min 64).
 	MaxWaiting int
-	// Admission selects how the dispatcher prices requests: AdmissionCost
-	// (the default) spends weighted cost units from each session's EWMA
-	// estimate, AdmissionCount spends one unit per request regardless of
-	// measured cost — the pre-cost contract, kept runnable for A/B
-	// comparison (rebudget-loadgen drives both).
-	Admission string
 	// CostCapacity is the dispatcher's concurrent budget in cost units
-	// under AdmissionCost (default 8×Workers: one unit is a cheap 8-core
-	// epoch, so each worker slot carries ~8 cheap epochs' worth of
-	// admitted work). Ignored under AdmissionCount, where capacity is
-	// exactly Workers.
+	// (default 8×Workers: one unit is a cheap 8-core epoch, so each worker
+	// slot carries ~8 cheap epochs' worth of admitted work). Requests spend
+	// weighted units from their session's EWMA cost estimate.
 	CostCapacity float64
-	// MaxQueuedCost bounds the wait queue by cost depth under
-	// AdmissionCost (default 4×CostCapacity): a queue holding a few
-	// expensive solves rejects as readily as one holding many cheap
-	// touches, because it represents the same wait.
+	// MaxQueuedCost bounds the wait queue by cost depth (default
+	// 4×CostCapacity): a queue holding a few expensive solves rejects as
+	// readily as one holding many cheap touches, because it represents the
+	// same wait.
 	MaxQueuedCost float64
 	// RequestTimeout is the per-request deadline for allocation work
 	// (default 10s).
@@ -111,15 +92,6 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// Admission modes.
-const (
-	// AdmissionCost prices requests by their EWMA cost estimate (default).
-	AdmissionCost = "cost"
-	// AdmissionCount prices every request at one unit (legacy behaviour,
-	// the A/B control).
-	AdmissionCount = "count"
-)
-
 func (c Config) withDefaults() Config {
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 128
@@ -130,9 +102,6 @@ func (c Config) withDefaults() Config {
 	if c.ParkAfter == 0 {
 		c.ParkAfter = 5 * time.Minute
 	}
-	if c.WheelGranularity <= 0 {
-		c.WheelGranularity = 20 * time.Millisecond
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -141,9 +110,6 @@ func (c Config) withDefaults() Config {
 		if c.MaxWaiting < 64 {
 			c.MaxWaiting = 64
 		}
-	}
-	if c.Admission != AdmissionCount {
-		c.Admission = AdmissionCost
 	}
 	if c.CostCapacity <= 0 {
 		c.CostCapacity = 8 * float64(c.Workers)
@@ -178,7 +144,7 @@ type Server struct {
 	disp  *dispatcher
 	gov   *tenantGovernor // nil unless Config.Tenancy is set
 	met   *srvMetrics
-	wheel *timerWheel // nil when Config.DisableTickerWheel
+	wheel *timerWheel
 	mux   *http.ServeMux
 
 	started  time.Time
@@ -193,29 +159,20 @@ type Server struct {
 // New builds a server and starts its idle-TTL janitor.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	// Under count admission every request costs exactly one unit, so
-	// capacity Workers and a cost bound equal to the count bound reproduce
-	// the pre-cost dispatcher contract bit for bit (modulo FIFO wakes).
-	capacity, maxQueued := cfg.CostCapacity, cfg.MaxQueuedCost
-	if cfg.Admission == AdmissionCount {
-		capacity, maxQueued = float64(cfg.Workers), float64(cfg.MaxWaiting)
-	}
 	s := &Server{
 		cfg:         cfg,
 		log:         cfg.Logger,
-		store:       newStore(cfg.MaxSessions, cfg.IdleTTL, cfg.StoreSegments),
-		disp:        newDispatcher(capacity, cfg.MaxWaiting, maxQueued),
+		store:       newStore(cfg.MaxSessions, cfg.IdleTTL, 0),
+		disp:        newDispatcher(cfg.CostCapacity, cfg.MaxWaiting, cfg.MaxQueuedCost),
 		met:         &srvMetrics{},
+		wheel:       newTimerWheel(wheelGranularity),
 		mux:         http.NewServeMux(),
 		started:     time.Now(),
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
 	}
-	if !cfg.DisableTickerWheel {
-		s.wheel = newTimerWheel(cfg.WheelGranularity)
-	}
 	if cfg.Tenancy != nil {
-		gov, err := newTenantGovernor(*cfg.Tenancy, capacity, s.log)
+		gov, err := newTenantGovernor(*cfg.Tenancy, cfg.CostCapacity, s.log)
 		if err != nil {
 			panic(fmt.Sprintf("server: invalid tenancy config: %v", err))
 		}
@@ -262,7 +219,7 @@ func (s *Server) authenticate(next http.Handler) http.Handler {
 		}
 		got := []byte(r.Header.Get("Authorization"))
 		if subtle.ConstantTimeCompare(got, expect) != 1 {
-			s.met.rejected.inc(`reason="auth"`)
+			s.met.rejected.Inc(`reason="auth"`)
 			writeErr(w, http.StatusUnauthorized, "missing or invalid API key")
 			return
 		}
@@ -298,9 +255,7 @@ func (s *Server) Close() {
 	for _, sess := range s.store.drain() {
 		s.retire(sess, "drain")
 	}
-	if s.wheel != nil {
-		s.wheel.close()
-	}
+	s.wheel.close()
 }
 
 // retire closes an evicted session and, when a snapshot store is
@@ -309,16 +264,16 @@ func (s *Server) Close() {
 // logged and counted, never fatal: the session is already gone.
 func (s *Server) retire(sess *session, reason string) {
 	sess.close()
-	s.met.evicted.inc(fmt.Sprintf("reason=%q", reason))
+	s.met.evicted.Inc(fmt.Sprintf("reason=%q", reason))
 	if s.cfg.Snapshots == nil {
 		return
 	}
 	if err := s.cfg.Snapshots.Save(sess.snapshot(time.Now())); err != nil {
-		s.met.snapshots.inc(`op="save_error"`)
+		s.met.snapshots.Inc(`op="save_error"`)
 		s.log.Warn("snapshot save failed", "id", sess.id, "err", err)
 		return
 	}
-	s.met.snapshots.inc(`op="save"`)
+	s.met.snapshots.Inc(`op="save"`)
 	s.log.Info("session snapshotted", "id", sess.id, "reason", reason)
 }
 
@@ -372,7 +327,7 @@ func (s *Server) buildEngine(spec SessionSpec, snap *SessionSnapshot, est *costE
 // dispatcher, metrics, admission and rate-limit configuration. epochs seeds
 // the served-epoch counter (nonzero only on rehydrate).
 func (s *Server) newSession(id string, spec SessionSpec, eng engine, est *costEstimator, epochs int64) *session {
-	return newSession(id, spec, eng, est, s.cfg.Admission == AdmissionCost,
+	return newSession(id, spec, eng, est,
 		s.disp, s.met, s.wheel, s.cfg.MailboxDepth,
 		s.cfg.SessionRPS, s.cfg.SessionBurst, epochs, time.Now())
 }
@@ -450,7 +405,7 @@ func (s *Server) ensureRunning(ctx context.Context, sess *session) error {
 	case stateClosed:
 		return errSessionClosed
 	}
-	lease, err := s.disp.acquire(ctx, s.admissionCost(sess.cost.epochCost()))
+	lease, err := s.disp.acquire(ctx, sess.cost.epochCost())
 	if err != nil {
 		return err
 	}
@@ -484,7 +439,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		next.ServeHTTP(rec, r)
 		dur := time.Since(start)
-		route := routeLabel(r.URL.Path)
+		route := expo.RouteLabel(r.URL.Path)
 		s.met.observeRequest(route, rec.code, dur)
 		s.log.Info("request",
 			"method", r.Method, "route", route, "path", r.URL.Path,
@@ -544,15 +499,6 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return err
 }
 
-// admissionCost translates raw cost units into what admission charges:
-// unchanged under cost admission, a flat 1 under count admission.
-func (s *Server) admissionCost(units float64) float64 {
-	if s.cfg.Admission == AdmissionCount {
-		return 1
-	}
-	return units
-}
-
 // tenantAdmit charges cost units against the tenant's granted sub-budget;
 // a no-op without a governor or label. On refusal it writes the 429
 // (Retry-After = the next rebalance epoch) and reports false.
@@ -562,7 +508,7 @@ func (s *Server) tenantAdmit(w http.ResponseWriter, path string, cost float64) b
 	}
 	ok, retryAfter := s.gov.admit(path, cost)
 	if !ok {
-		s.met.rejected.inc(`reason="tenant"`)
+		s.met.rejected.Inc(`reason="tenant"`)
 		writeRetryErr(w, retryAfter, fmt.Sprintf("tenant %q over budget", path))
 	}
 	return ok
@@ -581,15 +527,15 @@ func (s *Server) replyError(w http.ResponseWriter, err error) {
 	case errors.Is(err, errBusy):
 		// Retry-After is computed from the dispatcher's cost depth — the
 		// work queued ahead, not the number of requests holding it.
-		s.met.rejected.inc(`reason="busy"`)
+		s.met.rejected.Inc(`reason="busy"`)
 		writeRetryErr(w, s.disp.retryAfter(), err.Error())
 	case errors.Is(err, errMailboxFull):
-		s.met.rejected.inc(`reason="mailbox"`)
+		s.met.rejected.Inc(`reason="mailbox"`)
 		writeErr(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, errSessionClosed):
 		writeErr(w, http.StatusGone, err.Error())
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		s.met.rejected.inc(`reason="timeout"`)
+		s.met.rejected.Inc(`reason="timeout"`)
 		writeErr(w, http.StatusServiceUnavailable, "request deadline exceeded")
 	default:
 		writeErr(w, http.StatusInternalServerError, err.Error())
@@ -613,7 +559,7 @@ func (s *Server) replyEngineError(w http.ResponseWriter, err error) {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		s.met.rejected.inc(`reason="draining"`)
+		s.met.rejected.Inc(`reason="draining"`)
 		writeErr(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
@@ -653,7 +599,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	// priced by the spec's analytic prior (no measurements exist yet) —
 	// and, under tenancy, against the tenant's sub-budget first.
 	est := newCostEstimator(spec.guessCores())
-	createCost := s.admissionCost(est.epochCost())
+	createCost := est.epochCost()
 	if !s.tenantAdmit(w, spec.Tenant, createCost) {
 		return
 	}
@@ -759,11 +705,11 @@ func (s *Server) rehydrate(w http.ResponseWriter, r *http.Request, id string) *s
 		if errors.Is(err, ErrNoSnapshot) {
 			if err != ErrNoSnapshot {
 				// A file exists but is unusable: cold start, counted.
-				s.met.snapshots.inc(`op="corrupt"`)
+				s.met.snapshots.Inc(`op="corrupt"`)
 				s.log.Warn("snapshot unusable, cold start", "id", id, "err", err)
 			}
 		} else {
-			s.met.snapshots.inc(`op="load_error"`)
+			s.met.snapshots.Inc(`op="load_error"`)
 			s.log.Warn("snapshot load failed, cold start", "id", id, "err", err)
 		}
 		notFound()
@@ -772,7 +718,7 @@ func (s *Server) rehydrate(w http.ResponseWriter, r *http.Request, id string) *s
 	if s.draining.Load() {
 		// Same contract as create: a draining shard takes no new residents,
 		// so the ring can move the session to a healthy one.
-		s.met.rejected.inc(`reason="draining"`)
+		s.met.rejected.Inc(`reason="draining"`)
 		writeErr(w, http.StatusServiceUnavailable, "draining")
 		return nil
 	}
@@ -791,7 +737,7 @@ func (s *Server) rehydrate(w http.ResponseWriter, r *http.Request, id string) *s
 	// priced by its measured history, not the cold prior.
 	est := newCostEstimator(snap.Spec.guessCores())
 	est.restore(snap.EpochCost)
-	restoreCost := s.admissionCost(est.epochCost())
+	restoreCost := est.epochCost()
 	if !s.tenantAdmit(w, snap.Spec.Tenant, restoreCost) {
 		return nil
 	}
@@ -807,7 +753,7 @@ func (s *Server) rehydrate(w http.ResponseWriter, r *http.Request, id string) *s
 	lease.release()
 	s.tenantRelease(snap.Spec.Tenant, restoreCost)
 	if err != nil {
-		s.met.snapshots.inc(`op="restore_error"`)
+		s.met.snapshots.Inc(`op="restore_error"`)
 		s.log.Warn("snapshot restore failed, cold start", "id", id, "err", err)
 		notFound()
 		return nil
@@ -828,12 +774,9 @@ func (s *Server) rehydrate(w http.ResponseWriter, r *http.Request, id string) *s
 		s.retire(evicted, "capacity")
 		s.log.Info("session evicted", "id", evicted.id, "reason", "capacity")
 	}
-	s.met.snapshots.inc(`op="restore"`)
-	if snap.Checksum != "" {
-		// The store verified this snapshot's integrity checksum on load
-		// (version 2 format); v1 files restore without one.
-		s.met.snapshots.inc(`op="verified"`)
-	}
+	// Every snapshot that loads has had its integrity checksum verified.
+	s.met.snapshots.Inc(`op="restore"`)
+	s.met.snapshots.Inc(`op="verified"`)
 	s.log.Info("session rehydrated", "id", id, "epochs", snap.Epochs, "saved_at", snap.SavedAt)
 	return sess
 }
@@ -853,7 +796,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		if s.cfg.Snapshots != nil {
 			if _, err := s.cfg.Snapshots.Load(id); err == nil {
 				_ = s.cfg.Snapshots.Delete(id)
-				s.met.evicted.inc(`reason="deleted"`)
+				s.met.evicted.Inc(`reason="deleted"`)
 				s.log.Info("snapshotted session deleted", "id", id)
 				w.WriteHeader(http.StatusNoContent)
 				return
@@ -863,7 +806,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.close()
-	s.met.evicted.inc(`reason="deleted"`)
+	s.met.evicted.Inc(`reason="deleted"`)
 	if s.cfg.Snapshots != nil {
 		if err := s.cfg.Snapshots.Delete(id); err != nil {
 			s.log.Warn("snapshot delete failed", "id", id, "err", err)
@@ -899,7 +842,7 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	// Per-session rate limit: a batched request spends one token per epoch,
 	// so batching cannot sidestep the budget.
 	if ok, retryAfter := sess.spend(n, time.Now()); !ok {
-		s.met.rejected.inc(`reason="ratelimit"`)
+		s.met.rejected.Inc(`reason="ratelimit"`)
 		writeRetryErr(w, retryAfter, fmt.Sprintf("session %q rate limited", sess.id))
 		return
 	}

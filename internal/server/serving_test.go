@@ -344,20 +344,19 @@ func TestConcurrentCreateTickEvict(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDensityOffConfigBitIdentical pins the escape hatch for the density
-// machinery: a daemon with striping collapsed to one segment, the timer
-// wheel disabled and hibernation off (the pre-density configuration) emits
-// exactly the offline allocator outputs — and so does the default density
-// configuration, proving striping/wheel/parking change scheduling, never
-// arithmetic.
+// TestDensityOffConfigBitIdentical pins the daemon to the offline core
+// loop: the default configuration (striped store, timer wheel, hibernation
+// armed) emits exactly the offline allocator outputs, and so does one with
+// hibernation switched off — the density machinery changes scheduling,
+// never arithmetic.
 func TestDensityOffConfigBitIdentical(t *testing.T) {
 	const epochs = 4
 	configs := []struct {
 		name string
 		cfg  server.Config
 	}{
-		{"density-off", server.Config{StoreSegments: 1, DisableTickerWheel: true, ParkAfter: -1}},
 		{"density-default", server.Config{}},
+		{"park-off", server.Config{ParkAfter: -1}},
 	}
 	want := offlineEpochs(t, core.ReBudget{Step: 0.05}, epochs, true)
 	ctx := context.Background()

@@ -100,20 +100,16 @@ type session struct {
 	disp *dispatcher
 	met  *srvMetrics
 
-	// cost is the session's EWMA admission-cost estimate; weighted is
-	// false under request-count admission (the A/B control), where every
-	// request spends exactly one unit regardless of measured cost.
-	cost     *costEstimator
-	weighted bool
+	// cost is the session's EWMA admission-cost estimate.
+	cost *costEstimator
 
-	// wheel, when non-nil, drives ticker epochs for this session (tick > 0)
-	// instead of a per-session time.Ticker in the loop.
+	// wheel drives ticker epochs for this session when tick > 0.
 	wheel *timerWheel
 	tick  time.Duration
 
 	reqs chan *request
 
-	lifeMu   sync.Mutex  // guards state, stop, done, hib, eng swaps
+	lifeMu   sync.Mutex // guards state, stop, done, hib, eng swaps
 	state    int
 	stop     chan struct{}
 	done     chan struct{}
@@ -136,12 +132,11 @@ type session struct {
 	tokenStamp   time.Time
 }
 
-// newSession wraps an engine and starts its loop. tick > 0 additionally
-// drives epochs from the shared timer wheel when one is given, else from a
-// per-session server-side ticker at that period. rps > 0 arms the
-// per-session token bucket (burst tokens available immediately).
+// newSession wraps an engine and starts its loop. A spec with a ticker
+// period additionally drives epochs from the shared timer wheel. rps > 0
+// arms the per-session token bucket (burst tokens available immediately).
 func newSession(id string, spec SessionSpec, eng engine, est *costEstimator,
-	weighted bool, disp *dispatcher, met *srvMetrics, wheel *timerWheel,
+	disp *dispatcher, met *srvMetrics, wheel *timerWheel,
 	mailbox int, rps, burst float64, epochs int64, now time.Time) *session {
 	if est == nil {
 		est = newCostEstimator(eng.cores())
@@ -157,7 +152,6 @@ func newSession(id string, spec SessionSpec, eng engine, est *costEstimator,
 		disp:      disp,
 		met:       met,
 		cost:      est,
-		weighted:  weighted,
 		wheel:     wheel,
 		tick:      time.Duration(spec.TickerMillis) * time.Millisecond,
 		reqs:      make(chan *request, mailbox),
@@ -172,10 +166,10 @@ func newSession(id string, spec SessionSpec, eng engine, est *costEstimator,
 		tokenStamp:   now,
 	}
 	s.refresh("")
-	if s.wheel != nil && s.tick > 0 {
+	if s.tick > 0 {
 		s.wheel.schedule(s, s.tick)
 	}
-	go s.loop(s.tick, s.stop, s.done)
+	go s.loop(s.stop, s.done)
 	return s
 }
 
@@ -205,14 +199,8 @@ func (s *session) spend(n int, now time.Time) (ok bool, retryAfter time.Duration
 }
 
 // epochCost prices an n-epoch request for admission: n × the session's
-// EWMA per-epoch estimate under cost admission, a flat 1 under
-// request-count admission (the pre-cost contract, kept runnable for A/B).
-func (s *session) epochCost(n int) float64 {
-	if !s.weighted {
-		return 1
-	}
-	return float64(n) * s.cost.epochCost()
-}
+// EWMA per-epoch estimate.
+func (s *session) epochCost(n int) float64 { return float64(n) * s.cost.epochCost() }
 
 // costEstimate reports the per-epoch cost estimate for /metrics.
 func (s *session) costEstimate() float64 { return s.cost.epochCost() }
@@ -262,19 +250,12 @@ func (s *session) snapshotLocked(now time.Time) *SessionSnapshot {
 	return snap
 }
 
-// loop is the session goroutine: it serves mailbox requests, runs ticker
-// epochs (its own time.Ticker only on the wheel-off path), and on stop
-// drains queued requests with errSessionClosed. The stop/done channels are
-// passed in because they are per-run: a parked session's next run gets
-// fresh ones.
-func (s *session) loop(tick time.Duration, stop, done chan struct{}) {
+// loop is the session goroutine: it serves mailbox requests (ticker epochs
+// arrive there too, as wheel nudges) and on stop drains queued requests with
+// errSessionClosed. The stop/done channels are passed in because they are
+// per-run: a parked session's next run gets fresh ones.
+func (s *session) loop(stop, done chan struct{}) {
 	defer close(done)
-	var tickC <-chan time.Time
-	if tick > 0 && s.wheel == nil {
-		t := time.NewTicker(tick)
-		defer t.Stop()
-		tickC = t.C
-	}
 	for {
 		select {
 		case <-stop:
@@ -288,8 +269,6 @@ func (s *session) loop(tick time.Duration, stop, done chan struct{}) {
 					return
 				}
 			}
-		case <-tickC:
-			s.tickEpoch()
 		case req := <-s.reqs:
 			s.handle(req)
 		}
@@ -310,8 +289,8 @@ func (s *session) tickEpoch() {
 }
 
 // deliverTick is the timer wheel's fire path: a non-blocking nudge into the
-// mailbox. A full mailbox drops the tick (counted), mirroring the old
-// ticker's behaviour under backpressure; a stopped session ignores it.
+// mailbox. A full mailbox drops the tick (counted), like a busy dispatcher
+// does in tickEpoch; a stopped session ignores it.
 func (s *session) deliverTick() {
 	select {
 	case s.reqs <- wheelTick:
@@ -468,9 +447,7 @@ func (s *session) park(now time.Time, minIdle time.Duration) bool {
 	if minIdle > 0 && now.Sub(s.LastUsed()) < minIdle {
 		return false
 	}
-	if s.wheel != nil {
-		s.wheel.remove(s)
-	}
+	s.wheel.remove(s)
 	close(s.stop)
 	<-s.done
 	s.hib = s.snapshotLocked(now)
@@ -493,19 +470,17 @@ func (s *session) resume(eng engine) {
 	// Re-render the cached view before the loop starts — the engine is
 	// still single-owner here.
 	s.refresh("")
-	if s.wheel != nil && s.tick > 0 {
+	if s.tick > 0 {
 		s.wheel.schedule(s, s.tick)
 	}
-	go s.loop(s.tick, s.stop, s.done)
+	go s.loop(s.stop, s.done)
 }
 
 // close stops the loop (if running) and waits for it to exit. Safe to call
 // repeatedly and from any goroutine; closing a parked session just marks it
 // terminal — there is no loop to stop.
 func (s *session) close() {
-	if s.wheel != nil {
-		s.wheel.remove(s)
-	}
+	s.wheel.remove(s)
 	s.lifeMu.Lock()
 	defer s.lifeMu.Unlock()
 	if s.state == stateRunning {

@@ -11,19 +11,11 @@ import (
 )
 
 // SnapshotVersion is the wire-format version stamped into every snapshot
-// written from now on. Version 3 carries the session's tenant label (in
-// the spec, so a rehydrated session lands back under its tenant's budget);
-// version 2 added an integrity checksum over the snapshot body; version 1
-// files (no checksum) remain readable too, so a tier can be upgraded shard
-// by shard against a shared snapshot directory. Unknown versions are
-// rejected (treated as "no snapshot", a cold start) rather than guessed at.
+// and the only one accepted on load: an integrity checksum over the body
+// and the session's tenant label in the spec (so a rehydrated session lands
+// back under its tenant's budget). Any other version is rejected (treated
+// as "no snapshot", a cold start) rather than guessed at.
 const SnapshotVersion = 3
-
-// Older formats still accepted on load.
-const (
-	snapshotVersionV1 = 1 // pre-checksum
-	snapshotVersionV2 = 2 // checksummed, pre-tenant
-)
 
 // ErrNoSnapshot reports that a store holds no usable snapshot for an id —
 // either nothing was ever saved, or what is there is corrupt, truncated, or
@@ -53,10 +45,10 @@ type SessionSnapshot struct {
 	EpochCost float64 `json:"epoch_cost,omitempty"`
 
 	// Checksum is a CRC32 (IEEE) over the snapshot's canonical JSON with
-	// this field empty, formatted "crc32:%08x". Version 2 snapshots carry
-	// it; loads verify it when present, so a bit-flipped or hand-edited
-	// file that still parses as JSON deterministically lands on
-	// ErrNoSnapshot (a cold start) instead of resurrecting damaged state.
+	// this field empty, formatted "crc32:%08x". Loads require and verify
+	// it, so a bit-flipped or hand-edited file that still parses as JSON
+	// deterministically lands on ErrNoSnapshot (a cold start) instead of
+	// resurrecting damaged state.
 	Checksum string `json:"checksum,omitempty"`
 
 	Market *MarketSnapshot `json:"market,omitempty"`
@@ -89,9 +81,8 @@ type SwitchEvent struct {
 }
 
 func (s *SessionSnapshot) validate() error {
-	if s.Version != SnapshotVersion && s.Version != snapshotVersionV2 && s.Version != snapshotVersionV1 {
-		return fmt.Errorf("snapshot version %d (want %d, %d or %d)",
-			s.Version, snapshotVersionV1, snapshotVersionV2, SnapshotVersion)
+	if s.Version != SnapshotVersion {
+		return fmt.Errorf("snapshot version %d (want %d)", s.Version, SnapshotVersion)
 	}
 	if s.ID == "" {
 		return errors.New("snapshot missing id")
@@ -116,21 +107,17 @@ func (s *SessionSnapshot) checksum() (string, error) {
 	return fmt.Sprintf("crc32:%08x", crc32.ChecksumIEEE(buf)), nil
 }
 
-// verifyChecksum recomputes the sum and compares. Snapshots without a
-// checksum (version 1 files) pass vacuously; Verified reports whether a
-// checksum was actually checked.
-func (s *SessionSnapshot) verifyChecksum() (verified bool, err error) {
-	if s.Checksum == "" {
-		return false, nil
-	}
+// verifyChecksum recomputes the sum and compares. A missing checksum fails
+// like a wrong one: damage to the field's key must not switch the check off.
+func (s *SessionSnapshot) verifyChecksum() error {
 	want, err := s.checksum()
 	if err != nil {
-		return false, err
+		return err
 	}
 	if s.Checksum != want {
-		return false, fmt.Errorf("checksum %s, recomputed %s", s.Checksum, want)
+		return fmt.Errorf("checksum %q, recomputed %s", s.Checksum, want)
 	}
-	return true, nil
+	return nil
 }
 
 // EncodeSnapshot validates a snapshot, stamps its integrity checksum and
@@ -165,7 +152,7 @@ func DecodeSnapshot(id string, data []byte) (*SessionSnapshot, error) {
 	if err := snap.validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoSnapshot, err)
 	}
-	if _, err := snap.verifyChecksum(); err != nil {
+	if err := snap.verifyChecksum(); err != nil {
 		return nil, fmt.Errorf("%w: snapshot %q corrupt: %v", ErrNoSnapshot, id, err)
 	}
 	if snap.ID != id {

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"testing"
@@ -10,10 +11,11 @@ import (
 )
 
 // FuzzSnapshotLoad hammers the snapshot decode path with arbitrary bytes:
-// whatever is on disk — valid v1/v2/v3 files, truncated checksums, garbage
-// JSON, wrong versions — Load must either return a valid snapshot or
-// ErrNoSnapshot (a cold start). It must never panic and never surface any
-// other error: the rehydrate path's contract is "no worse than cold".
+// whatever is on disk — valid files, retired v1/v2 files, truncated or
+// missing checksums, garbage JSON, wrong versions — Load must either return
+// a valid snapshot or ErrNoSnapshot (a cold start). It must never panic and
+// never surface any other error: the rehydrate path's contract is "no worse
+// than cold".
 func FuzzSnapshotLoad(f *testing.F) {
 	valid := &server.SessionSnapshot{
 		Version: server.SnapshotVersion,
@@ -44,10 +46,15 @@ func FuzzSnapshotLoad(f *testing.F) {
 		"version": 2, "id": "fuzz", "epochs": 1, "checksum": "crc32:00000000",
 	})
 
+	// The checksum's key damaged by one bit and the body edited: the sum is
+	// absent, not wrong, and must fail all the same.
+	nosum := bytes.Replace(validBytes, []byte(`"checksum"`), []byte(`"chdcksum"`), 1)
+	nosum = bytes.Replace(nosum, []byte(`"epochs": 3`), []byte(`"epochs": 7`), 1)
+
 	f.Add(validBytes)                                      // well-formed v3 with a good checksum
-	f.Add(v1)                                              // v1: no checksum, accepted
-	f.Add(v2)                                              // v2 without checksum: accepted vacuously
-	f.Add(v2bad)                                           // checksum mismatch
+	f.Add(v1)                                              // v1: retired version
+	f.Add(v2)                                              // v2 without checksum: retired version
+	f.Add(v2bad)                                           // v2 with a checksum: retired version
 	f.Add(validBytes[:len(validBytes)/2])                  // truncated mid-checksum
 	f.Add([]byte(`{"version":3,`))                         // garbage JSON
 	f.Add([]byte(`{"version":9,"id":"fuzz"}`))             // unknown version
@@ -55,6 +62,8 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add([]byte(`{"version":3,"id":"fuzz","epochs":-1}`)) // negative epochs
 	f.Add([]byte{})
 	f.Add([]byte("null"))
+	f.Add(nosum)                                          // v3, checksum key damaged
+	f.Add([]byte(`{"version":3,"id":"fuzz","epochs":1}`)) // v3, checksum never written
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := server.NewFileSnapshotStore(t.TempDir())
@@ -76,8 +85,11 @@ func FuzzSnapshotLoad(f *testing.F) {
 		if snap.ID != "fuzz" {
 			t.Fatalf("accepted snapshot with mismatched id %q", snap.ID)
 		}
-		if snap.Version < 1 || snap.Version > server.SnapshotVersion {
+		if snap.Version != server.SnapshotVersion {
 			t.Fatalf("accepted snapshot with version %d", snap.Version)
+		}
+		if snap.Checksum == "" {
+			t.Fatal("accepted snapshot without a checksum")
 		}
 		if snap.Epochs < 0 {
 			t.Fatalf("accepted snapshot with negative epochs %d", snap.Epochs)

@@ -82,16 +82,38 @@ func TestFileSnapshotStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// Corrupt, truncated, wrong-version, and mismatched-id snapshot files must
-// all come back as ErrNoSnapshot — a cold start, never a serving error.
+// Corrupt, truncated, wrong-version, checksum-less and mismatched-id
+// snapshot files must all come back as ErrNoSnapshot — a cold start, never a
+// serving error.
 func TestFileSnapshotStoreUnusableFiles(t *testing.T) {
 	st, dir := fileStore(t)
+	// Valid bytes for a snapshot of "other": filed under "mismatch" they
+	// fail on the id alone, and with the checksum's key damaged (a one-bit
+	// flip, 'e' to 'd') and the body edited they must still not load.
+	other, err := server.EncodeSnapshot(&server.SessionSnapshot{
+		Version: server.SnapshotVersion, ID: "other", Epochs: 3, Health: "healthy",
+		Spec: server.SessionSpec{Mechanism: "equalshare", Workload: server.WorkloadSpec{Fig3: true}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nosum := strings.NewReplacer(`"checksum"`, `"chdcksum"`, `"id": "other"`, `"id": "nosum"`,
+		`"epochs": 3`, `"epochs": 7`).Replace(string(other))
+	if !strings.Contains(nosum, `"chdcksum"`) || !strings.Contains(nosum, `"epochs": 7`) || !strings.Contains(nosum, `"id": "nosum"`) {
+		t.Fatalf("tamper targets not found in encoded snapshot:\n%s", other)
+	}
 	cases := map[string]string{
 		"garbage":   `{{{{not json`,
-		"truncated": `{"version":1,"id":"truncated","spec"`,
+		"truncated": `{"version":3,"id":"truncated","spec"`,
 		"wrongver":  `{"version":99,"id":"wrongver"}`,
-		"mismatch":  `{"version":1,"id":"other","epochs":1}`,
-		"empty":     ``,
+		// Well-formed, but from a retired version and unverifiable: a cold
+		// start, not a load (nothing deployed predates version 3).
+		"v1":       `{"version":1,"id":"v1","spec":{"workload":{"fig3":true},"mechanism":"equalshare"},"epochs":4,"health":"healthy","saved_at":"2026-01-01T00:00:00Z"}`,
+		"v2":       `{"version":2,"id":"v2","epochs":1,"checksum":"crc32:00000000"}`,
+		"mismatch": string(other),
+		"nosum":    nosum,
+		"emptysum": `{"version":3,"id":"emptysum","epochs":1,"checksum":""}`,
+		"empty":    ``,
 	}
 	for id, content := range cases {
 		if err := os.WriteFile(filepath.Join(dir, id+".json"), []byte(content), 0o644); err != nil {
@@ -305,7 +327,7 @@ func TestCorruptSnapshotColdStart(t *testing.T) {
 	_, c, _ := startDaemonWith(t, server.Config{Snapshots: st})
 	ctx := context.Background()
 
-	if err := os.WriteFile(filepath.Join(dir, "broken.json"), []byte(`{"version":1,"id":"broken"`), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "broken.json"), []byte(`{"version":3,"id":"broken"`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err := c.GetSession(ctx, "broken")
@@ -349,24 +371,7 @@ func TestDeleteRemovesSnapshot(t *testing.T) {
 	}
 }
 
-// Version-1 files (no checksum) must stay loadable: a mixed-version tier
-// shares one snapshot directory during a rolling upgrade.
-func TestFileSnapshotStoreReadsV1(t *testing.T) {
-	st, dir := fileStore(t)
-	v1 := `{"version":1,"id":"old","spec":{"workload":{"fig3":true},"mechanism":"equalshare"},"epochs":4,"health":"healthy","saved_at":"2026-01-01T00:00:00Z"}`
-	if err := os.WriteFile(filepath.Join(dir, "old.json"), []byte(v1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.Load("old")
-	if err != nil {
-		t.Fatalf("v1 snapshot should load: %v", err)
-	}
-	if got.Epochs != 4 || got.Checksum != "" {
-		t.Fatalf("v1 load mismatch: %+v", got)
-	}
-}
-
-// A saved v2 snapshot carries a checksum, and any single flipped bit in the
+// A saved snapshot carries a checksum, and any single flipped bit in the
 // stored bytes — even one that keeps the JSON parseable — lands on
 // ErrNoSnapshot, deterministically a cold start.
 func TestFileSnapshotStoreChecksumCatchesBitFlips(t *testing.T) {
@@ -388,7 +393,7 @@ func TestFileSnapshotStoreChecksumCatchesBitFlips(t *testing.T) {
 		t.Fatal(err)
 	}
 	if loaded.Checksum == "" {
-		t.Fatal("v2 snapshot saved without a checksum")
+		t.Fatal("snapshot saved without a checksum")
 	}
 	raw, err := st.LoadRaw("bits")
 	if err != nil {
@@ -411,7 +416,7 @@ func TestFileSnapshotStoreChecksumCatchesBitFlips(t *testing.T) {
 // this seam to model torn writes against the real file.
 func TestFileSnapshotStoreRawRoundTrip(t *testing.T) {
 	st, _ := fileStore(t)
-	data := []byte(`{"version":2,"id":"raw","half`)
+	data := []byte(`{"version":3,"id":"raw","half`)
 	if err := st.SaveRaw("raw", data); err != nil {
 		t.Fatal(err)
 	}

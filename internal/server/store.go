@@ -16,15 +16,14 @@ import (
 // striping: a segment can fill from hash imbalance and evict its LRU while
 // the store as a whole is under max — provision headroom as with any
 // per-slab LRU. The resident count is a global atomic, and the idle-TTL
-// sweep walks each segment's LRU tail independently. A single-segment store is bit-identical to the pre-striping
-// global-mutex registry — the configuration the surface-pin tests run.
+// sweep walks each segment's LRU tail independently.
 //
 // The store only tracks sessions — closing an evicted session (which blocks
 // on its loop goroutine) happens outside the lock, by the caller.
 type store struct {
 	segs   []storeSegment
 	mask   uint32
-	segMax int           // per-segment capacity
+	segMax int // per-segment capacity
 	ttl    time.Duration
 	count  atomic.Int64 // resident sessions across all segments
 }

@@ -42,9 +42,6 @@ type TenancyConfig struct {
 	Capacity float64
 	// MBRFloor is the default per-tenant fairness floor (default 0.25).
 	MBRFloor float64
-	// DisableLending freezes tenants at static quotas (the A/B control
-	// the tenant experiments sweep measures against).
-	DisableLending bool
 	// DefaultTenant labels sessions that arrive with neither a spec
 	// tenant nor a TenantHeader (default "default").
 	DefaultTenant string
@@ -108,7 +105,6 @@ func newTenantGovernor(cfg TenancyConfig, dispCapacity float64, log *slog.Logger
 	tree, err := tenant.New(cfg.Tenants, tenant.Config{
 		Capacity:        capacity,
 		DefaultMBRFloor: cfg.MBRFloor,
-		DisableLending:  cfg.DisableLending,
 	})
 	if err != nil {
 		return nil, err

@@ -5,9 +5,13 @@ import (
 	"time"
 )
 
-// wheelSlots is the wheel circumference. With the default 20ms granularity
-// one revolution covers ~5s; ticker periods beyond that park in their slot
-// with a rotation count and are only touched once per revolution.
+// wheelGranularity is the daemon's timer-wheel tick; ticker periods are
+// quantised up to it.
+const wheelGranularity = 20 * time.Millisecond
+
+// wheelSlots is the wheel circumference. At wheelGranularity one revolution
+// covers ~5s; ticker periods beyond that park in their slot with a rotation
+// count and are only touched once per revolution.
 const wheelSlots = 256
 
 // timerWheel drives every ticker session from ONE goroutine and ONE
@@ -18,14 +22,12 @@ const wheelSlots = 256
 // a rotation count (the collapsed upper wheel of a hierarchical design —
 // entries with long periods are touched once per revolution, not per tick).
 // Periods are quantised UP to the granularity, so a 5ms ticker under a 20ms
-// wheel fires every 20ms; density is the trade, and the wheel-off
-// configuration (Config.DisableTickerWheel) keeps the exact per-session
-// time.Ticker behaviour for anything that needs it.
+// wheel fires every 20ms; density is the trade.
 //
 // Fires are delivered through the session mailbox (session.deliverTick), so
 // the engine's single-owner invariant holds: the wheel goroutine never
 // touches an engine, it just nudges loops. A full mailbox drops the tick
-// (counted), exactly like the old ticker under dispatcher backpressure.
+// (counted), exactly like a tick that finds the dispatcher busy.
 type timerWheel struct {
 	gran time.Duration
 
@@ -45,9 +47,6 @@ type wheelEntry struct {
 }
 
 func newTimerWheel(gran time.Duration) *timerWheel {
-	if gran <= 0 {
-		gran = 20 * time.Millisecond
-	}
 	w := &timerWheel{
 		gran: gran,
 		ents: make(map[*session]*wheelEntry),

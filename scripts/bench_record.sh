@@ -47,28 +47,15 @@ BEGIN { print "{"; printf "  \"date\": \"%s\",\n  \"benchmarks\": [\n", date }
 END { print "\n  ]" }
 ' "$RAW" > "$OUT"
 
-# Fold the newest loadgen A/B reports (written by scripts/load_ab.sh) into
-# the snapshot, so serving-tier latency trajectories ride alongside the
-# kernel numbers. Skipped when no A/B has been recorded.
 # Fold the newest density run (written by scripts/density_ab.sh) into the
-# snapshot the same way.
+# snapshot, so serving-tier numbers ride alongside the kernel numbers.
+# Skipped when no density run has been recorded.
 if [ -f .bench/density.json ]; then
     {
         printf ',\n  "density": '
         sed 's/^/  /;1s/^ *//' .bench/density.json | sed '${/^ *$/d}'
     } >> "$OUT"
     echo "folded density report into $OUT"
-fi
-
-if [ -f .bench/loadgen_cost.json ] && [ -f .bench/loadgen_count.json ]; then
-    {
-        printf ',\n  "loadgen": {\n    "cost": '
-        sed 's/^/    /;1s/^ *//' .bench/loadgen_cost.json | sed '${/^ *$/d}'
-        printf ',\n    "count": '
-        sed 's/^/    /;1s/^ *//' .bench/loadgen_count.json | sed '${/^ *$/d}'
-        printf '  }\n'
-    } >> "$OUT"
-    echo "folded loadgen A/B reports into $OUT"
 fi
 printf '}\n' >> "$OUT"
 

@@ -98,31 +98,6 @@ for NAME in $NAMES; do
     fi
 done
 
-# Serving-tier gate: when the newest snapshot carries a loadgen A/B (see
-# scripts/load_ab.sh), the recorded cost-admission cheap p99 must hold its
-# >=25% win over count admission. This checks the *recorded* numbers — the
-# snapshot is the claim a change must not silently erase; re-measure with
-# scripts/load_ab.sh after intentional serving changes.
-if [ -n "$latest" ] && grep -q '"loadgen"' "$latest"; then
-    cost=$(awk '/"loadgen"/ { lg = 1 } lg && /"cost"/ { m = 1 } m && /"cheap"/ { c = 1 }
-        c && /"p99_ms"/ { v = $2; gsub(/[^0-9.]/, "", v); print v; exit }' "$latest")
-    count=$(awk '/"count"/ { m = 1 } m && /"cheap"/ { c = 1 }
-        c && /"p99_ms"/ { v = $2; gsub(/[^0-9.]/, "", v); print v; exit }' "$latest")
-    if [ -n "$cost" ] && [ -n "$count" ]; then
-        echo "bench-smoke: recorded loadgen cheap p99: cost ${cost}ms vs count ${count}ms"
-        held=$(awk -v c="$cost" -v n="$count" 'BEGIN { print (c <= n * 0.75) ? 1 : 0 }')
-        if [ "$held" = "1" ]; then
-            echo "bench-smoke: cost-admission >=25% cheap-p99 win holds in $latest"
-        else
-            echo "bench-smoke: WARNING: recorded A/B in $latest shows <25% cheap-p99 win; re-run scripts/load_ab.sh"
-            fail=1
-        fi
-    else
-        echo "bench-smoke: $latest has a loadgen section but no parseable cheap p99s"
-        fail=1
-    fi
-fi
-
 if [ "$fail" = "1" ] && [ "$STRICT" = "1" ]; then
     echo "bench-smoke: BENCH_STRICT=1 set; failing"
     exit 1
