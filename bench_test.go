@@ -388,6 +388,30 @@ func BenchmarkTalusSplit(b *testing.B) {
 }
 
 func BenchmarkUtilityValue(b *testing.B) {
+	u := benchMcfUtility(b)
+	alloc := []float64{5.5, 7.25}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u.Value(alloc)
+	}
+}
+
+// BenchmarkUtilityValueMiss steps the watts coordinate every call, so each
+// evaluation misses the frequency memo and pays the power→frequency
+// inversion — what the market's watts probes and every hill-climb base
+// evaluation pay. BenchmarkUtilityValue above times the memo hit.
+func BenchmarkUtilityValueMiss(b *testing.B) {
+	u := benchMcfUtility(b)
+	alloc := []float64{5.5, 0}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		alloc[1] = 1 + float64(i%1024)/128
+		u.Value(alloc)
+	}
+}
+
+func benchMcfUtility(b *testing.B) *rebudget.AppUtility {
+	b.Helper()
 	spec, err := rebudget.LookupApp("mcf")
 	if err != nil {
 		b.Fatal(err)
@@ -401,11 +425,7 @@ func BenchmarkUtilityValue(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	alloc := []float64{5.5, 7.25}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u.Value(alloc)
-	}
+	return u
 }
 
 func BenchmarkThreeResourceEquilibrium(b *testing.B) {

@@ -34,7 +34,7 @@ type BandwidthUtility struct {
 	baseLatNs    float64
 	maxUsefulGBs float64
 
-	// Single-entry watts→frequency memo: perf and demandGBs bisect the
+	// Single-entry watts→frequency memo: perf and demandGBs invert the
 	// power model at the same watts within one evaluation, and probes that
 	// move only the cache or bandwidth coordinate keep watts fixed.
 	inv       *power.FreqInverter

@@ -36,8 +36,10 @@ type Utility struct {
 
 	// Hot-path memo state. The market's finite-difference probes move one
 	// allocation coordinate at a time, so between consecutive evaluations
-	// either the watts (and thus the bisected frequency) or the regions
-	// (and thus the hull lookup x) are unchanged.
+	// either the watts (and thus the inverted frequency) or the regions
+	// (and thus the hull lookup x) are unchanged. The frequency memo skips
+	// a ~70 ns constant-time solve, not a search, and at two resources
+	// only one of a hill-climb step's three evaluations hits it.
 	hullEvals []*numeric.PWLEval // per ladder level, memoized
 	inv       *power.FreqInverter
 	lastWatts float64
@@ -100,7 +102,7 @@ func newUtility(m *Model, curve *cache.MissCurve, convexify bool) (*Utility, err
 
 // freqAt is FreqAtTotalPowerGHz at the reference temperature with a
 // single-entry memo: a probe that moves only the cache coordinate reuses
-// the previous bisection result.
+// the previous inversion.
 func (u *Utility) freqAt(watts float64) float64 {
 	if u.hasFreq && watts == u.lastWatts {
 		return u.lastFreq

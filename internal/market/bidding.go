@@ -30,12 +30,22 @@ type bidScratch struct {
 }
 
 func newBidScratch(resources int) *bidScratch {
+	// One backing array with a cache line of padding at each end, so no two
+	// workers' buffers — written in the innermost loop — share a line,
+	// wherever the allocator happens to place them.
+	const line = 8 // float64s per 64-byte cache line
+	buf := make([]float64, 5*resources+2*line)[line:]
+	next := func() []float64 {
+		s := buf[:resources:resources]
+		buf = buf[resources:]
+		return s
+	}
 	return &bidScratch{
-		others:  make([]float64, resources),
-		probe:   make([]float64, resources),
-		alloc:   make([]float64, resources),
-		allocB:  make([]float64, resources),
-		lambdas: make([]float64, resources),
+		others:  next(),
+		probe:   next(),
+		alloc:   next(),
+		allocB:  next(),
+		lambdas: next(),
 	}
 }
 

@@ -77,7 +77,7 @@ type Config struct {
 	// re-optimisations fan out across a persistent goroutine pool. 0 means
 	// GOMAXPROCS, 1 forces the serial loop, and markets with fewer than
 	// minParallelPlayers players always run serially (the dispatch overhead
-	// dwarfs the work). Parallel results are bit-identical to serial ones —
+	// exceeds the work). Parallel results are bit-identical to serial ones —
 	// see the workerPool doc and DESIGN.md "Performance & concurrency".
 	Workers int
 	// Observer, when non-nil, receives one callback per completed
@@ -197,9 +197,13 @@ func (m *Market) Close() {
 }
 
 // minParallelPlayers is the market size below which a bidding round always
-// runs serially: channel hand-off costs more than re-optimising a handful
-// of players.
-const minParallelPlayers = 4
+// runs serially: a round's channel hand-off and wake-ups cost a fixed
+// ~25 µs, and a player's re-optimisation ~1.5 µs, so small rounds lose more
+// to dispatch than two workers win back. Measured on the 2-vCPU bench host
+// (one cold equilibrium, µs, serial vs pool at GOMAXPROCS 2): 16 players
+// 108 vs 155, 32 players 325 vs 357, 48 players 481 vs 445, 64 players
+// 562 vs 470 — the pool breaks even between 32 and 48.
+const minParallelPlayers = 48
 
 // resolveWorkers maps Config.Workers to the effective round parallelism.
 func (m *Market) resolveWorkers() int {
@@ -211,8 +215,10 @@ func (m *Market) resolveWorkers() int {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > n {
-		w = n
+	// Work is claimed in blocks; a worker past the block count would only
+	// be woken to find the cursor exhausted.
+	if blocks := (n + claimBlock - 1) / claimBlock; w > blocks {
+		w = blocks
 	}
 	return w
 }

@@ -26,39 +26,57 @@ func parallelPlayers(n int, seed uint64) ([]float64, []*Player) {
 	return capacity, players
 }
 
-// TestParallelMatchesSerial pins the engine's core guarantee: the worker
-// pool claims players dynamically, but each result lands in its own indexed
-// slot and per-player math reads only round-start state, so Workers:8 must
-// be bit-identical to Workers:1 — not approximately equal, reflect.DeepEqual
-// on every float.
-func TestParallelMatchesSerial(t *testing.T) {
-	for _, seed := range []uint64{1, 7, 42, 1234} {
-		capacity, players := parallelPlayers(8, seed)
-		serial, err := New(capacity, players, Config{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		capacity2, players2 := parallelPlayers(8, seed)
-		parallel, err := New(capacity2, players2, Config{Workers: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer parallel.Close()
+// parallelSizes straddle the serial cut-over and leave ragged final claim
+// blocks (49, 67), so the pool runs with full blocks, a one-player tail and
+// a three-player tail.
+var parallelSizes = []int{minParallelPlayers, minParallelPlayers + 1, 64, 67}
 
-		// Two consecutive runs per market: the second exercises the reused
-		// scratch buffers and the already-warm worker pool.
-		for run := 0; run < 2; run++ {
-			want, err := Settle(serial.FindEquilibrium())
-			if err != nil {
-				t.Fatalf("seed %d run %d serial: %v", seed, run, err)
+// marketPair builds the same seeded bundle twice: once pinned to the serial
+// loop, once on a pool of the given width (closed with the test).
+func marketPair(t *testing.T, n int, seed uint64, workers int) (serial, parallel *Market) {
+	t.Helper()
+	capacity, players := parallelPlayers(n, seed)
+	serial, err := New(capacity, players, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity2, players2 := parallelPlayers(n, seed)
+	parallel, err = New(capacity2, players2, Config{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(parallel.Close)
+	return serial, parallel
+}
+
+// TestParallelMatchesSerial pins the engine's core guarantee: the worker
+// pool claims player blocks dynamically, but each result lands in its own
+// indexed slot and per-player math reads only round-start state, so any
+// worker count must be bit-identical to Workers:1 — not approximately
+// equal, reflect.DeepEqual on every float.
+func TestParallelMatchesSerial(t *testing.T) {
+	for _, n := range parallelSizes {
+		for _, workers := range []int{2, 3, 8} {
+			serial, parallel := marketPair(t, n, uint64(n*31+workers), workers)
+			// Two consecutive runs per market: the second exercises the
+			// reused scratch buffers and the already-warm worker pool.
+			for run := 0; run < 2; run++ {
+				want, err := Settle(serial.FindEquilibrium())
+				if err != nil {
+					t.Fatalf("n=%d workers=%d run %d serial: %v", n, workers, run, err)
+				}
+				got, err := Settle(parallel.FindEquilibrium())
+				if err != nil {
+					t.Fatalf("n=%d workers=%d run %d parallel: %v", n, workers, run, err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("n=%d workers=%d run %d: parallel equilibrium diverged from serial\nserial:   %+v\nparallel: %+v",
+						n, workers, run, want, got)
+				}
 			}
-			got, err := Settle(parallel.FindEquilibrium())
-			if err != nil {
-				t.Fatalf("seed %d run %d parallel: %v", seed, run, err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("seed %d run %d: parallel equilibrium diverged from serial\nserial:   %+v\nparallel: %+v",
-					seed, run, want, got)
+			if serial.pool != nil || parallel.pool == nil {
+				t.Fatalf("n=%d workers=%d: the comparison must be serial loop vs pool (serial pool %v, parallel pool %v)",
+					n, workers, serial.pool != nil, parallel.pool != nil)
 			}
 		}
 	}
@@ -68,39 +86,52 @@ func TestParallelMatchesSerial(t *testing.T) {
 // re-convergence after a budget cut must also be bit-identical across
 // worker counts.
 func TestParallelWarmStartMatchesSerial(t *testing.T) {
-	capacity, players := parallelPlayers(8, 99)
-	serial, err := New(capacity, players, Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	for _, n := range parallelSizes {
+		for _, workers := range []int{2, 3, 8} {
+			serial, parallel := marketPair(t, n, 99, workers)
+			want, err := Settle(serial.FindEquilibrium())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Settle(parallel.FindEquilibrium())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Cut one budget and re-converge from the previous bids on both
+			// engines.
+			serial.Players()[3].Budget *= 0.6
+			parallel.Players()[3].Budget *= 0.6
+			want2, err := Settle(serial.FindEquilibriumFrom(want.Bids))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got2, err := Settle(parallel.FindEquilibriumFrom(got.Bids))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want2, got2) {
+				t.Fatalf("n=%d workers=%d: warm-started parallel equilibrium diverged from serial\nserial:   %+v\nparallel: %+v",
+					n, workers, want2, got2)
+			}
+		}
 	}
-	capacity2, players2 := parallelPlayers(8, 99)
-	parallel, err := New(capacity2, players2, Config{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer parallel.Close()
+}
 
-	want, err := Settle(serial.FindEquilibrium())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Settle(parallel.FindEquilibrium())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cut one budget and re-converge from the previous bids on both engines.
-	players[3].Budget *= 0.6
-	players2[3].Budget *= 0.6
-	want2, err := Settle(serial.FindEquilibriumFrom(want.Bids))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, err := Settle(parallel.FindEquilibriumFrom(got.Bids))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want2, got2) {
-		t.Fatalf("warm-started parallel equilibrium diverged from serial\nserial:   %+v\nparallel: %+v", want2, got2)
+// TestSmallMarketNeverStartsPool: under the cut-over a round is cheaper
+// than its dispatch, so no worker count may start the goroutines.
+func TestSmallMarketNeverStartsPool(t *testing.T) {
+	for _, n := range []int{2, claimBlock, minParallelPlayers - 1} {
+		capacity, players := parallelPlayers(n, 5)
+		m, err := New(capacity, players, Config{Workers: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Settle(m.FindEquilibrium()); err != nil {
+			t.Fatal(err)
+		}
+		if m.pool != nil {
+			t.Errorf("%d-player market started a worker pool", n)
+		}
 	}
 }
 

@@ -11,14 +11,15 @@ import (
 // previous-round bid matrix, both read-only for the duration of the round,
 // and writes only its own row of the next-round matrix.
 //
-// Determinism: workers claim player indices from a shared atomic cursor, so
-// the assignment of players to workers varies run to run — but the result
-// does not. Player i's new bids depend only on (prices, curBids[i], the
-// player's utility and budget), each worker writes only slot i, and each
-// player's memoizing utility is touched by exactly one goroutine per round
-// (rounds are separated by the dispatch barrier, which establishes the
-// happens-before edge between a player's consecutive owners). The parallel
-// engine is therefore bit-identical to the serial loop.
+// Determinism: workers claim blocks of player indices from a shared atomic
+// cursor, so the assignment of players to workers varies run to run — but
+// the result does not. Player i's new bids depend only on (prices,
+// curBids[i], the player's utility and budget), its result lands in slot i,
+// and each player's memoizing utility is touched by exactly one goroutine
+// per round (rounds are separated by the dispatch barrier, which
+// establishes the happens-before edge between a player's consecutive
+// owners). The parallel engine is therefore bit-identical to the serial
+// loop.
 //
 // The pool is created lazily by the first parallel round and pinned to its
 // Market. Close the Market (or let the finalizer run) to release the
@@ -28,6 +29,15 @@ type workerPool struct {
 	jobs    chan *poolRound
 	stop    sync.Once
 }
+
+// claimBlock is how many consecutive players a worker takes per cursor bump.
+// The hill climb rewrites its player's row of the next-bid matrix on every
+// step, and rows are contiguous (four to a 64-byte line at two resources),
+// so workers claiming neighbouring players ping-pong the line between
+// cores. Eight rows cover a whole line at any resource count, which leaves
+// only a block's boundary line shared. Measured at 64 players, 2 vCPUs:
+// one-player claims 717 µs per equilibrium (serial: 562), blocks 470 µs.
+const claimBlock = 8
 
 // poolRound is one round's shared dispatch state.
 type poolRound struct {
@@ -45,13 +55,15 @@ func newWorkerPool(workers, resources int) *workerPool {
 		go func() {
 			s := newBidScratch(resources)
 			for r := range p.jobs {
-				n := int64(len(r.m.players))
+				n := len(r.m.players)
 				for {
-					i := r.cursor.Add(1) - 1
-					if i >= n {
+					lo := int(r.cursor.Add(claimBlock)) - claimBlock
+					if lo >= n {
 						break
 					}
-					r.m.reoptimize(int(i), r.prices, s)
+					for i := lo; i < min(lo+claimBlock, n); i++ {
+						r.m.reoptimize(i, r.prices, s)
+					}
 				}
 				r.wg.Done()
 			}

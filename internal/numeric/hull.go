@@ -1,6 +1,9 @@
 package numeric
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // UpperConvexHull returns the upper convex hull of the given samples as a
 // subset of the input points, sorted by increasing X. The hull is the
@@ -13,25 +16,24 @@ func UpperConvexHull(points []Point) []Point {
 	if len(points) == 0 {
 		return nil
 	}
-	ps := make([]Point, len(points))
-	copy(ps, points)
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].X != ps[j].X {
-			return ps[i].X < ps[j].X
+	// Sampled curves arrive in increasing X with nothing to deduplicate;
+	// anything else is sorted and deduplicated on a private copy.
+	uniq := points
+	if !strictlyIncreasingX(points) {
+		ps := slices.Clone(points)
+		slices.SortFunc(ps, func(a, b Point) int {
+			if c := cmp.Compare(a.X, b.X); c != 0 {
+				return c
+			}
+			return cmp.Compare(b.Y, a.Y)
+		})
+		// Drop duplicate X, keeping the max-Y representative (first after sort).
+		uniq = ps[:1]
+		for _, p := range ps[1:] {
+			if p.X != uniq[len(uniq)-1].X {
+				uniq = append(uniq, p)
+			}
 		}
-		return ps[i].Y > ps[j].Y
-	})
-	// Drop duplicate X, keeping the max-Y representative (first after sort).
-	uniq := ps[:1]
-	for _, p := range ps[1:] {
-		if p.X != uniq[len(uniq)-1].X {
-			uniq = append(uniq, p)
-		}
-	}
-	if len(uniq) <= 2 {
-		out := make([]Point, len(uniq))
-		copy(out, uniq)
-		return out
 	}
 	hull := make([]Point, 0, len(uniq))
 	for _, p := range uniq {
@@ -43,6 +45,17 @@ func UpperConvexHull(points []Point) []Point {
 	return hull
 }
 
+// strictlyIncreasingX reports whether the points are already sorted by X
+// with no duplicates (false as soon as a NaN is compared).
+func strictlyIncreasingX(points []Point) bool {
+	for i := 1; i < len(points); i++ {
+		if !(points[i-1].X < points[i].X) {
+			return false
+		}
+	}
+	return true
+}
+
 // cross computes the z-component of (b-a) × (c-a). A non-negative value
 // means b lies on or below the segment a→c, i.e. b is not an upper-hull
 // vertex.
@@ -51,7 +64,8 @@ func cross(a, b, c Point) float64 {
 }
 
 // HullPWL builds the concave piecewise-linear function through the upper
-// convex hull of the samples.
+// convex hull of the samples. The hull is freshly built and already sorted,
+// so the PWL takes it as is.
 func HullPWL(points []Point) (*PWL, error) {
-	return NewPWL(UpperConvexHull(points))
+	return newSortedPWL(UpperConvexHull(points))
 }

@@ -2,6 +2,7 @@ package numeric
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -106,5 +107,39 @@ func TestUpperConvexHullProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Sorted input skips the copy-and-sort; it must give the same hull as the
+// same points shuffled, leave the input untouched, and HullPWL — which
+// hands the hull to the PWL without a second copy and sort — must still
+// produce the knots, and the validation, of NewPWL.
+func TestHullSortedFastPath(t *testing.T) {
+	sorted := []Point{{1, 0.2}, {2, 0.2}, {3, 0.25}, {4, 0.9}, {6, 0.95}, {9, 1.0}}
+	shuffled := []Point{sorted[3], sorted[0], sorted[5], sorted[2], sorted[1], sorted[4]}
+	input := append([]Point(nil), sorted...)
+	hull := UpperConvexHull(sorted)
+	if !reflect.DeepEqual(hull, UpperConvexHull(shuffled)) {
+		t.Fatalf("sorted-path hull %v differs from sort-path hull %v", hull, UpperConvexHull(shuffled))
+	}
+	if !reflect.DeepEqual(sorted, input) {
+		t.Fatalf("UpperConvexHull modified its input: %v", sorted)
+	}
+	hull[0].Y = -1
+	if sorted[0].Y != 0.2 {
+		t.Fatal("hull aliases its input")
+	}
+	p, err := HullPWL(shuffled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := MustPWL(UpperConvexHull(sorted)).Knots(); !reflect.DeepEqual(p.Knots(), want) {
+		t.Fatalf("HullPWL knots %v, want %v", p.Knots(), want)
+	}
+	if _, err := HullPWL([]Point{{1, 0}, {2, math.NaN()}, {3, 1}}); err == nil {
+		t.Error("HullPWL accepted a non-finite sample")
+	}
+	if _, err := HullPWL(nil); err == nil {
+		t.Error("HullPWL accepted no samples")
 	}
 }

@@ -5,9 +5,11 @@
 package numeric
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -27,12 +29,19 @@ type PWL struct {
 // NewPWL builds a piecewise-linear function from the given knots. Knots are
 // sorted by X; duplicate X values are rejected.
 func NewPWL(knots []Point) (*PWL, error) {
-	if len(knots) == 0 {
+	ks := slices.Clone(knots)
+	if !strictlyIncreasingX(ks) {
+		slices.SortFunc(ks, func(a, b Point) int { return cmp.Compare(a.X, b.X) })
+	}
+	return newSortedPWL(ks)
+}
+
+// newSortedPWL validates knots already sorted by X and takes ownership of
+// the slice.
+func newSortedPWL(ks []Point) (*PWL, error) {
+	if len(ks) == 0 {
 		return nil, errors.New("numeric: PWL needs at least one knot")
 	}
-	ks := make([]Point, len(knots))
-	copy(ks, knots)
-	sort.Slice(ks, func(i, j int) bool { return ks[i].X < ks[j].X })
 	for i := 1; i < len(ks); i++ {
 		if ks[i].X == ks[i-1].X {
 			return nil, fmt.Errorf("numeric: duplicate PWL knot at x=%g", ks[i].X)

@@ -75,90 +75,131 @@ func Voltage(fGHz float64) float64 {
 	return MinVolt + t*(MaxVolt-MinVolt)
 }
 
+// envelope returns C·V²·f, the full-activity dynamic power that both terms
+// of Total scale. C[nF]·V²·f[GHz] happens to come out in watts
+// (1e-9 F × 1e9 Hz).
+func (m Model) envelope(fGHz float64) float64 {
+	v := Voltage(fGHz)
+	return m.CeffnF * v * v * fGHz
+}
+
+// staticFrac is the static/dynamic power fraction at die temperature tempC.
+func (m Model) staticFrac(tempC float64) float64 {
+	return m.StaticFrac0 * math.Exp((tempC-m.ReferenceTempC)/m.TempScaleC)
+}
+
 // Dynamic returns the dynamic power in watts at frequency fGHz for a
 // workload with the given activity factor in [0,1].
 func (m Model) Dynamic(fGHz, activity float64) float64 {
-	v := Voltage(fGHz)
-	// C[nF]·V²·f[GHz] happens to come out in watts (1e-9 F × 1e9 Hz).
-	return m.CeffnF * v * v * fGHz * activity
+	return m.envelope(fGHz) * activity
 }
 
 // Static returns the leakage power in watts at frequency fGHz and die
 // temperature tempC. Leakage scales with the dynamic power envelope at the
 // current voltage (a common simplification of the V·exp(T) dependence).
 func (m Model) Static(fGHz, tempC float64) float64 {
-	frac := m.StaticFrac0 * math.Exp((tempC-m.ReferenceTempC)/m.TempScaleC)
-	return frac * m.Dynamic(fGHz, 1)
+	return m.staticFrac(tempC) * m.envelope(fGHz)
 }
 
 // Total returns dynamic plus static power in watts.
 func (m Model) Total(fGHz, activity, tempC float64) float64 {
-	return m.Dynamic(fGHz, activity) + m.Static(fGHz, tempC)
+	return m.totalAt(fGHz, activity, m.staticFrac(tempC))
+}
+
+// totalAt is Total with the leakage fraction already evaluated — the one
+// float expression for total power, Dynamic(f, activity) + Static(f, T) with
+// the envelope computed once. The simulator reaches it through Total and
+// the inversion's polish calls it directly, so both compare the same bits.
+func (m Model) totalAt(fGHz, activity, frac float64) float64 {
+	t := m.envelope(fGHz)
+	return t*activity + frac*t
 }
 
 // FreqAtPower returns the highest continuous frequency in
 // [MinFreqGHz, MaxFreqGHz] whose total power does not exceed budgetW, or an
-// error if even the minimum frequency needs more than budgetW. Total power
-// is strictly increasing in frequency, so bisection suffices.
+// error if even the minimum frequency needs more than budgetW. It is a
+// one-shot FreqInverter: one exp, then the constant-time solve.
 func (m Model) FreqAtPower(budgetW, activity, tempC float64) (float64, error) {
-	if m.Total(MinFreqGHz, activity, tempC) > budgetW {
-		return 0, fmt.Errorf("power: budget %.3f W below minimum-frequency power %.3f W",
-			budgetW, m.Total(MinFreqGHz, activity, tempC))
-	}
-	if m.Total(MaxFreqGHz, activity, tempC) <= budgetW {
-		return MaxFreqGHz, nil
-	}
-	return m.bisectFreq(budgetW, activity, tempC), nil
+	v := m.inverterAt(activity, tempC)
+	return v.FreqAtPower(budgetW)
 }
 
-// bisectFreq is the bounded bisection for Total(f) = budgetW, with the
-// invariants Total(lo) ≤ budgetW < Total(hi) established by the caller.
-// Once mid collides with an endpoint the remaining iterations cannot move
-// lo (Total(lo) ≤ budget keeps lo fixed; Total(hi) > budget keeps hi
-// fixed), so breaking early returns the bit-identical result of running
-// all 60 rounds while skipping the no-op tail.
-func (m Model) bisectFreq(budgetW, activity, tempC float64) float64 {
-	lo, hi := MinFreqGHz, MaxFreqGHz
-	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
-		if mid == lo || mid == hi {
-			break
-		}
-		if m.Total(mid, activity, tempC) <= budgetW {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
+// Between the ladder ends Voltage is linear in frequency, V = voltA + voltB·f,
+// so at a fixed operating point Total(f) = K·(voltA + voltB·f)²·f with
+// K = C·(activity + frac): a monotone, convex cubic on [Min, Max].
+const (
+	voltB = (MaxVolt - MinVolt) / (MaxFreqGHz - MinFreqGHz)
+	voltA = MinVolt - voltB*MinFreqGHz
+)
 
-// FreqInverter answers repeated FreqAtPower queries for one fixed
-// (activity, temperature) operating point — the shape of every utility-model
+// Work bounds of FreqInverter.FreqAtPower.
+const (
+	// newtonSteps caps the real-valued solve. From the chord start Newton
+	// lands within an ulp of the cubic's root in at most 5 steps anywhere
+	// on the ladder; the cap only matters for a non-finite budget.
+	newtonSteps = 6
+	// newtonTol ends the solve early: convergence is quadratic, so a step
+	// this small leaves an error far below one ulp.
+	newtonTol = 1e-8
+	// polishUlps caps the ulp walk from the cubic's root to the float
+	// fixed point. Rounding in totalAt displaces the two by a handful of
+	// ulps; past the cap the bracket the walk holds is bisected instead.
+	polishUlps = 16
+)
+
+// FreqInverter answers FreqAtPower queries for one fixed (activity,
+// temperature) operating point — the shape of every utility-model
 // evaluation, which probes many power budgets at the reference temperature.
-// It hoists the DVFS-range boundary powers out of the per-call path, so
-// budgets that clamp to the top or bottom of the ladder cost no Total
-// evaluations at all. Results are bit-identical to Model.FreqAtPower.
+// Everything that does not depend on the budget (the leakage exponential,
+// the DVFS-range boundary powers, the cubic's scale) is evaluated once, at
+// construction.
 type FreqInverter struct {
 	m        Model
 	activity float64
-	tempC    float64
+	frac     float64 // staticFrac at the operating point's temperature
 	minW     float64 // Total at MinFreqGHz
 	maxW     float64 // Total at MaxFreqGHz
+	invK     float64 // 1/K: budget·invK = (voltA + voltB·f)²·f
+	chord    float64 // (Max−Min)/(maxW−minW), slope of the starting guess
 }
 
 // NewFreqInverter builds an inverter for the operating point.
 func (m Model) NewFreqInverter(activity, tempC float64) *FreqInverter {
-	return &FreqInverter{
-		m:        m,
-		activity: activity,
-		tempC:    tempC,
-		minW:     m.Total(MinFreqGHz, activity, tempC),
-		maxW:     m.Total(MaxFreqGHz, activity, tempC),
-	}
+	v := m.inverterAt(activity, tempC)
+	return &v
 }
 
-// FreqAtPower mirrors Model.FreqAtPower at the inverter's operating point.
+func (m Model) inverterAt(activity, tempC float64) FreqInverter {
+	frac := m.staticFrac(tempC)
+	v := FreqInverter{
+		m:        m,
+		activity: activity,
+		frac:     frac,
+		minW:     m.totalAt(MinFreqGHz, activity, frac),
+		maxW:     m.totalAt(MaxFreqGHz, activity, frac),
+		invK:     1 / (m.CeffnF * (activity + frac)),
+	}
+	v.chord = (MaxFreqGHz - MinFreqGHz) / (v.maxW - v.minW)
+	return v
+}
+
+// FreqAtPower inverts Total at the inverter's operating point.
+//
+// Contract. Every float operation in totalAt is monotone non-decreasing in
+// f, so {f : Total(f) ≤ budget} is a prefix of the float64s in [Min, Max]
+// and the result is its largest element — the unique f with
+//
+//	Total(f) ≤ budgetW  and  (f == MaxFreqGHz or Total(nextUp(f)) > budgetW),
+//
+// which is exactly what bisecting [Min, Max] down to adjacent floats
+// returns, so the method used to reach it cannot change a bit of the
+// answer. A budget below Total(MinFreqGHz), −Inf included, is an error; a
+// budget at or above Total(MaxFreqGHz), +Inf included, gives MaxFreqGHz. A
+// NaN budget fails every comparison: it passes both range checks, then
+// every probe shrinks the bracket from the top, and the result is
+// MinFreqGHz, nil. Work is bounded for every float64 input: newtonSteps
+// divisions, polishUlps probes, and the bisection of whatever bracket is
+// left (under 64 halvings of [Min, Max]).
 func (v *FreqInverter) FreqAtPower(budgetW float64) (float64, error) {
 	if v.minW > budgetW {
 		return 0, fmt.Errorf("power: budget %.3f W below minimum-frequency power %.3f W",
@@ -167,7 +208,60 @@ func (v *FreqInverter) FreqAtPower(budgetW float64) (float64, error) {
 	if v.maxW <= budgetW {
 		return MaxFreqGHz, nil
 	}
-	return v.m.bisectFreq(budgetW, v.activity, v.tempC), nil
+
+	// Real-valued solve of (voltA + voltB·f)²·f = c. The chord through the
+	// ladder ends starts at or left of the root (the cubic is convex), the
+	// first Newton step crosses it, and the rest descend onto it.
+	c := budgetW * v.invK
+	f := MinFreqGHz + (budgetW-v.minW)*v.chord
+	for i := 0; i < newtonSteps; i++ {
+		u := voltA + voltB*f
+		d := (u*u*f - c) / (u * (u + 2*voltB*f))
+		f -= d
+		if math.Abs(d) <= newtonTol {
+			break
+		}
+	}
+
+	// Polish to the float fixed point, holding Total(lo) ≤ budget < Total(hi).
+	lo, hi := MinFreqGHz, MaxFreqGHz
+	switch {
+	case !(f > lo): // also a NaN solve, from a NaN budget
+		f = lo
+	case f >= hi:
+		f = math.Nextafter(hi, lo)
+	}
+	if v.m.totalAt(f, v.activity, v.frac) <= budgetW {
+		lo = f
+		for i := 0; i < polishUlps; i++ {
+			up := math.Nextafter(lo, hi)
+			if up == hi || v.m.totalAt(up, v.activity, v.frac) > budgetW {
+				return lo, nil
+			}
+			lo = up
+		}
+	} else {
+		hi = f
+		for i := 0; i < polishUlps; i++ {
+			down := math.Nextafter(hi, lo)
+			if down == lo || v.m.totalAt(down, v.activity, v.frac) <= budgetW {
+				return down, nil
+			}
+			hi = down
+		}
+	}
+	for i := 0; i < 64; i++ {
+		mid := (lo + hi) / 2
+		if mid == lo || mid == hi {
+			break
+		}
+		if v.m.totalAt(mid, v.activity, v.frac) <= budgetW {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo, nil
 }
 
 // QuantizeFreq snaps a continuous frequency down to the DVFS ladder.

@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -155,5 +156,138 @@ func TestFreqAtPowerProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// checkInversion asserts the fixed-point contract of FreqAtPower for one
+// in-range query — f is the largest float64 on the ladder whose Total does
+// not exceed the budget — and that the one-shot Model.FreqAtPower agrees
+// with the inverter bit for bit. The defining inequality is the oracle: no
+// second implementation is kept to compare against.
+func checkInversion(t *testing.T, m Model, inv *FreqInverter, budget, act, temp float64) float64 {
+	t.Helper()
+	f, err := inv.FreqAtPower(budget)
+	if err != nil {
+		t.Fatalf("FreqAtPower(%v) at act=%v T=%v: %v", budget, act, temp, err)
+	}
+	if f < MinFreqGHz || f > MaxFreqGHz {
+		t.Fatalf("FreqAtPower(%v) at act=%v T=%v = %v, outside the ladder", budget, act, temp, f)
+	}
+	if got := m.Total(f, act, temp); got > budget {
+		t.Fatalf("act=%v T=%v budget=%v: Total(%v) = %v exceeds the budget", act, temp, budget, f, got)
+	}
+	if f != MaxFreqGHz {
+		up := math.Nextafter(f, math.Inf(1))
+		if got := m.Total(up, act, temp); got <= budget {
+			t.Fatalf("act=%v T=%v budget=%v: %v is not the largest fit, Total(nextUp) = %v", act, temp, budget, f, got)
+		}
+	}
+	if g, err := m.FreqAtPower(budget, act, temp); err != nil || g != f {
+		t.Fatalf("act=%v T=%v budget=%v: Model.FreqAtPower = %v, %v; inverter = %v", act, temp, budget, g, err, f)
+	}
+	return f
+}
+
+// Property: the fixed-point contract, inverter ≡ one-shot, and monotonicity
+// in the budget, over seeded random operating points and budgets.
+func TestFreqAtPowerContractRandom(t *testing.T) {
+	m := DefaultModel()
+	r := rand.New(rand.NewSource(13))
+	for i := 0; i < 200000; i++ {
+		act := 0.2 + 0.8*r.Float64()
+		temp := 70.0 // the utility model's reference point
+		if i%2 == 1 {
+			temp = 40 + 50*r.Float64()
+		}
+		inv := m.NewFreqInverter(act, temp)
+		minW, maxW := m.Total(MinFreqGHz, act, temp), m.Total(MaxFreqGHz, act, temp)
+		b1 := minW + (maxW-minW)*r.Float64()
+		b2 := minW + (maxW-minW)*r.Float64()
+		if b1 > b2 {
+			b1, b2 = b2, b1
+		}
+		f1 := checkInversion(t, m, inv, b1, act, temp)
+		f2 := checkInversion(t, m, inv, b2, act, temp)
+		if f1 > f2 {
+			t.Fatalf("act=%v T=%v: budget %v → %v but larger budget %v → %v", act, temp, b1, f1, b2, f2)
+		}
+	}
+}
+
+// The edges of the contract: both ends of the DVFS range, budgets exactly at
+// and one ulp either side of a ladder level's power, and the non-finite
+// budgets a poisoned utility or a corrupted monitor curve can produce.
+func TestFreqAtPowerContractEdges(t *testing.T) {
+	m := DefaultModel()
+	for _, op := range []struct{ act, temp float64 }{{0.8, 70}, {1, 70}, {0.2, 40}, {0.55, 90}, {0.37, 63.5}} {
+		act, temp := op.act, op.temp
+		inv := m.NewFreqInverter(act, temp)
+		minW, maxW := m.Total(MinFreqGHz, act, temp), m.Total(MaxFreqGHz, act, temp)
+
+		checkInversion(t, m, inv, minW, act, temp)
+		checkInversion(t, m, inv, math.Nextafter(maxW, 0), act, temp)
+		for _, b := range []float64{maxW, math.Nextafter(maxW, math.Inf(1)), math.Inf(1)} {
+			if f := checkInversion(t, m, inv, b, act, temp); f != MaxFreqGHz {
+				t.Errorf("budget %v ≥ maxW gave %v, want MaxFreqGHz", b, f)
+			}
+		}
+		for _, b := range []float64{math.Nextafter(minW, 0), 0, math.Inf(-1)} {
+			if _, err := inv.FreqAtPower(b); err == nil {
+				t.Errorf("inverter accepted budget %v below minW %v", b, minW)
+			}
+			if _, err := m.FreqAtPower(b, act, temp); err == nil {
+				t.Errorf("Model.FreqAtPower accepted budget %v below minW %v", b, minW)
+			}
+		}
+		// NaN passes both range checks (every comparison is false) and must
+		// come back — in bounded work — as the bottom of the ladder.
+		if f, err := inv.FreqAtPower(math.NaN()); err != nil || f != MinFreqGHz {
+			t.Errorf("inverter on NaN budget = %v, %v; want MinFreqGHz, nil", f, err)
+		}
+		if f, err := m.FreqAtPower(math.NaN(), act, temp); err != nil || f != MinFreqGHz {
+			t.Errorf("Model.FreqAtPower on NaN budget = %v, %v; want MinFreqGHz, nil", f, err)
+		}
+
+		for _, level := range Levels()[1:8] {
+			at := m.Total(level, act, temp)
+			if f := checkInversion(t, m, inv, at, act, temp); f < level {
+				t.Errorf("budget Total(%v) gave %v, below the level", level, f)
+			}
+			if f := checkInversion(t, m, inv, math.Nextafter(at, 0), act, temp); f >= level {
+				t.Errorf("budget one ulp under Total(%v) gave %v", level, f)
+			}
+			checkInversion(t, m, inv, math.Nextafter(at, math.Inf(1)), act, temp)
+		}
+	}
+}
+
+// The inversion sits inside every utility evaluation: it must not allocate,
+// through the inverter or through the one-shot form.
+func TestFreqAtPowerAllocs(t *testing.T) {
+	m := DefaultModel()
+	inv := m.NewFreqInverter(0.8, 70)
+	budgets := []float64{m.Total(1.3, 0.8, 70), m.Total(3.7, 0.8, 70), math.NaN(), math.Inf(1)}
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		inv.FreqAtPower(budgets[i%len(budgets)])
+		m.FreqAtPower(budgets[i%len(budgets)], 0.8, 55)
+		i++
+	}); n != 0 {
+		t.Errorf("inversion allocates %v times per call", n)
+	}
+}
+
+var freqSink float64
+
+// BenchmarkFreqAtPower steps the budget every call, the way the market's
+// watts probes do.
+func BenchmarkFreqAtPower(b *testing.B) {
+	m := DefaultModel()
+	inv := m.NewFreqInverter(0.8, 70)
+	minW, maxW := m.Total(MinFreqGHz, 0.8, 70), m.Total(MaxFreqGHz, 0.8, 70)
+	step := (maxW - minW) / 1024
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		freqSink, _ = inv.FreqAtPower(minW + float64(i%1024)*step)
 	}
 }

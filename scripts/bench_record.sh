@@ -3,13 +3,19 @@
 # snapshot (BENCH_<yyyymmdd>.json) so perf trajectories across changes can
 # be diffed without keeping raw `go test -bench` logs around.
 #
-# Usage: scripts/bench_record.sh [benchtime]   (default 10x)
+# Kernels (sub-100 ms per op) run for a duration, so a 0.5 ms equilibrium is
+# sampled a few hundred times rather than ten; the benches at or above
+# ~100 ms per op stay iteration-counted.
+#
+# Usage: scripts/bench_record.sh [kernel-benchtime]   (default 300ms)
 set -eu
 
 cd "$(dirname "$0")/.."
-BENCHTIME="${1:-10x}"
+BENCHTIME="${1:-300ms}"
 OUT="BENCH_$(date +%Y%m%d).json"
-KEY='^(BenchmarkMarketEquilibrium8|BenchmarkMarketEquilibrium64|BenchmarkMarketEquilibrium64Serial|BenchmarkReBudget64|BenchmarkFig5Simulation|BenchmarkCacheAccess|BenchmarkChipEpoch8|BenchmarkChipEpoch64|BenchmarkSweepSerial|BenchmarkSweepParallel|BenchmarkServeEpoch|BenchmarkTenantRebalance|BenchmarkTenantFrontier)$'
+KEY='^(BenchmarkMarketEquilibrium8|BenchmarkMarketEquilibrium64|BenchmarkMarketEquilibrium64Serial|BenchmarkReBudget64|BenchmarkUtilityValueMiss|BenchmarkCacheAccess|BenchmarkChipEpoch8|BenchmarkServeEpoch|BenchmarkTenantRebalance|BenchmarkTenantFrontier)$'
+SLOWKEY='^(BenchmarkFig5Simulation|BenchmarkChipEpoch64|BenchmarkSweepSerial|BenchmarkSweepParallel)$'
+PWRKEY='^BenchmarkFreqAtPower$'
 
 SRVKEY='^(BenchmarkStoreParallelGet|BenchmarkStoreParallelAdd|BenchmarkMetricsRender50k|BenchmarkResidentSessionBytes)$'
 
@@ -17,6 +23,8 @@ RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
 go test -run '^$' -bench "$KEY" -benchtime "$BENCHTIME" . | tee "$RAW"
+go test -run '^$' -bench "$SLOWKEY" -benchtime 10x . | tee -a "$RAW"
+go test -run '^$' -bench "$PWRKEY" -benchtime "$BENCHTIME" ./internal/power | tee -a "$RAW"
 # The density benches live in the server package. BenchmarkResidentSessionBytes
 # is a census, not a loop — one iteration is the measurement.
 go test -run '^$' -bench "$SRVKEY" -benchtime 1x ./internal/server | tee -a "$RAW"
