@@ -5,10 +5,12 @@
 # serial-vs-parallel determinism tests only mean something under -race, and
 # the serving layer multiplexes sessions across goroutines). bench-check
 # vets and short-tests the separately-moduled benchmark under bench/, which
-# the root build does not compile. ci ends with the end-to-end smokes, each
-# described at its target below, and bench-smoke, which warns (but does not
-# fail, unless BENCH_STRICT=1) on a >10% regression of the market
-# equilibrium kernel against the newest BENCH_*.json snapshot.
+# the root build does not compile. ci ends with the end-to-end smokes — each
+# one scenario of cmd/rebudget-smoke, which builds the daemons once into
+# .bench/bin and boots real processes; each described at its target below —
+# and bench-smoke, which warns (but does not fail, unless BENCH_STRICT=1) on
+# a >10% regression of the market equilibrium kernel against the newest
+# BENCH_*.json snapshot.
 
 GO ?= go
 
@@ -40,27 +42,28 @@ bench-check:
 # check SIGTERM drains cleanly, then restart against the same snapshot dir
 # and assert the session rehydrates with its progress intact.
 serve-smoke:
-	scripts/serve_smoke.sh
+	$(GO) run ./cmd/rebudget-smoke serve
 
 # End-to-end tenancy: one rebudgetd with -tenants armed; an idle and a
 # saturated tenant must go through a full lend-then-reclaim cycle under
-# live rebudget-loadgen traffic, observed via the per-tenant gauges.
+# live loadgen traffic, observed via the per-tenant gauges.
 tenant-smoke:
-	scripts/tenant_smoke.sh
+	$(GO) run ./cmd/rebudget-smoke tenant
 
 # End-to-end sharding: two rebudgetd shards sharing a snapshot dir behind a
 # rebudget-router; 8 sessions placed, one shard killed mid-traffic, all
 # sessions must fail over and resume warm on the survivor.
 router-smoke:
-	scripts/router_smoke.sh
+	$(GO) run ./cmd/rebudget-smoke router
 
-# End-to-end chaos: schedule-determinism check, then the full rebudget-chaos
-# soak — scripted partitions, a shard kill/restart, a latency spike and
-# snapshot corruption against a live two-shard tier, asserting zero lost
+# End-to-end chaos: the internal/chaos/soak run — scripted partitions, a
+# shard kill/restart, a latency spike, snapshot corruption and a mid-outage
+# shard add against a live in-process two-shard tier, asserting zero lost
 # sessions, bit-identity to an undisturbed baseline, a bounded error rate
-# and breaker/checksum activity in /metrics. CHAOS_SEED overrides the seed.
+# and breaker/checksum activity in /metrics. CHAOS_SEED overrides the seed
+# (default 7); schedule determinism per seed is a unit test in internal/chaos.
 chaos-smoke:
-	scripts/chaos_smoke.sh
+	$(GO) run ./cmd/rebudget-smoke chaos
 
 # Key benchmarks (equilibrium engine, ReBudget, simulation, cache substrate)
 # recorded as a dated JSON snapshot: BENCH_<yyyymmdd>.json.
@@ -77,28 +80,28 @@ bench-smoke:
 
 # End-to-end elastic membership: a snapstore, four shards (two in the ring,
 # two standing by) and two gossiping routers; grow 2 -> 4 -> 2 through the
-# authenticated admin API under live rebudget-loadgen traffic, asserting
+# authenticated admin API under live loadgen traffic, asserting
 # zero lost sessions, zero loadgen errors, membership/migration/gossip
 # counters on both routers, and warm restores through the snapstore.
 # CHURN_DURATION overrides the load window (default 16s).
 churn-smoke:
-	scripts/churn_smoke.sh
+	$(GO) run ./cmd/rebudget-smoke churn
 
 # Scaled-down load-harness smoke: two shards behind a router driven by
-# rebudget-loadgen (~30s total), asserting nonzero throughput, a bounded
-# 429 rate, and the weighted admission gauges in /metrics. LOAD_DURATION
-# overrides the measured window (default 15s).
+# internal/loadgen (~20s total), asserting nonzero throughput, zero errors,
+# a bounded 429 rate, and the weighted admission gauges in /metrics.
+# LOAD_DURATION overrides the measured window (default 15s).
 load-smoke:
-	scripts/load_smoke.sh
+	$(GO) run ./cmd/rebudget-smoke load
 
 # High-density serving smoke: one shard, 10k resident sessions created
-# through the loadgen's -resident mode with the API key armed. Asserts a
+# through the loadgen's density mode with the API key armed. Asserts a
 # bounded create flood, zero tick errors, a sub-250ms full-population
 # /metrics scrape with no per-session-id series, and the hibernation sweep
-# parking >=95% of the idle population. DENSITY_RESIDENT scales it down
-# for slower machines.
+# parking >=95% of the idle population, and wake-on-touch through auth.
+# DENSITY_RESIDENT scales it down for slower machines.
 density-smoke:
-	scripts/density_smoke.sh
+	$(GO) run ./cmd/rebudget-smoke density
 
 # The 100k-resident density measurement: four shards behind a router,
 # DENSITY_RESIDENT (default 100000) sessions created and open-loop ticked
@@ -107,7 +110,7 @@ density-smoke:
 # and is folded into the next dated BENCH_*.json by scripts/bench_record.sh.
 # A measurement run, not a CI gate.
 density-ab:
-	scripts/density_ab.sh
+	$(GO) run ./cmd/rebudget-smoke density-ab
 
 # CPU profile of the end-to-end detailed simulation — the starting point for
 # hot-path work. Leaves sim.cpu.prof and the sim.test binary behind:

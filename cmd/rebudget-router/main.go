@@ -36,6 +36,7 @@ import (
 	"syscall"
 	"time"
 
+	"rebudget/internal/e2e/bootline"
 	"rebudget/internal/router"
 )
 
@@ -125,7 +126,7 @@ func main() {
 		os.Exit(1)
 	}
 	hs := &http.Server{Handler: rt.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	log.Info("rebudget-router listening", "addr", ln.Addr().String(), "shards", len(bases))
+	bootline.Log(log, "rebudget-router", ln.Addr().String(), "shards", len(bases))
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()

@@ -1,209 +1,122 @@
-// Command rebudget-smoke drives an end-to-end smoke check against a
-// running rebudgetd — or a rebudget-router tier, which speaks the same
-// API: create (or resume) a market session, step it through a few epochs
-// with the typed client, then scrape /metrics and verify the requested
-// counters actually moved. It exits non-zero on any failure, so
-// scripts/serve_smoke.sh and scripts/router_smoke.sh (via `make ci`) can
-// gate CI on it.
+// Command rebudget-smoke runs one end-to-end scenario against the real
+// serving binaries — rebudgetd, rebudget-router and rebudget-snapstore,
+// built, started on loopback ports, driven through the typed client and the
+// in-process load generator, SIGTERM-drained — and exits non-zero on the
+// first failed assertion, dumping every daemon's log. `make ci` gates on
+// serve, router, chaos, load, tenant, churn and density; density-ab is the
+// on-demand 100k-resident measurement. internal/e2e is the process booter
+// and /metrics checker the scenarios share. Run it from the module root.
 //
 // Usage:
 //
-//	rebudget-smoke -base http://127.0.0.1:8344 [-epochs 3]
-//	rebudget-smoke -base http://127.0.0.1:8344 -id s7 -resume 3 -epochs 1 -keep -checks none
-//	rebudget-smoke -base http://127.0.0.1:8343 -metrics-only \
-//	  -checks 'rebudget_router_up>=1,rebudget_router_failovers_total>=1'
+//	rebudget-smoke <serve|router|chaos|load|tenant|churn|density|density-ab>
+//
+// Environment: LOAD_DURATION (load, default 15s), CHURN_DURATION (churn,
+// 16s), CHAOS_SEED (chaos, 7), DENSITY_RESIDENT (density 10000, density-ab
+// 100000), DENSITY_CREATE_BOUND_S (density, 120), DENSITY_RATE (density-ab,
+// 500).
 package main
 
 import (
-	"bufio"
 	"context"
-	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"strconv"
-	"strings"
-	"time"
+	"syscall"
 
+	"rebudget/internal/e2e"
 	"rebudget/internal/server"
 	"rebudget/internal/server/client"
 )
 
+var scenarios = []struct {
+	name, about string
+	run         func(*e2e.Harness)
+}{
+	{"serve", "one daemon: epochs, /metrics, drain to a snapshot, rehydrate on restart", serveScenario},
+	{"router", "two shards behind a router: kill one, every session fails over warm", routerScenario},
+	{"chaos", "seeded in-process chaos soak: zero lost sessions, baseline bit-identity", chaosScenario},
+	{"load", "mixed-cost load through a two-shard tier: throughput, bounded 429s, admission gauges", loadScenario},
+	{"tenant", "tenant economy: lend-then-bounded-reclaim cycle under live load", tenantScenario},
+	{"churn", "elastic membership: grow 2->4->2 under load behind two gossiping routers", churnScenario},
+	{"density", "10k residents on one shard: create flood, bounded scrape, hibernation, wake-on-touch", densityScenario},
+	{"density-ab", "100k residents on four shards; report lands in .bench/density.json", densityABScenario},
+}
+
 func main() {
-	var o opts
-	flag.StringVar(&o.base, "base", "http://127.0.0.1:8344", "base URL of the rebudgetd or router to probe")
-	flag.StringVar(&o.id, "id", "smoke", "session id to create or resume")
-	flag.IntVar(&o.epochs, "epochs", 3, "epochs to drive through the session")
-	flag.IntVar(&o.resume, "resume", -1, "resume an existing session and require >= this many epochs already served (-1: create fresh)")
-	flag.BoolVar(&o.keep, "keep", false, "leave the session resident instead of deleting it")
-	flag.BoolVar(&o.metricsOnly, "metrics-only", false, "skip session traffic; only poll health and run -checks")
-	flag.StringVar(&o.checks, "checks", "default", `metric assertions: "default" (daemon serving counters), "none", or a comma-separated list of name>=min (labelled names allowed)`)
-	flag.DurationVar(&o.wait, "wait", 5*time.Second, "how long to wait for the endpoint to come up")
-	flag.Parse()
-
-	if err := run(o); err != nil {
-		fmt.Fprintf(os.Stderr, "rebudget-smoke: FAIL: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("rebudget-smoke: OK")
-}
-
-type opts struct {
-	base        string
-	id          string
-	epochs      int
-	resume      int
-	keep        bool
-	metricsOnly bool
-	checks      string
-	wait        time.Duration
-}
-
-type check struct {
-	metric string
-	min    float64
-}
-
-func (o opts) checkList() ([]check, error) {
-	switch o.checks {
-	case "none":
-		return nil, nil
-	case "default":
-		return []check{
-			{"rebudgetd_up", 1},
-			{"rebudgetd_sessions_live", 1},
-			{"rebudgetd_sessions_created_total", 1},
-			{"rebudgetd_epochs_served_total", float64(o.epochs)},
-			{"rebudgetd_equilibrium_runs_total", float64(o.epochs)},
-			{"rebudgetd_request_seconds_count", float64(o.epochs)},
-		}, nil
-	default:
-		var out []check
-		for _, part := range strings.Split(o.checks, ",") {
-			name, min, ok := strings.Cut(part, ">=")
-			if !ok {
-				return nil, fmt.Errorf("bad check %q (want name>=min)", part)
+	for _, sc := range scenarios {
+		if len(os.Args) == 2 && sc.name == os.Args[1] {
+			// An interrupt cancels the scenario's calls, so it fails and
+			// cleans up instead of orphaning its daemons.
+			ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+			defer stop()
+			if err := e2e.Run(ctx, sc.name+"-smoke", sc.run); err != nil {
+				fmt.Fprintf(os.Stderr, "%s-smoke: FAIL: %v\n", sc.name, err)
+				os.Exit(1)
 			}
-			v, err := strconv.ParseFloat(strings.TrimSpace(min), 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad check %q: %v", part, err)
-			}
-			out = append(out, check{strings.TrimSpace(name), v})
+			fmt.Printf("%s-smoke: PASS\n", sc.name)
+			return
 		}
-		return out, nil
 	}
+	fmt.Fprintln(os.Stderr, "usage: rebudget-smoke <scenario>")
+	for _, sc := range scenarios {
+		fmt.Fprintf(os.Stderr, "  %-11s %s\n", sc.name, sc.about)
+	}
+	os.Exit(2)
 }
 
-func run(o opts) error {
-	checks, err := o.checkList()
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	c := client.New(o.base)
-
-	// The endpoint may still be binding its listener; poll /healthz briefly.
-	// Any 200 counts: a degraded router (one shard down) still serves, and
-	// asserting that is exactly what the failover smoke does.
-	deadline := time.Now().Add(o.wait)
-	for {
-		_, err := c.Healthz(ctx)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("endpoint at %s never became healthy: %v", o.base, err)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-
-	if !o.metricsOnly {
-		if err := driveSession(ctx, c, o); err != nil {
-			return err
-		}
-	}
-
-	if len(checks) == 0 {
-		return nil
-	}
-	text, err := c.Metrics(ctx)
-	if err != nil {
-		return fmt.Errorf("scrape /metrics: %w", err)
-	}
-	for _, ck := range checks {
-		got, ok := metricValue(text, ck.metric)
-		if !ok {
-			return fmt.Errorf("/metrics missing %s", ck.metric)
-		}
-		if got < ck.min {
-			return fmt.Errorf("%s = %g, want >= %g", ck.metric, got, ck.min)
-		}
-		fmt.Printf("rebudget-smoke: %s = %g (>= %g)\n", ck.metric, got, ck.min)
-	}
-	return nil
-}
-
-// driveSession creates (or resumes, asserting prior progress survived) the
-// session and steps it o.epochs times.
-func driveSession(ctx context.Context, c *client.Client, o opts) error {
-	var v server.SessionView
-	var err error
-	if o.resume >= 0 {
-		// Resume: the session must already exist — possibly rehydrated from
-		// a snapshot on first touch — with its pre-restart progress intact.
-		if v, err = c.GetSession(ctx, o.id); err != nil {
-			return fmt.Errorf("resume session %q: %w", o.id, err)
-		}
-		if v.Epochs < int64(o.resume) {
-			return fmt.Errorf("resumed session %q has %d epochs, want >= %d (snapshot lost progress?)", o.id, v.Epochs, o.resume)
-		}
-		fmt.Printf("rebudget-smoke: resumed %q at epoch %d\n", o.id, v.Epochs)
-	} else {
-		if v, err = c.CreateSession(ctx, server.SessionSpec{
-			ID:        o.id,
+// placeSessions creates n of the paper's Fig. 3 market sessions, prefix1 …
+// prefixN, steps each through epochs and leaves them resident.
+func placeSessions(h *e2e.Harness, c *client.Client, prefix string, n, epochs int) {
+	for i := 1; i <= n; i++ {
+		v, err := c.CreateSession(h.Ctx, server.SessionSpec{
+			ID:        prefix + strconv.Itoa(i),
 			Workload:  server.WorkloadSpec{Fig3: true},
 			Mechanism: "rebudget-0.05",
-		}); err != nil {
-			return fmt.Errorf("create session: %w", err)
-		}
+		})
+		h.Must(err)
+		stepSession(h, c, v, epochs)
 	}
-	for e := 0; e < o.epochs; e++ {
-		if v, err = c.StepEpoch(ctx, v.ID); err != nil {
-			return fmt.Errorf("epoch %d: %w", e+1, err)
-		}
-	}
-	minEpochs := int64(o.epochs)
-	if o.resume > 0 {
-		minEpochs += int64(o.resume)
-	}
-	if v.Epochs < minEpochs {
-		return fmt.Errorf("session reports %d epochs, want >= %d", v.Epochs, minEpochs)
-	}
-	if o.epochs > 0 && (v.Alloc == nil || len(v.Alloc.Allocations) == 0) {
-		return fmt.Errorf("session has no allocation after %d epochs", o.epochs)
-	}
-	if !o.keep {
-		if err := c.DeleteSession(ctx, v.ID); err != nil {
-			return fmt.Errorf("delete session: %w", err)
-		}
-	}
-	return nil
 }
 
-// metricValue finds a sample line ("name value", where name may include a
-// label selector) in Prometheus text exposition and returns its value.
-func metricValue(text, name string) (float64, bool) {
-	sc := bufio.NewScanner(strings.NewReader(text))
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, name+" ") {
-			continue
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(strings.TrimPrefix(line, name+" ")), 64)
+// resumeSessions requires each of the n sessions to exist — possibly
+// rehydrated from a snapshot on this first touch — with at least served
+// epochs of progress intact, then steps it through one more.
+func resumeSessions(h *e2e.Harness, c *client.Client, prefix string, n int, served int64) {
+	for i := 1; i <= n; i++ {
+		v, err := c.GetSession(h.Ctx, prefix+strconv.Itoa(i))
 		if err != nil {
-			return 0, false
+			h.Fatalf("session lost: %v", err)
 		}
-		return v, true
+		if v.Epochs < served {
+			h.Fatalf("resumed session %q has %d epochs, want >= %d (snapshot lost progress?)", v.ID, v.Epochs, served)
+		}
+		stepSession(h, c, v, 1)
 	}
-	return 0, false
+}
+
+func stepSession(h *e2e.Harness, c *client.Client, v server.SessionView, epochs int) {
+	want := v.Epochs + int64(epochs)
+	for e := 0; e < epochs; e++ {
+		var err error
+		if v, err = c.StepEpoch(h.Ctx, v.ID); err != nil {
+			h.Fatalf("session %q epoch %d: %v", v.ID, e+1, err)
+		}
+	}
+	if v.Epochs < want || v.Alloc == nil || len(v.Alloc.Allocations) == 0 {
+		h.Fatalf("session %q after %d epochs: reports %d (want >= %d), allocation %v", v.ID, epochs, v.Epochs, want, v.Alloc)
+	}
+}
+
+// env reads one of the overrides the Makefile documents.
+func env[T any](h *e2e.Harness, name string, def T, parse func(string) (T, error)) T {
+	if s := os.Getenv(name); s != "" {
+		v, err := parse(s)
+		if err != nil {
+			h.Fatalf("%s: %v", name, err)
+		}
+		return v
+	}
+	return def
 }

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"rebudget/internal/cluster"
+	"rebudget/internal/e2e/bootline"
 )
 
 func main() {
@@ -55,7 +56,7 @@ func main() {
 		os.Exit(1)
 	}
 	hs := &http.Server{Handler: ss.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	log.Info("rebudget-snapstore listening", "addr", ln.Addr().String())
+	bootline.Log(log, "rebudget-snapstore", ln.Addr().String())
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"rebudget/internal/cluster"
+	"rebudget/internal/e2e/bootline"
 	"rebudget/internal/server"
 )
 
@@ -135,7 +136,7 @@ func main() {
 		os.Exit(1)
 	}
 	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	log.Info("rebudgetd listening", "addr", ln.Addr().String())
+	bootline.Log(log, "rebudgetd", ln.Addr().String())
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()

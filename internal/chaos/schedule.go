@@ -67,7 +67,7 @@ type Event struct {
 	Draw    uint64
 }
 
-// String renders the event for logs and the -print-schedule diff check.
+// String renders the event for logs and the chaos scenario's schedule print.
 func (e Event) String() string {
 	switch e.Kind {
 	case EventCorruptSnapshot:

@@ -55,7 +55,7 @@ BEGIN { print "{"; printf "  \"date\": \"%s\",\n  \"benchmarks\": [\n", date }
 END { print "\n  ]" }
 ' "$RAW" > "$OUT"
 
-# Fold the newest density run (written by scripts/density_ab.sh) into the
+# Fold the newest density run (written by `make density-ab`) into the
 # snapshot, so serving-tier numbers ride alongside the kernel numbers.
 # Skipped when no density run has been recorded.
 if [ -f .bench/density.json ]; then
