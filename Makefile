@@ -1,5 +1,5 @@
-# Development targets. `make ci` is the gate every change must pass: a full
-# build, vet, and the test suite under the race detector (the allocation
+# Development targets. `make ci` is the gate every change must pass: a gofmt
+# check, a full build, vet, and the test suite under the race detector (the allocation
 # pipeline is wrapper-heavy and lock-protected; races are a primary failure
 # mode of the resilience layer, the parallel equilibrium engine's
 # serial-vs-parallel determinism tests only mean something under -race, and
@@ -14,9 +14,13 @@
 
 GO ?= go
 
-.PHONY: ci build vet test race bench-check bench bench-all bench-smoke serve-smoke router-smoke chaos-smoke load-smoke tenant-smoke churn-smoke density-smoke density-ab profile-sim
+.PHONY: ci fmt build vet test race bench-check bench bench-all bench-smoke serve-smoke router-smoke chaos-smoke load-smoke tenant-smoke churn-smoke density-smoke density-ab profile-sim
 
-ci: build vet race bench-check serve-smoke router-smoke chaos-smoke load-smoke tenant-smoke churn-smoke density-smoke bench-smoke
+ci: fmt build vet race bench-check serve-smoke router-smoke chaos-smoke load-smoke tenant-smoke churn-smoke density-smoke bench-smoke
+
+# Fails listing every file gofmt would rewrite.
+fmt:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 build:
 	$(GO) build ./...

@@ -37,13 +37,13 @@ type Config struct {
 // clock pre-increments before the first access, so every resident line
 // carries a non-zero timestamp.
 type PartitionedCache struct {
-	cfg      Config
-	sets     int
-	tagShift uint // log2(sets): lineAddr >> tagShift == tag
-	tags     []uint64
-	used     []uint64 // global LRU timestamps; 0 marks an invalid line
-	owners   []int32
-	clock    uint64
+	cfg       Config
+	sets      int
+	tagShift  uint // log2(sets): lineAddr >> tagShift == tag
+	tags      []uint64
+	used      []uint64 // global LRU timestamps; 0 marks an invalid line
+	owners    []int32
+	clock     uint64
 	occupancy []int     // lines held per partition
 	target    []float64 // line target per partition
 	accesses  uint64

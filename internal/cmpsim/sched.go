@@ -28,13 +28,13 @@ const (
 // epochScratch is runEpoch's reusable working state. It is sized once on
 // first use; afterwards epochs run without heap allocation.
 type epochScratch struct {
-	counts  []int       // per-core paced access count this epoch
-	rates   []float64   // per-core raw access rate before joint scaling
-	misses  []int       // per-core L2 misses this epoch
-	credits []int       // dense scheduler's Bresenham accumulators
-	cursor  []int       // per-core index of the next prefetched address
-	bufs    [][]uint64  // per-core prefetched epoch addresses
-	heap    []uint64    // sparse scheduler's pending (step, core) keys
+	counts  []int      // per-core paced access count this epoch
+	rates   []float64  // per-core raw access rate before joint scaling
+	misses  []int      // per-core L2 misses this epoch
+	credits []int      // dense scheduler's Bresenham accumulators
+	cursor  []int      // per-core index of the next prefetched address
+	bufs    [][]uint64 // per-core prefetched epoch addresses
+	heap    []uint64   // sparse scheduler's pending (step, core) keys
 }
 
 func (s *epochScratch) ensure(n, maxAccesses int) {

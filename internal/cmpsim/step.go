@@ -34,12 +34,9 @@ func (c *Chip) Begin(alloc core.Allocator) error {
 		return fmt.Errorf("cmpsim: chip already ran; construct a new chip per run")
 	}
 	c.ran = true
-	if hook := c.injector.SolverHook(); hook != nil {
-		// Solver-stall faults enter through the market's round hook; the
-		// allocator types themselves stay fault-agnostic.
-		alloc = core.WithRoundHook(alloc, hook)
-	}
-	// Round parallelism and convergence-cost profiling enter the same way.
+	// Solver-stall faults, round parallelism and convergence-cost profiling
+	// all enter through the market configuration; the allocator types
+	// themselves stay fault-agnostic.
 	c.alloc = core.WithMarketConfig(alloc, c.marketConfig)
 	for e := 0; e < c.cfg.WarmupEpochs; e++ {
 		c.runEpoch(false)

@@ -106,61 +106,41 @@ type Allocator interface {
 // guarantee they return this typed error, never NaN budgets.
 var ErrBadInput = errors.New("invalid player input")
 
-// WithRoundHook returns a copy of alloc with the market-level round hook
-// installed on mechanisms that run equilibria (ReBudget, EqualBudget,
-// Balanced); any other mechanism passes through unchanged. The
-// fault-injection framework uses it to stall equilibrium searches without
-// the allocator types knowing about faults.
-func WithRoundHook(a Allocator, hook func(iteration int) bool) Allocator {
-	switch m := a.(type) {
-	case ReBudget:
-		m.Market.RoundHook = hook
-		return m
-	case EqualBudget:
-		m.Market.RoundHook = hook
-		return m
-	case Balanced:
-		m.Market.RoundHook = hook
-		return m
-	case RoundHooker:
-		return m.WithRoundHook(hook)
-	}
-	return a
+// Wrapper is implemented by allocators that wrap another one (Resilient,
+// telemetry shims). Rewrap replaces the wrapped allocator with f(wrapped) in
+// place, under the wrapper's own lock, and returns the wrapper — so handles
+// to it (and its stats) stay valid. It is the one obligation a wrapper has
+// for WithMarketConfig and WithWarmBids to reach the mechanism inside it.
+type Wrapper interface {
+	Rewrap(f func(Allocator) Allocator) Allocator
 }
 
-// RoundHooker is implemented by wrapper allocators (Resilient, telemetry
-// shims) so WithRoundHook can thread the hook through to the mechanism they
-// wrap.
-type RoundHooker interface {
-	WithRoundHook(hook func(iteration int) bool) Allocator
+// tunable is implemented by the mechanisms that run equilibria: tuned
+// returns a copy with edit applied to its market configuration and warm bids.
+type tunable interface {
+	tuned(edit func(*market.Config, *[][]float64)) Allocator
+}
+
+// decorate applies edit to the equilibrium-running mechanism at the bottom
+// of a, through any wrappers; every other mechanism passes through unchanged.
+func decorate(a Allocator, edit func(*market.Config, *[][]float64)) Allocator {
+	switch m := a.(type) {
+	case tunable:
+		return m.tuned(edit)
+	case Wrapper:
+		return m.Rewrap(func(inner Allocator) Allocator { return decorate(inner, edit) })
+	}
+	return a
 }
 
 // WithMarketConfig returns a copy of alloc whose inner market configuration
 // has been transformed by apply, on mechanisms that run equilibria; any
 // other mechanism passes through unchanged. The simulator uses it to set
-// the worker count and install profiling observers without the allocator
-// types knowing about either.
+// the worker count, install profiling observers and hang the fault
+// injector's round hook without the allocator types knowing about any of
+// them.
 func WithMarketConfig(a Allocator, apply func(market.Config) market.Config) Allocator {
-	switch m := a.(type) {
-	case ReBudget:
-		m.Market = apply(m.Market)
-		return m
-	case EqualBudget:
-		m.Market = apply(m.Market)
-		return m
-	case Balanced:
-		m.Market = apply(m.Market)
-		return m
-	case MarketConfigurer:
-		return m.WithMarketConfig(apply)
-	}
-	return a
-}
-
-// MarketConfigurer is the WithMarketConfig analogue of RoundHooker for
-// wrapper allocators.
-type MarketConfigurer interface {
-	WithMarketConfig(apply func(market.Config) market.Config) Allocator
+	return decorate(a, func(mc *market.Config, _ *[][]float64) { *mc = apply(*mc) })
 }
 
 // WithWarmBids returns a copy of alloc whose first equilibrium run is
@@ -171,26 +151,7 @@ type MarketConfigurer interface {
 // are renormalised to the current budgets (see market.FindEquilibriumFrom),
 // so stale matrices are safe, merely useless.
 func WithWarmBids(a Allocator, bids [][]float64) Allocator {
-	switch m := a.(type) {
-	case ReBudget:
-		m.WarmBids = bids
-		return m
-	case EqualBudget:
-		m.WarmBids = bids
-		return m
-	case Balanced:
-		m.WarmBids = bids
-		return m
-	case WarmStarter:
-		return m.WithWarmBids(bids)
-	}
-	return a
-}
-
-// WarmStarter is the WithWarmBids analogue of RoundHooker for wrapper
-// allocators.
-type WarmStarter interface {
-	WithWarmBids(bids [][]float64) Allocator
+	return decorate(a, func(_ *market.Config, warm *[][]float64) { *warm = bids })
 }
 
 func validate(capacity []float64, players []PlayerSpec) error {
@@ -296,6 +257,11 @@ type EqualBudget struct {
 // Name implements Allocator.
 func (EqualBudget) Name() string { return "EqualBudget" }
 
+func (a EqualBudget) tuned(edit func(*market.Config, *[][]float64)) Allocator {
+	edit(&a.Market, &a.WarmBids)
+	return a
+}
+
 // Allocate implements Allocator.
 func (a EqualBudget) Allocate(capacity []float64, players []PlayerSpec) (*Outcome, error) {
 	if err := validate(capacity, players); err != nil {
@@ -320,6 +286,11 @@ type Balanced struct {
 
 // Name implements Allocator.
 func (Balanced) Name() string { return "Balanced" }
+
+func (a Balanced) tuned(edit func(*market.Config, *[][]float64)) Allocator {
+	edit(&a.Market, &a.WarmBids)
+	return a
+}
 
 // Allocate implements Allocator.
 func (a Balanced) Allocate(capacity []float64, players []PlayerSpec) (*Outcome, error) {

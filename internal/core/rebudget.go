@@ -55,6 +55,11 @@ func (r ReBudget) Name() string {
 	return "ReBudget"
 }
 
+func (r ReBudget) tuned(edit func(*market.Config, *[][]float64)) Allocator {
+	edit(&r.Market, &r.WarmBids)
+	return r
+}
+
 func (r ReBudget) withDefaults() (ReBudget, error) {
 	if r.LambdaThreshold <= 0 {
 		r.LambdaThreshold = 0.5

@@ -97,32 +97,13 @@ func NewResilient(inner Allocator, cfg ResilientConfig) *Resilient {
 // Name implements Allocator.
 func (r *Resilient) Name() string { return r.inner.Name() }
 
-// WithRoundHook implements RoundHooker: the hook is threaded through to the
-// wrapped mechanism in place, so handles to this wrapper (and its stats)
-// stay valid.
-func (r *Resilient) WithRoundHook(hook func(iteration int) bool) Allocator {
+// Rewrap implements Wrapper: the wrapped mechanism is replaced in place, so
+// handles to this wrapper (and its stats) stay valid. Long-lived owners reach
+// it once per epoch, via WithWarmBids with the previous outcome's Bids.
+func (r *Resilient) Rewrap(f func(Allocator) Allocator) Allocator {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.inner = WithRoundHook(r.inner, hook)
-	return r
-}
-
-// WithMarketConfig implements MarketConfigurer; like WithRoundHook, the
-// transform is applied to the wrapped mechanism in place.
-func (r *Resilient) WithMarketConfig(apply func(market.Config) market.Config) Allocator {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.inner = WithMarketConfig(r.inner, apply)
-	return r
-}
-
-// WithWarmBids implements WarmStarter; like WithRoundHook, the bids are
-// installed on the wrapped mechanism in place. Long-lived owners call this
-// once per epoch with the previous outcome's Bids.
-func (r *Resilient) WithWarmBids(bids [][]float64) Allocator {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.inner = WithWarmBids(r.inner, bids)
+	r.inner = f(r.inner)
 	return r
 }
 

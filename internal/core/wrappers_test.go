@@ -1,65 +1,68 @@
 package core
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"path/filepath"
-	"strings"
 	"testing"
+
+	"rebudget/internal/market"
 )
 
-// TestRoundHookersAreMarketConfigurers scans the module's non-test sources:
-// every allocator wrapper that forwards WithRoundHook must forward
-// WithMarketConfig too. A wrapper with only the first passes the simulator's
-// fault hook through but silently drops its market configuration —
-// including the "fault-injected runs force serial rounds" rule.
-func TestRoundHookersAreMarketConfigurers(t *testing.T) {
-	methods := map[string]map[string]bool{"WithRoundHook": {}, "WithMarketConfig": {}}
-	root := filepath.Join("..", "..")
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			// bench/ is a separate module; dot-directories hold build output.
-			if path != root && (d.Name() == "bench" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Recv == nil || methods[fn.Name.Name] == nil {
-				continue
-			}
-			recv := fn.Recv.List[0].Type
-			if star, ok := recv.(*ast.StarExpr); ok {
-				recv = star.X
-			}
-			if id, ok := recv.(*ast.Ident); ok {
-				methods[fn.Name.Name][filepath.Dir(path)+"."+id.Name] = true
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+// shimWrapper is the minimal telemetry-style wrapper: it forwards Allocate
+// and meets the one Wrapper obligation.
+type shimWrapper struct{ inner Allocator }
+
+func (s *shimWrapper) Name() string { return s.inner.Name() }
+func (s *shimWrapper) Allocate(capacity []float64, players []PlayerSpec) (*Outcome, error) {
+	return s.inner.Allocate(capacity, players)
+}
+func (s *shimWrapper) Rewrap(f func(Allocator) Allocator) Allocator {
+	s.inner = f(s.inner)
+	return s
+}
+
+// TestDecorationsReachMechanismThroughWrappers: a market-config transform and
+// warm bids both land on the equilibrium-running mechanism whether it sits
+// behind Resilient, behind a plain wrapper, or behind both — and the handle
+// that comes back is the outermost wrapper itself, decorated in place.
+func TestDecorationsReachMechanismThroughWrappers(t *testing.T) {
+	bids := [][]float64{{1, 2}, {3, 4}}
+	setIters := func(mc market.Config) market.Config { mc.MaxIterations = 7; return mc }
+
+	shim := &shimWrapper{inner: ReBudget{Step: 20}}
+	resil := NewResilient(Balanced{}, ResilientConfig{})
+	innerShim := &shimWrapper{inner: EqualBudget{}}
+	nested := NewResilient(innerShim, ResilientConfig{})
+
+	cases := []struct {
+		name  string
+		outer Allocator
+		mech  func() (market.Config, [][]float64)
+	}{
+		{"shim", shim, func() (market.Config, [][]float64) {
+			m := shim.inner.(ReBudget)
+			return m.Market, m.WarmBids
+		}},
+		{"resilient", resil, func() (market.Config, [][]float64) {
+			m := resil.inner.(Balanced)
+			return m.Market, m.WarmBids
+		}},
+		{"resilient over shim", nested, func() (market.Config, [][]float64) {
+			m := innerShim.inner.(EqualBudget)
+			return m.Market, m.WarmBids
+		}},
 	}
-	if len(methods["WithRoundHook"]) == 0 {
-		t.Fatal("scan found no RoundHooker at all; the walk is broken")
-	}
-	for typ := range methods["WithRoundHook"] {
-		if !methods["WithMarketConfig"][typ] {
-			t.Errorf("%s implements WithRoundHook but not WithMarketConfig", typ)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := WithWarmBids(WithMarketConfig(tc.outer, setIters), bids)
+			if got != tc.outer {
+				t.Fatal("decorating a wrapper should return the same wrapper")
+			}
+			cfg, warm := tc.mech()
+			if cfg.MaxIterations != 7 {
+				t.Errorf("market config did not reach the mechanism: MaxIterations = %d", cfg.MaxIterations)
+			}
+			if len(warm) != len(bids) {
+				t.Errorf("warm bids did not reach the mechanism: %v", warm)
+			}
+		})
 	}
 }

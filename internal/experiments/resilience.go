@@ -9,7 +9,6 @@ import (
 	"rebudget/internal/cmpsim"
 	"rebudget/internal/core"
 	"rebudget/internal/fault"
-	"rebudget/internal/market"
 	"rebudget/internal/metrics"
 	"rebudget/internal/numeric"
 	"rebudget/internal/workload"
@@ -100,23 +99,13 @@ func (f *floorWatch) Allocate(capacity []float64, players []core.PlayerSpec) (*c
 	return out, err
 }
 
-// WithRoundHook implements core.RoundHooker so solver-stall faults reach
-// the wrapped mechanism. The hook is threaded in place: the caller's handle
-// keeps observing the run.
-func (f *floorWatch) WithRoundHook(hook func(iteration int) bool) core.Allocator {
+// Rewrap implements core.Wrapper, in place so the caller's handle keeps
+// observing the run: it is how the chip's solver-stall hook and its
+// "fault-injected runs force serial rounds" rule reach the wrapped mechanism.
+func (f *floorWatch) Rewrap(apply func(core.Allocator) core.Allocator) core.Allocator {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.inner = core.WithRoundHook(f.inner, hook)
-	return f
-}
-
-// WithMarketConfig implements core.MarketConfigurer, in place like
-// WithRoundHook: it is how the chip's "fault-injected runs force serial
-// rounds" reaches the wrapped mechanism.
-func (f *floorWatch) WithMarketConfig(apply func(market.Config) market.Config) core.Allocator {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.inner = core.WithMarketConfig(f.inner, apply)
+	f.inner = apply(f.inner)
 	return f
 }
 

@@ -5,7 +5,32 @@ import (
 	"testing"
 
 	"rebudget/internal/cmpsim"
+	"rebudget/internal/core"
+	"rebudget/internal/market"
 )
+
+// TestFloorWatchForwardsDecorations: floorWatch meets core.Wrapper, so a
+// market-config transform (the chip's serial-rounds rule, its solver-stall
+// hook) and warm bids both reach the mechanism it wraps, in place.
+func TestFloorWatchForwardsDecorations(t *testing.T) {
+	watch := newFloorWatch(core.ReBudget{Step: 20})
+	var a core.Allocator = watch
+	a = core.WithMarketConfig(a, func(mc market.Config) market.Config {
+		mc.Workers = 1
+		return mc
+	})
+	a = core.WithWarmBids(a, [][]float64{{1, 2}, {3, 4}})
+	if a != core.Allocator(watch) {
+		t.Fatal("decorating floorWatch should return the same wrapper")
+	}
+	mech := watch.inner.(core.ReBudget)
+	if mech.Market.Workers != 1 {
+		t.Errorf("market config did not reach the mechanism: Workers = %d", mech.Market.Workers)
+	}
+	if len(mech.WarmBids) != 2 {
+		t.Errorf("warm bids did not reach the mechanism: %v", mech.WarmBids)
+	}
+}
 
 func TestRunResilience(t *testing.T) {
 	cfg := cmpsim.DefaultConfig(4)

@@ -175,9 +175,10 @@ func (in *Injector) WrapUtility(u market.Utility) market.Utility {
 
 // SolverHook returns a market round hook that stalls a SolverRate fraction
 // of equilibrium runs: the run is aborted after StallIterations rounds and
-// surfaces as a NotConvergedError. Install it with core.WithRoundHook or
-// directly in a market.Config. Returns nil for a nil injector or zero
-// rate, which the market treats as "no hook".
+// surfaces as a NotConvergedError. Install it as a market.Config's
+// RoundHook (through core.WithMarketConfig for a wrapped mechanism).
+// Returns nil for a nil injector or zero rate, which the market treats as
+// "no hook".
 func (in *Injector) SolverHook() func(iteration int) bool {
 	if in == nil || in.cfg.SolverRate <= 0 {
 		return nil

@@ -28,9 +28,8 @@ func (m *Market) FindEquilibrium() (*Equilibrium, error) {
 // all-zero warm bids falls back to the cold equal split.
 //
 // Every run is budgeted: Config.MaxIterations bounds bidding–pricing
-// rounds, Config.MaxBidSteps bounds total player re-optimisations, and
-// Config.RoundHook may abort a round. A run that stops before prices
-// settle returns a *NotConvergedError carrying the full partial state
+// rounds and Config.RoundHook may abort a round. A run that stops before
+// prices settle returns a *NotConvergedError carrying the full partial state
 // (utilities and lambdas included) instead of an equilibrium with a silent
 // Converged flag; use Settle to accept best-effort state explicitly. A
 // player utility producing NaN/Inf surfaces as a *UtilityError.
@@ -96,10 +95,6 @@ func (m *Market) FindEquilibriumFrom(initial [][]float64) (*Equilibrium, error) 
 	for iterations < m.cfg.MaxIterations {
 		if m.cfg.RoundHook != nil && !m.cfg.RoundHook(iterations+1) {
 			stopReason = "aborted by round hook"
-			break
-		}
-		if m.cfg.MaxBidSteps > 0 && steps+n > m.cfg.MaxBidSteps {
-			stopReason = "bid-step budget exhausted"
 			break
 		}
 		iterations++

@@ -6,8 +6,8 @@ import (
 )
 
 // NotConvergedError reports that an equilibrium run stopped before prices
-// settled within tolerance — the iteration fail-safe tripped (§6.4), the
-// per-run bid-step budget ran out, or a round hook aborted the search.
+// settled within tolerance — the iteration fail-safe tripped (§6.4) or a
+// round hook aborted the search.
 // Partial always carries the complete last state (prices, bids,
 // allocations, utilities, lambdas), so callers can degrade gracefully —
 // install the best-effort equilibrium, fall back, or retry — instead of

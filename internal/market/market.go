@@ -52,22 +52,12 @@ type Config struct {
 	// MinShiftFraction stops the hill climb once the shift amount S
 	// drops below this fraction of the player's budget (§4.1.2 uses 1%).
 	MinShiftFraction float64
-	// Damping blends each player's new bids with its previous bids
-	// (0 = pure best response). The paper's markets converge without
-	// damping; a small value guards pathological oscillations.
-	Damping float64
 	// Optimizer selects the player-local bid search. The default is the
 	// paper's exponential hill climb (§4.1.2); GreedyExact is the
 	// water-filling reference used by the bid-optimizer ablation.
 	Optimizer BidOptimizer
 	// GreedyQuanta is the budget granularity of GreedyExact (default 100).
 	GreedyQuanta int
-	// MaxBidSteps bounds one equilibrium run's total player bid
-	// re-optimisations (N players × iterations). 0 means no step budget;
-	// when exhausted the run stops with a NotConvergedError carrying the
-	// partial state. A finer-grained fail-safe than MaxIterations for
-	// latency-bounded runtime reallocation.
-	MaxBidSteps int
 	// RoundHook, when non-nil, observes each bidding–pricing round before
 	// it executes (1-based). Returning false aborts the run with a
 	// NotConvergedError. Watchdogs and the fault-injection framework hang
@@ -109,7 +99,6 @@ func DefaultConfig() Config {
 		MaxIterations:    30,
 		LambdaTolerance:  0.05,
 		MinShiftFraction: 0.01,
-		Damping:          0,
 	}
 }
 
@@ -262,11 +251,6 @@ func (m *Market) reoptimize(i int, prices []float64, s *bidScratch) {
 		optimizeBidsGreedy(p.Utility, p.Budget, others, m.capacity, m.cfg.GreedyQuanta, s, nb)
 	} else {
 		optimizeBids(p.Utility, p.Budget, others, m.capacity, m.cfg, s, nb)
-	}
-	if d := m.cfg.Damping; d > 0 {
-		for j := range nb {
-			nb[j] = d*cur[j] + (1-d)*nb[j]
-		}
 	}
 }
 

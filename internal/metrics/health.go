@@ -45,7 +45,7 @@ const (
 	// mid-equilibrium.
 	CauseUtility
 	// CauseSolver: the equilibrium search was stalled or ran out of its
-	// iteration/step budget.
+	// iteration budget.
 	CauseSolver
 	// CauseAllocator: any other allocator error.
 	CauseAllocator

@@ -8,9 +8,9 @@ import (
 // fakeClock is a manual clock for breaker/budget tests.
 type fakeClock struct{ t time.Time }
 
-func (c *fakeClock) now() time.Time             { return c.t }
-func (c *fakeClock) advance(d time.Duration)    { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock                  { return &fakeClock{t: time.Unix(1700000000, 0)} }
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1700000000, 0)} }
 func testBreaker(cfg BreakerConfig) (*breaker, *fakeClock) {
 	b := newBreaker(cfg)
 	clk := newFakeClock()

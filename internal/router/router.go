@@ -265,8 +265,8 @@ func (rt *Router) routes() {
 func (rt *Router) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		// The epoch header is how long-lived clients learn membership
-		// moved and refresh their sticky/fallback state.
+		// The epoch header is how a caller learns membership moved between
+		// two of its requests.
 		w.Header().Set(server.EpochHeader, strconv.FormatUint(rt.epoch.Load(), 10))
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		rt.mux.ServeHTTP(rec, r)

@@ -13,20 +13,14 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"rebudget/internal/server"
 )
 
-// Client talks to a rebudgetd instance — or, with fallback bases, to a
-// rebudget-router tier: transport-level failures rotate to the next base
-// URL, and the index that last worked is remembered so steady-state traffic
-// goes straight to a healthy endpoint.
+// Client talks to one rebudgetd instance or one rebudget-router.
 type Client struct {
-	bases  []string
-	cur    atomic.Int64  // index into bases of the endpoint that last worked
-	epoch  atomic.Uint64 // last membership epoch seen from an elastic router
+	base   string
 	apiKey string
 	http   *http.Client
 }
@@ -52,28 +46,13 @@ func WithHTTPClient(h *http.Client) Option {
 
 // WithTimeout sets the per-attempt HTTP timeout (default DefaultTimeout;
 // d <= 0 means no timeout, deadlines then come only from the caller's
-// context). Per-attempt is the operative word: this bounds one request on
-// one base URL, while the fallback-base rotation multiplies it by the
-// number of bases in the worst case, and client.Retry's MaxWall caps the
-// whole backpressure loop above both. It mutates the client's current
-// *http.Client, so order it after WithHTTPClient when combining the two.
+// context). It mutates the client's current *http.Client, so order it after
+// WithHTTPClient when combining the two.
 func WithTimeout(d time.Duration) Option {
 	if d < 0 {
 		d = 0
 	}
 	return func(c *Client) { c.http.Timeout = d }
-}
-
-// WithFallbackBases appends alternate base URLs (additional routers, or the
-// shards themselves) tried in order when a request cannot reach the current
-// endpoint at all. HTTP error responses — including 429 backpressure — are
-// not failover triggers: the endpoint answered, and its answer stands.
-func WithFallbackBases(bases ...string) Option {
-	return func(c *Client) {
-		for _, b := range bases {
-			c.bases = append(c.bases, strings.TrimRight(b, "/"))
-		}
-	}
 }
 
 // WithAPIKey sends key as a bearer token on every request, matching the
@@ -87,8 +66,8 @@ func WithAPIKey(key string) Option {
 // "http://127.0.0.1:8344").
 func New(base string, opts ...Option) *Client {
 	c := &Client{
-		bases: []string{strings.TrimRight(base, "/")},
-		http:  &http.Client{Timeout: DefaultTimeout},
+		base: strings.TrimRight(base, "/"),
+		http: &http.Client{Timeout: DefaultTimeout},
 	}
 	for _, o := range opts {
 		o(c)
@@ -152,65 +131,21 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// roundTrip sends one request, rotating through the configured base URLs on
-// transport errors (connection refused, reset — not HTTP error statuses).
-// The index that succeeded is remembered, so after a failover subsequent
-// calls go straight to the live endpoint.
+// roundTrip sends one request. Only transport failures are errors here; an
+// HTTP error status is a response, and the caller maps it.
 func (c *Client) roundTrip(ctx context.Context, method, path string, hasBody bool, body []byte) (*http.Response, error) {
-	start := c.cur.Load()
-	var lastErr error
-	for i := 0; i < len(c.bases); i++ {
-		idx := (start + int64(i)) % int64(len(c.bases))
-		req, err := http.NewRequestWithContext(ctx, method, c.bases[idx]+path, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		if hasBody {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		if c.apiKey != "" {
-			req.Header.Set("Authorization", "Bearer "+c.apiKey)
-		}
-		resp, err := c.http.Do(req)
-		if err == nil {
-			c.cur.Store(idx)
-			c.observeEpoch(resp, idx)
-			return resp, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			// The caller's deadline expired or it cancelled; trying the
-			// next base would just fail the same way.
-			return nil, err
-		}
-	}
-	return nil, lastErr
-}
-
-// observeEpoch tracks the membership epoch an elastic router stamps on
-// every response (server.EpochHeader). When the epoch moves, the fleet's
-// shard set changed — sticky fallback state learned under the old ring
-// (a remembered shard, a failed-over base) may now be wrong, so the
-// client snaps back to its primary base and rediscovers from there.
-// Static daemons and pre-elastic routers send no header; this never fires.
-func (c *Client) observeEpoch(resp *http.Response, idx int64) {
-	s := resp.Header.Get(server.EpochHeader)
-	if s == "" {
-		return
-	}
-	e, err := strconv.ParseUint(s, 10, 64)
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, bytes.NewReader(body))
 	if err != nil {
-		return
+		return nil, err
 	}
-	old := c.epoch.Swap(e)
-	if old != 0 && old != e && idx != 0 {
-		c.cur.Store(0)
+	if hasBody {
+		req.Header.Set("Content-Type", "application/json")
 	}
+	if c.apiKey != "" {
+		req.Header.Set("Authorization", "Bearer "+c.apiKey)
+	}
+	return c.http.Do(req)
 }
-
-// Epoch returns the last membership epoch observed on a response, or 0 if
-// the endpoint has never sent one (static daemon or pre-elastic router).
-func (c *Client) Epoch() uint64 { return c.epoch.Load() }
 
 // CreateSession registers a new chip session and returns its initial view.
 func (c *Client) CreateSession(ctx context.Context, spec server.SessionSpec) (server.SessionView, error) {

@@ -80,7 +80,6 @@ func newMarketEngine(spec SessionSpec, bundle workload.Bundle,
 		alloc = e.resil
 	}
 	e.alloc = core.WithMarketConfig(alloc, func(mc market.Config) market.Config {
-		mc.Workers = spec.Workers
 		mc.Observer = observer
 		return mc
 	})

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"reflect"
@@ -11,24 +12,14 @@ import (
 	"time"
 )
 
-// spawnSession builds a session through the same engine path handleCreate
+// spawnSession builds a session through the same install path handleCreate
 // uses, bypassing HTTP — the fixture for density tests where 10k round-trips
 // would dominate the test budget.
 func spawnSession(srv *Server, spec SessionSpec) (*session, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	est := newCostEstimator(spec.guessCores())
-	eng, err := srv.buildEngine(spec, nil, est)
-	if err != nil {
-		return nil, err
-	}
-	sess := srv.newSession(spec.ID, spec, eng, est, 0)
-	if _, err := srv.store.add(sess); err != nil {
-		sess.close()
-		return nil, err
-	}
-	return sess, nil
+	return srv.install(context.Background(), spec.ID, spec, nil)
 }
 
 func fig3Spec(id, mech string) SessionSpec {
@@ -251,5 +242,69 @@ func BenchmarkResidentSessionBytes(b *testing.B) {
 				// The metric above is the point; keep the harness happy.
 			}
 		})
+	}
+}
+
+// TestUnparkChargesTenant: waking a parked session is an engine rebuild, so
+// it goes through the same admission bracket as a create or a rehydrate —
+// the tenant's sub-budget first, then the dispatcher. A tenant at its grant
+// cannot buy a free rebuild: the epoch answers 429, the session stays
+// parked, and once budget frees the wake succeeds with both ledgers settled.
+func TestUnparkChargesTenant(t *testing.T) {
+	tenants, err := ParseTenants("gold:1,bronze:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := newTestDaemon(t, Config{
+		ParkAfter: time.Hour,
+		// The ticker is pushed out of the way: only the constructor's
+		// deterministic rebalance runs.
+		Tenancy: &TenancyConfig{Tenants: tenants, Epoch: time.Hour},
+	})
+	spec := fig3Spec("g", "equalbudget")
+	spec.Tenant = "gold"
+	if resp := doJSON(t, "POST", ts.URL+"/v1/sessions", spec, nil); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d", resp.StatusCode)
+	}
+	sess := srv.store.get("g")
+	if !sess.park(time.Now(), 0) {
+		t.Fatal("park refused")
+	}
+
+	// Something else of gold's holds its whole grant.
+	held := srv.gov.tree.Granted("gold")
+	if ok, _ := srv.gov.admit("gold", held); !ok {
+		t.Fatal("idle tenant refused its own grant")
+	}
+	resp := doJSON(t, "POST", ts.URL+"/v1/sessions/g/epoch", nil, nil)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("epoch on a parked session of an exhausted tenant: %d, want 429", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("tenant refusal carries no Retry-After")
+	}
+	if got := counterValue(&srv.met.rejected, `reason="tenant"`); got != 1 {
+		t.Errorf(`rejected{reason="tenant"} = %d, want 1`, got)
+	}
+	if !sess.isParked() {
+		t.Fatal("refused wake left the session unparked: the rebuild was not charged")
+	}
+
+	srv.gov.release("gold", held)
+	var view SessionView
+	if resp := doJSON(t, "POST", ts.URL+"/v1/sessions/g/epoch", nil, &view); resp.StatusCode != http.StatusOK {
+		t.Fatalf("epoch after budget freed: %d", resp.StatusCode)
+	}
+	if sess.isParked() || view.Epochs != 1 {
+		t.Fatalf("after wake: parked=%v epochs=%d, want running at epoch 1", sess.isParked(), view.Epochs)
+	}
+	if got := srv.disp.inFlightCost(); got != 0 {
+		t.Errorf("dispatcher in-flight cost = %g after quiescence, want 0", got)
+	}
+	rows, _ := srv.gov.metricsSnapshot()
+	for _, row := range rows {
+		if row.InFlight != 0 {
+			t.Errorf("tenant %q in-flight cost = %g after quiescence, want 0", row.Path, row.InFlight)
+		}
 	}
 }

@@ -184,16 +184,26 @@ func New(cfg Config) *Server {
 }
 
 func (s *Server) routes() {
-	s.mux.HandleFunc("POST /v1/sessions", s.handleCreate)
+	s.handle("POST /v1/sessions", s.handleCreate)
 	s.mux.HandleFunc("GET /v1/sessions", s.handleList)
-	s.mux.HandleFunc("GET /v1/sessions/{id}", s.handleGet)
-	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleDelete)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/epoch", s.handleEpoch)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/evict", s.handleEvict)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/telemetry", s.handleTelemetry)
-	s.mux.HandleFunc("GET /v1/sessions/{id}/result", s.handleResult)
+	s.handle("GET /v1/sessions/{id}", s.handleGet)
+	s.handle("DELETE /v1/sessions/{id}", s.handleDelete)
+	s.handle("POST /v1/sessions/{id}/epoch", s.handleEpoch)
+	s.handle("POST /v1/sessions/{id}/evict", s.handleEvict)
+	s.handle("POST /v1/sessions/{id}/telemetry", s.handleTelemetry)
+	s.handle("GET /v1/sessions/{id}/result", s.handleResult)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+}
+
+// handle mounts an endpoint that can refuse: the handler writes its own
+// success response and returns any refusal for replyError to answer.
+func (s *Server) handle(pattern string, h func(http.ResponseWriter, *http.Request) error) {
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		if err := h(w, r); err != nil {
+			s.replyError(w, err)
+		}
+	})
 }
 
 // Handler returns the daemon's HTTP handler (logging + metrics wrapped,
@@ -205,8 +215,8 @@ func (s *Server) Handler() http.Handler {
 // authenticate guards mutating endpoints with a bearer API key when
 // Config.APIKey is set. Reads stay open: health probes, scrapes, and view
 // GETs carry no state-changing power, and the router's probe loop must work
-// without credentials. The comparison is constant-time; a miss is a 401
-// counted under rejected{reason="auth"}.
+// without credentials. The comparison is constant-time; a miss is
+// errUnauthorized: a 401 counted under rejected{reason="auth"}.
 func (s *Server) authenticate(next http.Handler) http.Handler {
 	if s.cfg.APIKey == "" {
 		return next
@@ -219,8 +229,7 @@ func (s *Server) authenticate(next http.Handler) http.Handler {
 		}
 		got := []byte(r.Header.Get("Authorization"))
 		if subtle.ConstantTimeCompare(got, expect) != 1 {
-			s.met.rejected.Inc(`reason="auth"`)
-			writeErr(w, http.StatusUnauthorized, "missing or invalid API key")
+			s.replyError(w, errUnauthorized)
 			return
 		}
 		next.ServeHTTP(w, r)
@@ -282,24 +291,21 @@ func (s *Server) Sessions() int { return s.store.len() }
 
 // buildEngine constructs a session engine from its spec; a non-nil snap
 // additionally restores durable state (warm bids and telemetry for market
-// engines, deterministic replay for sim engines). The caller must hold a
-// dispatcher lease — construction and replay are allocation-grade work.
-// A non-nil est is chained behind the server-wide equilibrium observer so
-// every solve the engine runs also feeds the session's cost estimate, then
-// recalibrated to the engine's actual core count (construction-time solves
-// — sim warmup, replay — are drained so they don't inflate the first
-// served epoch's sample).
+// engines, deterministic replay for sim engines). Only materialise calls it,
+// under an admission — construction and replay are allocation-grade work.
+// est is chained behind the server-wide equilibrium observer so every solve
+// the engine runs also feeds the session's cost estimate, then recalibrated
+// to the engine's actual core count (construction-time solves — sim warmup,
+// replay — are drained so they don't inflate the first served epoch's
+// sample).
 func (s *Server) buildEngine(spec SessionSpec, snap *SessionSnapshot, est *costEstimator) (engine, error) {
 	bundle, err := buildBundle(spec.Workload)
 	if err != nil {
 		return nil, err
 	}
-	observer := s.met.eq.Observe
-	if est != nil {
-		observer = func(rounds, bidSteps int, wall time.Duration) {
-			s.met.eq.Observe(rounds, bidSteps, wall)
-			est.observe(rounds, bidSteps, wall)
-		}
+	observer := func(rounds, bidSteps int, wall time.Duration) {
+		s.met.eq.Observe(rounds, bidSteps, wall)
+		est.observe(rounds, bidSteps, wall)
 	}
 	var eng engine
 	switch spec.mode() {
@@ -316,20 +322,9 @@ func (s *Server) buildEngine(spec SessionSpec, snap *SessionSnapshot, est *costE
 			return nil, err
 		}
 	}
-	if est != nil {
-		est.recalibrate(eng.cores())
-		est.resetPending()
-	}
+	est.recalibrate(eng.cores())
+	est.resetPending()
 	return eng, nil
-}
-
-// newSession assembles a session around an engine with the server's
-// dispatcher, metrics, admission and rate-limit configuration. epochs seeds
-// the served-epoch counter (nonzero only on rehydrate).
-func (s *Server) newSession(id string, spec SessionSpec, eng engine, est *costEstimator, epochs int64) *session {
-	return newSession(id, spec, eng, est,
-		s.disp, s.met, s.wheel, s.cfg.MailboxDepth,
-		s.cfg.SessionRPS, s.cfg.SessionBurst, epochs, time.Now())
 }
 
 // janitor sweeps idle sessions (TTL eviction) and parks idle-but-resident
@@ -388,15 +383,170 @@ func (s *Server) parkSweep(now time.Time) {
 	}
 }
 
-// ensureRunning wakes a hibernating session: rebuild the engine from the
-// in-memory snapshot (the same restore path rehydrate uses, so outputs are
-// bit-identical to an uninterrupted run) and restart the loop. Engine
-// rebuild is allocation-grade work — it competes for dispatcher capacity at
-// the session's measured cost, like rehydrate. No-op for running sessions.
-func (s *Server) ensureRunning(ctx context.Context, sess *session) error {
-	if !sess.isParked() {
-		return nil
+// --- request spine ---
+//
+// Every request walks resolve → rate limit → admit → run → reply. The stages
+// below return errors, never HTTP: a refusal is a *spineError naming the
+// stage's reason (or one of the dispatcher/session sentinels), and replyError
+// is the one place those become a status, a Retry-After and a
+// rejected{reason} count.
+
+// admit is the spine's one admission bracket. It charges cost against the
+// tenant's granted sub-budget (a no-op without a governor or label) — so one
+// tenant saturating its grant gets 429s while its neighbours' budgets stay
+// untouched — and then against the dispatcher, waiting FIFO until ctx
+// expires. The returned release hands both charges back; call it exactly
+// once. Create, rehydrate and unpark come here through materialise, epochs
+// directly.
+func (s *Server) admit(ctx context.Context, tenant string, cost float64) (release func(), err error) {
+	if ok, retryAfter := s.gov.admit(tenant, cost); !ok {
+		return nil, &spineError{kindTenant, fmt.Sprintf("tenant %q over budget", tenant), retryAfter}
 	}
+	lease, err := s.disp.acquire(ctx, cost)
+	if err != nil {
+		s.gov.release(tenant, cost)
+		return nil, err
+	}
+	return func() { lease.release(); s.gov.release(tenant, cost) }, nil
+}
+
+// materialise is the one path by which a session gets its engine: admit at
+// the estimator's price (the analytic prior for a create, the measured
+// history for a rehydrate or unpark), build — restoring snap when non-nil —
+// and release. Engine construction is allocation-grade work (sim warmup runs
+// whole epochs), so it competes for capacity like any epoch. A build failure
+// comes back as kindBadInput; what that means is the caller's call.
+func (s *Server) materialise(ctx context.Context, spec SessionSpec, snap *SessionSnapshot, est *costEstimator) (engine, error) {
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
+	defer cancel()
+	release, err := s.admit(ctx, spec.Tenant, est.epochCost())
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	eng, err := s.buildEngine(spec, snap, est)
+	if err != nil {
+		return nil, errBadInput(err)
+	}
+	return eng, nil
+}
+
+// install makes (spec, snap) a resident session: price it — a snapshot
+// carries its measured cost and served-epoch count, a fresh spec only its
+// analytic prior — materialise the engine, wrap it in a session with the
+// server's dispatcher, metrics, mailbox and rate-limit configuration, add it
+// to the store, and retire whatever the store evicted to make room.
+func (s *Server) install(ctx context.Context, id string, spec SessionSpec, snap *SessionSnapshot) (*session, error) {
+	est := newCostEstimator(spec.guessCores())
+	var epochs int64
+	if snap != nil {
+		est.restore(snap.EpochCost)
+		epochs = snap.Epochs
+	}
+	eng, err := s.materialise(ctx, spec, snap, est)
+	if err != nil {
+		return nil, err
+	}
+	sess := newSession(id, spec, eng, est,
+		s.disp, s.met, s.wheel, s.cfg.MailboxDepth,
+		s.cfg.SessionRPS, s.cfg.SessionBurst, epochs, time.Now())
+	evicted, err := s.store.add(sess)
+	if err != nil {
+		sess.close()
+		return nil, &spineError{kind: kindConflict, msg: err.Error()}
+	}
+	if evicted != nil {
+		s.retire(evicted, "capacity")
+		s.log.Info("session evicted", "id", evicted.id, "reason", "capacity")
+	}
+	return sess, nil
+}
+
+// resolve finds the session a request names, touching it for LRU/TTL
+// accounting. A non-resident id falls through to the snapshot store — the
+// "lazily rehydrate on next touch" half of durable sessions. Endpoints that
+// need the engine loop (epoch, telemetry, result) pass needEngine, which
+// wakes a hibernating session first; pure reads serve the cached view
+// without paying an engine rebuild.
+func (s *Server) resolve(r *http.Request, needEngine bool) (*session, error) {
+	id := r.PathValue("id")
+	sess := s.store.get(id)
+	if sess == nil {
+		var err error
+		if sess, err = s.fromSnapshot(r.Context(), id); err != nil {
+			return nil, err
+		}
+	}
+	sess.touch(time.Now())
+	if needEngine && sess.isParked() {
+		if err := s.wake(r.Context(), sess); err != nil {
+			return nil, err
+		}
+	}
+	return sess, nil
+}
+
+// fromSnapshot rebuilds a non-resident session from its snapshot, if the
+// configured store holds a usable one. An unusable (corrupt, truncated,
+// wrong-version, unrestorable) snapshot degrades to not-found — a cold start
+// for the client — never a 500.
+func (s *Server) fromSnapshot(ctx context.Context, id string) (*session, error) {
+	if s.cfg.Snapshots == nil {
+		return nil, errNotFound(id)
+	}
+	snap, err := s.cfg.Snapshots.Load(id)
+	if err != nil {
+		if !errors.Is(err, ErrNoSnapshot) {
+			s.met.snapshots.Inc(`op="load_error"`)
+			s.log.Warn("snapshot load failed, cold start", "id", id, "err", err)
+		} else if err != ErrNoSnapshot {
+			// A file exists but is unusable: cold start, counted.
+			s.met.snapshots.Inc(`op="corrupt"`)
+			s.log.Warn("snapshot unusable, cold start", "id", id, "err", err)
+		}
+		return nil, errNotFound(id)
+	}
+	if s.draining.Load() {
+		// Same contract as create: a draining shard takes no new residents,
+		// so the ring can move the session to a healthy one.
+		return nil, errDraining
+	}
+	// A snapshot predating the tenant economy (or from an untenanted
+	// shard) rehydrates into the default tenant, like an unlabeled create.
+	if snap.Spec.Tenant, err = s.gov.adopt(snap.Spec.Tenant); err != nil {
+		s.log.Warn("tenant registration on rehydrate failed", "id", id,
+			"tenant", snap.Spec.Tenant, "err", err)
+	}
+	sess, err := s.install(ctx, id, snap.Spec, snap)
+	switch {
+	case isKind(err, kindBadInput):
+		s.met.snapshots.Inc(`op="restore_error"`)
+		s.log.Warn("snapshot restore failed, cold start", "id", id, "err", err)
+		return nil, errNotFound(id)
+	case isKind(err, kindConflict):
+		// A concurrent touch rehydrated the same id first; serve from the
+		// now-resident copy (install already discarded ours).
+		if resident := s.store.get(id); resident != nil {
+			return resident, nil
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	// Every snapshot that loads has had its integrity checksum verified.
+	s.met.snapshots.Inc(`op="restore"`)
+	s.met.snapshots.Inc(`op="verified"`)
+	s.log.Info("session rehydrated", "id", id, "epochs", snap.Epochs, "saved_at", snap.SavedAt)
+	return sess, nil
+}
+
+// wake unparks a hibernating session: rebuild the engine from the in-memory
+// snapshot (the same restore path fromSnapshot uses, so outputs are
+// bit-identical to an uninterrupted run) and restart the loop. The rebuild
+// is admitted at the session's measured cost against its tenant and the
+// dispatcher, like a rehydrate; a refusal leaves the session parked. No-op
+// for a session some other request already woke.
+func (s *Server) wake(ctx context.Context, sess *session) error {
 	sess.lifeMu.Lock()
 	defer sess.lifeMu.Unlock()
 	switch sess.state {
@@ -405,14 +555,14 @@ func (s *Server) ensureRunning(ctx context.Context, sess *session) error {
 	case stateClosed:
 		return errSessionClosed
 	}
-	lease, err := s.disp.acquire(ctx, sess.cost.epochCost())
+	eng, err := s.materialise(ctx, sess.hib.Spec, sess.hib, sess.cost)
+	if isKind(err, kindBadInput) {
+		// The snapshot came from this session's own engine: failing to
+		// restore it is our fault, not the caller's (%v, not %w).
+		return fmt.Errorf("unpark %q: %v", sess.id, err)
+	}
 	if err != nil {
 		return err
-	}
-	eng, err := s.buildEngine(sess.hib.Spec, sess.hib, sess.cost)
-	lease.release()
-	if err != nil {
-		return fmt.Errorf("unpark %q: %w", sess.id, err)
 	}
 	sess.resume(eng)
 	s.met.unparked.Add(1)
@@ -464,24 +614,6 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-func writeErr(w http.ResponseWriter, code int, msg string) {
-	if code == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, code, errorBody{Error: msg})
-}
-
-// writeRetryErr answers 429 with a computed Retry-After (whole seconds,
-// rounded up, min 1 — the header cannot carry fractions).
-func writeRetryErr(w http.ResponseWriter, retryAfter time.Duration, msg string) {
-	secs := int(math.Ceil(retryAfter.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeJSON(w, http.StatusTooManyRequests, errorBody{Error: msg})
-}
-
 // decodeBody decodes a bounded JSON body into v; an empty body leaves v as
 // the zero value.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
@@ -499,139 +631,131 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return err
 }
 
-// tenantAdmit charges cost units against the tenant's granted sub-budget;
-// a no-op without a governor or label. On refusal it writes the 429
-// (Retry-After = the next rebalance epoch) and reports false.
-func (s *Server) tenantAdmit(w http.ResponseWriter, path string, cost float64) bool {
-	if s.gov == nil || path == "" {
-		return true
-	}
-	ok, retryAfter := s.gov.admit(path, cost)
-	if !ok {
-		s.met.rejected.Inc(`reason="tenant"`)
-		writeRetryErr(w, retryAfter, fmt.Sprintf("tenant %q over budget", path))
-	}
-	return ok
+// errKind is why a stage of the spine refused a request, with the status and
+// rejected{reason} label ("" = not counted as a rejection) replyError answers
+// it with. The 429 kinds carry their own Retry-After estimate.
+type errKind struct {
+	code   int
+	reason string
 }
 
-// tenantRelease returns cost units admitted by tenantAdmit.
-func (s *Server) tenantRelease(path string, cost float64) {
-	if s.gov != nil && path != "" {
-		s.gov.release(path, cost)
-	}
+var (
+	kindAuth      = &errKind{http.StatusUnauthorized, `reason="auth"`}           // authenticate: no or wrong bearer key
+	kindNotFound  = &errKind{http.StatusNotFound, ""}                            // resolve: not resident, no usable snapshot
+	kindDraining  = &errKind{http.StatusServiceUnavailable, `reason="draining"`} // create, resolve: no new residents
+	kindConflict  = &errKind{http.StatusConflict, ""}                            // install: the id is already resident
+	kindRateLimit = &errKind{http.StatusTooManyRequests, `reason="ratelimit"`}   // the session's token bucket is empty
+	kindTenant    = &errKind{http.StatusTooManyRequests, `reason="tenant"`}      // admit: the tenant is at its grant
+	kindBadInput  = &errKind{http.StatusBadRequest, ""}                          // decode, build, run: the request's content
+)
+
+// spineError is a refusal by one stage of the request spine. retryAfter is
+// the stage's own estimate of when to come back (rate limit: bucket refill;
+// tenant: the next rebalance epoch).
+type spineError struct {
+	kind       *errKind
+	msg        string
+	retryAfter time.Duration
 }
 
-// replyError maps session/dispatcher errors onto HTTP statuses.
+func (e *spineError) Error() string { return e.msg }
+
+var (
+	errUnauthorized = &spineError{kind: kindAuth, msg: "missing or invalid API key"}
+	errDraining     = &spineError{kind: kindDraining, msg: "draining"}
+)
+
+func errNotFound(id string) error {
+	return &spineError{kind: kindNotFound, msg: fmt.Sprintf("no session %q", id)}
+}
+
+func errBadInput(err error) error { return &spineError{kind: kindBadInput, msg: err.Error()} }
+
+func isKind(err error, kind *errKind) bool {
+	var se *spineError
+	return errors.As(err, &se) && se.kind == kind
+}
+
+// replyError maps every error the spine can return onto its HTTP answer —
+// with the errKind table above, the only place a status code, a Retry-After
+// and a rejected{reason} label are chosen.
 func (s *Server) replyError(w http.ResponseWriter, err error) {
+	code, reason, msg := http.StatusInternalServerError, "", err.Error()
+	var retryAfter time.Duration
+	var se *spineError
 	switch {
+	case errors.As(err, &se):
+		code, reason, msg, retryAfter = se.kind.code, se.kind.reason, se.msg, se.retryAfter
 	case errors.Is(err, errBusy):
 		// Retry-After is computed from the dispatcher's cost depth — the
 		// work queued ahead, not the number of requests holding it.
-		s.met.rejected.Inc(`reason="busy"`)
-		writeRetryErr(w, s.disp.retryAfter(), err.Error())
+		code, reason, retryAfter = http.StatusTooManyRequests, `reason="busy"`, s.disp.retryAfter()
 	case errors.Is(err, errMailboxFull):
-		s.met.rejected.Inc(`reason="mailbox"`)
-		writeErr(w, http.StatusTooManyRequests, err.Error())
+		code, reason = http.StatusTooManyRequests, `reason="mailbox"`
 	case errors.Is(err, errSessionClosed):
-		writeErr(w, http.StatusGone, err.Error())
+		code = http.StatusGone
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		s.met.rejected.Inc(`reason="timeout"`)
-		writeErr(w, http.StatusServiceUnavailable, "request deadline exceeded")
-	default:
-		writeErr(w, http.StatusInternalServerError, err.Error())
+		// A stable message: clients match on the 503, not on Go's sentinel
+		// strings.
+		code, reason, msg = http.StatusServiceUnavailable, `reason="timeout"`, "request deadline exceeded"
 	}
+	if reason != "" {
+		s.met.rejected.Inc(reason)
+	}
+	if code == http.StatusTooManyRequests {
+		// Whole seconds, rounded up, min 1: the header cannot carry fractions.
+		w.Header().Set("Retry-After", strconv.Itoa(max(1, int(math.Ceil(retryAfter.Seconds())))))
+	}
+	writeJSON(w, code, errorBody{Error: msg})
 }
 
-// replyEngineError maps an engine-mediated failure: infrastructure
-// errors (closed session, full mailbox, expired deadline) go through
-// replyError's status mapping, while anything else is the engine
-// rejecting the request's content — the caller's fault, a 400.
+// replyEngineError answers an engine-mediated failure (telemetry, result):
+// infrastructure errors (closed session, full mailbox, expired deadline) map
+// as they are, while anything else is the engine rejecting the request's
+// content — the caller's fault, a 400.
 func (s *Server) replyEngineError(w http.ResponseWriter, err error) {
-	if errors.Is(err, errSessionClosed) || errors.Is(err, errMailboxFull) ||
-		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		s.replyError(w, err)
-		return
+	if !errors.Is(err, errSessionClosed) && !errors.Is(err, errMailboxFull) &&
+		!errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
+		err = errBadInput(err)
 	}
-	writeErr(w, http.StatusBadRequest, err.Error())
+	s.replyError(w, err)
 }
 
 // --- handlers ---
 
-func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) error {
 	if s.draining.Load() {
-		s.met.rejected.Inc(`reason="draining"`)
-		writeErr(w, http.StatusServiceUnavailable, "draining")
-		return
+		return errDraining
 	}
 	var spec SessionSpec
 	if err := decodeBody(w, r, &spec); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
-		return
+		return errBadInput(err)
 	}
 	if err := spec.validate(); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
-		return
+		return errBadInput(err)
 	}
 	// Under the tenant economy every session carries a label: the spec's,
 	// else the router-forwarded header, else the default tenant. The label
 	// self-registers in the tree (with an immediate rebalance, so the
 	// newcomer holds its floor before its first admission check).
-	if s.gov != nil {
-		if spec.Tenant == "" {
-			spec.Tenant = r.Header.Get(TenantHeader)
-			if spec.Tenant != "" && !validTenantPath(spec.Tenant) {
-				writeErr(w, http.StatusBadRequest,
-					fmt.Sprintf("header %s: tenant %q must be %s segments joined by \"/\"",
-						TenantHeader, spec.Tenant, idPattern))
-				return
-			}
-		}
-		if spec.Tenant == "" {
-			spec.Tenant = s.gov.defaultTenant
-		}
-		if err := s.gov.register(spec.Tenant); err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error())
-			return
+	if s.gov != nil && spec.Tenant == "" {
+		spec.Tenant = r.Header.Get(TenantHeader)
+		if spec.Tenant != "" && !validTenantPath(spec.Tenant) {
+			return errBadInput(fmt.Errorf("header %s: tenant %q must be %s segments joined by \"/\"",
+				TenantHeader, spec.Tenant, idPattern))
 		}
 	}
-	// Engine construction is allocation-grade work (sim warmup runs whole
-	// epochs), so it competes for dispatcher capacity like any epoch,
-	// priced by the spec's analytic prior (no measurements exist yet) —
-	// and, under tenancy, against the tenant's sub-budget first.
-	est := newCostEstimator(spec.guessCores())
-	createCost := est.epochCost()
-	if !s.tenantAdmit(w, spec.Tenant, createCost) {
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	lease, err := s.disp.acquire(ctx, createCost)
-	if err != nil {
-		s.tenantRelease(spec.Tenant, createCost)
-		s.replyError(w, err)
-		return
-	}
-	eng, err := s.buildEngine(spec, nil, est)
-	lease.release()
-	s.tenantRelease(spec.Tenant, createCost)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
-		return
+	var err error
+	if spec.Tenant, err = s.gov.adopt(spec.Tenant); err != nil {
+		return errBadInput(err)
 	}
 	id := spec.ID
 	if id == "" {
 		id = fmt.Sprintf("s-%06d", s.idSeq.Add(1))
 	}
-	sess := s.newSession(id, spec, eng, est, 0)
-	evicted, err := s.store.add(sess)
+	sess, err := s.install(r.Context(), id, spec, nil)
 	if err != nil {
-		sess.close()
-		writeErr(w, http.StatusConflict, err.Error())
-		return
-	}
-	if evicted != nil {
-		s.retire(evicted, "capacity")
-		s.log.Info("session evicted", "id", evicted.id, "reason", "capacity")
+		return err
 	}
 	// A fresh session supersedes any stale snapshot under the same id; a
 	// later touch must not resurrect the old one.
@@ -643,6 +767,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	s.met.sessionsCreated.Add(1)
 	s.log.Info("session created", "id", id, "mode", spec.mode(), "mechanism", spec.Mechanism)
 	writeJSON(w, http.StatusCreated, sess.View())
+	return nil
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -654,140 +779,16 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"sessions": views})
 }
 
-// lookup resolves {id}, touching the session for LRU/TTL accounting. A
-// non-resident id falls through to the snapshot store: this is the "lazily
-// rehydrate on next touch" half of durable sessions.
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *session {
-	id := r.PathValue("id")
-	sess := s.store.get(id)
-	if sess == nil {
-		if sess = s.rehydrate(w, r, id); sess == nil {
-			return nil // rehydrate already wrote the error
-		}
-	}
-	sess.touch(time.Now())
-	return sess
-}
-
-// lookupRunning is lookup for endpoints that need the engine loop (epoch,
-// telemetry, result): a hibernating session is woken first. Pure reads
-// (handleGet, list) stay on lookup — they serve the cached view without
-// paying an engine rebuild.
-func (s *Server) lookupRunning(w http.ResponseWriter, r *http.Request) *session {
-	sess := s.lookup(w, r)
-	if sess == nil {
-		return nil
-	}
-	if sess.isParked() {
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		err := s.ensureRunning(ctx, sess)
-		cancel()
-		if err != nil {
-			s.replyError(w, err)
-			return nil
-		}
-	}
-	return sess
-}
-
-// rehydrate rebuilds a non-resident session from its snapshot, if the
-// configured store holds a usable one. On any failure it writes the HTTP
-// error and returns nil; an unusable (corrupt, truncated, wrong-version)
-// snapshot degrades to 404 — a cold start for the client — never a 500.
-func (s *Server) rehydrate(w http.ResponseWriter, r *http.Request, id string) *session {
-	notFound := func() { writeErr(w, http.StatusNotFound, fmt.Sprintf("no session %q", id)) }
-	if s.cfg.Snapshots == nil {
-		notFound()
-		return nil
-	}
-	snap, err := s.cfg.Snapshots.Load(id)
+func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) error {
+	sess, err := s.resolve(r, false)
 	if err != nil {
-		if errors.Is(err, ErrNoSnapshot) {
-			if err != ErrNoSnapshot {
-				// A file exists but is unusable: cold start, counted.
-				s.met.snapshots.Inc(`op="corrupt"`)
-				s.log.Warn("snapshot unusable, cold start", "id", id, "err", err)
-			}
-		} else {
-			s.met.snapshots.Inc(`op="load_error"`)
-			s.log.Warn("snapshot load failed, cold start", "id", id, "err", err)
-		}
-		notFound()
-		return nil
+		return err
 	}
-	if s.draining.Load() {
-		// Same contract as create: a draining shard takes no new residents,
-		// so the ring can move the session to a healthy one.
-		s.met.rejected.Inc(`reason="draining"`)
-		writeErr(w, http.StatusServiceUnavailable, "draining")
-		return nil
-	}
-	// A snapshot predating the tenant economy (or from an untenanted
-	// shard) rehydrates into the default tenant, like an unlabeled create.
-	if s.gov != nil {
-		if snap.Spec.Tenant == "" {
-			snap.Spec.Tenant = s.gov.defaultTenant
-		}
-		if err := s.gov.register(snap.Spec.Tenant); err != nil {
-			s.log.Warn("tenant registration on rehydrate failed", "id", id,
-				"tenant", snap.Spec.Tenant, "err", err)
-		}
-	}
-	// The estimate travels with the snapshot: a rehydrated session is
-	// priced by its measured history, not the cold prior.
-	est := newCostEstimator(snap.Spec.guessCores())
-	est.restore(snap.EpochCost)
-	restoreCost := est.epochCost()
-	if !s.tenantAdmit(w, snap.Spec.Tenant, restoreCost) {
-		return nil
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	lease, err := s.disp.acquire(ctx, restoreCost)
-	if err != nil {
-		s.tenantRelease(snap.Spec.Tenant, restoreCost)
-		s.replyError(w, err)
-		return nil
-	}
-	eng, err := s.buildEngine(snap.Spec, snap, est)
-	lease.release()
-	s.tenantRelease(snap.Spec.Tenant, restoreCost)
-	if err != nil {
-		s.met.snapshots.Inc(`op="restore_error"`)
-		s.log.Warn("snapshot restore failed, cold start", "id", id, "err", err)
-		notFound()
-		return nil
-	}
-	sess := s.newSession(id, snap.Spec, eng, est, snap.Epochs)
-	evicted, addErr := s.store.add(sess)
-	if addErr != nil {
-		// A concurrent touch rehydrated the same id first; serve from the
-		// now-resident copy and discard ours.
-		sess.close()
-		if resident := s.store.get(id); resident != nil {
-			return resident
-		}
-		writeErr(w, http.StatusConflict, addErr.Error())
-		return nil
-	}
-	if evicted != nil {
-		s.retire(evicted, "capacity")
-		s.log.Info("session evicted", "id", evicted.id, "reason", "capacity")
-	}
-	// Every snapshot that loads has had its integrity checksum verified.
-	s.met.snapshots.Inc(`op="restore"`)
-	s.met.snapshots.Inc(`op="verified"`)
-	s.log.Info("session rehydrated", "id", id, "epochs", snap.Epochs, "saved_at", snap.SavedAt)
-	return sess
+	writeJSON(w, http.StatusOK, sess.View())
+	return nil
 }
 
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	if sess := s.lookup(w, r); sess != nil {
-		writeJSON(w, http.StatusOK, sess.View())
-	}
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
 	sess := s.store.remove(id)
 	if sess == nil {
@@ -799,11 +800,10 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 				s.met.evicted.Inc(`reason="deleted"`)
 				s.log.Info("snapshotted session deleted", "id", id)
 				w.WriteHeader(http.StatusNoContent)
-				return
+				return nil
 			}
 		}
-		writeErr(w, http.StatusNotFound, fmt.Sprintf("no session %q", id))
-		return
+		return errNotFound(id)
 	}
 	sess.close()
 	s.met.evicted.Inc(`reason="deleted"`)
@@ -814,6 +814,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	s.log.Info("session deleted", "id", id)
 	w.WriteHeader(http.StatusNoContent)
+	return nil
 }
 
 // epochBody is the optional POST body for /epoch.
@@ -821,56 +822,42 @@ type epochBody struct {
 	Epochs int `json:"epochs,omitempty"`
 }
 
-func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
-	sess := s.lookupRunning(w, r)
-	if sess == nil {
-		return
+func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) error {
+	sess, err := s.resolve(r, true)
+	if err != nil {
+		return err
 	}
 	var body epochBody
 	if err := decodeBody(w, r, &body); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
-		return
+		return errBadInput(err)
 	}
 	n := body.Epochs
 	if n == 0 {
 		n = 1
 	}
 	if n < 1 || n > 1000 {
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("epochs %d outside [1,1000]", n))
-		return
+		return errBadInput(fmt.Errorf("epochs %d outside [1,1000]", n))
 	}
 	// Per-session rate limit: a batched request spends one token per epoch,
 	// so batching cannot sidestep the budget.
-	if ok, retryAfter := sess.spend(n, time.Now()); !ok {
-		s.met.rejected.Inc(`reason="ratelimit"`)
-		writeRetryErr(w, retryAfter, fmt.Sprintf("session %q rate limited", sess.id))
-		return
+	if err := sess.spend(n, time.Now()); err != nil {
+		return err
 	}
 	// A batched request spends n epochs' worth of cost units under one
-	// lease — batching cannot sidestep weighted admission either. Under
-	// tenancy the same cost charges the session's tenant sub-budget first:
-	// one tenant saturating its grant gets 429s while its neighbours'
-	// budgets stay untouched.
-	cost := sess.epochCost(n)
-	if !s.tenantAdmit(w, sess.spec.Tenant, cost) {
-		return
-	}
+	// admission — batching cannot sidestep weighted admission either.
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	lease, err := s.disp.acquire(ctx, cost)
+	release, err := s.admit(ctx, sess.spec.Tenant, sess.epochCost(n))
 	if err != nil {
-		s.tenantRelease(sess.spec.Tenant, cost)
-		s.replyError(w, err)
-		return
+		return err
 	}
 	resp := sess.enqueue(ctx, &request{kind: reqEpoch, epochs: n})
-	lease.release()
-	s.tenantRelease(sess.spec.Tenant, cost)
+	release()
 	if resp.err != nil {
-		s.replyError(w, resp.err)
-		return
+		return resp.err
 	}
 	writeJSON(w, http.StatusOK, resp.view)
+	return nil
 }
 
 // handleEvict retires a resident session to its snapshot on demand: the
@@ -881,51 +868,52 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 // Unlike DELETE, the snapshot is the point, not collateral to remove. A
 // non-resident id answers 404; the caller treats that as already migrated
 // (an eviction or drain got there first).
-func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
 	sess := s.store.remove(id)
 	if sess == nil {
-		writeErr(w, http.StatusNotFound, fmt.Sprintf("no session %q", id))
-		return
+		return errNotFound(id)
 	}
 	s.retire(sess, "migrate")
 	s.log.Info("session evicted", "id", id, "reason", "migrate")
 	w.WriteHeader(http.StatusNoContent)
+	return nil
 }
 
-func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	sess := s.lookupRunning(w, r)
-	if sess == nil {
-		return
+func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) error {
+	sess, err := s.resolve(r, true)
+	if err != nil {
+		return err
 	}
 	var tele TelemetrySpec
 	if err := decodeBody(w, r, &tele); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
-		return
+		return errBadInput(err)
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	resp := sess.enqueue(ctx, &request{kind: reqTelemetry, tele: tele})
 	if resp.err != nil {
 		s.replyEngineError(w, resp.err)
-		return
+		return nil
 	}
 	writeJSON(w, http.StatusOK, resp.view)
+	return nil
 }
 
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	sess := s.lookupRunning(w, r)
-	if sess == nil {
-		return
+func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) error {
+	sess, err := s.resolve(r, true)
+	if err != nil {
+		return err
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	resp := sess.enqueue(ctx, &request{kind: reqResult})
 	if resp.err != nil {
 		s.replyEngineError(w, resp.err)
-		return
+		return nil
 	}
 	writeJSON(w, http.StatusOK, resp.result)
+	return nil
 }
 
 // healthzBody is the /healthz response.

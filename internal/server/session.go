@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,9 +139,6 @@ type session struct {
 func newSession(id string, spec SessionSpec, eng engine, est *costEstimator,
 	disp *dispatcher, met *srvMetrics, wheel *timerWheel,
 	mailbox int, rps, burst float64, epochs int64, now time.Time) *session {
-	if est == nil {
-		est = newCostEstimator(eng.cores())
-	}
 	s := &session{
 		id:        id,
 		mode:      spec.mode(),
@@ -173,13 +171,12 @@ func newSession(id string, spec SessionSpec, eng engine, est *costEstimator,
 	return s
 }
 
-// spend debits n tokens from the session's rate-limit bucket, reporting
-// whether the request may proceed and, if not, how long until the bucket
-// holds n tokens again (the Retry-After hint). Unarmed buckets admit
-// everything.
-func (s *session) spend(n int, now time.Time) (ok bool, retryAfter time.Duration) {
+// spend debits n tokens from the session's rate-limit bucket. A refusal is
+// a kindRateLimit error carrying how long until the bucket holds n tokens
+// again (the Retry-After hint). Unarmed buckets admit everything.
+func (s *session) spend(n int, now time.Time) error {
 	if s.tokensPerSec <= 0 {
-		return true, 0
+		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -193,9 +190,10 @@ func (s *session) spend(n int, now time.Time) (ok bool, retryAfter time.Duration
 	need := float64(n)
 	if s.tokens >= need {
 		s.tokens -= need
-		return true, 0
+		return nil
 	}
-	return false, time.Duration((need - s.tokens) / s.tokensPerSec * float64(time.Second))
+	return &spineError{kindRateLimit, fmt.Sprintf("session %q rate limited", s.id),
+		time.Duration((need - s.tokens) / s.tokensPerSec * float64(time.Second))}
 }
 
 // epochCost prices an n-epoch request for admission: n × the session's
@@ -365,7 +363,7 @@ func (s *session) refresh(lastErr string) {
 // respecting ctx. A full mailbox fails fast with errMailboxFull (per-session
 // backpressure) instead of queueing unboundedly. Epoch requests must already
 // hold a dispatcher slot, and parked sessions must be unparked first
-// (Server.ensureRunning) — a request racing a park sees errSessionClosed,
+// (Server.wake) — a request racing a park sees errSessionClosed,
 // exactly like one racing an idle eviction.
 func (s *session) enqueue(ctx context.Context, req *request) response {
 	req.reply = make(chan response, 1)
@@ -458,8 +456,8 @@ func (s *session) park(now time.Time, minIdle time.Duration) bool {
 }
 
 // resume installs a freshly rebuilt engine on a parked session and restarts
-// its loop. Caller must hold lifeMu (Server.ensureRunning does) and have
-// restored the engine from s.hib.
+// its loop. Caller must hold lifeMu (Server.wake does) and have restored
+// the engine from s.hib.
 func (s *session) resume(eng engine) {
 	s.eng = eng
 	s.hib = nil

@@ -35,7 +35,6 @@ func newSimEngine(spec SessionSpec, bundle workload.Bundle,
 		return nil, err
 	}
 	cfg := cmpsim.DefaultConfig(len(bundle.Apps))
-	cfg.MarketWorkers = spec.Workers
 	cfg.BandwidthMarket = spec.Bandwidth
 	cfg.Faults = spec.faultConfig()
 	if s := spec.Sim; s != nil {

@@ -60,9 +60,6 @@ type SessionSpec struct {
 	// matrix into the next epoch's equilibrium via market.FindEquilibriumFrom,
 	// so steady-state epochs re-converge from the previous one.
 	WarmStart *bool `json:"warm_start,omitempty"`
-	// Workers is the equilibrium round parallelism (market.Config.Workers):
-	// 0 means GOMAXPROCS, 1 forces serial rounds.
-	Workers int `json:"workers,omitempty"`
 	// TickerMillis, when positive, drives epochs from a server-side ticker
 	// at this wall-clock period instead of (only) client POSTs. Ticks that
 	// hit dispatcher backpressure are dropped and counted.

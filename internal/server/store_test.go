@@ -1,8 +1,8 @@
 package server
 
 import (
-	"sync"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 )

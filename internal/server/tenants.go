@@ -17,11 +17,9 @@ import (
 // as the spec's default.
 const TenantHeader = "X-Rebudget-Tenant"
 
-// EpochHeader is the HTTP header an elastic router stamps on every
-// response with its current membership epoch; long-lived clients watch it
-// to refresh sticky/fallback routing state after a membership change.
-// (Declared here beside TenantHeader so client and router share one
-// definition without importing each other.)
+// EpochHeader is the HTTP header a router stamps on every response with its
+// current membership epoch, so a caller can tell a membership change
+// happened between two of its requests.
 const EpochHeader = "X-Rebudget-Epoch"
 
 // TenancyConfig arms the hierarchical tenant budget economy: the
@@ -157,12 +155,31 @@ func (g *tenantGovernor) register(path string) error {
 	return nil
 }
 
+// adopt settles the label a session joins the economy under — path, or the
+// default tenant for an unlabeled one — and registers it. Without a governor
+// (g == nil) labels pass through untouched.
+func (g *tenantGovernor) adopt(path string) (string, error) {
+	if g == nil {
+		return path, nil
+	}
+	if path == "" {
+		path = g.defaultTenant
+	}
+	return path, g.register(path)
+}
+
 // admit charges cost units against the tenant's granted sub-budget. A
 // refusal reports how long until the next rebalance epoch — the honest
 // Retry-After. An idle tenant always admits its first request even past
 // its grant (mirroring the dispatcher's oversize-lease clamp), so a
-// freshly shrunk grant can never deadlock a tenant outright.
+// freshly shrunk grant can never deadlock a tenant outright. Without a
+// governor (g == nil) or a label there is no sub-budget to charge: admit
+// says yes and the matching release is a no-op, so Server.admit needs no
+// guard of its own.
 func (g *tenantGovernor) admit(path string, cost float64) (ok bool, retryAfter time.Duration) {
+	if g == nil || path == "" {
+		return true, 0
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	u := g.usage[path]
@@ -189,6 +206,9 @@ func (g *tenantGovernor) admit(path string, cost float64) (ok bool, retryAfter t
 // progress clamp forever (no real cost is anywhere near the epsilon —
 // the estimator floors at 0.25 units).
 func (g *tenantGovernor) release(path string, cost float64) {
+	if g == nil {
+		return
+	}
 	g.mu.Lock()
 	if u := g.usage[path]; u != nil {
 		u.inFlight -= cost
