@@ -9,8 +9,10 @@
 # one scenario of cmd/rebudget-smoke, which builds the daemons once into
 # .bench/bin and boots real processes; each described at its target below —
 # and bench-smoke, which warns (but does not fail, unless BENCH_STRICT=1) on
-# a >10% regression of the market equilibrium kernel against the newest
-# BENCH_*.json snapshot.
+# a >10% regression of the market, chip-epoch, aged-trace and victim-scan
+# kernels against the newest BENCH_*.json snapshot. The race run covers the
+# stack and cache differential tests by package (internal/trace,
+# internal/cache, internal/cmpsim); nothing is listed by name.
 
 GO ?= go
 

@@ -268,8 +268,11 @@ func BenchmarkMaxEfficiency64(b *testing.B) {
 // benchChipEpoch measures the single-chip hot path: one simulated epoch of
 // an n-core chip with reallocation suppressed, so the loop body is pure
 // runEpoch (trace generation, interleave, cache/bank simulation, metric
-// retirement). allocs/op here is the steady-state allocation gauge the
-// zero-alloc test pins — keep it at 0.
+// retirement). allocs/op here is what the generators' LRU stacks take while
+// they are still growing — one epoch in, a chunk backing per ~128 new
+// blocks; the epoch machinery itself allocates nothing
+// (cmpsim.TestRunEpochSteadyStateAllocs), and an aged chip next to nothing
+// (cmpsim.TestRunEpochCatalogAllocs).
 func benchChipEpoch(b *testing.B, cores int) {
 	b.Helper()
 	cfg := cmpsim.DefaultConfig(cores)
@@ -323,6 +326,9 @@ func benchSweep(b *testing.B, workers int) {
 func BenchmarkSweepSerial(b *testing.B)   { benchSweep(b, 1) }
 func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, 0) }
 
+// BenchmarkCacheAccess times generator and cache together on a cold start;
+// BenchmarkCacheVictim and BenchmarkTraceGenerateAged below time each kernel
+// alone in the state a long simulation keeps it in.
 func BenchmarkCacheAccess(b *testing.B) {
 	c, err := cache.NewPartitioned(cache.Config{CapacityBytes: 4 << 20, Ways: 16, Partitions: 16})
 	if err != nil {
@@ -335,6 +341,44 @@ func BenchmarkCacheAccess(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Access(g.Next(), i&15)
+	}
+}
+
+// BenchmarkCacheVictim times the miss path — hit scan, victim scan, fill —
+// of a full cache under unequal targets, the state every epoch after the
+// first reallocation runs in. Addresses are generated before the timer, and
+// mostly stream, so three accesses in four choose a victim.
+func BenchmarkCacheVictim(b *testing.B) {
+	const parts = 16
+	c, err := cache.NewPartitioned(cache.Config{CapacityBytes: 4 << 20, Ways: 16, Partitions: parts})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := trace.MustNew(trace.Config{LineSize: 64, Mix: []trace.Component{
+		{Kind: trace.Geometric, Weight: 0.25, Param: 4096},
+		{Kind: trace.Streaming, Weight: 0.75},
+	}, Seed: 1})
+	addrs := make([]uint64, 1<<20)
+	g.Fill(addrs)
+	targets := make([]float64, parts)
+	for p := range targets {
+		targets[p] = float64(c.TotalLines()) * float64(p+1) / (parts * (parts + 1) / 2)
+	}
+	if err := c.SetTargets(targets); err != nil {
+		b.Fatal(err)
+	}
+	// One pass fills the cache and lets occupancies find the targets.
+	for i, a := range addrs {
+		c.Access(a, i%parts)
+	}
+	c.ResetStats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A lap streams 12 caches' worth of lines, so none survives to the next.
+		c.Access(addrs[i&(len(addrs)-1)], i%parts)
+	}
+	if acc, miss := c.Stats(); miss*2 < acc {
+		b.Fatalf("only %d of %d accesses missed; the bench no longer times the victim path", miss, acc)
 	}
 }
 
@@ -352,17 +396,29 @@ func BenchmarkUMONObserve(b *testing.B) {
 	}
 }
 
-func BenchmarkTraceGenerate(b *testing.B) {
+func benchTraceGenerate(b *testing.B, aged int) {
+	b.Helper()
 	g := trace.MustNew(trace.Config{LineSize: 64, Mix: []trace.Component{
 		{Kind: trace.Geometric, Weight: 0.7, Param: 8192},
 		{Kind: trace.Cyclic, Weight: 0.2, Param: 4096},
 		{Kind: trace.Streaming, Weight: 0.1},
 	}, Seed: 3})
+	for i := 0; i < aged; i++ {
+		g.Next()
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Next()
 	}
 }
+
+// BenchmarkTraceGenerate times a generator from its first draw, while its
+// LRU stack is still growing; BenchmarkTraceGenerateAged draws 2 M addresses
+// first, so the stack has the depth and the chunk layout a simulation that
+// has been running for a few hundred epochs works against.
+func BenchmarkTraceGenerate(b *testing.B)     { benchTraceGenerate(b, 0) }
+func BenchmarkTraceGenerateAged(b *testing.B) { benchTraceGenerate(b, 2000000) }
 
 func BenchmarkTalusSplit(b *testing.B) {
 	ratio := make([]float64, 17)

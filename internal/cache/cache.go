@@ -6,7 +6,10 @@
 // (Beckmann & Sanchez, HPCA 2015) via address-hashed shadow partitions.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Standard geometry constants used across the reproduction (Table 1).
 const (
@@ -32,10 +35,17 @@ type Config struct {
 //
 // Line state is stored struct-of-arrays — parallel tags/used/owners slices
 // indexed by set*ways+way — so the hit scan touches one dense uint64 run and
-// the branchy victim scan reads each field as a contiguous stride instead of
-// hopping 24-byte structs. A line is invalid exactly when used == 0: the
-// clock pre-increments before the first access, so every resident line
-// carries a non-zero timestamp.
+// the victim scan reads each field as a contiguous stride instead of hopping
+// 24-byte structs. A line is invalid exactly when used == 0: the clock
+// pre-increments before the first access, so every resident line carries a
+// non-zero timestamp, and timestamps of resident lines are unique.
+//
+// How far each partition is over its quota is maintained, not recomputed per
+// way: over[p] always equals float64(occupancy[p]) - target[p], and
+// overKey[p] is its bit pattern when over[p] > 0 and 0 otherwise. Positive
+// doubles order like their bit patterns, so the victim scan compares
+// integers and never branches on a float. syncOver re-derives both wherever
+// occupancy or target changes — at most two partitions per access.
 type PartitionedCache struct {
 	cfg       Config
 	sets      int
@@ -46,6 +56,8 @@ type PartitionedCache struct {
 	clock     uint64
 	occupancy []int     // lines held per partition
 	target    []float64 // line target per partition
+	over      []float64 // float64(occupancy[p]) - target[p]
+	overKey   []uint64  // Float64bits(over[p]) if over[p] > 0, else 0
 	accesses  uint64
 	misses    uint64
 }
@@ -72,10 +84,13 @@ func NewPartitioned(cfg Config) (*PartitionedCache, error) {
 		owners:    make([]int32, linesTotal),
 		occupancy: make([]int, cfg.Partitions),
 		target:    make([]float64, cfg.Partitions),
+		over:      make([]float64, cfg.Partitions),
+		overKey:   make([]uint64, cfg.Partitions),
 	}
 	// Default: equal share.
 	for i := range c.target {
 		c.target[i] = float64(linesTotal) / float64(cfg.Partitions)
+		c.syncOver(i)
 	}
 	return c, nil
 }
@@ -97,7 +112,22 @@ func (c *PartitionedCache) SetTargets(linesPerPartition []float64) error {
 		return fmt.Errorf("cache: targets total %.0f lines exceed capacity %d", total, len(c.tags))
 	}
 	copy(c.target, linesPerPartition)
+	for i := range c.target {
+		c.syncOver(i)
+	}
 	return nil
+}
+
+// syncOver re-derives over[p] and overKey[p] after occupancy[p] or target[p]
+// changed.
+func (c *PartitionedCache) syncOver(p int) {
+	over := float64(c.occupancy[p]) - c.target[p]
+	c.over[p] = over
+	if over > 0 {
+		c.overKey[p] = math.Float64bits(over)
+	} else {
+		c.overKey[p] = 0
+	}
 }
 
 // Access looks up addr on behalf of partition owner, updating replacement
@@ -117,10 +147,12 @@ func (c *PartitionedCache) Access(addr uint64, owner int) bool {
 			// A hit migrates ownership: the line now serves this
 			// partition's reuse. Keeping occupancy in sync matters
 			// when targets shift between epochs.
-			if o := c.owners[base+i]; int(o) != owner {
+			if o := int(c.owners[base+i]); o != owner {
 				c.occupancy[o]--
 				c.occupancy[owner]++
 				c.owners[base+i] = int32(owner)
+				c.syncOver(o)
+				c.syncOver(owner)
 			}
 			return true
 		}
@@ -128,63 +160,82 @@ func (c *PartitionedCache) Access(addr uint64, owner int) bool {
 	c.misses++
 	v := base + c.chooseVictim(base, owner)
 	if c.used[v] != 0 {
-		c.occupancy[c.owners[v]]--
+		o := int(c.owners[v])
+		c.occupancy[o]--
+		c.syncOver(o)
 	}
 	c.tags[v] = tag
 	c.owners[v] = int32(owner)
 	c.used[v] = c.clock
 	c.occupancy[owner]++
+	c.syncOver(owner)
 	return false
 }
 
 // chooseVictim implements the futility-scaling bias: evict the LRU line of
-// the most over-quota partition present in the set; if every partition in
-// the set is at or under quota, fall back to evicting the requester's own
-// LRU line (if present) or the set's global LRU line. The choice reads
-// global per-partition occupancy, which is why a single chip cannot be
-// set-sharded across goroutines without changing results.
+// the most over-quota partition present in the set (partitions tied on how
+// far over they are pool their lines); if every partition in the set is at
+// or under quota, fall back to evicting the requester's own LRU line (if
+// present) or the set's global LRU line. An invalid way, if any, is taken
+// first, lowest index first. The choice reads global per-partition
+// occupancy, which is why a single chip cannot be set-sharded across
+// goroutines without changing results.
+//
+// The scan is two passes without a data-dependent branch. Pass A finds the
+// largest overKey among the set's owners. Pass B keeps three running minima
+// of the timestamp — over all ways, over the requester's ways, over the
+// ways of partitions at that largest overKey — by OR-ing an all-ones mask
+// onto the timestamps that do not qualify. Timestamps are unique, so each
+// minimum names one way and comparing two minima compares ways; an invalid
+// way (timestamp 0) is the global minimum.
 func (c *PartitionedCache) chooseVictim(base, requester int) int {
 	used := c.used[base : base+c.cfg.Ways]
 	owners := c.owners[base : base+c.cfg.Ways]
-	bestIdx := -1
-	bestOver := 0.0
-	var bestUsed uint64
-	ownIdx, globalIdx := -1, -1
-	var ownUsed, globalUsed uint64
-	for i := range used {
-		u := used[i]
-		if u == 0 {
+	overKey := c.overKey
+	overReq := c.over[requester]
+
+	var best uint64
+	for _, o := range owners {
+		best = max(best, overKey[o])
+	}
+	const none = ^uint64(0)
+	globalUsed, ownUsed, bestUsed := none, none, none
+	for i, u := range used {
+		o := owners[i]
+		globalUsed = min(globalUsed, u)
+		ownUsed = min(ownUsed, u|nonZeroMask(uint64(int(o)^requester)))
+		bestUsed = min(bestUsed, u|nonZeroMask(overKey[o]^best))
+	}
+	if best == 0 {
+		bestUsed = none // nobody over quota: every way matched the zero key
+	}
+
+	victim := globalUsed
+	switch {
+	case globalUsed == 0:
+		// An invalid way; the search below finds the first.
+	case overReq >= 0 && ownUsed != none &&
+		(bestUsed == none || bestUsed == ownUsed || overReq >= math.Float64frombits(best)):
+		// If the requester is at or over its own quota, it must feed on
+		// itself even when other partitions are also over quota but less
+		// so.
+		victim = ownUsed
+	case bestUsed != none:
+		victim = bestUsed
+	case ownUsed != none:
+		victim = ownUsed
+	}
+	for i, u := range used {
+		if u == victim {
 			return i
 		}
-		o := owners[i]
-		if globalIdx == -1 || u < globalUsed {
-			globalIdx, globalUsed = i, u
-		}
-		if int(o) == requester && (ownIdx == -1 || u < ownUsed) {
-			ownIdx, ownUsed = i, u
-		}
-		over := float64(c.occupancy[o]) - c.target[o]
-		if over > 0 {
-			if bestIdx == -1 || over > bestOver || (over == bestOver && u < bestUsed) {
-				bestIdx, bestOver, bestUsed = i, over, u
-			}
-		}
 	}
-	// If the requester is over its own quota, it must feed on itself even
-	// when other partitions are also over quota but less so.
-	if float64(c.occupancy[requester]) >= c.target[requester] && ownIdx != -1 {
-		if bestIdx == -1 || int(owners[bestIdx]) == requester ||
-			float64(c.occupancy[requester])-c.target[requester] >= bestOver {
-			return ownIdx
-		}
-	}
-	if bestIdx != -1 {
-		return bestIdx
-	}
-	if ownIdx != -1 {
-		return ownIdx
-	}
-	return globalIdx
+	panic("cache: victim timestamp not in set")
+}
+
+// nonZeroMask returns all ones when x != 0 and zero when x == 0.
+func nonZeroMask(x uint64) uint64 {
+	return uint64(int64(x|-x) >> 63)
 }
 
 // Occupancy returns the current line count of each partition.

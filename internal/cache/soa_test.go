@@ -1,19 +1,24 @@
 package cache
 
 import (
+	"fmt"
+	"math"
+	"sort"
 	"testing"
 
 	"rebudget/internal/numeric"
 )
 
-// refCache is the pre-SoA PartitionedCache, array-of-structs layout and
-// all, kept verbatim as a reference model. The production cache must agree
-// with it access for access: same hit/miss verdicts, same victim choices
-// (observable through occupancy), same stats. This pins the SoA rewrite —
-// including the used==0-means-invalid encoding — to the original semantics.
+// refCache states the replacement rule of PartitionedCache as directly as it
+// can be said — array-of-structs lines with a valid flag, candidates
+// collected and ordered per miss, how far a partition is over quota
+// recomputed wherever it is read. The production cache must agree with it
+// access for access: same hit/miss verdicts, same victim choices (observable
+// through occupancy). This pins the SoA layout, the used==0-means-invalid
+// encoding, the maintained over/overKey and the masked two-pass victim scan
+// to one specification.
 type refCache struct {
-	cfg       Config
-	sets      int
+	ways      int
 	lines     []line
 	clock     uint64
 	occupancy []int
@@ -21,139 +26,152 @@ type refCache struct {
 }
 
 func newRefCache(cfg Config) *refCache {
-	linesTotal := cfg.CapacityBytes / LineSize
-	c := &refCache{
-		cfg:       cfg,
-		sets:      linesTotal / cfg.Ways,
-		lines:     make([]line, linesTotal),
-		occupancy: make([]int, cfg.Partitions),
-		target:    make([]float64, cfg.Partitions),
-	}
+	n := cfg.CapacityBytes / LineSize
+	c := &refCache{ways: cfg.Ways, lines: make([]line, n), occupancy: make([]int, cfg.Partitions), target: make([]float64, cfg.Partitions)}
 	for i := range c.target {
-		c.target[i] = float64(linesTotal) / float64(cfg.Partitions)
+		c.target[i] = float64(n) / float64(cfg.Partitions)
 	}
 	return c
 }
 
-func (c *refCache) SetTargets(t []float64) { copy(c.target, t) }
+func (c *refCache) over(p int) float64 { return float64(c.occupancy[p]) - c.target[p] }
 
 func (c *refCache) Access(addr uint64, owner int) bool {
 	lineAddr := addr / LineSize
-	set := int(lineAddr) & (c.sets - 1)
-	tag := lineAddr >> uint(log2(c.sets))
-	base := set * c.cfg.Ways
+	sets := uint64(len(c.lines) / c.ways)
+	set := c.lines[int(lineAddr%sets)*c.ways:][:c.ways]
 	c.clock++
-	ways := c.lines[base : base+c.cfg.Ways]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i].used = c.clock
-			if int(ways[i].owner) != owner {
-				c.occupancy[ways[i].owner]--
-				c.occupancy[owner]++
-				ways[i].owner = int32(owner)
-			}
+	for i := range set {
+		if w := &set[i]; w.valid && w.tag == lineAddr/sets {
+			c.occupancy[w.owner]--
+			c.occupancy[owner]++
+			w.owner, w.used = int32(owner), c.clock
 			return true
 		}
 	}
-	victim := c.chooseVictim(ways, owner)
-	if ways[victim].valid {
-		c.occupancy[ways[victim].owner]--
+	v := &set[c.victim(set, owner)]
+	if v.valid {
+		c.occupancy[v.owner]--
 	}
-	ways[victim] = line{tag: tag, owner: int32(owner), valid: true, used: c.clock}
 	c.occupancy[owner]++
+	*v = line{tag: lineAddr / sets, owner: int32(owner), valid: true, used: c.clock}
 	return false
 }
 
-func (c *refCache) chooseVictim(ways []line, requester int) int {
-	bestIdx := -1
-	bestOver := 0.0
-	var bestUsed uint64
-	ownIdx, globalIdx := -1, -1
-	var ownUsed, globalUsed uint64
-	for i := range ways {
-		w := &ways[i]
-		if !w.valid {
+// victim is the rule in chooseVictim's doc comment.
+func (c *refCache) victim(set []line, requester int) int {
+	lru := make([]int, len(set)) // way indices, least recently used first
+	for i := range set {
+		if !set[i].valid {
 			return i
 		}
-		if globalIdx == -1 || w.used < globalUsed {
-			globalIdx, globalUsed = i, w.used
-		}
-		if int(w.owner) == requester && (ownIdx == -1 || w.used < ownUsed) {
-			ownIdx, ownUsed = i, w.used
-		}
-		over := float64(c.occupancy[w.owner]) - c.target[w.owner]
-		if over > 0 {
-			if bestIdx == -1 || over > bestOver || (over == bestOver && w.used < bestUsed) {
-				bestIdx, bestOver, bestUsed = i, over, w.used
+		lru[i] = i
+	}
+	sort.Slice(lru, func(a, b int) bool { return set[lru[a]].used < set[lru[b]].used })
+	first := func(pred func(owner int) bool) int {
+		for _, i := range lru {
+			if pred(int(set[i].owner)) {
+				return i
 			}
 		}
+		return -1
 	}
-	if float64(c.occupancy[requester]) >= c.target[requester] && ownIdx != -1 {
-		if bestIdx == -1 || int(ways[bestIdx].owner) == requester ||
-			float64(c.occupancy[requester])-c.target[requester] >= bestOver {
-			return ownIdx
-		}
+	bestOver := 0.0
+	for _, w := range set {
+		bestOver = math.Max(bestOver, c.over(int(w.owner)))
 	}
-	if bestIdx != -1 {
-		return bestIdx
+	best := -1
+	if bestOver > 0 {
+		best = first(func(o int) bool { return c.over(o) == bestOver })
 	}
-	if ownIdx != -1 {
-		return ownIdx
+	own := first(func(o int) bool { return o == requester })
+	switch {
+	case own != -1 && float64(c.occupancy[requester]) >= c.target[requester] &&
+		(best == -1 || int(set[best].owner) == requester || c.over(requester) >= bestOver):
+		return own
+	case best != -1:
+		return best
+	case own != -1:
+		return own
 	}
-	return globalIdx
+	return lru[0]
 }
 
+// TestSoACacheMatchesReference runs the production cache against refCache
+// under every target regime the simulator produces. Random real-valued
+// targets alone never tie two different partitions on how far over quota
+// they are, yet that is every warm-up epoch (equal targets, integer
+// occupancies) — hence the equal and integer schemes, the zero targets, and
+// geometries where most requesters hold no line in the set they miss in.
 func TestSoACacheMatchesReference(t *testing.T) {
-	cfg := Config{CapacityBytes: 256 << 10, Ways: 8, Partitions: 4}
-	soa, err := NewPartitioned(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := newRefCache(cfg)
-	rng := numeric.NewRand(42)
-	lines := cfg.CapacityBytes / LineSize
-	// Shifting targets mid-stream exercises every chooseVictim branch:
-	// over-quota eviction, the requester-feeds-on-itself rule, and both
-	// fallbacks.
-	retarget := func() {
-		w := make([]float64, cfg.Partitions)
-		totalW := 0.0
-		for i := range w {
-			w[i] = rng.Float64() + 0.05
-			totalW += w[i]
-		}
-		for i := range w {
-			w[i] = w[i] / totalW * float64(lines)
-		}
-		if err := soa.SetTargets(w); err != nil {
-			t.Fatal(err)
-		}
-		ref.SetTargets(w)
-	}
-	for step := 0; step < 300000; step++ {
-		if step%25000 == 0 {
-			retarget()
-		}
-		// Address pool ~2x the cache so hits, cold misses and capacity
-		// misses all occur; tag 0 (low addresses) included deliberately —
-		// the SoA layout must not confuse a zero tag with an empty way.
-		addr := (rng.Uint64() % uint64(2*lines)) * LineSize
-		owner := int(rng.Uint64() % uint64(cfg.Partitions))
-		if got, want := soa.Access(addr, owner), ref.Access(addr, owner); got != want {
-			t.Fatalf("step %d: Access(%#x, %d) = %v, reference %v", step, addr, owner, got, want)
-		}
-	}
-	occ := soa.Occupancy()
-	for p := range occ {
-		if occ[p] != ref.occupancy[p] {
-			t.Fatalf("occupancy[%d] = %d, reference %d (full: %v vs %v)", p, occ[p], ref.occupancy[p], occ, ref.occupancy)
-		}
-	}
-	acc, miss := soa.Stats()
-	if acc != 300000 {
-		t.Fatalf("accesses = %d, want 300000", acc)
-	}
-	if miss == 0 || miss == acc {
-		t.Fatalf("degenerate miss count %d of %d", miss, acc)
+	for _, cfg := range []Config{
+		{CapacityBytes: 256 << 10, Ways: 8, Partitions: 4},
+		{CapacityBytes: 256 << 10, Ways: 16, Partitions: 16},
+		{CapacityBytes: 128 << 10, Ways: 32, Partitions: 128},
+	} {
+		t.Run(fmt.Sprintf("%dways_%dpartitions", cfg.Ways, cfg.Partitions), func(t *testing.T) {
+			soa, err := NewPartitioned(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRefCache(cfg)
+			rng := numeric.NewRand(42)
+			lines := cfg.CapacityBytes / LineSize
+			// Retargeting mid-stream cycles the schemes; the first stretch
+			// runs a cold cache on the constructor's equal-share default.
+			schemes := []func(p int) float64{
+				func(int) float64 { return rng.Float64() + 0.05 },       // real-valued, no ties
+				func(int) float64 { return 1 },                          // equal, integer
+				func(p int) float64 { return float64(p % 2) },           // every other target 0
+				func(p int) float64 { return float64(1 + p%3) },         // a few integer levels
+				func(p int) float64 { return float64(p / (2 + p) * 7) }, // all 0: global LRU only
+				func(p int) float64 { return math.Ldexp(1, -(p % 40)) }, // mostly under one line
+			}
+			const steps, period = 300000, 20000
+			for step := 0; step < steps; step++ {
+				if step > 0 && step%period == 0 {
+					weight := schemes[(step/period-1)%len(schemes)]
+					w := make([]float64, cfg.Partitions)
+					total := 0.0
+					for p := range w {
+						w[p] = weight(p)
+						total += w[p]
+					}
+					for p := range w {
+						if total > 0 {
+							w[p] = w[p] / total * float64(lines)
+						}
+					}
+					if err := soa.SetTargets(w); err != nil {
+						t.Fatal(err)
+					}
+					copy(ref.target, w)
+				}
+				// Address pool ~2x the cache so hits, cold misses and
+				// capacity misses all occur; tag 0 (low addresses) included
+				// deliberately — a zero tag is not an empty way.
+				addr := (rng.Uint64() % uint64(2*lines)) * LineSize
+				owner := int(rng.Uint64() % uint64(cfg.Partitions))
+				if got, want := soa.Access(addr, owner), ref.Access(addr, owner); got != want {
+					t.Fatalf("step %d: Access(%#x, %d) = %v, reference %v", step, addr, owner, got, want)
+				}
+				for p, occ := range soa.occupancy {
+					if occ != ref.occupancy[p] {
+						t.Fatalf("step %d: occupancy[%d] = %d, reference %d", step, p, occ, ref.occupancy[p])
+					}
+					over := float64(occ) - soa.target[p]
+					key := uint64(0)
+					if over > 0 {
+						key = math.Float64bits(over)
+					}
+					if math.Float64bits(soa.over[p]) != math.Float64bits(over) || soa.overKey[p] != key {
+						t.Fatalf("step %d: partition %d: over %v key %#x, want %v %#x", step, p, soa.over[p], soa.overKey[p], over, key)
+					}
+				}
+			}
+			if acc, miss := soa.Stats(); acc != steps || miss == 0 || miss == acc {
+				t.Fatalf("degenerate run: %d misses of %d accesses, want %d accesses", miss, acc, steps)
+			}
+		})
 	}
 }

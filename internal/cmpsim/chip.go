@@ -77,7 +77,7 @@ type Chip struct {
 	eqProfile metrics.EquilibriumProfile
 
 	// Epoch hot-path state (see sched.go): reusable pacing/interleave
-	// scratch so steady-state epochs allocate nothing, and the scheduler
+	// scratch so the epoch loop allocates nothing of its own, and the scheduler
 	// override tests use to pin dense/sparse equivalence.
 	scratch epochScratch
 	sched   schedMode

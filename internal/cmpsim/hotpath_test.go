@@ -8,6 +8,7 @@ import (
 
 	"rebudget/internal/app"
 	"rebudget/internal/core"
+	"rebudget/internal/numeric"
 	"rebudget/internal/trace"
 	"rebudget/internal/workload"
 )
@@ -74,8 +75,8 @@ func steadyBundle(cores int) workload.Bundle {
 }
 
 // TestRunEpochSteadyStateAllocs pins the zero-allocation property of the
-// epoch hot path: once the scratch buffers exist, simulating an epoch must
-// not touch the heap.
+// epoch machinery: once the scratch buffers exist, simulating an epoch of
+// stack-free generators must not touch the heap, under either scheduler.
 func TestRunEpochSteadyStateAllocs(t *testing.T) {
 	cfg := DefaultConfig(4)
 	chip, err := NewChip(cfg, steadyBundle(4))
@@ -98,6 +99,48 @@ func TestRunEpochSteadyStateAllocs(t *testing.T) {
 	chip.runEpoch(true)
 	if allocs := testing.AllocsPerRun(50, func() { chip.runEpoch(true) }); allocs != 0 {
 		t.Fatalf("sparse-scheduled runEpoch allocates %.1f objects per epoch, want 0", allocs)
+	}
+}
+
+// TestRunEpochCatalogAllocs holds the catalog bundles — whose geometric
+// components do keep LRU stacks — to the bound their stacks allow. A stack
+// recycles its chunk backings, so an aged one allocates only while it is
+// still acquiring new blocks: well under one backing per epoch after 200
+// epochs. The bound of 2 separates that from a stack that leaks backings to
+// the GC (37–106 mallocs per epoch before chunks were merged and the spare
+// list grew past one slot).
+func TestRunEpochCatalogAllocs(t *testing.T) {
+	cats := workload.Categories()
+	if testing.Short() {
+		cats = cats[:2]
+	}
+	for _, cat := range cats {
+		bundle, err := workload.Generate(cat, 8, numeric.NewRand(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		chip, err := NewChip(DefaultConfig(8), bundle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := chip.Begin(core.EqualShare{}); err != nil {
+			t.Fatal(err)
+		}
+		for e := 0; e < 200; e++ {
+			chip.runEpoch(true)
+		}
+		for _, run := range []struct {
+			name   string
+			sched  schedMode
+			epochs int
+		}{{"dense", schedDense, 200}, {"sparse", schedSparse, 50}} {
+			chip.sched = run.sched
+			chip.runEpoch(true)
+			allocs := testing.AllocsPerRun(run.epochs, func() { chip.runEpoch(true) })
+			if allocs > 2 {
+				t.Errorf("%s, %s scheduler: aged runEpoch allocates %.0f objects per epoch, want at most 2", cat, run.name, allocs)
+			}
+		}
 	}
 }
 

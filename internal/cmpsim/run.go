@@ -21,7 +21,10 @@ import (
 //
 // The hot path works entirely out of the chip's epochScratch: pacing counts,
 // miss tallies and the per-core address buffers are reused epoch to epoch,
-// so a steady-state epoch performs no heap allocation. Each core's draws are
+// so the epoch machinery itself performs no heap allocation; what remains is
+// a generator's LRU stack taking a 2 kB chunk backing while it still
+// acquires new blocks — under one per epoch once a chip has aged
+// (TestRunEpochCatalogAllocs). Each core's draws are
 // prefetched in one batch (keeping that generator's stack state hot) and
 // then interleaved in the canonical (step, core) order by whichever
 // scheduler in sched.go is cheaper for this epoch's count profile — the

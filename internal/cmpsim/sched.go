@@ -1,7 +1,7 @@
 package cmpsim
 
 // This file is the epoch interleave machinery: the per-chip scratch state
-// that makes steady-state epochs allocation-free, and two schedulers that
+// that keeps the epoch loop itself off the heap, and two schedulers that
 // emit the cores' paced access streams in one canonical global order.
 //
 // The canonical order is the one the original Bresenham loop produced: core
@@ -26,7 +26,7 @@ const (
 )
 
 // epochScratch is runEpoch's reusable working state. It is sized once on
-// first use; afterwards epochs run without heap allocation.
+// first use; afterwards the epoch loop allocates nothing of its own.
 type epochScratch struct {
 	counts  []int      // per-core paced access count this epoch
 	rates   []float64  // per-core raw access rate before joint scaling

@@ -82,6 +82,7 @@ type Generator struct {
 type componentState struct {
 	kind      ComponentKind
 	param     float64
+	logQ      float64   // Geometric only: log(param/(1+param)), the inverse-CDF divisor
 	stack     *lruStack // Geometric only
 	nextBlock uint64
 	cyclePos  uint64
@@ -128,6 +129,7 @@ func New(cfg Config) (*Generator, error) {
 		// addresses < 2^55). Each component still owns 2^32 lines.
 		st := componentState{kind: c.Kind, param: c.Param, base: uint64(cfg.Namespace)<<40 | uint64(i+1)<<32}
 		if c.Kind == Geometric {
+			st.logQ = math.Log(c.Param / (1 + c.Param))
 			st.stack = newLRUStack(g.rng.Split())
 		}
 		g.states = append(g.states, st)
@@ -156,7 +158,7 @@ func (g *Generator) Next() uint64 {
 	var block uint64
 	switch st.kind {
 	case Geometric:
-		d := g.sampleGeometric(st.param)
+		d := g.sampleGeometric(st.logQ)
 		if d >= st.stack.Len() {
 			block = st.base | st.nextBlock
 			st.nextBlock++
@@ -187,15 +189,15 @@ func (g *Generator) Fill(dst []uint64) {
 	}
 }
 
-// sampleGeometric draws a stack distance with the given mean.
-func (g *Generator) sampleGeometric(mean float64) int {
-	// P(d = k) = (1-q) q^k with q = mean/(1+mean); inverse-CDF sampling.
-	q := mean / (1 + mean)
+// sampleGeometric draws a stack distance from the geometric distribution
+// whose log(q) is given, q = mean/(1+mean).
+func (g *Generator) sampleGeometric(logQ float64) int {
+	// P(d = k) = (1-q) q^k; inverse-CDF sampling.
 	u := g.rng.Float64()
 	if u <= 0 {
 		return 0
 	}
-	d := int(math.Floor(math.Log(1-u) / math.Log(q)))
+	d := int(math.Floor(math.Log(1-u) / logQ))
 	if d < 0 {
 		d = 0
 	}

@@ -4,16 +4,27 @@
 # be diffed without keeping raw `go test -bench` logs around.
 #
 # Kernels (sub-100 ms per op) run for a duration, so a 0.5 ms equilibrium is
-# sampled a few hundred times rather than ten; the benches at or above
-# ~100 ms per op stay iteration-counted.
+# sampled a few hundred times rather than ten, and five times over: the
+# snapshot records the median ns/op of the five and their spread,
+# (max-min)/median, so a reader can tell a 5 % move from noise. The benches
+# at or above ~100 ms per op stay iteration-counted single samples.
+#
+# A second snapshot on one day gets a letter (BENCH_<yyyymmdd>b.json), which
+# sorts after the first, so a committed snapshot is never overwritten.
 #
 # Usage: scripts/bench_record.sh [kernel-benchtime]   (default 300ms)
 set -eu
 
 cd "$(dirname "$0")/.."
 BENCHTIME="${1:-300ms}"
-OUT="BENCH_$(date +%Y%m%d).json"
-KEY='^(BenchmarkMarketEquilibrium8|BenchmarkMarketEquilibrium64|BenchmarkMarketEquilibrium64Serial|BenchmarkReBudget64|BenchmarkUtilityValueMiss|BenchmarkCacheAccess|BenchmarkChipEpoch8|BenchmarkServeEpoch|BenchmarkTenantRebalance|BenchmarkTenantFrontier)$'
+COUNT=5
+STEM="BENCH_$(date +%Y%m%d)"
+OUT="$STEM.json"
+for suffix in b c d e f g h; do
+    [ -e "$OUT" ] || break
+    OUT="$STEM$suffix.json"
+done
+KEY='^(BenchmarkMarketEquilibrium8|BenchmarkMarketEquilibrium64|BenchmarkMarketEquilibrium64Serial|BenchmarkReBudget64|BenchmarkUtilityValueMiss|BenchmarkCacheAccess|BenchmarkCacheVictim|BenchmarkTraceGenerateAged|BenchmarkChipEpoch8|BenchmarkServeEpoch|BenchmarkTenantRebalance|BenchmarkTenantFrontier)$'
 SLOWKEY='^(BenchmarkFig5Simulation|BenchmarkChipEpoch64|BenchmarkSweepSerial|BenchmarkSweepParallel)$'
 PWRKEY='^BenchmarkFreqAtPower$'
 
@@ -22,37 +33,53 @@ SRVKEY='^(BenchmarkStoreParallelGet|BenchmarkStoreParallelAdd|BenchmarkMetricsRe
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
-go test -run '^$' -bench "$KEY" -benchtime "$BENCHTIME" . | tee "$RAW"
+go test -run '^$' -bench "$KEY" -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$RAW"
 go test -run '^$' -bench "$SLOWKEY" -benchtime 10x . | tee -a "$RAW"
-go test -run '^$' -bench "$PWRKEY" -benchtime "$BENCHTIME" ./internal/power | tee -a "$RAW"
+go test -run '^$' -bench "$PWRKEY" -benchtime "$BENCHTIME" -count "$COUNT" ./internal/power | tee -a "$RAW"
 # The density benches live in the server package. BenchmarkResidentSessionBytes
 # is a census, not a loop — one iteration is the measurement.
 go test -run '^$' -bench "$SRVKEY" -benchtime 1x ./internal/server | tee -a "$RAW"
 
 # Parse "BenchmarkName-N  iters  123 ns/op  45 B/op  6 allocs/op  7.0 rounds/op"
-# into one JSON object per benchmark.
+# into one JSON object per benchmark, in order of first appearance. A
+# benchmark sampled more than once records its median ns/op, the sample
+# count and the spread; the other columns repeat exactly and come from the
+# last sample.
 awk -v date="$(date +%Y-%m-%d)" '
-BEGIN { print "{"; printf "  \"date\": \"%s\",\n  \"benchmarks\": [\n", date }
 /^Benchmark/ {
     name = $1; sub(/-[0-9]+$/, "", name)
-    ns = ""; bytes = ""; allocs = ""; rounds = ""; bsession = ""
+    if (!(name in n)) order[++names] = name
+    iters[name] = $2
     for (i = 3; i < NF; i++) {
-        if ($(i+1) == "ns/op") ns = $i
-        if ($(i+1) == "B/op") bytes = $i
-        if ($(i+1) == "allocs/op") allocs = $i
-        if ($(i+1) == "rounds/op") rounds = $i
-        if ($(i+1) == "bytes/session") bsession = $i
+        if ($(i+1) == "ns/op") ns[name, ++n[name]] = $i
+        if ($(i+1) == "B/op") bytes[name] = $i
+        if ($(i+1) == "allocs/op") allocs[name] = $i
+        if ($(i+1) == "rounds/op") rounds[name] = $i
+        if ($(i+1) == "bytes/session") bsession[name] = $i
     }
-    if (count++) printf ",\n"
-    printf "    {\"name\": \"%s\", \"iters\": %s", name, $2
-    if (ns != "") printf ", \"ns_per_op\": %s", ns
-    if (bytes != "") printf ", \"bytes_per_op\": %s", bytes
-    if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
-    if (rounds != "") printf ", \"rounds_per_op\": %s", rounds
-    if (bsession != "") printf ", \"bytes_per_session\": %s", bsession
-    printf "}"
 }
-END { print "\n  ]" }
+END {
+    printf "{\n  \"date\": \"%s\",\n  \"benchmarks\": [\n", date
+    for (k = 1; k <= names; k++) {
+        name = order[k]; m = n[name]
+        for (i = 1; i <= m; i++) v[i] = ns[name, i] + 0
+        for (i = 2; i <= m; i++)
+            for (j = i; j > 1 && v[j-1] > v[j]; j--) { t = v[j]; v[j] = v[j-1]; v[j-1] = t }
+        if (k > 1) printf ",\n"
+        printf "    {\"name\": \"%s\", \"iters\": %s", name, iters[name]
+        if (m == 1) printf ", \"ns_per_op\": %s", ns[name, 1]
+        if (m > 1) {
+            med = (m % 2) ? v[(m+1)/2] : (v[m/2] + v[m/2+1]) / 2
+            printf ", \"ns_per_op\": %.10g, \"samples\": %d, \"spread\": %.3f", med, m, (v[m] - v[1]) / med
+        }
+        if (name in bytes) printf ", \"bytes_per_op\": %s", bytes[name]
+        if (name in allocs) printf ", \"allocs_per_op\": %s", allocs[name]
+        if (name in rounds) printf ", \"rounds_per_op\": %s", rounds[name]
+        if (name in bsession) printf ", \"bytes_per_session\": %s", bsession[name]
+        printf "}"
+    }
+    print "\n  ]"
+}
 ' "$RAW" > "$OUT"
 
 # Fold the newest density run (written by `make density-ab`) into the

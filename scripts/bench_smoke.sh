@@ -1,9 +1,12 @@
 #!/bin/sh
 # bench_smoke.sh — perf smoke test for `make ci`.
 #
-# Runs the three load-bearing kernels — BenchmarkMarketEquilibrium64 (the
-# hot allocation solver), BenchmarkFig5Simulation (the end-to-end detailed
-# simulation), and BenchmarkChipEpoch64 (the single-chip epoch hot path) —
+# Runs the load-bearing kernels — BenchmarkMarketEquilibrium64 (the hot
+# allocation solver), BenchmarkFig5Simulation (the end-to-end detailed
+# simulation), BenchmarkChipEpoch8/64 (the single-chip epoch hot path) and
+# its two kernels in their aged state, BenchmarkTraceGenerateAged (the LRU
+# reuse stack after 2 M draws — it once decayed into two-entry chunks, which
+# only an aged run shows) and BenchmarkCacheVictim (the victim scan) —
 # and compares each against the most recent recorded snapshot: the newest
 # BENCH_*.json written by scripts/bench_record.sh, falling back to
 # .bench/baseline.txt when no snapshot exists (the first snapshot then gets
@@ -23,10 +26,10 @@
 set -u
 
 cd "$(dirname "$0")/.."
-NAMES='BenchmarkMarketEquilibrium64 BenchmarkFig5Simulation BenchmarkChipEpoch64 BenchmarkServeEpoch BenchmarkTenantRebalance BenchmarkStoreParallelGet/segments=16 BenchmarkMetricsRender50k/default'
+NAMES='BenchmarkMarketEquilibrium64 BenchmarkFig5Simulation BenchmarkChipEpoch8 BenchmarkChipEpoch64 BenchmarkTraceGenerateAged BenchmarkCacheVictim BenchmarkServeEpoch BenchmarkTenantRebalance BenchmarkStoreParallelGet/segments=16 BenchmarkMetricsRender50k/default'
 # Sub-millisecond kernels run for a duration (5 iterations of a 0.5 ms
 # equilibrium is a 2.5 ms sample); the ≥ 100 ms benches stay at 5 iterations.
-BENCH='^(BenchmarkMarketEquilibrium64|BenchmarkServeEpoch|BenchmarkTenantRebalance)$'
+BENCH='^(BenchmarkMarketEquilibrium64|BenchmarkChipEpoch8|BenchmarkTraceGenerateAged|BenchmarkCacheVictim|BenchmarkServeEpoch|BenchmarkTenantRebalance)$'
 SLOWBENCH='^(BenchmarkFig5Simulation|BenchmarkChipEpoch64)$'
 SRVBENCH='^(BenchmarkStoreParallelGet|BenchmarkMetricsRender50k)$'
 DIR=.bench
