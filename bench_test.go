@@ -187,14 +187,25 @@ func BenchmarkAblationLambdaThreshold(b *testing.B) {
 
 // --- substrate micro-benchmarks ---
 
-func BenchmarkMarketEquilibrium8(b *testing.B)  { benchEquilibrium(b, 8, 0) }
-func BenchmarkMarketEquilibrium64(b *testing.B) { benchEquilibrium(b, 64, 0) }
+func BenchmarkMarketEquilibrium8(b *testing.B)  { benchEquilibrium(b, 8, 0, false) }
+func BenchmarkMarketEquilibrium64(b *testing.B) { benchEquilibrium(b, 64, 0, false) }
 
 // Serial pins Workers to 1 — the benchstat reference for the worker-pool
 // speedup (identical results, different wall time on multi-core hosts).
-func BenchmarkMarketEquilibrium64Serial(b *testing.B) { benchEquilibrium(b, 64, 1) }
+func BenchmarkMarketEquilibrium64Serial(b *testing.B) { benchEquilibrium(b, 64, 1, false) }
 
-func benchEquilibrium(b *testing.B, cores, workers int) {
+// Distinct hides every utility's identity, so all 64 players are solved:
+// the per-player cost of the kernel. The two benchmarks above measure ~57
+// classes only by the accident of their 100 + i%3 budgets; a catalog bundle
+// on equal budgets has ~16.
+func BenchmarkMarketEquilibrium64Distinct(b *testing.B) { benchEquilibrium(b, 64, 1, true) }
+
+// unnamedUtility forwards Value and nothing else, hiding market.Identified.
+type unnamedUtility struct{ u market.Utility }
+
+func (h unnamedUtility) Value(alloc []float64) float64 { return h.u.Value(alloc) }
+
+func benchEquilibrium(b *testing.B, cores, workers int, distinct bool) {
 	b.Helper()
 	bundle, err := workload.Generate(workload.CPBN, cores, numeric.NewRand(3))
 	if err != nil {
@@ -206,7 +217,11 @@ func benchEquilibrium(b *testing.B, cores, workers int) {
 	}
 	var players []*market.Player
 	for i, p := range setup.Players {
-		players = append(players, &market.Player{Name: p.Name, Utility: p.Utility, Budget: 100 + float64(i%3)})
+		u := p.Utility
+		if distinct {
+			u = unnamedUtility{u}
+		}
+		players = append(players, &market.Player{Name: p.Name, Utility: u, Budget: 100 + float64(i%3)})
 	}
 	m, err := market.New(setup.Capacity, players, market.Config{Workers: workers})
 	if err != nil {
@@ -246,6 +261,46 @@ func BenchmarkReBudget64(b *testing.B) {
 		rounds += out.Iterations
 	}
 	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+}
+
+// BenchmarkNewSetup64 profiles one 64-core bundle: the distinct
+// applications once each, a twin for every other core.
+func BenchmarkNewSetup64(b *testing.B) {
+	bundle, err := workload.Generate(workload.CPBB, 64, numeric.NewRand(5))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := workload.NewSetup(bundle); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEnvyFreeness64 is the view refresh of a 64-core session: every
+// player's utility over every distinct bundle of a ReBudget-20 outcome.
+func BenchmarkEnvyFreeness64(b *testing.B) {
+	bundle, err := workload.Generate(workload.CPBB, 64, numeric.NewRand(5))
+	if err != nil {
+		b.Fatal(err)
+	}
+	setup, err := workload.NewSetup(bundle)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out, err := (core.ReBudget{Step: 20}).Allocate(setup.Capacity, setup.Players)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := out.EnvyFreeness(setup.Players); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkMaxEfficiency64(b *testing.B) {

@@ -23,24 +23,29 @@ const FloorBandwidthGBs = 0.25
 // ρ = d/b. Utility is non-decreasing and concave in b (latency relief has
 // diminishing returns); the cache dimension uses the Talus hull of the
 // miss curve, keeping it continuous and cliff-free.
-// Like Utility, a BandwidthUtility memoizes its watts→frequency inversion
-// and is therefore NOT safe for concurrent Value calls on one instance; the
-// market engine evaluates each player on at most one goroutine at a time.
+// Like Utility, a BandwidthUtility is an immutable shared profile plus a
+// private watts→frequency memo: Value is NOT safe for concurrent calls on
+// one instance but is across twins; the market engine evaluates each player
+// on at most one goroutine at a time.
 type BandwidthUtility struct {
-	model        *Model
-	tal          *cache.Talus
-	floorW       float64
-	alone        float64
-	baseLatNs    float64
-	maxUsefulGBs float64
+	prof *bandwidthProfile
 
 	// Single-entry watts→frequency memo: perf and demandGBs invert the
 	// power model at the same watts within one evaluation, and probes that
 	// move only the cache or bandwidth coordinate keep watts fixed.
-	inv       *power.FreqInverter
-	lastWatts float64
-	lastFreq  float64
-	hasFreq   bool
+	freq freqMemo
+}
+
+// bandwidthProfile is the part of a BandwidthUtility that never changes
+// after NewBandwidthUtility returns.
+type bandwidthProfile struct {
+	model        *Model
+	tal          *cache.Talus
+	inv          power.FreqInverter
+	floorW       float64
+	alone        float64
+	baseLatNs    float64
+	maxUsefulGBs float64
 }
 
 // NewBandwidthUtility builds the three-resource utility surface.
@@ -52,60 +57,57 @@ func NewBandwidthUtility(m *Model, curve *cache.MissCurve) (*BandwidthUtility, e
 	if err != nil {
 		return nil, err
 	}
-	u := &BandwidthUtility{
+	p := &bandwidthProfile{
 		model:     m,
 		tal:       tal,
+		inv:       *m.Power.NewFreqInverter(m.Spec.Activity, RefTempC),
 		floorW:    m.FloorPowerW(),
 		baseLatNs: m.MemLatNs,
-		inv:       m.Power.NewFreqInverter(m.Spec.Activity, RefTempC),
 	}
+	u := &BandwidthUtility{prof: p}
 	// Stand-alone: all cache, max frequency, uncontended memory.
-	u.alone = u.perf(float64(curve.MaxRegions()), MaxPowerAlloc(m), 1e9)
-	if u.alone <= 0 {
+	p.alone = u.perf(float64(curve.MaxRegions()), MaxPowerAlloc(m), 1e9)
+	if p.alone <= 0 {
 		return nil, fmt.Errorf("app %s: non-positive stand-alone performance", m.Spec.Name)
 	}
 	// The demand at full throttle bounds how much bandwidth can help:
 	// beyond ~10× the arrival rate the queueing term d/(2b) is under 5%
 	// and further bandwidth is noise.
-	u.maxUsefulGBs = u.demandGBs(float64(curve.MaxRegions()), MaxPowerAlloc(m)) * 10
-	if u.maxUsefulGBs < FloorBandwidthGBs {
-		u.maxUsefulGBs = FloorBandwidthGBs
+	p.maxUsefulGBs = u.demandGBs(float64(curve.MaxRegions()), MaxPowerAlloc(m)) * 10
+	if p.maxUsefulGBs < FloorBandwidthGBs {
+		p.maxUsefulGBs = FloorBandwidthGBs
 	}
 	return u, nil
 }
+
+// Twin returns a utility computing the same function over the same shared
+// profile with a memo of its own (see Utility.Twin).
+func (u *BandwidthUtility) Twin() *BandwidthUtility { return &BandwidthUtility{prof: u.prof} }
+
+// Identity names the function this utility computes (see
+// market.Identified).
+func (u *BandwidthUtility) Identity() (key any, scale float64) { return u.prof, 1 }
 
 // MaxPowerAlloc is the watts beyond the floor that saturate frequency.
 func MaxPowerAlloc(m *Model) float64 {
 	return m.MaxPowerW() - m.FloorPowerW()
 }
 
-// freqAt is FreqAtTotalPowerGHz at the reference temperature through the
-// single-entry memo.
-func (u *BandwidthUtility) freqAt(watts float64) float64 {
-	if u.hasFreq && watts == u.lastWatts {
-		return u.lastFreq
-	}
-	f, err := u.inv.FreqAtPower(watts)
-	if err != nil {
-		f = power.MinFreqGHz
-	}
-	u.lastWatts, u.lastFreq, u.hasFreq = watts, f, true
-	return f
-}
-
 // demandGBs is the miss traffic the core would generate at an uncontended
 // memory system, used as the queueing arrival rate.
 func (u *BandwidthUtility) demandGBs(regions, dWatts float64) float64 {
-	m := u.tal.MissAt(regions)
-	f := u.freqAt(u.floorW + dWatts)
-	perf := u.model.PerfIPS(m, f)
-	return perf * u.model.Spec.API * m * cache.LineSize / 1e9
+	p := u.prof
+	m := p.tal.MissAt(regions)
+	f := u.freq.at(&p.inv, p.floorW+dWatts)
+	perf := p.model.PerfIPS(m, f)
+	return perf * p.model.Spec.API * m * cache.LineSize / 1e9
 }
 
 // perf evaluates instructions/second at a total allocation.
 func (u *BandwidthUtility) perf(regions, dWatts, bwGBs float64) float64 {
-	miss := u.tal.MissAt(regions)
-	f := u.freqAt(u.floorW + dWatts)
+	p := u.prof
+	miss := p.tal.MissAt(regions)
+	f := u.freq.at(&p.inv, p.floorW+dWatts)
 	// One-step fixed point: demand at uncontended latency sets the
 	// queueing load on the allocated bandwidth. The open-form M/D/1 term
 	// d/(2b) makes latency convex-decreasing in b, so throughput
@@ -114,9 +116,9 @@ func (u *BandwidthUtility) perf(regions, dWatts, bwGBs float64) float64 {
 	if bwGBs < FloorBandwidthGBs {
 		bwGBs = FloorBandwidthGBs
 	}
-	lat := u.baseLatNs * (1 + demand/(2*bwGBs))
-	tpi := u.model.Spec.CPIBase/f +
-		u.model.Spec.API*(miss*lat+(1-miss)*u.model.L2HitNs)
+	lat := p.baseLatNs * (1 + demand/(2*bwGBs))
+	tpi := p.model.Spec.CPIBase/f +
+		p.model.Spec.API*(miss*lat+(1-miss)*p.model.L2HitNs)
 	return 1e9 / tpi
 }
 
@@ -132,15 +134,15 @@ func (u *BandwidthUtility) Value(alloc []float64) float64 {
 	if len(alloc) > 2 && alloc[2] > 0 {
 		dBW = alloc[2]
 	}
-	return u.perf(regions, dWatts, FloorBandwidthGBs+dBW) / u.alone
+	return u.perf(regions, dWatts, FloorBandwidthGBs+dBW) / u.prof.alone
 }
 
 // MaxUsefulAlloc bounds the allocations beyond which nothing improves.
 func (u *BandwidthUtility) MaxUsefulAlloc() []float64 {
 	return []float64{
 		float64(MaxRegions - 1),
-		MaxPowerAlloc(u.model),
-		u.maxUsefulGBs,
+		MaxPowerAlloc(u.prof.model),
+		u.prof.maxUsefulGBs,
 	}
 }
 
@@ -148,4 +150,4 @@ func (u *BandwidthUtility) MaxUsefulAlloc() []float64 {
 func (u *BandwidthUtility) MinAlloc() []float64 { return []float64{0, 0, 0} }
 
 // FloorPowerW exposes the power floor.
-func (u *BandwidthUtility) FloorPowerW() float64 { return u.floorW }
+func (u *BandwidthUtility) FloorPowerW() float64 { return u.prof.floorW }

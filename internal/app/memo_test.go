@@ -73,3 +73,69 @@ func TestBandwidthUtilityMemoTransparent(t *testing.T) {
 		}
 	}
 }
+
+// TestTwinSharesProfileNotMemo: a twin computes the same function over the
+// same profile, and nothing one instance memoizes is visible to the other.
+func TestTwinSharesProfileNotMemo(t *testing.T) {
+	spec, err := Lookup("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewModel(spec)
+	curve, err := m.AnalyticMissCurve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := NewUtility(m, curve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw := u.Twin()
+	if tw == u || tw.prof != u.prof {
+		t.Fatalf("twin must be a new instance over the same profile")
+	}
+	if &tw.hullEvals[0] == &u.hullEvals[0] {
+		t.Fatal("twin shares the hull evaluators' memo state")
+	}
+	uk, us := u.Identity()
+	tk, ts := tw.Identity()
+	if uk == nil || uk != tk || us != 1 || ts != 1 {
+		t.Errorf("identities (%v, %v) and (%v, %v): want one non-nil key, scale 1", uk, us, tk, ts)
+	}
+	other, err := NewUtility(m, curve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, _ := other.Identity(); ok == uk {
+		t.Error("a separately built utility shares the first one's identity")
+	}
+	probes := [][]float64{{5.5, 7.25}, {5.5, 9}, {0, 0}, {15.9, 20}, {1.25, 3.3}, {8, 0.5}}
+	for _, a := range probes {
+		u.Value(a) // move u's memo, not the twin's
+		if got, want := tw.Value(a), other.Value(a); got != want {
+			t.Fatalf("twin Value(%v) = %v, fresh utility %v", a, got, want)
+		}
+	}
+
+	bu, err := NewBandwidthUtility(m, curve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt := bu.Twin()
+	if bt == bu || bt.prof != bu.prof {
+		t.Fatalf("bandwidth twin must be a new instance over the same profile")
+	}
+	if bk, _ := bu.Identity(); bk == uk {
+		t.Error("two- and three-resource utilities of one model share an identity")
+	}
+	for _, a := range [][]float64{{5.5, 7.25, 2}, {5.5, 7.25, 6}, {3, 1.5, 0}, {12, 10, 9.5}} {
+		bu.Value(a)
+		fresh, err := NewBandwidthUtility(m, curve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := bt.Value(a), fresh.Value(a); got != want {
+			t.Fatalf("bandwidth twin Value(%v) = %v, fresh utility %v", a, got, want)
+		}
+	}
+}

@@ -20,31 +20,63 @@ import (
 // interpolates linearly in frequency, and power maps to frequency through
 // the concave inverse of the power model, preserving concavity in watts.
 //
-// A Utility memoizes its hottest sub-computations (the watts→frequency
-// inversion and the per-level hull interpolation), so Value is NOT safe for
-// concurrent calls on the same instance. The market engine guarantees each
-// player's utility is evaluated by at most one goroutine at a time (see
-// DESIGN.md, "Performance & concurrency"); callers sharing one Utility
-// across goroutines must add their own synchronisation.
+// A Utility is two things. Everything fixed at construction — the model,
+// the monotone curve, the DVFS ladder, the per-level hulls, the power
+// inverter and the normalisation constants — is an immutable profile, built
+// once and shared by every Twin. The memo state over its hottest
+// sub-computations (the watts→frequency inversion and the per-level hull
+// interpolation) is private to the instance, so Value is NOT safe for
+// concurrent calls on the same instance but is across twins. The market
+// engine guarantees each player's utility is evaluated by at most one
+// goroutine at a time (see DESIGN.md, "Performance & concurrency"); callers
+// sharing one Utility across goroutines must add their own synchronisation.
 type Utility struct {
-	model  *Model
-	curve  *cache.MissCurve
-	freqs  []float64      // DVFS ladder
-	hulls  []*numeric.PWL // per ladder level: convexified utility vs regions
-	floorW float64
-	alone  float64 // stand-alone perf (IPS)
+	prof *utilityProfile
 
 	// Hot-path memo state. The market's finite-difference probes move one
 	// allocation coordinate at a time, so between consecutive evaluations
 	// either the watts (and thus the inverted frequency) or the regions
 	// (and thus the hull lookup x) are unchanged. The frequency memo skips
-	// a ~70 ns constant-time solve, not a search, and at two resources
+	// a ~30 ns constant-time solve, not a search, and at two resources
 	// only one of a hill-climb step's three evaluations hits it.
-	hullEvals []*numeric.PWLEval // per ladder level, memoized
-	inv       *power.FreqInverter
-	lastWatts float64
-	lastFreq  float64
-	hasFreq   bool
+	hullEvals []numeric.PWLEval // per ladder level, memoized
+	freq      freqMemo
+}
+
+// utilityProfile is the part of a Utility that never changes after
+// newUtility returns. The nine hulls' knots live in one backing array and
+// the functions in one slice: a profile is a handful of allocations however
+// many ladder levels it has.
+type utilityProfile struct {
+	model  *Model
+	curve  *cache.MissCurve
+	freqs  []float64     // DVFS ladder
+	hulls  []numeric.PWL // per ladder level: convexified utility vs regions
+	inv    power.FreqInverter
+	floorW float64
+	alone  float64 // stand-alone perf (IPS)
+}
+
+// freqMemo is the single-entry watts→frequency memo both utility kinds keep
+// per instance: a probe that moves only the cache (or bandwidth) coordinate
+// reuses the previous inversion.
+type freqMemo struct {
+	watts, freq float64
+	ok          bool
+}
+
+// at is FreqAtTotalPowerGHz at the inverter's operating point through the
+// memo.
+func (c *freqMemo) at(inv *power.FreqInverter, watts float64) float64 {
+	if c.ok && watts == c.watts {
+		return c.freq
+	}
+	f, err := inv.FreqAtPower(watts)
+	if err != nil {
+		f = power.MinFreqGHz
+	}
+	c.watts, c.freq, c.ok = watts, f, true
+	return f
 }
 
 // NewRawUtility builds the utility surface WITHOUT Talus convexification —
@@ -66,54 +98,61 @@ func newUtility(m *Model, curve *cache.MissCurve, convexify bool) (*Utility, err
 		return nil, fmt.Errorf("app: nil model or curve")
 	}
 	mono := curve.Monotone()
-	u := &Utility{
+	p := &utilityProfile{
 		model:  m,
 		curve:  mono,
 		freqs:  power.Levels(),
+		inv:    *m.Power.NewFreqInverter(m.Spec.Activity, RefTempC),
 		floorW: m.FloorPowerW(),
 		alone:  m.AlonePerfIPS(mono),
 	}
-	if u.alone <= 0 {
+	if p.alone <= 0 {
 		return nil, fmt.Errorf("app %s: non-positive stand-alone performance", m.Spec.Name)
 	}
 	maxR := mono.MaxRegions()
-	for _, f := range u.freqs {
-		pts := make([]numeric.Point, 0, maxR)
+	p.hulls = make([]numeric.PWL, len(p.freqs))
+	knots := make([]numeric.Point, 0, len(p.freqs)*maxR)
+	pts := make([]numeric.Point, maxR)
+	for k, f := range p.freqs {
 		for c := 1; c <= maxR; c++ {
 			perf := m.PerfIPS(mono.At(float64(c)), f)
-			pts = append(pts, numeric.Point{X: float64(c), Y: perf / u.alone})
+			pts[c-1] = numeric.Point{X: float64(c), Y: perf / p.alone}
 		}
-		var hull *numeric.PWL
-		var err error
+		from := len(knots)
 		if convexify {
-			hull, err = numeric.HullPWL(pts)
+			knots = numeric.AppendUpperConvexHull(knots, pts)
 		} else {
-			hull, err = numeric.NewPWL(pts)
+			knots = append(knots, pts...)
 		}
+		hull, err := numeric.PWLOver(knots[from:len(knots):len(knots)])
 		if err != nil {
 			return nil, fmt.Errorf("app %s: curve at %g GHz: %w", m.Spec.Name, f, err)
 		}
-		u.hulls = append(u.hulls, hull)
-		u.hullEvals = append(u.hullEvals, hull.Evaluator())
+		p.hulls[k] = hull
 	}
-	u.inv = m.Power.NewFreqInverter(m.Spec.Activity, RefTempC)
-	return u, nil
+	return p.cursor(), nil
 }
 
-// freqAt is FreqAtTotalPowerGHz at the reference temperature with a
-// single-entry memo: a probe that moves only the cache coordinate reuses
-// the previous inversion.
-func (u *Utility) freqAt(watts float64) float64 {
-	if u.hasFreq && watts == u.lastWatts {
-		return u.lastFreq
+// cursor returns a Utility over the profile with fresh memo state.
+func (p *utilityProfile) cursor() *Utility {
+	u := &Utility{prof: p, hullEvals: make([]numeric.PWLEval, len(p.hulls))}
+	for k := range p.hulls {
+		u.hullEvals[k] = p.hulls[k].Evaluator()
 	}
-	f, err := u.inv.FreqAtPower(watts)
-	if err != nil {
-		f = power.MinFreqGHz
-	}
-	u.lastWatts, u.lastFreq, u.hasFreq = watts, f, true
-	return f
+	return u
 }
+
+// Twin returns a utility computing the same function over the same shared
+// profile with memo state of its own, so it and the receiver may be
+// evaluated concurrently. Profiling an application once and handing every
+// further core running it a twin is how workload.NewSetup avoids
+// re-deriving identical hulls.
+func (u *Utility) Twin() *Utility { return u.prof.cursor() }
+
+// Identity names the function this utility computes (see
+// market.Identified): twins share a profile and therefore a key, and no
+// scale is applied.
+func (u *Utility) Identity() (key any, scale float64) { return u.prof, 1 }
 
 // Value implements market.Utility. alloc[0] is Δregions, alloc[1] Δwatts.
 func (u *Utility) Value(alloc []float64) float64 {
@@ -121,17 +160,17 @@ func (u *Utility) Value(alloc []float64) float64 {
 	if len(alloc) > 0 && alloc[0] > 0 {
 		regions += alloc[0]
 	}
-	watts := u.floorW
+	watts := u.prof.floorW
 	if len(alloc) > 1 && alloc[1] > 0 {
 		watts += alloc[1]
 	}
-	f := u.freqAt(watts)
+	f := u.freq.at(&u.prof.inv, watts)
 	return u.valueAt(regions, f)
 }
 
 // valueAt interpolates the hull stack at a continuous (regions, frequency).
 func (u *Utility) valueAt(regions, fGHz float64) float64 {
-	fs := u.freqs
+	fs := u.prof.freqs
 	if fGHz <= fs[0] {
 		return u.hullEvals[0].Eval(regions)
 	}
@@ -152,8 +191,8 @@ func (u *Utility) valueAt(regions, fGHz float64) float64 {
 // full frequency. XChange-Balanced sizes budgets with it.
 func (u *Utility) MaxUsefulAlloc() []float64 {
 	return []float64{
-		float64(u.curve.MaxRegions() - 1),
-		u.model.MaxPowerW() - u.floorW,
+		float64(u.prof.curve.MaxRegions() - 1),
+		u.prof.model.MaxPowerW() - u.prof.floorW,
 	}
 }
 
@@ -162,21 +201,22 @@ func (u *Utility) MinAlloc() []float64 { return []float64{0, 0} }
 
 // FloorPowerW exposes the free power floor used by the simulator when
 // translating market watts into total core power.
-func (u *Utility) FloorPowerW() float64 { return u.floorW }
+func (u *Utility) FloorPowerW() float64 { return u.prof.floorW }
 
 // AlonePerfIPS exposes the normalisation constant.
-func (u *Utility) AlonePerfIPS() float64 { return u.alone }
+func (u *Utility) AlonePerfIPS() float64 { return u.prof.alone }
 
 // CacheUtilityCurve returns the normalised utility versus total regions at
 // maximum frequency, both raw (monotone-cleaned) and convexified — the two
 // series of Figure 2.
 func (u *Utility) CacheUtilityCurve() (raw, hull []numeric.Point) {
-	maxR := u.curve.MaxRegions()
-	top := len(u.freqs) - 1
+	p := u.prof
+	maxR := p.curve.MaxRegions()
+	top := len(p.freqs) - 1
 	for c := 1; c <= maxR; c++ {
-		perf := u.model.PerfIPS(u.curve.At(float64(c)), u.freqs[top])
-		raw = append(raw, numeric.Point{X: float64(c), Y: perf / u.alone})
-		hull = append(hull, numeric.Point{X: float64(c), Y: u.hulls[top].Eval(float64(c))})
+		perf := p.model.PerfIPS(p.curve.At(float64(c)), p.freqs[top])
+		raw = append(raw, numeric.Point{X: float64(c), Y: perf / p.alone})
+		hull = append(hull, numeric.Point{X: float64(c), Y: p.hulls[top].Eval(float64(c))})
 	}
 	return raw, hull
 }

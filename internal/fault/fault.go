@@ -143,7 +143,10 @@ func (in *Injector) CorruptCurve(ratio []float64) bool {
 	return true
 }
 
-// faultyUtility poisons a fraction of evaluations with NaN.
+// faultyUtility poisons a fraction of evaluations with NaN. It is
+// deliberately not market.Identified: every evaluation draws from the
+// injector's seeded stream, so how many times it is called is part of its
+// behaviour and no two of them are interchangeable.
 type faultyUtility struct {
 	in    *Injector
 	inner market.Utility

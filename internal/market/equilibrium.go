@@ -48,7 +48,7 @@ func (m *Market) FindEquilibriumFrom(initial [][]float64) (*Equilibrium, error) 
 
 	m.ensureScratch()
 	for i, p := range m.players {
-		row := m.curBids[i]
+		row := m.row(m.curBids, i)
 		if initial != nil && i < len(initial) && len(initial[i]) == mm {
 			copy(row, initial[i])
 			spent := 0.0
@@ -85,6 +85,7 @@ func (m *Market) FindEquilibriumFrom(initial [][]float64) (*Equilibrium, error) 
 			row[j] = p.Budget / float64(mm)
 		}
 	}
+	m.classify()
 	prices := m.pricesInto(m.curBids, m.priceA)
 	nextPrices := m.priceB
 
@@ -123,12 +124,16 @@ func (m *Market) FindEquilibriumFrom(initial [][]float64) (*Equilibrium, error) 
 		m.cfg.Observer(iterations, steps, time.Since(start))
 	}
 
-	bids := make([][]float64, n)
-	for i := range bids {
-		bids[i] = append([]float64(nil), m.curBids[i]...)
-	}
+	// Bids and Allocations are row views over one flat array each: two
+	// allocations per run however many players there are.
+	bids, bidBuf := make([][]float64, n), make([]float64, n*mm)
+	allocs, allocBuf := make([][]float64, n), make([]float64, n*mm)
 	finalPrices := append([]float64(nil), prices...)
-	allocs := m.allocate(bids, finalPrices)
+	for i := range bids {
+		bids[i], allocs[i] = m.row(bidBuf, i), m.row(allocBuf, i)
+		copy(bids[i], m.row(m.curBids, i))
+		m.allocateInto(allocs[i], bids[i], finalPrices)
+	}
 	eq := &Equilibrium{
 		Prices:      finalPrices,
 		Bids:        bids,
@@ -139,6 +144,13 @@ func (m *Market) FindEquilibriumFrom(initial [][]float64) (*Equilibrium, error) 
 		Converged:   converged,
 	}
 	for i, p := range m.players {
+		// A member's final row equals its representative's, so its utility
+		// and λ do too. Representatives come first in index order, which
+		// also keeps the first failing player reported the same.
+		if r := m.classOf[i]; r != i {
+			eq.Utilities[i], eq.Lambdas[i] = eq.Utilities[r], eq.Lambdas[r]
+			continue
+		}
 		u := p.Utility.Value(allocs[i])
 		if math.IsNaN(u) || math.IsInf(u, 0) {
 			return nil, &UtilityError{Player: i, Name: p.Name, Value: u, Context: "utility"}

@@ -22,7 +22,25 @@ type Utility interface {
 	Value(alloc []float64) float64
 }
 
-// UtilityFunc adapts a plain function to the Utility interface.
+// Identified is the optional interface by which a utility names the
+// function it computes. Two utilities whose keys are equal and non-nil and
+// whose scales are bit-equal must return bit-equal Values for every
+// allocation; the equilibrium search then solves one of them and copies the
+// answer to the other (see classify). The key must be comparable — in
+// practice a pointer to the immutable state the implementations share — and
+// scale is the single factor a wrapper multiplies that function by, 1 for
+// none. Identity is called once per player per equilibrium run and must not
+// allocate, which is why it returns two words rather than a struct boxed
+// into an interface; it may return a different answer from one run to the
+// next. A nil key, like not implementing the interface at all, keeps the
+// player in a class of its own.
+type Identified interface {
+	Utility
+	Identity() (key any, scale float64)
+}
+
+// UtilityFunc adapts a plain function to the Utility interface. It is
+// deliberately not Identified: a closure has no identity to compare.
 type UtilityFunc func(alloc []float64) float64
 
 // Value implements Utility.
@@ -136,14 +154,24 @@ type Market struct {
 	cfg      Config
 
 	// Reusable equilibrium state, lazily sized on first use. curBids and
-	// nxtBids are row views into two flat backing arrays, swapped each
-	// round; priceA/priceB double-buffer the price vector.
-	curBids [][]float64
-	nxtBids [][]float64
+	// nxtBids are flat player × resource bid matrices (see row), swapped
+	// each round; priceA/priceB double-buffer the price vector.
+	curBids []float64
+	nxtBids []float64
 	priceA  []float64
 	priceB  []float64
 	scratch *bidScratch // serial-path and finalisation scratch
 	pool    *workerPool
+
+	// Equivalence classes of the current run, rebuilt by classify at the
+	// start of every FindEquilibriumFrom. classOf[i] is the lowest-indexed
+	// player no round can tell apart from player i (i itself for a
+	// representative); reps lists the representatives in index order. The
+	// keys and scales are each player's Identity, read once per run.
+	classOf []int
+	reps    []int
+	keys    []any
+	scales  []float64
 }
 
 // New validates inputs and builds a market.
@@ -185,18 +213,20 @@ func (m *Market) Close() {
 	}
 }
 
-// minParallelPlayers is the market size below which a bidding round always
-// runs serially: a round's channel hand-off and wake-ups cost a fixed
-// ~25 µs, and a player's re-optimisation ~1.5 µs, so small rounds lose more
-// to dispatch than two workers win back. Measured on the 2-vCPU bench host
-// (one cold equilibrium, µs, serial vs pool at GOMAXPROCS 2): 16 players
-// 108 vs 155, 32 players 325 vs 357, 48 players 481 vs 445, 64 players
-// 562 vs 470 — the pool breaks even between 32 and 48.
+// minParallelPlayers is the number of best responses below which a bidding
+// round always runs serially: a round's channel hand-off and wake-ups cost a
+// fixed ~25 µs, and a player's re-optimisation ~1.5 µs, so small rounds lose
+// more to dispatch than two workers win back. Measured on the 2-vCPU bench
+// host (one cold equilibrium of all-distinct players, µs, serial vs pool at
+// GOMAXPROCS 2): 16 players 108 vs 155, 32 players 325 vs 357, 48 players
+// 481 vs 445, 64 players 562 vs 470 — the pool breaks even between 32 and
+// 48. The count is of equivalence classes, not players: a class costs one
+// best response however many members it has.
 const minParallelPlayers = 48
 
 // resolveWorkers maps Config.Workers to the effective round parallelism.
 func (m *Market) resolveWorkers() int {
-	n := len(m.players)
+	n := len(m.reps)
 	if n < minParallelPlayers {
 		return 1
 	}
@@ -218,26 +248,75 @@ func (m *Market) ensureScratch() {
 		return
 	}
 	n, mm := len(m.players), len(m.capacity)
-	bufA := make([]float64, n*mm)
-	bufB := make([]float64, n*mm)
-	m.curBids = make([][]float64, n)
-	m.nxtBids = make([][]float64, n)
-	for i := 0; i < n; i++ {
-		m.curBids[i] = bufA[i*mm : (i+1)*mm : (i+1)*mm]
-		m.nxtBids[i] = bufB[i*mm : (i+1)*mm : (i+1)*mm]
-	}
+	m.curBids = make([]float64, n*mm)
+	m.nxtBids = make([]float64, n*mm)
 	m.priceA = make([]float64, mm)
 	m.priceB = make([]float64, mm)
 	m.scratch = newBidScratch(mm)
+	m.classOf = make([]int, n)
+	m.reps = make([]int, 0, n)
+	m.keys = make([]any, n)
+	m.scales = make([]float64, n)
+}
+
+// row is player i's row of a flat player × resource matrix.
+func (m *Market) row(flat []float64, i int) []float64 {
+	mm := len(m.capacity)
+	return flat[i*mm : (i+1)*mm : (i+1)*mm]
+}
+
+// classify partitions the players into the classes this run cannot tell
+// apart. A best response is a function of exactly (utility function,
+// budget, own previous bids, broadcast prices), and the prices are common,
+// so two players with the same Identity, bit-equal budgets and bit-equal
+// starting rows produce bit-equal rows in round one — and then, by
+// induction, in every round. The search therefore re-optimises one
+// representative per class, the lowest index, and copies its row to the
+// members; a market of all-different players is the same code with n
+// classes of one. Budgets, identities (a serving session's demand factors)
+// and warm rows all move between runs, so the partition is rebuilt each
+// time, into buffers the Market owns.
+func (m *Market) classify() {
+	m.reps = m.reps[:0]
+	for i, p := range m.players {
+		m.classOf[i] = i
+		m.keys[i] = nil
+		if id, ok := p.Utility.(Identified); ok {
+			m.keys[i], m.scales[i] = id.Identity()
+		}
+		if m.keys[i] != nil {
+			for _, r := range m.reps {
+				if m.keys[r] == m.keys[i] && sameBits(m.scales[r], m.scales[i]) &&
+					sameBits(m.players[r].Budget, p.Budget) && sameRow(m.row(m.curBids, r), m.row(m.curBids, i)) {
+					m.classOf[i] = r
+					break
+				}
+			}
+		}
+		if m.classOf[i] == i {
+			m.reps = append(m.reps, i)
+		}
+	}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func sameRow(a, b []float64) bool {
+	for j := range a {
+		if !sameBits(a[j], b[j]) {
+			return false
+		}
+	}
+	return true
 }
 
 // reoptimize computes player i's best response to the broadcast prices into
 // its row of the next-round bid matrix, using only the given scratch — the
-// unit of work a pool worker claims. It reads curBids[i] and prices, writes
-// nxtBids[i], and touches no other shared state.
+// unit of work a pool worker claims. It reads row i of curBids and prices,
+// writes row i of nxtBids, and touches no other shared state.
 func (m *Market) reoptimize(i int, prices []float64, s *bidScratch) {
 	p := m.players[i]
-	cur := m.curBids[i]
+	cur := m.row(m.curBids, i)
 	others := s.others
 	for j := range m.capacity {
 		y := prices[j]*m.capacity[j] - cur[j]
@@ -246,7 +325,7 @@ func (m *Market) reoptimize(i int, prices []float64, s *bidScratch) {
 		}
 		others[j] = y
 	}
-	nb := m.nxtBids[i]
+	nb := m.row(m.nxtBids, i)
 	if m.cfg.Optimizer == GreedyExact {
 		optimizeBidsGreedy(p.Utility, p.Budget, others, m.capacity, m.cfg.GreedyQuanta, s, nb)
 	} else {
@@ -254,24 +333,31 @@ func (m *Market) reoptimize(i int, prices []float64, s *bidScratch) {
 	}
 }
 
-// runRound re-optimises every player for one bidding round, serially or on
-// the pool depending on the resolved worker count.
+// runRound re-optimises every class representative for one bidding round,
+// serially or on the pool depending on the resolved worker count, then
+// hands each member its representative's row.
 func (m *Market) runRound(prices []float64) {
-	w := m.resolveWorkers()
-	if w < 2 {
-		for i := range m.players {
+	if w := m.resolveWorkers(); w < 2 {
+		for _, i := range m.reps {
 			m.reoptimize(i, prices, m.scratch)
 		}
-		return
+	} else {
+		if m.pool == nil {
+			m.pool = newWorkerPool(w, len(m.capacity))
+			// Backstop for markets dropped without Close: release the pool
+			// goroutines when the Market becomes unreachable. The workers hold
+			// no reference back to the Market, so the finalizer can run.
+			runtime.SetFinalizer(m, (*Market).Close)
+		}
+		m.pool.run(m, prices)
 	}
-	if m.pool == nil {
-		m.pool = newWorkerPool(w, len(m.capacity))
-		// Backstop for markets dropped without Close: release the pool
-		// goroutines when the Market becomes unreachable. The workers hold
-		// no reference back to the Market, so the finalizer can run.
-		runtime.SetFinalizer(m, (*Market).Close)
+	if len(m.reps) < len(m.players) {
+		for i, r := range m.classOf {
+			if r != i {
+				copy(m.row(m.nxtBids, i), m.row(m.nxtBids, r))
+			}
+		}
 	}
-	m.pool.run(m, prices)
 }
 
 // Capacity returns the resource capacities.
@@ -303,36 +389,28 @@ func (e *Equilibrium) Efficiency() float64 {
 	return s
 }
 
-// prices computes Equation 1 for a full bid matrix.
-func (m *Market) prices(bids [][]float64) []float64 {
-	return m.pricesInto(bids, make([]float64, len(m.capacity)))
-}
-
-// pricesInto is prices writing into a caller-owned buffer.
-func (m *Market) pricesInto(bids [][]float64, ps []float64) []float64 {
+// pricesInto computes Equation 1 for a flat bid matrix into a caller-owned
+// buffer.
+func (m *Market) pricesInto(bids, ps []float64) []float64 {
+	mm := len(m.capacity)
 	for j := range m.capacity {
 		sum := 0.0
-		for i := range bids {
-			sum += bids[i][j]
+		for k := j; k < len(bids); k += mm {
+			sum += bids[k]
 		}
 		ps[j] = sum / m.capacity[j]
 	}
 	return ps
 }
 
-// allocate applies the proportional rule rᵢⱼ = bᵢⱼ/pⱼ. Resources nobody
-// bids on are left unallocated (price zero).
-func (m *Market) allocate(bids [][]float64, prices []float64) [][]float64 {
-	out := make([][]float64, len(bids))
-	for i := range bids {
-		out[i] = make([]float64, len(m.capacity))
-		for j := range m.capacity {
-			if prices[j] > 0 {
-				out[i][j] = bids[i][j] / prices[j]
-			}
+// allocateInto applies the proportional rule rᵢⱼ = bᵢⱼ/pⱼ to one player's
+// bid row. Resources nobody bids on are left unallocated (price zero).
+func (m *Market) allocateInto(out, bids, prices []float64) {
+	for j := range m.capacity {
+		if prices[j] > 0 {
+			out[j] = bids[j] / prices[j]
 		}
 	}
-	return out
 }
 
 // StronglyCompetitive reports whether every resource receives non-zero bids

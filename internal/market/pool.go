@@ -5,21 +5,22 @@ import (
 	"sync/atomic"
 )
 
-// workerPool fans one bidding round's per-player re-optimisations across a
+// workerPool fans one bidding round's per-class re-optimisations across a
 // fixed set of goroutines. The §2.1 round is embarrassingly parallel: every
 // player best-responds against the SAME broadcast prices and the SAME
 // previous-round bid matrix, both read-only for the duration of the round,
 // and writes only its own row of the next-round matrix.
 //
-// Determinism: workers claim blocks of player indices from a shared atomic
-// cursor, so the assignment of players to workers varies run to run — but
-// the result does not. Player i's new bids depend only on (prices,
-// curBids[i], the player's utility and budget), its result lands in slot i,
-// and each player's memoizing utility is touched by exactly one goroutine
-// per round (rounds are separated by the dispatch barrier, which
-// establishes the happens-before edge between a player's consecutive
-// owners). The parallel engine is therefore bit-identical to the serial
-// loop.
+// Determinism: workers claim blocks of the run's class representatives
+// (Market.reps) from a shared atomic cursor, so the assignment of players to
+// workers varies run to run — but the result does not. Player i's new bids
+// depend only on (prices, its row of curBids, the player's utility and
+// budget), its result lands in slot i, and each representative's memoizing
+// utility is touched by exactly one goroutine per round (rounds are
+// separated by the dispatch barrier, which establishes the happens-before
+// edge between a player's consecutive owners; class members are not
+// evaluated at all, and twins share only immutable state). The parallel
+// engine is therefore bit-identical to the serial loop.
 //
 // The pool is created lazily by the first parallel round and pinned to its
 // Market. Close the Market (or let the finalizer run) to release the
@@ -30,13 +31,16 @@ type workerPool struct {
 	stop    sync.Once
 }
 
-// claimBlock is how many consecutive players a worker takes per cursor bump.
+// claimBlock is how many consecutive representatives a worker takes per
+// cursor bump.
 // The hill climb rewrites its player's row of the next-bid matrix on every
 // step, and rows are contiguous (four to a 64-byte line at two resources),
 // so workers claiming neighbouring players ping-pong the line between
 // cores. Eight rows cover a whole line at any resource count, which leaves
-// only a block's boundary line shared. Measured at 64 players, 2 vCPUs:
-// one-player claims 717 µs per equilibrium (serial: 562), blocks 470 µs.
+// only a block's boundary line shared (representatives are in index order,
+// so a block's rows are at least that far apart). Measured at 64 distinct
+// players, 2 vCPUs: one-player claims 717 µs per equilibrium (serial: 562),
+// blocks 470 µs.
 const claimBlock = 8
 
 // poolRound is one round's shared dispatch state.
@@ -55,13 +59,13 @@ func newWorkerPool(workers, resources int) *workerPool {
 		go func() {
 			s := newBidScratch(resources)
 			for r := range p.jobs {
-				n := len(r.m.players)
+				reps := r.m.reps
 				for {
 					lo := int(r.cursor.Add(claimBlock)) - claimBlock
-					if lo >= n {
+					if lo >= len(reps) {
 						break
 					}
-					for i := lo; i < min(lo+claimBlock, n); i++ {
+					for _, i := range reps[lo:min(lo+claimBlock, len(reps))] {
 						r.m.reoptimize(i, r.prices, s)
 					}
 				}

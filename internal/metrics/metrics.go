@@ -106,14 +106,34 @@ type ValueFunc func(player int, alloc []float64) float64
 // min over players i of Uᵢ(rᵢ) / maxⱼ Uᵢ(rⱼ). A player that values some
 // other player's bundle at zero alongside its own (0/0) envies nobody for
 // that bundle, so such pairs are skipped.
+//
+// The inner maximum ranges over the *set* of bundles a player could envy,
+// so each bit-distinct row is evaluated once per player: players running
+// the same application on the same budget hold the same bundle, and a
+// 64-core market has ~18 different rows, not 64. Both special cases are
+// order-independent, so the result is the same float. value must be a pure
+// function of its arguments.
 func EnvyFreeness(n int, value ValueFunc, allocs [][]float64) (float64, error) {
 	if n <= 0 || len(allocs) != n {
 		return 0, fmt.Errorf("metrics: %d players but %d allocations", n, len(allocs))
 	}
+	// Sized for the paper's largest chip so the index list stays on the
+	// stack; a larger market spills to the heap.
+	var buf [64]int
+	distinct := buf[:0]
+rows:
+	for j, row := range allocs {
+		for _, k := range distinct {
+			if sameRow(allocs[k], row) {
+				continue rows
+			}
+		}
+		distinct = append(distinct, j)
+	}
 	ef := math.Inf(1)
 	for i := 0; i < n; i++ {
 		own := value(i, allocs[i])
-		for j := 0; j < n; j++ {
+		for _, j := range distinct {
 			other := value(i, allocs[j])
 			switch {
 			case other == 0:
@@ -132,6 +152,19 @@ func EnvyFreeness(n int, value ValueFunc, allocs [][]float64) (float64, error) {
 		return 1, nil
 	}
 	return ef, nil
+}
+
+// sameRow reports whether two allocation rows are bit for bit the same.
+func sameRow(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for j := range a {
+		if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+			return false
+		}
+	}
+	return true
 }
 
 func clamp01(x float64) float64 {

@@ -225,3 +225,77 @@ func TestBoundsMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// envyFreenessAllPairs is Definition 3 evaluated the long way: every player
+// against every player's row, repeated rows included.
+func envyFreenessAllPairs(n int, value ValueFunc, allocs [][]float64) float64 {
+	ef := math.Inf(1)
+	for i := 0; i < n; i++ {
+		own := value(i, allocs[i])
+		for j := 0; j < n; j++ {
+			other := value(i, allocs[j])
+			switch {
+			case other == 0:
+			case own == 0:
+				return 0
+			default:
+				ef = math.Min(ef, own/other)
+			}
+		}
+	}
+	if math.IsInf(ef, 1) {
+		return 1
+	}
+	return ef
+}
+
+// TestEnvyFreenessOverDistinctRows: evaluating each bit-distinct bundle once
+// per player returns the same float as all pairs — the zero-utility cases
+// included — and costs players × distinct evaluations (plus each player's
+// own), on markets on either side of the 64-row stack buffer.
+func TestEnvyFreenessOverDistinctRows(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		name     string
+		n        int
+		row      func(i int) []float64
+		weight   func(i int) float64
+		distinct int
+	}{
+		{"64 players, 5 bundles", 64, func(i int) []float64 { return []float64{float64(i%5) + 1, float64((i*3)%5) + 0.5} },
+			func(i int) float64 { return 1 + float64(i%7) }, 5},
+		{"all different", 9, func(i int) []float64 { return []float64{float64(i) + 1, 2} },
+			func(i int) float64 { return 1 }, 9},
+		{"one bundle", 8, func(int) []float64 { return []float64{3, 3} }, func(i int) float64 { return float64(i + 1) }, 1},
+		{"+0 and −0 are different rows", 6, func(i int) []float64 { return []float64{[]float64{0, negZero}[i%2], 1} },
+			func(i int) float64 { return 1 }, 2},
+		{"a player that values nothing", 12, func(i int) []float64 { return []float64{float64(i%3) + 1, 1} },
+			func(i int) float64 { return float64(i % 4) }, 3},
+		{"a bundle nobody values", 12, func(i int) []float64 { return []float64{float64(i % 3), 0} },
+			func(i int) float64 { return 1 }, 3},
+		{"past the stack buffer", 150, func(i int) []float64 { return []float64{float64(i%70) + 1, 1} },
+			func(i int) float64 { return 1 + float64(i%3) }, 70},
+	} {
+		allocs := make([][]float64, tc.n)
+		for i := range allocs {
+			allocs[i] = tc.row(i)
+		}
+		calls := 0
+		value := func(i int, a []float64) float64 {
+			calls++
+			return tc.weight(i) * math.Sqrt(a[0]) * (1 + a[1])
+		}
+		got, err := EnvyFreeness(tc.n, value, allocs)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		evals := calls
+		if want := envyFreenessAllPairs(tc.n, value, allocs); got != want {
+			t.Errorf("%s: envy-freeness %v over distinct rows, %v over all pairs", tc.name, got, want)
+		}
+		if max := tc.n * (tc.distinct + 1); evals > max {
+			t.Errorf("%s: %d evaluations for %d players and %d distinct bundles, want at most %d",
+				tc.name, evals, tc.n, tc.distinct, max)
+		}
+	}
+}

@@ -16,6 +16,13 @@ func UpperConvexHull(points []Point) []Point {
 	if len(points) == 0 {
 		return nil
 	}
+	return AppendUpperConvexHull(make([]Point, 0, len(points)), points)
+}
+
+// AppendUpperConvexHull is UpperConvexHull into caller-owned storage: the
+// hull is appended to dst and the extended slice returned, so a caller
+// building many hulls can keep them in one backing array.
+func AppendUpperConvexHull(dst, points []Point) []Point {
 	// Sampled curves arrive in increasing X with nothing to deduplicate;
 	// anything else is sorted and deduplicated on a private copy.
 	uniq := points
@@ -35,14 +42,14 @@ func UpperConvexHull(points []Point) []Point {
 			}
 		}
 	}
-	hull := make([]Point, 0, len(uniq))
+	base := len(dst)
 	for _, p := range uniq {
-		for len(hull) >= 2 && cross(hull[len(hull)-2], hull[len(hull)-1], p) >= 0 {
-			hull = hull[:len(hull)-1]
+		for len(dst)-base >= 2 && cross(dst[len(dst)-2], dst[len(dst)-1], p) >= 0 {
+			dst = dst[:len(dst)-1]
 		}
-		hull = append(hull, p)
+		dst = append(dst, p)
 	}
-	return hull
+	return dst
 }
 
 // strictlyIncreasingX reports whether the points are already sorted by X

@@ -39,20 +39,41 @@ func NewPWL(knots []Point) (*PWL, error) {
 // newSortedPWL validates knots already sorted by X and takes ownership of
 // the slice.
 func newSortedPWL(ks []Point) (*PWL, error) {
+	if err := validateSortedKnots(ks); err != nil {
+		return nil, err
+	}
+	return &PWL{knots: ks}, nil
+}
+
+func validateSortedKnots(ks []Point) error {
 	if len(ks) == 0 {
-		return nil, errors.New("numeric: PWL needs at least one knot")
+		return errors.New("numeric: PWL needs at least one knot")
 	}
 	for i := 1; i < len(ks); i++ {
 		if ks[i].X == ks[i-1].X {
-			return nil, fmt.Errorf("numeric: duplicate PWL knot at x=%g", ks[i].X)
+			return fmt.Errorf("numeric: duplicate PWL knot at x=%g", ks[i].X)
 		}
 	}
 	for _, k := range ks {
 		if math.IsNaN(k.X) || math.IsNaN(k.Y) || math.IsInf(k.X, 0) || math.IsInf(k.Y, 0) {
-			return nil, fmt.Errorf("numeric: non-finite PWL knot (%g,%g)", k.X, k.Y)
+			return fmt.Errorf("numeric: non-finite PWL knot (%g,%g)", k.X, k.Y)
 		}
 	}
-	return &PWL{knots: ks}, nil
+	return nil
+}
+
+// PWLOver is NewPWL by value and without the copy, for knots the caller
+// already holds in strictly increasing X order: the function aliases ks,
+// which must not be written afterwards. It lets a caller keep many
+// functions' knots in one backing array and the functions in one slice.
+func PWLOver(ks []Point) (PWL, error) {
+	if err := validateSortedKnots(ks); err != nil {
+		return PWL{}, err
+	}
+	if !strictlyIncreasingX(ks) {
+		return PWL{}, errors.New("numeric: PWL knots not in increasing x order")
+	}
+	return PWL{knots: ks}, nil
 }
 
 // MustPWL is like NewPWL but panics on error. It is intended for statically

@@ -21,9 +21,11 @@ type PWLEval struct {
 	first, end Point // domain boundary knots, hoisted out of the hot path
 }
 
-// Evaluator returns a fresh memoizing evaluator for the function.
-func (p *PWL) Evaluator() *PWLEval {
-	return &PWLEval{p: p, seg: 1, first: p.knots[0], end: p.knots[len(p.knots)-1]}
+// Evaluator returns a fresh memoizing evaluator for the function, by value
+// so a caller with many functions can keep the evaluators in one slice; a
+// copy of an evaluator is an independent evaluator.
+func (p *PWL) Evaluator() PWLEval {
+	return PWLEval{p: p, seg: 1, first: p.knots[0], end: p.knots[len(p.knots)-1]}
 }
 
 // Eval returns f(x) exactly as PWL.Eval would.

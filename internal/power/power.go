@@ -55,7 +55,7 @@ func DefaultModel() Model {
 
 // Levels returns the discrete DVFS operating frequencies in GHz, ascending.
 func Levels() []float64 {
-	var out []float64
+	out := make([]float64, 0, int(math.Round((MaxFreqGHz-MinFreqGHz)/FreqStep))+1)
 	for f := MinFreqGHz; f <= MaxFreqGHz+1e-9; f += FreqStep {
 		out = append(out, math.Round(f*10)/10)
 	}
@@ -134,9 +134,9 @@ const (
 
 // Work bounds of FreqInverter.FreqAtPower.
 const (
-	// newtonSteps caps the real-valued solve. From the chord start Newton
-	// lands within an ulp of the cubic's root in at most 5 steps anywhere
-	// on the ladder; the cap only matters for a non-finite budget.
+	// newtonSteps caps the real-valued solve. From the table start the
+	// first Newton step is already under newtonTol anywhere on the ladder;
+	// the cap only matters for a non-finite budget.
 	newtonSteps = 6
 	// newtonTol ends the solve early: convergence is quadratic, so a step
 	// this small leaves an error far below one ulp.
@@ -160,7 +160,6 @@ type FreqInverter struct {
 	minW     float64 // Total at MinFreqGHz
 	maxW     float64 // Total at MaxFreqGHz
 	invK     float64 // 1/K: budget·invK = (voltA + voltB·f)²·f
-	chord    float64 // (Max−Min)/(maxW−minW), slope of the starting guess
 }
 
 // NewFreqInverter builds an inverter for the operating point.
@@ -171,7 +170,7 @@ func (m Model) NewFreqInverter(activity, tempC float64) *FreqInverter {
 
 func (m Model) inverterAt(activity, tempC float64) FreqInverter {
 	frac := m.staticFrac(tempC)
-	v := FreqInverter{
+	return FreqInverter{
 		m:        m,
 		activity: activity,
 		frac:     frac,
@@ -179,8 +178,68 @@ func (m Model) inverterAt(activity, tempC float64) FreqInverter {
 		maxW:     m.totalAt(MaxFreqGHz, activity, frac),
 		invK:     1 / (m.CeffnF * (activity + frac)),
 	}
-	v.chord = (MaxFreqGHz - MinFreqGHz) / (v.maxW - v.minW)
-	return v
+}
+
+// The cubic the solve inverts, (voltA + voltB·f)²·f = c, does not depend on
+// the operating point — only c = budget·invK does — so one table of its
+// inverse serves every inverter: guessCells uniform cells in c across the
+// ladder, a cubic Hermite piece each (values and slopes df/dc = 1/cubic′ at
+// the cell ends), 8 kB built once at start-up and never written again. The
+// guess is within ~2e-9 GHz of the root (TestFreqGuessError pins 1e-8), so
+// the first Newton step is already under newtonTol.
+const guessCells = 256
+
+var (
+	guessC0   = cubic(MinFreqGHz)
+	guessInvH = guessCells / (cubic(MaxFreqGHz) - guessC0)
+	guessPoly = buildGuessTable()
+)
+
+func cubic(f float64) float64 {
+	u := voltA + voltB*f
+	return u * u * f
+}
+
+// cubicSlope is d(cubic)/df.
+func cubicSlope(f float64) float64 {
+	u := voltA + voltB*f
+	return u * (u + 2*voltB*f)
+}
+
+func buildGuessTable() *[guessCells][4]float64 {
+	h := 1 / guessInvH
+	var f, m [guessCells + 1]float64 // root and df/dc at each cell boundary
+	for k := range f {
+		c := guessC0 + float64(k)*h
+		x := MinFreqGHz + (MaxFreqGHz-MinFreqGHz)*float64(k)/guessCells
+		for i := 0; i < 64; i++ {
+			d := (cubic(x) - c) / cubicSlope(x)
+			x -= d
+			if math.Abs(d) <= 1e-15 {
+				break
+			}
+		}
+		f[k], m[k] = x, 1/cubicSlope(x)
+	}
+	var t [guessCells][4]float64
+	for k := range t {
+		df := f[k+1] - f[k]
+		t[k] = [4]float64{f[k], h * m[k], 3*df - h*(2*m[k]+m[k+1]), -2*df + h*(m[k]+m[k+1])}
+	}
+	return &t
+}
+
+// freqGuess evaluates the table at c. A c outside the ladder's range (by a
+// rounding, or a NaN) uses the nearest end cell; NaN propagates.
+func freqGuess(c float64) float64 {
+	x := (c - guessC0) * guessInvH
+	k := 0
+	if x >= 1 {
+		k = min(int(x), guessCells-1)
+	}
+	t := x - float64(k)
+	p := &guessPoly[k]
+	return ((p[3]*t+p[2])*t+p[1])*t + p[0]
 }
 
 // FreqAtPower inverts Total at the inverter's operating point.
@@ -209,11 +268,10 @@ func (v *FreqInverter) FreqAtPower(budgetW float64) (float64, error) {
 		return MaxFreqGHz, nil
 	}
 
-	// Real-valued solve of (voltA + voltB·f)²·f = c. The chord through the
-	// ladder ends starts at or left of the root (the cubic is convex), the
-	// first Newton step crosses it, and the rest descend onto it.
+	// Real-valued solve of (voltA + voltB·f)²·f = c, from the table's
+	// guess: one Newton step lands on the root and confirms it.
 	c := budgetW * v.invK
-	f := MinFreqGHz + (budgetW-v.minW)*v.chord
+	f := freqGuess(c)
 	for i := 0; i < newtonSteps; i++ {
 		u := voltA + voltB*f
 		d := (u*u*f - c) / (u * (u + 2*voltB*f))

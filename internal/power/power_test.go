@@ -261,6 +261,34 @@ func TestFreqAtPowerContractEdges(t *testing.T) {
 	}
 }
 
+// The table's starting guess must sit within newtonTol of the cubic's root
+// everywhere on the ladder, so that the first Newton step is also the last:
+// that, not the answer (which the polish fixes regardless), is what the
+// table buys.
+func TestFreqGuessError(t *testing.T) {
+	worst := 0.0
+	const points = 100000
+	for i := 0; i <= points; i++ {
+		f := MinFreqGHz + (MaxFreqGHz-MinFreqGHz)*float64(i)/points
+		if e := math.Abs(freqGuess(cubic(f)) - f); e > worst {
+			worst = e
+		}
+	}
+	t.Logf("worst guess error over %d points: %.3g GHz", points+1, worst)
+	if worst > newtonTol {
+		t.Errorf("worst guess error %.3g GHz exceeds newtonTol %.3g: the solve needs a second Newton step", worst, newtonTol)
+	}
+	// One step past either end of the table still lands in an end cell.
+	for _, c := range []float64{math.Nextafter(guessC0, 0), math.Nextafter(cubic(MaxFreqGHz), 10)} {
+		if f := freqGuess(c); !(f > MinFreqGHz-1e-6 && f < MaxFreqGHz+1e-6) {
+			t.Errorf("freqGuess(%v) = %v, outside the ladder", c, f)
+		}
+	}
+	if f := freqGuess(math.NaN()); !math.IsNaN(f) {
+		t.Errorf("freqGuess(NaN) = %v, want NaN", f)
+	}
+}
+
 // The inversion sits inside every utility evaluation: it must not allocate,
 // through the inverter or through the one-shot form.
 func TestFreqAtPowerAllocs(t *testing.T) {

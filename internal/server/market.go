@@ -44,6 +44,21 @@ func (u scaledUtility) Value(alloc []float64) float64 {
 	return *u.scale * u.inner.Value(alloc)
 }
 
+// Identity implements market.Identified: the inner function times the
+// demand factor's current value, so players running one application stay
+// one class while their demands agree and a player whose telemetry moved
+// sits alone until its demand returns. Only an unscaled inner utility is
+// forwarded — a product of two scales would not name the two roundings
+// Value performs.
+func (u scaledUtility) Identity() (key any, scale float64) {
+	if id, ok := u.inner.(market.Identified); ok {
+		if key, scale = id.Identity(); scale == 1 {
+			return key, *u.scale
+		}
+	}
+	return nil, 0
+}
+
 // newMarketEngine profiles the bundle analytically and assembles the
 // session's hardened allocator. The observer receives every equilibrium's
 // convergence cost (the server-wide profile).

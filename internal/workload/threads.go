@@ -40,6 +40,8 @@ func (tb ThreadedBundle) Cores() int {
 // is therefore its thread count, so summing player utilities reproduces the
 // per-core weighted speedup of Equation 5 exactly, and a coalition's
 // marginal utility of money is commensurate with a single thread's.
+// It is deliberately not market.Identified: k·u(r/k) rescales the argument
+// as well as the value, which no (key, scale) pair can name.
 type coalitionUtility struct {
 	perThread market.Utility
 	threads   float64
@@ -64,16 +66,12 @@ func NewSetupThreaded(tb ThreadedBundle) (*Setup, error) {
 	cores := tb.Cores()
 	s := &Setup{Bundle: Bundle{Category: "threaded"}}
 	totalFloorW := 0.0
+	prof := newProfiler(app.NewUtility)
 	for i, ta := range tb.Apps {
 		if ta.Threads < 1 {
 			return nil, fmt.Errorf("workload: application %d has %d threads", i, ta.Threads)
 		}
-		m := app.NewModel(ta.Spec)
-		curve, err := m.AnalyticMissCurve()
-		if err != nil {
-			return nil, err
-		}
-		u, err := app.NewUtility(m, curve)
+		m, u, err := prof.profile(ta.Spec)
 		if err != nil {
 			return nil, err
 		}

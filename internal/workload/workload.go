@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"rebudget/internal/app"
+	"rebudget/internal/cache"
 	"rebudget/internal/core"
 	"rebudget/internal/dram"
 	"rebudget/internal/numeric"
@@ -138,8 +139,48 @@ type Setup struct {
 	Utilities []*app.Utility
 }
 
-// NewSetup profiles every bundle member analytically (phase-1 methodology,
-// §6) and assembles the market.
+// profiler profiles each distinct application of one setup once. A bundle
+// draws its cores from 24 catalog applications with replacement, so most
+// cores repeat a program an earlier core already runs; those get the first
+// one's Model and a twin of its utility — the same function over the same
+// shared profile, with memo state of its own. The key is Spec.Fingerprint,
+// which covers every model parameter: a spec that reuses a catalog name
+// with different behaviour is a different program. The map belongs to one
+// setup call and dies with it; nothing is cached process-wide.
+type profiler[U interface{ Twin() U }] struct {
+	build func(*app.Model, *cache.MissCurve) (U, error)
+	seen  map[uint64]profiled[U]
+}
+
+type profiled[U any] struct {
+	model   *app.Model
+	utility U
+}
+
+func newProfiler[U interface{ Twin() U }](build func(*app.Model, *cache.MissCurve) (U, error)) profiler[U] {
+	return profiler[U]{build: build, seen: map[uint64]profiled[U]{}}
+}
+
+// profile returns the model and a private utility for one core running spec.
+func (p profiler[U]) profile(spec app.Spec) (m *app.Model, u U, err error) {
+	fp := spec.Fingerprint()
+	if first, ok := p.seen[fp]; ok {
+		return first.model, first.utility.Twin(), nil
+	}
+	m = app.NewModel(spec)
+	curve, err := m.AnalyticMissCurve()
+	if err != nil {
+		return nil, u, err
+	}
+	if u, err = p.build(m, curve); err != nil {
+		return nil, u, err
+	}
+	p.seen[fp] = profiled[U]{model: m, utility: u}
+	return m, u, nil
+}
+
+// NewSetup profiles every distinct bundle member analytically (phase-1
+// methodology, §6) and assembles the market.
 func NewSetup(b Bundle) (*Setup, error) {
 	n := len(b.Apps)
 	if n == 0 {
@@ -147,13 +188,9 @@ func NewSetup(b Bundle) (*Setup, error) {
 	}
 	s := &Setup{Bundle: b}
 	totalFloorW := 0.0
+	prof := newProfiler(app.NewUtility)
 	for i, spec := range b.Apps {
-		m := app.NewModel(spec)
-		curve, err := m.AnalyticMissCurve()
-		if err != nil {
-			return nil, err
-		}
-		u, err := app.NewUtility(m, curve)
+		m, u, err := prof.profile(spec)
 		if err != nil {
 			return nil, err
 		}
@@ -190,13 +227,9 @@ func NewSetupWithBandwidth(b Bundle) (*Setup, error) {
 	}
 	s := &Setup{Bundle: b}
 	totalFloorW := 0.0
+	prof := newProfiler(app.NewBandwidthUtility)
 	for i, spec := range b.Apps {
-		m := app.NewModel(spec)
-		curve, err := m.AnalyticMissCurve()
-		if err != nil {
-			return nil, err
-		}
-		u, err := app.NewBandwidthUtility(m, curve)
+		m, u, err := prof.profile(spec)
 		if err != nil {
 			return nil, err
 		}

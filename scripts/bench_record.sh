@@ -24,7 +24,7 @@ for suffix in b c d e f g h; do
     [ -e "$OUT" ] || break
     OUT="$STEM$suffix.json"
 done
-KEY='^(BenchmarkMarketEquilibrium8|BenchmarkMarketEquilibrium64|BenchmarkMarketEquilibrium64Serial|BenchmarkReBudget64|BenchmarkUtilityValueMiss|BenchmarkCacheAccess|BenchmarkCacheVictim|BenchmarkTraceGenerateAged|BenchmarkChipEpoch8|BenchmarkServeEpoch|BenchmarkTenantRebalance|BenchmarkTenantFrontier)$'
+KEY='^(BenchmarkMarketEquilibrium8|BenchmarkMarketEquilibrium64|BenchmarkMarketEquilibrium64Serial|BenchmarkMarketEquilibrium64Distinct|BenchmarkReBudget64|BenchmarkNewSetup64|BenchmarkEnvyFreeness64|BenchmarkUtilityValueMiss|BenchmarkCacheAccess|BenchmarkCacheVictim|BenchmarkTraceGenerateAged|BenchmarkChipEpoch8|BenchmarkServeEpoch|BenchmarkTenantRebalance|BenchmarkTenantFrontier)$'
 SLOWKEY='^(BenchmarkFig5Simulation|BenchmarkChipEpoch64|BenchmarkSweepSerial|BenchmarkSweepParallel)$'
 PWRKEY='^BenchmarkFreqAtPower$'
 

@@ -2,8 +2,11 @@
 # bench_smoke.sh — perf smoke test for `make ci`.
 #
 # Runs the load-bearing kernels — BenchmarkMarketEquilibrium64 (the hot
-# allocation solver), BenchmarkFig5Simulation (the end-to-end detailed
-# simulation), BenchmarkChipEpoch8/64 (the single-chip epoch hot path) and
+# allocation solver) and the three the class collapse rests on:
+# BenchmarkMarketEquilibrium64Distinct (the same solver with every identity
+# hidden — the per-player cost), BenchmarkNewSetup64 (profiling a bundle) and
+# BenchmarkEnvyFreeness64 (the view refresh); BenchmarkFig5Simulation (the
+# end-to-end detailed simulation), BenchmarkChipEpoch8/64 (the single-chip epoch hot path) and
 # its two kernels in their aged state, BenchmarkTraceGenerateAged (the LRU
 # reuse stack after 2 M draws — it once decayed into two-entry chunks, which
 # only an aged run shows) and BenchmarkCacheVictim (the victim scan) —
@@ -26,10 +29,10 @@
 set -u
 
 cd "$(dirname "$0")/.."
-NAMES='BenchmarkMarketEquilibrium64 BenchmarkFig5Simulation BenchmarkChipEpoch8 BenchmarkChipEpoch64 BenchmarkTraceGenerateAged BenchmarkCacheVictim BenchmarkServeEpoch BenchmarkTenantRebalance BenchmarkStoreParallelGet/segments=16 BenchmarkMetricsRender50k/default'
+NAMES='BenchmarkMarketEquilibrium64 BenchmarkMarketEquilibrium64Distinct BenchmarkNewSetup64 BenchmarkEnvyFreeness64 BenchmarkFig5Simulation BenchmarkChipEpoch8 BenchmarkChipEpoch64 BenchmarkTraceGenerateAged BenchmarkCacheVictim BenchmarkServeEpoch BenchmarkTenantRebalance BenchmarkStoreParallelGet/segments=16 BenchmarkMetricsRender50k/default'
 # Sub-millisecond kernels run for a duration (5 iterations of a 0.5 ms
 # equilibrium is a 2.5 ms sample); the ≥ 100 ms benches stay at 5 iterations.
-BENCH='^(BenchmarkMarketEquilibrium64|BenchmarkChipEpoch8|BenchmarkTraceGenerateAged|BenchmarkCacheVictim|BenchmarkServeEpoch|BenchmarkTenantRebalance)$'
+BENCH='^(BenchmarkMarketEquilibrium64|BenchmarkMarketEquilibrium64Distinct|BenchmarkNewSetup64|BenchmarkEnvyFreeness64|BenchmarkChipEpoch8|BenchmarkTraceGenerateAged|BenchmarkCacheVictim|BenchmarkServeEpoch|BenchmarkTenantRebalance)$'
 SLOWBENCH='^(BenchmarkFig5Simulation|BenchmarkChipEpoch64)$'
 SRVBENCH='^(BenchmarkStoreParallelGet|BenchmarkMetricsRender50k)$'
 DIR=.bench
