@@ -1,13 +1,15 @@
 # Development targets. `make ci` is the gate every change must pass: a gofmt
-# check, a full build, vet, and the test suite under the race detector (the allocation
-# pipeline is wrapper-heavy and lock-protected; races are a primary failure
-# mode of the resilience layer, the parallel equilibrium engine's
-# serial-vs-parallel determinism tests only mean something under -race, and
-# the serving layer multiplexes sessions across goroutines). bench-check
-# vets and short-tests the separately-moduled benchmark under bench/, which
-# the root build does not compile. ci ends with the end-to-end smokes — each
-# one scenario of cmd/rebudget-smoke, which builds the daemons once into
-# .bench/bin and boots real processes; each described at its target below —
+# check, a full build, vet, bench-check and the test suite under the race
+# detector (the allocation pipeline is wrapper-heavy and lock-protected;
+# races are a primary failure mode of the resilience layer, the experiment
+# engine's cells and the twins of one utility profile run on several
+# goroutines, and the serving layer multiplexes sessions across them).
+# bench-check vets and short-tests the separately-moduled benchmark under
+# bench/, which the root build does not compile; it runs before race so an
+# exported name the frozen bench/ needs fails in seconds. ci ends with the
+# end-to-end smokes — each one scenario of cmd/rebudget-smoke, which builds
+# the daemons once into .bench/bin and boots real processes; each described
+# at its target below —
 # and bench-smoke, which warns (but does not fail, unless BENCH_STRICT=1) on
 # a >10% regression of the market, chip-epoch, aged-trace and victim-scan
 # kernels against the newest BENCH_*.json snapshot. The race run covers the
@@ -18,7 +20,7 @@ GO ?= go
 
 .PHONY: ci fmt build vet test race bench-check bench bench-all bench-smoke serve-smoke router-smoke chaos-smoke load-smoke tenant-smoke churn-smoke density-smoke density-ab profile-sim
 
-ci: fmt build vet race bench-check serve-smoke router-smoke chaos-smoke load-smoke tenant-smoke churn-smoke density-smoke bench-smoke
+ci: fmt build vet bench-check race serve-smoke router-smoke chaos-smoke load-smoke tenant-smoke churn-smoke density-smoke bench-smoke
 
 # Fails listing every file gofmt would rewrite.
 fmt:

@@ -187,25 +187,21 @@ func BenchmarkAblationLambdaThreshold(b *testing.B) {
 
 // --- substrate micro-benchmarks ---
 
-func BenchmarkMarketEquilibrium8(b *testing.B)  { benchEquilibrium(b, 8, 0, false) }
-func BenchmarkMarketEquilibrium64(b *testing.B) { benchEquilibrium(b, 64, 0, false) }
-
-// Serial pins Workers to 1 — the benchstat reference for the worker-pool
-// speedup (identical results, different wall time on multi-core hosts).
-func BenchmarkMarketEquilibrium64Serial(b *testing.B) { benchEquilibrium(b, 64, 1, false) }
+func BenchmarkMarketEquilibrium8(b *testing.B)  { benchEquilibrium(b, 8, false) }
+func BenchmarkMarketEquilibrium64(b *testing.B) { benchEquilibrium(b, 64, false) }
 
 // Distinct hides every utility's identity, so all 64 players are solved:
-// the per-player cost of the kernel. The two benchmarks above measure ~57
-// classes only by the accident of their 100 + i%3 budgets; a catalog bundle
+// the per-player cost of the kernel. The benchmark above measures ~57
+// classes only by the accident of its 100 + i%3 budgets; a catalog bundle
 // on equal budgets has ~16.
-func BenchmarkMarketEquilibrium64Distinct(b *testing.B) { benchEquilibrium(b, 64, 1, true) }
+func BenchmarkMarketEquilibrium64Distinct(b *testing.B) { benchEquilibrium(b, 64, true) }
 
 // unnamedUtility forwards Value and nothing else, hiding market.Identified.
 type unnamedUtility struct{ u market.Utility }
 
 func (h unnamedUtility) Value(alloc []float64) float64 { return h.u.Value(alloc) }
 
-func benchEquilibrium(b *testing.B, cores, workers int, distinct bool) {
+func benchEquilibrium(b *testing.B, cores int, distinct bool) {
 	b.Helper()
 	bundle, err := workload.Generate(workload.CPBN, cores, numeric.NewRand(3))
 	if err != nil {
@@ -223,11 +219,10 @@ func benchEquilibrium(b *testing.B, cores, workers int, distinct bool) {
 		}
 		players = append(players, &market.Player{Name: p.Name, Utility: u, Budget: 100 + float64(i%3)})
 	}
-	m, err := market.New(setup.Capacity, players, market.Config{Workers: workers})
+	m, err := market.New(setup.Capacity, players, market.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer m.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	rounds := 0

@@ -41,7 +41,6 @@ func main() {
 		bw       = flag.Bool("bw", false, "allocate memory bandwidth as a third resource")
 		faults   = flag.Float64("faults", 0, "fault-injection rate in [0,1): monitor corruption + solver stalls at this rate, utility faults at a tenth of it (requires -sim)")
 		faultSee = flag.Uint64("fault-seed", 1, "fault-injection random stream seed")
-		workers  = flag.Int("workers", 0, "equilibrium round parallelism (0 = GOMAXPROCS, 1 = serial)")
 		eqstats  = flag.Bool("eqstats", false, "print equilibrium convergence-cost counters to stderr")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -53,7 +52,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "marketsim:", err)
 		os.Exit(1)
 	}
-	err = run(*category, *cores, *seed, *fig3, *mechName, *minEF, *sim, *bw, *faults, *faultSee, *workers, *eqstats)
+	err = run(*category, *cores, *seed, *fig3, *mechName, *minEF, *sim, *bw, *faults, *faultSee, *eqstats)
 	stopProf()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "marketsim:", err)
@@ -124,7 +123,7 @@ func parseMechanism(name string, minEF float64) (core.Allocator, error) {
 	}
 }
 
-func run(category string, cores int, seed uint64, fig3 bool, mechName string, minEF float64, sim, bw bool, faults float64, faultSeed uint64, workers int, eqstats bool) error {
+func run(category string, cores int, seed uint64, fig3 bool, mechName string, minEF float64, sim, bw bool, faults float64, faultSeed uint64, eqstats bool) error {
 	mech, err := parseMechanism(mechName, minEF)
 	if err != nil {
 		return err
@@ -136,7 +135,6 @@ func run(category string, cores int, seed uint64, fig3 bool, mechName string, mi
 		}
 	}()
 	mech = core.WithMarketConfig(mech, func(mc market.Config) market.Config {
-		mc.Workers = workers
 		mc.Observer = prof.Observe
 		return mc
 	})
@@ -167,7 +165,6 @@ func run(category string, cores int, seed uint64, fig3 bool, mechName string, mi
 		cfg := cmpsim.DefaultConfig(cores)
 		cfg.Seed = seed
 		cfg.BandwidthMarket = bw
-		cfg.MarketWorkers = workers
 		if faults > 0 {
 			cfg.Faults = fault.Config{
 				MonitorRate: faults,

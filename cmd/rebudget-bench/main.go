@@ -33,7 +33,6 @@ func main() {
 		epochs  = flag.Int("epochs", 12, "measured epochs per fig5 simulation")
 		samples = flag.Int("samples", 6000, "max simulated L2 accesses per core per epoch (fig5)")
 		csvDir  = flag.String("csv", "", "directory to also write tidy CSV datasets into (fig2/fig4/fig5)")
-		workers = flag.Int("workers", 0, "equilibrium round parallelism (0 = GOMAXPROCS, 1 = serial)")
 		sweepW  = flag.Int("sweep-workers", 0, "experiment cells run concurrently (0 = GOMAXPROCS, 1 = serial)")
 		eqstats = flag.Bool("eqstats", false, "print equilibrium convergence-cost counters to stderr")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -46,7 +45,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rebudget-bench:", err)
 		os.Exit(1)
 	}
-	err = run(*exp, *cores, *bundles, *seed, *epochs, *samples, *csvDir, *workers, *sweepW, *eqstats)
+	err = run(*exp, *cores, *bundles, *seed, *epochs, *samples, *csvDir, *sweepW, *eqstats)
 	stopProf()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rebudget-bench:", err)
@@ -91,21 +90,18 @@ func startProfiles(cpuPath, memPath string) (func(), error) {
 	}, nil
 }
 
-func run(exp string, cores, bundles int, seed uint64, epochs, samples int, csvDir string, workers, sweepWorkers int, eqstats bool) error {
+func run(exp string, cores, bundles int, seed uint64, epochs, samples int, csvDir string, sweepWorkers int, eqstats bool) error {
 	w := os.Stdout
 	// The experiment engine fans independent cells (chips, bundles,
 	// fault-rate points) across sweepWorkers goroutines; results are
 	// bit-identical at any worker count, so the knob only trades wall time
-	// against CPU. It composes with -workers, the within-equilibrium round
-	// parallelism — set both wide and the host oversubscribes.
+	// against CPU.
 	eng := experiments.Engine{Workers: sweepWorkers}
-	// Equilibrium profiling and the worker knob thread through every
-	// analytic-market experiment; detailed simulations carry their own
-	// per-chip profile (Result.Equilibrium) and take workers via
-	// cmpsim.Config.MarketWorkers.
+	// Equilibrium profiling threads through every analytic-market
+	// experiment; detailed simulations carry their own per-chip profile
+	// (Result.Equilibrium).
 	var prof metrics.EquilibriumProfile
 	mechs := experiments.InstrumentedMechanisms(func(mc market.Config) market.Config {
-		mc.Workers = workers
 		mc.Observer = prof.Observe
 		return mc
 	})
@@ -195,7 +191,6 @@ func run(exp string, cores, bundles int, seed uint64, epochs, samples int, csvDi
 		cfg.Epochs = epochs
 		cfg.MaxAccessesPerCoreEpoch = samples
 		cfg.Seed = seed
-		cfg.MarketWorkers = workers
 		fmt.Fprintf(w, "# running detailed simulation: %d cores, %d epochs, one bundle/category …\n",
 			cores, epochs)
 		r, err := eng.RunFig5(cfg, seed, nil)

@@ -84,16 +84,12 @@ type Chip struct {
 }
 
 // marketConfig is the transform Begin threads through
-// core.WithMarketConfig: it sets the round parallelism from the simulation
-// config, hangs the injector's solver-stall hook on the market's round hook,
-// and installs the chip's equilibrium profiler. Fault-injected runs force
-// serial rounds so the injector's RNG draw order stays deterministic.
+// core.WithMarketConfig: it hangs the injector's solver-stall hook on the
+// market's round hook and installs the chip's equilibrium profiler.
 // An observer already installed on the allocator (a server-wide profile,
 // say) is chained, not displaced, so outer telemetry keeps counting.
 func (c *Chip) marketConfig(mc market.Config) market.Config {
-	mc.Workers = c.cfg.MarketWorkers
 	if c.injector != nil {
-		mc.Workers = 1
 		if hook := c.injector.SolverHook(); hook != nil {
 			mc.RoundHook = hook
 		}

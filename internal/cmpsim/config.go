@@ -35,13 +35,6 @@ type Config struct {
 	ReallocEvery int
 	// Seed drives all randomised behaviour deterministically.
 	Seed uint64
-	// MarketWorkers sets market.Config.Workers for every equilibrium the
-	// chip's allocator runs: 0 means GOMAXPROCS, 1 forces serial rounds.
-	// Parallel rounds are bit-identical to serial ones, except that runs
-	// with fault injection enabled always force serial — the injector's
-	// utility faults consume a shared RNG stream whose draw order must not
-	// depend on goroutine scheduling.
-	MarketWorkers int
 	// WayPartition switches L2 enforcement from the paper's Futility
 	// Scaling regions (+ Talus shadow partitions) to strict UCP-style way
 	// quotas — the coarse-grained alternative, for the granularity

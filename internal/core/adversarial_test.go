@@ -104,6 +104,24 @@ func TestAllocateTypedErrorOnBadUtility(t *testing.T) {
 	}
 }
 
+// TestAllocateTypedErrorOnBadBudget: an infinite weight makes a budget
+// market.New refuses (+Inf; NaN once Balanced has normalised it), and every
+// market mechanism must file that under ErrBadInput — cmpsim.classifyFailure
+// reads it as a monitor fault, not an allocator bug.
+func TestAllocateTypedErrorOnBadBudget(t *testing.T) {
+	for _, mech := range []Allocator{EqualBudget{}, Balanced{}, ReBudget{Step: 20}} {
+		players := heterogeneousPlayers()
+		players[0].BudgetWeight = math.Inf(1)
+		out, err := mech.Allocate(testCapacity, players)
+		if !errors.Is(err, ErrBadInput) {
+			t.Errorf("%s with an infinite weight: error %v does not wrap ErrBadInput", mech.Name(), err)
+		}
+		if out != nil {
+			t.Errorf("%s with an infinite weight: non-nil outcome alongside error", mech.Name())
+		}
+	}
+}
+
 // TestResilientMasksBadUtility: the same poisoned inputs through the
 // Resilient wrapper must yield a finite outcome with no error — the
 // sanitized retry clamps the corruption.

@@ -135,10 +135,9 @@ func decorate(a Allocator, edit func(*market.Config, *[][]float64)) Allocator {
 
 // WithMarketConfig returns a copy of alloc whose inner market configuration
 // has been transformed by apply, on mechanisms that run equilibria; any
-// other mechanism passes through unchanged. The simulator uses it to set
-// the worker count, install profiling observers and hang the fault
-// injector's round hook without the allocator types knowing about any of
-// them.
+// other mechanism passes through unchanged. The simulator uses it to
+// install profiling observers and hang the fault injector's round hook
+// without the allocator types knowing about either.
 func WithMarketConfig(a Allocator, apply func(market.Config) market.Config) Allocator {
 	return decorate(a, func(mc *market.Config, _ *[][]float64) { *mc = apply(*mc) })
 }
@@ -218,7 +217,6 @@ func marketOutcome(name string, capacity []float64, players []PlayerSpec,
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w: %w", name, ErrBadInput, err)
 	}
-	defer m.Close()
 	eq, err := market.Settle(m.FindEquilibriumFrom(warm))
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w: %w", name, ErrBadInput, err)

@@ -186,11 +186,10 @@ func (r ReBudget) Allocate(capacity []float64, players []PlayerSpec) (*Outcome, 
 	}
 	m, err := market.New(capacity, mp, cfg.Market)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: ReBudget: %w: %w", ErrBadInput, err)
 	}
-	// One Market persists across all budget steps, so the worker pool and
-	// scratch buffers are reused by every warm-started re-convergence.
-	defer m.Close()
+	// One Market persists across all budget steps, so its buffers are
+	// reused by every warm-started re-convergence.
 
 	var eq *market.Equilibrium
 	warmBids := cfg.WarmBids

@@ -18,9 +18,7 @@ import (
 // run with Workers=N — the bit-identity tests pin this under -race.
 type Engine struct {
 	// Workers caps how many cells run concurrently: 0 means GOMAXPROCS,
-	// 1 runs the cells inline (serial). Each simulation cell may itself
-	// use market-level round parallelism (cmpsim.Config.MarketWorkers);
-	// the two pools compose but oversubscribe if both are set wide.
+	// 1 runs the cells inline (serial).
 	Workers int
 }
 

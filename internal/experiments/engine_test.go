@@ -19,6 +19,36 @@ func engineTestConfig(cores int) cmpsim.Config {
 	return cfg
 }
 
+// floatsBitEqual compares float slices by bit pattern: stricter than == for
+// normal values, and well-defined for the NaN entries BundleResult uses to
+// mark non-market mechanisms (NaN != NaN would make reflect.DeepEqual
+// reject even two identical serial sweeps).
+func floatsBitEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func bundlesBitEqual(t *testing.T, a, b BundleResult) bool {
+	t.Helper()
+	return reflect.DeepEqual(a.Bundle, b.Bundle) &&
+		floatsBitEqual(a.Efficiency, b.Efficiency) &&
+		floatsBitEqual(a.EnvyFreeness, b.EnvyFreeness) &&
+		floatsBitEqual(a.MUR, b.MUR) &&
+		floatsBitEqual(a.MBR, b.MBR) &&
+		floatsBitEqual(a.EFBound, b.EFBound) &&
+		reflect.DeepEqual(a.Iterations, b.Iterations) &&
+		reflect.DeepEqual(a.Runs, b.Runs) &&
+		reflect.DeepEqual(a.Converged, b.Converged) &&
+		math.Float64bits(a.MaxEffEF) == math.Float64bits(b.MaxEffEF)
+}
+
 func fig5BitEqual(t *testing.T, a, b *Fig5Result) {
 	t.Helper()
 	if a.Cores != b.Cores || !reflect.DeepEqual(a.Mechanisms, b.Mechanisms) {

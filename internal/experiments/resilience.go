@@ -100,8 +100,8 @@ func (f *floorWatch) Allocate(capacity []float64, players []core.PlayerSpec) (*c
 }
 
 // Rewrap implements core.Wrapper, in place so the caller's handle keeps
-// observing the run: it is how the chip's solver-stall hook and its
-// "fault-injected runs force serial rounds" rule reach the wrapped mechanism.
+// observing the run: it is how the chip's solver-stall hook reaches the
+// wrapped mechanism.
 func (f *floorWatch) Rewrap(apply func(core.Allocator) core.Allocator) core.Allocator {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -10,13 +10,13 @@ import (
 )
 
 // TestFloorWatchForwardsDecorations: floorWatch meets core.Wrapper, so a
-// market-config transform (the chip's serial-rounds rule, its solver-stall
-// hook) and warm bids both reach the mechanism it wraps, in place.
+// market-config transform (the chip's solver-stall hook) and warm bids both
+// reach the mechanism it wraps, in place.
 func TestFloorWatchForwardsDecorations(t *testing.T) {
 	watch := newFloorWatch(core.ReBudget{Step: 20})
 	var a core.Allocator = watch
 	a = core.WithMarketConfig(a, func(mc market.Config) market.Config {
-		mc.Workers = 1
+		mc.MaxIterations = 7
 		return mc
 	})
 	a = core.WithWarmBids(a, [][]float64{{1, 2}, {3, 4}})
@@ -24,8 +24,8 @@ func TestFloorWatchForwardsDecorations(t *testing.T) {
 		t.Fatal("decorating floorWatch should return the same wrapper")
 	}
 	mech := watch.inner.(core.ReBudget)
-	if mech.Market.Workers != 1 {
-		t.Errorf("market config did not reach the mechanism: Workers = %d", mech.Market.Workers)
+	if mech.Market.MaxIterations != 7 {
+		t.Errorf("market config did not reach the mechanism: MaxIterations = %d", mech.Market.MaxIterations)
 	}
 	if len(mech.WarmBids) != 2 {
 		t.Errorf("warm bids did not reach the mechanism: %v", mech.WarmBids)

@@ -17,10 +17,9 @@ import "math"
 // convenient form for tests and one-off callers. Buffer reuse never changes
 // results: each buffer is fully overwritten before it is read.
 
-// bidScratch holds one worker's reusable buffers, all sized to the resource
-// count M. A scratch is owned by exactly one goroutine at a time (in the
-// parallel engine, one pool worker); sharing one across concurrent calls is
-// a data race.
+// bidScratch holds the reusable buffers, all sized to the resource count M.
+// A scratch is owned by exactly one goroutine at a time; sharing one across
+// concurrent calls is a data race.
 type bidScratch struct {
 	others  []float64 // aggregate other-player bids yᵢⱼ
 	probe   []float64 // finite-difference probe bid vector
@@ -30,11 +29,7 @@ type bidScratch struct {
 }
 
 func newBidScratch(resources int) *bidScratch {
-	// One backing array with a cache line of padding at each end, so no two
-	// workers' buffers — written in the innermost loop — share a line,
-	// wherever the allocator happens to place them.
-	const line = 8 // float64s per 64-byte cache line
-	buf := make([]float64, 5*resources+2*line)[line:]
+	buf := make([]float64, 5*resources) // one backing array for all five
 	next := func() []float64 {
 		s := buf[:resources:resources]
 		buf = buf[resources:]

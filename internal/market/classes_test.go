@@ -82,7 +82,6 @@ func mustMarket(t *testing.T, players []*Player, cfg Config) *Market {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(m.Close)
 	return m
 }
 
@@ -172,21 +171,20 @@ func observe(cfg Config, o *observed) Config {
 // level: the same players, named and with their names hidden, must agree on
 // every field of the equilibrium and on the logical accounting (rounds, bid
 // steps = players × rounds, hook calls) — cold, warm, after a budget cut,
-// serial and on the pool, converged or cut short.
+// converged or cut short.
 func TestCollapsedMatchesHidden(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
 		n, kinds, budgets int
-		pool              bool // enough classes for the worker pool
 		cfg               Config
 	}{
-		{"8 players, 3 classes", 8, 3, 1, false, Config{}},
-		{"64 players, 12 classes", 64, 6, 2, false, Config{Workers: 3}},
-		{"64 players, 12 classes, greedy", 64, 6, 2, false, Config{Optimizer: GreedyExact, GreedyQuanta: 20}},
-		{"64 players, 60 classes", 64, 12, 5, true, Config{Workers: 3}},
-		{"67 players, all alone", 67, 67, 1, true, Config{Workers: 2}},
-		{"cut short", 64, 6, 2, false, Config{RoundHook: func(it int) bool { return it < 3 }}},
-		{"out of rounds", 64, 6, 2, false, Config{MaxIterations: 2, PriceTolerance: 1e-12}},
+		{"8 players, 3 classes", 8, 3, 1, Config{}},
+		{"64 players, 12 classes", 64, 6, 2, Config{}},
+		{"64 players, 12 classes, greedy", 64, 6, 2, Config{Optimizer: GreedyExact, GreedyQuanta: 20}},
+		{"64 players, 60 classes", 64, 12, 5, Config{}},
+		{"67 players, all alone", 67, 67, 1, Config{}},
+		{"cut short", 64, 6, 2, Config{RoundHook: func(it int) bool { return it < 3 }}},
+		{"out of rounds", 64, 6, 2, Config{MaxIterations: 2, PriceTolerance: 1e-12}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			named := classPlayers(tc.n, tc.kinds, tc.budgets)
@@ -228,9 +226,6 @@ func TestCollapsedMatchesHidden(t *testing.T) {
 			}
 			if tc.kinds*tc.budgets < tc.n && len(mn.reps) >= tc.n {
 				t.Errorf("named market did not collapse: %d classes of %d players", len(mn.reps), tc.n)
-			}
-			if (mn.pool != nil) != tc.pool {
-				t.Errorf("named market of %d classes: pool engaged %v, want %v", len(mn.reps), mn.pool != nil, tc.pool)
 			}
 		})
 	}
@@ -283,24 +278,5 @@ func TestUtilityErrorNamesSamePlayer(t *testing.T) {
 	}
 	if got.Player != want.Player || got.Name != want.Name || got.Context != want.Context {
 		t.Errorf("named reports %+v, hidden %+v", got, want)
-	}
-}
-
-// TestPoolThresholdCountsClasses: the pool pays for itself per best
-// response, and a class is one best response.
-func TestPoolThresholdCountsClasses(t *testing.T) {
-	few := mustMarket(t, classPlayers(64, 6, 2), Config{Workers: 8})
-	if _, err := Settle(few.FindEquilibrium()); err != nil {
-		t.Fatal(err)
-	}
-	if few.pool != nil {
-		t.Errorf("a 64-player market of %d classes started the pool", len(few.reps))
-	}
-	many := mustMarket(t, classPlayers(64, 16, 4), Config{Workers: 8})
-	if _, err := Settle(many.FindEquilibrium()); err != nil {
-		t.Fatal(err)
-	}
-	if len(many.reps) < minParallelPlayers || many.pool == nil {
-		t.Errorf("%d classes, pool %v; want at least %d classes on the pool", len(many.reps), many.pool != nil, minParallelPlayers)
 	}
 }

@@ -36,8 +36,7 @@ func (m *Market) FindEquilibrium() (*Equilibrium, error) {
 //
 // The search reuses the Market's internal buffers (see Market), so calls on
 // one Market must not overlap; the returned Equilibrium is freshly
-// allocated and independent of later runs. Rounds execute on the worker
-// pool per Config.Workers, with results bit-identical to the serial loop.
+// allocated and independent of later runs.
 func (m *Market) FindEquilibriumFrom(initial [][]float64) (*Equilibrium, error) {
 	var start time.Time
 	if m.cfg.Observer != nil {

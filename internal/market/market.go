@@ -10,7 +10,6 @@ package market
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 )
 
@@ -81,12 +80,11 @@ type Config struct {
 	// NotConvergedError. Watchdogs and the fault-injection framework hang
 	// off this hook; nil costs nothing.
 	RoundHook func(iteration int) bool
-	// Workers sets the parallelism of each bidding round: per-player bid
-	// re-optimisations fan out across a persistent goroutine pool. 0 means
-	// GOMAXPROCS, 1 forces the serial loop, and markets with fewer than
-	// minParallelPlayers players always run serially (the dispatch overhead
-	// exceeds the work). Parallel results are bit-identical to serial ones —
-	// see the workerPool doc and DESIGN.md "Performance & concurrency".
+	// Workers is read by nothing.
+	//
+	// Deprecated: it sized the round-level worker pool, which is gone
+	// (DESIGN.md "Retired A/Bs"); the field remains only because the frozen
+	// bench/ module sets it, and the next benchmark re-base deletes it.
 	Workers int
 	// Observer, when non-nil, receives one callback per completed
 	// equilibrium search (converged or not) with the rounds executed, the
@@ -143,11 +141,9 @@ func (c Config) withDefaults() Config {
 // Market couples players with resource capacities.
 //
 // A Market owns reusable equilibrium state (double-buffered bid matrices,
-// price buffers, scratch space, and the lazily-created worker pool), so a
-// single Market must not run FindEquilibrium concurrently with itself. The
-// returned Equilibrium holds fresh copies and stays valid across runs.
-// Call Close when done to release pool goroutines promptly; a finalizer
-// backstops markets that are simply dropped.
+// price buffers and scratch space), so a single Market must not run
+// FindEquilibrium concurrently with itself. The returned Equilibrium holds
+// fresh copies and stays valid across runs.
 type Market struct {
 	capacity []float64
 	players  []*Player
@@ -160,8 +156,7 @@ type Market struct {
 	nxtBids []float64
 	priceA  []float64
 	priceB  []float64
-	scratch *bidScratch // serial-path and finalisation scratch
-	pool    *workerPool
+	scratch *bidScratch
 
 	// Equivalence classes of the current run, rebuilt by classify at the
 	// start of every FindEquilibriumFrom. classOf[i] is the lowest-indexed
@@ -202,45 +197,12 @@ func New(capacity []float64, players []*Player, cfg Config) (*Market, error) {
 	}, nil
 }
 
-// Close releases the worker-pool goroutines, if any were started. The
-// Market remains usable afterwards (a later parallel round restarts the
-// pool). Close is idempotent.
-func (m *Market) Close() {
-	if m.pool != nil {
-		m.pool.close()
-		m.pool = nil
-		runtime.SetFinalizer(m, nil)
-	}
-}
-
-// minParallelPlayers is the number of best responses below which a bidding
-// round always runs serially: a round's channel hand-off and wake-ups cost a
-// fixed ~25 µs, and a player's re-optimisation ~1.5 µs, so small rounds lose
-// more to dispatch than two workers win back. Measured on the 2-vCPU bench
-// host (one cold equilibrium of all-distinct players, µs, serial vs pool at
-// GOMAXPROCS 2): 16 players 108 vs 155, 32 players 325 vs 357, 48 players
-// 481 vs 445, 64 players 562 vs 470 — the pool breaks even between 32 and
-// 48. The count is of equivalence classes, not players: a class costs one
-// best response however many members it has.
-const minParallelPlayers = 48
-
-// resolveWorkers maps Config.Workers to the effective round parallelism.
-func (m *Market) resolveWorkers() int {
-	n := len(m.reps)
-	if n < minParallelPlayers {
-		return 1
-	}
-	w := m.cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	// Work is claimed in blocks; a worker past the block count would only
-	// be woken to find the cursor exhausted.
-	if blocks := (n + claimBlock - 1) / claimBlock; w > blocks {
-		w = blocks
-	}
-	return w
-}
+// Close does nothing.
+//
+// Deprecated: it released the round-level worker pool, which is gone; the
+// method remains only because the frozen bench/ module calls it, and the
+// next benchmark re-base deletes it.
+func (m *Market) Close() {}
 
 // ensureScratch sizes the reusable equilibrium buffers on first use.
 func (m *Market) ensureScratch() {
@@ -311,12 +273,12 @@ func sameRow(a, b []float64) bool {
 }
 
 // reoptimize computes player i's best response to the broadcast prices into
-// its row of the next-round bid matrix, using only the given scratch — the
-// unit of work a pool worker claims. It reads row i of curBids and prices,
-// writes row i of nxtBids, and touches no other shared state.
-func (m *Market) reoptimize(i int, prices []float64, s *bidScratch) {
+// its row of the next-round bid matrix: it reads row i of curBids and the
+// prices, and writes row i of nxtBids.
+func (m *Market) reoptimize(i int, prices []float64) {
 	p := m.players[i]
 	cur := m.row(m.curBids, i)
+	s := m.scratch
 	others := s.others
 	for j := range m.capacity {
 		y := prices[j]*m.capacity[j] - cur[j]
@@ -334,22 +296,10 @@ func (m *Market) reoptimize(i int, prices []float64, s *bidScratch) {
 }
 
 // runRound re-optimises every class representative for one bidding round,
-// serially or on the pool depending on the resolved worker count, then
-// hands each member its representative's row.
+// then hands each member its representative's row.
 func (m *Market) runRound(prices []float64) {
-	if w := m.resolveWorkers(); w < 2 {
-		for _, i := range m.reps {
-			m.reoptimize(i, prices, m.scratch)
-		}
-	} else {
-		if m.pool == nil {
-			m.pool = newWorkerPool(w, len(m.capacity))
-			// Backstop for markets dropped without Close: release the pool
-			// goroutines when the Market becomes unreachable. The workers hold
-			// no reference back to the Market, so the finalizer can run.
-			runtime.SetFinalizer(m, (*Market).Close)
-		}
-		m.pool.run(m, prices)
+	for _, i := range m.reps {
+		m.reoptimize(i, prices)
 	}
 	if len(m.reps) < len(m.players) {
 		for i, r := range m.classOf {

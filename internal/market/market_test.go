@@ -3,6 +3,7 @@ package market
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -383,6 +384,135 @@ func TestFindEquilibriumFromScalesOverBudgetBids(t *testing.T) {
 	}
 	if spent > 4+1e-9 {
 		t.Errorf("player 0 spent %g with budget 4", spent)
+	}
+}
+
+// seededPlayers builds a deterministic bundle of n players over two
+// resources with seed-varied preferences and budgets, all different.
+func seededPlayers(n int, seed uint64) ([]float64, []*Player) {
+	capacity := []float64{100, 100}
+	players := make([]*Player, n)
+	for i := range players {
+		s := seed + uint64(i)*2654435761
+		w0 := 0.5 + float64(s%17)/4
+		w1 := 0.5 + float64((s/17)%13)/3
+		players[i] = &Player{
+			Name:    string(rune('A' + i)),
+			Utility: sqrtUtility{weights: []float64{w0, w1}, capacity: capacity},
+			Budget:  50 + float64(s%7)*10,
+		}
+	}
+	return capacity, players
+}
+
+// TestReusedBuffersMatchFreshMarket: a Market keeps its bid matrices, price
+// buffers and scratch from run to run, and no run may see what the last one
+// left there. One market solved cold twice and then warm-started after a
+// budget cut must equal, bit for bit, a fresh market given the same inputs
+// at each step.
+func TestReusedBuffersMatchFreshMarket(t *testing.T) {
+	for _, n := range []int{8, 67} {
+		fresh := func(cut bool) *Market {
+			capacity, players := seededPlayers(n, 99)
+			if cut {
+				players[3].Budget *= 0.6
+			}
+			m, err := New(capacity, players, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+		reused := fresh(false)
+		var first *Equilibrium
+		for run := 0; run < 2; run++ {
+			got, err := Settle(reused.FindEquilibrium())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Settle(fresh(false).FindEquilibrium())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d run %d: reused market diverged from a fresh one\nreused: %+v\nfresh:  %+v", n, run, got, want)
+			}
+			first = got
+		}
+		reused.Players()[3].Budget *= 0.6
+		got, err := Settle(reused.FindEquilibriumFrom(first.Bids))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Settle(fresh(true).FindEquilibriumFrom(first.Bids))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: warm start on reused buffers diverged from a fresh market\nreused: %+v\nfresh:  %+v", n, got, want)
+		}
+	}
+}
+
+// TestWarmStartRenormalisation checks the round-zero bid scaling of
+// FindEquilibriumFrom directly: the round hook aborts before the first
+// round, so the partial state exposes exactly the renormalised warm bids.
+func TestWarmStartRenormalisation(t *testing.T) {
+	capacity := []float64{100, 100}
+	u := sqrtUtility{weights: []float64{1, 1}, capacity: capacity}
+	players := []*Player{
+		{Name: "raised", Utility: u, Budget: 40}, // warm bids sum to 20
+		{Name: "cut", Utility: u, Budget: 10},    // warm bids sum to 20
+		{Name: "same", Utility: u, Budget: 20},   // warm bids sum to 20
+		{Name: "fresh", Utility: u, Budget: 12},  // all-zero warm bids
+	}
+	m, err := New(capacity, players, Config{
+		RoundHook: func(int) bool { return false },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBids := []float64{7.25, 12.75}
+	warm := [][]float64{
+		{5, 15},
+		{12, 8},
+		{sameBids[0], sameBids[1]},
+		{0, 0},
+	}
+	_, err = m.FindEquilibriumFrom(warm)
+	nc, ok := err.(*NotConvergedError)
+	if !ok {
+		t.Fatalf("expected *NotConvergedError from aborted run, got %v", err)
+	}
+	bids := nc.Partial.Bids
+
+	sum := func(row []float64) float64 {
+		s := 0.0
+		for _, b := range row {
+			s += b
+		}
+		return s
+	}
+	// Raised budget: bids scale up to spend the full 40 (this was the bug —
+	// the old engine only scaled down, so a raised budget went unspent).
+	if got := sum(bids[0]); math.Abs(got-40) > 1e-9 {
+		t.Errorf("raised-budget player spends %g of 40", got)
+	}
+	if ratio := bids[0][1] / bids[0][0]; math.Abs(ratio-3) > 1e-9 {
+		t.Errorf("scale-up should preserve bid proportions, got ratio %g want 3", ratio)
+	}
+	// Cut budget: scaled down as before.
+	if got := sum(bids[1]); math.Abs(got-10) > 1e-9 {
+		t.Errorf("cut-budget player spends %g of 10", got)
+	}
+	// Unchanged budget: bids pass through bit-identical — the 1e-9 relative
+	// tolerance must not perturb bids that already spend the budget.
+	if bids[2][0] != sameBids[0] || bids[2][1] != sameBids[1] {
+		t.Errorf("unchanged-budget bids perturbed: %v want %v", bids[2], sameBids)
+	}
+	// Zero warm bids with positive budget: cold equal split.
+	if bids[3][0] != 6 || bids[3][1] != 6 {
+		t.Errorf("zero warm bids should restart from equal split, got %v", bids[3])
 	}
 }
 

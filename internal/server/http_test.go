@@ -241,9 +241,51 @@ func TestTelemetryValidation(t *testing.T) {
 	if resp := doJSON(t, "POST", ts.URL+"/v1/sessions/tele/telemetry", bad, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad player index: expected 400, got %d", resp.StatusCode)
 	}
+	// A weight the budget cannot hold.
+	bad = TelemetrySpec{Players: []PlayerTelemetry{{Player: 0, Weight: 1e307}}}
+	if resp := doJSON(t, "POST", ts.URL+"/v1/sessions/tele/telemetry", bad, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("overflowing weight: expected 400, got %d", resp.StatusCode)
+	}
 	// Result is sim-only.
 	if resp := doJSON(t, "GET", ts.URL+"/v1/sessions/tele/result", nil, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("result on market session: expected 400, got %d", resp.StatusCode)
+	}
+}
+
+// TestOverflowingWeightRejected: weight × core.InitialBudget = +Inf makes
+// every later solve fail, which core.Resilient would paper over with the
+// last-known-good outcome forever. Neither way in — telemetry, a restored
+// snapshot — may install one.
+func TestOverflowingWeightRejected(t *testing.T) {
+	spec := SessionSpec{Workload: WorkloadSpec{Fig3: true}, Mechanism: "rebudget-20"}
+	bundle, err := buildBundle(spec.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() *marketEngine {
+		e, err := newMarketEngine(spec, bundle, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	e := build()
+	tele := TelemetrySpec{Players: []PlayerTelemetry{{Player: 0, Weight: 1e307}}}
+	if err := e.telemetry(tele); err == nil {
+		t.Error("telemetry accepted a weight that overflows the budget")
+	}
+	if w := e.players[0].BudgetWeight; w == 1e307 {
+		t.Errorf("rejected weight was installed: %g", w)
+	}
+
+	var snap SessionSnapshot
+	e.snapshot(&snap)
+	if err := build().restore(&snap); err != nil {
+		t.Fatalf("clean snapshot: %v", err)
+	}
+	snap.Market.Weights[0] = 1e307
+	if err := build().restore(&snap); err == nil {
+		t.Error("restore accepted a weight that overflows the budget")
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"rebudget/internal/core"
@@ -158,6 +159,11 @@ func (e *marketEngine) restore(snap *SessionSnapshot) error {
 	if len(m.Demand) != len(e.players) || len(m.Weights) != len(e.players) {
 		return fmt.Errorf("snapshot shape %d players, engine has %d", len(m.Demand), len(e.players))
 	}
+	for i, w := range m.Weights {
+		if budgetOverflows(w) {
+			return fmt.Errorf("snapshot weight %g of player %d overflows the budget", w, i)
+		}
+	}
 	copy(e.demand, m.Demand)
 	for i := range e.players {
 		if m.Weights[i] > 0 {
@@ -173,6 +179,13 @@ func (e *marketEngine) restore(snap *SessionSnapshot) error {
 	return nil
 }
 
+// budgetOverflows reports a weight too large to turn into a budget: every
+// later solve would fail on a +Inf budget and the session would serve its
+// last-known-good outcome forever.
+func budgetOverflows(weight float64) bool {
+	return math.IsInf(weight*core.InitialBudget, 0)
+}
+
 // telemetry applies per-player monitor updates between epochs.
 func (e *marketEngine) telemetry(t TelemetrySpec) error {
 	if len(t.Switches) > 0 {
@@ -184,6 +197,9 @@ func (e *marketEngine) telemetry(t TelemetrySpec) error {
 		}
 		if pt.Demand < 0 || pt.Weight < 0 {
 			return fmt.Errorf("player %d: negative demand/weight", pt.Player)
+		}
+		if budgetOverflows(pt.Weight) {
+			return fmt.Errorf("player %d: weight %g overflows the budget", pt.Player, pt.Weight)
 		}
 		if pt.Demand > 0 {
 			e.demand[pt.Player] = pt.Demand

@@ -2,14 +2,18 @@
 # bench_smoke.sh — perf smoke test for `make ci`.
 #
 # Runs the load-bearing kernels — BenchmarkMarketEquilibrium64 (the hot
-# allocation solver) and the three the class collapse rests on:
+# allocation solver, ~57 classes) and the three the class collapse rests on:
 # BenchmarkMarketEquilibrium64Distinct (the same solver with every identity
 # hidden — the per-player cost), BenchmarkNewSetup64 (profiling a bundle) and
 # BenchmarkEnvyFreeness64 (the view refresh); BenchmarkFig5Simulation (the
-# end-to-end detailed simulation), BenchmarkChipEpoch8/64 (the single-chip epoch hot path) and
-# its two kernels in their aged state, BenchmarkTraceGenerateAged (the LRU
-# reuse stack after 2 M draws — it once decayed into two-entry chunks, which
-# only an aged run shows) and BenchmarkCacheVictim (the victim scan) —
+# end-to-end detailed simulation), BenchmarkChipEpoch8/64 (the single-chip
+# epoch hot path) and its two kernels in their aged state,
+# BenchmarkTraceGenerateAged (the LRU reuse stack after 2 M draws — it once
+# decayed into two-entry chunks, which only an aged run shows) and
+# BenchmarkCacheVictim (the victim scan); and the serving side:
+# BenchmarkServeEpoch (an in-process epoch), BenchmarkTenantRebalance,
+# BenchmarkStoreParallelGet/segments=16 (the striped session store) and
+# BenchmarkMetricsRender50k/default (the scrape) —
 # and compares each against the most recent recorded snapshot: the newest
 # BENCH_*.json written by scripts/bench_record.sh, falling back to
 # .bench/baseline.txt when no snapshot exists (the first snapshot then gets
@@ -30,8 +34,9 @@ set -u
 
 cd "$(dirname "$0")/.."
 NAMES='BenchmarkMarketEquilibrium64 BenchmarkMarketEquilibrium64Distinct BenchmarkNewSetup64 BenchmarkEnvyFreeness64 BenchmarkFig5Simulation BenchmarkChipEpoch8 BenchmarkChipEpoch64 BenchmarkTraceGenerateAged BenchmarkCacheVictim BenchmarkServeEpoch BenchmarkTenantRebalance BenchmarkStoreParallelGet/segments=16 BenchmarkMetricsRender50k/default'
-# Sub-millisecond kernels run for a duration (5 iterations of a 0.5 ms
-# equilibrium is a 2.5 ms sample); the ≥ 100 ms benches stay at 5 iterations.
+# Sub-millisecond kernels, the server group included, run for a duration (5
+# iterations of a 0.5 ms equilibrium is a 2.5 ms sample, of a 9 µs store
+# lookup a cold start); the ≥ 100 ms benches stay at 5 iterations.
 BENCH='^(BenchmarkMarketEquilibrium64|BenchmarkMarketEquilibrium64Distinct|BenchmarkNewSetup64|BenchmarkEnvyFreeness64|BenchmarkChipEpoch8|BenchmarkTraceGenerateAged|BenchmarkCacheVictim|BenchmarkServeEpoch|BenchmarkTenantRebalance)$'
 SLOWBENCH='^(BenchmarkFig5Simulation|BenchmarkChipEpoch64)$'
 SRVBENCH='^(BenchmarkStoreParallelGet|BenchmarkMetricsRender50k)$'
@@ -48,7 +53,7 @@ if ! { go test -run '^$' -bench "$BENCH" -benchtime 300ms -count 3 . &&
     [ "$STRICT" = "1" ] && exit 1
     exit 0
 fi
-if ! go test -run '^$' -bench "$SRVBENCH" -benchtime 5x -count 3 ./internal/server >> "$CUR" 2>&1; then
+if ! go test -run '^$' -bench "$SRVBENCH" -benchtime 300ms -count 3 ./internal/server >> "$CUR" 2>&1; then
     echo "bench-smoke: server benchmarks failed to run:"
     cat "$CUR"
     [ "$STRICT" = "1" ] && exit 1
