@@ -7,6 +7,7 @@ package rebudget_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"rebudget"
 	"rebudget/internal/cache"
@@ -22,7 +24,9 @@ import (
 	"rebudget/internal/experiments"
 	"rebudget/internal/market"
 	"rebudget/internal/numeric"
+	"rebudget/internal/router"
 	"rebudget/internal/server"
+	"rebudget/internal/server/client"
 	"rebudget/internal/tenant"
 	"rebudget/internal/trace"
 	"rebudget/internal/workload"
@@ -592,6 +596,98 @@ func BenchmarkServeEpoch(b *testing.B) {
 		}
 	}
 }
+
+// heavyViewJSON is the body a shard answers a 64-core ReBudget-20 epoch
+// with — serve_heavy's response, byte for byte as the daemon encodes it.
+func heavyViewJSON(b *testing.B) []byte {
+	b.Helper()
+	srv := server.New(server.Config{IdleTTL: -1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	defer srv.Close()
+	h := srv.Handler()
+	spec, err := json.Marshal(server.SessionSpec{
+		ID:        "heavy",
+		Workload:  server.WorkloadSpec{Category: "CPBB", Cores: 64, Seed: 1},
+		Mechanism: "rebudget-20",
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var body []byte
+	for _, req := range []*http.Request{
+		httptest.NewRequest("POST", "/v1/sessions", bytes.NewReader(spec)),
+		httptest.NewRequest("POST", "/v1/sessions/heavy/epoch", http.NoBody),
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code/100 != 2 {
+			b.Fatalf("%s %s: %d %s", req.Method, req.URL.Path, rec.Code, rec.Body)
+		}
+		body = rec.Body.Bytes()
+	}
+	return body
+}
+
+// BenchmarkRouterRelay64 measures the router's hop for a 64-core view: one
+// GET through Router.Handler() on a loopback listener to a stub shard that
+// answers the canned body. B/op covers both hops' net/http state and this
+// benchmark's own client; what the relay adds on top must stay buffer-free
+// (internal/router's TestRelayByteBudget gates it).
+func BenchmarkRouterRelay64(b *testing.B) {
+	body := heavyViewJSON(b)
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(body)
+	}))
+	defer shard.Close()
+	rt, err := router.New(router.Config{
+		Backends:      []string{shard.URL},
+		ProbeInterval: time.Hour,
+		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rt.Close()
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := http.Get(front.URL + "/v1/sessions/heavy")
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || int(n) != len(body) {
+			b.Fatalf("relayed %d of %d bytes: %v", n, len(body), err)
+		}
+	}
+}
+
+// BenchmarkClientDecode64 measures the typed client turning that body into
+// a SessionView, with the network taken out (a stub RoundTripper): the
+// decode is a quarter of a serve_heavy op's CPU.
+func BenchmarkClientDecode64(b *testing.B) {
+	body := heavyViewJSON(b)
+	c := client.New("http://stub.invalid", client.WithHTTPClient(&http.Client{
+		Transport: roundTripFunc(func(*http.Request) (*http.Response, error) {
+			return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(bytes.NewReader(body))}, nil
+		}),
+	}))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := c.StepEpoch(context.Background(), "heavy")
+		if err != nil || len(v.Alloc.Players) != 64 {
+			b.Fatalf("decode: %v (%d players)", err, len(v.Alloc.Players))
+		}
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
 func BenchmarkAblationGranularity(b *testing.B) {
 	cfg := cmpsim.DefaultConfig(8)

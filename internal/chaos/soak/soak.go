@@ -327,9 +327,10 @@ func Run(eh *e2e.Harness, seed uint64) Result {
 	opens, _ := rm.Sum("rebudget_router_breaker_transitions_total", map[string]string{"to": "open"})
 	retries, _ := rm.Sum("rebudget_router_retries_total", nil)
 	failovers, _ := rm.Sum("rebudget_router_failovers_total", nil)
+	aborted, _ := rm.Sum("rebudget_router_relay_aborted_total", nil)
 	migrations, _ := rm.Sum("rebudget_router_migrations_total", nil)
 	epoch, _ := rm.Sum("rebudget_router_membership_epoch", nil)
-	h.Logf("router saw %g breaker opens, %g retries, %g failovers", opens, retries, failovers)
+	h.Logf("router saw %g breaker opens, %g retries, %g failovers, %g relays aborted mid-body", opens, retries, failovers, aborted)
 	h.Logf("elastic: membership epoch %g, %g sessions migrated", epoch, migrations)
 
 	// --- tear the tier down; every resident session snapshots out ---

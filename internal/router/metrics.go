@@ -15,6 +15,7 @@ type rtrMetrics struct {
 	failovers      atomic.Int64 // requests skipped past an unhealthy/unreachable shard
 	reroutedEpochs atomic.Int64 // epoch requests served by a non-primary shard
 	noShard        atomic.Int64 // requests with no healthy shard at all
+	relayAborted   atomic.Int64 // responses cut because the shard broke off mid-body
 	breakerRejects atomic.Int64 // first-pass skips because a breaker was open
 	retries        atomic.Int64 // failover attempts beyond a request's first
 	retryExhausted atomic.Int64 // retries refused by the router-wide token bucket
@@ -57,6 +58,7 @@ func (m *rtrMetrics) render(w io.Writer, backends []*backend, uptime time.Durati
 	e.Counter("rebudget_router_failovers_total", "Requests moved past an unhealthy or unreachable shard.", float64(m.failovers.Load()))
 	e.Counter("rebudget_router_rerouted_epochs_total", "Epoch requests served by a non-primary shard.", float64(m.reroutedEpochs.Load()))
 	e.Counter("rebudget_router_no_shard_total", "Requests failed because no shard was healthy.", float64(m.noShard.Load()))
+	e.Counter("rebudget_router_relay_aborted_total", "Responses aborted because the shard broke off after its headers were relayed.", float64(m.relayAborted.Load()))
 	e.Counter("rebudget_router_breaker_rejections_total", "Shards skipped on the first pass because their circuit breaker was open.", float64(m.breakerRejects.Load()))
 	e.Counter("rebudget_router_retries_total", "Failover attempts beyond a request's first.", float64(m.retries.Load()))
 	e.Counter("rebudget_router_retry_budget_exhausted_total", "Retries refused by the router-wide retry token bucket.", float64(m.retryExhausted.Load()))

@@ -36,6 +36,9 @@ rebudget_router_rerouted_epochs_total 3
 # HELP rebudget_router_no_shard_total Requests failed because no shard was healthy.
 # TYPE rebudget_router_no_shard_total counter
 rebudget_router_no_shard_total 4
+# HELP rebudget_router_relay_aborted_total Responses aborted because the shard broke off after its headers were relayed.
+# TYPE rebudget_router_relay_aborted_total counter
+rebudget_router_relay_aborted_total 15
 # HELP rebudget_router_breaker_rejections_total Shards skipped on the first pass because their circuit breaker was open.
 # TYPE rebudget_router_breaker_rejections_total counter
 rebudget_router_breaker_rejections_total 5
@@ -131,7 +134,8 @@ func TestRouterMetricsGolden(t *testing.T) {
 	m := &rtrMetrics{}
 	for i, c := range []*atomic.Int64{&m.sessionsPlaced, &m.failovers, &m.reroutedEpochs, &m.noShard,
 		&m.breakerRejects, &m.retries, &m.retryExhausted, &m.migrations, &m.migrationRetries,
-		&m.migrationDropped, &m.membershipChanges, &m.gossipRounds, &m.gossipAdopted, &m.gossipFailures} {
+		&m.migrationDropped, &m.membershipChanges, &m.gossipRounds, &m.gossipAdopted, &m.gossipFailures,
+		&m.relayAborted} {
 		c.Store(int64(i + 1))
 	}
 	m.observe("/v1/sessions/{id}/epoch", 200, 3*time.Millisecond)

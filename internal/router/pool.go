@@ -11,7 +11,7 @@ import (
 // The proxy must buffer every request body (it may replay it across ring
 // positions on failover), which made body reads a malloc per request.
 // Pooled buffers amortise that across the 100k-session load the tier is
-// sized for.
+// sized for; relayBufs below do the same for the response.
 var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // poolBufCap bounds what a pooled buffer retains, so one giant body does
@@ -38,6 +38,34 @@ func putBodyBuf(buf *bytes.Buffer) {
 	bodyBufs.Put(buf)
 }
 
+// relayBufs are the copy buffers of the response side. io.Copy would make a
+// fresh 32 kB one per relayed body: statusRecorder hides the ResponseWriter's
+// ReaderFrom, and with it net/http's own pooled buffer.
+var relayBufs = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
+
+// relay copies a shard's response body to the client. The error it returns
+// is the shard side's alone: a client that stopped reading ends the copy
+// quietly, and net/http tears that connection down by itself.
+func relay(w io.Writer, body io.Reader) error {
+	bp := relayBufs.Get().(*[]byte)
+	defer relayBufs.Put(bp)
+	buf := *bp
+	for {
+		n, rerr := body.Read(buf)
+		if n > 0 {
+			if _, werr := w.Write(buf[:n]); werr != nil {
+				return nil
+			}
+		}
+		if rerr == io.EOF {
+			return nil
+		}
+		if rerr != nil {
+			return rerr
+		}
+	}
+}
+
 // jsonWriter pools a response buffer with an encoder bound to it, mirroring
 // the daemon's hot-path encoder pool.
 type jsonWriter struct {
@@ -48,7 +76,6 @@ type jsonWriter struct {
 var jsonWriters = sync.Pool{New: func() any {
 	jw := &jsonWriter{}
 	jw.enc = json.NewEncoder(&jw.buf)
-	jw.enc.SetIndent("", "  ")
 	return jw
 }}
 

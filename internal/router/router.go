@@ -461,7 +461,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id string, body 
 		// just evicted it. Genuine unknown-session 404s stay instant.
 		swallowMiss := settled < settleRetries &&
 			(movedRetried || settled > 0 || rt.isPinned(id))
-		if _, err := rt.forward(w, r, b, body, swallowGone, swallowMiss); err != nil {
+		if _, err := rt.forward(w, r, b, id, body, swallowGone, swallowMiss); err != nil {
 			if errors.Is(err, errSessionMoved) {
 				// The shard answered; nothing was written. Re-route once to
 				// the ring's current primary — free of charge: this is a
@@ -565,8 +565,9 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id string, body 
 // it answered a status the caller asked to swallow: 410 with swallowGone
 // set (errSessionMoved; retry on the ring's current primary) or 404 with
 // swallowMiss set (errSessionSettling; the migration's snapshot write is
-// still landing, retry after a short wait).
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, b *backend, body []byte, swallowGone, swallowMiss bool) (int, error) {
+// still landing, retry after a short wait). A shard that breaks off after
+// its headers were relayed aborts the handler instead of returning.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, b *backend, id string, body []byte, swallowGone, swallowMiss bool) (int, error) {
 	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.ProxyTimeout)
 	defer cancel()
 	url := b.base + r.URL.Path
@@ -610,7 +611,18 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, b *backend, bo
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	if err := relay(w, resp.Body); err != nil && r.Context().Err() == nil {
+		// The status is on the wire, so there is no failing over and no
+		// error body left to send. Break the connection: ending the chunked
+		// body cleanly would hand the client well-framed half JSON under a
+		// 200. (A read that failed because the client itself left is not
+		// the shard's doing and needs no abort.)
+		b.br.onFailure()
+		rt.met.relayAborted.Add(1)
+		rt.log.Warn("shard broke off mid-body, aborting the response",
+			"shard", b.base, "id", id, "code", resp.StatusCode, "err", err)
+		panic(http.ErrAbortHandler)
+	}
 	return resp.StatusCode, nil
 }
 

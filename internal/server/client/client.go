@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"rebudget/internal/server"
@@ -93,6 +94,17 @@ func IsBusy(err error) bool {
 	return ok && ae.Status == http.StatusTooManyRequests
 }
 
+// respBufs hold response bodies while they are decoded: one read into a
+// reused buffer and one Unmarshal, where a per-request json.Decoder regrew
+// its own 512 B buffer up to the size of every view. Nothing decoded may
+// alias the buffer (encoding/json copies strings; no view field is a
+// json.RawMessage).
+var respBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// poolBufCap bounds what a pooled buffer retains, like the router's and the
+// daemon's: one giant listing must not pin its high-water mark forever.
+const poolBufCap = 64 << 10
+
 // do issues one request and decodes the JSON response into out (if non-nil).
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var buf []byte
@@ -128,7 +140,16 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	if out == nil {
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	rb := respBufs.Get().(*bytes.Buffer)
+	rb.Reset()
+	_, err = rb.ReadFrom(resp.Body)
+	if err == nil {
+		err = json.Unmarshal(rb.Bytes(), out)
+	}
+	if rb.Cap() <= poolBufCap {
+		respBufs.Put(rb)
+	}
+	return err
 }
 
 // roundTrip sends one request. Only transport failures are errors here; an
@@ -183,7 +204,12 @@ func (c *Client) StepEpoch(ctx context.Context, id string) (server.SessionView, 
 // StepEpochs advances the session n epochs under one request.
 func (c *Client) StepEpochs(ctx context.Context, id string, n int) (server.SessionView, error) {
 	var v server.SessionView
-	body := map[string]int{"epochs": n}
+	// One epoch is the daemon's default for a bodyless POST, which skips its
+	// body decoder — and the router's buffering of it — altogether.
+	var body any
+	if n != 1 {
+		body = map[string]int{"epochs": n}
+	}
 	err := c.do(ctx, http.MethodPost, "/v1/sessions/"+id+"/epoch", body, &v)
 	return v, err
 }

@@ -17,7 +17,6 @@ type jsonWriter struct {
 var jsonWriters = sync.Pool{New: func() any {
 	jw := &jsonWriter{}
 	jw.enc = json.NewEncoder(&jw.buf)
-	jw.enc.SetIndent("", "  ")
 	return jw
 }}
 
