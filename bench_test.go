@@ -262,18 +262,56 @@ func BenchmarkReBudget64(b *testing.B) {
 	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 }
 
-// BenchmarkNewSetup64 profiles one 64-core bundle: the distinct
-// applications once each, a twin for every other core.
-func BenchmarkNewSetup64(b *testing.B) {
+// BenchmarkNewSetup64 assembles one 64-core catalog bundle warm: every
+// distinct application's profile comes from the process-wide catalog table,
+// and each core gets a twin.
+func BenchmarkNewSetup64(b *testing.B) { benchNewSetup64(b, false) }
+
+// BenchmarkNewSetup64Custom is the same bundle with every spec's CPIBase
+// nudged off the catalog, so each distinct application is profiled per
+// call: the cold build path.
+func BenchmarkNewSetup64Custom(b *testing.B) { benchNewSetup64(b, true) }
+
+func benchNewSetup64(b *testing.B, custom bool) {
+	b.Helper()
 	bundle, err := workload.Generate(workload.CPBB, 64, numeric.NewRand(5))
 	if err != nil {
 		b.Fatal(err)
+	}
+	if custom {
+		for i := range bundle.Apps {
+			bundle.Apps[i].CPIBase *= 1 + 1e-9
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := workload.NewSetup(bundle); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSweepOp64 is one op of the phase-1 sweep (§6, Figure 4): set up
+// a 64-core bundle and run the four market mechanisms on it, cycling
+// through one bundle per category.
+func BenchmarkSweepOp64(b *testing.B) {
+	bundles, err := workload.GenerateAll(64, 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mechs := []core.Allocator{core.EqualBudget{}, core.Balanced{}, core.ReBudget{Step: 20}, core.ReBudget{Step: 40}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		setup, err := workload.NewSetup(bundles[i%len(bundles)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range mechs {
+			if _, err := m.Allocate(setup.Capacity, setup.Players); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

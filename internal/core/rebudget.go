@@ -188,8 +188,9 @@ func (r ReBudget) Allocate(capacity []float64, players []PlayerSpec) (*Outcome, 
 	if err != nil {
 		return nil, fmt.Errorf("core: ReBudget: %w: %w", ErrBadInput, err)
 	}
-	// One Market persists across all budget steps, so its buffers are
-	// reused by every warm-started re-convergence.
+	// One Market and one Equilibrium persist across all budget steps: a
+	// step reads only the last run's Lambdas and Bids, and only the final
+	// run escapes into the Outcome.
 
 	var eq *market.Equilibrium
 	warmBids := cfg.WarmBids
@@ -202,7 +203,7 @@ func (r ReBudget) Allocate(capacity []float64, players []PlayerSpec) (*Outcome, 
 		// best-effort state); any other equilibrium failure — a NaN/Inf
 		// utility mid-round, say — aborts with a typed error so callers
 		// never see NaN budgets.
-		eq, err = market.Settle(m.FindEquilibriumFrom(warmBids))
+		eq, err = market.Settle(m.FindEquilibriumInto(eq, warmBids))
 		if err != nil {
 			return nil, fmt.Errorf("core: ReBudget round %d: %w: %w", round, ErrBadInput, err)
 		}

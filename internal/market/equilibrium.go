@@ -38,6 +38,14 @@ func (m *Market) FindEquilibrium() (*Equilibrium, error) {
 // one Market must not overlap; the returned Equilibrium is freshly
 // allocated and independent of later runs.
 func (m *Market) FindEquilibriumFrom(initial [][]float64) (*Equilibrium, error) {
+	return m.FindEquilibriumInto(nil, initial)
+}
+
+// FindEquilibriumInto is FindEquilibriumFrom writing into dst's slices when
+// dst has this market's shape, and allocating as it does otherwise. initial
+// may alias dst.Bids. The result, or a NotConvergedError's Partial, is then
+// dst itself: the caller gives up what it read there before.
+func (m *Market) FindEquilibriumInto(dst *Equilibrium, initial [][]float64) (*Equilibrium, error) {
 	var start time.Time
 	if m.cfg.Observer != nil {
 		start = time.Now()
@@ -123,24 +131,14 @@ func (m *Market) FindEquilibriumFrom(initial [][]float64) (*Equilibrium, error) 
 		m.cfg.Observer(iterations, steps, time.Since(start))
 	}
 
-	// Bids and Allocations are row views over one flat array each: two
-	// allocations per run however many players there are.
-	bids, bidBuf := make([][]float64, n), make([]float64, n*mm)
-	allocs, allocBuf := make([][]float64, n), make([]float64, n*mm)
-	finalPrices := append([]float64(nil), prices...)
+	eq := m.shaped(dst)
+	eq.Iterations, eq.Converged = iterations, converged
+	copy(eq.Prices, prices)
+	bids, allocs, finalPrices := eq.Bids, eq.Allocations, eq.Prices
 	for i := range bids {
-		bids[i], allocs[i] = m.row(bidBuf, i), m.row(allocBuf, i)
 		copy(bids[i], m.row(m.curBids, i))
+		clear(allocs[i])
 		m.allocateInto(allocs[i], bids[i], finalPrices)
-	}
-	eq := &Equilibrium{
-		Prices:      finalPrices,
-		Bids:        bids,
-		Allocations: allocs,
-		Utilities:   make([]float64, n),
-		Lambdas:     make([]float64, n),
-		Iterations:  iterations,
-		Converged:   converged,
 	}
 	for i, p := range m.players {
 		// A member's final row equals its representative's, so its utility
@@ -173,4 +171,25 @@ func (m *Market) FindEquilibriumFrom(initial [][]float64) (*Equilibrium, error) 
 		return nil, &NotConvergedError{Partial: eq, Reason: stopReason}
 	}
 	return eq, nil
+}
+
+// shaped returns dst if it has this market's shape, else a fresh Equilibrium
+// whose Bids and Allocations are row views over one flat array each.
+func (m *Market) shaped(dst *Equilibrium) *Equilibrium {
+	n, mm := len(m.players), len(m.capacity)
+	fits := dst != nil && len(dst.Prices) == mm && len(dst.Bids) == n &&
+		len(dst.Allocations) == n && len(dst.Utilities) == n && len(dst.Lambdas) == n
+	for i := 0; fits && i < n; i++ {
+		fits = len(dst.Bids[i]) == mm && len(dst.Allocations[i]) == mm
+	}
+	if fits {
+		return dst
+	}
+	eq := &Equilibrium{Prices: make([]float64, mm), Bids: make([][]float64, n), Allocations: make([][]float64, n),
+		Utilities: make([]float64, n), Lambdas: make([]float64, n)}
+	bidBuf, allocBuf := make([]float64, n*mm), make([]float64, n*mm)
+	for i := range eq.Bids {
+		eq.Bids[i], eq.Allocations[i] = m.row(bidBuf, i), m.row(allocBuf, i)
+	}
+	return eq
 }

@@ -143,7 +143,8 @@ func (c Config) withDefaults() Config {
 // A Market owns reusable equilibrium state (double-buffered bid matrices,
 // price buffers and scratch space), so a single Market must not run
 // FindEquilibrium concurrently with itself. The returned Equilibrium holds
-// fresh copies and stays valid across runs.
+// fresh copies and stays valid across runs, unless the caller hands it back
+// to FindEquilibriumInto.
 type Market struct {
 	capacity []float64
 	players  []*Player

@@ -66,7 +66,7 @@ func NewSetupThreaded(tb ThreadedBundle) (*Setup, error) {
 	cores := tb.Cores()
 	s := &Setup{Bundle: Bundle{Category: "threaded"}}
 	totalFloorW := 0.0
-	prof := newProfiler(app.NewUtility)
+	prof := newProfiler(app.NewUtility, utilityCatalog)
 	for i, ta := range tb.Apps {
 		if ta.Threads < 1 {
 			return nil, fmt.Errorf("workload: application %d has %d threads", i, ta.Threads)

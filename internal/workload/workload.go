@@ -7,6 +7,7 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"rebudget/internal/app"
 	"rebudget/internal/cache"
@@ -135,7 +136,7 @@ type Setup struct {
 	Bundle    Bundle
 	Capacity  []float64 // [Δregions, Δwatts]
 	Players   []core.PlayerSpec
-	Models    []*app.Model
+	Models    []*app.Model // read-only: shared by every setup of the same catalog app
 	Utilities []*app.Utility
 }
 
@@ -146,10 +147,12 @@ type Setup struct {
 // shared profile, with memo state of its own. The key is Spec.Fingerprint,
 // which covers every model parameter: a spec that reuses a catalog name
 // with different behaviour is a different program. The map belongs to one
-// setup call and dies with it; nothing is cached process-wide.
+// setup call; a catalog program comes from the process-wide table of its
+// kind, and every core running it gets a twin.
 type profiler[U interface{ Twin() U }] struct {
-	build func(*app.Model, *cache.MissCurve) (U, error)
-	seen  map[uint64]profiled[U]
+	build   func(*app.Model, *cache.MissCurve) (U, error)
+	catalog catalogProfiles[U]
+	seen    map[uint64]profiled[U]
 }
 
 type profiled[U any] struct {
@@ -157,26 +160,55 @@ type profiled[U any] struct {
 	utility U
 }
 
-func newProfiler[U interface{ Twin() U }](build func(*app.Model, *cache.MissCurve) (U, error)) profiler[U] {
-	return profiler[U]{build: build, seen: map[uint64]profiled[U]{}}
+func newProfiler[U interface{ Twin() U }](build func(*app.Model, *cache.MissCurve) (U, error), catalog catalogProfiles[U]) profiler[U] {
+	return profiler[U]{build: build, catalog: catalog, seen: map[uint64]profiled[U]{}}
+}
+
+// catalogProfiles holds one profile per app.Catalog() program for one
+// utility kind, for the whole process. Each is built lazily, exactly once,
+// from the catalog's own Spec — never from a caller's, so no crafted spec
+// can seed it — and callers receive only twins. Off-catalog specs are
+// profiled per call, which bounds the table with nothing to evict.
+type catalogProfiles[U any] map[uint64]func() (profiled[U], error)
+
+var utilityCatalog, bandwidthCatalog = newCatalogProfiles(app.NewUtility), newCatalogProfiles(app.NewBandwidthUtility)
+
+func newCatalogProfiles[U any](build func(*app.Model, *cache.MissCurve) (U, error)) catalogProfiles[U] {
+	c := catalogProfiles[U]{}
+	for _, spec := range app.Catalog() {
+		c[spec.Fingerprint()] = sync.OnceValues(func() (profiled[U], error) { return profileSpec(spec, build) })
+	}
+	return c
+}
+
+func profileSpec[U any](spec app.Spec, build func(*app.Model, *cache.MissCurve) (U, error)) (p profiled[U], err error) {
+	p.model = app.NewModel(spec)
+	curve, err := p.model.AnalyticMissCurve()
+	if err == nil {
+		p.utility, err = build(p.model, curve)
+	}
+	return p, err
 }
 
 // profile returns the model and a private utility for one core running spec.
-func (p profiler[U]) profile(spec app.Spec) (m *app.Model, u U, err error) {
+func (p profiler[U]) profile(spec app.Spec) (*app.Model, U, error) {
 	fp := spec.Fingerprint()
 	if first, ok := p.seen[fp]; ok {
 		return first.model, first.utility.Twin(), nil
 	}
-	m = app.NewModel(spec)
-	curve, err := m.AnalyticMissCurve()
+	build, shared := p.catalog[fp]
+	if !shared {
+		build = func() (profiled[U], error) { return profileSpec(spec, p.build) }
+	}
+	first, err := build()
 	if err != nil {
-		return nil, u, err
+		return nil, first.utility, err
 	}
-	if u, err = p.build(m, curve); err != nil {
-		return nil, u, err
+	p.seen[fp] = first
+	if shared {
+		return first.model, first.utility.Twin(), nil
 	}
-	p.seen[fp] = profiled[U]{model: m, utility: u}
-	return m, u, nil
+	return first.model, first.utility, nil
 }
 
 // NewSetup profiles every distinct bundle member analytically (phase-1
@@ -188,7 +220,7 @@ func NewSetup(b Bundle) (*Setup, error) {
 	}
 	s := &Setup{Bundle: b}
 	totalFloorW := 0.0
-	prof := newProfiler(app.NewUtility)
+	prof := newProfiler(app.NewUtility, utilityCatalog)
 	for i, spec := range b.Apps {
 		m, u, err := prof.profile(spec)
 		if err != nil {
@@ -227,7 +259,7 @@ func NewSetupWithBandwidth(b Bundle) (*Setup, error) {
 	}
 	s := &Setup{Bundle: b}
 	totalFloorW := 0.0
-	prof := newProfiler(app.NewBandwidthUtility)
+	prof := newProfiler(app.NewBandwidthUtility, bandwidthCatalog)
 	for i, spec := range b.Apps {
 		m, u, err := prof.profile(spec)
 		if err != nil {

@@ -25,7 +25,7 @@ for suffix in b c d e f g h; do
     [ -e "$OUT" ] || break
     OUT="$STEM$suffix.json"
 done
-KEY='^(BenchmarkMarketEquilibrium8|BenchmarkMarketEquilibrium64|BenchmarkMarketEquilibrium64Distinct|BenchmarkReBudget64|BenchmarkNewSetup64|BenchmarkEnvyFreeness64|BenchmarkUtilityValueMiss|BenchmarkCacheAccess|BenchmarkCacheVictim|BenchmarkTraceGenerateAged|BenchmarkChipEpoch8|BenchmarkServeEpoch|BenchmarkRouterRelay64|BenchmarkClientDecode64|BenchmarkTenantRebalance|BenchmarkTenantFrontier)$'
+KEY='^(BenchmarkMarketEquilibrium8|BenchmarkMarketEquilibrium64|BenchmarkMarketEquilibrium64Distinct|BenchmarkReBudget64|BenchmarkNewSetup64|BenchmarkNewSetup64Custom|BenchmarkSweepOp64|BenchmarkEnvyFreeness64|BenchmarkUtilityValueMiss|BenchmarkCacheAccess|BenchmarkCacheVictim|BenchmarkTraceGenerateAged|BenchmarkChipEpoch8|BenchmarkServeEpoch|BenchmarkRouterRelay64|BenchmarkClientDecode64|BenchmarkTenantRebalance|BenchmarkTenantFrontier)$'
 SLOWKEY='^(BenchmarkFig5Simulation|BenchmarkChipEpoch64|BenchmarkSweepSerial|BenchmarkSweepParallel)$'
 PWRKEY='^BenchmarkFreqAtPower$'
 SRVKEY='^(BenchmarkStoreParallelGet|BenchmarkStoreParallelAdd|BenchmarkMetricsRender50k)$'
