@@ -16,19 +16,18 @@ import (
 func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
 // densityScenario: one shard tuned for density (2s hibernation deadline, API
-// key armed), flooded with DENSITY_RESIDENT sessions through the loadgen's
-// density mode, must show a bounded, failure-free create flood, zero tick
-// errors, a sub-250ms full-population /metrics scrape carrying no
+// key armed, capacity exactly DENSITY_RESIDENT), flooded with
+// DENSITY_RESIDENT sessions through the loadgen's density mode, must show a
+// bounded, failure-free create flood, zero tick errors, every session still
+// resident, a sub-250ms full-population /metrics scrape carrying no
 // per-session-id series, the hibernation sweep parking >= 95% of the idle
 // population, and wake-on-touch through auth.
 func densityScenario(h *e2e.Harness) {
 	const key = "density-smoke-key"
 	resident := env(h, "DENSITY_RESIDENT", 10000, strconv.Atoi)
 	createBound := env(h, "DENSITY_CREATE_BOUND_S", 120, parseFloat)
-	// Capacity is per-segment under striping, so give the store headroom
-	// over the resident target (see internal/server/store.go).
 	d := h.Boot(e2e.Tier{Shards: 1, ShardFlags: []string{
-		"-max-sessions", strconv.Itoa(resident + resident/4),
+		"-max-sessions", strconv.Itoa(resident),
 		"-idle-ttl", "0", "-park-after", "2s", "-api-key", key}}).Shards[0]
 	h.Logf("daemon up at %s, creating %d residents", d.Addr, resident)
 
@@ -36,7 +35,9 @@ func densityScenario(h *e2e.Harness) {
 	cfg.APIKey, cfg.Resident, cfg.WorkingSet, cfg.Rate = key, resident, 256, 200
 	cfg.Duration, cfg.KeepSessions = 5*time.Second, true
 	rep := runLoad(h, cfg)
-	h.Logf("create_sec=%g errors=%d scrape_ms=%g", rep.CreateSec, rep.Errors, rep.ScrapeMs)
+	tick := rep.Classes["resident"]
+	h.Logf("create_sec=%g errors=%d scrape_ms=%g tick_p50_ms=%g tick_p99_ms=%g",
+		rep.CreateSec, rep.Errors, rep.ScrapeMs, tick.P50Ms, tick.P99Ms)
 	if !(rep.CreateSec > 0 && rep.CreateSec < createBound) || rep.Errors != 0 || !(rep.ScrapeMs > 0 && rep.ScrapeMs < 250) {
 		h.Fatalf("want create_sec in (0, %g), zero tick errors, scrape_ms in (0, 250)", createBound)
 	}
@@ -52,6 +53,9 @@ func densityScenario(h *e2e.Harness) {
 			}
 		}
 	}
+
+	// Capacity is exact: a store sized to DENSITY_RESIDENT evicted nobody.
+	h.Must(samples.Verify(e2e.AtLeast("rebudgetd_sessions_live", float64(resident))))
 
 	// Let the population go idle past -park-after (2s) plus a janitor period
 	// (1s); then the parked gauge must cover nearly everyone.
@@ -76,8 +80,7 @@ func densityScenario(h *e2e.Harness) {
 func densityABScenario(h *e2e.Harness) {
 	const key, shards = "density-ab-key", 4
 	resident := env(h, "DENSITY_RESIDENT", 100000, strconv.Atoi)
-	// Per-shard capacity: an even split plus headroom for ring imbalance and
-	// the store's per-segment eviction (see internal/server/store.go).
+	// Per-shard capacity: an even split plus headroom for ring imbalance.
 	f := h.Boot(e2e.Tier{
 		Shards: shards,
 		ShardFlags: []string{"-max-sessions", strconv.Itoa(resident/shards + resident/shards/2),

@@ -93,8 +93,9 @@ func TestParkUnparkBitIdentity(t *testing.T) {
 
 // TestParkSweepPolicy: the sweep parks sessions idle past ParkAfter, skips
 // ticker sessions (self-driving, never idle by design), skips fresh ones,
-// and the parked population is visible on /metrics. Deleting a parked
-// session must release it cleanly.
+// and the parked population is visible on /metrics. The ticker session
+// steps epochs with no client request at all. Deleting a parked session
+// must release it cleanly.
 func TestParkSweepPolicy(t *testing.T) {
 	srv, ts := newTestDaemon(t, Config{ParkAfter: time.Minute})
 	if resp := doJSON(t, "POST", ts.URL+"/v1/sessions", fig3Spec("idle", "equalshare"), nil); resp.StatusCode != http.StatusCreated {
@@ -121,6 +122,13 @@ func TestParkSweepPolicy(t *testing.T) {
 	}
 	if !srv.store.get("idle").isParked() {
 		t.Fatal("idle session was not parked")
+	}
+	// Nothing has POSTed an epoch: every epoch ticky has is its ticker's.
+	for deadline := time.Now().Add(2 * time.Second); srv.store.get("ticky").Epochs() < 3; {
+		if time.Now().After(deadline) {
+			t.Fatalf("ticker session at %d epochs after 2s, want >= 3", srv.store.get("ticky").Epochs())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 
 	var metrics string
@@ -158,10 +166,7 @@ func Test10kParkedSessionsGoroutineBound(t *testing.T) {
 		total = 10000
 		wave  = 2500
 	)
-	// Capacity is enforced per segment under striping, so an exactly-sized
-	// store capacity-evicts on hash imbalance; provision ~25% headroom like
-	// a real deployment would.
-	srv, ts := newTestDaemon(t, Config{MaxSessions: total + total/4, ParkAfter: time.Minute})
+	srv, ts := newTestDaemon(t, Config{MaxSessions: total, ParkAfter: time.Minute})
 	before := runtime.NumGoroutine()
 
 	errs := make(chan error, total)

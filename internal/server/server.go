@@ -144,7 +144,6 @@ type Server struct {
 	disp  *dispatcher
 	gov   *tenantGovernor // nil unless Config.Tenancy is set
 	met   *srvMetrics
-	wheel *timerWheel
 	mux   *http.ServeMux
 
 	started  time.Time
@@ -162,10 +161,9 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:         cfg,
 		log:         cfg.Logger,
-		store:       newStore(cfg.MaxSessions, cfg.IdleTTL, 0),
+		store:       newStore(cfg.MaxSessions, cfg.IdleTTL),
 		disp:        newDispatcher(cfg.CostCapacity, cfg.MaxWaiting, cfg.MaxQueuedCost),
 		met:         &srvMetrics{},
-		wheel:       newTimerWheel(wheelGranularity),
 		mux:         http.NewServeMux(),
 		started:     time.Now(),
 		janitorStop: make(chan struct{}),
@@ -264,7 +262,6 @@ func (s *Server) Close() {
 	for _, sess := range s.store.drain() {
 		s.retire(sess, "drain")
 	}
-	s.wheel.close()
 }
 
 // retire closes an evicted session and, when a snapshot store is
@@ -448,7 +445,7 @@ func (s *Server) install(ctx context.Context, id string, spec SessionSpec, snap 
 		return nil, err
 	}
 	sess := newSession(id, spec, eng, est,
-		s.disp, s.met, s.wheel, s.cfg.MailboxDepth,
+		s.disp, s.met, s.cfg.MailboxDepth,
 		s.cfg.SessionRPS, s.cfg.SessionBurst, epochs, time.Now())
 	evicted, err := s.store.add(sess)
 	if err != nil {

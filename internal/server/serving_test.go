@@ -311,7 +311,7 @@ func TestConcurrentCreateTickEvict(t *testing.T) {
 					Workload:     server.WorkloadSpec{Fig3: true},
 					Mechanism:    "equalbudget",
 					Resilient:    boolPtr(false),
-					TickerMillis: 5,
+					TickerMillis: 20,
 				}
 				if err := withBusyRetry(func() error {
 					_, err := c.CreateSession(ctx, spec)
@@ -345,10 +345,9 @@ func TestConcurrentCreateTickEvict(t *testing.T) {
 }
 
 // TestDensityOffConfigBitIdentical pins the daemon to the offline core
-// loop: the default configuration (striped store, timer wheel, hibernation
-// armed) emits exactly the offline allocator outputs, and so does one with
-// hibernation switched off — the density machinery changes scheduling,
-// never arithmetic.
+// loop: the default configuration (hibernation armed) emits exactly the
+// offline allocator outputs, and so does one with hibernation switched
+// off — the density machinery changes scheduling, never arithmetic.
 func TestDensityOffConfigBitIdentical(t *testing.T) {
 	const epochs = 4
 	configs := []struct {

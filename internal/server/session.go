@@ -38,9 +38,6 @@ const (
 	reqEpoch = iota
 	reqTelemetry
 	reqResult
-	// reqTick is a timer-wheel nudge: run one ticker epoch. It carries no
-	// reply channel — the wheel never waits.
-	reqTick
 )
 
 type request struct {
@@ -49,10 +46,6 @@ type request struct {
 	tele   TelemetrySpec // reqTelemetry payload
 	reply  chan response // buffered(1); the loop never blocks replying
 }
-
-// wheelTick is the shared timer-wheel nudge: immutable, reply-less, safe to
-// enqueue into any number of mailboxes at once.
-var wheelTick = &request{kind: reqTick}
 
 type response struct {
 	view   SessionView
@@ -104,9 +97,8 @@ type session struct {
 	// cost is the session's EWMA admission-cost estimate.
 	cost *costEstimator
 
-	// wheel drives ticker epochs for this session when tick > 0.
-	wheel *timerWheel
-	tick  time.Duration
+	// tick > 0 makes the loop step one epoch per period on its own ticker.
+	tick time.Duration
 
 	reqs chan *request
 
@@ -134,10 +126,10 @@ type session struct {
 }
 
 // newSession wraps an engine and starts its loop. A spec with a ticker
-// period additionally drives epochs from the shared timer wheel. rps > 0
-// arms the per-session token bucket (burst tokens available immediately).
+// period additionally has the loop step one epoch per period. rps > 0 arms
+// the per-session token bucket (burst tokens available immediately).
 func newSession(id string, spec SessionSpec, eng engine, est *costEstimator,
-	disp *dispatcher, met *srvMetrics, wheel *timerWheel,
+	disp *dispatcher, met *srvMetrics,
 	mailbox int, rps, burst float64, epochs int64, now time.Time) *session {
 	s := &session{
 		id:        id,
@@ -150,7 +142,6 @@ func newSession(id string, spec SessionSpec, eng engine, est *costEstimator,
 		disp:      disp,
 		met:       met,
 		cost:      est,
-		wheel:     wheel,
 		tick:      time.Duration(spec.TickerMillis) * time.Millisecond,
 		reqs:      make(chan *request, mailbox),
 		stop:      make(chan struct{}),
@@ -164,9 +155,6 @@ func newSession(id string, spec SessionSpec, eng engine, est *costEstimator,
 		tokenStamp:   now,
 	}
 	s.refresh("")
-	if s.tick > 0 {
-		s.wheel.schedule(s, s.tick)
-	}
 	go s.loop(s.stop, s.done)
 	return s
 }
@@ -248,12 +236,21 @@ func (s *session) snapshotLocked(now time.Time) *SessionSnapshot {
 	return snap
 }
 
-// loop is the session goroutine: it serves mailbox requests (ticker epochs
-// arrive there too, as wheel nudges) and on stop drains queued requests with
-// errSessionClosed. The stop/done channels are passed in because they are
-// per-run: a parked session's next run gets fresh ones.
+// loop is the session goroutine: it serves mailbox requests, runs a ticker
+// epoch each period when the session has one, and on stop drains queued
+// requests with errSessionClosed. The ticker is the loop's own and stops
+// with it; a tick that comes due while the loop is busy is coalesced by the
+// runtime, never queued behind client requests. The stop/done channels are
+// passed in because they are per-run: a parked session's next run gets
+// fresh ones.
 func (s *session) loop(stop, done chan struct{}) {
 	defer close(done)
+	var tickC <-chan time.Time // stays nil (never ready) without a ticker
+	if s.tick > 0 {
+		t := time.NewTicker(s.tick)
+		defer t.Stop()
+		tickC = t.C
+	}
 	for {
 		select {
 		case <-stop:
@@ -269,6 +266,8 @@ func (s *session) loop(stop, done chan struct{}) {
 			}
 		case req := <-s.reqs:
 			s.handle(req)
+		case <-tickC:
+			s.tickEpoch()
 		}
 	}
 }
@@ -286,23 +285,8 @@ func (s *session) tickEpoch() {
 	s.runEpochs(1)
 }
 
-// deliverTick is the timer wheel's fire path: a non-blocking nudge into the
-// mailbox. A full mailbox drops the tick (counted), like a busy dispatcher
-// does in tickEpoch; a stopped session ignores it.
-func (s *session) deliverTick() {
-	select {
-	case s.reqs <- wheelTick:
-	default:
-		s.met.tickerDropped.Add(1)
-	}
-}
-
 // handle serves one mailbox request on the loop goroutine.
 func (s *session) handle(req *request) {
-	if req.kind == reqTick {
-		s.tickEpoch()
-		return
-	}
 	var resp response
 	switch req.kind {
 	case reqEpoch:
@@ -445,7 +429,6 @@ func (s *session) park(now time.Time, minIdle time.Duration) bool {
 	if minIdle > 0 && now.Sub(s.LastUsed()) < minIdle {
 		return false
 	}
-	s.wheel.remove(s)
 	close(s.stop)
 	<-s.done
 	s.hib = s.snapshotLocked(now)
@@ -468,9 +451,6 @@ func (s *session) resume(eng engine) {
 	// Re-render the cached view before the loop starts — the engine is
 	// still single-owner here.
 	s.refresh("")
-	if s.tick > 0 {
-		s.wheel.schedule(s, s.tick)
-	}
 	go s.loop(s.stop, s.done)
 }
 
@@ -478,7 +458,6 @@ func (s *session) resume(eng engine) {
 // repeatedly and from any goroutine; closing a parked session just marks it
 // terminal — there is no loop to stop.
 func (s *session) close() {
-	s.wheel.remove(s)
 	s.lifeMu.Lock()
 	defer s.lifeMu.Unlock()
 	if s.state == stateRunning {

@@ -6,14 +6,13 @@ import (
 	"time"
 )
 
-// Contention A/B for the session store: segments=1 reproduces the old
-// global-mutex LRU, higher counts are the striped layout. The acceptance
-// bar for this package is BenchmarkStoreParallelGet/segments=16 at >= 4x
-// the segments=1 throughput with GOMAXPROCS >= 4.
+// Contention benchmarks for the session store: the lookup every request
+// takes, and the add/remove pair every create and eviction takes, from
+// GOMAXPROCS goroutines at once.
 
-func benchStore(b *testing.B, segments, resident int) (*store, []string) {
+func benchStore(b *testing.B, resident int) (*store, []string) {
 	b.Helper()
-	st := newStore(resident*2, time.Hour, segments)
+	st := newStore(resident*2, time.Hour)
 	now := time.Now()
 	ids := make([]string, resident)
 	for i := range ids {
@@ -26,42 +25,34 @@ func benchStore(b *testing.B, segments, resident int) (*store, []string) {
 }
 
 func BenchmarkStoreParallelGet(b *testing.B) {
-	for _, segs := range []int{1, 16} {
-		b.Run(fmt.Sprintf("segments=%d", segs), func(b *testing.B) {
-			st, ids := benchStore(b, segs, 8192)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					if st.get(ids[i&(len(ids)-1)]) == nil {
-						b.Fatal("session vanished")
-					}
-					i++
-				}
-			})
-		})
-	}
+	st, ids := benchStore(b, 8192)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			if st.get(ids[i&(len(ids)-1)]) == nil {
+				b.Fatal("session vanished")
+			}
+			i++
+		}
+	})
 }
 
 func BenchmarkStoreParallelAdd(b *testing.B) {
-	for _, segs := range []int{1, 16} {
-		b.Run(fmt.Sprintf("segments=%d", segs), func(b *testing.B) {
-			st := newStore(1<<20, time.Hour, segs)
-			now := time.Now()
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					id := fmt.Sprintf("churn-%p-%d", &i, i&1023)
-					if _, err := st.add(bareSession(id, now)); err != nil {
-						b.Fatal(err)
-					}
-					st.remove(id)
-					i++
-				}
-			})
-		})
-	}
+	st := newStore(1<<20, time.Hour)
+	now := time.Now()
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			id := fmt.Sprintf("churn-%p-%d", &i, i&1023)
+			if _, err := st.add(bareSession(id, now)); err != nil {
+				b.Fatal(err)
+			}
+			st.remove(id)
+			i++
+		}
+	})
 }

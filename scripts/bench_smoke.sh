@@ -12,7 +12,7 @@
 # decayed into two-entry chunks, which only an aged run shows) and
 # BenchmarkCacheVictim (the victim scan); and the serving side:
 # BenchmarkServeEpoch (an in-process epoch), BenchmarkTenantRebalance,
-# BenchmarkStoreParallelGet/segments=16 (the striped session store) and
+# BenchmarkStoreParallelGet (the session-store lookup every request takes) and
 # BenchmarkMetricsRender50k/default (the scrape) —
 # and compares each against the most recent recorded snapshot: the newest
 # BENCH_*.json written by scripts/bench_record.sh, falling back to
@@ -33,7 +33,7 @@
 set -u
 
 cd "$(dirname "$0")/.."
-NAMES='BenchmarkMarketEquilibrium64 BenchmarkMarketEquilibrium64Distinct BenchmarkNewSetup64 BenchmarkEnvyFreeness64 BenchmarkFig5Simulation BenchmarkChipEpoch8 BenchmarkChipEpoch64 BenchmarkTraceGenerateAged BenchmarkCacheVictim BenchmarkServeEpoch BenchmarkTenantRebalance BenchmarkStoreParallelGet/segments=16 BenchmarkMetricsRender50k/default'
+NAMES='BenchmarkMarketEquilibrium64 BenchmarkMarketEquilibrium64Distinct BenchmarkNewSetup64 BenchmarkEnvyFreeness64 BenchmarkFig5Simulation BenchmarkChipEpoch8 BenchmarkChipEpoch64 BenchmarkTraceGenerateAged BenchmarkCacheVictim BenchmarkServeEpoch BenchmarkTenantRebalance BenchmarkStoreParallelGet BenchmarkMetricsRender50k/default'
 # Sub-millisecond kernels, the server group included, run for a duration (5
 # iterations of a 0.5 ms equilibrium is a 2.5 ms sample, of a 9 µs store
 # lookup a cold start); the ≥ 100 ms benches stay at 5 iterations.
