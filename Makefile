@@ -6,7 +6,8 @@
 # goroutines, and the serving layer multiplexes sessions across them).
 # bench-check vets and short-tests the separately-moduled benchmark under
 # bench/, which the root build does not compile; it runs before race so an
-# exported name the frozen bench/ needs fails in seconds. ci ends with the
+# exported name the frozen bench/ needs fails in seconds. fuzz-smoke runs
+# every fuzzer for a few seconds after race. ci ends with the
 # end-to-end smokes — each one scenario of cmd/rebudget-smoke, which builds
 # the daemons once into .bench/bin and boots real processes; each described
 # at its target below —
@@ -18,9 +19,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt build vet test race bench-check bench bench-all bench-smoke serve-smoke router-smoke chaos-smoke load-smoke tenant-smoke churn-smoke density-smoke density-ab profile-sim
+.PHONY: ci fmt build vet test race fuzz-smoke bench-check bench bench-all bench-smoke serve-smoke router-smoke chaos-smoke load-smoke tenant-smoke churn-smoke density-smoke density-ab profile-sim
 
-ci: fmt build vet bench-check race serve-smoke router-smoke chaos-smoke load-smoke tenant-smoke churn-smoke density-smoke bench-smoke
+ci: fmt build vet bench-check race fuzz-smoke serve-smoke router-smoke chaos-smoke load-smoke tenant-smoke churn-smoke density-smoke bench-smoke
 
 # Fails listing every file gofmt would rewrite.
 fmt:
@@ -37,6 +38,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Each fuzzer for a few seconds beyond its seed corpus: the snapshot decoder
+# against arbitrary bytes, and the utility's integer-region hull index
+# against PWL.Eval, bit for bit.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotLoad$$' -fuzztime 5s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzHullIndex$$' -fuzztime 5s ./internal/app
 
 # bench/ is its own module: root `go build ./...` does not compile it, so a
 # Config field or exported name it uses could be removed here and surface

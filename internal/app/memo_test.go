@@ -2,10 +2,10 @@ package app
 
 import "testing"
 
-// TestUtilityMemoTransparent checks that the per-instance memo layers
-// (segment-cached hull evaluators, last-watts frequency cache) are
-// semantically invisible: a utility that has evaluated an arbitrary probe
-// history returns bit-identical values to a freshly built one.
+// TestUtilityMemoTransparent checks that the per-instance memo (the
+// last-watts frequency cache) is semantically invisible: a utility that has
+// evaluated an arbitrary probe history returns bit-identical values to a
+// freshly built one.
 func TestUtilityMemoTransparent(t *testing.T) {
 	spec, err := Lookup("mcf")
 	if err != nil {
@@ -21,7 +21,7 @@ func TestUtilityMemoTransparent(t *testing.T) {
 		t.Fatal(err)
 	}
 	probes := [][]float64{
-		{5.5, 7.25}, {5.5, 7.25}, // repeat: memo hit on both layers
+		{5.5, 7.25}, {5.5, 7.25}, // repeat: memo hit
 		{5.5, 9.0}, // same regions, new watts
 		{0, 0}, {15.9, 20}, {1.2, 3.3}, {1.25, 3.3}, {1.3, 3.31},
 		{8, 0.5}, {8, 0.5}, {2.75, 12},
@@ -94,8 +94,9 @@ func TestTwinSharesProfileNotMemo(t *testing.T) {
 	if tw == u || tw.prof != u.prof {
 		t.Fatalf("twin must be a new instance over the same profile")
 	}
-	if &tw.hullEvals[0] == &u.hullEvals[0] {
-		t.Fatal("twin shares the hull evaluators' memo state")
+	u.Value([]float64{5.5, 7.25})
+	if !u.freq.ok || tw.freq.ok {
+		t.Fatal("twin shares the frequency memo")
 	}
 	uk, us := u.Identity()
 	tk, ts := tw.Identity()

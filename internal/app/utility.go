@@ -2,6 +2,7 @@ package app
 
 import (
 	"fmt"
+	"math"
 
 	"rebudget/internal/cache"
 	"rebudget/internal/numeric"
@@ -21,37 +22,39 @@ import (
 // the concave inverse of the power model, preserving concavity in watts.
 //
 // A Utility is two things. Everything fixed at construction — the model,
-// the monotone curve, the DVFS ladder, the per-level hulls, the power
-// inverter and the normalisation constants — is an immutable profile, built
-// once and shared by every Twin. The memo state over its hottest
-// sub-computations (the watts→frequency inversion and the per-level hull
-// interpolation) is private to the instance, so Value is NOT safe for
-// concurrent calls on the same instance but is across twins. The market
-// engine guarantees each player's utility is evaluated by at most one
-// goroutine at a time (see DESIGN.md, "Performance & concurrency"); callers
-// sharing one Utility across goroutines must add their own synchronisation.
+// the monotone curve, the DVFS ladder, the per-level hulls and their
+// integer-region index, the power inverter and the normalisation constants —
+// is an immutable profile, built once and shared by every Twin. The only
+// mutable state is a single-entry watts→frequency memo private to the
+// instance, so Value is NOT safe for concurrent calls on the same instance
+// but is across twins. The market engine guarantees each player's utility
+// is evaluated by at most one goroutine at a time (see DESIGN.md,
+// "Performance & concurrency"); callers sharing one Utility across
+// goroutines must add their own synchronisation.
 type Utility struct {
 	prof *utilityProfile
 
 	// Hot-path memo state. The market's finite-difference probes move one
-	// allocation coordinate at a time, so between consecutive evaluations
-	// either the watts (and thus the inverted frequency) or the regions
-	// (and thus the hull lookup x) are unchanged. The frequency memo skips
-	// a ~30 ns constant-time solve, not a search, and at two resources
-	// only one of a hill-climb step's three evaluations hits it.
-	hullEvals []numeric.PWLEval // per ladder level, memoized
-	freq      freqMemo
+	// allocation coordinate at a time, so a cache probe keeps the watts
+	// (and thus the inverted frequency) of the evaluation before it. The
+	// memo skips a ~30 ns constant-time solve, not a search, and at two
+	// resources only one of a hill-climb step's three evaluations hits it.
+	freq freqMemo
 }
 
 // utilityProfile is the part of a Utility that never changes after
-// newUtility returns. The nine hulls' knots live in one backing array and
-// the functions in one slice: a profile is a handful of allocations however
-// many ladder levels it has.
+// newUtility returns. The nine hulls' knots live in one backing array,
+// level after level, and seg indexes them by integer region: every knot
+// sits on an integer region, so the segment PWL.Eval would search for at x
+// is fixed for every x in (c−1, c]. A profile is a handful of allocations
+// however many ladder levels it has.
 type utilityProfile struct {
 	model  *Model
 	curve  *cache.MissCurve
-	freqs  []float64     // DVFS ladder
-	hulls  []numeric.PWL // per ladder level: convexified utility vs regions
+	freqs  []float64       // DVFS ladder
+	knots  []numeric.Point // every ladder level's convexified utility vs regions
+	seg    []uint16        // [level*stride + c]: smallest knots index of the level with X ≥ c
+	stride int             // maxR+1 entries per level, c = 0..maxR
 	inv    power.FreqInverter
 	floorW float64
 	alone  float64 // stand-alone perf (IPS)
@@ -110,10 +113,14 @@ func newUtility(m *Model, curve *cache.MissCurve, convexify bool) (*Utility, err
 		return nil, fmt.Errorf("app %s: non-positive stand-alone performance", m.Spec.Name)
 	}
 	maxR := mono.MaxRegions()
-	p.hulls = make([]numeric.PWL, len(p.freqs))
+	if len(p.freqs)*maxR > math.MaxUint16 {
+		return nil, fmt.Errorf("app %s: %d regions overflow the hull index", m.Spec.Name, maxR)
+	}
 	knots := make([]numeric.Point, 0, len(p.freqs)*maxR)
+	p.stride = maxR + 1
+	p.seg = make([]uint16, 0, len(p.freqs)*p.stride)
 	pts := make([]numeric.Point, maxR)
-	for k, f := range p.freqs {
+	for _, f := range p.freqs {
 		for c := 1; c <= maxR; c++ {
 			perf := m.PerfIPS(mono.At(float64(c)), f)
 			pts[c-1] = numeric.Point{X: float64(c), Y: perf / p.alone}
@@ -124,30 +131,28 @@ func newUtility(m *Model, curve *cache.MissCurve, convexify bool) (*Utility, err
 		} else {
 			knots = append(knots, pts...)
 		}
-		hull, err := numeric.PWLOver(knots[from:len(knots):len(knots)])
-		if err != nil {
+		if _, err := numeric.PWLOver(knots[from:]); err != nil {
 			return nil, fmt.Errorf("app %s: curve at %g GHz: %w", m.Spec.Name, f, err)
 		}
-		p.hulls[k] = hull
+		// The level's knots run from X = 1 to X = maxR, so the scan never
+		// leaves them.
+		for c, i := 0, from; c <= maxR; c++ {
+			for knots[i].X < float64(c) {
+				i++
+			}
+			p.seg = append(p.seg, uint16(i))
+		}
 	}
-	return p.cursor(), nil
-}
-
-// cursor returns a Utility over the profile with fresh memo state.
-func (p *utilityProfile) cursor() *Utility {
-	u := &Utility{prof: p, hullEvals: make([]numeric.PWLEval, len(p.hulls))}
-	for k := range p.hulls {
-		u.hullEvals[k] = p.hulls[k].Evaluator()
-	}
-	return u
+	p.knots = knots
+	return &Utility{prof: p}, nil
 }
 
 // Twin returns a utility computing the same function over the same shared
-// profile with memo state of its own, so it and the receiver may be
+// profile with a frequency memo of its own, so it and the receiver may be
 // evaluated concurrently. Profiling an application once and handing every
 // further core running it a twin is how workload.NewSetup avoids
 // re-deriving identical hulls.
-func (u *Utility) Twin() *Utility { return u.prof.cursor() }
+func (u *Utility) Twin() *Utility { return &Utility{prof: u.prof} }
 
 // Identity names the function this utility computes (see
 // market.Identified): twins share a profile and therefore a key, and no
@@ -170,20 +175,46 @@ func (u *Utility) Value(alloc []float64) float64 {
 
 // valueAt interpolates the hull stack at a continuous (regions, frequency).
 func (u *Utility) valueAt(regions, fGHz float64) float64 {
-	fs := u.prof.freqs
+	p := u.prof
+	fs := p.freqs
 	if fGHz <= fs[0] {
-		return u.hullEvals[0].Eval(regions)
+		return p.hullAt(0, regions)
 	}
 	last := len(fs) - 1
 	if fGHz >= fs[last] {
-		return u.hullEvals[last].Eval(regions)
+		return p.hullAt(last, regions)
 	}
 	k := 0
 	for k < last-1 && fs[k+1] < fGHz {
 		k++
 	}
 	w := (fGHz - fs[k]) / (fs[k+1] - fs[k])
-	return (1-w)*u.hullEvals[k].Eval(regions) + w*u.hullEvals[k+1].Eval(regions)
+	return (1-w)*p.hullAt(k, regions) + w*p.hullAt(k+1, regions)
+}
+
+// hullAt evaluates ladder level k's hull at x bit for bit as PWL.Eval over
+// its knots would: clamped to the end knots, which sit at X = 1 and
+// X = maxR on every level, NaN for NaN, and otherwise the same
+// interpolation on the segment seg names for ⌈x⌉.
+func (p *utilityProfile) hullAt(k int, x float64) float64 {
+	row := p.seg[k*p.stride : (k+1)*p.stride]
+	maxR := len(row) - 1
+	switch {
+	case x <= 1:
+		return p.knots[row[0]].Y
+	case x >= float64(maxR):
+		return p.knots[row[maxR]].Y
+	case math.IsNaN(x):
+		return x
+	}
+	c := int(x) // 1 < x < maxR: truncation is ⌊x⌋, and ⌈x⌉ is one more off an integer
+	if float64(c) < x {
+		c++
+	}
+	i := row[c]
+	a, b := p.knots[i-1], p.knots[i]
+	t := (x - a.X) / (b.X - a.X)
+	return a.Y + t*(b.Y-a.Y)
 }
 
 // MaxUsefulAlloc returns the allocation beyond which this application gains
@@ -216,7 +247,7 @@ func (u *Utility) CacheUtilityCurve() (raw, hull []numeric.Point) {
 	for c := 1; c <= maxR; c++ {
 		perf := p.model.PerfIPS(p.curve.At(float64(c)), p.freqs[top])
 		raw = append(raw, numeric.Point{X: float64(c), Y: perf / p.alone})
-		hull = append(hull, numeric.Point{X: float64(c), Y: p.hulls[top].Eval(float64(c))})
+		hull = append(hull, numeric.Point{X: float64(c), Y: p.hullAt(top, float64(c))})
 	}
 	return raw, hull
 }

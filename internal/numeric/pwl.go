@@ -93,14 +93,16 @@ func (p *PWL) Knots() []Point {
 	return out
 }
 
-// Eval returns f(x), clamping x to the knot range.
+// Eval returns f(x), clamping x to the knot range. Eval(NaN) is NaN.
 func (p *PWL) Eval(x float64) float64 {
 	ks := p.knots
-	if x <= ks[0].X {
+	switch {
+	case x <= ks[0].X:
 		return ks[0].Y
-	}
-	if x >= ks[len(ks)-1].X {
+	case x >= ks[len(ks)-1].X:
 		return ks[len(ks)-1].Y
+	case math.IsNaN(x):
+		return x
 	}
 	// Binary search for the segment containing x.
 	i := sort.Search(len(ks), func(i int) bool { return ks[i].X >= x })

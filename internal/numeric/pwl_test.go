@@ -52,6 +52,23 @@ func TestPWLEvalInterpolatesAndClamps(t *testing.T) {
 	}
 }
 
+// TestPWLEvalNaN: NaN is neither left nor right of the knots, so it must
+// not reach the segment search (which would index one past the last knot).
+func TestPWLEvalNaN(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		knots []Point
+	}{
+		{"one knot", []Point{{3, 7}}},
+		{"two knots", []Point{{1, 2}, {3, 6}}},
+		{"three knots", []Point{{0, 0}, {2, 4}, {4, 4}}},
+	} {
+		if got := MustPWL(c.knots).Eval(math.NaN()); !math.IsNaN(got) {
+			t.Errorf("%s: Eval(NaN) = %g, want NaN", c.name, got)
+		}
+	}
+}
+
 func TestPWLSingleKnot(t *testing.T) {
 	p := MustPWL([]Point{{3, 7}})
 	for _, x := range []float64{-10, 3, 10} {

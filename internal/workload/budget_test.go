@@ -40,10 +40,11 @@ func budgetBundle(t *testing.T) Bundle {
 
 // A warm 64-core setup profiles nothing: every catalog application's
 // profile comes from the process-wide table, and a setup pays for its
-// players, twins and slices: 68.5 kB. Profiling each distinct application
-// per call read 139.8 kB.
+// players, twins and slices: 14.4 kB. Profiling each distinct application
+// per call read 139.8 kB; twins that each carried nine memoizing hull
+// evaluators, in slices grown by append, read 68.5 kB.
 func TestNewSetupByteBudget(t *testing.T) {
-	const budget = 102_800
+	const budget = 21_600
 	b := budgetBundle(t)
 	per := bytesPerCall(50, func() {
 		if _, err := NewSetup(b); err != nil {

@@ -64,7 +64,13 @@ func NewSetupThreaded(tb ThreadedBundle) (*Setup, error) {
 		return nil, fmt.Errorf("workload: threaded bundle needs at least 2 applications")
 	}
 	cores := tb.Cores()
-	s := &Setup{Bundle: Bundle{Category: "threaded"}}
+	n := len(tb.Apps)
+	s := &Setup{
+		Bundle:    Bundle{Category: "threaded", Apps: make([]app.Spec, 0, n)},
+		Players:   make([]core.PlayerSpec, 0, n),
+		Models:    make([]*app.Model, 0, n),
+		Utilities: make([]*app.Utility, 0, n),
+	}
 	totalFloorW := 0.0
 	prof := newProfiler(app.NewUtility, utilityCatalog)
 	for i, ta := range tb.Apps {

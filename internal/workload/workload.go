@@ -218,7 +218,12 @@ func NewSetup(b Bundle) (*Setup, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("workload: empty bundle")
 	}
-	s := &Setup{Bundle: b}
+	s := &Setup{
+		Bundle:    b,
+		Players:   make([]core.PlayerSpec, 0, n),
+		Models:    make([]*app.Model, 0, n),
+		Utilities: make([]*app.Utility, 0, n),
+	}
 	totalFloorW := 0.0
 	prof := newProfiler(app.NewUtility, utilityCatalog)
 	for i, spec := range b.Apps {
@@ -257,7 +262,11 @@ func NewSetupWithBandwidth(b Bundle) (*Setup, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("workload: empty bundle")
 	}
-	s := &Setup{Bundle: b}
+	s := &Setup{
+		Bundle:  b,
+		Players: make([]core.PlayerSpec, 0, n),
+		Models:  make([]*app.Model, 0, n),
+	}
 	totalFloorW := 0.0
 	prof := newProfiler(app.NewBandwidthUtility, bandwidthCatalog)
 	for i, spec := range b.Apps {
