@@ -603,7 +603,6 @@ func BenchmarkThreeResourceEquilibrium(b *testing.B) {
 // kernel benchmarks.
 func BenchmarkServeEpoch(b *testing.B) {
 	srv := server.New(server.Config{
-		Workers: 4,
 		IdleTTL: -1,
 		Logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})

@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -58,8 +59,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.cfg.Breaker.FailureThreshold, "breaker-failures", 3, "consecutive shard failures that open its circuit breaker")
 	fs.DurationVar(&o.cfg.Breaker.OpenTimeout, "breaker-open-timeout", 5*time.Second, "how long an open breaker rejects before a half-open trial")
 	fs.IntVar(&o.cfg.RetryBudget, "retry-budget", 2, "failover retries allowed per request after the first attempt")
-	fs.Float64Var(&o.cfg.RetryRate, "retry-rate", 16, "router-wide retry tokens per second (bounds retry amplification)")
-	fs.Float64Var(&o.cfg.RetryBurst, "retry-burst", 0, "retry token bucket burst (default 2x -retry-rate)")
+	fs.Float64Var(&o.cfg.RetryRate, "retry-rate", 16, "router-wide retry tokens per second, bucket 2x as deep (bounds retry amplification)")
 	fs.StringVar(&o.cfg.BackendAPIKey, "backend-api-key", "", "bearer token for shards running with -api-key: sent on the router's own calls and injected on proxied requests that carry no Authorization")
 	fs.StringVar(&o.logFormat, "log", "text", "log format: text or json")
 
@@ -72,9 +72,22 @@ func registerFlags(fs *flag.FlagSet) *options {
 	return o
 }
 
+// validate rejects a -retry-rate a typo or a NaN could turn into a retry
+// bucket that never holds a token, naming the flag.
+func (o *options) validate() error {
+	if r := o.cfg.RetryRate; !(r >= 0) || math.IsInf(r, 1) {
+		return fmt.Errorf("bad -retry-rate %v: want a finite number >= 0", r)
+	}
+	return nil
+}
+
 func main() {
 	o := registerFlags(flag.CommandLine)
 	flag.Parse()
+	if err := o.validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "rebudget-router: %v\n", err)
+		os.Exit(2)
+	}
 
 	var handler slog.Handler
 	switch o.logFormat {

@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -46,10 +47,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.addr, "addr", ":8344", "listen address")
 	fs.IntVar(&o.cfg.MaxSessions, "max-sessions", 128, "resident session cap (LRU eviction beyond it)")
 	fs.DurationVar(&o.cfg.IdleTTL, "idle-ttl", 10*time.Minute, "evict sessions idle this long (0 disables)")
-	fs.IntVar(&o.cfg.Workers, "workers", 0, "allocation worker slots (0 = GOMAXPROCS)")
-	fs.IntVar(&o.cfg.MaxWaiting, "max-waiting", 0, "queued allocation requests before 429 (0 = default)")
-	fs.Float64Var(&o.cfg.CostCapacity, "cost-capacity", 0, "dispatcher budget in cost units (0 = 8x workers)")
-	fs.Float64Var(&o.cfg.MaxQueuedCost, "max-queued-cost", 0, "queued cost units before 429 (0 = 4x capacity)")
+	fs.Float64Var(&o.cfg.CostCapacity, "cost-capacity", 0, "dispatcher budget in cost units; the queue holds 4x it before 429 (0 = 8x GOMAXPROCS)")
 	fs.DurationVar(&o.cfg.RequestTimeout, "timeout", 10*time.Second, "per-request allocation deadline")
 	fs.DurationVar(&o.drainWait, "drain-wait", 10*time.Second, "graceful shutdown budget")
 	fs.StringVar(&o.snapshotDir, "snapshot-dir", "", "persist session snapshots here; evicted/drained sessions rehydrate on next touch (empty disables)")
@@ -58,20 +56,38 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.logFormat, "log", "text", "log format: text or json")
 
 	fs.DurationVar(&o.cfg.ParkAfter, "park-after", 0, "hibernate sessions idle this long: loop goroutine exits, engine is dropped, next touch rebuilds bit-identically (0 = 5m default, negative disables)")
-	fs.BoolVar(&o.cfg.PerSessionMetrics, "metrics-per-session", false, "export per-session-id debug series on /metrics (unbounded cardinality; default keeps the bounded histogram + top-K)")
 	fs.StringVar(&o.cfg.APIKey, "api-key", "", "require this bearer token on mutating endpoints; GET/HEAD, /healthz and /metrics stay open (empty disables)")
 
 	fs.StringVar(&o.tenants, "tenants", "", "arm the tenant budget economy: comma-separated path[:share[:weight[:floor]]] entries (e.g. acme/prod:3:2:0.5,free); empty with -tenant-epoch 0 disables tenancy")
 	fs.DurationVar(&o.tenancy.Epoch, "tenant-epoch", 0, "tenant rebalance period (0 = 250ms when tenancy is armed)")
-	fs.Float64Var(&o.tenancy.Capacity, "tenant-capacity", 0, "tenant-tree root budget in cost units (0 = the dispatcher cost capacity)")
 	fs.Float64Var(&o.tenancy.MBRFloor, "tenant-mbr", 0, "default per-tenant fairness floor in (0,1] (0 = 0.25)")
-	fs.StringVar(&o.tenancy.DefaultTenant, "tenant-default", "", "tenant label for unlabelled sessions (empty = \"default\")")
 	return o
+}
+
+// validate rejects the numeric flags a typo or a NaN could turn into a
+// daemon that boots but admits nothing. It names the offending flag.
+func (o *options) validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"cost-capacity", o.cfg.CostCapacity}, {"session-rps", o.cfg.SessionRPS}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("bad -%s %v: want a finite number >= 0", f.name, f.v)
+		}
+	}
+	if m := o.tenancy.MBRFloor; !(m >= 0 && m <= 1) {
+		return fmt.Errorf("bad -tenant-mbr %v: want (0,1]", m)
+	}
+	return nil
 }
 
 func main() {
 	o := registerFlags(flag.CommandLine)
 	flag.Parse()
+	if err := o.validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "rebudgetd: %v\n", err)
+		os.Exit(2)
+	}
 
 	var handler slog.Handler
 	switch o.logFormat {
@@ -113,14 +129,10 @@ func main() {
 
 	// Tenancy is armed by any -tenant* flag; with none set, admission keeps
 	// the flat dispatcher budget (the pre-tenancy contract, bit-identical).
-	if t := &o.tenancy; o.tenants != "" || t.Epoch > 0 || t.Capacity > 0 || t.MBRFloor > 0 || t.DefaultTenant != "" {
+	if t := &o.tenancy; o.tenants != "" || t.Epoch > 0 || t.MBRFloor > 0 {
 		specs, err := server.ParseTenants(o.tenants)
 		if err != nil {
 			log.Error("bad -tenants", "err", err)
-			os.Exit(2)
-		}
-		if t.MBRFloor < 0 || t.MBRFloor > 1 {
-			log.Error("bad -tenant-mbr", "floor", t.MBRFloor, "want", "(0,1]")
 			os.Exit(2)
 		}
 		t.Tenants = specs

@@ -49,12 +49,6 @@ type BreakerConfig struct {
 	// the wait: probe-green means the process is back, and the data path
 	// deserves one trial even if the timer hasn't run out.
 	OpenTimeout time.Duration
-	// HalfOpenSuccesses is the trial successes needed to close again
-	// (default 1).
-	HalfOpenSuccesses int
-	// Disabled turns breakers off: every allow() passes and no state is
-	// kept. Health-probe gating and the retry budget still apply.
-	Disabled bool
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -63,9 +57,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.OpenTimeout <= 0 {
 		c.OpenTimeout = 5 * time.Second
-	}
-	if c.HalfOpenSuccesses <= 0 {
-		c.HalfOpenSuccesses = 1
 	}
 	return c
 }
@@ -85,7 +76,6 @@ type breaker struct {
 	mu          sync.Mutex
 	state       breakerState
 	consecFails int
-	successes   int // trial successes while half-open
 	openedAt    time.Time
 	trial       bool // a half-open trial is in flight
 
@@ -120,7 +110,6 @@ func (b *breaker) transition(s breakerState) {
 		b.consecFails = 0
 		b.trial = false
 	case breakerHalfOpen:
-		b.successes = 0
 		b.trial = false
 	case breakerClosed:
 		b.consecFails = 0
@@ -132,9 +121,6 @@ func (b *breaker) transition(s breakerState) {
 // half-open it admits exactly one in-flight trial; the caller MUST report
 // the outcome via onSuccess/onFailure, or the trial slot stays claimed.
 func (b *breaker) allow() bool {
-	if b.cfg.Disabled {
-		return true
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -162,9 +148,6 @@ func (b *breaker) allow() bool {
 // it the half-open state would deadlock waiting on an outcome that never
 // comes.
 func (b *breaker) unclaim() {
-	if b.cfg.Disabled {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == breakerHalfOpen {
@@ -174,28 +157,19 @@ func (b *breaker) unclaim() {
 
 // onSuccess records a data-path success.
 func (b *breaker) onSuccess() {
-	if b.cfg.Disabled {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case breakerClosed:
 		b.consecFails = 0
 	case breakerHalfOpen:
-		b.trial = false
-		b.successes++
-		if b.successes >= b.cfg.HalfOpenSuccesses {
-			b.transition(breakerClosed)
-		}
+		// One successful trial closes the breaker.
+		b.transition(breakerClosed)
 	}
 }
 
 // onFailure records a data-path transport failure.
 func (b *breaker) onFailure() {
-	if b.cfg.Disabled {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -220,9 +194,6 @@ func (b *breaker) onFailure() {
 // the data path, and gray failures are precisely the case where probes
 // pass while requests fail.
 func (b *breaker) onProbeSuccess() {
-	if b.cfg.Disabled {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == breakerOpen {
@@ -234,9 +205,6 @@ func (b *breaker) onProbeSuccess() {
 // like a data-path failure, so a shard that dies with no traffic in
 // flight still opens its breaker before the next request arrives.
 func (b *breaker) onProbeFailure() {
-	if b.cfg.Disabled {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == breakerClosed {
@@ -261,8 +229,10 @@ type retryBudget struct {
 	now    func() time.Time
 }
 
-func newRetryBudget(rate, burst float64, now func() time.Time) *retryBudget {
-	rb := &retryBudget{rate: rate, burst: burst, tokens: burst, now: now}
+// newRetryBudget returns a full bucket refilling at rate tokens per
+// second, 2×rate deep.
+func newRetryBudget(rate float64, now func() time.Time) *retryBudget {
+	rb := &retryBudget{rate: rate, burst: 2 * rate, tokens: 2 * rate, now: now}
 	rb.stamp = rb.now()
 	return rb
 }

@@ -120,23 +120,9 @@ func TestBreakerUnclaimReleasesTrial(t *testing.T) {
 	}
 }
 
-func TestBreakerDisabled(t *testing.T) {
-	b, _ := testBreaker(BreakerConfig{FailureThreshold: 1, Disabled: true})
-	for i := 0; i < 10; i++ {
-		b.onFailure()
-		b.onProbeFailure()
-	}
-	if !b.allow() {
-		t.Fatal("disabled breaker rejected a request")
-	}
-	if got := b.currentState(); got != breakerClosed {
-		t.Fatalf("disabled breaker state = %v, want closed", got)
-	}
-}
-
 func TestRetryBudgetTokens(t *testing.T) {
 	clk := newFakeClock()
-	rb := newRetryBudget(1, 2, clk.now) // 1 token/s, depth 2
+	rb := newRetryBudget(1, clk.now) // 1 token/s, depth 2
 	if !rb.take() || !rb.take() {
 		t.Fatal("full bucket refused its burst")
 	}

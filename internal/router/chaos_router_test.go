@@ -154,10 +154,10 @@ func TestRouterRetryBudgetBoundsAttempts(t *testing.T) {
 func TestRouterRetryTokenBucket(t *testing.T) {
 	ctx := context.Background()
 	tr := chaos.NewTransport(nil, nil)
-	shards, rt, rc := newChaosTier(t, 2, Config{
-		Transport: tr,
-		RetryRate: 0.000001, RetryBurst: 1,
-	})
+	shards, rt, rc := newChaosTier(t, 2, Config{Transport: tr})
+	// Half a token per second banks one; a stopped clock never refills it.
+	stopped := time.Now()
+	rt.retry = newRetryBudget(0.5, func() time.Time { return stopped })
 	for _, s := range shards {
 		tr.Partition(s.ts.URL)
 	}

@@ -151,7 +151,7 @@ func (rt *Router) gossipOnce(ctx context.Context) {
 	}
 	for _, peer := range rt.cfg.GossipPeers {
 		rt.met.gossipRounds.Add(1)
-		ctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
+		ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 			peer+"/gossip", bytes.NewReader(payload))
 		if err != nil {
@@ -192,7 +192,7 @@ func (rt *Router) handleGossip(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var d cluster.Digest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBody))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	if err := dec.Decode(&d); err != nil {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return

@@ -88,7 +88,7 @@ func (b *backend) probe(ctx context.Context, client *http.Client) bool {
 // probeAll probes every backend concurrently (one sweep of the prober
 // loop, also called synchronously by tests and at startup).
 func (rt *Router) probeAll(ctx context.Context) {
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	var wg sync.WaitGroup
 	for _, b := range rt.allBackends() {

@@ -67,7 +67,7 @@ func (rt *Router) AddShard(ctx context.Context, raw string) (moved int, err erro
 		return 0, fmt.Errorf("router: shard %q is already a member", base)
 	}
 	b := &backend{base: base, br: newBreaker(rt.cfg.Breaker)}
-	probeCtx, cancel := context.WithTimeout(ctx, rt.cfg.ProbeTimeout)
+	probeCtx, cancel := context.WithTimeout(ctx, probeTimeout)
 	ok := b.probe(probeCtx, rt.probeClient)
 	cancel()
 	if !ok {
@@ -509,7 +509,7 @@ func (rt *Router) authorized(r *http.Request) bool {
 
 // adminShardArg extracts the shard URL from body {"shard": "..."} or the
 // ?shard= query parameter.
-func adminShardArg(r *http.Request, maxBody int64) (string, error) {
+func adminShardArg(r *http.Request) (string, error) {
 	if q := r.URL.Query().Get("shard"); q != "" {
 		return q, nil
 	}
@@ -554,7 +554,7 @@ func (rt *Router) handleAdminAdd(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusUnauthorized, "admin token required")
 		return
 	}
-	shard, err := adminShardArg(r, rt.cfg.MaxBody)
+	shard, err := adminShardArg(r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
@@ -576,7 +576,7 @@ func (rt *Router) handleAdminRemove(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusUnauthorized, "admin token required")
 		return
 	}
-	shard, err := adminShardArg(r, rt.cfg.MaxBody)
+	shard, err := adminShardArg(r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return

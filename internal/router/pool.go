@@ -18,13 +18,13 @@ var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // not pin its high-water mark in the pool forever.
 const poolBufCap = 64 << 10
 
-// readBody buffers r's body (bounded by max) into a pooled buffer. The
+// readBody buffers r's body (bounded by maxBody) into a pooled buffer. The
 // caller owns the buffer until it calls putBodyBuf — the returned bytes
 // alias the buffer and must not outlive it.
-func readBody(w http.ResponseWriter, r *http.Request, max int64) (*bytes.Buffer, error) {
+func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
 	buf := bodyBufs.Get().(*bytes.Buffer)
 	buf.Reset()
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, max)); err != nil {
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
 		putBodyBuf(buf)
 		return nil, err
 	}

@@ -32,6 +32,13 @@ import (
 	"rebudget/internal/server"
 )
 
+// probeTimeout bounds one probe sweep, a joining shard's admission probe
+// and one gossip push.
+const probeTimeout = 2 * time.Second
+
+// maxBody bounds a buffered request body: 1 MiB, the daemon's own limit.
+const maxBody = 1 << 20
+
 // Config sizes the router. Zero values select the documented defaults.
 type Config struct {
 	// Backends are the shard base URLs (e.g. "http://127.0.0.1:9001").
@@ -39,14 +46,9 @@ type Config struct {
 	Backends []string
 	// ProbeInterval is the /healthz polling period (default 1s).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe sweep (default 2s).
-	ProbeTimeout time.Duration
 	// ProxyTimeout is the per-proxied-request deadline (default 30s —
 	// epoch batches on a loaded shard are allocation-grade work).
 	ProxyTimeout time.Duration
-	// MaxBody bounds buffered request bodies (default 1 MiB, matching the
-	// daemon's own limit).
-	MaxBody int64
 	// Logger receives structured routing logs (default slog.Default()).
 	Logger *slog.Logger
 	// Transport overrides the proxy client's RoundTripper (default
@@ -62,12 +64,11 @@ type Config struct {
 	// beyond the first (default 2; set negative to disable retries).
 	RetryBudget int
 	// RetryRate is the router-wide failover token-bucket refill, in
-	// retries per second across all requests (default 16). The shared
-	// bucket is what keeps failover from amplifying a brownout: per-request
-	// caps bound one request's cost, the bucket bounds the tier's.
+	// retries per second across all requests (default 16); the bucket
+	// holds 2×RetryRate. The shared bucket is what keeps failover from
+	// amplifying a brownout: per-request caps bound one request's cost,
+	// the bucket bounds the tier's.
 	RetryRate float64
-	// RetryBurst is the bucket depth (default 2×RetryRate).
-	RetryBurst float64
 
 	// BackendAPIKey is the bearer token for shards running with -api-key.
 	// The router sends it on its own shard-directed calls (migration
@@ -97,14 +98,8 @@ func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
-	}
 	if c.ProxyTimeout <= 0 {
 		c.ProxyTimeout = 30 * time.Second
-	}
-	if c.MaxBody <= 0 {
-		c.MaxBody = 1 << 20
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -119,9 +114,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryRate <= 0 {
 		c.RetryRate = 16
-	}
-	if c.RetryBurst <= 0 {
-		c.RetryBurst = 2 * c.RetryRate
 	}
 	if c.GossipInterval <= 0 {
 		c.GossipInterval = time.Second
@@ -205,7 +197,7 @@ func New(cfg Config) (*Router, error) {
 			Timeout:   0,
 			Transport: cfg.Transport,
 		},
-		probeClient: &http.Client{Timeout: cfg.ProbeTimeout},
+		probeClient: &http.Client{Timeout: probeTimeout},
 		started:     time.Now(),
 		// The salt keeps generated ids from colliding across router
 		// restarts (each daemon's own "s-%06d" sequence has the same
@@ -214,7 +206,7 @@ func New(cfg Config) (*Router, error) {
 		loopStop: make(chan struct{}),
 	}
 	rt.epoch.Store(1)
-	rt.retry = newRetryBudget(cfg.RetryRate, cfg.RetryBurst, time.Now)
+	rt.retry = newRetryBudget(cfg.RetryRate, time.Now)
 	for _, raw := range cfg.Backends {
 		base := strings.TrimRight(raw, "/")
 		if base == "" {
@@ -632,7 +624,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, b *backend, id
 // absent — placement needs a key before the daemon ever sees the spec) is
 // hashed onto the ring and the create is forwarded to the owning shard.
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
-	raw, err := readBody(w, r, rt.cfg.MaxBody)
+	raw, err := readBody(w, r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
@@ -670,7 +662,7 @@ func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "missing session id")
 		return
 	}
-	buf, err := readBody(w, r, rt.cfg.MaxBody)
+	buf, err := readBody(w, r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return

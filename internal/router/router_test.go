@@ -144,10 +144,13 @@ func TestRouterPlacement(t *testing.T) {
 // router untouched.
 func TestRouterPropagatesBackpressure(t *testing.T) {
 	ctx := context.Background()
-	_, _, rc := newTier(t, 2, server.Config{SessionRPS: 1, SessionBurst: 1})
+	// 1 epoch/s derives a burst of 2.
+	_, _, rc := newTier(t, 2, server.Config{SessionRPS: 1})
 	mustCreate(t, rc, fig3Spec("bp"))
-	if _, err := rc.StepEpoch(ctx, "bp"); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := rc.StepEpoch(ctx, "bp"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	_, err := rc.StepEpoch(ctx, "bp")
 	if !client.IsBusy(err) {
@@ -321,5 +324,38 @@ func TestRouterAuthForwarding(t *testing.T) {
 		t.Fatal("wrong client key was not refused")
 	} else if ae, ok := err.(*client.APIError); !ok || ae.Status != 401 {
 		t.Fatalf("wrong key: want 401 through the router, got %v", err)
+	}
+}
+
+// TestDerivedDefaults pins every router bound derived rather than taken as
+// configuration, each at the value it had as a configurable default.
+func TestDerivedDefaults(t *testing.T) {
+	rt, err := New(Config{Backends: []string{"http://127.0.0.1:1"}, ProbeInterval: time.Hour, Logger: discardLog()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	for _, tc := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"probe timeout = 2s", rt.probeClient.Timeout.Seconds(), 2},
+		{"max body = 1 MiB", maxBody, 1 << 20},
+		{"retry burst = 2×rate", rt.retry.burst, 2 * 16},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s: got %g, want %g", tc.name, tc.got, tc.want)
+		}
+	}
+	// Half-open successes = 1: the first good trial closes the breaker.
+	b, clk := testBreaker(BreakerConfig{FailureThreshold: 1, OpenTimeout: time.Second})
+	b.onFailure()
+	clk.advance(2 * time.Second)
+	if !b.allow() {
+		t.Fatal("no half-open trial granted")
+	}
+	b.onSuccess()
+	if got := b.currentState(); got != breakerClosed {
+		t.Errorf("state after one good trial = %v, want closed", got)
 	}
 }

@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"errors"
+	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -347,14 +349,41 @@ func waitQueued(t *testing.T, d *dispatcher, n int64) {
 	}
 }
 
-// TestAdmissionDefaults pins the dispatcher's default sizing: capacity 8×
-// workers in cost units, queue depth 4× capacity.
+// TestAdmissionDefaults pins every admission bound the daemon derives
+// rather than takes as configuration, each at the value it had as a
+// configurable default.
 func TestAdmissionDefaults(t *testing.T) {
-	srv, _ := newTestDaemon(t, Config{Workers: 2, MaxWaiting: 5})
-	if srv.disp.capacity != 16 {
-		t.Fatalf("cost capacity = %g, want 8×workers = 16", srv.disp.capacity)
+	procs := float64(runtime.GOMAXPROCS(0))
+	srv, ts := newTestDaemon(t, Config{SessionRPS: 3, Tenancy: &TenancyConfig{Epoch: time.Hour}})
+	slow, slowTS := newTestDaemon(t, Config{SessionRPS: 0.25})
+	spec := SessionSpec{ID: "d", Workload: WorkloadSpec{Fig3: true}, Mechanism: "equalshare"}
+	for _, url := range []string{ts.URL, slowTS.URL} {
+		if resp := doJSON(t, "POST", url+"/v1/sessions", spec, nil); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create: %d", resp.StatusCode)
+		}
 	}
-	if srv.disp.maxQueuedCost != 64 {
-		t.Fatalf("max queued cost = %g, want 4×capacity = 64", srv.disp.maxQueuedCost)
+	sess, slowSess := srv.store.get("d"), slow.store.get("d")
+	label, err := srv.gov.adopt("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"cost capacity = 8×GOMAXPROCS", srv.disp.capacity, 8 * procs},
+		{"queue depth = max(64, 4×GOMAXPROCS)", float64(srv.disp.maxWait), max(64, 4*procs)},
+		{"queued cost = 4×capacity", srv.disp.maxQueuedCost, 4 * 8 * procs},
+		{"mailbox = 8", float64(cap(sess.reqs)), 8},
+		{"burst = 2×rps", sess.tokenBurst, 6},
+		{"burst floor = 1", slowSess.tokenBurst, 1},
+		{"tenant root = dispatcher capacity", srv.gov.tree.Capacity(), srv.disp.capacity},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s: got %g, want %g", tc.name, tc.got, tc.want)
+		}
+	}
+	if label != "default" {
+		t.Errorf("unlabelled sessions join tenant %q, want \"default\"", label)
 	}
 }

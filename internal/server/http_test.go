@@ -64,9 +64,9 @@ func doJSON(t *testing.T, method, url string, body any, out any) *http.Response 
 }
 
 func TestDegradedSessionReportsStateThroughMetrics(t *testing.T) {
-	// The per-id health series moved behind the debug flag in the metrics
-	// cardinality diet; the by-state population gauge is the default surface.
-	_, ts := newTestDaemon(t, Config{PerSessionMetrics: true})
+	// /metrics carries the by-state population gauge; one session's state
+	// is in its view.
+	_, ts := newTestDaemon(t, Config{})
 	spec := SessionSpec{
 		ID:        "faulty-chip",
 		Mode:      ModeSim,
@@ -103,7 +103,6 @@ func TestDegradedSessionReportsStateThroughMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`rebudgetd_session_health{id="faulty-chip",state="degraded"} 1`,
 		`rebudgetd_sessions_by_state{state="degraded"} 1`,
 		`rebudgetd_sessions_live 1`,
 	} {
@@ -111,14 +110,16 @@ func TestDegradedSessionReportsStateThroughMetrics(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+	var v SessionView
+	if resp := doJSON(t, "GET", ts.URL+"/v1/sessions/faulty-chip", nil, &v); resp.StatusCode != http.StatusOK || v.Health != "degraded" {
+		t.Fatalf("GET view: %d, health %q, want degraded", resp.StatusCode, v.Health)
+	}
 }
 
 func TestEpochBackpressureReturns429(t *testing.T) {
-	srv, ts := newTestDaemon(t, Config{
-		Workers:        1,
-		MaxWaiting:     1,
-		RequestTimeout: 300 * time.Millisecond,
-	})
+	srv, ts := newTestDaemon(t, Config{RequestTimeout: 300 * time.Millisecond})
+	// A queue that holds one waiter, in place before any request arrives.
+	srv.disp = newDispatcher(1, 1, 0)
 	spec := SessionSpec{ID: "bp", Workload: WorkloadSpec{Fig3: true}, Mechanism: "equalbudget"}
 	if resp := doJSON(t, "POST", ts.URL+"/v1/sessions", spec, nil); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: %d", resp.StatusCode)

@@ -50,14 +50,12 @@ func (m *srvMetrics) observeRequest(route string, code int, dur time.Duration) {
 	m.latency.Observe(dur.Seconds())
 }
 
-// render writes the exposition. Default mode keeps cardinality bounded:
-// population gauges, a cost histogram and a top-K offender list stand in for
-// the per-session-id series, which only appear when perSession is set
-// (Config.PerSessionMetrics / -metrics-per-session) — at 100k resident
-// sessions the per-id series are the scrape, so they are debug equipment,
-// not steady-state telemetry.
+// render writes the exposition. Cardinality stays bounded: population
+// gauges, a cost histogram and a top-K offender list summarise the sessions
+// — at 100k resident sessions a per-id series would be the scrape. One
+// session's epochs and health are in GET /v1/sessions/{id}.
 func (m *srvMetrics) render(w io.Writer, sessions []*session, disp *dispatcher,
-	gov *tenantGovernor, draining, perSession bool, uptime time.Duration) {
+	gov *tenantGovernor, draining bool, uptime time.Duration) {
 	e := expo.Acquire(w)
 	defer e.Release()
 	parked := 0
@@ -84,10 +82,7 @@ func (m *srvMetrics) render(w io.Writer, sessions []*session, disp *dispatcher,
 	e.Counter("rebudgetd_ticker_epochs_dropped_total", "Ticker epochs dropped under dispatcher backpressure.", float64(m.tickerDropped.Load()))
 	e.Labelled("rebudgetd_rejected_total", "Requests rejected, by reason.", &m.rejected)
 	e.Labelled("rebudgetd_snapshots_total", "Session snapshot operations, by outcome.", &m.snapshots)
-	// Dispatcher admission state, in cost units — the canonical series
-	// since cost-based admission landed. (The deprecated request-count
-	// aliases rebudgetd_dispatch_in_flight/_queued were removed after
-	// their one-release grace period; see DESIGN.md, "Metrics migration".)
+	// Dispatcher admission state, in cost units.
 	e.Gauge("rebudgetd_dispatch_in_flight_cost", "Cost units currently claimed by admitted requests.", disp.inFlightCost())
 	e.Gauge("rebudgetd_dispatch_queued_cost", "Cost units waiting for dispatcher capacity.", disp.queuedCostUnits())
 	e.Gauge("rebudgetd_dispatch_capacity_cost", "Dispatcher concurrent budget, in cost units.", disp.capacity)
@@ -172,10 +167,6 @@ func (m *srvMetrics) render(w io.Writer, sessions []*session, disp *dispatcher,
 	// gauge. (A gauge histogram: recomputed from the live population each
 	// scrape, not cumulative.)
 	m.renderCostProfile(e, sessions)
-
-	if perSession {
-		m.renderPerSession(e, sessions)
-	}
 }
 
 // renderCostProfile emits the cost histogram and top-K offender series.
@@ -217,36 +208,5 @@ func (m *srvMetrics) renderCostProfile(e *expo.Writer, sessions []*session) {
 	e.Header("rebudgetd_session_cost_topk", "The K most expensive live sessions by per-epoch cost estimate (bounded cardinality; rank 1 = costliest).", "gauge")
 	for i, s := range top {
 		e.Float("rebudgetd_session_cost_topk", topCost[i], "rank", strconv.Itoa(i+1), "session", s.id)
-	}
-}
-
-// renderPerSession emits the unbounded per-session-id debug series — one or
-// more lines per resident session, gated behind Config.PerSessionMetrics.
-func (m *srvMetrics) renderPerSession(e *expo.Writer, sessions []*session) {
-	e.Header("rebudgetd_session_epochs", "Epochs served, per live session.", "gauge")
-	for _, s := range sessions {
-		e.Int("rebudgetd_session_epochs", s.Epochs(), "id", s.id)
-	}
-	e.Header("rebudgetd_session_health", "Degradation-FSM state, per live session (1 = current state).", "gauge")
-	for _, s := range sessions {
-		e.Int("rebudgetd_session_health", 1, "id", s.id, "state", s.Health().String())
-	}
-	e.Header("rebudgetd_session_epoch_cost_per_id", "EWMA admission-cost estimate (cost units per epoch), per live session.", "gauge")
-	for _, s := range sessions {
-		e.Float("rebudgetd_session_epoch_cost_per_id", s.costEstimate(), "id", s.id)
-	}
-	// Rate-limit bucket fill, per live session (only when buckets are armed).
-	now := time.Now()
-	wroteHeader := false
-	for _, s := range sessions {
-		level := s.tokenLevel(now)
-		if level < 0 {
-			continue
-		}
-		if !wroteHeader {
-			e.Header("rebudgetd_session_tokens", "Rate-limit tokens currently available, per live session.", "gauge")
-			wroteHeader = true
-		}
-		e.Float("rebudgetd_session_tokens", level, "id", s.id)
 	}
 }

@@ -35,30 +35,25 @@ func BenchmarkMetricsRender50k(b *testing.B) {
 	m := &srvMetrics{}
 	disp := newDispatcher(8, 64, 512)
 	sessions := scrapeFixture(50000)
-	for _, mode := range []struct {
-		name       string
-		perSession bool
-	}{{"default", false}, {"per-session", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m.render(io.Discard, sessions, disp, nil, false, mode.perSession, time.Minute)
-			}
-		})
-	}
+	// "default" is the name the recorded BENCH_*.json snapshots carry.
+	b.Run("default", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m.render(io.Discard, sessions, disp, nil, false, time.Minute)
+		}
+	})
 }
 
 // TestDefaultMetricsBoundedCardinality pins the cardinality diet: the
-// default exposition carries NO per-session-id series — the cost profile is
-// a histogram plus a top-K whose size is fixed, and the per-id debug series
-// only exist behind PerSessionMetrics.
+// exposition carries NO per-session-id series — the cost profile is a
+// histogram plus a top-K whose size is fixed.
 func TestDefaultMetricsBoundedCardinality(t *testing.T) {
 	m := &srvMetrics{}
 	disp := newDispatcher(8, 64, 512)
 	sessions := scrapeFixture(500)
 
 	var sb strings.Builder
-	m.render(&sb, sessions, disp, nil, false, false, time.Minute)
+	m.render(&sb, sessions, disp, nil, false, time.Minute)
 	out := sb.String()
 	for _, banned := range []string{
 		"rebudgetd_session_epochs{",
@@ -83,18 +78,11 @@ func TestDefaultMetricsBoundedCardinality(t *testing.T) {
 			t.Errorf("default exposition missing %q", want)
 		}
 	}
-	// Default-mode line count must not scale with the population.
+	// The line count must not scale with the population.
 	base := strings.Count(out, "\n")
 	sb.Reset()
-	m.render(&sb, scrapeFixture(5000), disp, nil, false, false, time.Minute)
+	m.render(&sb, scrapeFixture(5000), disp, nil, false, time.Minute)
 	if grown := strings.Count(sb.String(), "\n"); grown != base {
 		t.Errorf("default exposition grew with population: %d lines at 500 sessions, %d at 5000", base, grown)
-	}
-
-	// The debug flag restores the per-id view.
-	sb.Reset()
-	m.render(&sb, sessions, disp, nil, false, true, time.Minute)
-	if !strings.Contains(sb.String(), `rebudgetd_session_epoch_cost_per_id{id="scrape-000000"}`) {
-		t.Error("per-session mode missing per-id cost series")
 	}
 }

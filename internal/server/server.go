@@ -34,37 +34,21 @@ type Config struct {
 	// <0 disables. Parking is what lets 100k resident-but-idle sessions
 	// cost ~0 goroutines.
 	ParkAfter time.Duration
-	// PerSessionMetrics re-enables the unbounded per-session-id /metrics
-	// series (rebudgetd_session_epochs{id}, _health{id}, _epoch_cost{id},
-	// _tokens{id}) for debugging. Off by default: at density those series
-	// dominate scrape cost, so the exposition carries a bounded cost
-	// histogram + top-K offenders instead.
-	PerSessionMetrics bool
 	// APIKey, when set, requires `Authorization: Bearer <key>` on every
 	// mutating endpoint (create/epoch/evict/telemetry/delete). Reads —
 	// /healthz, /metrics, session GETs — stay open for probes and scrapes.
 	APIKey string
-	// Workers bounds allocation work in flight across all sessions
-	// (default GOMAXPROCS).
-	Workers int
-	// MaxWaiting bounds requests queued for a worker slot; beyond it the
-	// daemon answers 429 + Retry-After (default 4×Workers, min 64).
-	MaxWaiting int
 	// CostCapacity is the dispatcher's concurrent budget in cost units
-	// (default 8×Workers: one unit is a cheap 8-core epoch, so each worker
-	// slot carries ~8 cheap epochs' worth of admitted work). Requests spend
-	// weighted units from their session's EWMA cost estimate.
+	// (default 8×GOMAXPROCS: one unit is a cheap 8-core epoch, so each
+	// core carries ~8 cheap epochs' worth of admitted work). Requests spend
+	// weighted units from their session's EWMA cost estimate. The wait
+	// queue behind it holds at most max(64, 4×GOMAXPROCS) requests and
+	// 4×CostCapacity queued units; beyond either the daemon answers 429 +
+	// Retry-After.
 	CostCapacity float64
-	// MaxQueuedCost bounds the wait queue by cost depth (default
-	// 4×CostCapacity): a queue holding a few expensive solves rejects as
-	// readily as one holding many cheap touches, because it represents the
-	// same wait.
-	MaxQueuedCost float64
 	// RequestTimeout is the per-request deadline for allocation work
 	// (default 10s).
 	RequestTimeout time.Duration
-	// MailboxDepth is each session's queued-request bound (default 8).
-	MailboxDepth int
 	// Snapshots, when non-nil, persists session state across evictions and
 	// shutdown: evicted/drained sessions are serialized to the store, and a
 	// request touching a non-resident id lazily rehydrates it (warm bids,
@@ -73,13 +57,11 @@ type Config struct {
 	// the router migrate sessions between backends.
 	Snapshots SnapshotStore
 	// SessionRPS arms a per-session token bucket: each session may spend at
-	// most this many epochs per second (averaged; see SessionBurst), beyond
-	// which epoch requests answer 429 with a computed Retry-After. 0
-	// disables rate limiting.
+	// most this many epochs per second on average, and a quiet session may
+	// burst max(1, 2×SessionRPS) epochs before the rate gates. Beyond it
+	// epoch requests answer 429 with a computed Retry-After. 0 disables
+	// rate limiting.
 	SessionRPS float64
-	// SessionBurst is the bucket depth (default 2×SessionRPS, min 1): how
-	// many epochs a quiet session may burst before the average rate gates.
-	SessionBurst float64
 	// Tenancy, when non-nil, arms the hierarchical tenant budget economy:
 	// per-tenant cost sub-budgets over the dispatcher's capacity, with
 	// epoch-driven lending and bounded reclaim (see internal/tenant and
@@ -102,32 +84,11 @@ func (c Config) withDefaults() Config {
 	if c.ParkAfter == 0 {
 		c.ParkAfter = 5 * time.Minute
 	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxWaiting <= 0 {
-		c.MaxWaiting = 4 * c.Workers
-		if c.MaxWaiting < 64 {
-			c.MaxWaiting = 64
-		}
-	}
 	if c.CostCapacity <= 0 {
-		c.CostCapacity = 8 * float64(c.Workers)
-	}
-	if c.MaxQueuedCost <= 0 {
-		c.MaxQueuedCost = 4 * c.CostCapacity
+		c.CostCapacity = 8 * float64(runtime.GOMAXPROCS(0))
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
-	}
-	if c.MailboxDepth <= 0 {
-		c.MailboxDepth = 8
-	}
-	if c.SessionRPS > 0 && c.SessionBurst <= 0 {
-		c.SessionBurst = 2 * c.SessionRPS
-		if c.SessionBurst < 1 {
-			c.SessionBurst = 1
-		}
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -162,7 +123,7 @@ func New(cfg Config) *Server {
 		cfg:         cfg,
 		log:         cfg.Logger,
 		store:       newStore(cfg.MaxSessions, cfg.IdleTTL),
-		disp:        newDispatcher(cfg.CostCapacity, cfg.MaxWaiting, cfg.MaxQueuedCost),
+		disp:        newDispatcher(cfg.CostCapacity, max(64, 4*runtime.GOMAXPROCS(0)), 4*cfg.CostCapacity),
 		met:         &srvMetrics{},
 		mux:         http.NewServeMux(),
 		started:     time.Now(),
@@ -431,8 +392,8 @@ func (s *Server) materialise(ctx context.Context, spec SessionSpec, snap *Sessio
 // install makes (spec, snap) a resident session: price it — a snapshot
 // carries its measured cost and served-epoch count, a fresh spec only its
 // analytic prior — materialise the engine, wrap it in a session with the
-// server's dispatcher, metrics, mailbox and rate-limit configuration, add it
-// to the store, and retire whatever the store evicted to make room.
+// server's dispatcher, metrics and rate limit, add it to the store, and
+// retire whatever the store evicted to make room.
 func (s *Server) install(ctx context.Context, id string, spec SessionSpec, snap *SessionSnapshot) (*session, error) {
 	est := newCostEstimator(spec.guessCores())
 	var epochs int64
@@ -444,9 +405,7 @@ func (s *Server) install(ctx context.Context, id string, spec SessionSpec, snap 
 	if err != nil {
 		return nil, err
 	}
-	sess := newSession(id, spec, eng, est,
-		s.disp, s.met, s.cfg.MailboxDepth,
-		s.cfg.SessionRPS, s.cfg.SessionBurst, epochs, time.Now())
+	sess := newSession(id, spec, eng, est, s.disp, s.met, s.cfg.SessionRPS, epochs, time.Now())
 	evicted, err := s.store.add(sess)
 	if err != nil {
 		sess.close()
@@ -936,6 +895,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.render(w, s.store.list(), s.disp, s.gov, s.draining.Load(),
-		s.cfg.PerSessionMetrics, time.Since(s.started))
+	s.met.render(w, s.store.list(), s.disp, s.gov, s.draining.Load(), time.Since(s.started))
 }

@@ -125,12 +125,16 @@ type session struct {
 	tokenStamp   time.Time
 }
 
+// mailboxDepth bounds each session's queued requests; a full mailbox
+// answers 429.
+const mailboxDepth = 8
+
 // newSession wraps an engine and starts its loop. A spec with a ticker
 // period additionally has the loop step one epoch per period. rps > 0 arms
-// the per-session token bucket (burst tokens available immediately).
+// the per-session token bucket, max(1, 2×rps) tokens deep and full.
 func newSession(id string, spec SessionSpec, eng engine, est *costEstimator,
-	disp *dispatcher, met *srvMetrics,
-	mailbox int, rps, burst float64, epochs int64, now time.Time) *session {
+	disp *dispatcher, met *srvMetrics, rps float64, epochs int64, now time.Time) *session {
+	burst := max(1, 2*rps)
 	s := &session{
 		id:        id,
 		mode:      spec.mode(),
@@ -143,7 +147,7 @@ func newSession(id string, spec SessionSpec, eng engine, est *costEstimator,
 		met:       met,
 		cost:      est,
 		tick:      time.Duration(spec.TickerMillis) * time.Millisecond,
-		reqs:      make(chan *request, mailbox),
+		reqs:      make(chan *request, mailboxDepth),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 		lastUsed:  now,
@@ -190,21 +194,6 @@ func (s *session) epochCost(n int) float64 { return float64(n) * s.cost.epochCos
 
 // costEstimate reports the per-epoch cost estimate for /metrics.
 func (s *session) costEstimate() float64 { return s.cost.epochCost() }
-
-// tokenLevel reports the bucket's current fill for /metrics (-1 when the
-// bucket is unarmed).
-func (s *session) tokenLevel(now time.Time) float64 {
-	if s.tokensPerSec <= 0 {
-		return -1
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	level := s.tokens + now.Sub(s.tokenStamp).Seconds()*s.tokensPerSec
-	if level > s.tokenBurst {
-		level = s.tokenBurst
-	}
-	return level
-}
 
 // snapshot captures the session's durable state. It must only be called
 // after close() or park() — the loop has exited, so reading the engine

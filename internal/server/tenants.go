@@ -22,8 +22,12 @@ const TenantHeader = "X-Rebudget-Tenant"
 // happened between two of its requests.
 const EpochHeader = "X-Rebudget-Epoch"
 
+// defaultTenant labels sessions that arrive with neither a spec tenant nor
+// a TenantHeader.
+const defaultTenant = "default"
+
 // TenancyConfig arms the hierarchical tenant budget economy: the
-// dispatcher's cost capacity is divided across a tenant tree
+// dispatcher's cost capacity is the root budget of a tenant tree
 // (internal/tenant), each tenant's sessions admit against its granted
 // sub-budget, and an epoch ticker rebalances grants — lending idle
 // tenants' headroom, reclaiming it with bounded cuts when demand returns.
@@ -35,24 +39,8 @@ type TenancyConfig struct {
 	Tenants []tenant.NodeSpec
 	// Epoch is the rebalance period (default 250ms).
 	Epoch time.Duration
-	// Capacity is the root budget in dispatcher cost units (default: the
-	// dispatcher's concurrent cost capacity).
-	Capacity float64
 	// MBRFloor is the default per-tenant fairness floor (default 0.25).
 	MBRFloor float64
-	// DefaultTenant labels sessions that arrive with neither a spec
-	// tenant nor a TenantHeader (default "default").
-	DefaultTenant string
-}
-
-func (c TenancyConfig) withDefaults() TenancyConfig {
-	if c.Epoch <= 0 {
-		c.Epoch = 250 * time.Millisecond
-	}
-	if c.DefaultTenant == "" {
-		c.DefaultTenant = "default"
-	}
-	return c
 }
 
 // tenantUsage is one tenant's admission-side state, guarded by the
@@ -79,10 +67,9 @@ type tenantUsage struct {
 // the governor decides whose requests may claim it, so one tenant cannot
 // starve another at admission time.
 type tenantGovernor struct {
-	tree          *tenant.Tree
-	epoch         time.Duration
-	defaultTenant string
-	log           *slog.Logger
+	tree  *tenant.Tree
+	epoch time.Duration
+	log   *slog.Logger
 
 	mu    sync.Mutex
 	usage map[string]*tenantUsage
@@ -91,14 +78,12 @@ type tenantGovernor struct {
 	done chan struct{}
 }
 
-// newTenantGovernor builds the tree, runs the first rebalance (so
-// configured tenants hold their parked slices before any traffic), and
-// starts the epoch ticker.
-func newTenantGovernor(cfg TenancyConfig, dispCapacity float64, log *slog.Logger) (*tenantGovernor, error) {
-	cfg = cfg.withDefaults()
-	capacity := cfg.Capacity
-	if capacity <= 0 {
-		capacity = dispCapacity
+// newTenantGovernor builds the tree over capacity, the dispatcher's cost
+// budget, runs the first rebalance (so configured tenants hold their parked
+// slices before any traffic), and starts the epoch ticker.
+func newTenantGovernor(cfg TenancyConfig, capacity float64, log *slog.Logger) (*tenantGovernor, error) {
+	if cfg.Epoch <= 0 {
+		cfg.Epoch = 250 * time.Millisecond
 	}
 	tree, err := tenant.New(cfg.Tenants, tenant.Config{
 		Capacity:        capacity,
@@ -108,13 +93,12 @@ func newTenantGovernor(cfg TenancyConfig, dispCapacity float64, log *slog.Logger
 		return nil, err
 	}
 	g := &tenantGovernor{
-		tree:          tree,
-		epoch:         cfg.Epoch,
-		defaultTenant: cfg.DefaultTenant,
-		log:           log,
-		usage:         map[string]*tenantUsage{},
-		stop:          make(chan struct{}),
-		done:          make(chan struct{}),
+		tree:  tree,
+		epoch: cfg.Epoch,
+		log:   log,
+		usage: map[string]*tenantUsage{},
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 	tree.Rebalance()
 	go g.loop()
@@ -163,7 +147,7 @@ func (g *tenantGovernor) adopt(path string) (string, error) {
 		return path, nil
 	}
 	if path == "" {
-		path = g.defaultTenant
+		path = defaultTenant
 	}
 	return path, g.register(path)
 }

@@ -23,6 +23,7 @@ package tenant
 
 import (
 	"fmt"
+	"math"
 	"regexp"
 	"sort"
 	"strings"
@@ -76,20 +77,26 @@ type Config struct {
 }
 
 func (c Config) withDefaults() (Config, error) {
-	if c.Capacity <= 0 {
+	// NaN fails every comparison below as written; +Inf is named.
+	if !(c.Capacity > 0) || math.IsInf(c.Capacity, 1) {
 		return c, fmt.Errorf("tenant: capacity %g must be > 0", c.Capacity)
 	}
 	if c.DefaultMBRFloor == 0 {
 		c.DefaultMBRFloor = 0.25
 	}
-	if c.DefaultMBRFloor < 0 || c.DefaultMBRFloor > 1 {
+	if !(c.DefaultMBRFloor > 0 && c.DefaultMBRFloor <= 1) {
 		return c, fmt.Errorf("tenant: default MBR floor %g outside (0,1]", c.DefaultMBRFloor)
 	}
-	if c.MinStepFraction <= 0 {
+	if !(c.MinStepFraction > 0) {
 		c.MinStepFraction = 0.01
 	}
 	return c, nil
 }
+
+// maxWeight bounds shares and over-quota weights. Both only matter as
+// ratios among siblings, so any ratio a deployment needs fits below it,
+// and it keeps their sums and their products with a budget finite.
+const maxWeight = 1e9
 
 var segPattern = regexp.MustCompile(`^[A-Za-z0-9_-]{1,64}$`)
 
@@ -168,13 +175,18 @@ func (t *Tree) addSpec(parent *node, spec NodeSpec) error {
 	if _, dup := t.byPath[path]; dup {
 		return fmt.Errorf("tenant: duplicate tenant %q", path)
 	}
-	if spec.Share < 0 {
+	// NaN fails every comparison below as written.
+	if !(spec.Share >= 0) {
 		return fmt.Errorf("tenant %q: share %g must be >= 0", path, spec.Share)
 	}
-	if spec.OverQuotaWeight < 0 {
+	if !(spec.OverQuotaWeight >= 0) {
 		return fmt.Errorf("tenant %q: over-quota weight %g must be >= 0", path, spec.OverQuotaWeight)
 	}
-	if spec.MBRFloor < 0 || spec.MBRFloor > 1 {
+	if spec.Share > maxWeight || spec.OverQuotaWeight > maxWeight {
+		return fmt.Errorf("tenant %q: share %g or over-quota weight %g above %g",
+			path, spec.Share, spec.OverQuotaWeight, float64(maxWeight))
+	}
+	if !(spec.MBRFloor >= 0 && spec.MBRFloor <= 1) {
 		return fmt.Errorf("tenant %q: MBR floor %g outside [0,1]", path, spec.MBRFloor)
 	}
 	n := &node{
@@ -257,7 +269,7 @@ func (t *Tree) SetDemand(path string, demand float64) error {
 	if len(n.children) > 0 {
 		return fmt.Errorf("tenant %q is not a leaf", path)
 	}
-	if demand < 0 {
+	if !(demand > 0) { // negative or NaN
 		demand = 0
 	}
 	n.demand = demand

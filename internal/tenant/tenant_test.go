@@ -16,6 +16,7 @@ func mustTree(t *testing.T, tenants []NodeSpec, cfg Config) *Tree {
 }
 
 func TestNewValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
 		name    string
 		tenants []NodeSpec
@@ -30,6 +31,22 @@ func TestNewValidation(t *testing.T) {
 		{"negative weight", []NodeSpec{{Name: "a", OverQuotaWeight: -2}}, Config{Capacity: 1}, "over-quota"},
 		{"floor above one", []NodeSpec{{Name: "a", MBRFloor: 1.5}}, Config{Capacity: 1}, "MBR floor"},
 		{"bad default floor", nil, Config{Capacity: 1, DefaultMBRFloor: 2}, "MBR floor"},
+		{"NaN share", []NodeSpec{{Name: "a", Share: nan}}, Config{Capacity: 1}, "share"},
+		{"+Inf share", []NodeSpec{{Name: "a", Share: inf}}, Config{Capacity: 1}, "share"},
+		{"-Inf share", []NodeSpec{{Name: "a", Share: -inf}}, Config{Capacity: 1}, "share"},
+		{"NaN weight", []NodeSpec{{Name: "a", OverQuotaWeight: nan}}, Config{Capacity: 1}, "over-quota"},
+		{"+Inf weight", []NodeSpec{{Name: "a", OverQuotaWeight: inf}}, Config{Capacity: 1}, "over-quota"},
+		{"-Inf weight", []NodeSpec{{Name: "a", OverQuotaWeight: -inf}}, Config{Capacity: 1}, "over-quota"},
+		{"NaN floor", []NodeSpec{{Name: "a", MBRFloor: nan}}, Config{Capacity: 1}, "MBR floor"},
+		{"+Inf floor", []NodeSpec{{Name: "a", MBRFloor: inf}}, Config{Capacity: 1}, "MBR floor"},
+		{"-Inf floor", []NodeSpec{{Name: "a", MBRFloor: -inf}}, Config{Capacity: 1}, "MBR floor"},
+		{"NaN default floor", nil, Config{Capacity: 1, DefaultMBRFloor: nan}, "MBR floor"},
+		{"+Inf default floor", nil, Config{Capacity: 1, DefaultMBRFloor: inf}, "MBR floor"},
+		{"-Inf default floor", nil, Config{Capacity: 1, DefaultMBRFloor: -inf}, "MBR floor"},
+		{"share above cap", []NodeSpec{{Name: "a", Share: 1e10}}, Config{Capacity: 1}, "share"},
+		{"weight above cap", []NodeSpec{{Name: "a", OverQuotaWeight: 1e10}}, Config{Capacity: 1}, "over-quota"},
+		{"NaN capacity", nil, Config{Capacity: nan}, "capacity"},
+		{"+Inf capacity", nil, Config{Capacity: inf}, "capacity"},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.tenants, tc.cfg); err == nil || !strings.Contains(err.Error(), tc.errPart) {
