@@ -41,10 +41,13 @@ race:
 
 # Each fuzzer for a few seconds beyond its seed corpus: the snapshot decoder
 # against arbitrary bytes, the -tenants grammar against non-finite budgets,
-# and the utility's integer-region hull index against PWL.Eval, bit for bit.
+# the mechanism grammar against steps whose fairness floor would not resolve
+# to a finite value in [0, 1], and the utility's integer-region hull index
+# against PWL.Eval, bit for bit.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotLoad$$' -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTenants$$' -fuzztime 5s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMechanism$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzHullIndex$$' -fuzztime 5s ./internal/app
 
 # bench/ is its own module: root `go build ./...` does not compile it, so a

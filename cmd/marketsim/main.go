@@ -17,8 +17,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 
 	"rebudget/internal/cmpsim"
 	"rebudget/internal/core"
@@ -97,34 +95,8 @@ func startProfiles(cpuPath, memPath string) (func(), error) {
 	}, nil
 }
 
-func parseMechanism(name string, minEF float64) (core.Allocator, error) {
-	switch {
-	case name == "equalshare":
-		return core.EqualShare{}, nil
-	case name == "equalbudget":
-		return core.EqualBudget{}, nil
-	case name == "balanced":
-		return core.Balanced{}, nil
-	case name == "maxefficiency":
-		return core.MaxEfficiency{}, nil
-	case name == "rebudget":
-		if minEF <= 0 {
-			return nil, fmt.Errorf("-mech rebudget needs -min-ef")
-		}
-		return core.ReBudget{MinEnvyFreeness: minEF}, nil
-	case strings.HasPrefix(name, "rebudget-"):
-		step, err := strconv.ParseFloat(strings.TrimPrefix(name, "rebudget-"), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad rebudget step in %q: %w", name, err)
-		}
-		return core.ReBudget{Step: step}, nil
-	default:
-		return nil, fmt.Errorf("unknown mechanism %q", name)
-	}
-}
-
 func run(category string, cores int, seed uint64, fig3 bool, mechName string, minEF float64, sim, bw bool, faults float64, faultSeed uint64, eqstats bool) error {
-	mech, err := parseMechanism(mechName, minEF)
+	mech, err := core.ParseMechanism(mechName, minEF)
 	if err != nil {
 		return err
 	}

@@ -1,9 +1,9 @@
-// Command rebudget-snapstore is the standalone snapshot service: a
-// content-addressed blob store that rebudgetd shards point at with
-// -snapshot-url instead of (or alongside) a local -snapshot-dir. Blobs
-// are deduplicated by SHA-256 and CRC-checked on both write and read, so
-// a rotten blob surfaces as a miss (the daemon cold-starts) rather than
-// a poisoned rehydrate. See DESIGN.md, "Elastic membership".
+// Command rebudget-snapstore is the standalone snapshot service: a blob
+// store keyed by snapshot id that rebudgetd shards point at with
+// -snapshot-url instead of (or alongside) a local -snapshot-dir. Each
+// blob's SHA-256 and CRC32 are recorded on write and re-checked on every
+// read, so a rotten blob surfaces as a miss (the daemon cold-starts)
+// rather than a poisoned rehydrate. See DESIGN.md, "Elastic membership".
 //
 // Usage:
 //

@@ -234,9 +234,6 @@ func (u *Utility) MinAlloc() []float64 { return []float64{0, 0} }
 // translating market watts into total core power.
 func (u *Utility) FloorPowerW() float64 { return u.prof.floorW }
 
-// AlonePerfIPS exposes the normalisation constant.
-func (u *Utility) AlonePerfIPS() float64 { return u.prof.alone }
-
 // CacheUtilityCurve returns the normalised utility versus total regions at
 // maximum frequency, both raw (monotone-cleaned) and convexified — the two
 // series of Figure 2.

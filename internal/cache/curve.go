@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"fmt"
-
-	"rebudget/internal/numeric"
-)
+import "fmt"
 
 // MissCurve is a measured or modelled miss ratio as a function of allocated
 // cache regions. Index r holds the miss ratio of a cache of r regions;
@@ -84,13 +80,4 @@ func Repair(ratio []float64) bool {
 		}
 	}
 	return changed
-}
-
-// Points converts the curve into (regions, missRatio) samples.
-func (mc *MissCurve) Points() []numeric.Point {
-	pts := make([]numeric.Point, len(mc.Ratio))
-	for i, m := range mc.Ratio {
-		pts[i] = numeric.Point{X: float64(i), Y: m}
-	}
-	return pts
 }

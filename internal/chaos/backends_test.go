@@ -9,36 +9,24 @@ import (
 	"rebudget/internal/server"
 )
 
-// The fault suite must hold for every SnapshotStore backend, not just the
-// file store it was written against: the cluster backends (HTTP snapshot
-// service, in-process N-way replication, plain memory) all expose the same
-// RawSnapshotStore seam, so torn writes and bit rot corrupt their real
-// stored bytes and the shared decode path must turn the damage into
+// The fault suite must hold for every RawSnapshotStore backend, not just
+// the file store it was written against: against the HTTP snapshot service
+// and plain memory too, torn writes and bit rot corrupt the real stored
+// bytes and the shared decode path must turn the damage into
 // ErrNoSnapshot — a cold start, never a panic.
-func clusterBackends(t *testing.T) map[string]server.SnapshotStore {
+func clusterBackends(t *testing.T) map[string]server.RawSnapshotStore {
 	t.Helper()
 	snapSrv := httptest.NewServer(cluster.NewSnapServer(0, nil).Handler())
 	t.Cleanup(snapSrv.Close)
-	replicated, err := cluster.NewReplicatedSnapshotStore(
-		server.NewMemorySnapshotStore(), server.NewMemorySnapshotStore())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]server.SnapshotStore{
-		"memory":     server.NewMemorySnapshotStore(),
-		"http":       cluster.NewHTTPSnapshotStore(snapSrv.URL, snapSrv.Client()),
-		"replicated": replicated,
+	return map[string]server.RawSnapshotStore{
+		"memory": server.NewMemorySnapshotStore(),
+		"http":   cluster.NewHTTPSnapshotStore(snapSrv.URL, snapSrv.Client()),
 	}
 }
 
 func TestFaultyStoreSuiteOverClusterBackends(t *testing.T) {
 	for name, inner := range clusterBackends(t) {
 		t.Run(name, func(t *testing.T) {
-			raw, ok := inner.(server.RawSnapshotStore)
-			if !ok {
-				t.Fatalf("%s backend lacks the RawSnapshotStore seam chaos faults need", name)
-			}
-
 			// Passthrough: a nil injector is transparent.
 			pt := NewFaultySnapshotStore(inner, nil)
 			if err := pt.Save(testSnap("pt")); err != nil {
@@ -68,7 +56,7 @@ func TestFaultyStoreSuiteOverClusterBackends(t *testing.T) {
 			if err := torn.Save(testSnap("torn")); err != nil {
 				t.Fatal(err)
 			}
-			if buf, err := raw.LoadRaw("torn"); err != nil || len(buf) == 0 {
+			if buf, err := inner.LoadRaw("torn"); err != nil || len(buf) == 0 {
 				t.Fatalf("torn write left nothing: %d bytes, %v", len(buf), err)
 			}
 			if _, err := torn.Load("torn"); !errors.Is(err, server.ErrNoSnapshot) {
@@ -99,25 +87,29 @@ func TestFaultyStoreSuiteOverClusterBackends(t *testing.T) {
 	}
 }
 
-// Replication is the one backend where corruption should NOT mean a cold
-// start unless it hits every replica: rot injected through the replicated
-// store's raw seam damages all copies (tested above), but rot on a single
-// replica is survived and healed.
+// Under replication, a fault should NOT mean a cold start unless it hits
+// every replica: rot or a torn write on a single replica is survived. Each
+// replica sits in its own faulty wrapper, the way a deployment injects
+// faults; only the first wrapper's faults fire.
 func TestReplicatedBackendSurvivesSingleReplicaFaults(t *testing.T) {
-	intact := server.NewMemorySnapshotStore()
-	flaky := server.NewMemorySnapshotStore()
-	// The faulty wrapper sits around ONE replica; the replicated store
-	// composes it like any other SnapshotStore.
-	faulty := NewFaultySnapshotStore(flaky, New(Config{Seed: 9, LoadCorruptRate: 1}))
-	rs, err := cluster.NewReplicatedSnapshotStore(faulty, intact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rs.Save(testSnap("one")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := rs.Load("one")
-	if err != nil || got.Epochs != 12 {
-		t.Fatalf("single-replica rot must not cost the snapshot: %+v %v", got, err)
+	for name, cfg := range map[string]Config{
+		"rot":  {Seed: 9, LoadCorruptRate: 1},
+		"torn": {Seed: 9, TornWriteRate: 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			faulty := NewFaultySnapshotStore(server.NewMemorySnapshotStore(), New(cfg))
+			clean := NewFaultySnapshotStore(server.NewMemorySnapshotStore(), nil)
+			rs, err := cluster.NewReplicatedSnapshotStore(faulty, clean)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rs.Save(testSnap("one")); err != nil {
+				t.Fatal(err)
+			}
+			got, err := rs.Load("one")
+			if err != nil || got.Epochs != 12 {
+				t.Fatalf("single-replica %s must not cost the snapshot: %+v %v", name, got, err)
+			}
+		})
 	}
 }

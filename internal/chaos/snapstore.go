@@ -6,25 +6,20 @@ import (
 	"rebudget/internal/server"
 )
 
-// FaultySnapshotStore wraps a SnapshotStore with seeded disk faults: EIO
+// FaultySnapshotStore wraps a RawSnapshotStore with seeded disk faults: EIO
 // on save, torn (truncated) writes, and bit rot surfacing on load. Torn
-// writes and bit rot need byte-level access to the stored representation;
-// when the inner store also implements server.RawSnapshotStore (as
-// FileSnapshotStore does) they corrupt the real durable bytes, so the
-// wrapped store's own integrity machinery — checksums, JSON parsing — is
-// what has to catch them. Against a store without raw access those faults
-// degrade to injected EIO, which still exercises the caller's error path.
+// writes and bit rot go through the inner store's byte-level seam, so they
+// corrupt the real stored bytes and the wrapped store's own integrity
+// machinery — checksums, JSON parsing — is what has to catch them.
 type FaultySnapshotStore struct {
-	inner server.SnapshotStore
-	raw   server.RawSnapshotStore // nil when inner has no byte-level seam
+	inner server.RawSnapshotStore
 	inj   *Injector
 }
 
 // NewFaultySnapshotStore wraps inner with the injector's disk faults. A
 // nil injector yields a transparent passthrough.
-func NewFaultySnapshotStore(inner server.SnapshotStore, inj *Injector) *FaultySnapshotStore {
-	raw, _ := inner.(server.RawSnapshotStore)
-	return &FaultySnapshotStore{inner: inner, raw: raw, inj: inj}
+func NewFaultySnapshotStore(inner server.RawSnapshotStore, inj *Injector) *FaultySnapshotStore {
+	return &FaultySnapshotStore{inner: inner, inj: inj}
 }
 
 // Save implements server.SnapshotStore. An EIO fault fails the save
@@ -39,7 +34,7 @@ func (f *FaultySnapshotStore) Save(snap *server.SessionSnapshot) error {
 	if err := f.inner.Save(snap); err != nil {
 		return err
 	}
-	if p.torn && f.raw != nil {
+	if p.torn {
 		if err := f.tear(snap.ID, p.tornAt); err != nil {
 			return fmt.Errorf("chaos: tearing %q: %w", snap.ID, err)
 		}
@@ -49,7 +44,7 @@ func (f *FaultySnapshotStore) Save(snap *server.SessionSnapshot) error {
 
 // tear truncates id's stored bytes at fraction frac.
 func (f *FaultySnapshotStore) tear(id string, frac float64) error {
-	buf, err := f.raw.LoadRaw(id)
+	buf, err := f.inner.LoadRaw(id)
 	if err != nil {
 		return err
 	}
@@ -60,14 +55,14 @@ func (f *FaultySnapshotStore) tear(id string, frac float64) error {
 	if cut < 1 {
 		cut = 1
 	}
-	return f.raw.SaveRaw(id, buf[:cut])
+	return f.inner.SaveRaw(id, buf[:cut])
 }
 
 // Load implements server.SnapshotStore. A corrupt fault flips one stored
 // bit before delegating, so the inner store's checksum verification is
 // what turns the rot into ErrNoSnapshot.
 func (f *FaultySnapshotStore) Load(id string) (*server.SessionSnapshot, error) {
-	if corrupt, draw := f.inj.planLoad(id); corrupt && f.raw != nil {
+	if corrupt, draw := f.inj.planLoad(id); corrupt {
 		// Best-effort: an absent file has no bits to rot.
 		_ = f.corruptRaw(id, draw)
 	}
@@ -81,9 +76,6 @@ func (f *FaultySnapshotStore) Delete(id string) error { return f.inner.Delete(id
 // regardless of fault rates — the scripted "snapshot corruption" event of
 // a chaos schedule. draw seeds the bit choice.
 func (f *FaultySnapshotStore) CorruptNow(id string, draw uint64) error {
-	if f.raw == nil {
-		return fmt.Errorf("chaos: store for %q has no raw access", id)
-	}
 	return f.corruptRaw(id, draw)
 }
 
@@ -91,7 +83,7 @@ func (f *FaultySnapshotStore) CorruptNow(id string, draw uint64) error {
 // to any byte), turning one stored numeral into another — valid JSON,
 // wrong data, exactly what only a checksum can catch.
 func (f *FaultySnapshotStore) corruptRaw(id string, draw uint64) error {
-	buf, err := f.raw.LoadRaw(id)
+	buf, err := f.inner.LoadRaw(id)
 	if err != nil {
 		return err
 	}
@@ -108,5 +100,5 @@ func (f *FaultySnapshotStore) corruptRaw(id string, draw uint64) error {
 		}
 	}
 	buf[idx] ^= 1
-	return f.raw.SaveRaw(id, buf)
+	return f.inner.SaveRaw(id, buf)
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"os"
 
 	"rebudget/internal/server"
 )
@@ -123,52 +122,4 @@ func fresher(a, b *server.SessionSnapshot) bool {
 		return a.Epochs > b.Epochs
 	}
 	return a.SavedAt.After(b.SavedAt)
-}
-
-// SaveRaw implements RawSnapshotStore when every replica does — the seam
-// the chaos layer's fault wrapper needs. Raw bytes fan out verbatim.
-func (rs *ReplicatedSnapshotStore) SaveRaw(id string, data []byte) error {
-	var firstErr error
-	ok := 0
-	for _, r := range rs.replicas {
-		raw, is := r.(server.RawSnapshotStore)
-		if !is {
-			return fmt.Errorf("replicated snapshot store: replica %T lacks raw access", r)
-		}
-		if err := raw.SaveRaw(id, data); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		ok++
-	}
-	if ok == 0 {
-		return fmt.Errorf("replicated snapshot store: all %d replicas failed: %w", len(rs.replicas), firstErr)
-	}
-	return nil
-}
-
-// LoadRaw implements RawSnapshotStore: the first replica holding bytes for
-// id answers (raw reads carry no freshness metadata to arbitrate with).
-func (rs *ReplicatedSnapshotStore) LoadRaw(id string) ([]byte, error) {
-	var firstErr error
-	for _, r := range rs.replicas {
-		raw, is := r.(server.RawSnapshotStore)
-		if !is {
-			return nil, fmt.Errorf("replicated snapshot store: replica %T lacks raw access", r)
-		}
-		buf, err := raw.LoadRaw(id)
-		if err != nil {
-			if !os.IsNotExist(err) && firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		return buf, nil
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return nil, os.ErrNotExist
 }

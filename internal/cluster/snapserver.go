@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"hash/crc32"
 	"io"
@@ -16,17 +15,14 @@ import (
 )
 
 // SnapServer is the HTTP snapshot service behind cmd/rebudget-snapstore: a
-// content-addressed blob store any shard can reach, so warm restore stops
-// requiring a shared filesystem. Bytes are opaque to the service — the
-// snapshot format (JSON + checksum) belongs to the client side, which is
-// exactly what lets the chaos layer's torn-write and bit-rot faults pass
-// through to storage and come back out for DecodeSnapshot to reject.
+// blob store keyed by snapshot id that any shard can reach, so warm restore
+// stops requiring a shared filesystem. Bytes are opaque to the service —
+// the snapshot format (JSON + checksum) belongs to the client side, which
+// is exactly what lets the chaos layer's torn-write and bit-rot faults
+// pass through to storage and come back out for DecodeSnapshot to reject.
 //
-// Content addressing: each PUT body is stored once under its SHA-256 and
-// an id → address index entry points at it, so N sessions snapshotting
-// identical state (common right after a fleet-wide warm start) share one
-// blob. Every GET re-hashes the blob and CRC-checks it against the values
-// recorded at PUT; a mismatch — storage rot — answers 404, which the
+// Every PUT records the body's SHA-256 and CRC32; every GET re-hashes the
+// blob and checks both. A mismatch — storage rot — answers 404, which the
 // client maps to ErrNoSnapshot: a cold start, never resurrected damage.
 type SnapServer struct {
 	log     *slog.Logger
@@ -34,16 +30,16 @@ type SnapServer struct {
 	started time.Time
 
 	mu    sync.RWMutex
-	index map[string]string // snapshot id → content address
-	blobs map[string]*blob  // content address → bytes
+	blobs map[string]*blob // snapshot id → bytes
+	bytes int64            // sum of len(data) over blobs
 
-	puts, gets, deletes, misses, corrupt, dedups uint64
+	puts, gets, deletes, misses, corrupt uint64
 }
 
 type blob struct {
 	data []byte
+	sum  [sha256.Size]byte
 	crc  uint32
-	refs int
 }
 
 // snapIDPattern mirrors the daemon's session-id discipline: addresses in
@@ -64,7 +60,6 @@ func NewSnapServer(maxBody int64, logger *slog.Logger) *SnapServer {
 		log:     logger,
 		maxBody: maxBody,
 		started: time.Now(),
-		index:   make(map[string]string),
 		blobs:   make(map[string]*blob),
 	}
 }
@@ -80,11 +75,11 @@ func (ss *SnapServer) Handler() http.Handler {
 	return mux
 }
 
-// Len reports how many snapshot ids the index holds (tests, /healthz).
+// Len reports how many snapshots the service holds.
 func (ss *SnapServer) Len() int {
 	ss.mu.RLock()
 	defer ss.mu.RUnlock()
-	return len(ss.index)
+	return len(ss.blobs)
 }
 
 func (ss *SnapServer) handlePut(w http.ResponseWriter, r *http.Request) {
@@ -102,25 +97,15 @@ func (ss *SnapServer) handlePut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "blob too large", http.StatusRequestEntityTooLarge)
 		return
 	}
-	sum := sha256.Sum256(data)
-	addr := hex.EncodeToString(sum[:])
-	crc := crc32.ChecksumIEEE(data)
+	b := &blob{data: data, sum: sha256.Sum256(data), crc: crc32.ChecksumIEEE(data)}
 	ss.mu.Lock()
 	ss.puts++
-	if prev, ok := ss.index[id]; ok && prev != addr {
-		ss.unrefLocked(prev)
+	if prev, ok := ss.blobs[id]; ok {
+		ss.bytes -= int64(len(prev.data))
 	}
-	if b, ok := ss.blobs[addr]; ok {
-		if prev, had := ss.index[id]; !had || prev != addr {
-			b.refs++
-			ss.dedups++
-		}
-	} else {
-		ss.blobs[addr] = &blob{data: data, crc: crc, refs: 1}
-	}
-	ss.index[id] = addr
+	ss.blobs[id] = b
+	ss.bytes += int64(len(data))
 	ss.mu.Unlock()
-	w.Header().Set("X-Content-Address", addr)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -128,65 +113,46 @@ func (ss *SnapServer) handleGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	ss.mu.Lock()
 	ss.gets++
-	addr, ok := ss.index[id]
-	var b *blob
-	if ok {
-		b = ss.blobs[addr]
-	}
-	if !ok || b == nil {
+	b, ok := ss.blobs[id]
+	if !ok {
 		ss.misses++
-		ss.mu.Unlock()
+	}
+	ss.mu.Unlock()
+	if !ok {
 		http.Error(w, "no blob", http.StatusNotFound)
 		return
 	}
-	data := b.data
-	wantCRC := b.crc
-	ss.mu.Unlock()
-	sum := sha256.Sum256(data)
-	if hex.EncodeToString(sum[:]) != addr || crc32.ChecksumIEEE(data) != wantCRC {
+	if sha256.Sum256(b.data) != b.sum || crc32.ChecksumIEEE(b.data) != b.crc {
 		ss.mu.Lock()
 		ss.corrupt++
 		ss.mu.Unlock()
-		ss.log.Warn("blob failed integrity check", "id", id, "addr", addr)
+		ss.log.Warn("blob failed integrity check", "id", id)
 		http.Error(w, "blob corrupt", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Content-Address", addr)
-	_, _ = w.Write(data)
+	_, _ = w.Write(b.data)
 }
 
 func (ss *SnapServer) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	ss.mu.Lock()
 	ss.deletes++
-	if addr, ok := ss.index[id]; ok {
-		delete(ss.index, id)
-		ss.unrefLocked(addr)
+	if b, ok := ss.blobs[id]; ok {
+		delete(ss.blobs, id)
+		ss.bytes -= int64(len(b.data))
 	}
 	ss.mu.Unlock()
 	// Deleting an absent snapshot is not an error, matching the file store.
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (ss *SnapServer) unrefLocked(addr string) {
-	if b, ok := ss.blobs[addr]; ok {
-		b.refs--
-		if b.refs <= 0 {
-			delete(ss.blobs, addr)
-		}
-	}
-}
-
 func (ss *SnapServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	ss.mu.RLock()
-	n, uniq := len(ss.index), len(ss.blobs)
-	ss.mu.RUnlock()
+	n := ss.Len()
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{
 		"status":         "ok",
 		"snapshots":      n,
-		"unique_blobs":   uniq,
 		"uptime_seconds": int64(time.Since(ss.started).Seconds()),
 	})
 }
@@ -194,10 +160,6 @@ func (ss *SnapServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (ss *SnapServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	ss.mu.RLock()
 	defer ss.mu.RUnlock()
-	var bytes int
-	for _, b := range ss.blobs {
-		bytes += len(b.data)
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	e := expo.Acquire(w)
 	defer e.Release()
@@ -209,9 +171,8 @@ func (ss *SnapServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	sample("snapstore_puts_total", "Blob PUTs accepted.", "counter", int64(ss.puts))
 	sample("snapstore_gets_total", "Blob GETs received.", "counter", int64(ss.gets))
 	sample("snapstore_deletes_total", "Blob DELETEs received.", "counter", int64(ss.deletes))
-	sample("snapstore_misses_total", "GETs for an id the index does not hold.", "counter", int64(ss.misses))
+	sample("snapstore_misses_total", "GETs for an id the store does not hold.", "counter", int64(ss.misses))
 	sample("snapstore_corrupt_total", "GETs refused because the stored blob failed its integrity check.", "counter", int64(ss.corrupt))
-	sample("snapstore_dedup_hits_total", "PUTs whose content was already stored under another id.", "counter", int64(ss.dedups))
-	sample("snapstore_snapshots", "Snapshot ids in the index.", "gauge", int64(len(ss.index)))
-	sample("snapstore_blob_bytes", "Bytes held across unique blobs.", "gauge", int64(bytes))
+	sample("snapstore_snapshots", "Snapshots held.", "gauge", int64(len(ss.blobs)))
+	sample("snapstore_blob_bytes", "Bytes held across all snapshots.", "gauge", ss.bytes)
 }

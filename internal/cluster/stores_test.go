@@ -2,12 +2,15 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -107,9 +110,10 @@ func TestHTTPStoreRawRoundTrip(t *testing.T) {
 	}
 }
 
-// Identical content under two ids is stored once (content addressing).
-func TestSnapServerDedupsIdenticalContent(t *testing.T) {
-	hs, ss := newHTTPStore(t)
+// Ids are independent: two ids may hold identical bytes, and deleting one
+// leaves the other byte-identical.
+func TestSnapServerIDsAreIndependent(t *testing.T) {
+	hs, _ := newHTTPStore(t)
 	data := []byte("identical bytes")
 	if err := hs.SaveRaw("a", data); err != nil {
 		t.Fatal(err)
@@ -117,22 +121,100 @@ func TestSnapServerDedupsIdenticalContent(t *testing.T) {
 	if err := hs.SaveRaw("b", data); err != nil {
 		t.Fatal(err)
 	}
-	ss.mu.RLock()
-	uniq := len(ss.blobs)
-	ss.mu.RUnlock()
-	if uniq != 1 {
-		t.Fatalf("identical content stored %d times, want 1", uniq)
-	}
-	// Deleting one id must not take the other's bytes with it.
 	if err := hs.Delete("a"); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := hs.LoadRaw("a"); !os.IsNotExist(err) {
+		t.Fatalf("deleted id: want os.ErrNotExist, got %v", err)
+	}
 	if got, err := hs.LoadRaw("b"); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("dedup delete broke the surviving id: %q %v", got, err)
+		t.Fatalf("deleting a changed b: %q %v", got, err)
 	}
 }
 
-// Server-side rot (stored bytes no longer match their content address) is
+// snapGauge scrapes one integer sample from the service's /metrics.
+func snapGauge(t *testing.T, url, name string) int64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics has no %s sample:\n%s", name, body)
+	return 0
+}
+
+// The byte gauge is a running total: exact across put, overwrite and
+// delete. A bit-flipped blob answers 404 and counts as corrupt, and
+// /healthz reports the live snapshot count.
+func TestSnapServerAccounting(t *testing.T) {
+	ss := NewSnapServer(0, discardLogger())
+	srv := httptest.NewServer(ss.Handler())
+	t.Cleanup(srv.Close)
+	hs := NewHTTPSnapshotStore(srv.URL, srv.Client())
+
+	for _, step := range []struct {
+		do   func() error
+		want int64
+	}{
+		{func() error { return hs.SaveRaw("a", make([]byte, 100)) }, 100},
+		{func() error { return hs.SaveRaw("b", make([]byte, 30)) }, 130},
+		{func() error { return hs.SaveRaw("a", make([]byte, 7)) }, 37},
+		{func() error { return hs.Delete("b") }, 7},
+		{func() error { return hs.Delete("b") }, 7},
+	} {
+		if err := step.do(); err != nil {
+			t.Fatal(err)
+		}
+		if got := snapGauge(t, srv.URL, "snapstore_blob_bytes"); got != step.want {
+			t.Fatalf("snapstore_blob_bytes = %d, want %d", got, step.want)
+		}
+	}
+
+	ss.mu.Lock()
+	ss.blobs["a"].data[3] ^= 0x08
+	ss.mu.Unlock()
+	if _, err := hs.LoadRaw("a"); !os.IsNotExist(err) {
+		t.Fatalf("bit-flipped blob: want os.ErrNotExist, got %v", err)
+	}
+	if got := snapGauge(t, srv.URL, "snapstore_corrupt_total"); got != 1 {
+		t.Fatalf("snapstore_corrupt_total = %d, want 1", got)
+	}
+	if got := snapGauge(t, srv.URL, "snapstore_snapshots"); got != 1 {
+		t.Fatalf("snapstore_snapshots = %d, want 1", got)
+	}
+
+	resp, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var health struct {
+		Status    string `json:"status"`
+		Snapshots int    `json:"snapshots"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	if health.Status != "ok" || health.Snapshots != 1 {
+		t.Fatalf("/healthz = %+v, want ok with 1 snapshot", health)
+	}
+}
+
+// Server-side rot (stored bytes no longer match the hash recorded at PUT) is
 // detected on GET and answered 404 — a cold start, never damaged state.
 func TestSnapServerDetectsRot(t *testing.T) {
 	hs, ss := newHTTPStore(t)
@@ -218,8 +300,10 @@ func TestReplicatedStoreAllCorruptIsColdStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rs.SaveRaw("x", []byte("not a snapshot at all")); err != nil {
-		t.Fatal(err)
+	for _, r := range []*server.MemorySnapshotStore{r1, r2} {
+		if err := r.SaveRaw("x", []byte("not a snapshot at all")); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := rs.Load("x"); !errors.Is(err, server.ErrNoSnapshot) {
 		t.Fatalf("all-corrupt: want ErrNoSnapshot, got %v", err)

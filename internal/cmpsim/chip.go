@@ -77,10 +77,8 @@ type Chip struct {
 	eqProfile metrics.EquilibriumProfile
 
 	// Epoch hot-path state (see sched.go): reusable pacing/interleave
-	// scratch so the epoch loop allocates nothing of its own, and the scheduler
-	// override tests use to pin dense/sparse equivalence.
+	// scratch so the epoch loop allocates nothing of its own.
 	scratch epochScratch
-	sched   schedMode
 }
 
 // marketConfig is the transform Begin threads through
@@ -290,25 +288,6 @@ func (c *Chip) perfIPS(coreID int, missRatio, memLatNs float64) float64 {
 func (c *Chip) instrRate(coreID int) float64 {
 	base := c.mem.BaseLatencyNs() + interconnectNs
 	return c.perfIPS(coreID, c.missEst[coreID], base)
-}
-
-// aggregateMissRate returns chip-wide L2 misses per second implied by the
-// current estimates, for the DRAM contention model.
-func (c *Chip) aggregateMissRate() float64 {
-	total := 0.0
-	for i := range c.models {
-		total += c.instrRate(i) * c.models[i].Spec.API * c.missEst[i]
-	}
-	return total
-}
-
-// MeasuredCurves exposes the current UMON estimates (for tests/tools).
-func (c *Chip) MeasuredCurves() []*cache.MissCurve {
-	out := make([]*cache.MissCurve, len(c.umons))
-	for i, u := range c.umons {
-		out[i] = u.Curve()
-	}
-	return out
 }
 
 // Regions returns each core's current total cache-region target (floor

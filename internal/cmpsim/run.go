@@ -26,10 +26,7 @@ import (
 // acquires new blocks — under one per epoch once a chip has aged
 // (TestRunEpochCatalogAllocs). Each core's draws are
 // prefetched in one batch (keeping that generator's stack state hot) and
-// then interleaved in the canonical (step, core) order by whichever
-// scheduler in sched.go is cheaper for this epoch's count profile — the
-// emission sequence, and hence every downstream measurement, is identical
-// either way.
+// then interleaved in the canonical (step, core) order (sched.go).
 func (c *Chip) runEpoch(measured bool) {
 	n := c.cfg.Cores
 	s := &c.scratch
@@ -49,13 +46,12 @@ func (c *Chip) runEpoch(measured bool) {
 	if top > float64(c.cfg.MaxAccessesPerCoreEpoch) {
 		scale = float64(c.cfg.MaxAccessesPerCoreEpoch) / top
 	}
-	maxCount, total := 0, 0
+	maxCount := 0
 	for i := 0; i < n; i++ {
 		counts[i] = int(rates[i] * scale)
 		if counts[i] > maxCount {
 			maxCount = counts[i]
 		}
-		total += counts[i]
 		misses[i] = 0
 		s.cursor[i] = 0
 	}
@@ -70,16 +66,9 @@ func (c *Chip) runEpoch(measured bool) {
 	}
 
 	// Interleave the cores' streams in the canonical schedule so cache
-	// pressure is temporally mixed rather than phase-ordered. The sparse
-	// scheduler takes over when the dense O(maxCount × cores) scan would
-	// be dominated by skips (mean slot occupancy under ~1/8).
+	// pressure is temporally mixed rather than phase-ordered.
 	if maxCount > 0 {
-		dense := total*8 >= maxCount*n
-		if (dense || c.sched == schedDense) && c.sched != schedSparse {
-			c.interleaveDense(maxCount)
-		} else {
-			c.interleaveSparse(maxCount)
-		}
+		c.interleave(maxCount)
 	}
 
 	// Measurement: per-core miss ratios and live DRAM latency from the

@@ -8,6 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"rebudget/internal/market"
 	"rebudget/internal/metrics"
@@ -97,6 +99,46 @@ func (o *Outcome) EFBound() float64 {
 type Allocator interface {
 	Name() string
 	Allocate(capacity []float64, players []PlayerSpec) (*Outcome, error)
+}
+
+// ParseMechanism resolves the mechanism grammar cmd/marketsim and the
+// serving daemon share: "equalshare", "equalbudget", "balanced",
+// "maxefficiency", "rebudget" (fairness floor derived from minEF by
+// Theorem 2) and "rebudget-<step>" (first budget cut step, finite and > 0).
+// A ReBudget configuration is resolved here, so any configuration Allocate
+// would refuse is refused at parse time.
+func ParseMechanism(name string, minEF float64) (Allocator, error) {
+	var r ReBudget
+	switch {
+	case name == "equalshare":
+		return EqualShare{}, nil
+	case name == "equalbudget":
+		return EqualBudget{}, nil
+	case name == "balanced":
+		return Balanced{}, nil
+	case name == "maxefficiency":
+		return MaxEfficiency{}, nil
+	case name == "rebudget":
+		if !(minEF > 0) {
+			return nil, fmt.Errorf("mechanism %q needs a minimum envy-freeness > 0", name)
+		}
+		r = ReBudget{MinEnvyFreeness: minEF}
+	case strings.HasPrefix(name, "rebudget-"):
+		step, err := strconv.ParseFloat(strings.TrimPrefix(name, "rebudget-"), 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad rebudget step in %q: %w", name, err)
+		}
+		if !(step > 0) || math.IsInf(step, 1) {
+			return nil, fmt.Errorf("rebudget step in %q must be finite and > 0", name)
+		}
+		r = ReBudget{Step: step}
+	default:
+		return nil, fmt.Errorf("unknown mechanism %q", name)
+	}
+	if _, err := r.EffectiveMBRFloor(); err != nil {
+		return nil, fmt.Errorf("mechanism %q: %w", name, err)
+	}
+	return r, nil
 }
 
 // ErrBadInput marks allocation failures caused by invalid player input —

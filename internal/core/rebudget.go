@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"rebudget/internal/market"
 	"rebudget/internal/metrics"
@@ -61,6 +62,12 @@ func (r ReBudget) tuned(edit func(*market.Config, *[][]float64)) Allocator {
 }
 
 func (r ReBudget) withDefaults() (ReBudget, error) {
+	// A non-finite knob has no meaning, and +Inf would never leave the
+	// halving loop of MaxTotalCut.
+	if !finite(r.Step) || !finite(r.MBRFloor) || !finite(r.MinEnvyFreeness) {
+		return r, fmt.Errorf("core: ReBudget Step %g, MBRFloor %g and MinEnvyFreeness %g must be finite",
+			r.Step, r.MBRFloor, r.MinEnvyFreeness)
+	}
 	if r.LambdaThreshold <= 0 {
 		r.LambdaThreshold = 0.5
 	}
@@ -96,6 +103,8 @@ func (r ReBudget) withDefaults() (ReBudget, error) {
 	}
 	return r, nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // EffectiveMBRFloor resolves the fairness floor this configuration
 // guarantees: the lowest admissible ratio of any player's budget to the
@@ -143,9 +152,6 @@ func (c *CutSchedule) Next() (cut float64, ok bool) {
 	}
 	return cut, true
 }
-
-// Step reports the cut the next call to Next would allow.
-func (c *CutSchedule) Step() float64 { return c.step }
 
 // MaxTotalCut sums the halving sequence step, step/2, … down to minStep —
 // the largest total budget a schedule can ever remove. ReBudget derives its

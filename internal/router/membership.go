@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"rebudget/internal/cluster"
-	"rebudget/internal/core"
 )
 
 func drainBody(resp *http.Response) {
@@ -35,10 +34,10 @@ func drainBody(resp *http.Response) {
 //  4. Reconcile: list again and pin anything that moved in the window
 //     between the first list and the flip.
 //  5. Drain: the migrator evicts pinned sessions at MigrationBudget per
-//     tick (core.CutSchedule with NoBackoff — §4.2's bounded reassignment
-//     applied to the serving fleet). Each evict writes the session's
-//     snapshot and frees it; clearing the pin then routes its next request
-//     to the new owner, which rehydrates warm.
+//     tick — a steady, bounded drain rate, like §4.2's bounded budget
+//     reassignment applied to the serving fleet. Each evict writes the
+//     session's snapshot and frees it; clearing the pin then routes its
+//     next request to the new owner, which rehydrates warm.
 //
 // A removed shard leaves the ring immediately (step 3) but stays reachable
 // in the retired set until its last pinned session has drained — the
@@ -314,14 +313,12 @@ func (rt *Router) pendingMigrations() int {
 	return max(queued, pinned)
 }
 
-// migrator is the background drain loop: every tick it asks the fleet's
-// CutSchedule how many sessions it may move, pops that many from the
-// queue, and moves each one. NoBackoff keeps the budget constant — a
-// membership change drains at a steady, bounded rate instead of a
-// thundering re-shuffle (or an exponentially decaying trickle).
+// migrator is the background drain loop: every tick it pops up to
+// MigrationBudget sessions from the queue and moves each one — a membership
+// change drains at a steady, bounded rate instead of a thundering
+// re-shuffle.
 func (rt *Router) migrator() {
 	defer rt.loopsDone.Done()
-	sched := core.NewCutSchedule(float64(rt.cfg.MigrationBudget), 1, true)
 	t := time.NewTicker(rt.cfg.MigrationInterval)
 	defer t.Stop()
 	for {
@@ -329,11 +326,7 @@ func (rt *Router) migrator() {
 		case <-rt.loopStop:
 			return
 		case <-t.C:
-			cut, ok := sched.Next()
-			if !ok {
-				return // unreachable with NoBackoff; mirrors the §4.2 loop shape
-			}
-			rt.migrateTick(int(cut))
+			rt.migrateTick(rt.cfg.MigrationBudget)
 			rt.finalizeRetired()
 		}
 	}

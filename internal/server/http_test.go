@@ -190,6 +190,10 @@ func TestHealthzAndDrain(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestDaemon(t, Config{})
+	tooManyApps := make([]string, maxCores+1)
+	for i := range tooManyApps {
+		tooManyApps[i] = "mcf"
+	}
 	cases := []struct {
 		name string
 		spec SessionSpec
@@ -201,6 +205,13 @@ func TestBadRequests(t *testing.T) {
 		{"rebudget without min_ef", SessionSpec{Workload: WorkloadSpec{Fig3: true}, Mechanism: "rebudget"}},
 		{"bad fault rate", SessionSpec{Mode: ModeSim, Workload: WorkloadSpec{Fig3: true}, Mechanism: "equalbudget",
 			Sim: &SimSpec{Faults: &FaultSpec{SolverRate: 1.5}}}},
+		{"infinite rebudget step", SessionSpec{Workload: WorkloadSpec{Fig3: true}, Mechanism: "rebudget-Inf"}},
+		{"NaN rebudget step", SessionSpec{Workload: WorkloadSpec{Fig3: true}, Mechanism: "rebudget-NaN"}},
+		{"negative rebudget step", SessionSpec{Workload: WorkloadSpec{Fig3: true}, Mechanism: "rebudget--5"}},
+		{"zero rebudget step", SessionSpec{Workload: WorkloadSpec{Fig3: true}, Mechanism: "rebudget-0"}},
+		{"min_ef above Theorem 2", SessionSpec{Workload: WorkloadSpec{Fig3: true}, Mechanism: "rebudget", MinEnvyFreeness: 0.9}},
+		{"too many cores", SessionSpec{Workload: WorkloadSpec{Category: "CPBN", Cores: maxCores + 4}, Mechanism: "equalshare"}},
+		{"too many apps", SessionSpec{Workload: WorkloadSpec{Apps: tooManyApps}, Mechanism: "equalshare"}},
 	}
 	for _, tc := range cases {
 		if resp := doJSON(t, "POST", ts.URL+"/v1/sessions", tc.spec, nil); resp.StatusCode != http.StatusBadRequest {

@@ -75,7 +75,7 @@ func newMarketEngine(spec SessionSpec, bundle workload.Bundle,
 	if err != nil {
 		return nil, err
 	}
-	mech, err := parseMechanism(spec.Mechanism, spec.MinEnvyFreeness)
+	mech, err := core.ParseMechanism(spec.Mechanism, spec.MinEnvyFreeness)
 	if err != nil {
 		return nil, err
 	}

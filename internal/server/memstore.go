@@ -77,10 +77,3 @@ func (ms *MemorySnapshotStore) LoadRaw(id string) ([]byte, error) {
 	copy(cp, buf)
 	return cp, nil
 }
-
-// Len reports the stored snapshot count (tests and /metrics).
-func (ms *MemorySnapshotStore) Len() int {
-	ms.mu.RLock()
-	defer ms.mu.RUnlock()
-	return len(ms.blobs)
-}

@@ -204,9 +204,6 @@ func (s *Server) StartDrain() {
 	}
 }
 
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close stops the janitor and closes every session, waiting for their
 // goroutines to exit and snapshotting each to the configured store. The
 // HTTP listener (owned by the caller) should be shut down first. Close is

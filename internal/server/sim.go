@@ -30,7 +30,7 @@ type simEngine struct {
 // and runs warmup via Begin so the first StepEpoch is already measured.
 func newSimEngine(spec SessionSpec, bundle workload.Bundle,
 	observer func(rounds, bidSteps int, wall time.Duration)) (*simEngine, error) {
-	mech, err := parseMechanism(spec.Mechanism, spec.MinEnvyFreeness)
+	mech, err := core.ParseMechanism(spec.Mechanism, spec.MinEnvyFreeness)
 	if err != nil {
 		return nil, err
 	}

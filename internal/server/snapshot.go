@@ -173,8 +173,9 @@ type SnapshotStore interface {
 // RawSnapshotStore is the byte-level seam under a SnapshotStore: direct
 // access to a snapshot's stored representation, bypassing validation and
 // checksumming. It exists for the chaos layer (internal/chaos), which uses
-// it to model torn writes and storage bit rot against the real durable
-// medium, and for forensics tooling. FileSnapshotStore implements it.
+// it to model torn writes and storage bit rot against the real stored
+// bytes. FileSnapshotStore, MemorySnapshotStore and
+// cluster.HTTPSnapshotStore implement it.
 type RawSnapshotStore interface {
 	SnapshotStore
 	// SaveRaw stores data verbatim as id's snapshot (atomically, like Save).

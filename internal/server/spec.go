@@ -13,12 +13,10 @@ package server
 import (
 	"fmt"
 	"regexp"
-	"strconv"
 	"strings"
 	"time"
 
 	"rebudget/internal/app"
-	"rebudget/internal/core"
 	"rebudget/internal/fault"
 	"rebudget/internal/numeric"
 	"rebudget/internal/workload"
@@ -137,6 +135,10 @@ func validTenantPath(p string) bool {
 	return true
 }
 
+// maxCores bounds a session's chip: 4× the paper's 64-core evaluation, so
+// one create cannot make the daemon build an arbitrarily large bundle.
+const maxCores = 256
+
 func (s SessionSpec) validate() error {
 	if s.ID != "" && !idPattern.MatchString(s.ID) {
 		return fmt.Errorf("session id %q must match %s", s.ID, idPattern)
@@ -151,6 +153,10 @@ func (s SessionSpec) validate() error {
 	}
 	if s.TickerMillis < 0 {
 		return fmt.Errorf("ticker_ms %d must be >= 0", s.TickerMillis)
+	}
+	if s.Workload.Cores > maxCores || len(s.Workload.Apps) > maxCores {
+		return fmt.Errorf("workload of %d cores (%d apps) exceeds %d cores",
+			s.Workload.Cores, len(s.Workload.Apps), maxCores)
 	}
 	if s.Sim != nil && s.Sim.Faults != nil {
 		f := s.Sim.Faults
@@ -245,33 +251,6 @@ func buildBundle(w WorkloadSpec) (workload.Bundle, error) {
 			seed = 1
 		}
 		return workload.Generate(workload.Category(w.Category), cores, numeric.NewRand(seed))
-	}
-}
-
-// parseMechanism resolves the cmd/marketsim mechanism syntax.
-func parseMechanism(name string, minEF float64) (core.Allocator, error) {
-	switch {
-	case name == "equalshare":
-		return core.EqualShare{}, nil
-	case name == "equalbudget":
-		return core.EqualBudget{}, nil
-	case name == "balanced":
-		return core.Balanced{}, nil
-	case name == "maxefficiency":
-		return core.MaxEfficiency{}, nil
-	case name == "rebudget":
-		if minEF <= 0 {
-			return nil, fmt.Errorf("mechanism %q needs min_ef > 0", name)
-		}
-		return core.ReBudget{MinEnvyFreeness: minEF}, nil
-	case strings.HasPrefix(name, "rebudget-"):
-		step, err := strconv.ParseFloat(strings.TrimPrefix(name, "rebudget-"), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad rebudget step in %q: %w", name, err)
-		}
-		return core.ReBudget{Step: step}, nil
-	default:
-		return nil, fmt.Errorf("unknown mechanism %q", name)
 	}
 }
 
