@@ -40,12 +40,17 @@ race:
 	$(GO) test -race ./...
 
 # Each fuzzer for a few seconds beyond its seed corpus: the snapshot decoder
-# against arbitrary bytes, the -tenants grammar against non-finite budgets,
-# the mechanism grammar against steps whose fairness floor would not resolve
-# to a finite value in [0, 1], and the utility's integer-region hull index
-# against PWL.Eval, bit for bit.
+# against arbitrary bytes, the session view's one-pass decoder against
+# encoding/json's reflective decode of the same bytes, the create body
+# through its strict decode and validation against specs no engine can
+# build, the -tenants grammar against non-finite budgets, the mechanism
+# grammar against steps whose fairness floor would not resolve to a finite
+# value in [0, 1], and the utility's integer-region hull index against
+# PWL.Eval, bit for bit.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotLoad$$' -fuzztime 5s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzSessionViewDecode$$' -fuzztime 5s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzSessionSpec$$' -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTenants$$' -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzParseMechanism$$' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzHullIndex$$' -fuzztime 5s ./internal/app

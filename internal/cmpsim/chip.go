@@ -439,9 +439,10 @@ type Result struct {
 }
 
 // envyFreenessOf evaluates Definition 3 for an outcome under the given
-// utilities.
+// utilities. They are rebuilt from each core's own UMON curve, so no two
+// share a class.
 func envyFreenessOf(utils []market.Utility, allocs [][]float64) (float64, error) {
 	return metrics.EnvyFreeness(len(utils), func(i int, a []float64) float64 {
 		return utils[i].Value(a)
-	}, allocs)
+	}, allocs, nil)
 }

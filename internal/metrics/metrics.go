@@ -108,41 +108,76 @@ type ValueFunc func(player int, alloc []float64) float64
 // that bundle, so such pairs are skipped.
 //
 // The inner maximum ranges over the *set* of bundles a player could envy,
-// so each bit-distinct row is evaluated once per player: players running
-// the same application on the same budget hold the same bundle, and a
-// 64-core market has ~18 different rows, not 64. Both special cases are
-// order-independent, so the result is the same float. value must be a pure
-// function of its arguments.
-func EnvyFreeness(n int, value ValueFunc, allocs [][]float64) (float64, error) {
+// and players running one application share one utility function, so the
+// minimum is taken over a set of ratios far smaller than n². rep names the
+// utility classes: rep[i] is the lowest index whose utility is bit-identical
+// to player i's, and nil makes every player a class of its own. Each class
+// representative is evaluated once over each bit-distinct bundle, and a
+// member's own utility is read from its representative's row at the column
+// of its own bundle: a served 64-core market (~18 classes over ~12 bundles)
+// costs ~216 evaluations, not 64 × 13. The minimum is over the same set of
+// ratios, so the result is the same float. value must be a pure function of
+// its arguments.
+func EnvyFreeness(n int, value ValueFunc, allocs [][]float64, rep []int) (float64, error) {
 	if n <= 0 || len(allocs) != n {
 		return 0, fmt.Errorf("metrics: %d players but %d allocations", n, len(allocs))
 	}
-	// Sized for the paper's largest chip so the index list stays on the
-	// stack; a larger market spills to the heap.
-	var buf [64]int
-	distinct := buf[:0]
+	if rep != nil {
+		if len(rep) != n {
+			return 0, fmt.Errorf("metrics: %d players but %d class representatives", n, len(rep))
+		}
+		for i, r := range rep {
+			if r < 0 || r > i || rep[r] != r {
+				return 0, fmt.Errorf("metrics: player %d's representative %d is not a class's lowest index", i, r)
+			}
+		}
+	}
+	// Sized for the paper's largest chip so the buffers stay on the stack;
+	// a larger market spills to the heap.
+	var distinctBuf, bundleBuf [64]int
+	var rowBuf [64]float64
+	distinct := distinctBuf[:0] // first player holding each distinct bundle
+	bundle := bundleBuf[:0]     // player → its bundle's index in distinct
 rows:
-	for j, row := range allocs {
-		for _, k := range distinct {
-			if sameRow(allocs[k], row) {
+	for _, row := range allocs {
+		for k, j := range distinct {
+			if sameRow(allocs[j], row) {
+				bundle = append(bundle, k)
 				continue rows
 			}
 		}
-		distinct = append(distinct, j)
+		bundle = append(bundle, len(distinct))
+		distinct = append(distinct, len(bundle)-1)
 	}
+	values := rowBuf[:0] // a representative's utility for each distinct bundle
 	ef := math.Inf(1)
-	for i := 0; i < n; i++ {
-		own := value(i, allocs[i])
+	for r := 0; r < n; r++ {
+		if rep != nil && rep[r] != r {
+			continue
+		}
+		values = values[:0]
 		for _, j := range distinct {
-			other := value(i, allocs[j])
-			switch {
-			case other == 0:
-				continue // nothing to envy
-			case own == 0:
-				return 0, nil // infinite envy
-			default:
-				if r := own / other; r < ef {
-					ef = r
+			values = append(values, value(r, allocs[j]))
+		}
+		last := r // the class's last possible member
+		if rep != nil {
+			last = n - 1
+		}
+		for i := r; i <= last; i++ {
+			if rep != nil && rep[i] != r {
+				continue
+			}
+			own := values[bundle[i]]
+			for _, other := range values {
+				switch {
+				case other == 0:
+					continue // nothing to envy
+				case own == 0:
+					return 0, nil // infinite envy
+				default:
+					if q := own / other; q < ef {
+						ef = q
+					}
 				}
 			}
 		}

@@ -135,7 +135,7 @@ func TestEnvyFreenessPerfect(t *testing.T) {
 	// Two players each holding exactly what they want: EF = 1.
 	v := linearValue([][]float64{{1, 0}, {0, 1}})
 	allocs := [][]float64{{10, 0}, {0, 10}}
-	got, err := EnvyFreeness(2, v, allocs)
+	got, err := EnvyFreeness(2, v, allocs, nil)
 	if err != nil || got != 1 {
 		t.Errorf("EF = %g (%v), want 1", got, err)
 	}
@@ -145,7 +145,7 @@ func TestEnvyFreenessEnvious(t *testing.T) {
 	// Both value resource 0 only; player 1 holds 3× more of it.
 	v := linearValue([][]float64{{1, 0}, {1, 0}})
 	allocs := [][]float64{{5, 0}, {15, 0}}
-	got, err := EnvyFreeness(2, v, allocs)
+	got, err := EnvyFreeness(2, v, allocs, nil)
 	if err != nil || math.Abs(got-1.0/3) > 1e-12 {
 		t.Errorf("EF = %g (%v), want 1/3", got, err)
 	}
@@ -155,7 +155,7 @@ func TestEnvyFreenessZeroOwnUtility(t *testing.T) {
 	// Player 0 has nothing but values player 1's bundle: infinite envy → 0.
 	v := linearValue([][]float64{{1, 0}, {1, 0}})
 	allocs := [][]float64{{0, 0}, {15, 0}}
-	got, err := EnvyFreeness(2, v, allocs)
+	got, err := EnvyFreeness(2, v, allocs, nil)
 	if err != nil || got != 0 {
 		t.Errorf("EF = %g (%v), want 0", got, err)
 	}
@@ -164,7 +164,7 @@ func TestEnvyFreenessZeroOwnUtility(t *testing.T) {
 func TestEnvyFreenessAllZero(t *testing.T) {
 	v := linearValue([][]float64{{0, 0}, {0, 0}})
 	allocs := [][]float64{{1, 2}, {3, 4}}
-	got, err := EnvyFreeness(2, v, allocs)
+	got, err := EnvyFreeness(2, v, allocs, nil)
 	if err != nil || got != 1 {
 		t.Errorf("degenerate EF = %g (%v), want 1", got, err)
 	}
@@ -172,11 +172,17 @@ func TestEnvyFreenessAllZero(t *testing.T) {
 
 func TestEnvyFreenessValidation(t *testing.T) {
 	v := linearValue([][]float64{{1, 0}})
-	if _, err := EnvyFreeness(2, v, [][]float64{{1, 0}}); err == nil {
+	if _, err := EnvyFreeness(2, v, [][]float64{{1, 0}}, nil); err == nil {
 		t.Error("mismatched allocation count accepted")
 	}
-	if _, err := EnvyFreeness(0, v, nil); err == nil {
+	if _, err := EnvyFreeness(0, v, nil, nil); err == nil {
 		t.Error("zero players accepted")
+	}
+	two := [][]float64{{1, 0}, {0, 1}}
+	for _, rep := range [][]int{{0}, {1, 1}, {0, 2}, {-1, 0}} {
+		if _, err := EnvyFreeness(2, v, two, rep); err == nil {
+			t.Errorf("class representatives %v accepted", rep)
+		}
 	}
 }
 
@@ -193,7 +199,7 @@ func TestEnvyFreenessProperties(t *testing.T) {
 			{math.Abs(math.Mod(as[0], 10)), math.Abs(math.Mod(as[1], 10))},
 			{math.Abs(math.Mod(as[2], 10)), math.Abs(math.Mod(as[3], 10))},
 		}
-		ef, err := EnvyFreeness(2, v, allocs)
+		ef, err := EnvyFreeness(2, v, allocs, nil)
 		if err != nil {
 			return false
 		}
@@ -201,7 +207,7 @@ func TestEnvyFreenessProperties(t *testing.T) {
 			return false
 		}
 		same := [][]float64{allocs[0], allocs[0]}
-		ef2, err := EnvyFreeness(2, v, same)
+		ef2, err := EnvyFreeness(2, v, same, nil)
 		return err == nil && ef2 == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -267,6 +273,8 @@ func TestEnvyFreenessOverDistinctRows(t *testing.T) {
 		{"all different", 9, func(i int) []float64 { return []float64{float64(i) + 1, 2} },
 			func(i int) float64 { return 1 }, 9},
 		{"one bundle", 8, func(int) []float64 { return []float64{3, 3} }, func(i int) float64 { return float64(i + 1) }, 1},
+		{"one class on different bundles", 3, func(i int) []float64 { return []float64{float64(3-i) * 2, 1} },
+			func(int) float64 { return 1 }, 3},
 		{"+0 and −0 are different rows", 6, func(i int) []float64 { return []float64{[]float64{0, negZero}[i%2], 1} },
 			func(i int) float64 { return 1 }, 2},
 		{"a player that values nothing", 12, func(i int) []float64 { return []float64{float64(i%3) + 1, 1} },
@@ -285,7 +293,7 @@ func TestEnvyFreenessOverDistinctRows(t *testing.T) {
 			calls++
 			return tc.weight(i) * math.Sqrt(a[0]) * (1 + a[1])
 		}
-		got, err := EnvyFreeness(tc.n, value, allocs)
+		got, err := EnvyFreeness(tc.n, value, allocs, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -293,9 +301,36 @@ func TestEnvyFreenessOverDistinctRows(t *testing.T) {
 		if want := envyFreenessAllPairs(tc.n, value, allocs); got != want {
 			t.Errorf("%s: envy-freeness %v over distinct rows, %v over all pairs", tc.name, got, want)
 		}
-		if max := tc.n * (tc.distinct + 1); evals > max {
+		if max := tc.n * tc.distinct; evals > max {
 			t.Errorf("%s: %d evaluations for %d players and %d distinct bundles, want at most %d",
 				tc.name, evals, tc.n, tc.distinct, max)
+		}
+		// Players of equal weight compute one function: as classes, each
+		// representative is evaluated once per bundle, to the same float.
+		rep, classes := make([]int, tc.n), 0
+		for i := range rep {
+			rep[i] = i
+			for j := 0; j < i; j++ {
+				if tc.weight(j) == tc.weight(i) {
+					rep[i] = j
+					break
+				}
+			}
+			if rep[i] == i {
+				classes++
+			}
+		}
+		calls = 0
+		byClass, err := EnvyFreeness(tc.n, value, allocs, rep)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if math.Float64bits(byClass) != math.Float64bits(got) {
+			t.Errorf("%s: envy-freeness %v by class, %v per player", tc.name, byClass, got)
+		}
+		if max := classes * tc.distinct; calls > max {
+			t.Errorf("%s: %d evaluations for %d classes and %d distinct bundles, want at most %d",
+				tc.name, calls, classes, tc.distinct, max)
 		}
 	}
 }

@@ -95,9 +95,9 @@ func IsBusy(err error) bool {
 }
 
 // respBufs hold response bodies while they are decoded: one read into a
-// reused buffer and one Unmarshal, where a per-request json.Decoder regrew
+// reused buffer and one decode, where a per-request json.Decoder regrew
 // its own 512 B buffer up to the size of every view. Nothing decoded may
-// alias the buffer (encoding/json copies strings; no view field is a
+// alias the buffer (both decoders copy strings; no view field is a
 // json.RawMessage).
 var respBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
@@ -144,7 +144,14 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	rb.Reset()
 	_, err = rb.ReadFrom(resp.Body)
 	if err == nil {
-		err = json.Unmarshal(rb.Bytes(), out)
+		// A view decodes itself in one validating pass; going through
+		// json.Unmarshal would first run its validation pre-pass over the
+		// whole body.
+		if v, ok := out.(*server.SessionView); ok {
+			err = v.UnmarshalJSON(rb.Bytes())
+		} else {
+			err = json.Unmarshal(rb.Bytes(), out)
+		}
 	}
 	if rb.Cap() <= poolBufCap {
 		respBufs.Put(rb)
