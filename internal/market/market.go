@@ -38,6 +38,30 @@ type Identified interface {
 	Identity() (key any, scale float64)
 }
 
+// FuncID is a utility's Identity, read once so it can be compared many
+// times. The zero FuncID, a utility's that is not Identified, names no
+// function.
+type FuncID struct {
+	key   any
+	scale float64
+}
+
+// IDOf reads u's Identity.
+func IDOf(u Utility) FuncID {
+	if id, ok := u.(Identified); ok {
+		key, scale := id.Identity()
+		return FuncID{key, scale}
+	}
+	return FuncID{}
+}
+
+// SameFunction reports whether a and b name one function: an equal non-nil
+// key and bit-equal scales, the Identified contract. Utilities whose IDs
+// are the same function return bit-equal Values for every allocation.
+func (a FuncID) SameFunction(b FuncID) bool {
+	return a.key != nil && a.key == b.key && sameBits(a.scale, b.scale)
+}
+
 // UtilityFunc adapts a plain function to the Utility interface. It is
 // deliberately not Identified: a closure has no identity to compare.
 type UtilityFunc func(alloc []float64) float64
@@ -162,12 +186,11 @@ type Market struct {
 	// Equivalence classes of the current run, rebuilt by classify at the
 	// start of every FindEquilibriumFrom. classOf[i] is the lowest-indexed
 	// player no round can tell apart from player i (i itself for a
-	// representative); reps lists the representatives in index order. The
-	// keys and scales are each player's Identity, read once per run.
+	// representative); reps lists the representatives in index order. ids
+	// holds each player's Identity, read once per run.
 	classOf []int
 	reps    []int
-	keys    []any
-	scales  []float64
+	ids     []FuncID
 }
 
 // New validates inputs and builds a market.
@@ -218,8 +241,7 @@ func (m *Market) ensureScratch() {
 	m.scratch = newBidScratch(mm)
 	m.classOf = make([]int, n)
 	m.reps = make([]int, 0, n)
-	m.keys = make([]any, n)
-	m.scales = make([]float64, n)
+	m.ids = make([]FuncID, n)
 }
 
 // row is player i's row of a flat player × resource matrix.
@@ -243,13 +265,10 @@ func (m *Market) classify() {
 	m.reps = m.reps[:0]
 	for i, p := range m.players {
 		m.classOf[i] = i
-		m.keys[i] = nil
-		if id, ok := p.Utility.(Identified); ok {
-			m.keys[i], m.scales[i] = id.Identity()
-		}
-		if m.keys[i] != nil {
+		m.ids[i] = IDOf(p.Utility)
+		if m.ids[i].key != nil { // an unnamed utility is a class of its own
 			for _, r := range m.reps {
-				if m.keys[r] == m.keys[i] && sameBits(m.scales[r], m.scales[i]) &&
+				if m.ids[r].SameFunction(m.ids[i]) &&
 					sameBits(m.players[r].Budget, p.Budget) && sameRow(m.row(m.curBids, r), m.row(m.curBids, i)) {
 					m.classOf[i] = r
 					break
