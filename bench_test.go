@@ -726,18 +726,6 @@ type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
-func BenchmarkAblationGranularity(b *testing.B) {
-	cfg := cmpsim.DefaultConfig(8)
-	cfg.Epochs = 4
-	cfg.WarmupEpochs = 2
-	cfg.MaxAccessesPerCoreEpoch = 2000
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationGranularity(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Tenant economy ---
 
 // BenchmarkTenantRebalance measures one lend/reclaim epoch over a 64-leaf

@@ -15,8 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"rebudget/internal/cmpsim"
 	"rebudget/internal/core"
@@ -24,6 +22,7 @@ import (
 	"rebudget/internal/market"
 	"rebudget/internal/metrics"
 	"rebudget/internal/numeric"
+	"rebudget/internal/profiling"
 	"rebudget/internal/workload"
 )
 
@@ -45,7 +44,7 @@ func main() {
 	)
 	flag.Parse()
 
-	stopProf, err := startProfiles(*cpuProf, *memProf)
+	stopProf, err := profiling.Start("marketsim", *cpuProf, *memProf)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "marketsim:", err)
 		os.Exit(1)
@@ -56,43 +55,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "marketsim:", err)
 		os.Exit(1)
 	}
-}
-
-// startProfiles starts the optional pprof captures; the returned function
-// finalises them (stops the CPU profile, writes the heap profile).
-func startProfiles(cpuPath, memPath string) (func(), error) {
-	stop := func() {}
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		stop = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}
-	}
-	if memPath == "" {
-		return stop, nil
-	}
-	cpuStop := stop
-	return func() {
-		cpuStop()
-		f, err := os.Create(memPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "marketsim: memprofile:", err)
-			return
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "marketsim: memprofile:", err)
-		}
-	}, nil
 }
 
 func run(category string, cores int, seed uint64, fig3 bool, mechName string, minEF float64, sim, bw bool, faults float64, faultSeed uint64, eqstats bool) error {

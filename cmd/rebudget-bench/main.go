@@ -14,19 +14,19 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"rebudget/internal/cmpsim"
+	"rebudget/internal/core"
 	"rebudget/internal/experiments"
 	"rebudget/internal/market"
 	"rebudget/internal/metrics"
+	"rebudget/internal/profiling"
 )
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: fig1|fig2|fig3|fig4|fig5|table1|convergence|tenant|resilience|ablations|all")
+		exp     = flag.String("exp", "all", "experiment: "+experimentNames())
 		cores   = flag.Int("cores", 64, "CMP size for fig4/fig5/convergence (multiple of 4)")
 		bundles = flag.Int("bundles", 40, "random bundles per category for fig4/convergence")
 		seed    = flag.Uint64("seed", 1, "workload generation seed")
@@ -40,12 +40,20 @@ func main() {
 	)
 	flag.Parse()
 
-	stopProf, err := startProfiles(*cpuProf, *memProf)
+	stopProf, err := profiling.Start("rebudget-bench", *cpuProf, *memProf)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rebudget-bench:", err)
 		os.Exit(1)
 	}
-	err = run(*exp, *cores, *bundles, *seed, *epochs, *samples, *csvDir, *sweepW, *eqstats)
+	err = run(*exp, runner{
+		w: os.Stdout, cores: *cores, bundles: *bundles, seed: *seed,
+		epochs: *epochs, samples: *samples, csvDir: *csvDir,
+		// The experiment engine fans independent cells (chips, bundles,
+		// fault-rate points) across sweep workers; results are
+		// bit-identical at any worker count, so the knob only trades
+		// wall time against CPU.
+		eng: experiments.Engine{Workers: *sweepW},
+	}, *eqstats)
 	stopProf()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rebudget-bench:", err)
@@ -53,55 +61,70 @@ func main() {
 	}
 }
 
-// startProfiles starts the optional pprof captures; the returned function
-// finalises them (stops the CPU profile, writes the heap profile).
-func startProfiles(cpuPath, memPath string) (func(), error) {
-	stop := func() {}
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		stop = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}
-	}
-	if memPath == "" {
-		return stop, nil
-	}
-	cpuStop := stop
-	return func() {
-		cpuStop()
-		f, err := os.Create(memPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rebudget-bench: memprofile:", err)
-			return
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "rebudget-bench: memprofile:", err)
-		}
-	}, nil
+// experiment is one -exp name. Two more names select groups: "all" runs
+// every experiment marked inAll, "ablations" every "ablation-" experiment,
+// both in table order.
+type experiment struct {
+	name  string
+	inAll bool
+	run   func(*runner) error
 }
 
-func run(exp string, cores, bundles int, seed uint64, epochs, samples int, csvDir string, sweepWorkers int, eqstats bool) error {
-	w := os.Stdout
-	// The experiment engine fans independent cells (chips, bundles,
-	// fault-rate points) across sweepWorkers goroutines; results are
-	// bit-identical at any worker count, so the knob only trades wall time
-	// against CPU.
-	eng := experiments.Engine{Workers: sweepWorkers}
+// experimentTable is the one list of -exp names: the dispatcher and the
+// flag's help string both read it.
+var experimentTable = []experiment{
+	{"table1", true, (*runner).table1},
+	{"fig1", true, (*runner).fig1},
+	{"fig2", true, (*runner).fig2},
+	{"fig3", true, (*runner).fig3},
+	{"fig4", true, (*runner).fig4},
+	{"convergence", false, (*runner).convergence},
+	{"fig5", true, (*runner).fig5},
+	{"tenant", true, (*runner).tenant},
+	// Not part of "all": the sweep injects faults, so it is a diagnostic
+	// rather than a paper figure and "all" output stays stable.
+	{"resilience", false, (*runner).resilience},
+	{"validate", true, (*runner).validate},
+	{"ablation-talus", true, ablation("Talus convexification on/off", experiments.AblationTalus)},
+	{"ablation-lambda", true, ablation("ReBudget low-λ threshold", experiments.AblationLambdaThreshold)},
+	{"ablation-backoff", true, ablation("exponential back-off vs fixed step", experiments.AblationBackoff)},
+	{"ablation-bids", true, ablation("bid hill-climb granularity", experiments.AblationBidOptimizer)},
+}
+
+// experimentNames lists every accepted -exp value.
+func experimentNames() string {
+	names := make([]string, 0, len(experimentTable)+2)
+	for _, e := range experimentTable {
+		names = append(names, e.name)
+	}
+	return strings.Join(append(names, "ablations", "all"), "|")
+}
+
+// selectExperiments resolves an -exp value to the experiments it runs.
+func selectExperiments(exp string) ([]experiment, error) {
+	var out []experiment
+	for _, e := range experimentTable {
+		if exp == e.name || exp == "all" && e.inAll ||
+			exp == "ablations" && strings.HasPrefix(e.name, "ablation-") {
+			out = append(out, e)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("unknown experiment %q (want %s)", exp, experimentNames())
+	}
+	return out, nil
+}
+
+func run(exp string, r runner, eqstats bool) error {
+	selected, err := selectExperiments(exp)
+	if err != nil {
+		return err
+	}
 	// Equilibrium profiling threads through every analytic-market
 	// experiment; detailed simulations carry their own per-chip profile
 	// (Result.Equilibrium).
 	var prof metrics.EquilibriumProfile
-	mechs := experiments.InstrumentedMechanisms(func(mc market.Config) market.Config {
+	r.mechs = experiments.InstrumentedMechanisms(func(mc market.Config) market.Config {
 		mc.Observer = prof.Observe
 		return mc
 	})
@@ -110,182 +133,159 @@ func run(exp string, cores, bundles int, seed uint64, epochs, samples int, csvDi
 			fmt.Fprintln(os.Stderr, "rebudget-bench:", prof.Snapshot())
 		}
 	}()
-	want := func(name string) bool { return exp == "all" || exp == name || strings.HasPrefix(name, exp) }
-	ran := false
-	writeCSV := func(name string, emit func(io.Writer) error) error {
-		if csvDir == "" {
-			return nil
-		}
-		f, err := os.Create(filepath.Join(csvDir, name))
-		if err != nil {
+	for _, e := range selected {
+		if err := e.run(&r); err != nil {
 			return err
 		}
-		defer f.Close()
-		return emit(f)
-	}
-
-	if want("table1") {
-		ran = true
-		experiments.RenderTable1(w)
-		fmt.Fprintln(w)
-	}
-	if want("fig1") {
-		ran = true
-		experiments.RenderFig1(w, experiments.Fig1(21))
-		fmt.Fprintln(w)
-	}
-	if want("fig2") {
-		ran = true
-		curves, err := experiments.Fig2()
-		if err != nil {
-			return err
-		}
-		experiments.RenderFig2(w, curves)
-		if err := writeCSV("fig2.csv", func(f io.Writer) error {
-			return experiments.WriteFig2CSV(f, curves)
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	if want("fig3") {
-		ran = true
-		r, err := experiments.Fig3()
-		if err != nil {
-			return err
-		}
-		experiments.RenderFig3(w, r)
-		fmt.Fprintln(w)
-	}
-	if want("fig4") || exp == "convergence" {
-		ran = true
-		fmt.Fprintf(w, "# running phase-1 sweep: %d cores × %d bundles/category …\n", cores, bundles)
-		s, err := eng.RunSweep(cores, bundles, seed, mechs)
-		if err != nil {
-			return err
-		}
-		switch exp {
-		case "fig4a":
-			experiments.RenderFig4(w, s)
-		case "fig4b":
-			experiments.RenderFig4(w, s)
-		case "convergence":
-			experiments.RenderConvergence(w, s)
-		default:
-			experiments.RenderFig4(w, s)
-			fmt.Fprintln(w)
-			experiments.RenderCategorySummary(w, s)
-			fmt.Fprintln(w)
-			experiments.RenderConvergence(w, s)
-		}
-		if err := writeCSV("fig4.csv", func(f io.Writer) error {
-			return experiments.WriteSweepCSV(f, s)
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	if want("fig5") {
-		ran = true
-		cfg := cmpsim.DefaultConfig(cores)
-		cfg.Epochs = epochs
-		cfg.MaxAccessesPerCoreEpoch = samples
-		cfg.Seed = seed
-		fmt.Fprintf(w, "# running detailed simulation: %d cores, %d epochs, one bundle/category …\n",
-			cores, epochs)
-		r, err := eng.RunFig5(cfg, seed, nil)
-		if err != nil {
-			return err
-		}
-		experiments.RenderFig5(w, r)
-		if err := writeCSV("fig5.csv", func(f io.Writer) error {
-			return experiments.WriteFig5CSV(f, r)
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	if want("tenant") {
-		ran = true
-		fmt.Fprintf(w, "# running tenant economy frontier: 9 tenants × 240 epochs …\n")
-		r, err := experiments.RunTenantFrontier(9, 240, seed, nil)
-		if err != nil {
-			return err
-		}
-		experiments.RenderTenantFrontier(w, r)
-		if err := writeCSV("tenant_frontier.csv", func(f io.Writer) error {
-			return experiments.WriteTenantFrontierCSV(f, r)
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	if exp == "resilience" {
-		// Explicit-only (not part of "all"): the sweep injects faults, so
-		// it is a diagnostic rather than a paper figure.
-		ran = true
-		cfg := cmpsim.DefaultConfig(cores)
-		cfg.Epochs = epochs
-		cfg.MaxAccessesPerCoreEpoch = samples
-		cfg.Seed = seed
-		fmt.Fprintf(w, "# running resilience sweep: %d cores, %d epochs …\n", cores, epochs)
-		r, err := eng.RunResilience(cfg, seed, nil)
-		if err != nil {
-			return err
-		}
-		experiments.RenderResilience(w, r)
-		fmt.Fprintln(w)
-	}
-	if want("validate") {
-		ran = true
-		cfg := cmpsim.DefaultConfig(cores)
-		cfg.Epochs = epochs
-		cfg.MaxAccessesPerCoreEpoch = samples
-		rows, mae, err := experiments.PhaseValidation(cfg, seed)
-		if err != nil {
-			return err
-		}
-		experiments.RenderValidation(w, rows, mae)
-		fmt.Fprintln(w)
-	}
-	if exp == "all" || exp == "ablations" || exp == "ablation-granularity" {
-		ran = true
-		cfg := cmpsim.DefaultConfig(8)
-		cfg.Epochs = epochs
-		cfg.MaxAccessesPerCoreEpoch = samples
-		rows, err := eng.AblationGranularity(cfg)
-		if err != nil {
-			return err
-		}
-		experiments.RenderGranularity(w, rows)
-		fmt.Fprintln(w)
-	}
-	if want("ablations") || strings.HasPrefix(exp, "ablation-") {
-		type ab struct {
-			key  string
-			name string
-			run  func() ([]experiments.AblationRow, error)
-		}
-		for _, a := range []ab{
-			{"ablation-talus", "Talus convexification on/off", experiments.AblationTalus},
-			{"ablation-lambda", "ReBudget low-λ threshold", experiments.AblationLambdaThreshold},
-			{"ablation-backoff", "exponential back-off vs fixed step", experiments.AblationBackoff},
-			{"ablation-bids", "bid hill-climb granularity", experiments.AblationBidOptimizer},
-		} {
-			if exp != "all" && exp != "ablations" && exp != a.key {
-				continue
-			}
-			ran = true
-			rows, err := a.run()
-			if err != nil {
-				return err
-			}
-			experiments.RenderAblation(w, a.name, rows)
-			fmt.Fprintln(w)
-		}
-	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q", exp)
+		fmt.Fprintln(r.w)
 	}
 	return nil
+}
+
+// runner carries the command line into each experiment.
+type runner struct {
+	w                               io.Writer
+	eng                             experiments.Engine
+	mechs                           []core.Allocator
+	cores, bundles, epochs, samples int
+	seed                            uint64
+	csvDir                          string
+}
+
+// writeCSV also writes a dataset into -csv's directory when one is given.
+func (r *runner) writeCSV(name string, emit func(io.Writer) error) error {
+	if r.csvDir == "" {
+		return nil
+	}
+	f, err := os.Create(filepath.Join(r.csvDir, name))
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return emit(f)
+}
+
+// simConfig is the detailed-simulation configuration the flags describe.
+func (r *runner) simConfig() cmpsim.Config {
+	cfg := cmpsim.DefaultConfig(r.cores)
+	cfg.Epochs = r.epochs
+	cfg.MaxAccessesPerCoreEpoch = r.samples
+	return cfg
+}
+
+func (r *runner) table1() error {
+	experiments.RenderTable1(r.w)
+	return nil
+}
+
+func (r *runner) fig1() error {
+	experiments.RenderFig1(r.w, experiments.Fig1(21))
+	return nil
+}
+
+func (r *runner) fig2() error {
+	curves, err := experiments.Fig2()
+	if err != nil {
+		return err
+	}
+	experiments.RenderFig2(r.w, curves)
+	return r.writeCSV("fig2.csv", func(f io.Writer) error {
+		return experiments.WriteFig2CSV(f, curves)
+	})
+}
+
+func (r *runner) fig3() error {
+	res, err := experiments.Fig3()
+	if err != nil {
+		return err
+	}
+	experiments.RenderFig3(r.w, res)
+	return nil
+}
+
+// sweep runs the phase-1 sweep behind fig4 and convergence.
+func (r *runner) sweep(render func(*experiments.SweepResult)) error {
+	fmt.Fprintf(r.w, "# running phase-1 sweep: %d cores × %d bundles/category …\n", r.cores, r.bundles)
+	s, err := r.eng.RunSweep(r.cores, r.bundles, r.seed, r.mechs)
+	if err != nil {
+		return err
+	}
+	render(s)
+	return r.writeCSV("fig4.csv", func(f io.Writer) error {
+		return experiments.WriteSweepCSV(f, s)
+	})
+}
+
+func (r *runner) fig4() error {
+	return r.sweep(func(s *experiments.SweepResult) {
+		experiments.RenderFig4(r.w, s)
+		fmt.Fprintln(r.w)
+		experiments.RenderCategorySummary(r.w, s)
+		fmt.Fprintln(r.w)
+		experiments.RenderConvergence(r.w, s)
+	})
+}
+
+func (r *runner) convergence() error {
+	return r.sweep(func(s *experiments.SweepResult) { experiments.RenderConvergence(r.w, s) })
+}
+
+func (r *runner) fig5() error {
+	cfg := r.simConfig()
+	cfg.Seed = r.seed
+	fmt.Fprintf(r.w, "# running detailed simulation: %d cores, %d epochs, one bundle/category …\n",
+		r.cores, r.epochs)
+	res, err := r.eng.RunFig5(cfg, r.seed, nil)
+	if err != nil {
+		return err
+	}
+	experiments.RenderFig5(r.w, res)
+	return r.writeCSV("fig5.csv", func(f io.Writer) error {
+		return experiments.WriteFig5CSV(f, res)
+	})
+}
+
+func (r *runner) tenant() error {
+	fmt.Fprintf(r.w, "# running tenant economy frontier: 9 tenants × 240 epochs …\n")
+	res, err := experiments.RunTenantFrontier(9, 240, r.seed, nil)
+	if err != nil {
+		return err
+	}
+	experiments.RenderTenantFrontier(r.w, res)
+	return r.writeCSV("tenant_frontier.csv", func(f io.Writer) error {
+		return experiments.WriteTenantFrontierCSV(f, res)
+	})
+}
+
+func (r *runner) resilience() error {
+	cfg := r.simConfig()
+	cfg.Seed = r.seed
+	fmt.Fprintf(r.w, "# running resilience sweep: %d cores, %d epochs …\n", r.cores, r.epochs)
+	res, err := r.eng.RunResilience(cfg, r.seed, nil)
+	if err != nil {
+		return err
+	}
+	experiments.RenderResilience(r.w, res)
+	return nil
+}
+
+func (r *runner) validate() error {
+	rows, mae, err := experiments.PhaseValidation(r.simConfig(), r.seed)
+	if err != nil {
+		return err
+	}
+	experiments.RenderValidation(r.w, rows, mae)
+	return nil
+}
+
+// ablation adapts one design-choice study to the table.
+func ablation(name string, study func() ([]experiments.AblationRow, error)) func(*runner) error {
+	return func(r *runner) error {
+		rows, err := study()
+		if err != nil {
+			return err
+		}
+		experiments.RenderAblation(r.w, name, rows)
+		return nil
+	}
 }

@@ -9,6 +9,14 @@ import (
 	"rebudget/internal/numeric"
 )
 
+// line is one way of refCache's array-of-structs set.
+type line struct {
+	tag   uint64
+	owner int32
+	valid bool
+	used  uint64 // global LRU timestamp
+}
+
 // refCache states the replacement rule of PartitionedCache as directly as it
 // can be said — array-of-structs lines with a valid flag, candidates
 // collected and ordered per miss, how far a partition is over quota

@@ -33,7 +33,7 @@ type Chip struct {
 
 	models  []*app.Model
 	gens    []trace.Stream
-	l2      cache.Partitioner
+	l2      *cache.PartitionedCache
 	umons   []*cache.UMON
 	therm   []*thermal.Node
 	mem     *dram.System
@@ -112,21 +112,11 @@ func NewChip(cfg Config, b workload.Bundle) (*Chip, error) {
 		return nil, fmt.Errorf("cmpsim: bundle has %d apps for %d cores", len(b.Apps), cfg.Cores)
 	}
 	sys := NewSystemConfig(cfg.Cores)
-	var l2 cache.Partitioner
-	var err error
-	if cfg.WayPartition {
-		l2, err = cache.NewWayPartitioned(cache.Config{
-			CapacityBytes: sys.L2CapacityBytes,
-			Ways:          sys.L2Ways,
-			Partitions:    cfg.Cores, // no shadow partitions at way granularity
-		})
-	} else {
-		l2, err = cache.NewPartitioned(cache.Config{
-			CapacityBytes: sys.L2CapacityBytes,
-			Ways:          sys.L2Ways,
-			Partitions:    2 * cfg.Cores, // two Talus shadow partitions per core
-		})
-	}
+	l2, err := cache.NewPartitioned(cache.Config{
+		CapacityBytes: sys.L2CapacityBytes,
+		Ways:          sys.L2Ways,
+		Partitions:    2 * cfg.Cores, // two Talus shadow partitions per core
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -205,11 +195,7 @@ func (c *Chip) marketBandwidthGBs() float64 {
 // Scaling line targets.
 func (c *Chip) applyAllocation(deltas [][]float64) {
 	n := c.cfg.Cores
-	parts := 2 * n
-	if c.cfg.WayPartition {
-		parts = n
-	}
-	targets := make([]float64, parts)
+	targets := make([]float64, 2*n)
 	for i := 0; i < n; i++ {
 		dRegions, dWatts := 0.0, 0.0
 		if len(deltas[i]) > 0 && deltas[i][0] > 0 {
@@ -228,13 +214,6 @@ func (c *Chip) applyAllocation(deltas [][]float64) {
 			}
 		}
 
-		if c.cfg.WayPartition {
-			// Strict way quotas: the cache quantises the line target
-			// itself; no Talus shadows are possible.
-			targets[i] = c.regions[i] * cache.LinesPerRegion
-			c.rhoThresh[i] = rhoHashBuckets
-			continue
-		}
 		// Talus split from the latest measured miss curve.
 		tal, err := cache.NewTalus(c.umons[i].Curve())
 		if err != nil {
@@ -265,9 +244,6 @@ func (c *Chip) applyAllocation(deltas [][]float64) {
 // shadowFor routes one line address to the core's Lo or Hi shadow
 // partition, Talus-style (uniform address hash against ρ).
 func (c *Chip) shadowFor(coreID int, addr uint64) int {
-	if c.cfg.WayPartition {
-		return coreID
-	}
 	h := (addr / cache.LineSize) * 0x9e3779b97f4a7c15
 	if h>>(64-10) < c.rhoThresh[coreID] {
 		return 2 * coreID

@@ -228,31 +228,6 @@ func TestShadowRouting(t *testing.T) {
 	}
 }
 
-func TestWayPartitionMode(t *testing.T) {
-	cfg := DefaultConfig(4)
-	cfg.WayPartition = true
-	cfg.Epochs = 6
-	chip, err := NewChip(cfg, smallBundle(t, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := chip.Run(core.EqualBudget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WeightedSpeedup <= 0 || res.WeightedSpeedup > 5 {
-		t.Errorf("way-mode speedup %g implausible", res.WeightedSpeedup)
-	}
-	// All routing collapses to one partition per core.
-	for core := 0; core < 4; core++ {
-		for a := uint64(0); a < 64; a++ {
-			if chip.shadowFor(core, a*64) != core {
-				t.Fatal("way mode must route to the core's single partition")
-			}
-		}
-	}
-}
-
 func TestChipIsSingleUse(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.Epochs = 2

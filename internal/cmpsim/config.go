@@ -35,12 +35,6 @@ type Config struct {
 	ReallocEvery int
 	// Seed drives all randomised behaviour deterministically.
 	Seed uint64
-	// WayPartition switches L2 enforcement from the paper's Futility
-	// Scaling regions (+ Talus shadow partitions) to strict UCP-style way
-	// quotas — the coarse-grained alternative, for the granularity
-	// ablation. Way mode cannot host Talus shadows, so utilities keep
-	// their hulls but enforcement quantises to whole ways.
-	WayPartition bool
 	// BandwidthMarket adds memory bandwidth as a third market resource,
 	// enforced MemGuard-style: each core's miss traffic queues against
 	// its own allocated share of the channels rather than the shared

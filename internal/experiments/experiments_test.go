@@ -351,38 +351,6 @@ func TestAblationBidOptimizer(t *testing.T) {
 	}
 }
 
-func TestAblationGranularity(t *testing.T) {
-	cfg := cmpsim.DefaultConfig(16)
-	cfg.Epochs = 8
-	cfg.WarmupEpochs = 4
-	cfg.MaxAccessesPerCoreEpoch = 4000
-	rows, err := AblationGranularity(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.WeightedSpeedup <= 0 {
-			t.Errorf("%s: no throughput", r.Config)
-		}
-	}
-	// The decisive claim: region granularity scales to 64 cores, way
-	// quotas cannot (32 ways < 64 partitions).
-	if !rows[0].Feasible64 {
-		t.Error("region enforcement should host 64 cores")
-	}
-	if rows[1].Feasible64 {
-		t.Error("way quotas cannot host 64 partitions in 32 ways")
-	}
-	var sb strings.Builder
-	RenderGranularity(&sb, rows)
-	if !strings.Contains(sb.String(), "UCP") {
-		t.Error("render missing row")
-	}
-}
-
 func TestSummarizeByCategory(t *testing.T) {
 	s := smallSweep(t)
 	rows := s.SummarizeByCategory()

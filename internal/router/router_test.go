@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -357,5 +358,41 @@ func TestDerivedDefaults(t *testing.T) {
 	b.onSuccess()
 	if got := b.currentState(); got != breakerClosed {
 		t.Errorf("state after one good trial = %v, want closed", got)
+	}
+}
+
+// The L2 has one model, so a create still naming the retired way-quota
+// switch is refused, never silently run on the other cache: 400 straight to
+// a shard and through the router, and no session is left behind. The same
+// body without the field creates, so the field alone is what is refused.
+func TestRetiredL2FieldRefused(t *testing.T) {
+	sh := newShard(t, server.Config{})
+	rt, err := New(Config{Backends: []string{sh.ts.URL}, ProbeInterval: time.Hour, Logger: discardLog()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(rt.Handler())
+	t.Cleanup(func() { rts.Close(); rt.Close() })
+	post := func(base, id, sim string) int {
+		body := `{"id":"` + id + `","workload":{"fig3":true},"mechanism":"equalbudget","mode":"sim","sim":` + sim + `}`
+		resp, err := http.Post(base+"/v1/sessions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, hop := range []struct{ name, base string }{{"shard", sh.ts.URL}, {"router", rts.URL}} {
+		if code := post(hop.base, "ways-"+hop.name, `{"way_partition":true}`); code != http.StatusBadRequest {
+			t.Errorf("%s: create with sim.way_partition answered %d, want 400", hop.name, code)
+		}
+		if n := sh.srv.Sessions(); n != 0 {
+			t.Fatalf("%s: refused create left %d sessions", hop.name, n)
+		}
+	}
+	for _, hop := range []struct{ name, base string }{{"shard", sh.ts.URL}, {"router", rts.URL}} {
+		if code := post(hop.base, "plain-"+hop.name, `{"seed":3}`); code != http.StatusCreated {
+			t.Errorf("%s: create without the field answered %d, want 201", hop.name, code)
+		}
 	}
 }

@@ -50,7 +50,6 @@ func newSimEngine(spec SessionSpec, bundle workload.Bundle,
 		if s.MaxAccessesPerCoreEpoch != 0 {
 			cfg.MaxAccessesPerCoreEpoch = s.MaxAccessesPerCoreEpoch
 		}
-		cfg.WayPartition = s.WayPartition
 	}
 	chip, err := cmpsim.NewChip(cfg, bundle)
 	if err != nil {

@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http/httptest"
@@ -342,6 +343,44 @@ func TestCorruptSnapshotColdStart(t *testing.T) {
 	}
 	if _, err := c.StepEpoch(ctx, "broken"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A version-3 snapshot written while the create body still had the
+// way-quota L2 switch carries sim.way_partition in its spec. Decoding drops
+// the field, so the checksum no longer reproduces and the entry is a cold
+// start: no session silently resumes on a different cache model. The twin
+// written without the field restores, so the field alone is what fails.
+func TestRetiredL2FieldSnapshotIsColdStart(t *testing.T) {
+	const written = `{
+  "version": 3,
+  "id": "ways",
+  "spec": {
+    "id": "ways",
+    "workload": {
+      "fig3": true
+    },
+    "mechanism": "equalbudget",
+    "mode": "sim",
+    "sim": {
+      "seed": 3%s
+    }
+  },
+  "epochs": 2,
+  "health": "healthy",
+  "saved_at": "2026-01-02T03:04:05Z",
+  "checksum": "crc32:%s",
+  "sim": {
+    "epochs": 2
+  }
+}`
+	withField := fmt.Sprintf(written, ",\n      \"way_partition\": true", "e0530906")
+	if _, err := server.DecodeSnapshot("ways", []byte(withField)); !errors.Is(err, server.ErrNoSnapshot) {
+		t.Fatalf("snapshot with sim.way_partition decoded: %v, want ErrNoSnapshot", err)
+	}
+	without := fmt.Sprintf(written, "", "37f5dad9")
+	if _, err := server.DecodeSnapshot("ways", []byte(without)); err != nil {
+		t.Fatalf("the same snapshot without the field: %v", err)
 	}
 }
 

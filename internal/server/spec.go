@@ -84,7 +84,6 @@ type SimSpec struct {
 	WarmupEpochs            int        `json:"warmup_epochs,omitempty"`
 	ReallocEvery            int        `json:"realloc_every,omitempty"`
 	MaxAccessesPerCoreEpoch int        `json:"max_accesses_per_core_epoch,omitempty"`
-	WayPartition            bool       `json:"way_partition,omitempty"`
 	Faults                  *FaultSpec `json:"faults,omitempty"`
 }
 
