@@ -67,3 +67,57 @@ func ExampleReBudget() {
 	// hmmer#6          100.00       1.04      14.15      0.924
 	// sixtrack#7       100.00       1.04      14.15      0.911
 }
+
+// Simulate §4.3's motivating scenario on the execution-driven chip: four
+// compute-bound applications share a 4-core CMP, core 0 switches to the
+// cache-hungry mcf mid-run (a fresh trace and a cleared monitor), and the
+// market re-runs every epoch on the monitored utilities and redirects cache
+// to the newcomer within a few epochs.
+func ExampleNewChip() {
+	var bundle rebudget.Bundle
+	bundle.Category = "switch-demo"
+	for _, name := range []string{"sixtrack", "hmmer", "eon", "crafty"} {
+		spec, err := rebudget.LookupApp(name)
+		if err != nil {
+			log.Fatal(err)
+		}
+		bundle.Apps = append(bundle.Apps, spec)
+	}
+
+	cfg := rebudget.DefaultSimConfig(4)
+	cfg.Epochs = 16
+	chip, err := rebudget.NewChip(cfg, bundle)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	fmt.Println("cores 0-3 run compute-bound apps; at epoch 8, core 0 switches to mcf")
+	res, err := chip.RunWithSwitches(rebudget.EqualBudget{}, []rebudget.SwitchEvent{
+		{Epoch: 8, Core: 0, App: "mcf"},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	fmt.Printf("\nmechanism %s after the switch:\n", res.Mechanism)
+	fmt.Printf("%-6s %-10s %12s %12s %12s\n", "core", "app", "norm perf", "Δregions", "Δwatts")
+	for i := range res.NormPerf {
+		fmt.Printf("%-6d %-10s %12.3f %12.2f %12.2f\n",
+			i, bundle.Apps[i].Name, res.NormPerf[i],
+			res.FinalOutcome.Allocations[i][0], res.FinalOutcome.Allocations[i][1])
+	}
+	fmt.Println("\nthe market followed the demand shift: the newcomer holds the")
+	fmt.Println("cache its peers never wanted, paid for from the same equal budget")
+	// Output:
+	// cores 0-3 run compute-bound apps; at epoch 8, core 0 switches to mcf
+	//
+	// mechanism EqualBudget after the switch:
+	// core   app           norm perf     Δregions       Δwatts
+	// 0      mcf               0.247         6.13         3.69
+	// 1      hmmer             0.806         1.87        10.26
+	// 2      eon               0.827         2.00        10.05
+	// 3      crafty            0.806         2.00        10.05
+	//
+	// the market followed the demand shift: the newcomer holds the
+	// cache its peers never wanted, paid for from the same equal budget
+}

@@ -28,8 +28,10 @@ type Config struct {
 	// EpochSeconds is the allocation interval (§4.3 uses 1 ms).
 	EpochSeconds float64
 	// MaxAccessesPerCoreEpoch caps the simulated L2 accesses per core
-	// each epoch; the per-core access counts are scaled down together so
-	// relative cache pressure is preserved (trace sampling).
+	// each epoch (trace sampling). Each core's count is clamped to it on
+	// its own, so cores past the cap all issue the same number of
+	// accesses and relative cache pressure is not preserved (ROADMAP
+	// item 2).
 	MaxAccessesPerCoreEpoch int
 	// ReallocEvery invokes the allocator every this many epochs.
 	ReallocEvery int

@@ -15,7 +15,7 @@ import (
 )
 
 // runEpoch simulates one allocation interval: every core issues its share
-// of L2 accesses (paced by its current throughput estimate and scaled under
+// of L2 accesses (paced by its current throughput estimate, each clamped to
 // the sampling cap), the chip measures per-core miss ratios, retires
 // instructions against the live memory latency, and advances thermals.
 //
@@ -24,16 +24,21 @@ import (
 // so the epoch machinery itself performs no heap allocation; what remains is
 // a generator's LRU stack taking a 2 kB chunk backing while it still
 // acquires new blocks — under one per epoch once a chip has aged
-// (TestRunEpochCatalogAllocs). Each core's draws are
-// prefetched in one batch (keeping that generator's stack state hot) and
-// then interleaved in the canonical (step, core) order (sched.go).
+// (TestRunEpochCatalogAllocs). The cores' draws are generated a chunk at a
+// time, one chunk ahead of the serial walk that interleaves them in the
+// canonical (step, core) order (sched.go).
 func (c *Chip) runEpoch(measured bool) {
 	n := c.cfg.Cores
 	s := &c.scratch
 	s.ensure(n, c.cfg.MaxAccessesPerCoreEpoch)
 
 	// Trace pacing: per-core access counts proportional to instruction
-	// rate × memory intensity, jointly scaled under the sampling cap.
+	// rate × memory intensity, each clamped to the sampling cap. The clamp
+	// comes before the joint scale below, so no rate exceeds the cap and
+	// scale (like sampleScale after it) is always 1: a core whose rate ×
+	// API exceeds the cap — every core of the default catalog chips —
+	// issues exactly MaxAccessesPerCoreEpoch accesses, and the bank model
+	// never sees a sampling scale (ROADMAP item 2).
 	counts, rates, misses := s.counts, s.rates, s.misses
 	for i := 0; i < n; i++ {
 		rates[i] = c.instrRate(i) * c.models[i].Spec.API * c.cfg.EpochSeconds
@@ -53,27 +58,21 @@ func (c *Chip) runEpoch(measured bool) {
 			maxCount = counts[i]
 		}
 		misses[i] = 0
+		s.credits[i] = 0
 		s.cursor[i] = 0
 	}
 
-	// Batched generation: prefetch each core's whole epoch of addresses.
-	// Generators are per-core, so drawing ahead of the interleave changes
-	// nothing about which addresses appear or in what per-core order.
-	for i := 0; i < n; i++ {
-		if counts[i] > 0 {
-			c.gens[i].Fill(s.bufs[i][:counts[i]])
-		}
-	}
-
-	// Interleave the cores' streams in the canonical schedule so cache
-	// pressure is temporally mixed rather than phase-ordered.
+	// Generate the cores' streams and walk them through the L2 in the
+	// canonical schedule, so cache pressure is temporally mixed rather
+	// than phase-ordered; generation runs a chunk ahead of the walk.
 	if maxCount > 0 {
-		c.interleave(maxCount)
+		c.pipeline(maxCount)
 	}
 
 	// Measurement: per-core miss ratios and live DRAM latency from the
 	// bank-level model (measured row locality + per-bank queueing; the
-	// sampling scale converts simulated miss counts into real rates).
+	// sampling scale would convert simulated miss counts into real rates,
+	// but it is always 1 — see the pacing note above).
 	for i := 0; i < n; i++ {
 		if counts[i] > 0 {
 			c.missEst[i] = float64(misses[i]) / float64(counts[i])

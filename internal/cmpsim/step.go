@@ -17,7 +17,10 @@ import (
 //
 // A Chip is not safe for concurrent use; the owner must serialise Begin,
 // StepEpoch, SwitchApp and Snapshot (the serving layer does so with a
-// per-session goroutine).
+// per-session goroutine). Inside Begin and StepEpoch an epoch may lend its
+// trace generation to a process-wide helper goroutine (sched.go), but the
+// epoch returns only after the helper's last chunk, so between calls the
+// chip belongs to its owner alone and distinct chips share no state.
 
 // Begin prepares the chip for incremental stepping under the given
 // allocator: fault hooks and market configuration (round parallelism,
