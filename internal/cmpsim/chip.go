@@ -67,7 +67,6 @@ type Chip struct {
 	// Fault-injection and degraded-mode state. The injector is nil when
 	// Config.Faults is disabled, so clean runs take no fault branch.
 	injector     *fault.Injector
-	resil        ResilienceConfig
 	health       metrics.Health
 	consecFails  int
 	cooldownLeft int
@@ -141,7 +140,6 @@ func NewChip(cfg Config, b workload.Bundle) (*Chip, error) {
 		instructions: make([]float64, cfg.Cores),
 		arrival:      make([]int, cfg.Cores),
 		injector:     fault.New(cfg.Faults),
-		resil:        cfg.Resilience.withDefaults(),
 	}
 	rng := numeric.NewRand(cfg.Seed)
 	for i, spec := range b.Apps {

@@ -47,34 +47,20 @@ type Config struct {
 	// equilibrium searches). The zero value disables injection entirely
 	// and leaves the simulation bit-identical to a build without it.
 	Faults fault.Config
-	// Resilience tunes the degraded-mode state machine that keeps the
-	// simulation running when allocation fails. Zero values select the
-	// documented defaults.
-	Resilience ResilienceConfig
 }
 
-// ResilienceConfig tunes the chip's healthy → degraded → recovering state
-// machine (see DESIGN.md, "Failure model & degraded mode").
-type ResilienceConfig struct {
-	// MaxConsecFailures is how many consecutive allocation failures the
+// The chip's healthy → degraded → recovering state machine (see DESIGN.md,
+// "Failure model & degraded mode").
+const (
+	// maxConsecFailures is how many consecutive allocation failures the
 	// pipeline tolerates before transitioning to Degraded and pinning the
-	// last installed allocation (default 3).
-	MaxConsecFailures int
-	// CooldownIntervals is how many reallocation intervals the pipeline
+	// last installed allocation.
+	maxConsecFailures = 3
+	// cooldownIntervals is how many reallocation intervals the pipeline
 	// stays pinned before transitioning to Recovering and re-probing the
-	// allocator (default 4).
-	CooldownIntervals int
-}
-
-func (r ResilienceConfig) withDefaults() ResilienceConfig {
-	if r.MaxConsecFailures <= 0 {
-		r.MaxConsecFailures = 3
-	}
-	if r.CooldownIntervals <= 0 {
-		r.CooldownIntervals = 4
-	}
-	return r
-}
+	// allocator.
+	cooldownIntervals = 4
+)
 
 // DefaultConfig returns a simulation sized for the given core count with
 // costs suitable for tests and benchmarks.

@@ -86,14 +86,14 @@ func TestDegradedModeStateMachine(t *testing.T) {
 	if h.State == metrics.Healthy {
 		t.Error("pipeline still Healthy after a run of pure failures")
 	}
-	if h.AllocFailures < chip.resil.MaxConsecFailures {
-		t.Errorf("AllocFailures = %d, want >= %d", h.AllocFailures, chip.resil.MaxConsecFailures)
+	if h.AllocFailures < maxConsecFailures {
+		t.Errorf("AllocFailures = %d, want >= %d", h.AllocFailures, maxConsecFailures)
 	}
 	if h.AllocFailures != h.AllocAttempts {
 		t.Errorf("every attempt fails, yet failures %d != attempts %d", h.AllocFailures, h.AllocAttempts)
 	}
-	if h.PinnedIntervals < chip.resil.CooldownIntervals {
-		t.Errorf("PinnedIntervals = %d, want >= %d", h.PinnedIntervals, chip.resil.CooldownIntervals)
+	if h.PinnedIntervals < cooldownIntervals {
+		t.Errorf("PinnedIntervals = %d, want >= %d", h.PinnedIntervals, cooldownIntervals)
 	}
 	if h.Transitions < 2 {
 		t.Errorf("Transitions = %d, want >= 2 (degrade + re-probe)", h.Transitions)

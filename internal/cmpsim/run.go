@@ -170,12 +170,12 @@ func (c *Chip) reallocate(alloc core.Allocator) error {
 	if err != nil {
 		c.health.RecordFailure(classifyFailure(err))
 		c.consecFails++
-		if c.health.State == metrics.Recovering || c.consecFails >= c.resil.MaxConsecFailures {
+		if c.health.State == metrics.Recovering || c.consecFails >= maxConsecFailures {
 			// One failure is evidence enough mid-recovery; from Healthy it
 			// takes a streak. Either way the last good allocation stays on
 			// the hardware for the cooldown window.
 			c.health.Transition(metrics.Degraded)
-			c.cooldownLeft = c.resil.CooldownIntervals
+			c.cooldownLeft = cooldownIntervals
 			c.consecFails = 0
 		}
 	} else {

@@ -9,29 +9,23 @@ import (
 // social welfare. With concave (Talus-convexified) utilities, greedy
 // marginal-gain filling followed by inter-player exchange passes converges
 // to (a numerical approximation of) the welfare-optimal allocation.
-type MaxEfficiency struct {
-	// UnitsPerResource controls granularity; each resource is handed out
-	// in capacity/UnitsPerResource quanta. Default 512.
-	UnitsPerResource int
-	// MaxExchangePasses bounds the local-improvement phase. Default 50.
-	MaxExchangePasses int
-}
+type MaxEfficiency struct{}
+
+const (
+	// maxEffUnits controls granularity: each resource is handed out in
+	// capacity/maxEffUnits quanta.
+	maxEffUnits = 512
+	// maxEffPasses bounds the local-improvement phase.
+	maxEffPasses = 50
+)
 
 // Name implements Allocator.
 func (MaxEfficiency) Name() string { return "MaxEfficiency" }
 
 // Allocate implements Allocator.
-func (a MaxEfficiency) Allocate(capacity []float64, players []PlayerSpec) (*Outcome, error) {
+func (MaxEfficiency) Allocate(capacity []float64, players []PlayerSpec) (*Outcome, error) {
 	if err := validate(capacity, players); err != nil {
 		return nil, err
-	}
-	units := a.UnitsPerResource
-	if units <= 0 {
-		units = 512
-	}
-	passes := a.MaxExchangePasses
-	if passes <= 0 {
-		passes = 50
 	}
 	n := len(players)
 	m := len(capacity)
@@ -49,7 +43,7 @@ func (a MaxEfficiency) Allocate(capacity []float64, players []PlayerSpec) (*Outc
 	// reflected in the marginal evaluations.
 	quantum := make([]float64, m)
 	for j, c := range capacity {
-		quantum[j] = c / float64(units)
+		quantum[j] = c / maxEffUnits
 	}
 	gain := func(i, j int) float64 {
 		alloc[i][j] += quantum[j]
@@ -57,7 +51,7 @@ func (a MaxEfficiency) Allocate(capacity []float64, players []PlayerSpec) (*Outc
 		alloc[i][j] -= quantum[j]
 		return g
 	}
-	for u := 0; u < units; u++ {
+	for u := 0; u < maxEffUnits; u++ {
 		for j := 0; j < m; j++ {
 			best, bestGain := 0, math.Inf(-1)
 			for i := 0; i < n; i++ {
@@ -73,7 +67,7 @@ func (a MaxEfficiency) Allocate(capacity []float64, players []PlayerSpec) (*Outc
 	// Phase 2: exchange passes — move one quantum of resource j from the
 	// donor losing least to the recipient gaining most while total
 	// welfare improves.
-	for pass := 0; pass < passes; pass++ {
+	for pass := 0; pass < maxEffPasses; pass++ {
 		improved := false
 		for j := 0; j < m; j++ {
 			for {

@@ -31,14 +31,9 @@ type ReBudget struct {
 	// fraction of the market's maximum λ (§4.2 uses 0.5, the point where
 	// Theorem 1's guarantee starts degrading linearly).
 	LambdaThreshold float64
-	// MinStepFraction terminates the back-off once step < this fraction
-	// of the initial budget (§4.2 uses 1%).
-	MinStepFraction float64
-	// MaxRounds is a safety bound on budget-reassignment rounds.
-	MaxRounds int
 	// NoBackoff disables the exponential step halving (ablation only):
 	// the cut stays at Step every round until no player is cut, the floor
-	// absorbs every cut, or MaxRounds is reached.
+	// absorbs every cut, or maxRounds is reached.
 	NoBackoff bool
 	// Market configures the inner equilibrium runs.
 	Market market.Config
@@ -47,6 +42,15 @@ type ReBudget struct {
 	// from the preceding budget step, as in §6.4.
 	WarmBids [][]float64
 }
+
+const (
+	// MinStepFraction terminates ReBudget's back-off once the step falls
+	// below this fraction of the initial budget (§4.2 uses 1%). The
+	// tenant-level rebalancer ends its reclaim cycles at the same fraction.
+	MinStepFraction = 0.01
+	// maxRounds is a safety bound on budget-reassignment rounds.
+	maxRounds = 30
+)
 
 // Name implements Allocator.
 func (r ReBudget) Name() string {
@@ -71,12 +75,6 @@ func (r ReBudget) withDefaults() (ReBudget, error) {
 	if r.LambdaThreshold <= 0 {
 		r.LambdaThreshold = 0.5
 	}
-	if r.MinStepFraction <= 0 {
-		r.MinStepFraction = 0.01
-	}
-	if r.MaxRounds <= 0 {
-		r.MaxRounds = 30
-	}
 	if r.MinEnvyFreeness > 0 {
 		mbr, err := metrics.MinMBRForEnvyFreeness(r.MinEnvyFreeness)
 		if err != nil {
@@ -93,7 +91,7 @@ func (r ReBudget) withDefaults() (ReBudget, error) {
 	case r.MBRFloor <= 0:
 		// Tightest floor the halving sequence can reach: total cut of
 		// step + step/2 + … while each term ≥ 1% of the budget.
-		r.MBRFloor = (InitialBudget - MaxTotalCut(r.Step, r.MinStepFraction*InitialBudget)) / InitialBudget
+		r.MBRFloor = (InitialBudget - MaxTotalCut(r.Step, MinStepFraction*InitialBudget)) / InitialBudget
 		if r.MBRFloor < 0 {
 			r.MBRFloor = 0
 		}
@@ -184,7 +182,7 @@ func (r ReBudget) Allocate(capacity []float64, players []PlayerSpec) (*Outcome, 
 	// Floors, steps and the termination threshold all scale with each
 	// player's weight, so the knob's meaning is per-core (§5) and the MBR
 	// guarantee holds on the weight-relative budgets.
-	sched := NewCutSchedule(cfg.Step, cfg.MinStepFraction*InitialBudget, cfg.NoBackoff)
+	sched := NewCutSchedule(cfg.Step, MinStepFraction*InitialBudget, cfg.NoBackoff)
 
 	mp := make([]*market.Player, n)
 	for i, p := range players {
@@ -201,7 +199,7 @@ func (r ReBudget) Allocate(capacity []float64, players []PlayerSpec) (*Outcome, 
 	var eq *market.Equilibrium
 	warmBids := cfg.WarmBids
 	totalIters, runs := 0, 0
-	for round := 0; round < cfg.MaxRounds; round++ {
+	for round := 0; round < maxRounds; round++ {
 		// Re-converge from the previous equilibrium's bids: after a
 		// budget cut the market is already close, which is what keeps
 		// ReBudget's extra equilibrium runs cheap (§6.4). Non-converged

@@ -87,7 +87,7 @@ func TestTheorem1OnRandomMarkets(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		capacity, players, budgets := randomMarket(rng, 3+rng.Intn(3))
 		out := runWithBudgets(t, capacity, players, budgets)
-		opt, err := (MaxEfficiency{UnitsPerResource: 400}).Allocate(capacity, players)
+		opt, err := MaxEfficiency{}.Allocate(capacity, players)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,14 +60,15 @@ type Config struct {
 	// utility returns a non-finite value.
 	UtilityRate float64
 	// SolverRate is the per-equilibrium-run probability that the
-	// bidding–pricing loop is stalled after StallIterations rounds.
+	// bidding–pricing loop is stalled after stallIterations rounds.
 	SolverRate float64
-	// StallIterations is how many rounds a stalled run is allowed before
-	// the hook aborts it (default 1).
-	StallIterations int
 	// Seed drives the injector's private random stream (default 1).
 	Seed uint64
 }
+
+// stallIterations is how many rounds a stalled run is allowed before the
+// hook aborts it.
+const stallIterations = 1
 
 // Enabled reports whether any fault rate is non-zero.
 func (c Config) Enabled() bool {
@@ -96,9 +97,6 @@ type Injector struct {
 func New(cfg Config) *Injector {
 	if !cfg.Enabled() {
 		return nil
-	}
-	if cfg.StallIterations <= 0 {
-		cfg.StallIterations = 1
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -177,7 +175,7 @@ func (in *Injector) WrapUtility(u market.Utility) market.Utility {
 }
 
 // SolverHook returns a market round hook that stalls a SolverRate fraction
-// of equilibrium runs: the run is aborted after StallIterations rounds and
+// of equilibrium runs: the run is aborted after stallIterations rounds and
 // surfaces as a NotConvergedError. Install it as a market.Config's
 // RoundHook (through core.WithMarketConfig for a wrapped mechanism).
 // Returns nil for a nil injector or zero rate, which the market treats as
@@ -197,6 +195,6 @@ func (in *Injector) SolverHook() func(iteration int) bool {
 				in.stats.SolverStalls++
 			}
 		}
-		return !stalled || iteration <= in.cfg.StallIterations
+		return !stalled || iteration <= stallIterations
 	}
 }

@@ -106,16 +106,18 @@ func TestWrapUtilityPoisonsSomeEvaluations(t *testing.T) {
 }
 
 func TestSolverHookStallsRuns(t *testing.T) {
-	in := New(Config{SolverRate: 1, StallIterations: 2, Seed: 5})
+	in := New(Config{SolverRate: 1, Seed: 5})
 	hook := in.SolverHook()
 	if hook == nil {
 		t.Fatal("expected a hook")
 	}
-	if !hook(1) || !hook(2) {
-		t.Error("stalled run must survive StallIterations rounds")
+	for it := 1; it <= stallIterations; it++ {
+		if !hook(it) {
+			t.Errorf("stalled run must survive round %d of %d", it, stallIterations)
+		}
 	}
-	if hook(3) {
-		t.Error("stalled run must abort after StallIterations rounds")
+	if hook(stallIterations + 1) {
+		t.Error("stalled run must abort after stallIterations rounds")
 	}
 	if got := in.Stats().SolverStalls; got != 1 {
 		t.Errorf("SolverStalls = %d, want 1", got)

@@ -6,7 +6,7 @@ import "math"
 // from an equal split of the budget, repeatedly move an amount S of money
 // from the resource with the lowest marginal utility λᵢⱼ to the one with the
 // highest, halving S each round, until the marginal utilities agree within
-// LambdaTolerance or S falls below MinShiftFraction of the budget.
+// lambdaTolerance or S falls below MinShiftFraction of the budget.
 //
 // The player predicts its allocation with Equation 2, holding the other
 // players' aggregate bids yᵢⱼ fixed.
@@ -127,7 +127,7 @@ func optimizeBids(u Utility, budget float64, others, capacity []float64, cfg Con
 		}
 		span := lambdas[hi] - lambdas[lo]
 		scale := math.Max(math.Abs(lambdas[hi]), math.Abs(lambdas[lo]))
-		if scale == 0 || span <= cfg.LambdaTolerance*scale {
+		if scale == 0 || span <= lambdaTolerance*scale {
 			break // marginal utilities equalised (condition (a) of §4.1.2)
 		}
 		move := math.Min(shift, bids[lo])

@@ -86,10 +86,6 @@ type Config struct {
 	// MaxIterations is the fail-safe bound on bidding–pricing rounds
 	// (§6.4 terminates after 30).
 	MaxIterations int
-	// LambdaTolerance stops a player's hill climb once its per-resource
-	// marginal utilities agree within this relative fraction (§4.1.2
-	// uses 5%).
-	LambdaTolerance float64
 	// MinShiftFraction stops the hill climb once the shift amount S
 	// drops below this fraction of the player's budget (§4.1.2 uses 1%).
 	MinShiftFraction float64
@@ -118,6 +114,10 @@ type Config struct {
 	Observer func(rounds, bidSteps int, wall time.Duration)
 }
 
+// lambdaTolerance stops a player's hill climb once its per-resource marginal
+// utilities agree within this relative fraction (§4.1.2 uses 5%).
+const lambdaTolerance = 0.05
+
 // BidOptimizer selects a player-local bid search strategy.
 type BidOptimizer int
 
@@ -137,7 +137,6 @@ func DefaultConfig() Config {
 	return Config{
 		PriceTolerance:   0.01,
 		MaxIterations:    30,
-		LambdaTolerance:  0.05,
 		MinShiftFraction: 0.01,
 	}
 }
@@ -149,9 +148,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxIterations <= 0 {
 		c.MaxIterations = d.MaxIterations
-	}
-	if c.LambdaTolerance <= 0 {
-		c.LambdaTolerance = d.LambdaTolerance
 	}
 	if c.MinShiftFraction <= 0 {
 		c.MinShiftFraction = d.MinShiftFraction

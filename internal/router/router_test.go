@@ -361,10 +361,11 @@ func TestDerivedDefaults(t *testing.T) {
 	}
 }
 
-// The L2 has one model, so a create still naming the retired way-quota
-// switch is refused, never silently run on the other cache: 400 straight to
-// a shard and through the router, and no session is left behind. The same
-// body without the field creates, so the field alone is what is refused.
+// A create still naming a retired field — the way-quota L2 switch, or the
+// fault stall length that is now a constant — is refused, never silently
+// run on another model: 400 straight to a shard and through the router, and
+// no session is left behind. The same body without the field creates, so
+// the field alone is what is refused.
 func TestRetiredL2FieldRefused(t *testing.T) {
 	sh := newShard(t, server.Config{})
 	rt, err := New(Config{Backends: []string{sh.ts.URL}, ProbeInterval: time.Hour, Logger: discardLog()})
@@ -382,17 +383,26 @@ func TestRetiredL2FieldRefused(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	for _, hop := range []struct{ name, base string }{{"shard", sh.ts.URL}, {"router", rts.URL}} {
-		if code := post(hop.base, "ways-"+hop.name, `{"way_partition":true}`); code != http.StatusBadRequest {
-			t.Errorf("%s: create with sim.way_partition answered %d, want 400", hop.name, code)
-		}
-		if n := sh.srv.Sessions(); n != 0 {
-			t.Fatalf("%s: refused create left %d sessions", hop.name, n)
+	hops := []struct{ name, base string }{{"shard", sh.ts.URL}, {"router", rts.URL}}
+	retired := []struct{ name, sim, twin string }{
+		{"sim.way_partition", `{"way_partition":true}`, `{"seed":3}`},
+		{"sim.faults.stall_iterations", `{"faults":{"solver_rate":0.1,"stall_iterations":2}}`, `{"faults":{"solver_rate":0.1}}`},
+	}
+	for _, r := range retired {
+		for _, hop := range hops {
+			if code := post(hop.base, "retired-"+hop.name, r.sim); code != http.StatusBadRequest {
+				t.Errorf("%s: create with %s answered %d, want 400", hop.name, r.name, code)
+			}
+			if n := sh.srv.Sessions(); n != 0 {
+				t.Fatalf("%s: refused create with %s left %d sessions", hop.name, r.name, n)
+			}
 		}
 	}
-	for _, hop := range []struct{ name, base string }{{"shard", sh.ts.URL}, {"router", rts.URL}} {
-		if code := post(hop.base, "plain-"+hop.name, `{"seed":3}`); code != http.StatusCreated {
-			t.Errorf("%s: create without the field answered %d, want 201", hop.name, code)
+	for i, r := range retired {
+		for _, hop := range hops {
+			if code := post(hop.base, fmt.Sprintf("plain-%d-%s", i, hop.name), r.twin); code != http.StatusCreated {
+				t.Errorf("%s: create without %s answered %d, want 201", hop.name, r.name, code)
+			}
 		}
 	}
 }

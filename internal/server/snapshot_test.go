@@ -346,11 +346,13 @@ func TestCorruptSnapshotColdStart(t *testing.T) {
 	}
 }
 
-// A version-3 snapshot written while the create body still had the
-// way-quota L2 switch carries sim.way_partition in its spec. Decoding drops
-// the field, so the checksum no longer reproduces and the entry is a cold
-// start: no session silently resumes on a different cache model. The twin
-// written without the field restores, so the field alone is what fails.
+// A version-3 snapshot written while the create body still had a retired
+// field — the way-quota L2 switch sim.way_partition, or the fault stall
+// length sim.faults.stall_iterations — carries it in its spec. Decoding
+// drops the field, so the checksum no longer reproduces and the entry is a
+// cold start: no session silently resumes on a different cache model or
+// fault schedule. The twin written without the field restores, so the field
+// alone is what fails.
 func TestRetiredL2FieldSnapshotIsColdStart(t *testing.T) {
 	const written = `{
   "version": 3,
@@ -374,13 +376,23 @@ func TestRetiredL2FieldSnapshotIsColdStart(t *testing.T) {
     "epochs": 2
   }
 }`
-	withField := fmt.Sprintf(written, ",\n      \"way_partition\": true", "e0530906")
-	if _, err := server.DecodeSnapshot("ways", []byte(withField)); !errors.Is(err, server.ErrNoSnapshot) {
-		t.Fatalf("snapshot with sim.way_partition decoded: %v, want ErrNoSnapshot", err)
-	}
-	without := fmt.Sprintf(written, "", "37f5dad9")
-	if _, err := server.DecodeSnapshot("ways", []byte(without)); err != nil {
-		t.Fatalf("the same snapshot without the field: %v", err)
+	for _, tc := range []struct {
+		field, withField, sumWith string // sim's tail as written, and its checksum then
+		twin, sumTwin             string // the same tail without the field
+	}{
+		{"way_partition", ",\n      \"way_partition\": true", "e0530906", "", "37f5dad9"},
+		{"stall_iterations",
+			",\n      \"faults\": {\n        \"solver_rate\": 0.1,\n        \"stall_iterations\": 2\n      }", "73b67866",
+			",\n      \"faults\": {\n        \"solver_rate\": 0.1\n      }", "ce3ad9d6"},
+	} {
+		withField := fmt.Sprintf(written, tc.withField, tc.sumWith)
+		if _, err := server.DecodeSnapshot("ways", []byte(withField)); !errors.Is(err, server.ErrNoSnapshot) {
+			t.Errorf("snapshot with %s decoded: %v, want ErrNoSnapshot", tc.field, err)
+		}
+		without := fmt.Sprintf(written, tc.twin, tc.sumTwin)
+		if _, err := server.DecodeSnapshot("ways", []byte(without)); err != nil {
+			t.Errorf("the same snapshot without %s: %v", tc.field, err)
+		}
 	}
 }
 

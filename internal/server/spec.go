@@ -89,11 +89,10 @@ type SimSpec struct {
 
 // FaultSpec enables deterministic fault injection in a sim session.
 type FaultSpec struct {
-	MonitorRate     float64 `json:"monitor_rate,omitempty"`
-	UtilityRate     float64 `json:"utility_rate,omitempty"`
-	SolverRate      float64 `json:"solver_rate,omitempty"`
-	StallIterations int     `json:"stall_iterations,omitempty"`
-	Seed            uint64  `json:"seed,omitempty"`
+	MonitorRate float64 `json:"monitor_rate,omitempty"`
+	UtilityRate float64 `json:"utility_rate,omitempty"`
+	SolverRate  float64 `json:"solver_rate,omitempty"`
+	Seed        uint64  `json:"seed,omitempty"`
 }
 
 // TelemetrySpec is per-epoch monitor input POSTed between epochs. Market
@@ -223,11 +222,10 @@ func (s SessionSpec) faultConfig() fault.Config {
 	}
 	f := s.Sim.Faults
 	return fault.Config{
-		MonitorRate:     f.MonitorRate,
-		UtilityRate:     f.UtilityRate,
-		SolverRate:      f.SolverRate,
-		StallIterations: f.StallIterations,
-		Seed:            f.Seed,
+		MonitorRate: f.MonitorRate,
+		UtilityRate: f.UtilityRate,
+		SolverRate:  f.SolverRate,
+		Seed:        f.Seed,
 	}
 }
 

@@ -140,7 +140,6 @@ func TestPropertyFloorAndConservation(t *testing.T) {
 		cfg := Config{
 			Capacity:        4 + 60*rng.Float64(),
 			DefaultMBRFloor: 0.1 + 0.4*rng.Float64(),
-			NoBackoff:       seed%7 == 3, // exercise the ablation path too
 		}
 		tr, leaves := randTree(t, rng, cfg)
 		demand := map[string]float64{}

@@ -29,10 +29,10 @@ type Report struct {
 //  3. Granted moves toward target with bounded steps: raises are
 //     immediate but only spend budget the same epoch freed; cuts follow a
 //     core.CutSchedule opened at half the gap (ReBudget §4.2 — halving
-//     back-off, terminate below MinStepFraction of the tenant's deserved
-//     budget, then snap the residual so reclaim completes). The MBR floor
-//     is restored unconditionally: a demanding tenant is raised to
-//     floor × slice the same epoch, funded beyond the schedule from
+//     back-off, terminate below core.MinStepFraction of the tenant's
+//     deserved budget, then snap the residual so reclaim completes). The
+//     MBR floor is restored unconditionally: a demanding tenant is raised
+//     to floor × slice the same epoch, funded beyond the schedule from
 //     cutters' remaining headroom — always feasible because every
 //     guarantee is ≤ its target and Σ targets ≤ the parent's grant.
 //
@@ -166,11 +166,11 @@ func (t *Tree) settle(n *node, rep *Report) {
 			// it; when the back-off runs out, snap the residual.
 			gap := prev - c.target
 			if c.sched == nil || gap > c.sizedGap+eps {
-				minStep := t.cfg.MinStepFraction * c.deserved
+				minStep := core.MinStepFraction * c.deserved
 				if minStep <= 0 {
-					minStep = t.cfg.MinStepFraction * t.cfg.Capacity / 1e6
+					minStep = core.MinStepFraction * t.cfg.Capacity / 1e6
 				}
-				c.sched = core.NewCutSchedule(gap/2, minStep, t.cfg.NoBackoff)
+				c.sched = core.NewCutSchedule(gap/2, minStep, false)
 				c.sizedGap = gap
 			}
 			g := c.target

@@ -62,14 +62,6 @@ type Config struct {
 	// DefaultMBRFloor applies to nodes that don't set their own (default
 	// 0.25, in (0, 1]).
 	DefaultMBRFloor float64
-	// MinStepFraction terminates a reclaim cycle's back-off once its step
-	// drops below this fraction of the tenant's deserved budget (default
-	// 0.01 — ReBudget's §4.2 threshold); the residual is then snapped, so
-	// reclaim completes instead of decaying forever.
-	MinStepFraction float64
-	// NoBackoff disables the exponential halving inside reclaim cycles
-	// (ablation only), mirroring core.ReBudget.NoBackoff.
-	NoBackoff bool
 	// DisableLending turns the tree into static per-tenant quotas — each
 	// tenant gets min(demand, slice), idle headroom is never lent. The
 	// experiments sweep uses it as the efficiency baseline.
@@ -86,9 +78,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if !(c.DefaultMBRFloor > 0 && c.DefaultMBRFloor <= 1) {
 		return c, fmt.Errorf("tenant: default MBR floor %g outside (0,1]", c.DefaultMBRFloor)
-	}
-	if !(c.MinStepFraction > 0) {
-		c.MinStepFraction = 0.01
 	}
 	return c, nil
 }

@@ -271,22 +271,3 @@ func TestStatusAll(t *testing.T) {
 		t.Fatalf("Epochs() = %d, want 1", tr.Epochs())
 	}
 }
-
-// TestNoBackoff: with back-off disabled the reclaim keeps cutting at the
-// opening step every epoch, so it finishes in ~2 epochs instead of log2.
-func TestNoBackoff(t *testing.T) {
-	tr := mustTree(t, []NodeSpec{{Name: "lend"}, {Name: "busy"}},
-		Config{Capacity: 8, NoBackoff: true})
-	if err := tr.SetDemand("busy", 8); err != nil {
-		t.Fatal(err)
-	}
-	tr.Rebalance()
-	if err := tr.SetDemand("lend", 4); err != nil {
-		t.Fatal(err)
-	}
-	tr.Rebalance() // cut 2 (gap/2)
-	tr.Rebalance() // cut 2 again — no halving
-	if g := tr.Granted("busy"); math.Abs(g-4) > 1e-6 {
-		t.Fatalf("NoBackoff reclaim after 2 epochs: busy %g, want 4", g)
-	}
-}

@@ -22,9 +22,9 @@
 //	out, _ := rebudget.ReBudget{Step: 20}.Allocate(setup.Capacity, setup.Players)
 //	fmt.Println(out.Efficiency(), out.MUR, out.MBR)
 //
-// See the examples/ directory for runnable programs and cmd/rebudget-bench
-// for the experiment harness that regenerates every table and figure of the
-// paper's evaluation.
+// The package's Example functions are runnable programs whose output go test
+// checks; cmd/rebudget-bench is the experiment harness that regenerates
+// every table and figure of the paper's evaluation.
 package rebudget
 
 import (
