@@ -15,7 +15,10 @@
 # a >10% regression of the market, chip-epoch, aged-trace and victim-scan
 # kernels against the newest BENCH_*.json snapshot. The race run covers the
 # stack and cache differential tests by package (internal/trace,
-# internal/cache, internal/cmpsim); nothing is listed by name.
+# internal/cache, internal/cmpsim); nothing is listed by name. test and race
+# also run internal/lint, the smallness check (DESIGN.md "Smallness check"):
+# it fails on any function, method or field no non-test code uses, and on
+# any Config field only its defaults set.
 
 GO ?= go
 

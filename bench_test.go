@@ -14,6 +14,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -103,7 +104,7 @@ func BenchmarkFig4Efficiency(b *testing.B) {
 	rounds := 0
 	for i := 0; i < b.N; i++ {
 		s := sweepOnce(b)
-		if len(s.EfficiencyColumn("ReBudget-40")) != 6 {
+		if len(s.Bundles) != 6 || !slices.Contains(s.Mechanisms, "ReBudget-40") {
 			b.Fatal("bad sweep shape")
 		}
 		rounds += sweepRounds(s)
@@ -116,7 +117,7 @@ func BenchmarkFig4EnvyFreeness(b *testing.B) {
 	rounds := 0
 	for i := 0; i < b.N; i++ {
 		s := sweepOnce(b)
-		if len(s.EnvyColumn("EqualBudget")) != 6 {
+		if len(s.Bundles) != 6 || !slices.Contains(s.Mechanisms, "EqualBudget") {
 			b.Fatal("bad sweep shape")
 		}
 		rounds += sweepRounds(s)
@@ -132,7 +133,7 @@ func BenchmarkFig5Simulation(b *testing.B) {
 	cfg.WarmupEpochs = 2
 	cfg.MaxAccessesPerCoreEpoch = 2000
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig5(cfg, 3, nil); err != nil {
+		if _, err := (experiments.Engine{}).RunFig5(cfg, 3, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -463,14 +464,20 @@ func BenchmarkCacheVictim(b *testing.B) {
 	for i, a := range addrs {
 		c.Access(a, i%parts)
 	}
-	c.ResetStats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// A lap streams 12 caches' worth of lines, so none survives to the next.
 		c.Access(addrs[i&(len(addrs)-1)], i%parts)
 	}
-	if acc, miss := c.Stats(); miss*2 < acc {
-		b.Fatalf("only %d of %d accesses missed; the bench no longer times the victim path", miss, acc)
+	b.StopTimer()
+	misses := 0
+	for i, a := range addrs[:1<<12] {
+		if !c.Access(a, i%parts) {
+			misses++
+		}
+	}
+	if misses*2 < 1<<12 {
+		b.Fatalf("only %d of %d accesses missed; the bench no longer times the victim path", misses, 1<<12)
 	}
 }
 

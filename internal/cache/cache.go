@@ -238,26 +238,6 @@ func nonZeroMask(x uint64) uint64 {
 	return uint64(int64(x|-x) >> 63)
 }
 
-// Occupancy returns the current line count of each partition.
-func (c *PartitionedCache) Occupancy() []int {
-	out := make([]int, len(c.occupancy))
-	copy(out, c.occupancy)
-	return out
-}
-
-// Stats returns accesses and misses since construction.
-func (c *PartitionedCache) Stats() (accesses, misses uint64) {
-	return c.accesses, c.misses
-}
-
-// ResetStats clears the access/miss counters but keeps cache contents.
-func (c *PartitionedCache) ResetStats() {
-	c.accesses, c.misses = 0, 0
-}
-
-// Sets returns the number of sets.
-func (c *PartitionedCache) Sets() int { return c.sets }
-
 // TotalLines returns the cache capacity in lines.
 func (c *PartitionedCache) TotalLines() int { return len(c.tags) }
 

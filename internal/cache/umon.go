@@ -123,14 +123,3 @@ func (u *UMON) Clear() {
 		u.tags[i] = nil
 	}
 }
-
-// Observations returns the number of sampled accesses since the last Reset.
-func (u *UMON) Observations() uint64 { return u.total }
-
-// StorageBits estimates the monitor's hardware cost in bits (tag store plus
-// counters), used to check the <1%-of-L2 budget claim from §5.1.
-func (u *UMON) StorageBits() int {
-	const tagBits, counterBits = 40, 32
-	entries := len(u.tags) * u.maxRegions
-	return entries*tagBits + (u.maxRegions+2)*counterBits
-}

@@ -130,7 +130,8 @@ func TestUMONStorageBudget(t *testing.T) {
 	// Paper (§5.1): with sampling rate 32 the shadow tags take ~3.6 kB per
 	// core, under 1% of the per-core 512 kB L2 slice.
 	u, _ := NewUMON(16, 5)
-	bytes := u.StorageBits() / 8
+	const tagBits, counterBits = 40, 32 // shadow tag store plus hit counters
+	bytes := (len(u.tags)*u.maxRegions*tagBits + (u.maxRegions+2)*counterBits) / 8
 	if bytes > 8<<10 {
 		t.Errorf("UMON storage = %d bytes, want within the same order as the paper's 3.6 kB", bytes)
 	}
@@ -148,7 +149,7 @@ func TestUMONResetKeepsTagsWarm(t *testing.T) {
 		u.Observe(g.Next())
 	}
 	u.Reset()
-	if u.Observations() != 0 {
+	if u.total != 0 {
 		t.Fatal("Reset did not clear observation count")
 	}
 	for i := 0; i < ws; i++ {

@@ -134,16 +134,6 @@ func New(cfg Config) *Injector {
 	return &Injector{cfg: cfg.withDefaults(), streams: make(map[string]*numeric.Rand)}
 }
 
-// Stats returns a snapshot of the fired-fault counters.
-func (in *Injector) Stats() Stats {
-	if in == nil {
-		return Stats{}
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.stats
-}
-
 // stream returns the target's private generator, creating it on first use.
 // Callers must hold in.mu.
 func (in *Injector) stream(target string) *numeric.Rand {

@@ -236,3 +236,13 @@ func TestScheduleShardAddsExtendWithoutPerturbing(t *testing.T) {
 		t.Fatalf("schedule carries %d add-shard events, want 2", adds)
 	}
 }
+
+// Stats snapshots the fired-fault counters.
+func (in *Injector) Stats() Stats {
+	if in == nil {
+		return Stats{}
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.stats
+}

@@ -65,13 +65,6 @@ func (t *Transport) Heal(host string) {
 	t.mu.Unlock()
 }
 
-// Partitioned reports whether host is currently partitioned.
-func (t *Transport) Partitioned(host string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.partitioned[hostKey(host)]
-}
-
 // RoundTrip implements http.RoundTripper. Fault order per request:
 // partition check, injected latency, pre-send drop, synthesized 5xx blip,
 // the real round trip, then (if drawn) a mid-body reset on the response.

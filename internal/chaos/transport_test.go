@@ -111,3 +111,10 @@ func TestTransportInjectedFaults(t *testing.T) {
 		}
 	})
 }
+
+// Partitioned reports whether host is currently partitioned.
+func (t *Transport) Partitioned(host string) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.partitioned[hostKey(host)]
+}

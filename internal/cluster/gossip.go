@@ -48,24 +48,3 @@ func Supersedes(remote, local ShardObservation) bool {
 	}
 	return !remote.Healthy && local.Healthy
 }
-
-// MergeObservations folds a received digest's shard observations into a
-// local view (keyed by shard) and returns the observations that were
-// adopted, in digest order. Shards absent from the local view are ignored:
-// membership is epoch-gated, so an observation about a shard this replica
-// doesn't know belongs to a membership change it hasn't adopted yet, and
-// will be re-gossiped after it has.
-func MergeObservations(local map[string]ShardObservation, remote []ShardObservation) []ShardObservation {
-	var adopted []ShardObservation
-	for _, obs := range remote {
-		cur, known := local[obs.Shard]
-		if !known {
-			continue
-		}
-		if Supersedes(obs, cur) {
-			local[obs.Shard] = obs
-			adopted = append(adopted, obs)
-		}
-	}
-	return adopted
-}

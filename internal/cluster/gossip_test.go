@@ -191,3 +191,24 @@ func TestMergeObservationsManyShards(t *testing.T) {
 		t.Fatalf("adopted %d observations, want %d", len(adopted), want)
 	}
 }
+
+// MergeObservations folds a received digest's shard observations into a
+// local view (keyed by shard) and returns the observations that were
+// adopted, in digest order — the gossip model TestGossipConvergenceBound
+// runs. Shards absent from the local view are ignored: membership is
+// epoch-gated, so an observation about a shard this replica doesn't know
+// belongs to a membership change it hasn't adopted yet.
+func MergeObservations(local map[string]ShardObservation, remote []ShardObservation) []ShardObservation {
+	var adopted []ShardObservation
+	for _, obs := range remote {
+		cur, known := local[obs.Shard]
+		if !known {
+			continue
+		}
+		if Supersedes(obs, cur) {
+			local[obs.Shard] = obs
+			adopted = append(adopted, obs)
+		}
+	}
+	return adopted
+}

@@ -118,27 +118,3 @@ func TestMovedKeysDeterministicAcrossReplicas(t *testing.T) {
 		}
 	}
 }
-
-// Clone must be deep: mutating the clone may not disturb the original.
-func TestRingClone(t *testing.T) {
-	r := NewRing(64)
-	for _, m := range shardNames(3) {
-		r.Add(m)
-	}
-	before := make(map[string]string)
-	keys := keyset(200)
-	for _, key := range keys {
-		before[key] = r.Primary(key)
-	}
-	c := r.Clone()
-	c.Add("http://10.0.0.99:9001")
-	c.Remove(shardNames(3)[0])
-	for _, key := range keys {
-		if got := r.Primary(key); got != before[key] {
-			t.Fatalf("mutating a clone moved key %q on the original (%q -> %q)", key, before[key], got)
-		}
-	}
-	if r.Len() != 3 || !r.Has(shardNames(3)[0]) {
-		t.Fatal("clone mutation leaked into original membership")
-	}
-}

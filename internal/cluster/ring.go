@@ -119,24 +119,6 @@ func (r *Ring) Members() []string {
 	return out
 }
 
-// Clone returns an independent copy with identical membership and vnode
-// count. The migration planner uses it to evaluate "the ring as it would
-// be" without disturbing the ring that is serving traffic.
-func (r *Ring) Clone() *Ring {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	c := &Ring{
-		vnodes:  r.vnodes,
-		points:  make([]ringPoint, len(r.points)),
-		members: make(map[string]bool, len(r.members)),
-	}
-	copy(c.points, r.points)
-	for m := range r.members {
-		c.members[m] = true
-	}
-	return c
-}
-
 // Primary returns the member owning key ("" on an empty ring).
 func (r *Ring) Primary(key string) string {
 	seq := r.Sequence(key)

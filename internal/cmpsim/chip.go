@@ -30,6 +30,9 @@ type Chip struct {
 	cfg    Config
 	sys    SystemConfig
 	bundle workload.Bundle
+	// epochS is epochSeconds, held per chip so a test can shorten an
+	// epoch until no core issues an access.
+	epochS float64
 
 	models  []*app.Model
 	gens    []trace.Stream
@@ -128,7 +131,7 @@ func NewChip(cfg Config, b workload.Bundle) (*Chip, error) {
 		return nil, err
 	}
 	c := &Chip{
-		cfg: cfg, sys: sys, bundle: b,
+		cfg: cfg, sys: sys, bundle: b, epochS: epochSeconds,
 		l2: l2, mem: mem, bankSim: bankSim,
 		freq:         make([]float64, cfg.Cores),
 		wattsBudg:    make([]float64, cfg.Cores),
@@ -155,11 +158,7 @@ func NewChip(cfg Config, b workload.Bundle) (*Chip, error) {
 			return nil, err
 		}
 		c.umons = append(c.umons, u)
-		tn, err := thermal.NewNode(thermal.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		c.therm = append(c.therm, tn)
+		c.therm = append(c.therm, thermal.NewNode())
 		c.floorW[i] = m.FloorPowerW()
 		c.missEst[i] = 1 // pessimistic cold start
 	}
@@ -285,15 +284,6 @@ func (c *Chip) PowerBudgets() []float64 {
 // (only meaningful in BandwidthMarket mode).
 func (c *Chip) BandwidthAllocations() []float64 {
 	return append([]float64(nil), c.bwAlloc...)
-}
-
-// Temperatures returns each core's current junction temperature in °C.
-func (c *Chip) Temperatures() []float64 {
-	out := make([]float64, len(c.therm))
-	for i, t := range c.therm {
-		out[i] = t.Temp()
-	}
-	return out
 }
 
 // buildPlayers constructs market player specs from the clean

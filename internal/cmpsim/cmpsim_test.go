@@ -332,7 +332,10 @@ func TestChipStateAccessors(t *testing.T) {
 	regions := chip.Regions()
 	freqs := chip.Frequencies()
 	watts := chip.PowerBudgets()
-	temps := chip.Temperatures()
+	temps := make([]float64, len(chip.therm))
+	for i, th := range chip.therm {
+		temps[i] = th.Temp()
+	}
 	if len(regions) != 4 || len(freqs) != 4 || len(watts) != 4 || len(temps) != 4 {
 		t.Fatal("accessor lengths wrong")
 	}

@@ -25,8 +25,6 @@ type Config struct {
 	WarmupEpochs int
 	// Epochs is the measured portion of the run.
 	Epochs int
-	// EpochSeconds is the allocation interval (§4.3 uses 1 ms).
-	EpochSeconds float64
 	// MaxAccessesPerCoreEpoch caps the simulated L2 accesses per core
 	// each epoch (trace sampling). Each core's count is clamped to it on
 	// its own, so cores past the cap all issue the same number of
@@ -49,6 +47,9 @@ type Config struct {
 	Faults fault.Config
 }
 
+// epochSeconds is the allocation interval (§4.3 uses 1 ms).
+const epochSeconds = 1e-3
+
 // The chip's healthy → degraded → recovering state machine (see DESIGN.md,
 // "Failure model & degraded mode").
 const (
@@ -69,7 +70,6 @@ func DefaultConfig(cores int) Config {
 		Cores:                   cores,
 		WarmupEpochs:            8,
 		Epochs:                  12,
-		EpochSeconds:            1e-3,
 		MaxAccessesPerCoreEpoch: 6000,
 		ReallocEvery:            1,
 		Seed:                    1,
@@ -82,9 +82,6 @@ func (c Config) validate() error {
 	}
 	if c.Epochs < 1 || c.WarmupEpochs < 0 {
 		return fmt.Errorf("cmpsim: invalid epoch counts %d/%d", c.WarmupEpochs, c.Epochs)
-	}
-	if c.EpochSeconds <= 0 {
-		return fmt.Errorf("cmpsim: non-positive epoch length")
 	}
 	if c.MaxAccessesPerCoreEpoch < 100 {
 		return fmt.Errorf("cmpsim: access budget %d too small to be meaningful", c.MaxAccessesPerCoreEpoch)

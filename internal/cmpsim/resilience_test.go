@@ -42,14 +42,13 @@ func TestAloneCacheDistinguishesModifiedSpecs(t *testing.T) {
 // keep its old miss estimate forever — it decays toward the pessimistic
 // cold-start value.
 func TestMissEstDecaysWhenIdle(t *testing.T) {
-	cfg := DefaultConfig(4)
-	// An (unrealistically) short epoch issues zero accesses on every core,
-	// exercising the counts==0 path.
-	cfg.EpochSeconds = 1e-15
-	chip, err := NewChip(cfg, smallBundle(t, 4))
+	chip, err := NewChip(DefaultConfig(4), smallBundle(t, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// An (unrealistically) short epoch issues zero accesses on every core,
+	// exercising the counts==0 path.
+	chip.epochS = 1e-15
 	chip.missEst[0] = 0.2
 	chip.runEpoch(false)
 	want := 0.2 + 0.5*(1-0.2)
@@ -107,8 +106,8 @@ func TestDegradedModeStateMachine(t *testing.T) {
 	if res.WeightedSpeedup <= 0 {
 		t.Error("pinned initial allocation should still make progress")
 	}
-	if h.FailureRate() != 1 {
-		t.Errorf("FailureRate = %g, want 1", h.FailureRate())
+	if h.AllocFailures != h.AllocAttempts {
+		t.Errorf("%d of %d allocations failed, want all", h.AllocFailures, h.AllocAttempts)
 	}
 }
 

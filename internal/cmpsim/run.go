@@ -41,7 +41,7 @@ func (c *Chip) runEpoch(measured bool) {
 	// never sees a sampling scale (ROADMAP item 2).
 	counts, rates, misses := s.counts, s.rates, s.misses
 	for i := 0; i < n; i++ {
-		rates[i] = c.instrRate(i) * c.models[i].Spec.API * c.cfg.EpochSeconds
+		rates[i] = c.instrRate(i) * c.models[i].Spec.API * c.epochS
 		if rates[i] > float64(c.cfg.MaxAccessesPerCoreEpoch) {
 			rates[i] = float64(c.cfg.MaxAccessesPerCoreEpoch)
 		}
@@ -89,7 +89,7 @@ func (c *Chip) runEpoch(measured bool) {
 	if scale > 0 {
 		sampleScale = 1 / scale
 	}
-	memLat := interconnectNs + c.bankSim.EpochLatencyNs(c.cfg.EpochSeconds, sampleScale)
+	memLat := interconnectNs + c.bankSim.EpochLatencyNs(c.epochS, sampleScale)
 	deviceLat := c.bankSim.BaseLatencyNs()
 	c.bankSim.Reset()
 
@@ -100,7 +100,7 @@ func (c *Chip) runEpoch(measured bool) {
 			// MemGuard-style enforcement: each core's misses queue on
 			// its own allocated bandwidth share, not the shared pool.
 			demandGBs := float64(misses[i]) * sampleScale * cache.LineSize /
-				c.cfg.EpochSeconds / 1e9
+				c.epochS / 1e9
 			bw := c.bwAlloc[i]
 			if bw < app.FloorBandwidthGBs {
 				bw = app.FloorBandwidthGBs
@@ -109,14 +109,14 @@ func (c *Chip) runEpoch(measured bool) {
 		}
 		perf := c.perfIPS(i, c.missEst[i], coreLat)
 		if measured {
-			c.instructions[i] += perf * c.cfg.EpochSeconds
+			c.instructions[i] += perf * c.epochS
 		}
 		draw := c.models[i].Power.Total(c.freq[i], c.models[i].Spec.Activity, c.therm[i].Temp())
-		c.therm[i].Update(draw, c.cfg.EpochSeconds)
+		c.therm[i].Update(draw, c.epochS)
 	}
 	c.enforcePowerBudget()
 	if measured {
-		c.elapsed += c.cfg.EpochSeconds
+		c.elapsed += c.epochS
 	}
 }
 

@@ -108,7 +108,7 @@ func (c *Chip) Snapshot() (*Result, error) {
 		}
 		// An application switched in after the last step has no measured
 		// residency yet; it reports zero rather than dividing by it.
-		if span := float64(c.stepped-c.arrival[i]) * c.cfg.EpochSeconds; span > 0 {
+		if span := float64(c.stepped-c.arrival[i]) * c.epochS; span > 0 {
 			res.NormPerf[i] = c.instructions[i] / span / alone
 		}
 		res.WeightedSpeedup += res.NormPerf[i]

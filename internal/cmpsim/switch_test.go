@@ -46,8 +46,11 @@ func TestSwitchAppValidation(t *testing.T) {
 	if chip.missEst[0] != 1 {
 		t.Error("miss estimate should reset pessimistically")
 	}
-	if chip.umons[0].Observations() != 0 {
-		t.Error("UMON should be cleared")
+	// A cleared monitor has no observations, so its curve is all-miss.
+	for _, r := range chip.umons[0].Curve().Ratio {
+		if r != 1 {
+			t.Fatal("UMON should be cleared")
+		}
 	}
 }
 

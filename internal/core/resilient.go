@@ -10,42 +10,28 @@ import (
 	"rebudget/internal/numeric"
 )
 
-// ResilientConfig tunes the Resilient wrapper. Zero values select the
-// defaults documented on each field.
-type ResilientConfig struct {
-	// Fallback is the terminal mechanism of the chain (default EqualShare).
-	// It runs on sanitized utilities, so it cannot be poisoned by the same
-	// bad input that felled the inner mechanism.
-	Fallback Allocator
-	// Threshold is the number of consecutive inner failures before the
-	// wrapper backs off and serves degraded outcomes without probing the
-	// inner mechanism (default 3).
-	Threshold int
-	// CooldownCalls is the base number of Allocate calls spent backing
-	// off before the inner mechanism is probed again (default 4). The
-	// actual cooldown adds a deterministic jitter of up to CooldownCalls
-	// extra calls so that fleets of wrappers sharing a failing dependency
-	// do not re-probe in lockstep.
-	CooldownCalls int
-	// Seed drives the cooldown jitter (default 1).
-	Seed uint64
-}
+// ResilientConfig has no fields: the fallback chain's tuning has one value
+// in use, held by the constants below.
+//
+// Deprecated: the type remains only because the frozen bench/ module
+// spells it, and the next benchmark re-base deletes it.
+type ResilientConfig struct{}
 
-func (c ResilientConfig) withDefaults() ResilientConfig {
-	if c.Fallback == nil {
-		c.Fallback = EqualShare{}
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = 3
-	}
-	if c.CooldownCalls <= 0 {
-		c.CooldownCalls = 4
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
+// The fallback chain's tuning.
+const (
+	// resilientThreshold is the number of consecutive inner failures
+	// before the wrapper backs off and serves degraded outcomes without
+	// probing the inner mechanism.
+	resilientThreshold = 3
+	// resilientCooldown is the base number of Allocate calls spent backing
+	// off before the inner mechanism is probed again. The actual cooldown
+	// adds a deterministic jitter of up to resilientCooldown extra calls,
+	// so that fleets of wrappers sharing a failing dependency do not
+	// re-probe in lockstep.
+	resilientCooldown = 4
+	// resilientSeed drives the cooldown jitter.
+	resilientSeed = 1
+)
 
 // ResilientStats counts what the fallback chain had to do.
 type ResilientStats struct {
@@ -53,7 +39,7 @@ type ResilientStats struct {
 	InnerFailures       int // inner mechanism errors or non-finite outcomes
 	SanitizedRecoveries int // retries that succeeded on sanitized utilities
 	LastGoodServed      int // calls answered with the last good outcome
-	FallbackServed      int // calls answered by the Fallback mechanism
+	FallbackServed      int // calls answered by EqualShare, the chain's last link
 	Backoffs            int // times the wrapper entered cooldown
 }
 
@@ -65,17 +51,18 @@ type ResilientStats struct {
 //     clamped), the cheap repair for transiently corrupted monitors;
 //  3. the last good outcome this wrapper produced for the same problem
 //     shape (player count and capacities);
-//  4. the Fallback mechanism (EqualShare by default) on sanitized inputs.
+//  4. EqualShare on sanitized inputs, which cannot be poisoned by the same
+//     bad input that felled the inner mechanism.
 //
-// After Threshold consecutive inner failures the wrapper backs off: it
-// serves steps 3–4 directly for a jittered CooldownCalls window before
+// After resilientThreshold consecutive inner failures the wrapper backs
+// off: it serves steps 3–4 directly for a jittered resilientCooldown window
+// before
 // probing the inner mechanism again, bounding how much latency a
 // persistently failing solver can add to the allocation path. A Resilient
 // whose inner mechanism never fails is byte-transparent: outcomes pass
 // through unmodified.
 type Resilient struct {
 	inner Allocator
-	cfg   ResilientConfig
 	rng   *numeric.Rand
 
 	mu           sync.Mutex
@@ -89,9 +76,8 @@ type Resilient struct {
 }
 
 // NewResilient wraps inner with the graceful-degradation chain.
-func NewResilient(inner Allocator, cfg ResilientConfig) *Resilient {
-	cfg = cfg.withDefaults()
-	return &Resilient{inner: inner, cfg: cfg, rng: numeric.NewRand(cfg.Seed)}
+func NewResilient(inner Allocator, _ ResilientConfig) *Resilient {
+	return &Resilient{inner: inner, rng: numeric.NewRand(resilientSeed)}
 }
 
 // Name implements Allocator.
@@ -122,13 +108,6 @@ func (r *Resilient) HealthState() metrics.HealthState {
 	default:
 		return metrics.Healthy
 	}
-}
-
-// Stats returns a snapshot of the fallback-chain counters.
-func (r *Resilient) Stats() ResilientStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
 }
 
 // Allocate implements Allocator. It never returns NaN allocations; it
@@ -169,14 +148,14 @@ func (r *Resilient) Allocate(capacity []float64, players []PlayerSpec) (*Outcome
 	}
 
 	r.consecFails++
-	if r.recovering || r.consecFails >= r.cfg.Threshold {
+	if r.recovering || r.consecFails >= resilientThreshold {
 		// A probe straight after cooldown failing again re-enters backoff
 		// immediately: one failure is evidence enough mid-recovery.
 		r.stats.Backoffs++
 		r.consecFails = 0
 		r.recovering = false
 		// Jittered backoff: cooldown + [0, cooldown) extra calls.
-		r.cooldownLeft = r.cfg.CooldownCalls + int(r.rng.Uint64()%uint64(r.cfg.CooldownCalls))
+		r.cooldownLeft = resilientCooldown + int(r.rng.Uint64()%resilientCooldown)
 	}
 	return r.degraded(capacity, players)
 }
@@ -198,7 +177,7 @@ func (r *Resilient) degraded(capacity []float64, players []PlayerSpec) (*Outcome
 		r.stats.LastGoodServed++
 		return cloneOutcome(r.lastGood), nil
 	}
-	out, err := r.cfg.Fallback.Allocate(capacity, sanitizePlayers(players))
+	out, err := EqualShare{}.Allocate(capacity, sanitizePlayers(players))
 	if err != nil {
 		return nil, fmt.Errorf("core: resilient fallback chain exhausted: %w", err)
 	}

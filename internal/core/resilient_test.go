@@ -75,7 +75,7 @@ func TestResilientServesLastGoodThenFallback(t *testing.T) {
 	players := heterogeneousPlayers()
 	// Each failing Allocate consumes two inner calls (raw + sanitized retry).
 	inner := &flakyAllocator{script: append([]error{nil}, failN(4)...)}
-	r := NewResilient(inner, ResilientConfig{Threshold: 5})
+	r := NewResilient(inner, ResilientConfig{})
 	if _, err := r.Allocate(testCapacity, players); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestResilientServesLastGoodThenFallback(t *testing.T) {
 
 	// A different problem shape invalidates the cache → fallback mechanism.
 	inner2 := &flakyAllocator{script: failN(8)}
-	r2 := NewResilient(inner2, ResilientConfig{Threshold: 100})
+	r2 := NewResilient(inner2, ResilientConfig{})
 	out, err := r2.Allocate(testCapacity, players)
 	if err != nil {
 		t.Fatal(err)
@@ -113,10 +113,9 @@ func TestResilientBackoffAndRecovery(t *testing.T) {
 	// Fails 3× at the wrapper level (threshold) then recovers; each failed
 	// call burns a raw attempt plus a sanitized retry.
 	inner := &flakyAllocator{script: failN(6)}
-	cfg := ResilientConfig{Threshold: 3, CooldownCalls: 2, Seed: 1}
-	r := NewResilient(inner, cfg)
+	r := NewResilient(inner, ResilientConfig{})
 	// Three failures: the wrapper should enter backoff on the third.
-	for k := 0; k < 3; k++ {
+	for k := 0; k < resilientThreshold; k++ {
 		if _, err := r.Allocate(testCapacity, players); err != nil {
 			t.Fatal(err)
 		}
@@ -133,9 +132,12 @@ func TestResilientBackoffAndRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		cooldown++
-		if cooldown > 2*cfg.CooldownCalls+1 {
+		if cooldown > 2*resilientCooldown+1 {
 			t.Fatal("cooldown never expired")
 		}
+	}
+	if cooldown < resilientCooldown {
+		t.Errorf("cooldown lasted %d calls, want at least %d", cooldown, resilientCooldown)
 	}
 	if inner.calls != innerCallsAtBackoff {
 		t.Errorf("inner probed %d times during cooldown", inner.calls-innerCallsAtBackoff)
@@ -157,8 +159,8 @@ func TestResilientBackoffAndRecovery(t *testing.T) {
 func TestResilientFailedProbeReentersBackoffImmediately(t *testing.T) {
 	players := heterogeneousPlayers()
 	inner := &flakyAllocator{script: failN(50)}
-	r := NewResilient(inner, ResilientConfig{Threshold: 3, CooldownCalls: 2, Seed: 1})
-	for k := 0; k < 3; k++ {
+	r := NewResilient(inner, ResilientConfig{})
+	for k := 0; k < resilientThreshold; k++ {
 		if _, err := r.Allocate(testCapacity, players); err != nil {
 			t.Fatal(err)
 		}
@@ -235,4 +237,11 @@ func TestCheckFinite(t *testing.T) {
 	if err := checkFinite(badB); !errors.Is(err, ErrBadInput) {
 		t.Errorf("NaN budget error = %v, want ErrBadInput", err)
 	}
+}
+
+// Stats snapshots the fallback-chain counters.
+func (r *Resilient) Stats() ResilientStats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.stats
 }

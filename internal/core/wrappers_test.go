@@ -25,7 +25,7 @@ func (s *shimWrapper) Rewrap(f func(Allocator) Allocator) Allocator {
 // that comes back is the outermost wrapper itself, decorated in place.
 func TestDecorationsReachMechanismThroughWrappers(t *testing.T) {
 	bids := [][]float64{{1, 2}, {3, 4}}
-	setIters := func(mc market.Config) market.Config { mc.MaxIterations = 7; return mc }
+	setShift := func(mc market.Config) market.Config { mc.MinShiftFraction = 0.07; return mc }
 
 	shim := &shimWrapper{inner: ReBudget{Step: 20}}
 	resil := NewResilient(Balanced{}, ResilientConfig{})
@@ -52,13 +52,13 @@ func TestDecorationsReachMechanismThroughWrappers(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := WithWarmBids(WithMarketConfig(tc.outer, setIters), bids)
+			got := WithWarmBids(WithMarketConfig(tc.outer, setShift), bids)
 			if got != tc.outer {
 				t.Fatal("decorating a wrapper should return the same wrapper")
 			}
 			cfg, warm := tc.mech()
-			if cfg.MaxIterations != 7 {
-				t.Errorf("market config did not reach the mechanism: MaxIterations = %d", cfg.MaxIterations)
+			if cfg.MinShiftFraction != 0.07 {
+				t.Errorf("market config did not reach the mechanism: MinShiftFraction = %g", cfg.MinShiftFraction)
 			}
 			if len(warm) != len(bids) {
 				t.Errorf("warm bids did not reach the mechanism: %v", warm)

@@ -126,22 +126,6 @@ func (s *BankSim) EpochLatencyNs(epochSeconds, sampleScale float64) float64 {
 	return base + weighted/float64(s.accesses)
 }
 
-// BankImbalance reports the ratio of the hottest bank's load to the mean
-// (1 = perfectly balanced), a diagnostic for pathological mappings.
-func (s *BankSim) BankImbalance() float64 {
-	if s.accesses == 0 {
-		return 1
-	}
-	var max uint64
-	for _, n := range s.perBank {
-		if n > max {
-			max = n
-		}
-	}
-	mean := float64(s.accesses) / float64(len(s.perBank))
-	return float64(max) / mean
-}
-
 // Reset clears epoch counters; open-row state persists (rows stay open
 // across allocation epochs on real parts).
 func (s *BankSim) Reset() {

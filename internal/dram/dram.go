@@ -1,15 +1,11 @@
 // Package dram models the off-chip memory system the paper configures as
 // Micron DDR3-1600 behind 2 (8-core) or 16 (64-core) channels. The
 // allocation mechanisms only feel DRAM through the average L2-miss service
-// latency, which grows with channel load, so the model is an open queueing
-// approximation: row-buffer-aware base latency plus an M/D/1-style
-// contention term in channel utilisation.
+// latency: System gives the uncontended, row-buffer-aware base latency, and
+// BankSim adds per-bank open-row state and an M/D/1-style queueing term.
 package dram
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Timing constants approximating DDR3-1600 (Micron MT41J256M8).
 const (
@@ -23,24 +19,12 @@ const (
 	ChannelBandwidthGBs = 12.8
 	// LineBytes is the transfer unit (one L2 line).
 	LineBytes = 64
-	// maxUtilization caps the queueing model before it diverges.
-	maxUtilization = 0.95
 )
 
 // Config describes a memory system.
 type Config struct {
 	Channels   int
 	RowHitRate float64 // fraction of accesses hitting an open row
-}
-
-// DefaultConfig returns the paper's configuration for the given core count:
-// 2 channels per 8 cores.
-func DefaultConfig(cores int) Config {
-	ch := cores / 4
-	if ch < 1 {
-		ch = 1
-	}
-	return Config{Channels: ch, RowHitRate: 0.5}
 }
 
 // System is a memory-system instance.
@@ -62,26 +46,4 @@ func New(cfg Config) (*System, error) {
 // BaseLatencyNs is the uncontended average access latency.
 func (s *System) BaseLatencyNs() float64 {
 	return s.cfg.RowHitRate*RowHitNs + (1-s.cfg.RowHitRate)*RowMissNs
-}
-
-// PeakBandwidthGBs is the aggregate peak bandwidth across channels.
-func (s *System) PeakBandwidthGBs() float64 {
-	return ChannelBandwidthGBs * float64(s.cfg.Channels)
-}
-
-// Utilization converts an aggregate demand of missesPerSecond L2-line
-// transfers into channel utilisation in [0, maxUtilization].
-func (s *System) Utilization(missesPerSecond float64) float64 {
-	demandGBs := missesPerSecond * LineBytes / 1e9
-	u := demandGBs / s.PeakBandwidthGBs()
-	return math.Min(math.Max(u, 0), maxUtilization)
-}
-
-// LatencyNs returns the average miss service latency (ns) under the given
-// aggregate miss traffic. The waiting-time term follows M/D/1:
-// W = ρ/(2(1-ρ)) · service.
-func (s *System) LatencyNs(missesPerSecond float64) float64 {
-	base := s.BaseLatencyNs()
-	rho := s.Utilization(missesPerSecond)
-	return base * (1 + rho/(2*(1-rho)))
 }

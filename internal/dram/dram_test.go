@@ -1,9 +1,7 @@
 package dram
 
 import (
-	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -21,18 +19,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestDefaultConfigChannelScaling(t *testing.T) {
-	if c := DefaultConfig(8); c.Channels != 2 {
-		t.Errorf("8-core channels = %d, want 2 (Table 1)", c.Channels)
-	}
-	if c := DefaultConfig(64); c.Channels != 16 {
-		t.Errorf("64-core channels = %d, want 16 (Table 1)", c.Channels)
-	}
-	if c := DefaultConfig(1); c.Channels != 1 {
-		t.Errorf("tiny system should still get a channel, got %d", c.Channels)
-	}
-}
-
 func TestBaseLatencyBetweenHitAndMiss(t *testing.T) {
 	s, _ := New(Config{Channels: 2, RowHitRate: 0.5})
 	base := s.BaseLatencyNs()
@@ -42,62 +28,5 @@ func TestBaseLatencyBetweenHitAndMiss(t *testing.T) {
 	allHit, _ := New(Config{Channels: 2, RowHitRate: 1})
 	if allHit.BaseLatencyNs() != RowHitNs {
 		t.Error("all-hit base latency wrong")
-	}
-}
-
-func TestLatencyGrowsWithLoad(t *testing.T) {
-	s, _ := New(DefaultConfig(8))
-	idle := s.LatencyNs(0)
-	if math.Abs(idle-s.BaseLatencyNs()) > 1e-9 {
-		t.Errorf("idle latency = %g, want base %g", idle, s.BaseLatencyNs())
-	}
-	// Half the peak bandwidth in misses/second.
-	half := s.PeakBandwidthGBs() / 2 * 1e9 / LineBytes
-	mid := s.LatencyNs(half)
-	if mid <= idle {
-		t.Error("latency must grow with load")
-	}
-	// Saturation is capped, not divergent.
-	sat := s.LatencyNs(1e18)
-	if math.IsInf(sat, 0) || math.IsNaN(sat) {
-		t.Fatal("latency diverged at saturation")
-	}
-	if sat <= mid {
-		t.Error("latency at saturation should exceed mid-load latency")
-	}
-}
-
-func TestUtilizationCapped(t *testing.T) {
-	s, _ := New(DefaultConfig(8))
-	if u := s.Utilization(1e18); u > maxUtilization {
-		t.Errorf("utilization %g exceeds cap", u)
-	}
-	if u := s.Utilization(-5); u != 0 {
-		t.Errorf("negative demand should clamp to 0, got %g", u)
-	}
-}
-
-func TestMoreChannelsLowerLatency(t *testing.T) {
-	few, _ := New(Config{Channels: 2, RowHitRate: 0.5})
-	many, _ := New(Config{Channels: 16, RowHitRate: 0.5})
-	demand := 3e9 / float64(LineBytes) // 3 GB/s of misses
-	if many.LatencyNs(demand) >= few.LatencyNs(demand) {
-		t.Error("more channels should reduce contention latency")
-	}
-}
-
-// Property: latency is monotone non-decreasing in demand.
-func TestLatencyMonotone(t *testing.T) {
-	s, _ := New(DefaultConfig(64))
-	f := func(d1, d2 float64) bool {
-		d1 = math.Abs(math.Mod(d1, 1e12))
-		d2 = math.Abs(math.Mod(d2, 1e12))
-		if d1 > d2 {
-			d1, d2 = d2, d1
-		}
-		return s.LatencyNs(d1) <= s.LatencyNs(d2)+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
 	}
 }

@@ -254,16 +254,6 @@ func (h *Harness) Boot(t Tier) *Fleet {
 	return f
 }
 
-// Procs lists the fleet top-down — routers, shards, snapstore — the order
-// in which to drain it.
-func (f *Fleet) Procs() []*Proc {
-	procs := append(append([]*Proc{}, f.Routers...), f.Shards...)
-	if f.Snapstore != nil {
-		procs = append(procs, f.Snapstore)
-	}
-	return procs
-}
-
 // Eventually polls fn every interval until it returns nil, and fails the
 // scenario with fn's last error once timeout has passed.
 func (h *Harness) Eventually(timeout, interval time.Duration, fn func() error) {

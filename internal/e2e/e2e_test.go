@@ -149,3 +149,13 @@ func TestForeignPanicIsNotSwallowed(t *testing.T) {
 	_ = h.run(func(*Harness) { panic("a bug") })
 	t.Error("run returned after a foreign panic")
 }
+
+// Procs lists the fleet top-down — routers, shards, snapstore — the order
+// in which to drain it.
+func (f *Fleet) Procs() []*Proc {
+	procs := append(append([]*Proc{}, f.Routers...), f.Shards...)
+	if f.Snapstore != nil {
+		procs = append(procs, f.Snapstore)
+	}
+	return procs
+}

@@ -44,7 +44,7 @@ func TestWriteFig5CSV(t *testing.T) {
 	cfg.Epochs = 4
 	cfg.WarmupEpochs = 2
 	cfg.MaxAccessesPerCoreEpoch = 2000
-	r, err := RunFig5(cfg, 3, nil)
+	r, err := Engine{}.RunFig5(cfg, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -242,7 +242,7 @@ func TestFig5SmallSimulation(t *testing.T) {
 	cfg.Epochs = 6
 	cfg.WarmupEpochs = 2
 	cfg.MaxAccessesPerCoreEpoch = 2500
-	r, err := RunFig5(cfg, 3, nil)
+	r, err := Engine{}.RunFig5(cfg, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,14 +381,6 @@ func TestSummarizeByCategory(t *testing.T) {
 }
 
 func TestSweepColumnHelpers(t *testing.T) {
-	s := smallSweep(t)
-	if s.Column("nope", func(b BundleResult, mi int) float64 { return 0 }) != nil {
-		t.Error("unknown mechanism should yield nil column")
-	}
-	col := s.EfficiencyColumn("EqualBudget")
-	if len(col) != len(s.Bundles) {
-		t.Fatalf("column length %d", len(col))
-	}
 	if FractionAtLeast(nil, 0.5) != 0 {
 		t.Error("empty fraction should be 0")
 	}

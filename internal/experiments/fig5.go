@@ -32,12 +32,6 @@ type Fig5Result struct {
 	Bundles    []Fig5Bundle
 }
 
-// RunFig5 executes the detailed-simulation comparison. cfg sizes each run;
-// one bundle per category is drawn from seed.
-func RunFig5(cfg cmpsim.Config, seed uint64, mechs []core.Allocator) (*Fig5Result, error) {
-	return Engine{}.RunFig5(cfg, seed, mechs)
-}
-
 // RunFig5 is the engine-scheduled detailed simulation: one cell per
 // (bundle, mechanism) chip plus one MaxEfficiency reference per bundle.
 // Every cell writes a disjoint slot, so the fan-out needs no locking and

@@ -109,14 +109,6 @@ func (f *floorWatch) Rewrap(apply func(core.Allocator) core.Allocator) core.Allo
 	return f
 }
 
-// RunResilience sweeps fault rates over one CPBN bundle under ReBudget-20
-// with the degraded-mode pipeline active, reporting how much of the
-// fault-free efficiency and fairness each rate retains. A nil rates slice
-// selects DefaultFaultRates.
-func RunResilience(cfg cmpsim.Config, seed uint64, rates []float64) (*ResilienceResult, error) {
-	return Engine{}.RunResilience(cfg, seed, rates)
-}
-
 // RunResilience is the engine-scheduled fault sweep. The fault-free
 // baseline and every fault-rate point are independent chips (each injector
 // seeds its own RNG), so they fan out as cells; Retained is normalised

@@ -16,7 +16,7 @@ func TestFloorWatchForwardsDecorations(t *testing.T) {
 	watch := newFloorWatch(core.ReBudget{Step: 20})
 	var a core.Allocator = watch
 	a = core.WithMarketConfig(a, func(mc market.Config) market.Config {
-		mc.MaxIterations = 7
+		mc.MinShiftFraction = 0.07
 		return mc
 	})
 	a = core.WithWarmBids(a, [][]float64{{1, 2}, {3, 4}})
@@ -24,8 +24,8 @@ func TestFloorWatchForwardsDecorations(t *testing.T) {
 		t.Fatal("decorating floorWatch should return the same wrapper")
 	}
 	mech := watch.inner.(core.ReBudget)
-	if mech.Market.MaxIterations != 7 {
-		t.Errorf("market config did not reach the mechanism: MaxIterations = %d", mech.Market.MaxIterations)
+	if mech.Market.MinShiftFraction != 0.07 {
+		t.Errorf("market config did not reach the mechanism: MinShiftFraction = %g", mech.Market.MinShiftFraction)
 	}
 	if len(mech.WarmBids) != 2 {
 		t.Errorf("warm bids did not reach the mechanism: %v", mech.WarmBids)
@@ -36,7 +36,7 @@ func TestRunResilience(t *testing.T) {
 	cfg := cmpsim.DefaultConfig(4)
 	cfg.WarmupEpochs = 4
 	cfg.Epochs = 8
-	res, err := RunResilience(cfg, 1, []float64{0.10})
+	res, err := Engine{}.RunResilience(cfg, 1, []float64{0.10})
 	if err != nil {
 		t.Fatal(err)
 	}

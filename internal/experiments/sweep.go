@@ -144,29 +144,6 @@ func (s *SweepResult) mechIndex(name string) int {
 	return -1
 }
 
-// Column extracts one mechanism's series across bundles.
-func (s *SweepResult) Column(name string, f func(BundleResult, int) float64) []float64 {
-	mi := s.mechIndex(name)
-	if mi < 0 {
-		return nil
-	}
-	out := make([]float64, len(s.Bundles))
-	for i, b := range s.Bundles {
-		out[i] = f(b, mi)
-	}
-	return out
-}
-
-// EfficiencyColumn returns normalised efficiencies for one mechanism.
-func (s *SweepResult) EfficiencyColumn(name string) []float64 {
-	return s.Column(name, func(b BundleResult, mi int) float64 { return b.Efficiency[mi] })
-}
-
-// EnvyColumn returns envy-freeness values for one mechanism.
-func (s *SweepResult) EnvyColumn(name string) []float64 {
-	return s.Column(name, func(b BundleResult, mi int) float64 { return b.EnvyFreeness[mi] })
-}
-
 // FractionAtLeast reports the fraction of xs at or above the threshold.
 func FractionAtLeast(xs []float64, threshold float64) float64 {
 	if len(xs) == 0 {

@@ -1,0 +1,9 @@
+package main
+
+import (
+	"fmt"
+
+	"fixture/p"
+)
+
+func main() { fmt.Println(p.Run(p.DefaultConfig(4))) }

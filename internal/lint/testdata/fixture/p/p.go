@@ -1,0 +1,50 @@
+// Package p holds one case of each kind the analyser must tell apart.
+package p
+
+// Config has a field its default copies from a parameter (Cores), one only
+// its default sets (Fixed), and a wire field nothing reads (Label).
+type Config struct {
+	Cores int
+	Fixed float64
+	Label string `json:"label"`
+}
+
+func DefaultConfig(cores int) Config { return Config{Cores: cores, Fixed: 0.5} }
+
+func Run(c Config) float64 { return float64(c.Cores) * c.Fixed }
+
+func dead() int { return onlyFromDead() }
+
+func onlyFromDead() int { return 1 }
+
+// onlyTested is called from a Test function, which is not a use.
+func onlyTested() int { return 2 }
+
+// FromExample is called only from an Example, which is a use.
+func FromExample() int { return 3 }
+
+type unusedField struct{ n int }
+
+type stage interface {
+	Begin()
+	End()
+}
+
+// Base alone does not implement stage; Outer does through it, so Begin is
+// used by promotion.
+type Base struct{}
+
+func (Base) Begin() {}
+
+type Outer struct{ Base }
+
+func (Outer) End() {}
+
+// Name implements the standard library's fmt.Stringer.
+type Name string
+
+func (n Name) String() string { return string(n) }
+
+// fromInternalExample is called only from an Example in the package's own
+// test files, which is a use.
+func fromInternalExample() int { return 4 }

@@ -177,20 +177,26 @@ func TestCollapsedMatchesHidden(t *testing.T) {
 		name              string
 		n, kinds, budgets int
 		cfg               Config
+		rounds            int // when > 0, the round budget, at a tolerance no run meets
 	}{
-		{"8 players, 3 classes", 8, 3, 1, Config{}},
-		{"64 players, 12 classes", 64, 6, 2, Config{}},
-		{"64 players, 12 classes, greedy", 64, 6, 2, Config{Optimizer: GreedyExact, GreedyQuanta: 20}},
-		{"64 players, 60 classes", 64, 12, 5, Config{}},
-		{"67 players, all alone", 67, 67, 1, Config{}},
-		{"cut short", 64, 6, 2, Config{RoundHook: func(it int) bool { return it < 3 }}},
-		{"out of rounds", 64, 6, 2, Config{MaxIterations: 2, PriceTolerance: 1e-12}},
+		{"8 players, 3 classes", 8, 3, 1, Config{}, 0},
+		{"64 players, 12 classes", 64, 6, 2, Config{}, 0},
+		{"64 players, 12 classes, greedy", 64, 6, 2, Config{Optimizer: GreedyExact, GreedyQuanta: 20}, 0},
+		{"64 players, 60 classes", 64, 12, 5, Config{}, 0},
+		{"67 players, all alone", 67, 67, 1, Config{}, 0},
+		{"cut short", 64, 6, 2, Config{RoundHook: func(it int) bool { return it < 3 }}, 0},
+		{"out of rounds", 64, 6, 2, Config{}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			named := classPlayers(tc.n, tc.kinds, tc.budgets)
 			var on, oh observed
 			mn := mustMarket(t, named, observe(tc.cfg, &on))
 			mh := mustMarket(t, hide(named), observe(tc.cfg, &oh))
+			if tc.rounds > 0 {
+				for _, m := range []*Market{mn, mh} {
+					m.maxRounds, m.priceTol = tc.rounds, 1e-12
+				}
+			}
 			var warmN, warmH [][]float64
 			for run := 0; run < 4; run++ {
 				if run == 2 {

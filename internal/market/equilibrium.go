@@ -11,8 +11,8 @@ import (
 //     (derived from the broadcast prices: yᵢⱼ = pⱼ·Cⱼ − bᵢⱼ);
 //  2. the market re-prices (Equation 1);
 //
-// repeating until every price fluctuates by less than PriceTolerance
-// between rounds, or MaxIterations is hit (the §6.4 fail-safe), in which
+// repeating until every price fluctuates by less than priceTolerance (1%)
+// between rounds, or maxIterations (30) is hit (the §6.4 fail-safe), in which
 // case Converged is false and the last state is returned.
 func (m *Market) FindEquilibrium() (*Equilibrium, error) {
 	return m.FindEquilibriumFrom(nil)
@@ -27,7 +27,7 @@ func (m *Market) FindEquilibrium() (*Equilibrium, error) {
 // total and never spend the increase). A player with positive budget but
 // all-zero warm bids falls back to the cold equal split.
 //
-// Every run is budgeted: Config.MaxIterations bounds bidding–pricing
+// Every run is budgeted: maxIterations bounds bidding–pricing
 // rounds and Config.RoundHook may abort a round. A run that stops before
 // prices settle returns a *NotConvergedError carrying the full partial state
 // (utilities and lambdas included) instead of an equilibrium with a silent
@@ -100,7 +100,7 @@ func (m *Market) FindEquilibriumInto(dst *Equilibrium, initial [][]float64) (*Eq
 	steps := 0
 	converged := false
 	stopReason := "iteration budget exhausted"
-	for iterations < m.cfg.MaxIterations {
+	for iterations < m.maxRounds {
 		if m.cfg.RoundHook != nil && !m.cfg.RoundHook(iterations+1) {
 			stopReason = "aborted by round hook"
 			break
@@ -115,7 +115,7 @@ func (m *Market) FindEquilibriumInto(dst *Equilibrium, initial [][]float64) (*Eq
 			if ref == 0 {
 				continue
 			}
-			if math.Abs(newPrices[j]-prices[j]) > m.cfg.PriceTolerance*ref {
+			if math.Abs(newPrices[j]-prices[j]) > m.priceTol*ref {
 				stable = false
 				break
 			}

@@ -79,13 +79,6 @@ type Player struct {
 // Config tunes the equilibrium search. Zero values select the paper's
 // defaults (see DefaultConfig).
 type Config struct {
-	// PriceTolerance declares convergence when every resource price
-	// changes by less than this relative fraction between rounds (§2.1
-	// uses 1%).
-	PriceTolerance float64
-	// MaxIterations is the fail-safe bound on bidding–pricing rounds
-	// (§6.4 terminates after 30).
-	MaxIterations int
 	// MinShiftFraction stops the hill climb once the shift amount S
 	// drops below this fraction of the player's budget (§4.1.2 uses 1%).
 	MinShiftFraction float64
@@ -114,6 +107,14 @@ type Config struct {
 	Observer func(rounds, bidSteps int, wall time.Duration)
 }
 
+// priceTolerance declares convergence when every resource price changes by
+// less than this relative fraction between rounds (§2.1 uses 1%).
+const priceTolerance = 0.01
+
+// maxIterations is the fail-safe bound on bidding–pricing rounds (§6.4
+// terminates after 30).
+const maxIterations = 30
+
 // lambdaTolerance stops a player's hill climb once its per-resource marginal
 // utilities agree within this relative fraction (§4.1.2 uses 5%).
 const lambdaTolerance = 0.05
@@ -134,21 +135,11 @@ const (
 
 // DefaultConfig returns the constants used throughout the paper.
 func DefaultConfig() Config {
-	return Config{
-		PriceTolerance:   0.01,
-		MaxIterations:    30,
-		MinShiftFraction: 0.01,
-	}
+	return Config{MinShiftFraction: 0.01}
 }
 
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
-	if c.PriceTolerance <= 0 {
-		c.PriceTolerance = d.PriceTolerance
-	}
-	if c.MaxIterations <= 0 {
-		c.MaxIterations = d.MaxIterations
-	}
 	if c.MinShiftFraction <= 0 {
 		c.MinShiftFraction = d.MinShiftFraction
 	}
@@ -169,6 +160,10 @@ type Market struct {
 	capacity []float64
 	players  []*Player
 	cfg      Config
+	// maxRounds and priceTol are maxIterations and priceTolerance, held
+	// per market so a test can run one out of rounds.
+	maxRounds int
+	priceTol  float64
 
 	// Reusable equilibrium state, lazily sized on first use. curBids and
 	// nxtBids are flat player × resource bid matrices (see row), swapped
@@ -211,9 +206,11 @@ func New(capacity []float64, players []*Player, cfg Config) (*Market, error) {
 		}
 	}
 	return &Market{
-		capacity: append([]float64(nil), capacity...),
-		players:  players,
-		cfg:      cfg.withDefaults(),
+		capacity:  append([]float64(nil), capacity...),
+		players:   players,
+		cfg:       cfg.withDefaults(),
+		maxRounds: maxIterations,
+		priceTol:  priceTolerance,
 	}, nil
 }
 
@@ -326,11 +323,6 @@ func (m *Market) runRound(prices []float64) {
 	}
 }
 
-// Capacity returns the resource capacities.
-func (m *Market) Capacity() []float64 {
-	return append([]float64(nil), m.capacity...)
-}
-
 // Players returns the participant slice (shared, not copied: budgets are
 // mutated by budget-reassignment algorithms between equilibrium runs).
 func (m *Market) Players() []*Player { return m.players }
@@ -344,15 +336,6 @@ type Equilibrium struct {
 	Lambdas     []float64   // per-player marginal utility of money λᵢ
 	Iterations  int         // bidding–pricing rounds executed
 	Converged   bool        // prices settled within tolerance
-}
-
-// Efficiency returns the social welfare Σᵢ Uᵢ(rᵢ) (Definition 1).
-func (e *Equilibrium) Efficiency() float64 {
-	s := 0.0
-	for _, u := range e.Utilities {
-		s += u
-	}
-	return s
 }
 
 // pricesInto computes Equation 1 for a flat bid matrix into a caller-owned
@@ -377,25 +360,4 @@ func (m *Market) allocateInto(out, bids, prices []float64) {
 			out[j] = bids[j] / prices[j]
 		}
 	}
-}
-
-// StronglyCompetitive reports whether every resource receives non-zero bids
-// from at least two players, the condition under which Lemma 1 guarantees
-// an equilibrium exists.
-func StronglyCompetitive(bids [][]float64) bool {
-	if len(bids) == 0 {
-		return false
-	}
-	for j := range bids[0] {
-		n := 0
-		for i := range bids {
-			if bids[i][j] > 0 {
-				n++
-			}
-		}
-		if n < 2 {
-			return false
-		}
-	}
-	return true
 }

@@ -214,7 +214,7 @@ func TestEquilibriumRespectsMaxIterations(t *testing.T) {
 	m := newTestMarket(t,
 		[]float64{10, 40},
 		[][]float64{{5, 1}, {1, 5}})
-	m.cfg.MaxIterations = 1
+	m.maxRounds = 1
 	eq, err := m.FindEquilibrium()
 	if err == nil {
 		t.Fatal("1-iteration run converged; expected NotConvergedError")
@@ -245,13 +245,6 @@ func TestEquilibriumRespectsMaxIterations(t *testing.T) {
 	}
 }
 
-func TestEquilibriumEfficiency(t *testing.T) {
-	eq := &Equilibrium{Utilities: []float64{0.5, 0.25, 0.1}}
-	if got := eq.Efficiency(); math.Abs(got-0.85) > 1e-12 {
-		t.Errorf("Efficiency = %g, want 0.85", got)
-	}
-}
-
 func TestStronglyCompetitive(t *testing.T) {
 	if StronglyCompetitive(nil) {
 		t.Error("empty bids cannot be strongly competitive")
@@ -268,20 +261,6 @@ func TestUtilityFuncAdapter(t *testing.T) {
 	f := UtilityFunc(func(a []float64) float64 { return a[0] * 2 })
 	if f.Value([]float64{3}) != 6 {
 		t.Error("UtilityFunc adapter broken")
-	}
-}
-
-func TestCapacityCopied(t *testing.T) {
-	cap := []float64{1, 2}
-	u := sqrtUtility{weights: []float64{1, 1}, capacity: cap}
-	m, _ := New(cap, []*Player{
-		{Name: "a", Utility: u, Budget: 1},
-		{Name: "b", Utility: u, Budget: 1},
-	}, Config{})
-	got := m.Capacity()
-	got[0] = 99
-	if m.Capacity()[0] != 1 {
-		t.Error("Capacity must return a copy")
 	}
 }
 
@@ -651,4 +630,34 @@ func TestEquilibriumIsApproximateNash(t *testing.T) {
 			t.Errorf("player %s can deviate profitably: %.4f -> %.4f", p.Name, current, alt)
 		}
 	}
+}
+
+// Efficiency returns the social welfare Σᵢ Uᵢ(rᵢ) (Definition 1).
+func (e *Equilibrium) Efficiency() float64 {
+	s := 0.0
+	for _, u := range e.Utilities {
+		s += u
+	}
+	return s
+}
+
+// StronglyCompetitive reports whether every resource receives non-zero bids
+// from at least two players, the condition under which Lemma 1 guarantees
+// an equilibrium exists.
+func StronglyCompetitive(bids [][]float64) bool {
+	if len(bids) == 0 {
+		return false
+	}
+	for j := range bids[0] {
+		n := 0
+		for i := range bids {
+			if bids[i][j] > 0 {
+				n++
+			}
+		}
+		if n < 2 {
+			return false
+		}
+	}
+	return true
 }

@@ -110,11 +110,3 @@ func (h *Health) Transition(to HealthState) {
 	h.State = to
 	h.Transitions++
 }
-
-// FailureRate is the fraction of allocator probes that failed.
-func (h *Health) FailureRate() float64 {
-	if h.AllocAttempts == 0 {
-		return 0
-	}
-	return float64(h.AllocFailures) / float64(h.AllocAttempts)
-}

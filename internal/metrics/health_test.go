@@ -37,12 +37,6 @@ func TestHealthRecordFailure(t *testing.T) {
 	if h.Causes[CauseSolver] != 2 || h.Causes[CauseMonitor] != 1 || h.Causes[CauseUtility] != 0 {
 		t.Errorf("Causes = %v", h.Causes)
 	}
-	if got := h.FailureRate(); got != 1.0 {
-		t.Errorf("FailureRate = %g, want 1", got)
-	}
-	if got := (&Health{}).FailureRate(); got != 0 {
-		t.Errorf("zero-attempt FailureRate = %g, want 0", got)
-	}
 }
 
 func TestHealthTransitionIgnoresSelfEdges(t *testing.T) {

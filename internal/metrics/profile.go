@@ -34,14 +34,6 @@ func (p *EquilibriumProfile) Observe(rounds, bidSteps int, wall time.Duration) {
 	p.wallNs.Add(int64(wall))
 }
 
-// Reset zeroes the counters.
-func (p *EquilibriumProfile) Reset() {
-	p.runs.Store(0)
-	p.rounds.Store(0)
-	p.bidSteps.Store(0)
-	p.wallNs.Store(0)
-}
-
 // Snapshot returns a consistent-enough copy for reporting (individual
 // counters are read atomically; a concurrent Observe may land between
 // reads, which is fine for telemetry).

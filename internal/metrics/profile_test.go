@@ -30,10 +30,6 @@ func TestEquilibriumProfile(t *testing.T) {
 			t.Errorf("String() = %q, missing %q", str, want)
 		}
 	}
-	p.Reset()
-	if s := p.Snapshot(); s.Runs != 0 || s.Rounds != 0 {
-		t.Errorf("Reset left state: %+v", s)
-	}
 }
 
 // TestEquilibriumProfileConcurrent exercises the atomic counters under the

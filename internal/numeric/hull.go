@@ -69,10 +69,3 @@ func strictlyIncreasingX(points []Point) bool {
 func cross(a, b, c Point) float64 {
 	return (b.X-a.X)*(c.Y-a.Y) - (b.Y-a.Y)*(c.X-a.X)
 }
-
-// HullPWL builds the concave piecewise-linear function through the upper
-// convex hull of the samples. The hull is freshly built and already sorted,
-// so the PWL takes it as is.
-func HullPWL(points []Point) (*PWL, error) {
-	return newSortedPWL(UpperConvexHull(points))
-}

@@ -16,11 +16,11 @@ func TestUpperConvexHullCliff(t *testing.T) {
 	}
 	pts = append(pts, Point{X: 12, Y: 1.0}, Point{X: 16, Y: 1.0})
 	hull := UpperConvexHull(pts)
-	p := MustPWL(hull)
-	if !p.IsConcave() {
+	p := mustPWL(hull)
+	if !isConcave(p) {
 		t.Fatalf("hull not concave: %v", hull)
 	}
-	if !p.IsNonDecreasing() {
+	if !isNonDecreasing(p) {
 		t.Fatalf("hull not non-decreasing: %v", hull)
 	}
 	// The hull at x=6 should be well above the raw 0.2 value.
@@ -48,7 +48,7 @@ func TestUpperConvexHullCollinear(t *testing.T) {
 	if hull[0] != (Point{0, 0}) || hull[len(hull)-1] != (Point{3, 3}) {
 		t.Fatalf("collinear hull endpoints wrong: %v", hull)
 	}
-	p := MustPWL(hull)
+	p := mustPWL(hull)
 	if math.Abs(p.Eval(1.5)-1.5) > 1e-12 {
 		t.Errorf("collinear hull evaluation wrong: %g", p.Eval(1.5))
 	}
@@ -57,7 +57,7 @@ func TestUpperConvexHullCollinear(t *testing.T) {
 func TestUpperConvexHullDuplicateX(t *testing.T) {
 	pts := []Point{{0, 0}, {1, 0.3}, {1, 0.9}, {2, 1.0}}
 	hull := UpperConvexHull(pts)
-	p := MustPWL(hull)
+	p := mustPWL(hull)
 	if v := p.Eval(1); v < 0.9-1e-12 {
 		t.Errorf("duplicate X should keep max Y: Eval(1)=%g", v)
 	}
@@ -95,7 +95,7 @@ func TestUpperConvexHullProperties(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !p.IsConcave() {
+		if !isConcave(p) {
 			return false
 		}
 		for _, q := range pts {
@@ -111,9 +111,7 @@ func TestUpperConvexHullProperties(t *testing.T) {
 }
 
 // Sorted input skips the copy-and-sort; it must give the same hull as the
-// same points shuffled, leave the input untouched, and HullPWL — which
-// hands the hull to the PWL without a second copy and sort — must still
-// produce the knots, and the validation, of NewPWL.
+// same points shuffled and leave the input untouched.
 func TestHullSortedFastPath(t *testing.T) {
 	sorted := []Point{{1, 0.2}, {2, 0.2}, {3, 0.25}, {4, 0.9}, {6, 0.95}, {9, 1.0}}
 	shuffled := []Point{sorted[3], sorted[0], sorted[5], sorted[2], sorted[1], sorted[4]}
@@ -128,18 +126,5 @@ func TestHullSortedFastPath(t *testing.T) {
 	hull[0].Y = -1
 	if sorted[0].Y != 0.2 {
 		t.Fatal("hull aliases its input")
-	}
-	p, err := HullPWL(shuffled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := MustPWL(UpperConvexHull(sorted)).Knots(); !reflect.DeepEqual(p.Knots(), want) {
-		t.Fatalf("HullPWL knots %v, want %v", p.Knots(), want)
-	}
-	if _, err := HullPWL([]Point{{1, 0}, {2, math.NaN()}, {3, 1}}); err == nil {
-		t.Error("HullPWL accepted a non-finite sample")
-	}
-	if _, err := HullPWL(nil); err == nil {
-		t.Error("HullPWL accepted no samples")
 	}
 }

@@ -76,23 +76,6 @@ func PWLOver(ks []Point) (PWL, error) {
 	return PWL{knots: ks}, nil
 }
 
-// MustPWL is like NewPWL but panics on error. It is intended for statically
-// known knot sets (tests, built-in application models).
-func MustPWL(knots []Point) *PWL {
-	p, err := NewPWL(knots)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// Knots returns a copy of the function's knots in increasing X order.
-func (p *PWL) Knots() []Point {
-	out := make([]Point, len(p.knots))
-	copy(out, p.knots)
-	return out
-}
-
 // Eval returns f(x), clamping x to the knot range. Eval(NaN) is NaN.
 func (p *PWL) Eval(x float64) float64 {
 	ks := p.knots
@@ -109,49 +92,4 @@ func (p *PWL) Eval(x float64) float64 {
 	a, b := ks[i-1], ks[i]
 	t := (x - a.X) / (b.X - a.X)
 	return a.Y + t*(b.Y-a.Y)
-}
-
-// Min and Max return the knot-range bounds of the domain.
-func (p *PWL) Min() float64 { return p.knots[0].X }
-
-// Max returns the largest knot X.
-func (p *PWL) Max() float64 { return p.knots[len(p.knots)-1].X }
-
-// IsNonDecreasing reports whether the function never decreases across knots.
-func (p *PWL) IsNonDecreasing() bool {
-	for i := 1; i < len(p.knots); i++ {
-		if p.knots[i].Y < p.knots[i-1].Y-1e-12 {
-			return false
-		}
-	}
-	return true
-}
-
-// IsConcave reports whether successive segment slopes are non-increasing,
-// i.e. the piecewise-linear function is concave.
-func (p *PWL) IsConcave() bool {
-	const eps = 1e-9
-	prev := math.Inf(1)
-	for i := 1; i < len(p.knots); i++ {
-		dx := p.knots[i].X - p.knots[i-1].X
-		slope := (p.knots[i].Y - p.knots[i-1].Y) / dx
-		if slope > prev+eps {
-			return false
-		}
-		prev = slope
-	}
-	return true
-}
-
-// Slope returns the left-to-right slope of the segment containing x. At a
-// knot the slope of the right-hand segment is returned; beyond the domain the
-// slope is zero (values clamp).
-func (p *PWL) Slope(x float64) float64 {
-	ks := p.knots
-	if x < ks[0].X || x >= ks[len(ks)-1].X {
-		return 0
-	}
-	i := sort.Search(len(ks), func(i int) bool { return ks[i].X > x })
-	a, b := ks[i-1], ks[i]
-	return (b.Y - a.Y) / (b.X - a.X)
 }

@@ -25,8 +25,8 @@ func TestNewPWLValidation(t *testing.T) {
 }
 
 func TestPWLSortsKnots(t *testing.T) {
-	p := MustPWL([]Point{{2, 4}, {0, 0}, {1, 1}})
-	ks := p.Knots()
+	p := mustPWL([]Point{{2, 4}, {0, 0}, {1, 1}})
+	ks := p.knots
 	for i := 1; i < len(ks); i++ {
 		if ks[i].X <= ks[i-1].X {
 			t.Fatalf("knots not sorted: %v", ks)
@@ -35,7 +35,7 @@ func TestPWLSortsKnots(t *testing.T) {
 }
 
 func TestPWLEvalInterpolatesAndClamps(t *testing.T) {
-	p := MustPWL([]Point{{0, 0}, {2, 4}, {4, 4}})
+	p := mustPWL([]Point{{0, 0}, {2, 4}, {4, 4}})
 	cases := []struct{ x, want float64 }{
 		{-1, 0},  // clamp left
 		{0, 0},   // knot
@@ -63,59 +63,66 @@ func TestPWLEvalNaN(t *testing.T) {
 		{"two knots", []Point{{1, 2}, {3, 6}}},
 		{"three knots", []Point{{0, 0}, {2, 4}, {4, 4}}},
 	} {
-		if got := MustPWL(c.knots).Eval(math.NaN()); !math.IsNaN(got) {
+		if got := mustPWL(c.knots).Eval(math.NaN()); !math.IsNaN(got) {
 			t.Errorf("%s: Eval(NaN) = %g, want NaN", c.name, got)
 		}
 	}
 }
 
 func TestPWLSingleKnot(t *testing.T) {
-	p := MustPWL([]Point{{3, 7}})
+	p := mustPWL([]Point{{3, 7}})
 	for _, x := range []float64{-10, 3, 10} {
 		if got := p.Eval(x); got != 7 {
 			t.Errorf("Eval(%g) = %g, want 7", x, got)
 		}
 	}
-	if p.Slope(3) != 0 {
-		t.Errorf("Slope of constant function should be 0")
-	}
 }
 
+func mustPWL(knots []Point) *PWL {
+	p, err := NewPWL(knots)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// isNonDecreasing and isConcave are the hull tests' shape oracles.
+func isNonDecreasing(p *PWL) bool {
+	for i := 1; i < len(p.knots); i++ {
+		if p.knots[i].Y < p.knots[i-1].Y-1e-12 {
+			return false
+		}
+	}
+	return true
+}
+
+func isConcave(p *PWL) bool {
+	const eps = 1e-9
+	prev := math.Inf(1)
+	for i := 1; i < len(p.knots); i++ {
+		slope := (p.knots[i].Y - p.knots[i-1].Y) / (p.knots[i].X - p.knots[i-1].X)
+		if slope > prev+eps {
+			return false
+		}
+		prev = slope
+	}
+	return true
+}
+
+// TestPWLShapePredicates checks the oracles themselves: each must be able
+// to fail.
 func TestPWLShapePredicates(t *testing.T) {
-	concave := MustPWL([]Point{{0, 0}, {1, 2}, {2, 3}, {3, 3.5}})
-	if !concave.IsConcave() || !concave.IsNonDecreasing() {
+	concave := mustPWL([]Point{{0, 0}, {1, 2}, {2, 3}, {3, 3.5}})
+	if !isConcave(concave) || !isNonDecreasing(concave) {
 		t.Error("expected concave non-decreasing")
 	}
-	cliff := MustPWL([]Point{{0, 0.2}, {1, 0.2}, {2, 1.0}})
-	if cliff.IsConcave() {
+	cliff := mustPWL([]Point{{0, 0.2}, {1, 0.2}, {2, 1.0}})
+	if isConcave(cliff) {
 		t.Error("cliff curve misclassified as concave")
 	}
-	decreasing := MustPWL([]Point{{0, 1}, {1, 0.5}})
-	if decreasing.IsNonDecreasing() {
+	decreasing := mustPWL([]Point{{0, 1}, {1, 0.5}})
+	if isNonDecreasing(decreasing) {
 		t.Error("decreasing curve misclassified as non-decreasing")
-	}
-}
-
-func TestPWLSlope(t *testing.T) {
-	p := MustPWL([]Point{{0, 0}, {1, 2}, {3, 3}})
-	if got := p.Slope(0.5); math.Abs(got-2) > 1e-12 {
-		t.Errorf("Slope(0.5) = %g, want 2", got)
-	}
-	if got := p.Slope(2); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Slope(2) = %g, want 0.5", got)
-	}
-	if got := p.Slope(1); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Slope at knot should use right segment: got %g", got)
-	}
-	if p.Slope(-1) != 0 || p.Slope(4) != 0 {
-		t.Error("out-of-domain slope should be 0")
-	}
-}
-
-func TestPWLDomainBounds(t *testing.T) {
-	p := MustPWL([]Point{{-2, 0}, {5, 1}})
-	if p.Min() != -2 || p.Max() != 5 {
-		t.Errorf("Min/Max = %g/%g, want -2/5", p.Min(), p.Max())
 	}
 }
 
@@ -129,7 +136,7 @@ func TestPWLEvalWithinEnvelope(t *testing.T) {
 			}
 			knots = append(knots, Point{X: float64(i), Y: y})
 		}
-		p := MustPWL(knots)
+		p := mustPWL(knots)
 		lo, hi := knots[0].Y, knots[0].Y
 		for _, k := range knots {
 			lo = math.Min(lo, k.Y)
@@ -156,7 +163,7 @@ func TestPWLEvalAtKnots(t *testing.T) {
 			}
 			knots = append(knots, Point{X: float64(i) * 1.5, Y: math.Mod(y, 1e6)})
 		}
-		p := MustPWL(knots)
+		p := mustPWL(knots)
 		for _, k := range knots {
 			if p.Eval(k.X) != k.Y {
 				return false

@@ -1,7 +1,5 @@
 package numeric
 
-import "math"
-
 // Rand is a small, fast, deterministic pseudo-random source (splitmix64 for
 // seeding, xorshift* for the stream). All randomized components of the
 // reproduction (trace generation, workload bundle selection) derive their
@@ -45,31 +43,6 @@ func (r *Rand) Intn(n int) int {
 		panic("numeric: Intn with non-positive n")
 	}
 	return int(r.Uint64() % uint64(n))
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// NormFloat64 returns a standard normal variate (Marsaglia polar method).
-func (r *Rand) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
 }
 
 // Split derives an independent child generator; the parent stream advances

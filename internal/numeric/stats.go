@@ -83,14 +83,3 @@ func Clamp(x, lo, hi float64) float64 {
 	}
 	return x
 }
-
-// AlmostEqual reports whether a and b differ by less than tol in absolute
-// terms or relative to their magnitudes.
-func AlmostEqual(a, b, tol float64) bool {
-	diff := math.Abs(a - b)
-	if diff <= tol {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= tol*scale
-}

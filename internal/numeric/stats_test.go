@@ -63,18 +63,6 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestAlmostEqual(t *testing.T) {
-	if !AlmostEqual(1.0, 1.0+1e-12, 1e-9) {
-		t.Error("tiny absolute diff should be equal")
-	}
-	if !AlmostEqual(1e12, 1e12*(1+1e-10), 1e-9) {
-		t.Error("tiny relative diff should be equal")
-	}
-	if AlmostEqual(1, 2, 1e-9) {
-		t.Error("1 and 2 are not almost equal")
-	}
-}
-
 // Property: Percentile is monotone in p and bounded by Min/Max.
 func TestPercentileMonotone(t *testing.T) {
 	f := func(raw [9]float64, p1, p2 float64) bool {
@@ -147,37 +135,6 @@ func TestRandIntn(t *testing.T) {
 		}
 	}()
 	r.Intn(0)
-}
-
-func TestRandPerm(t *testing.T) {
-	r := NewRand(9)
-	p := r.Perm(10)
-	seen := make([]bool, 10)
-	for _, v := range p {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestRandNormRoughMoments(t *testing.T) {
-	r := NewRand(1234)
-	n := 50000
-	var sum, sumsq float64
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / float64(n)
-	variance := sumsq/float64(n) - mean*mean
-	if math.Abs(mean) > 0.03 {
-		t.Errorf("normal mean too far from 0: %g", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("normal variance too far from 1: %g", variance)
-	}
 }
 
 func TestRandSplitIndependence(t *testing.T) {

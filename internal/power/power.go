@@ -21,8 +21,6 @@ const (
 	MaxVolt    = 1.2
 	// TDPPerCoreW is the chip power budget per core (10 W at 65 nm).
 	TDPPerCoreW = 10.0
-	// RAPLGranularityW is the finest power-budget step (§4.1.1).
-	RAPLGranularityW = 0.125
 )
 
 // Model captures a core's electrical parameters. The zero value is not
@@ -88,27 +86,16 @@ func (m Model) staticFrac(tempC float64) float64 {
 	return m.StaticFrac0 * math.Exp((tempC-m.ReferenceTempC)/m.TempScaleC)
 }
 
-// Dynamic returns the dynamic power in watts at frequency fGHz for a
-// workload with the given activity factor in [0,1].
-func (m Model) Dynamic(fGHz, activity float64) float64 {
-	return m.envelope(fGHz) * activity
-}
-
-// Static returns the leakage power in watts at frequency fGHz and die
-// temperature tempC. Leakage scales with the dynamic power envelope at the
-// current voltage (a common simplification of the V·exp(T) dependence).
-func (m Model) Static(fGHz, tempC float64) float64 {
-	return m.staticFrac(tempC) * m.envelope(fGHz)
-}
-
 // Total returns dynamic plus static power in watts.
 func (m Model) Total(fGHz, activity, tempC float64) float64 {
 	return m.totalAt(fGHz, activity, m.staticFrac(tempC))
 }
 
 // totalAt is Total with the leakage fraction already evaluated — the one
-// float expression for total power, Dynamic(f, activity) + Static(f, T) with
-// the envelope computed once. The simulator reaches it through Total and
+// float expression for total power: dynamic (the voltage-frequency envelope
+// times activity) plus static (the envelope times the leakage fraction at
+// the die temperature, a common simplification of the V·exp(T) dependence),
+// with the envelope computed once. The simulator reaches it through Total and
 // the inversion's polish calls it directly, so both compare the same bits.
 func (m Model) totalAt(fGHz, activity, frac float64) float64 {
 	t := m.envelope(fGHz)
@@ -320,26 +307,4 @@ func (v *FreqInverter) FreqAtPower(budgetW float64) (float64, error) {
 		}
 	}
 	return lo, nil
-}
-
-// QuantizeFreq snaps a continuous frequency down to the DVFS ladder.
-func QuantizeFreq(fGHz float64) float64 {
-	if fGHz <= MinFreqGHz {
-		return MinFreqGHz
-	}
-	if fGHz >= MaxFreqGHz {
-		return MaxFreqGHz
-	}
-	// The epsilon absorbs binary rounding of ladder frequencies (1.2-0.8
-	// is not exactly 0.4 in float64).
-	steps := math.Floor((fGHz-MinFreqGHz)/FreqStep + 1e-9)
-	return math.Round((MinFreqGHz+steps*FreqStep)*10) / 10
-}
-
-// QuantizeBudget snaps a power budget down to RAPL granularity.
-func QuantizeBudget(w float64) float64 {
-	if w < 0 {
-		return 0
-	}
-	return math.Floor(w/RAPLGranularityW) * RAPLGranularityW
 }

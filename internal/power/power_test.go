@@ -40,14 +40,15 @@ func TestDynamicPowerScaling(t *testing.T) {
 	// Power strictly increases with frequency (V also rises).
 	prev := 0.0
 	for _, f := range Levels() {
-		p := m.Dynamic(f, 1)
+		p := m.Total(f, 1, 70) - m.Total(f, 0, 70)
 		if p <= prev {
 			t.Errorf("dynamic power not increasing at %g GHz", f)
 		}
 		prev = p
 	}
 	// Activity scales linearly.
-	if math.Abs(m.Dynamic(2.0, 0.5)-0.5*m.Dynamic(2.0, 1)) > 1e-12 {
+	static := m.Total(2.0, 0, 70)
+	if math.Abs(m.Total(2.0, 0.5, 70)-static-0.5*(m.Total(2.0, 1, 70)-static)) > 1e-12 {
 		t.Error("activity should scale dynamic power linearly")
 	}
 }
@@ -70,8 +71,9 @@ func TestDefaultModelPowerScarcity(t *testing.T) {
 
 func TestStaticPowerTemperatureDependence(t *testing.T) {
 	m := DefaultModel()
-	cold := m.Static(4.0, 40)
-	hot := m.Static(4.0, 90)
+	// At zero activity Total is the leakage alone.
+	cold := m.Total(4.0, 0, 40)
+	hot := m.Total(4.0, 0, 90)
 	if hot <= cold {
 		t.Error("leakage must grow with temperature")
 	}
@@ -104,30 +106,6 @@ func TestFreqAtPowerBounds(t *testing.T) {
 	got, err := m.FreqAtPower(1000, 1, 70)
 	if err != nil || got != MaxFreqGHz {
 		t.Errorf("huge budget should give max frequency, got %g err %v", got, err)
-	}
-}
-
-func TestQuantizeFreq(t *testing.T) {
-	cases := []struct{ in, want float64 }{
-		{0.5, 0.8}, {0.8, 0.8}, {1.0, 0.8}, {1.2, 1.2}, {1.19, 0.8},
-		{2.75, 2.4}, {4.0, 4.0}, {5.0, 4.0}, {3.99, 3.6},
-	}
-	for _, c := range cases {
-		if got := QuantizeFreq(c.in); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("QuantizeFreq(%g) = %g, want %g", c.in, got, c.want)
-		}
-	}
-}
-
-func TestQuantizeBudget(t *testing.T) {
-	if QuantizeBudget(-1) != 0 {
-		t.Error("negative budget should clamp to 0")
-	}
-	if got := QuantizeBudget(1.3); math.Abs(got-1.25) > 1e-12 {
-		t.Errorf("QuantizeBudget(1.3) = %g, want 1.25", got)
-	}
-	if got := QuantizeBudget(2.0); got != 2.0 {
-		t.Errorf("QuantizeBudget(2.0) = %g", got)
 	}
 }
 

@@ -146,7 +146,7 @@ func TestAddShardMigratesUnderTraffic(t *testing.T) {
 			t.Fatalf("post-migration step %s: %v", id, err)
 		}
 	}
-	if got := third.srv.Sessions(); got == 0 {
+	if got := third.sessions(); got == 0 {
 		t.Fatal("new shard holds no sessions after the rebalance")
 	}
 	metrics, err := client.New(third.ts.URL).Metrics(ctx)
@@ -175,7 +175,7 @@ func TestRemoveShardDrains(t *testing.T) {
 		}
 	}
 	victim := shards[1]
-	before := victim.srv.Sessions()
+	before := victim.sessions()
 	if before == 0 {
 		t.Skip("degenerate placement: victim shard got no sessions")
 	}
@@ -187,7 +187,7 @@ func TestRemoveShardDrains(t *testing.T) {
 		t.Fatalf("remove scheduled %d moves, victim held %d sessions", moved, before)
 	}
 	waitDrained(t, rt)
-	if got := victim.srv.Sessions(); got != 0 {
+	if got := victim.sessions(); got != 0 {
 		t.Fatalf("victim still holds %d sessions after the drain", got)
 	}
 	// Every session steps on, served by the survivors.
@@ -196,7 +196,7 @@ func TestRemoveShardDrains(t *testing.T) {
 			t.Fatalf("post-remove step %s: %v", id, err)
 		}
 	}
-	if got := victim.srv.Sessions(); got != 0 {
+	if got := victim.sessions(); got != 0 {
 		t.Fatal("a migrated session stepped back onto the removed shard")
 	}
 	// The retired shard is fully released once drained.
@@ -334,7 +334,7 @@ func TestGossipConvergesOnKilledShard(t *testing.T) {
 		t.Fatalf("replica 2 should not know yet: healthy=%d", rt2.Healthy())
 	}
 
-	rt1.GossipNow(context.Background()) // round 1: the pinned bound
+	rt1.gossipOnce(context.Background()) // round 1: the pinned bound
 	if rt2.Healthy() != 1 {
 		t.Fatal("replica 2 did not converge on the killed shard within 1 gossip round")
 	}
@@ -350,7 +350,7 @@ func TestGossipConvergesOnKilledShard(t *testing.T) {
 	// of the old URL is impossible, so just verify seq authority instead:
 	// replica 1 re-probes shard A (no flip, no bump) and gossips — replica
 	// 2 must not flap.
-	rt1.GossipNow(context.Background())
+	rt1.gossipOnce(context.Background())
 	if rt2.Healthy() != 1 {
 		t.Fatal("replica 2 flapped on a no-change gossip round")
 	}
@@ -383,7 +383,7 @@ func TestGossipPropagatesMembership(t *testing.T) {
 	if _, err := rt1.AddShard(context.Background(), third.ts.URL); err != nil {
 		t.Fatal(err)
 	}
-	rt1.GossipNow(context.Background())
+	rt1.gossipOnce(context.Background())
 	if got := rt2.Epoch(); got != 2 {
 		t.Fatalf("peer epoch after gossip = %d, want 2", got)
 	}

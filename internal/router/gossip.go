@@ -142,7 +142,7 @@ func (rt *Router) gossiper() {
 }
 
 // gossipOnce pushes this router's digest to every peer and merges each
-// response digest (exported through tests via GossipNow).
+// response digest; tests call it to run one exchange synchronously.
 func (rt *Router) gossipOnce(ctx context.Context) {
 	d := rt.digest()
 	payload, err := json.Marshal(d)
@@ -176,11 +176,6 @@ func (rt *Router) gossipOnce(ctx context.Context) {
 		cancel()
 	}
 }
-
-// GossipNow runs one synchronous gossip exchange with every peer — the
-// deterministic handle tests and ops tooling use instead of waiting out
-// the background interval.
-func (rt *Router) GossipNow(ctx context.Context) { rt.gossipOnce(ctx) }
 
 // handleGossip answers a peer's push: merge its digest, reply with ours.
 // When an admin token is configured the exchange must carry it — a

@@ -118,7 +118,7 @@ func TestMigrationUnderChurn(t *testing.T) {
 	}
 
 	// Every session — including the migrated ones — finished on shard B.
-	if got := shardB.srv.Sessions(); got != nSessions {
+	if got := shardB.sessions(); got != nSessions {
 		t.Fatalf("survivor holds %d sessions, want all %d", got, nSessions)
 	}
 	if rt.met.failovers.Load() == 0 {

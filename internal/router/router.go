@@ -279,18 +279,6 @@ func (rt *Router) Close() {
 	rt.loopsDone.Wait()
 }
 
-// Healthy reports how many shards currently pass probes (for tests and
-// ops tooling).
-func (rt *Router) Healthy() int {
-	n := 0
-	for _, b := range rt.activeBackends() {
-		if b.healthy.Load() {
-			n++
-		}
-	}
-	return n
-}
-
 // Epoch reports the current membership epoch (1 until the first change).
 func (rt *Router) Epoch() uint64 { return rt.epoch.Load() }
 

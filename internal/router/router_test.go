@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -115,7 +116,7 @@ func TestRouterPlacement(t *testing.T) {
 	}
 	total := 0
 	for _, s := range shards {
-		total += s.srv.Sessions()
+		total += s.sessions()
 	}
 	if total != len(ids) {
 		t.Fatalf("shards hold %d sessions, want %d", total, len(ids))
@@ -263,7 +264,7 @@ func TestRouterListMergesShards(t *testing.T) {
 	// Placement hashes the shards' random httptest ports, so a fixed id
 	// set can land entirely on one shard; top up until both hold sessions
 	// so "partial" below means something.
-	for i := 0; shards[0].srv.Sessions() == 0 || shards[1].srv.Sessions() == 0; i++ {
+	for i := 0; shards[0].sessions() == 0 || shards[1].sessions() == 0; i++ {
 		if i >= 64 {
 			t.Fatal("could not spread sessions across both shards")
 		}
@@ -393,7 +394,7 @@ func TestRetiredL2FieldRefused(t *testing.T) {
 			if code := post(hop.base, "retired-"+hop.name, r.sim); code != http.StatusBadRequest {
 				t.Errorf("%s: create with %s answered %d, want 400", hop.name, r.name, code)
 			}
-			if n := sh.srv.Sessions(); n != 0 {
+			if n := sh.sessions(); n != 0 {
 				t.Fatalf("%s: refused create with %s left %d sessions", hop.name, r.name, n)
 			}
 		}
@@ -405,4 +406,26 @@ func TestRetiredL2FieldRefused(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sessions reports the shard's resident session count from its /healthz.
+func (s *shard) sessions() int {
+	rec := httptest.NewRecorder()
+	s.srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	var body healthzBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		return -1
+	}
+	return body.Sessions
+}
+
+// Healthy reports how many shards currently pass probes.
+func (rt *Router) Healthy() int {
+	n := 0
+	for _, b := range rt.activeBackends() {
+		if b.healthy.Load() {
+			n++
+		}
+	}
+	return n
 }

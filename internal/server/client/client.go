@@ -229,13 +229,6 @@ func (c *Client) Telemetry(ctx context.Context, id string, t server.TelemetrySpe
 	return v, err
 }
 
-// Result returns a sim session's run summary so far.
-func (c *Client) Result(ctx context.Context, id string) (server.SimResultView, error) {
-	var v server.SimResultView
-	err := c.do(ctx, http.MethodGet, "/v1/sessions/"+id+"/result", nil, &v)
-	return v, err
-}
-
 // Health is the /healthz response.
 type Health struct {
 	Status        string `json:"status"`

@@ -219,14 +219,6 @@ func (d *dispatcher) inFlightCost() float64 {
 	return d.inUse
 }
 
-// queued reports requests currently waiting (test synchronisation hook; the
-// exposition's gauge is queuedCostUnits).
-func (d *dispatcher) queued() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return int64(d.queue.Len())
-}
-
 // queuedCostUnits reports cost units currently waiting (for /metrics).
 func (d *dispatcher) queuedCostUnits() float64 {
 	d.mu.Lock()

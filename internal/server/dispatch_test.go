@@ -377,7 +377,7 @@ func TestAdmissionDefaults(t *testing.T) {
 		{"mailbox = 8", float64(cap(sess.reqs)), 8},
 		{"burst = 2×rps", sess.tokenBurst, 6},
 		{"burst floor = 1", slowSess.tokenBurst, 1},
-		{"tenant root = dispatcher capacity", srv.gov.tree.Capacity(), srv.disp.capacity},
+		{"tenant root = dispatcher capacity", srv.gov.tree.Deserved(label), srv.disp.capacity},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s: got %g, want %g", tc.name, tc.got, tc.want)
@@ -386,4 +386,11 @@ func TestAdmissionDefaults(t *testing.T) {
 	if label != "default" {
 		t.Errorf("unlabelled sessions join tenant %q, want \"default\"", label)
 	}
+}
+
+// queued reports requests currently waiting.
+func (d *dispatcher) queued() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return int64(d.queue.Len())
 }

@@ -313,3 +313,13 @@ func TestUnparkChargesTenant(t *testing.T) {
 		}
 	}
 }
+
+// Sessions reports the live session count.
+func (s *Server) Sessions() int { return s.store.len() }
+
+// Epochs returns the measured epochs served so far.
+func (s *session) Epochs() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.epochs
+}

@@ -241,9 +241,6 @@ func (s *Server) retire(sess *session, reason string) {
 	s.log.Info("session snapshotted", "id", sess.id, "reason", reason)
 }
 
-// Sessions reports the live session count.
-func (s *Server) Sessions() int { return s.store.len() }
-
 // buildEngine constructs a session engine from its spec; a non-nil snap
 // additionally restores durable state (warm bids and telemetry for market
 // engines, deterministic replay for sim engines). Only materialise calls it,

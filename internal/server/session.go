@@ -378,13 +378,6 @@ func (s *session) Health() metrics.HealthState {
 	return s.health
 }
 
-// Epochs returns the measured epochs served so far.
-func (s *session) Epochs() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epochs
-}
-
 // touch records client activity for idle-TTL and hibernation accounting.
 func (s *session) touch(now time.Time) {
 	s.mu.Lock()

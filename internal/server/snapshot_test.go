@@ -2,10 +2,12 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -269,13 +271,10 @@ func TestSimSnapshotRehydrateBitIdentical(t *testing.T) {
 	// 10s request deadline, so give these daemons a generous one — this
 	// test pins bit-identity, not latency.
 	slow := server.Config{RequestTimeout: 2 * time.Minute}
-	_, ref, _ := startDaemonWith(t, slow)
+	refSrv, ref, _ := startDaemonWith(t, slow)
 	run(ref, true)
 	run(ref, false)
-	want, err := ref.Result(ctx, "sim")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := simResult(t, refSrv, "sim")
 	wantView, err := ref.GetSession(ctx, "sim")
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +287,7 @@ func TestSimSnapshotRehydrateBitIdentical(t *testing.T) {
 	run(a, true)
 	shutdownA()
 
-	_, b, _ := startDaemonWith(t, slowSnap)
+	bSrv, b, _ := startDaemonWith(t, slowSnap)
 	v, err := b.GetSession(ctx, "sim")
 	if err != nil {
 		t.Fatalf("rehydrate: %v", err)
@@ -297,10 +296,7 @@ func TestSimSnapshotRehydrateBitIdentical(t *testing.T) {
 		t.Fatalf("rehydrated sim session not replayed to 6 epochs: %+v", v.Sim)
 	}
 	run(b, false)
-	got, err := b.Result(ctx, "sim")
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := simResult(t, bSrv, "sim")
 	gotView, err := b.GetSession(ctx, "sim")
 	if err != nil {
 		t.Fatal(err)
@@ -481,4 +477,19 @@ func TestFileSnapshotStoreRawRoundTrip(t *testing.T) {
 	if _, err := st.Load("raw"); !errors.Is(err, server.ErrNoSnapshot) {
 		t.Fatalf("torn raw file: want ErrNoSnapshot, got %v", err)
 	}
+}
+
+// simResult reads a sim session's run summary from srv's /result endpoint.
+func simResult(t *testing.T, srv *server.Server, id string) server.SimResultView {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/sessions/"+id+"/result", nil))
+	var v server.SimResultView
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET result: %d %s", rec.Code, rec.Body)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

@@ -25,7 +25,8 @@ func FuzzParseTenants(f *testing.F) {
 		if err != nil {
 			t.Fatalf("ParseTenants accepted %q, tenant.New refused it: %v", arg, err)
 		}
-		for i, path := range tree.Tenants() {
+		for i, st := range tree.StatusAll() {
+			path := st.Path
 			d := even
 			if i%2 == 1 {
 				d = odd

@@ -71,9 +71,9 @@ func stepDemand(t *testing.T, rng *rand.Rand, tr *Tree, leaves []string, demand 
 			case 0:
 				demand[p] = 0
 			case 1:
-				demand[p] = tr.Capacity() * rng.Float64() / float64(len(leaves))
+				demand[p] = tr.cfg.Capacity * rng.Float64() / float64(len(leaves))
 			default:
-				demand[p] = tr.Capacity() * (0.5 + rng.Float64())
+				demand[p] = tr.cfg.Capacity * (0.5 + rng.Float64())
 			}
 		}
 		if err := tr.SetDemand(p, demand[p]); err != nil {
@@ -97,8 +97,8 @@ func checkInvariants(t *testing.T, tr *Tree, epoch int) {
 			rootSum += s.Granted
 		}
 	}
-	if rootSum > tr.Capacity()+propTol {
-		t.Fatalf("epoch %d: Σ top-level grants %g exceeds capacity %g", epoch, rootSum, tr.Capacity())
+	if rootSum > tr.cfg.Capacity+propTol {
+		t.Fatalf("epoch %d: Σ top-level grants %g exceeds capacity %g", epoch, rootSum, tr.cfg.Capacity)
 	}
 	for _, s := range byPath {
 		if s.Granted < -propTol {
@@ -177,7 +177,7 @@ func TestPropertyConvergence(t *testing.T) {
 		saturate := rng.Float64() < 0.5
 		for _, p := range leaves { // freeze phase
 			if saturate {
-				demand[p] = tr.Capacity()
+				demand[p] = tr.cfg.Capacity
 			}
 			if err := tr.SetDemand(p, demand[p]); err != nil {
 				t.Fatal(err)

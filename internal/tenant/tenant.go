@@ -285,40 +285,11 @@ func (t *Tree) Deserved(path string) float64 {
 	return 0
 }
 
-// EffectiveMBRFloor resolves the fairness floor the tree guarantees path —
-// the tenant-level analogue of core.ReBudget.EffectiveMBRFloor. While the
-// tenant demands at least floor × slice, its granted budget never drops
-// below that, on any epoch, lending or not.
-func (t *Tree) EffectiveMBRFloor(path string) (float64, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n, ok := t.byPath[path]
-	if !ok {
-		return 0, fmt.Errorf("tenant: unknown tenant %q", path)
-	}
-	return n.floor, nil
-}
-
-// Capacity reports the root budget.
-func (t *Tree) Capacity() float64 { return t.cfg.Capacity }
-
 // Epochs reports how many Rebalance epochs have run.
 func (t *Tree) Epochs() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.epochs
-}
-
-// Tenants lists the registered tenant paths, sorted.
-func (t *Tree) Tenants() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, 0, len(t.byPath))
-	for p := range t.byPath {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Status is one tenant's externally visible state, as of the last

@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -270,4 +271,24 @@ func TestStatusAll(t *testing.T) {
 	if tr.Epochs() != 1 {
 		t.Fatalf("Epochs() = %d, want 1", tr.Epochs())
 	}
+}
+
+// EffectiveMBRFloor resolves the fairness floor the tree guarantees path.
+func (t *Tree) EffectiveMBRFloor(path string) (float64, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n, ok := t.byPath[path]
+	if !ok {
+		return 0, fmt.Errorf("tenant: unknown tenant %q", path)
+	}
+	return n.floor, nil
+}
+
+// Tenants lists the registered tenant paths, sorted.
+func (t *Tree) Tenants() []string {
+	var out []string
+	for _, s := range t.StatusAll() {
+		out = append(out, s.Path)
+	}
+	return out
 }

@@ -7,44 +7,30 @@
 // leakage back into the power model.
 package thermal
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// Config parameterises an RC node.
-type Config struct {
-	AmbientC      float64 // ambient/heat-sink temperature
-	ResistanceCW  float64 // junction-to-ambient thermal resistance (°C/W)
-	TimeConstantS float64 // RC time constant
-}
-
-// DefaultConfig models a 65 nm core under a conventional heat sink: 10 W of
+// The RC node models a 65 nm core under a conventional heat sink: 10 W of
 // sustained power settles ≈35 °C above ambient within a few hundred ms.
-func DefaultConfig() Config {
-	return Config{AmbientC: 45, ResistanceCW: 3.5, TimeConstantS: 0.1}
-}
+const (
+	ambientC      = 45.0 // ambient/heat-sink temperature
+	resistanceCW  = 3.5  // junction-to-ambient thermal resistance (°C/W)
+	timeConstantS = 0.1  // RC time constant
+)
 
 // Node is one core's thermal state.
 type Node struct {
-	cfg  Config
 	temp float64
 }
 
-// NewNode validates cfg and returns a node at ambient temperature.
-func NewNode(cfg Config) (*Node, error) {
-	if cfg.ResistanceCW <= 0 || cfg.TimeConstantS <= 0 {
-		return nil, fmt.Errorf("thermal: non-positive RC parameters %+v", cfg)
-	}
-	return &Node{cfg: cfg, temp: cfg.AmbientC}, nil
-}
+// NewNode returns a node at ambient temperature.
+func NewNode() *Node { return &Node{temp: ambientC} }
 
 // Temp returns the current junction temperature in °C.
 func (n *Node) Temp() float64 { return n.temp }
 
 // SteadyState returns the settled temperature under constant power.
 func (n *Node) SteadyState(powerW float64) float64 {
-	return n.cfg.AmbientC + powerW*n.cfg.ResistanceCW
+	return ambientC + powerW*resistanceCW
 }
 
 // Update advances the node by dt seconds under the given power draw and
@@ -52,7 +38,7 @@ func (n *Node) SteadyState(powerW float64) float64 {
 // the first-order ODE, so arbitrarily large dt steps remain stable.
 func (n *Node) Update(powerW, dt float64) float64 {
 	target := n.SteadyState(powerW)
-	alpha := 1 - math.Exp(-dt/n.cfg.TimeConstantS)
+	alpha := 1 - math.Exp(-dt/timeConstantS)
 	n.temp += (target - n.temp) * alpha
 	return n.temp
 }

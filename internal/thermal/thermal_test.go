@@ -6,24 +6,16 @@ import (
 	"testing/quick"
 )
 
+// TestNewNodeValidation: a node takes no parameters to reject, and starts
+// at ambient.
 func TestNewNodeValidation(t *testing.T) {
-	if _, err := NewNode(Config{AmbientC: 45, ResistanceCW: 0, TimeConstantS: 1}); err == nil {
-		t.Error("zero resistance accepted")
-	}
-	if _, err := NewNode(Config{AmbientC: 45, ResistanceCW: 1, TimeConstantS: 0}); err == nil {
-		t.Error("zero time constant accepted")
-	}
-	n, err := NewNode(DefaultConfig())
-	if err != nil {
-		t.Fatalf("default config rejected: %v", err)
-	}
-	if n.Temp() != DefaultConfig().AmbientC {
+	if n := NewNode(); n.Temp() != ambientC {
 		t.Errorf("initial temperature = %g, want ambient", n.Temp())
 	}
 }
 
 func TestSteadyState(t *testing.T) {
-	n, _ := NewNode(Config{AmbientC: 45, ResistanceCW: 3.5, TimeConstantS: 0.1})
+	n := NewNode()
 	if got := n.SteadyState(10); math.Abs(got-80) > 1e-12 {
 		t.Errorf("SteadyState(10) = %g, want 80", got)
 	}
@@ -33,7 +25,7 @@ func TestSteadyState(t *testing.T) {
 }
 
 func TestUpdateConvergesToSteadyState(t *testing.T) {
-	n, _ := NewNode(DefaultConfig())
+	n := NewNode()
 	want := n.SteadyState(10)
 	for i := 0; i < 1000; i++ {
 		n.Update(10, 0.001) // 1 s total, 10 time constants
@@ -44,7 +36,7 @@ func TestUpdateConvergesToSteadyState(t *testing.T) {
 }
 
 func TestUpdateMonotoneApproach(t *testing.T) {
-	n, _ := NewNode(DefaultConfig())
+	n := NewNode()
 	prev := n.Temp()
 	for i := 0; i < 100; i++ {
 		cur := n.Update(10, 0.001)
@@ -64,7 +56,7 @@ func TestUpdateMonotoneApproach(t *testing.T) {
 }
 
 func TestUpdateLargeStepStable(t *testing.T) {
-	n, _ := NewNode(DefaultConfig())
+	n := NewNode()
 	got := n.Update(10, 1e6) // absurdly large step must not overshoot
 	want := n.SteadyState(10)
 	if math.Abs(got-want) > 1e-6 {
@@ -76,8 +68,8 @@ func TestUpdateLargeStepStable(t *testing.T) {
 // of the maximum applied power.
 func TestTemperatureEnvelope(t *testing.T) {
 	f := func(powers [20]float64, dts [20]float64) bool {
-		n, _ := NewNode(DefaultConfig())
-		ambient := DefaultConfig().AmbientC
+		n := NewNode()
+		ambient := ambientC
 		maxP := 0.0
 		for i := range powers {
 			p := math.Abs(math.Mod(powers[i], 15))

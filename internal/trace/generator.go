@@ -72,11 +72,10 @@ type Stream interface {
 // block namespace; components interact only through cache capacity, exactly
 // as independent data structures of one application would.
 type Generator struct {
-	cfg     Config
-	rng     *numeric.Rand
-	cum     []float64 // cumulative normalized weights
-	states  []componentState
-	lineOff uint64
+	cfg    Config
+	rng    *numeric.Rand
+	cum    []float64 // cumulative normalized weights
+	states []componentState
 }
 
 type componentState struct {

@@ -78,12 +78,6 @@ func (s *lruStack) locate(d int) (ci, j int) {
 	return ci, int(lens[ci]) - 1 - d
 }
 
-// At returns the block at stack depth d (0 = MRU) without reordering.
-func (s *lruStack) At(d int) uint64 {
-	ci, j := s.locate(d)
-	return s.chunks[ci][j]
-}
-
 // Touch moves the block at depth d to the front and returns it.
 func (s *lruStack) Touch(d int) uint64 {
 	ci, j := s.locate(d)

@@ -201,3 +201,9 @@ func TestPhasedFillMatchesNext(t *testing.T) {
 		t.Fatalf("phase diverged: %d vs %d", a.CurrentPhase(), b.CurrentPhase())
 	}
 }
+
+// At returns the block at stack depth d (0 = MRU) without reordering.
+func (s *lruStack) At(d int) uint64 {
+	ci, j := s.locate(d)
+	return s.chunks[ci][j]
+}

@@ -67,12 +67,12 @@ const InitialBudget = core.InitialBudget
 
 type (
 	// Resilient hardens any Allocator with a graceful-degradation fallback
-	// chain (sanitized retry → last good outcome → fallback mechanism).
+	// chain (sanitized retry → last good outcome → EqualShare). It backs
+	// off after 3 consecutive failures for 4–7 calls.
 	Resilient = core.Resilient
-	// ResilientConfig tunes the fallback chain.
+	// ResilientConfig has no fields: the fallback chain's tuning is fixed.
+	// Pass ResilientConfig{}.
 	ResilientConfig = core.ResilientConfig
-	// ResilientStats counts what the fallback chain had to do.
-	ResilientStats = core.ResilientStats
 	// FaultConfig configures the deterministic fault injector; the zero
 	// value disables injection entirely.
 	FaultConfig = fault.Config
