@@ -13,7 +13,8 @@
 # at its target below —
 # and bench-smoke, which warns (but does not fail, unless BENCH_STRICT=1) on
 # a >10% regression of the market, chip-epoch, aged-trace and victim-scan
-# kernels against the newest BENCH_*.json snapshot. The race run covers the
+# kernels against the newest BENCH_*.json snapshot, and fails when one of
+# them does not run. The race run covers the
 # stack and cache differential tests by package (internal/trace,
 # internal/cache, internal/cmpsim); nothing is listed by name. test and race
 # also run internal/lint, the smallness check (DESIGN.md "Smallness check"):

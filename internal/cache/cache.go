@@ -58,14 +58,22 @@ type PartitionedCache struct {
 	target    []float64 // line target per partition
 	over      []float64 // float64(occupancy[p]) - target[p]
 	overKey   []uint64  // Float64bits(over[p]) if over[p] > 0, else 0
-	accesses  uint64
-	misses    uint64
 }
+
+// maxWays bounds the associativity: chooseVictim's keys hold a way index in
+// their low wayBits bits, under the way's timestamp.
+const (
+	wayBits = 6
+	maxWays = 1 << wayBits
+)
 
 // NewPartitioned validates cfg and builds the cache.
 func NewPartitioned(cfg Config) (*PartitionedCache, error) {
 	if cfg.CapacityBytes <= 0 || cfg.Ways <= 0 || cfg.Partitions <= 0 {
 		return nil, fmt.Errorf("cache: non-positive config %+v", cfg)
+	}
+	if cfg.Ways > maxWays {
+		return nil, fmt.Errorf("cache: %d ways exceed the %d the victim scan can name", cfg.Ways, maxWays)
 	}
 	linesTotal := cfg.CapacityBytes / LineSize
 	if linesTotal%cfg.Ways != 0 {
@@ -138,7 +146,6 @@ func (c *PartitionedCache) Access(addr uint64, owner int) bool {
 	tag := lineAddr >> c.tagShift
 	base := set * c.cfg.Ways
 	c.clock++
-	c.accesses++
 
 	tags := c.tags[base : base+c.cfg.Ways]
 	for i := range tags {
@@ -157,7 +164,6 @@ func (c *PartitionedCache) Access(addr uint64, owner int) bool {
 			return true
 		}
 	}
-	c.misses++
 	v := base + c.chooseVictim(base, owner)
 	if c.used[v] != 0 {
 		o := int(c.owners[v])
@@ -183,11 +189,14 @@ func (c *PartitionedCache) Access(addr uint64, owner int) bool {
 //
 // The scan is two passes without a data-dependent branch. Pass A finds the
 // largest overKey among the set's owners. Pass B keeps three running minima
-// of the timestamp — over all ways, over the requester's ways, over the
-// ways of partitions at that largest overKey — by OR-ing an all-ones mask
-// onto the timestamps that do not qualify. Timestamps are unique, so each
-// minimum names one way and comparing two minima compares ways; an invalid
-// way (timestamp 0) is the global minimum.
+// of a way's key, its timestamp shifted over its way index (used<<wayBits |
+// way) — over all ways, over the requester's ways, over the ways of
+// partitions at that largest overKey — by OR-ing an all-ones mask onto the
+// keys that do not qualify. Timestamps of resident lines are unique, so
+// keys order like timestamps, each minimum names its way in its low bits,
+// and comparing two minima compares ways. An invalid way (timestamp 0) has
+// its index as its key, so the lowest-indexed invalid way is the global
+// minimum.
 func (c *PartitionedCache) chooseVictim(base, requester int) int {
 	used := c.used[base : base+c.cfg.Ways]
 	owners := c.owners[base : base+c.cfg.Ways]
@@ -199,38 +208,34 @@ func (c *PartitionedCache) chooseVictim(base, requester int) int {
 		best = max(best, overKey[o])
 	}
 	const none = ^uint64(0)
-	globalUsed, ownUsed, bestUsed := none, none, none
+	global, own, top := none, none, none
 	for i, u := range used {
 		o := owners[i]
-		globalUsed = min(globalUsed, u)
-		ownUsed = min(ownUsed, u|nonZeroMask(uint64(int(o)^requester)))
-		bestUsed = min(bestUsed, u|nonZeroMask(overKey[o]^best))
+		k := u<<wayBits | uint64(i)
+		global = min(global, k)
+		own = min(own, k|nonZeroMask(uint64(int(o)^requester)))
+		top = min(top, k|nonZeroMask(overKey[o]^best))
 	}
 	if best == 0 {
-		bestUsed = none // nobody over quota: every way matched the zero key
+		top = none // nobody over quota: every way matched the zero key
 	}
 
-	victim := globalUsed
+	victim := global
 	switch {
-	case globalUsed == 0:
-		// An invalid way; the search below finds the first.
-	case overReq >= 0 && ownUsed != none &&
-		(bestUsed == none || bestUsed == ownUsed || overReq >= math.Float64frombits(best)):
+	case global>>wayBits == 0:
+		// An invalid way.
+	case overReq >= 0 && own != none &&
+		(top == none || top == own || overReq >= math.Float64frombits(best)):
 		// If the requester is at or over its own quota, it must feed on
 		// itself even when other partitions are also over quota but less
 		// so.
-		victim = ownUsed
-	case bestUsed != none:
-		victim = bestUsed
-	case ownUsed != none:
-		victim = ownUsed
+		victim = own
+	case top != none:
+		victim = top
+	case own != none:
+		victim = own
 	}
-	for i, u := range used {
-		if u == victim {
-			return i
-		}
-	}
-	panic("cache: victim timestamp not in set")
+	return int(victim & (maxWays - 1))
 }
 
 // nonZeroMask returns all ones when x != 0 and zero when x == 0.

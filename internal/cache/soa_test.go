@@ -21,10 +21,11 @@ type line struct {
 // can be said — array-of-structs lines with a valid flag, candidates
 // collected and ordered per miss, how far a partition is over quota
 // recomputed wherever it is read. The production cache must agree with it
-// access for access: same hit/miss verdicts, same victim choices (observable
-// through occupancy). This pins the SoA layout, the used==0-means-invalid
+// access for access: same hit/miss verdicts, and the same line — tag, owner,
+// validity — in every way of the set just accessed, so each victim choice is
+// checked way for way. This pins the SoA layout, the used==0-means-invalid
 // encoding, the maintained over/overKey and the masked two-pass victim scan
-// to one specification.
+// with its way-carrying keys to one specification.
 type refCache struct {
 	ways      int
 	lines     []line
@@ -111,11 +112,17 @@ func (c *refCache) victim(set []line, requester int) int {
 // they are, yet that is every warm-up epoch (equal targets, integer
 // occupancies) — hence the equal and integer schemes, the zero targets, and
 // geometries where most requesters hold no line in the set they miss in.
+// The 64-way geometry is the widest the victim scan's keys can name; one
+// more way is refused.
 func TestSoACacheMatchesReference(t *testing.T) {
+	if _, err := NewPartitioned(Config{CapacityBytes: 65 << 12, Ways: 65, Partitions: 1}); err == nil {
+		t.Fatal("NewPartitioned accepted 65 ways")
+	}
 	for _, cfg := range []Config{
 		{CapacityBytes: 256 << 10, Ways: 8, Partitions: 4},
 		{CapacityBytes: 256 << 10, Ways: 16, Partitions: 16},
 		{CapacityBytes: 128 << 10, Ways: 32, Partitions: 128},
+		{CapacityBytes: 128 << 10, Ways: 64, Partitions: 16},
 	} {
 		t.Run(fmt.Sprintf("%dways_%dpartitions", cfg.Ways, cfg.Partitions), func(t *testing.T) {
 			soa, err := NewPartitioned(cfg)
@@ -136,6 +143,7 @@ func TestSoACacheMatchesReference(t *testing.T) {
 				func(p int) float64 { return math.Ldexp(1, -(p % 40)) }, // mostly under one line
 			}
 			const steps, period = 300000, 20000
+			misses := 0
 			for step := 0; step < steps; step++ {
 				if step > 0 && step%period == 0 {
 					weight := schemes[(step/period-1)%len(schemes)]
@@ -160,8 +168,20 @@ func TestSoACacheMatchesReference(t *testing.T) {
 				// deliberately — a zero tag is not an empty way.
 				addr := (rng.Uint64() % uint64(2*lines)) * LineSize
 				owner := int(rng.Uint64() % uint64(cfg.Partitions))
-				if got, want := soa.Access(addr, owner), ref.Access(addr, owner); got != want {
+				got, want := soa.Access(addr, owner), ref.Access(addr, owner)
+				if got != want {
 					t.Fatalf("step %d: Access(%#x, %d) = %v, reference %v", step, addr, owner, got, want)
+				}
+				if !got {
+					misses++
+				}
+				base := (int(addr/LineSize) & (soa.sets - 1)) * cfg.Ways
+				for w, l := range ref.lines[base : base+cfg.Ways] {
+					i := base + w
+					if valid := soa.used[i] != 0; valid != l.valid || valid && (soa.tags[i] != l.tag || soa.owners[i] != l.owner) {
+						t.Fatalf("step %d: set %d way %d: valid %v tag %#x owner %d, reference %+v",
+							step, base/cfg.Ways, w, valid, soa.tags[i], soa.owners[i], l)
+					}
 				}
 				for p, occ := range soa.occupancy {
 					if occ != ref.occupancy[p] {
@@ -177,8 +197,8 @@ func TestSoACacheMatchesReference(t *testing.T) {
 					}
 				}
 			}
-			if acc, miss := soa.accesses, soa.misses; acc != steps || miss == 0 || miss == acc {
-				t.Fatalf("degenerate run: %d misses of %d accesses, want %d accesses", miss, acc, steps)
+			if misses == 0 || misses == steps {
+				t.Fatalf("degenerate run: %d misses of %d accesses", misses, steps)
 			}
 		})
 	}

@@ -97,18 +97,6 @@ func (c Config) Enabled() bool {
 		c.LoadCorruptRate > 0
 }
 
-// Stats counts the faults an injector has actually fired.
-type Stats struct {
-	Latencies      int // requests delayed
-	Drops          int // connections refused pre-send
-	Blips5xx       int // synthesized 5xx responses
-	Resets         int // responses cut mid-body
-	PartitionDrops int // requests eaten by an explicit partition
-	SaveEIO        int // snapshot saves failed with injected EIO
-	TornWrites     int // snapshot saves landed truncated
-	LoadCorrupt    int // snapshot loads preceded by a bit flip
-}
-
 // Injector owns the seeded random streams behind every chaos component.
 // All methods are safe for a nil receiver (no-ops) and for concurrent use.
 //
@@ -122,7 +110,6 @@ type Injector struct {
 
 	mu      sync.Mutex
 	streams map[string]*numeric.Rand
-	stats   Stats
 }
 
 // New builds an injector, or returns nil for a disabled Config so callers
@@ -168,20 +155,10 @@ func (in *Injector) planRequest(host string) transportPlan {
 	if r.Float64() < in.cfg.LatencyRate {
 		span := float64(in.cfg.LatencyMax - in.cfg.LatencyMin)
 		p.latency = in.cfg.LatencyMin + time.Duration(r.Float64()*span)
-		in.stats.Latencies++
 	}
-	if r.Float64() < in.cfg.DropRate {
-		p.drop = true
-		in.stats.Drops++
-	}
-	if r.Float64() < in.cfg.Blip5xxRate {
-		p.blip = true
-		in.stats.Blips5xx++
-	}
-	if r.Float64() < in.cfg.ResetRate {
-		p.reset = true
-		in.stats.Resets++
-	}
+	p.drop = r.Float64() < in.cfg.DropRate
+	p.blip = r.Float64() < in.cfg.Blip5xxRate
+	p.reset = r.Float64() < in.cfg.ResetRate
 	return p
 }
 
@@ -196,16 +173,6 @@ func (in *Injector) SetLatencyRate(rate float64) {
 	}
 	in.mu.Lock()
 	in.cfg.LatencyRate = rate
-	in.mu.Unlock()
-}
-
-// notePartitionDrop counts a request eaten by an explicit partition.
-func (in *Injector) notePartitionDrop() {
-	if in == nil {
-		return
-	}
-	in.mu.Lock()
-	in.stats.PartitionDrops++
 	in.mu.Unlock()
 }
 
@@ -226,14 +193,10 @@ func (in *Injector) planSave(id string) diskPlan {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	r := in.stream("disk:" + id)
-	if r.Float64() < in.cfg.SaveEIORate {
-		p.eio = true
-		in.stats.SaveEIO++
-	}
+	p.eio = r.Float64() < in.cfg.SaveEIORate
 	if r.Float64() < in.cfg.TornWriteRate {
 		p.torn = true
 		p.tornAt = 0.25 + 0.5*r.Float64()
-		in.stats.TornWrites++
 	}
 	return p
 }
@@ -248,7 +211,6 @@ func (in *Injector) planLoad(id string) (corrupt bool, draw uint64) {
 	defer in.mu.Unlock()
 	r := in.stream("disk:" + id)
 	if r.Float64() < in.cfg.LoadCorruptRate {
-		in.stats.LoadCorrupt++
 		return true, r.Uint64()
 	}
 	return false, 0

@@ -86,13 +86,10 @@ func TestDisabledConfigIsNil(t *testing.T) {
 	if c, _ := in.planLoad("x"); c {
 		t.Fatal("nil injector planned a load corruption")
 	}
-	if s := in.Stats(); s != (Stats{}) {
-		t.Fatal("nil injector has stats")
-	}
 }
 
-// Fault rates are honoured to first order, and the stats counters track
-// what actually fired.
+// Fault rates are honoured to first order, and injected latencies stay in
+// their configured range.
 func TestInjectorRatesAndStats(t *testing.T) {
 	in := New(Config{Seed: 3, LatencyRate: 0.25, LatencyMin: time.Millisecond, LatencyMax: 2 * time.Millisecond})
 	const n = 4000
@@ -104,9 +101,6 @@ func TestInjectorRatesAndStats(t *testing.T) {
 				t.Fatalf("latency %v outside [1ms,2ms]", p.latency)
 			}
 		}
-	}
-	if got := in.Stats().Latencies; got != hits {
-		t.Fatalf("stats.Latencies = %d, observed %d", got, hits)
 	}
 	frac := float64(hits) / n
 	if frac < 0.2 || frac > 0.3 {
@@ -235,14 +229,4 @@ func TestScheduleShardAddsExtendWithoutPerturbing(t *testing.T) {
 	if adds != 2 {
 		t.Fatalf("schedule carries %d add-shard events, want 2", adds)
 	}
-}
-
-// Stats snapshots the fired-fault counters.
-func (in *Injector) Stats() Stats {
-	if in == nil {
-		return Stats{}
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.stats
 }

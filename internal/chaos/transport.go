@@ -74,7 +74,6 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	cut := t.partitioned[host]
 	t.mu.Unlock()
 	if cut {
-		t.inj.notePartitionDrop()
 		return nil, fmt.Errorf("%w: %s", ErrPartitioned, host)
 	}
 	p := t.inj.planRequest(host)

@@ -18,8 +18,8 @@ import (
 )
 
 // interconnectNs is the fixed on-chip portion of an L2-miss round trip; the
-// DRAM queueing model supplies the rest, so at the default row-hit rate the
-// uncontended total matches app.DefaultMemLatNs.
+// DRAM bank model supplies the rest, so at a 50 % row-hit rate the
+// uncontended total is app.DefaultMemLatNs.
 const interconnectNs = app.DefaultMemLatNs - (0.5*dram.RowHitNs + 0.5*dram.RowMissNs)
 
 // rhoHashBuckets quantises the Talus stream-split fraction.
@@ -39,7 +39,6 @@ type Chip struct {
 	l2      *cache.PartitionedCache
 	umons   []*cache.UMON
 	therm   []*thermal.Node
-	mem     *dram.System
 	bankSim *dram.BankSim
 
 	// Per-core allocation state.
@@ -122,17 +121,13 @@ func NewChip(cfg Config, b workload.Bundle) (*Chip, error) {
 	if err != nil {
 		return nil, err
 	}
-	mem, err := dram.New(dram.Config{Channels: sys.MemoryChannels, RowHitRate: 0.5})
-	if err != nil {
-		return nil, err
-	}
 	bankSim, err := dram.NewBankSim(sys.MemoryChannels)
 	if err != nil {
 		return nil, err
 	}
 	c := &Chip{
 		cfg: cfg, sys: sys, bundle: b, epochS: epochSeconds,
-		l2: l2, mem: mem, bankSim: bankSim,
+		l2: l2, bankSim: bankSim,
 		freq:         make([]float64, cfg.Cores),
 		wattsBudg:    make([]float64, cfg.Cores),
 		regions:      make([]float64, cfg.Cores),
@@ -257,10 +252,10 @@ func (c *Chip) perfIPS(coreID int, missRatio, memLatNs float64) float64 {
 	return 1e9 / tpi
 }
 
-// instrRate is the core's estimated instruction rate for trace pacing.
+// instrRate is the core's estimated instruction rate for trace pacing, at
+// the uncontended memory latency.
 func (c *Chip) instrRate(coreID int) float64 {
-	base := c.mem.BaseLatencyNs() + interconnectNs
-	return c.perfIPS(coreID, c.missEst[coreID], base)
+	return c.perfIPS(coreID, c.missEst[coreID], app.DefaultMemLatNs)
 }
 
 // Regions returns each core's current total cache-region target (floor

@@ -13,7 +13,7 @@ import "sync"
 // epochChunks is how many pieces an epoch's Bresenham steps are cut into:
 // chunk k covers steps [chunkStep(k), chunkStep(k+1)), and its addresses are
 // generated while the walker is still on chunk k-1.
-const epochChunks = 8
+const epochChunks = 32
 
 // epochScratch is runEpoch's reusable working state. It is sized once on
 // first use; afterwards the epoch loop allocates nothing of its own.

@@ -33,16 +33,6 @@ const (
 	resilientSeed = 1
 )
 
-// ResilientStats counts what the fallback chain had to do.
-type ResilientStats struct {
-	Calls               int // Allocate invocations
-	InnerFailures       int // inner mechanism errors or non-finite outcomes
-	SanitizedRecoveries int // retries that succeeded on sanitized utilities
-	LastGoodServed      int // calls answered with the last good outcome
-	FallbackServed      int // calls answered by EqualShare, the chain's last link
-	Backoffs            int // times the wrapper entered cooldown
-}
-
 // Resilient hardens any allocation mechanism with a graceful-degradation
 // fallback chain. Each Allocate call walks:
 //
@@ -72,7 +62,6 @@ type Resilient struct {
 	lastGood     *Outcome
 	lastCapacity []float64
 	lastPlayers  int
-	stats        ResilientStats
 }
 
 // NewResilient wraps inner with the graceful-degradation chain.
@@ -84,8 +73,8 @@ func NewResilient(inner Allocator, _ ResilientConfig) *Resilient {
 func (r *Resilient) Name() string { return r.inner.Name() }
 
 // Rewrap implements Wrapper: the wrapped mechanism is replaced in place, so
-// handles to this wrapper (and its stats) stay valid. Long-lived owners reach
-// it once per epoch, via WithWarmBids with the previous outcome's Bids.
+// handles to this wrapper stay valid. Long-lived owners reach it once per
+// epoch, via WithWarmBids with the previous outcome's Bids.
 func (r *Resilient) Rewrap(f func(Allocator) Allocator) Allocator {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -116,7 +105,6 @@ func (r *Resilient) HealthState() metrics.HealthState {
 func (r *Resilient) Allocate(capacity []float64, players []PlayerSpec) (*Outcome, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.stats.Calls++
 
 	if r.cooldownLeft > 0 {
 		r.cooldownLeft--
@@ -133,7 +121,6 @@ func (r *Resilient) Allocate(capacity []float64, players []PlayerSpec) (*Outcome
 			return out, nil
 		}
 	}
-	r.stats.InnerFailures++
 
 	// Retry once on sanitized utilities: if the failure came from a
 	// transiently corrupted reading, clamping non-finite values is enough
@@ -141,7 +128,6 @@ func (r *Resilient) Allocate(capacity []float64, players []PlayerSpec) (*Outcome
 	out, err = r.inner.Allocate(capacity, sanitizePlayers(players))
 	if err == nil {
 		if err = checkFinite(out); err == nil {
-			r.stats.SanitizedRecoveries++
 			r.recordGood(out, capacity, len(players))
 			return out, nil
 		}
@@ -151,7 +137,6 @@ func (r *Resilient) Allocate(capacity []float64, players []PlayerSpec) (*Outcome
 	if r.recovering || r.consecFails >= resilientThreshold {
 		// A probe straight after cooldown failing again re-enters backoff
 		// immediately: one failure is evidence enough mid-recovery.
-		r.stats.Backoffs++
 		r.consecFails = 0
 		r.recovering = false
 		// Jittered backoff: cooldown + [0, cooldown) extra calls.
@@ -174,14 +159,12 @@ func (r *Resilient) recordGood(out *Outcome, capacity []float64, players int) {
 // shape matches, otherwise the fallback mechanism on sanitized inputs.
 func (r *Resilient) degraded(capacity []float64, players []PlayerSpec) (*Outcome, error) {
 	if r.lastGood != nil && r.lastPlayers == len(players) && sameCapacity(r.lastCapacity, capacity) {
-		r.stats.LastGoodServed++
 		return cloneOutcome(r.lastGood), nil
 	}
 	out, err := EqualShare{}.Allocate(capacity, sanitizePlayers(players))
 	if err != nil {
 		return nil, fmt.Errorf("core: resilient fallback chain exhausted: %w", err)
 	}
-	r.stats.FallbackServed++
 	return out, nil
 }
 

@@ -7,10 +7,13 @@ import (
 	"testing"
 
 	"rebudget/internal/market"
+	"rebudget/internal/metrics"
 )
 
 // flakyAllocator fails (or returns poisoned outcomes) according to a
-// script, then delegates to EqualShare.
+// script, then delegates to EqualShare. Its good outcomes are marked as its
+// own, so a caller tells them (and the wrapper's cached copies of them) from
+// the wrapper's EqualShare fallback.
 type flakyAllocator struct {
 	script []error // nil entry = success; consumed per call
 	calls  int
@@ -33,7 +36,11 @@ func (f *flakyAllocator) Allocate(capacity []float64, players []PlayerSpec) (*Ou
 		}
 		return nil, f.script[i]
 	}
-	return EqualShare{}.Allocate(capacity, players)
+	out, err := EqualShare{}.Allocate(capacity, players)
+	if err == nil {
+		out.Mechanism = f.Name()
+	}
+	return out, err
 }
 
 func failN(n int) []error {
@@ -50,7 +57,8 @@ func TestResilientTransparentWhenHealthy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewResilient(EqualShare{}, ResilientConfig{})
+	inner := &flakyAllocator{}
+	r := NewResilient(inner, ResilientConfig{})
 	got, err := r.Allocate(testCapacity, players)
 	if err != nil {
 		t.Fatal(err)
@@ -62,11 +70,10 @@ func TestResilientTransparentWhenHealthy(t *testing.T) {
 			}
 		}
 	}
-	s := r.Stats()
-	if s.InnerFailures != 0 || s.FallbackServed != 0 || s.LastGoodServed != 0 {
-		t.Errorf("healthy wrapper recorded degradations: %+v", s)
+	if got.Mechanism != "flaky" || inner.calls != 1 || r.HealthState() != metrics.Healthy {
+		t.Errorf("healthy wrapper degraded: outcome from %q after %d inner calls, state %v", got.Mechanism, inner.calls, r.HealthState())
 	}
-	if r.Name() != "EqualShare" {
+	if r.Name() != "flaky" {
 		t.Errorf("Name = %q", r.Name())
 	}
 }
@@ -88,9 +95,12 @@ func TestResilientServesLastGoodThenFallback(t *testing.T) {
 		if out == nil {
 			t.Fatal("nil outcome from degraded path")
 		}
+		if out.Mechanism != "flaky" {
+			t.Errorf("failure %d served %q, want the last good outcome", k, out.Mechanism)
+		}
 	}
-	if got := r.Stats().LastGoodServed; got != 2 {
-		t.Errorf("LastGoodServed = %d, want 2", got)
+	if inner.calls != 5 {
+		t.Errorf("inner calls = %d, want 5: one success, then a raw try and a sanitized retry per failure", inner.calls)
 	}
 
 	// A different problem shape invalidates the cache → fallback mechanism.
@@ -102,9 +112,6 @@ func TestResilientServesLastGoodThenFallback(t *testing.T) {
 	}
 	if out.Mechanism != "EqualShare" {
 		t.Errorf("fallback mechanism = %q, want EqualShare", out.Mechanism)
-	}
-	if got := r2.Stats().FallbackServed; got != 1 {
-		t.Errorf("FallbackServed = %d, want 1", got)
 	}
 }
 
@@ -120,9 +127,8 @@ func TestResilientBackoffAndRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := r.Stats()
-	if s.Backoffs != 1 {
-		t.Fatalf("Backoffs = %d, want 1", s.Backoffs)
+	if r.HealthState() != metrics.Degraded {
+		t.Fatalf("state after %d failures = %v, want backoff (Degraded)", resilientThreshold, r.HealthState())
 	}
 	innerCallsAtBackoff := inner.calls
 	// During cooldown the inner mechanism must not be probed.
@@ -151,8 +157,8 @@ func TestResilientBackoffAndRecovery(t *testing.T) {
 		// on the first try (no sanitized retry).
 		t.Errorf("inner calls after recovery = %d, want %d", inner.calls, innerCallsAtBackoff+1)
 	}
-	if got := r.Stats().Backoffs; got != 1 {
-		t.Errorf("recovered wrapper backed off again: %d", got)
+	if r.HealthState() != metrics.Healthy {
+		t.Errorf("recovered wrapper state = %v, want Healthy", r.HealthState())
 	}
 }
 
@@ -165,7 +171,7 @@ func TestResilientFailedProbeReentersBackoffImmediately(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if r.Stats().Backoffs != 1 {
+	if r.HealthState() != metrics.Degraded {
 		t.Fatal("did not enter backoff after threshold failures")
 	}
 	// Drain the cooldown, then fail the recovery probe: backoff must
@@ -175,11 +181,14 @@ func TestResilientFailedProbeReentersBackoffImmediately(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if r.HealthState() != metrics.Recovering {
+		t.Fatalf("state after cooldown = %v, want Recovering", r.HealthState())
+	}
 	if _, err := r.Allocate(testCapacity, players); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Stats().Backoffs; got != 2 {
-		t.Errorf("Backoffs after failed recovery probe = %d, want 2", got)
+	if r.HealthState() != metrics.Degraded {
+		t.Errorf("state after failed recovery probe = %v, want backoff (Degraded)", r.HealthState())
 	}
 }
 
@@ -198,8 +207,10 @@ func TestResilientRejectsNonFiniteOutcomes(t *testing.T) {
 			}
 		}
 	}
-	if r.Stats().InnerFailures != 1 {
-		t.Errorf("poisoned outcome not counted as inner failure: %+v", r.Stats())
+	// The poisoned outcome failed the raw try; the sanitized retry's
+	// outcome is the inner mechanism's own.
+	if inner.calls != 2 || out.Mechanism != "flaky" {
+		t.Errorf("poisoned outcome: %d inner calls, served %q; want a retry's outcome after 2 calls", inner.calls, out.Mechanism)
 	}
 }
 
@@ -209,6 +220,9 @@ func TestResilientSanitizedRetryRecovers(t *testing.T) {
 	players := heterogeneousPlayers()
 	players[0].Utility = market.UtilityFunc(func(a []float64) float64 { return math.NaN() })
 	inner := EqualBudget{}
+	if _, err := inner.Allocate(testCapacity, players); err == nil {
+		t.Fatal("EqualBudget accepted a NaN utility; the retry is not exercised")
+	}
 	r := NewResilient(inner, ResilientConfig{})
 	out, err := r.Allocate(testCapacity, players)
 	if err != nil {
@@ -219,8 +233,8 @@ func TestResilientSanitizedRetryRecovers(t *testing.T) {
 			t.Fatal("NaN budget leaked through sanitized retry")
 		}
 	}
-	if got := r.Stats().SanitizedRecoveries; got != 1 {
-		t.Errorf("SanitizedRecoveries = %d, want 1", got)
+	if out.Mechanism != inner.Name() || r.HealthState() != metrics.Healthy {
+		t.Errorf("sanitized retry: served %q in state %v, want %q and Healthy", out.Mechanism, r.HealthState(), inner.Name())
 	}
 }
 
@@ -237,11 +251,4 @@ func TestCheckFinite(t *testing.T) {
 	if err := checkFinite(badB); !errors.Is(err, ErrBadInput) {
 		t.Errorf("NaN budget error = %v, want ErrBadInput", err)
 	}
-}
-
-// Stats snapshots the fallback-chain counters.
-func (r *Resilient) Stats() ResilientStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
 }

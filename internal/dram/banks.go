@@ -5,13 +5,12 @@ import (
 	"math"
 )
 
-// BankSim is the bank-level refinement of the analytic System model: it
-// consumes the actual L2-miss address stream, tracks per-bank open rows
-// (open-page policy) and measures — rather than assumes — the row-buffer
-// hit rate and the per-bank load imbalance. Latency per epoch is the
-// measured mean device latency plus an M/D/1 queueing term evaluated per
-// bank, so a stream that hammers one bank pays more than one spread across
-// the channel's banks.
+// BankSim is the bank-level memory model: it consumes the actual L2-miss
+// address stream, tracks per-bank open rows (open-page policy) and
+// measures — rather than assumes — the row-buffer hit rate and the
+// per-bank load imbalance. Latency per epoch is the measured mean device
+// latency plus an M/D/1 queueing term evaluated per bank, so a stream that
+// hammers one bank pays more than one spread across the channel's banks.
 type BankSim struct {
 	channels int
 	banks    int // per channel

@@ -1,11 +1,9 @@
 // Package dram models the off-chip memory system the paper configures as
 // Micron DDR3-1600 behind 2 (8-core) or 16 (64-core) channels. The
 // allocation mechanisms only feel DRAM through the average L2-miss service
-// latency: System gives the uncontended, row-buffer-aware base latency, and
-// BankSim adds per-bank open-row state and an M/D/1-style queueing term.
+// latency, which BankSim measures from the miss stream: per-bank open-row
+// state for the row-buffer hit rate, and an M/D/1-style queueing term.
 package dram
-
-import "fmt"
 
 // Timing constants approximating DDR3-1600 (Micron MT41J256M8).
 const (
@@ -20,30 +18,3 @@ const (
 	// LineBytes is the transfer unit (one L2 line).
 	LineBytes = 64
 )
-
-// Config describes a memory system.
-type Config struct {
-	Channels   int
-	RowHitRate float64 // fraction of accesses hitting an open row
-}
-
-// System is a memory-system instance.
-type System struct {
-	cfg Config
-}
-
-// New validates cfg.
-func New(cfg Config) (*System, error) {
-	if cfg.Channels < 1 {
-		return nil, fmt.Errorf("dram: need at least one channel, got %d", cfg.Channels)
-	}
-	if cfg.RowHitRate < 0 || cfg.RowHitRate > 1 {
-		return nil, fmt.Errorf("dram: row hit rate %g outside [0,1]", cfg.RowHitRate)
-	}
-	return &System{cfg: cfg}, nil
-}
-
-// BaseLatencyNs is the uncontended average access latency.
-func (s *System) BaseLatencyNs() float64 {
-	return s.cfg.RowHitRate*RowHitNs + (1-s.cfg.RowHitRate)*RowMissNs
-}

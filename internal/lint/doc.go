@@ -4,7 +4,10 @@
 // on two rules:
 //
 //  1. Every function, method and struct field declared outside _test.go has
-//     a use reachable from non-test code or from an Example function.
+//     a use reachable from non-test code or from an Example function. A
+//     field is used when it is read: one named only as a store target (the
+//     left of an assignment, the operand of ++ or --, or a selector under
+//     one) is written but never read, and is a finding.
 //  2. Every field of an exported …Config struct is written by such code
 //     outside its own Default…/withDefaults, unless that default copies a
 //     parameter; a field with one value in use is a constant.

@@ -205,8 +205,10 @@ type funcDecl struct {
 // of the program or of a package it imports.
 type analysis struct {
 	funcs   map[token.Pos]funcDecl // every function of every checked file, by name position
-	live    map[token.Pos]bool     // reached functions and used fields
+	live    map[token.Pos]bool     // reached functions and read fields
 	written map[token.Pos]bool     // fields written outside their own defaults
+	stores  map[*ast.Ident]bool    // field names that are store targets, not reads
+	stored  map[token.Pos]bool     // fields named as a store target somewhere
 	queue   []token.Pos
 }
 
@@ -220,7 +222,7 @@ func (f finding) String() string { return fmt.Sprintf("%s: %s %s", f.pos, f.name
 
 // walk marks everything reachable from the roots.
 func (p *program) walk() *analysis {
-	a := &analysis{funcs: map[token.Pos]funcDecl{}, live: map[token.Pos]bool{}, written: map[token.Pos]bool{}}
+	a := &analysis{funcs: map[token.Pos]funcDecl{}, live: map[token.Pos]bool{}, written: map[token.Pos]bool{}, stores: map[*ast.Ident]bool{}, stored: map[token.Pos]bool{}}
 	all := append(p.pkgs[:len(p.pkgs):len(p.pkgs)], p.examples...)
 	for _, q := range all {
 		for _, f := range q.files {
@@ -306,6 +308,8 @@ func (p *program) findings() []finding {
 								name := q.path + "." + ts.Name.Name + "." + id.Name
 								switch {
 								case id.Name == "_" || allowedName(name):
+								case !a.live[id.Pos()] && a.stored[id.Pos()]:
+									out = append(out, finding{p.fset.Position(id.Pos()), name, "is written but never read"})
 								case !a.live[id.Pos()]:
 									out = append(out, finding{p.fset.Position(id.Pos()), name, "has no non-test use"})
 								case config && !a.written[id.Pos()]:
@@ -369,7 +373,8 @@ func (a *analysis) mark(pos token.Pos) {
 }
 
 // inspect marks what n uses and records the fields it writes; fn is the
-// function n belongs to, nil for a package-level declaration.
+// function n belongs to, nil for a package-level declaration. A field named
+// only as a store target is written, not used: see storeTargets.
 func (a *analysis) inspect(q *pkg, n ast.Node, fn *ast.FuncDecl) {
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -378,7 +383,11 @@ func (a *analysis) inspect(q *pkg, n ast.Node, fn *ast.FuncDecl) {
 			case *types.Func:
 				a.mark(obj.Origin().Pos())
 			case *types.Var:
-				if obj.IsField() {
+				switch {
+				case !obj.IsField():
+				case a.stores[n]:
+					a.stored[obj.Origin().Pos()] = true
+				default:
 					a.mark(obj.Origin().Pos())
 				}
 			}
@@ -406,9 +415,11 @@ func (a *analysis) inspect(q *pkg, n ast.Node, fn *ast.FuncDecl) {
 					rhs = n.Rhs[i]
 				}
 				a.writeTo(q, fn, lhs, rhs)
+				a.storeTargets(lhs)
 			}
 		case *ast.IncDecStmt:
 			a.writeTo(q, fn, n.X, nil)
+			a.storeTargets(n.X)
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
 				a.writeTo(q, fn, n.X, nil)
@@ -416,6 +427,21 @@ func (a *analysis) inspect(q *pkg, n ast.Node, fn *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// storeTargets records the field names along the selector chain a store
+// goes to: in x.f.g = v and x.f.g++, both f and g are stored into and
+// neither is read for its value. ast.Inspect visits a statement before its
+// operands, so the names are recorded before inspect meets them.
+func (a *analysis) storeTargets(lhs ast.Expr) {
+	for {
+		sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+		if !ok {
+			return
+		}
+		a.stores[sel.Sel] = true
+		lhs = sel.X
+	}
 }
 
 func (a *analysis) writeTo(q *pkg, fn *ast.FuncDecl, lhs, rhs ast.Expr) {
@@ -535,7 +561,8 @@ func (a *analysis) markInterfaceMethods(all []*pkg) {
 }
 
 // TestTreeIsSmall is the check itself: every declaration of the module's
-// non-test code is used, and every Config field has a writer.
+// non-test code is used, every field is read, and every Config field has a
+// writer.
 func TestTreeIsSmall(t *testing.T) {
 	p, err := load("../..", "rebudget")
 	if err != nil {
@@ -584,6 +611,9 @@ func TestFixtureFindings(t *testing.T) {
 		"p.onlyFromDead has no non-test use",
 		"p.onlyTested has no non-test use",
 		"p.unusedField.n has no non-test use",
+		"p.tally.counts is written but never read",
+		"p.tally.hits is written but never read",
+		"p.counts.calls is written but never read",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

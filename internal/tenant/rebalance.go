@@ -4,19 +4,6 @@ import "rebudget/internal/core"
 
 const eps = 1e-9
 
-// Report summarises one Rebalance epoch. Lent and Reclaimed count leaf
-// tenants only, so nested trees don't double-count a parent and its
-// children for the same budget.
-type Report struct {
-	// Epoch is the rebalance counter after this call.
-	Epoch int64
-	// Lent is Σ max(0, deserved − granted) over leaves after this epoch —
-	// the budget currently working for someone other than its owner.
-	Lent float64
-	// Reclaimed is the budget actually cut back from leaves this epoch.
-	Reclaimed float64
-}
-
 // Rebalance runs one tenant-economy epoch:
 //
 //  1. Demand aggregates bottom-up; entitlements (deserved) split
@@ -39,19 +26,17 @@ type Report struct {
 // The invariants the property tests pin: Σ sibling grants never exceeds
 // the parent's grant, and every tenant's grant is ≥ min(demand,
 // floor × slice) on every epoch — the tenant-level Theorem 2.
-func (t *Tree) Rebalance() Report {
+func (t *Tree) Rebalance() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.epochs++
-	rep := Report{Epoch: t.epochs}
 	t.aggregate(t.root)
 	t.root.deserved = t.cfg.Capacity
 	t.root.slice = t.cfg.Capacity
 	t.root.target = t.cfg.Capacity
 	t.root.granted = t.cfg.Capacity
 	t.deserve(t.root)
-	t.settle(t.root, &rep)
-	return rep
+	t.settle(t.root)
 }
 
 // aggregate rolls demand up the tree: a node's aggregate is its own
@@ -89,13 +74,10 @@ func (n *node) guarantee() float64 {
 
 // settle distributes n's grant among its children (targets, then bounded
 // movement), commits, and recurses. n.granted is final on entry.
-func (t *Tree) settle(n *node, rep *Report) {
+func (t *Tree) settle(n *node) {
 	if n.parent != nil {
 		if l := n.deserved - n.granted; l > eps {
 			n.lentTotal += l
-			if len(n.children) == 0 {
-				rep.Lent += l
-			}
 		}
 	}
 	kids := n.children
@@ -260,14 +242,11 @@ func (t *Tree) settle(n *node, rep *Report) {
 	for i, c := range kids {
 		if d := c.granted - newG[i]; d > eps {
 			c.reclaimedTotal += d
-			if len(c.children) == 0 {
-				rep.Reclaimed += d
-			}
 		}
 		c.granted = newG[i]
 	}
 	for _, c := range kids {
-		t.settle(c, rep)
+		t.settle(c)
 	}
 }
 

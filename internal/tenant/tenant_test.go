@@ -107,7 +107,7 @@ func TestLendThenReclaim(t *testing.T) {
 	if err := tr.SetDemand("lend", 4); err != nil {
 		t.Fatal(err)
 	}
-	rep := tr.Rebalance()
+	tr.Rebalance()
 	gBusy, gLend := tr.Granted("busy"), tr.Granted("lend")
 	// Gap is 4, so the schedule's opening cut is 2: busy 8→6 exactly, and
 	// the freed 2 goes to the lender — already past its floor of 1.
@@ -120,8 +120,8 @@ func TestLendThenReclaim(t *testing.T) {
 	if floor := 0.25 * 4.0; gLend < floor-1e-9 {
 		t.Fatalf("lender below MBR floor after demand returned: %g < %g", gLend, floor)
 	}
-	if rep.Reclaimed <= 0 {
-		t.Fatalf("report shows no reclaim: %+v", rep)
+	if r := tr.byPath["busy"].reclaimedTotal; math.Abs(r-2) > 1e-9 {
+		t.Fatalf("busy's reclaimed total = %g, want the 2 cut this epoch", r)
 	}
 
 	// Full deserved share restored within the schedule's length:
@@ -147,12 +147,13 @@ func TestParkedSliceNoChurn(t *testing.T) {
 	if err := tr.SetDemand("calm", 2); err != nil { // under its own slice
 		t.Fatal(err)
 	}
-	var rep Report
 	for i := 0; i < 5; i++ {
-		rep = tr.Rebalance()
+		tr.Rebalance()
 	}
-	if rep.Lent > 1e-9 || rep.Reclaimed > 1e-9 {
-		t.Fatalf("phantom lending without a borrower: %+v", rep)
+	for _, s := range tr.StatusAll() {
+		if s.LentTotal > 1e-9 || s.ReclaimedTotal > 1e-9 {
+			t.Fatalf("phantom lending without a borrower: %+v", s)
+		}
 	}
 	if g := tr.Granted("idle"); math.Abs(g-4) > 1e-6 {
 		t.Fatalf("idle tenant's parked slice = %g, want 4", g)

@@ -20,6 +20,8 @@
 # recorded from this run's numbers). A benchmark missing from the snapshot
 # is skipped, so older snapshots stay usable after new benches are added.
 #
+# A benchmark that fails to run, or prints no ns/op, fails the target
+# whatever BENCH_STRICT says: a smoke that compared nothing must not pass.
 # A >10% ns/op regression prints a loud warning. By default that never fails
 # the build: benchmarks on shared/loaded CI hosts are too noisy to gate on,
 # and the warning is the signal a human should re-measure on quiet hardware.
@@ -50,14 +52,12 @@ if ! { go test -run '^$' -bench "$BENCH" -benchtime 300ms -count 3 . &&
     go test -run '^$' -bench "$SLOWBENCH" -benchtime 5x -count 3 .; } > "$CUR" 2>&1; then
     echo "bench-smoke: benchmark failed to run:"
     cat "$CUR"
-    [ "$STRICT" = "1" ] && exit 1
-    exit 0
+    exit 1
 fi
 if ! go test -run '^$' -bench "$SRVBENCH" -benchtime 300ms -count 3 ./internal/server >> "$CUR" 2>&1; then
     echo "bench-smoke: server benchmarks failed to run:"
     cat "$CUR"
-    [ "$STRICT" = "1" ] && exit 1
-    exit 0
+    exit 1
 fi
 
 # Reference source: the newest dated snapshot, else the legacy text baseline.
@@ -74,13 +74,14 @@ if command -v benchstat >/dev/null 2>&1 && [ -f "$BASE" ]; then
 fi
 
 fail=0
+broken=0
 for NAME in $NAMES; do
     # Mean ns/op of the fresh run.
     # Note: go omits the -N procs suffix from the name when GOMAXPROCS is 1.
     new=$(awk -v name="$NAME" '$1 ~ "^" name "(-[0-9]+)?$" { s += $3; n++ } END { if (n) printf "%.0f", s / n }' "$CUR")
     if [ -z "$new" ]; then
         echo "bench-smoke: $NAME: could not parse ns/op from this run"
-        fail=1
+        broken=1
         continue
     fi
 
@@ -113,6 +114,10 @@ for NAME in $NAMES; do
     fi
 done
 
+if [ "$broken" = "1" ]; then
+    echo "bench-smoke: a benchmark did not run; failing"
+    exit 1
+fi
 if [ "$fail" = "1" ] && [ "$STRICT" = "1" ]; then
     echo "bench-smoke: BENCH_STRICT=1 set; failing"
     exit 1
