@@ -4,8 +4,7 @@
 // ring position when a shard dies or drains. Run the shards with a shared
 // -snapshot-dir and a ring move becomes a warm migration: the receiving
 // shard rehydrates the session from its snapshot. Per-shard circuit
-// breakers (-breaker-failures, -breaker-open-timeout) catch gray failures
-// the probes miss, and retry budgets (-retry-budget, -retry-rate) bound
+// breakers catch gray failures the probes miss, and retry budgets bound
 // failover amplification during brownouts. See DESIGN.md, "Sharded
 // serving" and "Failure model & chaos", and the README quick-start.
 //
@@ -27,8 +26,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -56,50 +53,25 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.backends, "backends", "", "comma-separated shard base URLs (required)")
 	fs.DurationVar(&o.cfg.ProbeInterval, "probe-interval", time.Second, "/healthz polling period")
 	fs.DurationVar(&o.cfg.ProxyTimeout, "proxy-timeout", 30*time.Second, "per-proxied-request deadline")
-	fs.IntVar(&o.cfg.Breaker.FailureThreshold, "breaker-failures", 3, "consecutive shard failures that open its circuit breaker")
-	fs.DurationVar(&o.cfg.Breaker.OpenTimeout, "breaker-open-timeout", 5*time.Second, "how long an open breaker rejects before a half-open trial")
-	fs.IntVar(&o.cfg.RetryBudget, "retry-budget", 2, "failover retries allowed per request after the first attempt")
-	fs.Float64Var(&o.cfg.RetryRate, "retry-rate", 16, "router-wide retry tokens per second, bucket 2x as deep (bounds retry amplification)")
 	fs.StringVar(&o.cfg.BackendAPIKey, "backend-api-key", "", "bearer token for shards running with -api-key: sent on the router's own calls and injected on proxied requests that carry no Authorization")
 	fs.StringVar(&o.logFormat, "log", "text", "log format: text or json")
 
 	fs.StringVar(&o.cfg.AdminToken, "admin-token", "", "bearer token for the /admin membership endpoints (mounted only when set) and for /gossip")
 	fs.StringVar(&o.backendsFile, "backends-file", "", "file of shard URLs (one per line, # comments); re-read and applied on SIGHUP")
-	fs.IntVar(&o.cfg.MigrationBudget, "migration-budget", 0, "sessions migrated per tick during a rebalance (0 = 8)")
 	fs.DurationVar(&o.cfg.MigrationInterval, "migration-interval", 0, "migration tick period (0 = 200ms)")
 	fs.StringVar(&o.gossipPeers, "gossip-peers", "", "comma-separated sibling router URLs for probe-state gossip")
 	fs.DurationVar(&o.cfg.GossipInterval, "gossip-interval", 0, "gossip exchange period (0 = 1s)")
 	return o
 }
 
-// validate rejects a -retry-rate a typo or a NaN could turn into a retry
-// bucket that never holds a token, naming the flag.
-func (o *options) validate() error {
-	if r := o.cfg.RetryRate; !(r >= 0) || math.IsInf(r, 1) {
-		return fmt.Errorf("bad -retry-rate %v: want a finite number >= 0", r)
-	}
-	return nil
-}
-
 func main() {
 	o := registerFlags(flag.CommandLine)
 	flag.Parse()
-	if err := o.validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "rebudget-router: %v\n", err)
+	log, err := bootline.Logger("rebudget-router", o.logFormat)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	var handler slog.Handler
-	switch o.logFormat {
-	case "json":
-		handler = slog.NewJSONHandler(os.Stderr, nil)
-	case "text":
-		handler = slog.NewTextHandler(os.Stderr, nil)
-	default:
-		fmt.Fprintf(os.Stderr, "rebudget-router: unknown -log format %q\n", o.logFormat)
-		os.Exit(2)
-	}
-	log := slog.New(handler)
 
 	var bases []string
 	for _, b := range strings.Split(o.backends, ",") {

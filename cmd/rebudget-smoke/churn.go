@@ -48,7 +48,7 @@ func churnScenario(h *e2e.Harness) {
 		Shards:    2,
 		Standby:   2,
 		Routers: [][]string{
-			{"-probe-interval", "200ms", "-admin-token", churnToken, "-migration-interval", "50ms", "-migration-budget", "8"},
+			{"-probe-interval", "200ms", "-admin-token", churnToken, "-migration-interval", "50ms"},
 			{"-probe-interval", "200ms", "-admin-token", churnToken, "-gossip-interval", "300ms"},
 		},
 	})

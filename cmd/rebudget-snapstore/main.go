@@ -16,7 +16,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -28,31 +27,33 @@ import (
 	"rebudget/internal/e2e/bootline"
 )
 
-func main() {
-	var (
-		addr      = flag.String("addr", ":8345", "listen address")
-		maxBody   = flag.Int64("max-body", 0, "largest accepted snapshot in bytes (0 = 4 MiB)")
-		logFormat = flag.String("log", "text", "log format: text or json")
-	)
-	flag.Parse()
+// options is the parsed command line. DESIGN.md's "Serving knobs" table
+// documents every flag; main_test.go fails when the two drift.
+type options struct {
+	addr, logFormat string
+}
 
-	var handler slog.Handler
-	switch *logFormat {
-	case "json":
-		handler = slog.NewJSONHandler(os.Stderr, nil)
-	case "text":
-		handler = slog.NewTextHandler(os.Stderr, nil)
-	default:
-		fmt.Fprintf(os.Stderr, "rebudget-snapstore: unknown -log format %q\n", *logFormat)
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.addr, "addr", ":8345", "listen address")
+	fs.StringVar(&o.logFormat, "log", "text", "log format: text or json")
+	return o
+}
+
+func main() {
+	o := registerFlags(flag.CommandLine)
+	flag.Parse()
+	log, err := bootline.Logger("rebudget-snapstore", o.logFormat)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	log := slog.New(handler)
 
-	ss := cluster.NewSnapServer(*maxBody, log)
+	ss := cluster.NewSnapServer(0, log)
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
-		log.Error("listen failed", "addr", *addr, "err", err)
+		log.Error("listen failed", "addr", o.addr, "err", err)
 		os.Exit(1)
 	}
 	hs := &http.Server{Handler: ss.Handler(), ReadHeaderTimeout: 5 * time.Second}

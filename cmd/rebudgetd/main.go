@@ -17,7 +17,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"math"
 	"net"
 	"net/http"
@@ -89,17 +88,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	var handler slog.Handler
-	switch o.logFormat {
-	case "json":
-		handler = slog.NewJSONHandler(os.Stderr, nil)
-	case "text":
-		handler = slog.NewTextHandler(os.Stderr, nil)
-	default:
-		fmt.Fprintf(os.Stderr, "rebudgetd: unknown -log format %q\n", o.logFormat)
+	log, err := bootline.Logger("rebudgetd", o.logFormat)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	log := slog.New(handler)
 
 	var stores []server.SnapshotStore
 	if o.snapshotDir != "" {

@@ -204,7 +204,7 @@ func Run(eh *e2e.Harness, seed uint64) Result {
 		Backends:          bases,
 		ProbeInterval:     50 * time.Millisecond,
 		Transport:         h.tr,
-		Breaker:           router.BreakerConfig{FailureThreshold: 3, OpenTimeout: 400 * time.Millisecond},
+		Breaker:           router.BreakerConfig{OpenTimeout: 400 * time.Millisecond},
 		MigrationInterval: 20 * time.Millisecond,
 		MigrationBudget:   4,
 		Logger:            h.quiet,

@@ -2,11 +2,14 @@
 // daemons and the end-to-end harness: a daemon bound to port 0 announces
 // where it landed with Log, and internal/e2e reads the address back out of
 // the process's log with Addr. Both sides of `<daemon> listening … addr=…`
-// live here so neither can drift from the other.
+// live here so neither can drift from the other, and so does Logger, the
+// one log setup the three daemons share.
 package bootline
 
 import (
+	"fmt"
 	"log/slog"
+	"os"
 	"strings"
 )
 
@@ -36,4 +39,16 @@ func Addr(line string) (addr string, ok bool) {
 		rest = rest[:i]
 	}
 	return rest, rest != ""
+}
+
+// Logger is the daemon's logger on stderr in format, the value of its -log
+// flag: "text", the format Addr reads, or "json" for log collectors.
+func Logger(daemon, format string) (*slog.Logger, error) {
+	switch format {
+	case "text":
+		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
+	case "json":
+		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
+	}
+	return nil, fmt.Errorf("%s: unknown -log format %q", daemon, format)
 }

@@ -3,6 +3,7 @@ package bootline
 import (
 	"bytes"
 	"log/slog"
+	"reflect"
 	"testing"
 )
 
@@ -23,5 +24,22 @@ func TestAddrReadsWhatLogWrites(t *testing.T) {
 		if !ok || got != "127.0.0.1:43123" {
 			t.Fatalf("Addr(%q) = %q, %v", buf.String(), got, ok)
 		}
+	}
+}
+
+// TestLogger: -log text gives the handler Addr reads, json the collectors'
+// one, and any other format is refused, naming the daemon and the flag.
+func TestLogger(t *testing.T) {
+	for format, want := range map[string]any{"text": &slog.TextHandler{}, "json": &slog.JSONHandler{}} {
+		log, err := Logger("rebudgetd", format)
+		if err != nil {
+			t.Fatalf("-log %s: %v", format, err)
+		}
+		if got := log.Handler(); reflect.TypeOf(got) != reflect.TypeOf(want) {
+			t.Errorf("-log %s: handler %T, want %T", format, got, want)
+		}
+	}
+	if _, err := Logger("rebudgetd", "xml"); err == nil || err.Error() != `rebudgetd: unknown -log format "xml"` {
+		t.Errorf("-log xml: error %v", err)
 	}
 }

@@ -28,9 +28,10 @@ const (
 	// address. A -race build on two busy vCPUs needs seconds, not the 5 s
 	// the shell smokes allowed.
 	BootDeadline = 20 * time.Second
-	// DrainDeadline bounds SIGTERM-to-exit. It sits above the daemons' own
-	// 10 s -drain-wait / shutdown budgets, so a daemon that overruns its
-	// budget fails the scenario instead of being waited out.
+	// DrainDeadline bounds SIGTERM-to-exit. It sits above rebudgetd's 10 s
+	// -drain-wait and the router's and snapstore's fixed 10 s shutdown
+	// budget, so a daemon that overruns its budget fails the scenario
+	// instead of being waited out.
 	DrainDeadline = 15 * time.Second
 )
 

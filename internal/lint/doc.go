@@ -8,9 +8,9 @@
 //     field is used when it is read: one named only as a store target (the
 //     left of an assignment, the operand of ++ or --, or a selector under
 //     one) is written but never read, and is a finding.
-//  2. Every field of an exported …Config struct is written by such code
-//     outside its own Default…/withDefaults, unless that default copies a
-//     parameter; a field with one value in use is a constant.
+//  2. Every field of an exported …Config or …Spec struct is written by such
+//     code outside its own Default…/withDefaults, unless that default copies
+//     a parameter; a field with one value in use is a constant.
 //
 // The allowlist, with the reason for each entry, is allowed in lint_test.go.
 package lint

@@ -31,7 +31,7 @@ const frozen = "bench"
 // checked either, and neither is a field with a json: tag, which the wire
 // format reads and writes by reflection.
 var allowed = map[string]string{
-	"internal/flagdoc.Check": "test support that two cmd/ tests share; a _test.go file cannot be imported",
+	"internal/flagdoc.Check": "test support that the three daemons' cmd/ tests share; a _test.go file cannot be imported",
 	"internal/chaos.Config": "fault-injection seams: each rate is off unless a scenario turns it on, " +
 		"and the soak keeps the disk rates at zero on purpose",
 	"internal/chaos.ScheduleConfig": "fault-injection seams, as chaos.Config",
@@ -299,7 +299,7 @@ func (p *program) findings() []finding {
 						if !ok {
 							continue
 						}
-						config := ts.Name.IsExported() && strings.HasSuffix(ts.Name.Name, "Config")
+						config := ts.Name.IsExported() && (strings.HasSuffix(ts.Name.Name, "Config") || strings.HasSuffix(ts.Name.Name, "Spec"))
 						for _, field := range st.Fields.List {
 							if field.Tag != nil && strings.Contains(field.Tag.Value, `json:"`) {
 								continue
@@ -561,8 +561,8 @@ func (a *analysis) markInterfaceMethods(all []*pkg) {
 }
 
 // TestTreeIsSmall is the check itself: every declaration of the module's
-// non-test code is used, every field is read, and every Config field has a
-// writer.
+// non-test code is used, every field is read, and every Config or Spec field
+// has a writer.
 func TestTreeIsSmall(t *testing.T) {
 	p, err := load("../..", "rebudget")
 	if err != nil {
@@ -607,6 +607,7 @@ func TestFixtureFindings(t *testing.T) {
 	}
 	want := []string{
 		"p.Config.Fixed is set only by its defaults: make it a constant",
+		"p.Spec.Depth is set only by its defaults: make it a constant",
 		"p.dead has no non-test use",
 		"p.onlyFromDead has no non-test use",
 		"p.onlyTested has no non-test use",

@@ -6,4 +6,4 @@ import (
 	"fixture/p"
 )
 
-func main() { fmt.Println(p.Run(p.DefaultConfig(4))) }
+func main() { fmt.Println(p.Run(p.DefaultConfig(4), p.Spec{Name: "tool"})) }

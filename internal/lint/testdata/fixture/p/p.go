@@ -11,9 +11,24 @@ type Config struct {
 
 func DefaultConfig(cores int) Config { return Config{Cores: cores, Fixed: 0.5} }
 
-func Run(c Config) float64 {
+// Spec is held to Config's rule: Name has a writer besides its default,
+// Depth only its default.
+type Spec struct {
+	Name  string
+	Depth int
+}
+
+func (s Spec) withDefaults() Spec {
+	if s.Depth == 0 {
+		s.Depth = 4
+	}
+	return s
+}
+
+func Run(c Config, s Spec) float64 {
 	var t tally
-	return float64(t.note(c.Cores)) * c.Fixed
+	s = s.withDefaults()
+	return float64(t.note(c.Cores)+len(s.Name)+s.Depth) * c.Fixed
 }
 
 func dead() int { return onlyFromDead() }

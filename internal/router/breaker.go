@@ -37,13 +37,14 @@ func (s breakerState) String() string {
 
 var breakerStates = []breakerState{breakerClosed, breakerOpen, breakerHalfOpen}
 
+// breakerFailures is the consecutive data-path failures that open a shard's
+// breaker. Active probe failures count too, so a shard that dies quietly
+// between requests still opens its breaker.
+const breakerFailures = 3
+
 // BreakerConfig sizes the per-shard circuit breakers. Zero values select
 // the documented defaults.
 type BreakerConfig struct {
-	// FailureThreshold is the consecutive data-path failures that open the
-	// breaker (default 3). Active probe failures count too, so a shard
-	// that dies quietly between requests still opens its breaker.
-	FailureThreshold int
 	// OpenTimeout is how long an open breaker rejects before allowing a
 	// half-open trial (default 5s). A successful active probe shortcuts
 	// the wait: probe-green means the process is back, and the data path
@@ -52,9 +53,6 @@ type BreakerConfig struct {
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 3
-	}
 	if c.OpenTimeout <= 0 {
 		c.OpenTimeout = 5 * time.Second
 	}
@@ -62,7 +60,7 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 }
 
 // breaker is one shard's circuit breaker: closed → open on
-// FailureThreshold consecutive transport failures, open → half-open after
+// failures consecutive transport failures, open → half-open after
 // OpenTimeout (or a good active probe), half-open → closed on a
 // successful trial / back to open on a failed one. It exists because
 // health probes alone miss gray failures: a shard can answer /healthz
@@ -70,8 +68,9 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 // partitioned-but-alive process looks like). The breaker watches the data
 // path itself.
 type breaker struct {
-	cfg BreakerConfig
-	now func() time.Time // injectable clock for tests
+	failures int // consecutive failures that open it: breakerFailures outside tests
+	cfg      BreakerConfig
+	now      func() time.Time // injectable clock for tests
 
 	mu          sync.Mutex
 	state       breakerState
@@ -82,8 +81,8 @@ type breaker struct {
 	transitions [3]int64 // entries into each state, for /metrics
 }
 
-func newBreaker(cfg BreakerConfig) *breaker {
-	return &breaker{cfg: cfg.withDefaults(), now: time.Now}
+func newBreaker(failures int, cfg BreakerConfig) *breaker {
+	return &breaker{failures: failures, cfg: cfg.withDefaults(), now: time.Now}
 }
 
 // currentState reports the breaker's position (metrics, tests).
@@ -175,7 +174,7 @@ func (b *breaker) onFailure() {
 	switch b.state {
 	case breakerClosed:
 		b.consecFails++
-		if b.consecFails >= b.cfg.FailureThreshold {
+		if b.consecFails >= b.failures {
 			b.transition(breakerOpen)
 		}
 	case breakerHalfOpen:
@@ -209,11 +208,20 @@ func (b *breaker) onProbeFailure() {
 	defer b.mu.Unlock()
 	if b.state == breakerClosed {
 		b.consecFails++
-		if b.consecFails >= b.cfg.FailureThreshold {
+		if b.consecFails >= b.failures {
 			b.transition(breakerOpen)
 		}
 	}
 }
+
+const (
+	// retriesPerRequest is the failover attempts one proxied request may
+	// make beyond its first.
+	retriesPerRequest = 2
+	// retryRate is the router-wide retry bucket's refill in retries per
+	// second; the bucket holds 2×retryRate.
+	retryRate = 16
+)
 
 // retryBudget is the router-wide failover token bucket: every retry
 // (second and later attempt of one proxied request) spends a token.

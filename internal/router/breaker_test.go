@@ -11,15 +11,15 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1700000000, 0)} }
-func testBreaker(cfg BreakerConfig) (*breaker, *fakeClock) {
-	b := newBreaker(cfg)
+func testBreaker(failures int, cfg BreakerConfig) (*breaker, *fakeClock) {
+	b := newBreaker(failures, cfg)
 	clk := newFakeClock()
 	b.now = clk.now
 	return b, clk
 }
 
 func TestBreakerOpensOnConsecutiveFailures(t *testing.T) {
-	b, _ := testBreaker(BreakerConfig{FailureThreshold: 3})
+	b, _ := testBreaker(breakerFailures, BreakerConfig{})
 	b.onFailure()
 	b.onFailure()
 	b.onSuccess() // success resets the consecutive count
@@ -38,7 +38,7 @@ func TestBreakerOpensOnConsecutiveFailures(t *testing.T) {
 }
 
 func TestBreakerHalfOpenTrialLifecycle(t *testing.T) {
-	b, clk := testBreaker(BreakerConfig{FailureThreshold: 1, OpenTimeout: 5 * time.Second})
+	b, clk := testBreaker(1, BreakerConfig{OpenTimeout: 5 * time.Second})
 	b.onFailure()
 	if b.allow() {
 		t.Fatal("freshly opened breaker allowed a request")
@@ -63,7 +63,7 @@ func TestBreakerHalfOpenTrialLifecycle(t *testing.T) {
 }
 
 func TestBreakerReopensOnFailedTrial(t *testing.T) {
-	b, clk := testBreaker(BreakerConfig{FailureThreshold: 1, OpenTimeout: 5 * time.Second})
+	b, clk := testBreaker(1, BreakerConfig{OpenTimeout: 5 * time.Second})
 	b.onFailure()
 	clk.advance(6 * time.Second)
 	if !b.allow() {
@@ -88,7 +88,7 @@ func TestBreakerReopensOnFailedTrial(t *testing.T) {
 // half-open trial — but never closes it outright (gray failures:
 // probe-green proves the process, not the data path).
 func TestBreakerProbeDriven(t *testing.T) {
-	b, _ := testBreaker(BreakerConfig{FailureThreshold: 2, OpenTimeout: time.Hour})
+	b, _ := testBreaker(2, BreakerConfig{OpenTimeout: time.Hour})
 	b.onProbeFailure()
 	b.onProbeFailure()
 	if got := b.currentState(); got != breakerOpen {
@@ -108,7 +108,7 @@ func TestBreakerProbeDriven(t *testing.T) {
 }
 
 func TestBreakerUnclaimReleasesTrial(t *testing.T) {
-	b, clk := testBreaker(BreakerConfig{FailureThreshold: 1, OpenTimeout: time.Second})
+	b, clk := testBreaker(1, BreakerConfig{OpenTimeout: time.Second})
 	b.onFailure()
 	clk.advance(2 * time.Second)
 	if !b.allow() {

@@ -60,18 +60,18 @@ func TestRouterBreakerGrayFailure(t *testing.T) {
 	tr := chaos.NewTransport(nil, nil)
 	shards, rt, rc := newChaosTier(t, 2, Config{
 		Transport: tr,
-		Breaker:   BreakerConfig{FailureThreshold: 2, OpenTimeout: time.Hour},
+		Breaker:   BreakerConfig{OpenTimeout: time.Hour},
 	})
 	victimBase := shards[0].ts.URL
 	stranded := idPrimariedOn(t, rt, victimBase)
 	mustCreate(t, rc, fig3Spec(stranded))
 
 	tr.Partition(victimBase)
-	// Two failed-over requests: passive detection feeds the breaker. A
-	// probe sweep between them flips the victim back to probe-green —
-	// probes bypass the partition, which is the gray failure — so the
-	// second request actually re-attempts the data path.
-	for i := 0; i < 2; i++ {
+	// breakerFailures failed-over requests: passive detection feeds the
+	// breaker. A probe sweep between them flips the victim back to
+	// probe-green — probes bypass the partition, which is the gray
+	// failure — so each later request actually re-attempts the data path.
+	for i := 0; i < breakerFailures; i++ {
 		if i > 0 {
 			rt.probeAll(ctx)
 		}
@@ -83,7 +83,7 @@ func TestRouterBreakerGrayFailure(t *testing.T) {
 	}
 	victim := rt.backends[victimBase]
 	if got := victim.br.currentState(); got != breakerOpen {
-		t.Fatalf("victim breaker = %v after %d transport failures, want open", got, 2)
+		t.Fatalf("victim breaker = %v after %d transport failures, want open", got, breakerFailures)
 	}
 
 	// Pretend the prober's view is stale-green (exactly what a gray
@@ -128,7 +128,7 @@ func TestRouterBreakerGrayFailure(t *testing.T) {
 }
 
 // With every shard partitioned, the per-request retry budget bounds how
-// many attempts one request may burn: first attempt free, RetryBudget
+// many attempts one request may burn: first attempt free, retriesPerRequest
 // retries, then a 503 — it never walks the whole ring.
 func TestRouterRetryBudgetBoundsAttempts(t *testing.T) {
 	ctx := context.Background()
@@ -139,7 +139,7 @@ func TestRouterRetryBudgetBoundsAttempts(t *testing.T) {
 		attempts.Add(1)
 		return tr.RoundTrip(r)
 	})
-	shards, _, rc := newChaosTier(t, 3, Config{Transport: counted, RetryBudget: 1})
+	shards, _, rc := newChaosTier(t, retriesPerRequest+2, Config{Transport: counted})
 	for _, s := range shards {
 		tr.Partition(s.ts.URL)
 	}
@@ -152,8 +152,8 @@ func TestRouterRetryBudgetBoundsAttempts(t *testing.T) {
 	if !strings.Contains(ae.Message, "retry budget") {
 		t.Fatalf("503 body should say the retry budget ran out: %q", ae.Message)
 	}
-	if got := attempts.Load(); got != 2 {
-		t.Fatalf("request burned %d attempts, want 2 (1 + RetryBudget)", got)
+	if got := attempts.Load(); got != 1+retriesPerRequest {
+		t.Fatalf("request burned %d attempts, want %d (1 + retriesPerRequest)", got, 1+retriesPerRequest)
 	}
 }
 

@@ -89,7 +89,7 @@ func (rt *Router) adoptMembership(members []string, epoch uint64) {
 	// Add the new members.
 	for _, m := range members {
 		if _, ok := rt.backends[m]; !ok {
-			b := &backend{base: m, br: newBreaker(rt.cfg.Breaker)}
+			b := &backend{base: m, br: newBreaker(breakerFailures, rt.cfg.Breaker)}
 			rt.backends[m] = b
 			rt.order = append(rt.order, b)
 		}

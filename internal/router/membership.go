@@ -65,7 +65,7 @@ func (rt *Router) AddShard(ctx context.Context, raw string) (moved int, err erro
 	if active {
 		return 0, fmt.Errorf("router: shard %q is already a member", base)
 	}
-	b := &backend{base: base, br: newBreaker(rt.cfg.Breaker)}
+	b := &backend{base: base, br: newBreaker(breakerFailures, rt.cfg.Breaker)}
 	probeCtx, cancel := context.WithTimeout(ctx, probeTimeout)
 	ok := b.probe(probeCtx, rt.probeClient)
 	cancel()

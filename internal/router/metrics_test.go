@@ -142,11 +142,11 @@ func TestRouterMetricsGolden(t *testing.T) {
 	m.observe("/v1/sessions/{id}/epoch", 429, 200*time.Microsecond)
 	m.observe("/healthz", 200, 7*time.Second)
 
-	a := &backend{base: "http://10.0.0.1:9001", br: newBreaker(BreakerConfig{})}
+	a := &backend{base: "http://10.0.0.1:9001", br: newBreaker(breakerFailures, BreakerConfig{})}
 	a.healthy.Store(true)
 	a.sessions.Store(41)
 	a.probes.Store(17)
-	b := &backend{base: "http://10.0.0.2:9001", br: newBreaker(BreakerConfig{})}
+	b := &backend{base: "http://10.0.0.2:9001", br: newBreaker(breakerFailures, BreakerConfig{})}
 	for i := 0; i < 3; i++ {
 		b.br.onFailure() // opens the breaker
 	}

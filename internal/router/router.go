@@ -60,15 +60,6 @@ type Config struct {
 	Transport http.RoundTripper
 	// Breaker sizes the per-shard circuit breakers.
 	Breaker BreakerConfig
-	// RetryBudget is the failover attempts allowed per proxied request
-	// beyond the first (default 2; set negative to disable retries).
-	RetryBudget int
-	// RetryRate is the router-wide failover token-bucket refill, in
-	// retries per second across all requests (default 16); the bucket
-	// holds 2×RetryRate. The shared bucket is what keeps failover from
-	// amplifying a brownout: per-request caps bound one request's cost,
-	// the bucket bounds the tier's.
-	RetryRate float64
 
 	// BackendAPIKey is the bearer token for shards running with -api-key.
 	// The router sends it on its own shard-directed calls (migration
@@ -106,14 +97,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Transport == nil {
 		c.Transport = http.DefaultTransport
-	}
-	if c.RetryBudget == 0 {
-		c.RetryBudget = 2
-	} else if c.RetryBudget < 0 {
-		c.RetryBudget = 0
-	}
-	if c.RetryRate <= 0 {
-		c.RetryRate = 16
 	}
 	if c.GossipInterval <= 0 {
 		c.GossipInterval = time.Second
@@ -206,7 +189,7 @@ func New(cfg Config) (*Router, error) {
 		loopStop: make(chan struct{}),
 	}
 	rt.epoch.Store(1)
-	rt.retry = newRetryBudget(cfg.RetryRate, time.Now)
+	rt.retry = newRetryBudget(retryRate, time.Now)
 	for _, raw := range cfg.Backends {
 		base := strings.TrimRight(raw, "/")
 		if base == "" {
@@ -215,7 +198,7 @@ func New(cfg Config) (*Router, error) {
 		if _, dup := rt.backends[base]; dup {
 			return nil, fmt.Errorf("router: duplicate backend %q", base)
 		}
-		b := &backend{base: base, br: newBreaker(cfg.Breaker)}
+		b := &backend{base: base, br: newBreaker(breakerFailures, cfg.Breaker)}
 		rt.backends[base] = b
 		rt.order = append(rt.order, b)
 		rt.ring.Add(base)
@@ -387,7 +370,7 @@ const (
 // answer stands. A transport failure marks the shard unhealthy on the
 // spot and feeds its circuit breaker (passive detection), then moves on.
 //
-// Failover is budgeted two ways: each request gets RetryBudget attempts
+// Failover is budgeted two ways: each request gets retriesPerRequest attempts
 // beyond its first, and every retry also spends a token from the
 // router-wide bucket — an outage can't turn N incoming requests into
 // N×ring-length attempts against shards that are already browning out.
@@ -421,7 +404,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id string, body 
 	var attempt func(b *backend, idx int) (served, stop bool)
 	attempt = func(b *backend, idx int) (served, stop bool) {
 		if attempts > 0 {
-			if attempts > rt.cfg.RetryBudget {
+			if attempts > retriesPerRequest {
 				outOfBudget = true
 				return false, true
 			}

@@ -343,6 +343,9 @@ func TestDerivedDefaults(t *testing.T) {
 	}{
 		{"probe timeout = 2s", rt.probeClient.Timeout.Seconds(), 2},
 		{"max body = 1 MiB", maxBody, 1 << 20},
+		{"breaker failures = 3", float64(rt.order[0].br.failures), 3},
+		{"retries per request = 2", retriesPerRequest, 2},
+		{"retry rate = 16/s", rt.retry.rate, 16},
 		{"retry burst = 2×rate", rt.retry.burst, 2 * 16},
 	} {
 		if tc.got != tc.want {
@@ -350,7 +353,7 @@ func TestDerivedDefaults(t *testing.T) {
 		}
 	}
 	// Half-open successes = 1: the first good trial closes the breaker.
-	b, clk := testBreaker(BreakerConfig{FailureThreshold: 1, OpenTimeout: time.Second})
+	b, clk := testBreaker(1, BreakerConfig{OpenTimeout: time.Second})
 	b.onFailure()
 	clk.advance(2 * time.Second)
 	if !b.allow() {
