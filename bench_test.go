@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"rebudget"
+	"rebudget/internal/api"
 	"rebudget/internal/cache"
 	"rebudget/internal/cmpsim"
 	"rebudget/internal/core"
@@ -615,9 +616,9 @@ func BenchmarkServeEpoch(b *testing.B) {
 	defer srv.Close()
 	h := srv.Handler()
 	resilient := false
-	spec, err := json.Marshal(server.SessionSpec{
+	spec, err := json.Marshal(api.SessionSpec{
 		ID:        "bench",
-		Workload:  server.WorkloadSpec{Fig3: true},
+		Workload:  api.WorkloadSpec{Fig3: true},
 		Mechanism: "equalshare",
 		Resilient: &resilient,
 	})
@@ -647,9 +648,9 @@ func heavyViewJSON(b *testing.B) []byte {
 	srv := server.New(server.Config{IdleTTL: -1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	defer srv.Close()
 	h := srv.Handler()
-	spec, err := json.Marshal(server.SessionSpec{
+	spec, err := json.Marshal(api.SessionSpec{
 		ID:        "heavy",
-		Workload:  server.WorkloadSpec{Category: "CPBB", Cores: 64, Seed: 1},
+		Workload:  api.WorkloadSpec{Category: "CPBB", Cores: 64, Seed: 1},
 		Mechanism: "rebudget-20",
 	})
 	if err != nil {

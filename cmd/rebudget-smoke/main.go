@@ -25,8 +25,8 @@ import (
 	"strconv"
 	"syscall"
 
+	"rebudget/internal/api"
 	"rebudget/internal/e2e"
-	"rebudget/internal/server"
 	"rebudget/internal/server/client"
 )
 
@@ -70,9 +70,9 @@ func main() {
 // prefixN, steps each through epochs and leaves them resident.
 func placeSessions(h *e2e.Harness, c *client.Client, prefix string, n, epochs int) {
 	for i := 1; i <= n; i++ {
-		v, err := c.CreateSession(h.Ctx, server.SessionSpec{
+		v, err := c.CreateSession(h.Ctx, api.SessionSpec{
 			ID:        prefix + strconv.Itoa(i),
-			Workload:  server.WorkloadSpec{Fig3: true},
+			Workload:  api.WorkloadSpec{Fig3: true},
 			Mechanism: "rebudget-0.05",
 		})
 		h.Must(err)
@@ -96,7 +96,7 @@ func resumeSessions(h *e2e.Harness, c *client.Client, prefix string, n int, serv
 	}
 }
 
-func stepSession(h *e2e.Harness, c *client.Client, v server.SessionView, epochs int) {
+func stepSession(h *e2e.Harness, c *client.Client, v api.SessionView, epochs int) {
 	want := v.Epochs + int64(epochs)
 	for e := 0; e < epochs; e++ {
 		var err error

@@ -28,6 +28,7 @@ import (
 	"rebudget/internal/cluster"
 	"rebudget/internal/e2e/bootline"
 	"rebudget/internal/server"
+	"rebudget/internal/snapshot"
 )
 
 // options is the parsed command line: the configs the flags fill in
@@ -94,9 +95,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var stores []server.SnapshotStore
+	var stores []snapshot.Store
 	if o.snapshotDir != "" {
-		fs, err := server.NewFileSnapshotStore(o.snapshotDir)
+		fs, err := snapshot.NewFileStore(o.snapshotDir)
 		if err != nil {
 			log.Error("snapshot store failed", "dir", o.snapshotDir, "err", err)
 			os.Exit(1)
@@ -106,7 +107,7 @@ func main() {
 	if o.snapshotURL != "" {
 		stores = append(stores, cluster.NewHTTPSnapshotStore(o.snapshotURL, nil))
 	}
-	var snaps server.SnapshotStore
+	var snaps snapshot.Store
 	switch len(stores) {
 	case 0:
 	case 1:

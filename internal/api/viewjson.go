@@ -1,4 +1,4 @@
-package server
+package api
 
 import (
 	"bytes"
@@ -79,7 +79,7 @@ type viewDecoder struct {
 // errorf reports malformed input; UnmarshalJSON replaces it with the
 // validator's *json.SyntaxError.
 func (d *viewDecoder) errorf(format string, args ...any) error {
-	return fmt.Errorf("server: decode view at offset %d: %s", d.pos, fmt.Sprintf(format, args...))
+	return fmt.Errorf("api: decode view at offset %d: %s", d.pos, fmt.Sprintf(format, args...))
 }
 
 // typeError reports that value, a well-formed JSON value, cannot decode

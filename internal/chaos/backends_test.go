@@ -6,20 +6,20 @@ import (
 	"testing"
 
 	"rebudget/internal/cluster"
-	"rebudget/internal/server"
+	"rebudget/internal/snapshot"
 )
 
-// The fault suite must hold for every RawSnapshotStore backend, not just
+// The fault suite must hold for every snapshot.RawStore backend, not just
 // the file store it was written against: against the HTTP snapshot service
 // and plain memory too, torn writes and bit rot corrupt the real stored
 // bytes and the shared decode path must turn the damage into
 // ErrNoSnapshot — a cold start, never a panic.
-func clusterBackends(t *testing.T) map[string]server.RawSnapshotStore {
+func clusterBackends(t *testing.T) map[string]snapshot.RawStore {
 	t.Helper()
 	snapSrv := httptest.NewServer(cluster.NewSnapServer(0, nil).Handler())
 	t.Cleanup(snapSrv.Close)
-	return map[string]server.RawSnapshotStore{
-		"memory": server.NewMemorySnapshotStore(),
+	return map[string]snapshot.RawStore{
+		"memory": snapshot.NewMemoryStore(),
 		"http":   cluster.NewHTTPSnapshotStore(snapSrv.URL, snapSrv.Client()),
 	}
 }
@@ -59,7 +59,7 @@ func TestFaultyStoreSuiteOverClusterBackends(t *testing.T) {
 			if buf, err := inner.LoadRaw("torn"); err != nil || len(buf) == 0 {
 				t.Fatalf("torn write left nothing: %d bytes, %v", len(buf), err)
 			}
-			if _, err := torn.Load("torn"); !errors.Is(err, server.ErrNoSnapshot) {
+			if _, err := torn.Load("torn"); !errors.Is(err, snapshot.ErrNoSnapshot) {
 				t.Fatalf("torn snapshot: want ErrNoSnapshot, got %v", err)
 			}
 
@@ -68,7 +68,7 @@ func TestFaultyStoreSuiteOverClusterBackends(t *testing.T) {
 			if err := rot.Save(testSnap("rot")); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := rot.Load("rot"); !errors.Is(err, server.ErrNoSnapshot) {
+			if _, err := rot.Load("rot"); !errors.Is(err, snapshot.ErrNoSnapshot) {
 				t.Fatalf("rotted snapshot: want ErrNoSnapshot, got %v", err)
 			}
 
@@ -80,7 +80,7 @@ func TestFaultyStoreSuiteOverClusterBackends(t *testing.T) {
 			if err := script.CorruptNow("script", 12345); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := script.Load("script"); !errors.Is(err, server.ErrNoSnapshot) {
+			if _, err := script.Load("script"); !errors.Is(err, snapshot.ErrNoSnapshot) {
 				t.Fatalf("scripted corruption: want ErrNoSnapshot, got %v", err)
 			}
 		})
@@ -97,8 +97,8 @@ func TestReplicatedBackendSurvivesSingleReplicaFaults(t *testing.T) {
 		"torn": {Seed: 9, TornWriteRate: 1},
 	} {
 		t.Run(name, func(t *testing.T) {
-			faulty := NewFaultySnapshotStore(server.NewMemorySnapshotStore(), New(cfg))
-			clean := NewFaultySnapshotStore(server.NewMemorySnapshotStore(), nil)
+			faulty := NewFaultySnapshotStore(snapshot.NewMemoryStore(), New(cfg))
+			clean := NewFaultySnapshotStore(snapshot.NewMemoryStore(), nil)
 			rs, err := cluster.NewReplicatedSnapshotStore(faulty, clean)
 			if err != nil {
 				t.Fatal(err)

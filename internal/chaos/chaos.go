@@ -5,7 +5,7 @@
 // this package breaks the network and the disk: a chaos http.RoundTripper
 // (Transport) injects latency, connection resets mid-body, 5xx blips and
 // full per-shard partitions into the router's proxy path or a client, and
-// a FaultySnapshotStore wraps any SnapshotStore with torn writes, EIO on
+// a FaultySnapshotStore wraps any snapshot.Store with torn writes, EIO on
 // save and bit-rot on load.
 //
 // Everything is driven by per-target xorshift streams derived from one

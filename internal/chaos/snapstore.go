@@ -3,30 +3,30 @@ package chaos
 import (
 	"fmt"
 
-	"rebudget/internal/server"
+	"rebudget/internal/snapshot"
 )
 
-// FaultySnapshotStore wraps a RawSnapshotStore with seeded disk faults: EIO
+// FaultySnapshotStore wraps a snapshot.RawStore with seeded disk faults: EIO
 // on save, torn (truncated) writes, and bit rot surfacing on load. Torn
 // writes and bit rot go through the inner store's byte-level seam, so they
 // corrupt the real stored bytes and the wrapped store's own integrity
 // machinery — checksums, JSON parsing — is what has to catch them.
 type FaultySnapshotStore struct {
-	inner server.RawSnapshotStore
+	inner snapshot.RawStore
 	inj   *Injector
 }
 
 // NewFaultySnapshotStore wraps inner with the injector's disk faults. A
 // nil injector yields a transparent passthrough.
-func NewFaultySnapshotStore(inner server.RawSnapshotStore, inj *Injector) *FaultySnapshotStore {
+func NewFaultySnapshotStore(inner snapshot.RawStore, inj *Injector) *FaultySnapshotStore {
 	return &FaultySnapshotStore{inner: inner, inj: inj}
 }
 
-// Save implements server.SnapshotStore. An EIO fault fails the save
+// Save implements snapshot.Store. An EIO fault fails the save
 // without touching the disk; a torn-write fault lets the save land, then
 // truncates the stored bytes mid-file — the state a power loss between
 // write and fsync leaves behind.
-func (f *FaultySnapshotStore) Save(snap *server.SessionSnapshot) error {
+func (f *FaultySnapshotStore) Save(snap *snapshot.Session) error {
 	p := f.inj.planSave(snap.ID)
 	if p.eio {
 		return fmt.Errorf("%w: saving %q", ErrInjectedIO, snap.ID)
@@ -58,10 +58,10 @@ func (f *FaultySnapshotStore) tear(id string, frac float64) error {
 	return f.inner.SaveRaw(id, buf[:cut])
 }
 
-// Load implements server.SnapshotStore. A corrupt fault flips one stored
+// Load implements snapshot.Store. A corrupt fault flips one stored
 // bit before delegating, so the inner store's checksum verification is
 // what turns the rot into ErrNoSnapshot.
-func (f *FaultySnapshotStore) Load(id string) (*server.SessionSnapshot, error) {
+func (f *FaultySnapshotStore) Load(id string) (*snapshot.Session, error) {
 	if corrupt, draw := f.inj.planLoad(id); corrupt {
 		// Best-effort: an absent file has no bits to rot.
 		_ = f.corruptRaw(id, draw)
@@ -69,7 +69,7 @@ func (f *FaultySnapshotStore) Load(id string) (*server.SessionSnapshot, error) {
 	return f.inner.Load(id)
 }
 
-// Delete implements server.SnapshotStore (passthrough).
+// Delete implements snapshot.Store (passthrough).
 func (f *FaultySnapshotStore) Delete(id string) error { return f.inner.Delete(id) }
 
 // CorruptNow deterministically flips one bit of id's stored snapshot,

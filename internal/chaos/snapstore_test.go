@@ -5,27 +5,28 @@ import (
 	"testing"
 	"time"
 
-	"rebudget/internal/server"
+	"rebudget/internal/api"
+	"rebudget/internal/snapshot"
 )
 
-func fileStore(t *testing.T) *server.FileSnapshotStore {
+func fileStore(t *testing.T) *snapshot.FileStore {
 	t.Helper()
-	st, err := server.NewFileSnapshotStore(t.TempDir())
+	st, err := snapshot.NewFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st
 }
 
-func testSnap(id string) *server.SessionSnapshot {
-	return &server.SessionSnapshot{
-		Version: server.SnapshotVersion,
+func testSnap(id string) *snapshot.Session {
+	return &snapshot.Session{
+		Version: snapshot.Version,
 		ID:      id,
-		Spec:    server.SessionSpec{Mechanism: "equalshare", Workload: server.WorkloadSpec{Fig3: true}},
+		Spec:    api.SessionSpec{Mechanism: "equalshare", Workload: api.WorkloadSpec{Fig3: true}},
 		Epochs:  12,
 		Health:  "healthy",
 		SavedAt: time.Unix(1700000000, 0).UTC(),
-		Market:  &server.MarketSnapshot{Demand: []float64{1.25, 2.5}, Weights: []float64{1, 1}},
+		Market:  &snapshot.Market{Demand: []float64{1.25, 2.5}, Weights: []float64{1, 1}},
 	}
 }
 
@@ -75,7 +76,7 @@ func TestFaultyStoreTornWrite(t *testing.T) {
 	if len(raw) == 0 {
 		t.Fatal("torn write left nothing at all")
 	}
-	if _, err := fs.Load("torn"); !errors.Is(err, server.ErrNoSnapshot) {
+	if _, err := fs.Load("torn"); !errors.Is(err, snapshot.ErrNoSnapshot) {
 		t.Fatalf("torn snapshot: want ErrNoSnapshot, got %v", err)
 	}
 	// The same snapshot saved whole is longer than what the torn save left.
@@ -96,7 +97,7 @@ func TestFaultyStoreLoadCorruption(t *testing.T) {
 	if err := fs.Save(testSnap("rot")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Load("rot"); !errors.Is(err, server.ErrNoSnapshot) {
+	if _, err := fs.Load("rot"); !errors.Is(err, snapshot.ErrNoSnapshot) {
 		t.Fatalf("rotted snapshot: want ErrNoSnapshot, got %v", err)
 	}
 }
@@ -112,7 +113,7 @@ func TestFaultyStoreCorruptNow(t *testing.T) {
 	if err := fs.CorruptNow("script", 12345); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Load("script"); !errors.Is(err, server.ErrNoSnapshot) {
+	if _, err := fs.Load("script"); !errors.Is(err, snapshot.ErrNoSnapshot) {
 		t.Fatalf("scripted corruption: want ErrNoSnapshot, got %v", err)
 	}
 }

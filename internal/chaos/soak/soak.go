@@ -40,11 +40,13 @@ import (
 	"sync"
 	"time"
 
+	"rebudget/internal/api"
 	"rebudget/internal/chaos"
 	"rebudget/internal/e2e"
 	"rebudget/internal/router"
 	"rebudget/internal/server"
 	"rebudget/internal/server/client"
+	"rebudget/internal/snapshot"
 )
 
 // The soak's shape. The per-session epoch target, steps/(2·sessions), is low
@@ -158,7 +160,7 @@ func Run(eh *e2e.Harness, seed uint64) Result {
 	ctx := h.Ctx
 	ids := sessionIDs()
 	events := Schedule(seed)
-	specs := make(map[string]server.SessionSpec, len(ids))
+	specs := make(map[string]api.SessionSpec, len(ids))
 	for i, id := range ids {
 		specs[id] = specFor(i, id)
 	}
@@ -171,7 +173,7 @@ func Run(eh *e2e.Harness, seed uint64) Result {
 	h.Logf("baseline captured (%d sessions, comparison epochs %d-%d)", len(ids), target+1, target+window)
 
 	// --- the tier under test ---
-	files, err := server.NewFileSnapshotStore(filepath.Join(h.Dir(), "snapshots"))
+	files, err := snapshot.NewFileStore(filepath.Join(h.Dir(), "snapshots"))
 	h.Must(err)
 	// Background network noise on the data path; the scripted windows
 	// (partitions, latency spikes) layer on top. Disk-fault rates stay
@@ -455,17 +457,17 @@ func (h *harness) addShard() {
 
 // specFor builds the mixed population: even slots re-solve the analytic
 // market each epoch, odd slots step the execution-driven sim chip.
-func specFor(i int, id string) server.SessionSpec {
+func specFor(i int, id string) api.SessionSpec {
 	if i%2 == 0 {
-		return server.SessionSpec{
-			ID: id, Workload: server.WorkloadSpec{Fig3: true}, Mechanism: "rebudget-0.05",
+		return api.SessionSpec{
+			ID: id, Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "rebudget-0.05",
 		}
 	}
-	return server.SessionSpec{
-		ID: id, Mode: server.ModeSim,
-		Workload:  server.WorkloadSpec{Fig3: true},
+	return api.SessionSpec{
+		ID: id, Mode: api.ModeSim,
+		Workload:  api.WorkloadSpec{Fig3: true},
 		Mechanism: "rebudget-0.05",
-		Sim:       &server.SimSpec{Seed: uint64(i), WarmupEpochs: 1, ReallocEvery: 1},
+		Sim:       &api.SimSpec{Seed: uint64(i), WarmupEpochs: 1, ReallocEvery: 1},
 	}
 }
 
@@ -486,7 +488,7 @@ func specFor(i int, id string) server.SessionSpec {
 // drained last. Every copy is on the same deterministic trajectory, so the
 // comparison holds at whatever epoch it lands on; a copy beyond the window
 // has no baseline and fails as a divergence.
-func (h *harness) baselineViews(ids []string, specs map[string]server.SessionSpec) map[string]map[int64]string {
+func (h *harness) baselineViews(ids []string, specs map[string]api.SessionSpec) map[string]map[int64]string {
 	srv := server.New(server.Config{Logger: h.quiet})
 	defer srv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -518,7 +520,7 @@ func (h *harness) baselineViews(ids []string, specs map[string]server.SessionSpe
 // allocations, budgets, utilities, lambdas, bounds, chip frequencies and
 // epoch counts. Two runs agree here only if the allocation pipeline was
 // bit-identical.
-func (h *harness) canonicalView(v server.SessionView) string {
+func (h *harness) canonicalView(v api.SessionView) string {
 	v.CreatedAt, v.LastUsed = time.Time{}, time.Time{}
 	v.LastError = ""
 	if v.Alloc != nil {
@@ -529,7 +531,7 @@ func (h *harness) canonicalView(v server.SessionView) string {
 	}
 	if v.Sim != nil {
 		s := *v.Sim
-		s.Equilibrium = server.EquilibriumView{}
+		s.Equilibrium = api.EquilibriumView{}
 		v.Sim = &s
 	}
 	buf, err := json.Marshal(v)
@@ -540,7 +542,7 @@ func (h *harness) canonicalView(v server.SessionView) string {
 // createWithRetry places a session, retrying through transient chaos. A
 // 409 means a prior attempt's create landed but its response was eaten —
 // the session exists, which is what we wanted.
-func createWithRetry(ctx context.Context, c *client.Client, spec server.SessionSpec) error {
+func createWithRetry(ctx context.Context, c *client.Client, spec api.SessionSpec) error {
 	var last error
 	for try := 0; try < 8; try++ {
 		_, err := c.CreateSession(ctx, spec)
@@ -559,7 +561,7 @@ func createWithRetry(ctx context.Context, c *client.Client, spec server.SessionS
 // on a stale copy that is still behind; both only cost further steps. A 404
 // here means a probe flap homed the session's only copy on a shard that is
 // not its primary: like the convergence phase, restart it cold from its spec.
-func stepPast(ctx context.Context, c *client.Client, spec server.SessionSpec, floor int64) (server.SessionView, error) {
+func stepPast(ctx context.Context, c *client.Client, spec api.SessionSpec, floor int64) (api.SessionView, error) {
 	var lastErr error
 	for try := 0; try < 20+2*int(floor); try++ {
 		v, err := c.StepEpoch(ctx, spec.ID)
@@ -573,7 +575,7 @@ func stepPast(ctx context.Context, c *client.Client, spec server.SessionSpec, fl
 			time.Sleep(25 * time.Millisecond)
 		}
 	}
-	return server.SessionView{}, fmt.Errorf("never stepped past %d epochs (last error: %v)", floor, lastErr)
+	return api.SessionView{}, fmt.Errorf("never stepped past %d epochs (last error: %v)", floor, lastErr)
 }
 
 func isStatus(err error, code int) bool {

@@ -9,19 +9,19 @@ import (
 	"strings"
 	"time"
 
-	"rebudget/internal/server"
+	"rebudget/internal/snapshot"
 )
 
-// HTTPSnapshotStore is a server.SnapshotStore backed by a rebudget-snapstore
+// HTTPSnapshotStore is a snapshot.Store backed by a rebudget-snapstore
 // service: every shard pointed at the same base URL shares one snapshot
 // namespace, so a killed shard's sessions restore warm on any node with no
-// shared filesystem. It also implements server.RawSnapshotStore, which is
+// shared filesystem. It also implements snapshot.RawStore, which is
 // the seam the chaos layer's FaultySnapshotStore uses for torn-write and
 // bit-rot faults — damaged bytes round-trip through the service verbatim
-// and are rejected by DecodeSnapshot on the way out, exactly like the file
+// and are rejected by snapshot.Decode on the way out, exactly like the file
 // store.
 //
-// Error mapping follows the SnapshotStore contract: a 404 (absent or
+// Error mapping follows the snapshot.Store contract: a 404 (absent or
 // server-side integrity failure) is ErrNoSnapshot — a cold start — while a
 // transport failure (service down, partitioned) surfaces as a plain error
 // so the daemon counts it as load_error rather than pretending the
@@ -40,28 +40,28 @@ func NewHTTPSnapshotStore(base string, client *http.Client) *HTTPSnapshotStore {
 	return &HTTPSnapshotStore{base: strings.TrimRight(base, "/"), client: client}
 }
 
-// Save implements SnapshotStore.
-func (hs *HTTPSnapshotStore) Save(snap *server.SessionSnapshot) error {
-	buf, err := server.EncodeSnapshot(snap)
+// Save implements snapshot.Store.
+func (hs *HTTPSnapshotStore) Save(snap *snapshot.Session) error {
+	buf, err := snapshot.Encode(snap)
 	if err != nil {
 		return err
 	}
 	return hs.SaveRaw(snap.ID, buf)
 }
 
-// Load implements SnapshotStore.
-func (hs *HTTPSnapshotStore) Load(id string) (*server.SessionSnapshot, error) {
+// Load implements snapshot.Store.
+func (hs *HTTPSnapshotStore) Load(id string) (*snapshot.Session, error) {
 	buf, err := hs.LoadRaw(id)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, server.ErrNoSnapshot
+			return nil, snapshot.ErrNoSnapshot
 		}
 		return nil, err
 	}
-	return server.DecodeSnapshot(id, buf)
+	return snapshot.Decode(id, buf)
 }
 
-// Delete implements SnapshotStore; deleting an absent snapshot is not an
+// Delete implements snapshot.Store; deleting an absent snapshot is not an
 // error.
 func (hs *HTTPSnapshotStore) Delete(id string) error {
 	req, err := http.NewRequest(http.MethodDelete, hs.blobURL(id), nil)
@@ -79,7 +79,7 @@ func (hs *HTTPSnapshotStore) Delete(id string) error {
 	return nil
 }
 
-// SaveRaw implements RawSnapshotStore: data lands verbatim.
+// SaveRaw implements snapshot.RawStore: data lands verbatim.
 func (hs *HTTPSnapshotStore) SaveRaw(id string, data []byte) error {
 	req, err := http.NewRequest(http.MethodPut, hs.blobURL(id), bytes.NewReader(data))
 	if err != nil {
@@ -97,8 +97,10 @@ func (hs *HTTPSnapshotStore) SaveRaw(id string, data []byte) error {
 	return nil
 }
 
-// LoadRaw implements RawSnapshotStore; os.ErrNotExist when the service
-// holds no (usable) blob for id.
+// LoadRaw implements snapshot.RawStore; os.ErrNotExist when the service
+// holds no (usable) blob for id. A body over snapshot.MaxBytes is an error
+// (a load_error on the daemon, not a cold start), read no further than the
+// bound: the service never stores one, so something else is answering.
 func (hs *HTTPSnapshotStore) LoadRaw(id string) ([]byte, error) {
 	resp, err := hs.client.Get(hs.blobURL(id))
 	if err != nil {
@@ -113,7 +115,13 @@ func (hs *HTTPSnapshotStore) LoadRaw(id string) ([]byte, error) {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return nil, fmt.Errorf("snapstore get %s: %s", id, resp.Status)
 	}
-	return io.ReadAll(resp.Body)
+	if resp.ContentLength <= snapshot.MaxBytes {
+		buf, err := io.ReadAll(io.LimitReader(resp.Body, snapshot.MaxBytes+1))
+		if err != nil || len(buf) <= snapshot.MaxBytes {
+			return buf, err
+		}
+	}
+	return nil, fmt.Errorf("snapstore get %s: body over %d bytes", id, snapshot.MaxBytes)
 }
 
 func (hs *HTTPSnapshotStore) blobURL(id string) string {

@@ -4,11 +4,11 @@ import (
 	"errors"
 	"fmt"
 
-	"rebudget/internal/server"
+	"rebudget/internal/snapshot"
 )
 
-// ReplicatedSnapshotStore fans one SnapshotStore contract out over N
-// replicas (typically MemorySnapshotStores on different nodes, or a mix of
+// ReplicatedSnapshotStore fans one snapshot.Store contract out over N
+// replicas (typically snapshot.MemoryStores on different nodes, or a mix of
 // HTTP stores): writes go to every replica, reads return the freshest copy
 // any replica holds and repair the rest. One intact replica is enough to
 // restore warm — corrupt or torn copies elsewhere degrade to that replica's
@@ -19,12 +19,12 @@ import (
 // so the replica that saw the most recent retire wins and a stale replica
 // can never roll a session backwards.
 type ReplicatedSnapshotStore struct {
-	replicas []server.SnapshotStore
+	replicas []snapshot.Store
 }
 
 // NewReplicatedSnapshotStore builds a store over the given replicas (at
 // least one required).
-func NewReplicatedSnapshotStore(replicas ...server.SnapshotStore) (*ReplicatedSnapshotStore, error) {
+func NewReplicatedSnapshotStore(replicas ...snapshot.Store) (*ReplicatedSnapshotStore, error) {
 	if len(replicas) == 0 {
 		return nil, errors.New("replicated snapshot store: at least one replica required")
 	}
@@ -36,10 +36,10 @@ func NewReplicatedSnapshotStore(replicas ...server.SnapshotStore) (*ReplicatedSn
 	return &ReplicatedSnapshotStore{replicas: replicas}, nil
 }
 
-// Save implements SnapshotStore: the write fans out to every replica and
+// Save implements snapshot.Store: the write fans out to every replica and
 // succeeds while at least one replica accepted it — a down replica costs
 // redundancy, not the snapshot. All-replicas-failed is the only error.
-func (rs *ReplicatedSnapshotStore) Save(snap *server.SessionSnapshot) error {
+func (rs *ReplicatedSnapshotStore) Save(snap *snapshot.Session) error {
 	var firstErr error
 	ok := 0
 	for _, r := range rs.replicas {
@@ -57,17 +57,17 @@ func (rs *ReplicatedSnapshotStore) Save(snap *server.SessionSnapshot) error {
 	return nil
 }
 
-// Load implements SnapshotStore: every replica is consulted, the freshest
+// Load implements snapshot.Store: every replica is consulted, the freshest
 // usable snapshot wins, and replicas holding nothing or something staler
 // are repaired with it (self-heal — the read path is also the anti-entropy
 // path). ErrNoSnapshot only when no replica holds a usable copy.
-func (rs *ReplicatedSnapshotStore) Load(id string) (*server.SessionSnapshot, error) {
-	var best *server.SessionSnapshot
+func (rs *ReplicatedSnapshotStore) Load(id string) (*snapshot.Session, error) {
+	var best *snapshot.Session
 	var loadErr error
 	for _, r := range rs.replicas {
 		snap, err := r.Load(id)
 		if err != nil {
-			if !errors.Is(err, server.ErrNoSnapshot) && loadErr == nil {
+			if !errors.Is(err, snapshot.ErrNoSnapshot) && loadErr == nil {
 				loadErr = err
 			}
 			continue
@@ -80,7 +80,7 @@ func (rs *ReplicatedSnapshotStore) Load(id string) (*server.SessionSnapshot, err
 		if loadErr != nil {
 			return nil, fmt.Errorf("replicated snapshot store: %w", loadErr)
 		}
-		return nil, server.ErrNoSnapshot
+		return nil, snapshot.ErrNoSnapshot
 	}
 	// Repair: re-save the winner everywhere it is missing, unusable, or
 	// stale. Best-effort — a replica that rejects the repair stays stale
@@ -95,7 +95,7 @@ func (rs *ReplicatedSnapshotStore) Load(id string) (*server.SessionSnapshot, err
 	return best, nil
 }
 
-// Delete implements SnapshotStore: fan-out, tolerating individual replica
+// Delete implements snapshot.Store: fan-out, tolerating individual replica
 // failures the same way Save does.
 func (rs *ReplicatedSnapshotStore) Delete(id string) error {
 	var firstErr error
@@ -117,7 +117,7 @@ func (rs *ReplicatedSnapshotStore) Delete(id string) error {
 
 // fresher reports whether a should be preferred over b: more served epochs
 // first, later save time as the tie-break.
-func fresher(a, b *server.SessionSnapshot) bool {
+func fresher(a, b *snapshot.Session) bool {
 	if a.Epochs != b.Epochs {
 		return a.Epochs > b.Epochs
 	}

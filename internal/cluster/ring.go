@@ -3,7 +3,7 @@
 // stopped being a boot-time constant), the moved-key computation that turns
 // a ring change into a minimal migration plan, gossip digests that let N
 // router replicas converge on one view of shard health, and non-filesystem
-// SnapshotStore backends (an HTTP blob service and an in-process N-way
+// snapshot.Store backends (an HTTP blob service and an in-process N-way
 // replicated store) so a shard's sessions restore warm on any node without
 // shared disk. The ring math is deliberately deterministic and replica-
 // independent: two routers holding the same member list compute identical

@@ -7,11 +7,12 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"regexp"
 	"sync"
 	"time"
 
+	"rebudget/internal/api"
 	"rebudget/internal/expo"
+	"rebudget/internal/snapshot"
 )
 
 // SnapServer is the HTTP snapshot service behind cmd/rebudget-snapstore: a
@@ -19,7 +20,7 @@ import (
 // stops requiring a shared filesystem. Bytes are opaque to the service —
 // the snapshot format (JSON + checksum) belongs to the client side, which
 // is exactly what lets the chaos layer's torn-write and bit-rot faults
-// pass through to storage and come back out for DecodeSnapshot to reject.
+// pass through to storage and come back out for snapshot.Decode to reject.
 //
 // Every PUT records the body's SHA-256 and CRC32; every GET re-hashes the
 // blob and checks both. A mismatch — storage rot — answers 404, which the
@@ -42,16 +43,11 @@ type blob struct {
 	crc  uint32
 }
 
-// snapIDPattern mirrors the daemon's session-id discipline: addresses in
-// the store namespace stay shell- and URL-safe.
-var snapIDPattern = regexp.MustCompile(`^[A-Za-z0-9_-]{1,64}$`)
-
 // NewSnapServer builds an empty snapshot service. maxBody <= 0 selects
-// 4 MiB (snapshots are bounded JSON, but sim journals can be long);
-// logger nil selects slog.Default().
+// snapshot.MaxBytes; logger nil selects slog.Default().
 func NewSnapServer(maxBody int64, logger *slog.Logger) *SnapServer {
 	if maxBody <= 0 {
-		maxBody = 4 << 20
+		maxBody = snapshot.MaxBytes
 	}
 	if logger == nil {
 		logger = slog.Default()
@@ -84,7 +80,7 @@ func (ss *SnapServer) Len() int {
 
 func (ss *SnapServer) handlePut(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if !snapIDPattern.MatchString(id) {
+	if !api.ValidID(id) {
 		http.Error(w, "unstorable id", http.StatusBadRequest)
 		return
 	}

@@ -11,25 +11,27 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"rebudget/internal/server"
+	"rebudget/internal/api"
+	"rebudget/internal/snapshot"
 )
 
 func discardLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-func clusterSnap(id string, epochs int) *server.SessionSnapshot {
-	return &server.SessionSnapshot{
-		Version: server.SnapshotVersion,
+func clusterSnap(id string, epochs int) *snapshot.Session {
+	return &snapshot.Session{
+		Version: snapshot.Version,
 		ID:      id,
-		Spec:    server.SessionSpec{Mechanism: "equalshare", Workload: server.WorkloadSpec{Fig3: true}},
+		Spec:    api.SessionSpec{Mechanism: "equalshare", Workload: api.WorkloadSpec{Fig3: true}},
 		Epochs:  int64(epochs),
 		Health:  "healthy",
 		SavedAt: time.Unix(1700000000+int64(epochs), 0).UTC(),
-		Market:  &server.MarketSnapshot{Demand: []float64{1.25, 2.5}, Weights: []float64{1, 1}},
+		Market:  &snapshot.Market{Demand: []float64{1.25, 2.5}, Weights: []float64{1, 1}},
 	}
 }
 
@@ -58,7 +60,7 @@ func TestHTTPStoreRoundTrip(t *testing.T) {
 	if err := hs.Delete("rt"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hs.Load("rt"); !errors.Is(err, server.ErrNoSnapshot) {
+	if _, err := hs.Load("rt"); !errors.Is(err, snapshot.ErrNoSnapshot) {
 		t.Fatalf("after delete: want ErrNoSnapshot, got %v", err)
 	}
 	// Deleting again (absent) is not an error, matching the file store.
@@ -69,7 +71,7 @@ func TestHTTPStoreRoundTrip(t *testing.T) {
 
 func TestHTTPStoreMissingIsErrNoSnapshot(t *testing.T) {
 	hs, _ := newHTTPStore(t)
-	if _, err := hs.Load("ghost"); !errors.Is(err, server.ErrNoSnapshot) {
+	if _, err := hs.Load("ghost"); !errors.Is(err, snapshot.ErrNoSnapshot) {
 		t.Fatalf("want ErrNoSnapshot, got %v", err)
 	}
 	if _, err := hs.LoadRaw("ghost"); !os.IsNotExist(err) {
@@ -88,12 +90,48 @@ func TestHTTPStoreTransportErrorIsNotErrNoSnapshot(t *testing.T) {
 		t.Fatal("save against a dead service should fail")
 	}
 	_, err := hs.Load("down")
-	if err == nil || errors.Is(err, server.ErrNoSnapshot) {
+	if err == nil || errors.Is(err, snapshot.ErrNoSnapshot) {
 		t.Fatalf("dead service must not masquerade as ErrNoSnapshot: %v", err)
 	}
 }
 
 // Raw bytes round-trip verbatim — the seam chaos faults ride through.
+// A body over snapshot.MaxBytes, which the snapshot service never stores,
+// is a load error and not ErrNoSnapshot, whether or not it announces its
+// length; the chunked body is never read to its end.
+func TestHTTPStoreRefusesOversizeBody(t *testing.T) {
+	for _, announce := range []bool{true, false} {
+		var served atomic.Int64
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			size := snapshot.MaxBytes + 1
+			if announce {
+				w.Header().Set("Content-Length", strconv.Itoa(size))
+			} else {
+				size = 4 * snapshot.MaxBytes
+			}
+			chunk := bytes.Repeat([]byte{' '}, 64<<10)
+			for left := size; left > 0; left -= len(chunk) {
+				n, err := w.Write(chunk[:min(left, len(chunk))])
+				served.Add(int64(n))
+				if err != nil {
+					return
+				}
+			}
+		}))
+		hs := NewHTTPSnapshotStore(srv.URL, srv.Client())
+		if buf, err := hs.LoadRaw("big"); err == nil {
+			t.Fatalf("announce=%v: LoadRaw returned %d bytes over a %d-byte bound", announce, len(buf), snapshot.MaxBytes)
+		}
+		if _, err := hs.Load("big"); err == nil || errors.Is(err, snapshot.ErrNoSnapshot) {
+			t.Fatalf("announce=%v: oversize body must be a load error, not a cold start: %v", announce, err)
+		}
+		srv.Close()
+		if !announce && served.Load() >= 8*snapshot.MaxBytes {
+			t.Fatalf("the client read both %d-byte bodies to the end", 4*snapshot.MaxBytes)
+		}
+	}
+}
+
 func TestHTTPStoreRawRoundTrip(t *testing.T) {
 	hs, _ := newHTTPStore(t)
 	torn := []byte(`{"version":3,"id":"torn","epo`) // truncated JSON
@@ -105,7 +143,7 @@ func TestHTTPStoreRawRoundTrip(t *testing.T) {
 		t.Fatalf("raw round trip: %q %v", got, err)
 	}
 	// And the decode path turns the damage into a cold start.
-	if _, err := hs.Load("torn"); !errors.Is(err, server.ErrNoSnapshot) {
+	if _, err := hs.Load("torn"); !errors.Is(err, snapshot.ErrNoSnapshot) {
 		t.Fatalf("torn bytes: want ErrNoSnapshot, got %v", err)
 	}
 }
@@ -229,7 +267,7 @@ func TestSnapServerDetectsRot(t *testing.T) {
 	if _, err := hs.LoadRaw("rot"); !os.IsNotExist(err) {
 		t.Fatalf("rotted blob: want os.ErrNotExist, got %v", err)
 	}
-	if _, err := hs.Load("rot"); !errors.Is(err, server.ErrNoSnapshot) {
+	if _, err := hs.Load("rot"); !errors.Is(err, snapshot.ErrNoSnapshot) {
 		t.Fatalf("rotted blob: want ErrNoSnapshot, got %v", err)
 	}
 }
@@ -237,9 +275,9 @@ func TestSnapServerDetectsRot(t *testing.T) {
 // --- replicated store ---
 
 func TestReplicatedStoreFreshestWinsAndRepairs(t *testing.T) {
-	r1 := server.NewMemorySnapshotStore()
-	r2 := server.NewMemorySnapshotStore()
-	r3 := server.NewMemorySnapshotStore()
+	r1 := snapshot.NewMemoryStore()
+	r2 := snapshot.NewMemoryStore()
+	r3 := snapshot.NewMemoryStore()
 	rs, err := NewReplicatedSnapshotStore(r1, r2, r3)
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +294,7 @@ func TestReplicatedStoreFreshestWinsAndRepairs(t *testing.T) {
 		t.Fatalf("load: %+v %v", got, err)
 	}
 	// The read repaired both the stale and the empty replica.
-	for i, r := range []*server.MemorySnapshotStore{r1, r3} {
+	for i, r := range []*snapshot.MemoryStore{r1, r3} {
 		cur, err := r.Load("f")
 		if err != nil || cur.Epochs != 9 {
 			t.Fatalf("replica %d not repaired: %+v %v", i, cur, err)
@@ -265,8 +303,8 @@ func TestReplicatedStoreFreshestWinsAndRepairs(t *testing.T) {
 }
 
 func TestReplicatedStoreSurvivesCorruptMinority(t *testing.T) {
-	r1 := server.NewMemorySnapshotStore()
-	r2 := server.NewMemorySnapshotStore()
+	r1 := snapshot.NewMemoryStore()
+	r2 := snapshot.NewMemoryStore()
 	rs, err := NewReplicatedSnapshotStore(r1, r2)
 	if err != nil {
 		t.Fatal(err)
@@ -294,21 +332,21 @@ func TestReplicatedStoreSurvivesCorruptMinority(t *testing.T) {
 }
 
 func TestReplicatedStoreAllCorruptIsColdStart(t *testing.T) {
-	r1 := server.NewMemorySnapshotStore()
-	r2 := server.NewMemorySnapshotStore()
+	r1 := snapshot.NewMemoryStore()
+	r2 := snapshot.NewMemoryStore()
 	rs, err := NewReplicatedSnapshotStore(r1, r2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []*server.MemorySnapshotStore{r1, r2} {
+	for _, r := range []*snapshot.MemoryStore{r1, r2} {
 		if err := r.SaveRaw("x", []byte("not a snapshot at all")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := rs.Load("x"); !errors.Is(err, server.ErrNoSnapshot) {
+	if _, err := rs.Load("x"); !errors.Is(err, snapshot.ErrNoSnapshot) {
 		t.Fatalf("all-corrupt: want ErrNoSnapshot, got %v", err)
 	}
-	if _, err := rs.Load("absent"); !errors.Is(err, server.ErrNoSnapshot) {
+	if _, err := rs.Load("absent"); !errors.Is(err, snapshot.ErrNoSnapshot) {
 		t.Fatalf("absent: want ErrNoSnapshot, got %v", err)
 	}
 }
@@ -316,7 +354,7 @@ func TestReplicatedStoreAllCorruptIsColdStart(t *testing.T) {
 func TestReplicatedStoreMixedBackends(t *testing.T) {
 	// A memory replica beside an HTTP replica: the interface is the seam.
 	hs, _ := newHTTPStore(t)
-	mem := server.NewMemorySnapshotStore()
+	mem := snapshot.NewMemoryStore()
 	rs, err := NewReplicatedSnapshotStore(mem, hs)
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +362,7 @@ func TestReplicatedStoreMixedBackends(t *testing.T) {
 	if err := rs.Save(clusterSnap("mix", 3)); err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range []server.SnapshotStore{mem, hs, rs} {
+	for _, st := range []snapshot.Store{mem, hs, rs} {
 		got, err := st.Load("mix")
 		if err != nil || got.Epochs != 3 {
 			t.Fatalf("%T: %+v %v", st, got, err)
@@ -333,7 +371,7 @@ func TestReplicatedStoreMixedBackends(t *testing.T) {
 	if err := rs.Delete("mix"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rs.Load("mix"); !errors.Is(err, server.ErrNoSnapshot) {
+	if _, err := rs.Load("mix"); !errors.Is(err, snapshot.ErrNoSnapshot) {
 		t.Fatalf("after delete: want ErrNoSnapshot, got %v", err)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -560,11 +561,176 @@ func (a *analysis) markInterfaceMethods(all []*pkg) {
 	}
 }
 
+// layer is one rule of the package graph: the non-test build of each of
+// pkgs depends on no module package that deny names. Paths are
+// module-relative.
+type layer struct {
+	pkgs []string
+	deny func(dep string) bool
+	why  string
+}
+
+// layers is the module's graph rule. What speaks the wire contract or the
+// snapshot format links neither the daemon nor the engine behind it, and
+// the contract packages stand on nothing but the contract.
+var layers = []layer{
+	{
+		pkgs: []string{"internal/router", "internal/cluster", "internal/loadgen", "internal/chaos",
+			"internal/server/client", "internal/api", "internal/snapshot",
+			"cmd/rebudget-router", "cmd/rebudget-snapstore", "cmd/rebudget-loadgen"},
+		deny: func(dep string) bool {
+			return dep == "internal/server" || dep == "internal/market" || dep == "internal/cmpsim"
+		},
+		why: "speaks the wire contract, not the engine",
+	},
+	{
+		pkgs: []string{"internal/api", "internal/snapshot"},
+		deny: func(dep string) bool { return dep != "internal/api" },
+		why:  "is the contract: it imports only internal/api",
+	},
+}
+
+// graphFindings reports, for each layer, every denied module package a
+// listed package depends on, with one import chain that reaches it. The
+// graph is the type-checked imports of the non-test files load parsed.
+func (p *program) graphFindings(mod string, layers []layer) []string {
+	rel := func(path string) string { return strings.TrimPrefix(path, mod+"/") }
+	var out []string
+	for _, l := range layers {
+		for _, name := range l.pkgs {
+			q := p.byPath[mod+"/"+name]
+			if q == nil {
+				out = append(out, name+" is not a package of the module")
+				continue
+			}
+			// Breadth first over the module's packages, so each chain
+			// reported is a shortest one.
+			via := map[*types.Package]*types.Package{q.types: nil}
+			queue := []*types.Package{q.types}
+			for len(queue) > 0 {
+				at := queue[0]
+				queue = queue[1:]
+				for _, imp := range at.Imports() {
+					if _, seen := via[imp]; seen || !strings.HasPrefix(imp.Path(), mod+"/") {
+						continue
+					}
+					via[imp] = at
+					queue = append(queue, imp)
+					if !l.deny(rel(imp.Path())) {
+						continue
+					}
+					chain := []string{rel(imp.Path())}
+					for from := at; from != nil; from = via[from] {
+						chain = append([]string{rel(from.Path())}, chain...)
+					}
+					out = append(out, fmt.Sprintf("%s %s, but depends on %s (%s)",
+						name, l.why, rel(imp.Path()), strings.Join(chain, " → ")))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// tree is the module, loaded once for the checks that share it.
+var tree = sync.OnceValues(func() (*program, error) { return load("../..", "rebudget") })
+
+// TestPackageGraph holds the module to layers.
+func TestPackageGraph(t *testing.T) {
+	p, err := tree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range p.graphFindings("rebudget", layers) {
+		t.Error(f)
+	}
+}
+
+// compat is the file that keeps the frozen benchmark's spellings of moved
+// names; nothing else in the module may spell them.
+const compat = "internal/server/bench_compat.go"
+
+// TestBenchCompatUnused fails on any file of the module, tests included,
+// outside frozen code and compat itself that spells a name compat
+// declares: server.X in any package, a bare X in internal/server. It also
+// holds compat's types to aliases: a defined type would drop the methods,
+// api.SessionView's one-pass UnmarshalJSON among them.
+func TestBenchCompatUnused(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, filepath.Join("../..", compat), nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			names[d.Name.Name] = true
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					names[s.Name.Name] = true
+					if !s.Assign.IsValid() {
+						t.Errorf("%s: %s must be an alias (type %[2]s = …)", fset.Position(s.Pos()), s.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for _, id := range s.Names {
+						names[id.Name] = true
+					}
+				}
+			}
+		}
+	}
+	if len(names) == 0 {
+		t.Fatalf("%s declares nothing", compat)
+	}
+	err = filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel := filepath.ToSlash(strings.TrimPrefix(path, "../../"))
+		if d.IsDir() {
+			if path != "../.." && (unchecked(rel) || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || rel == compat {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		inServer := filepath.ToSlash(filepath.Dir(rel)) == "internal/server"
+		sels := map[*ast.Ident]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				sels[n.Sel] = true
+				if x, ok := n.X.(*ast.Ident); ok && x.Name == "server" && names[n.Sel.Name] {
+					t.Errorf("%s: server.%s: spell the internal/api or internal/snapshot name", fset.Position(n.Pos()), n.Sel.Name)
+				}
+			case *ast.Ident:
+				if inServer && names[n.Name] && !sels[n] {
+					t.Errorf("%s: %s: spell the internal/api or internal/snapshot name", fset.Position(n.Pos()), n.Name)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTreeIsSmall is the check itself: every declaration of the module's
 // non-test code is used, every field is read, and every Config or Spec field
 // has a writer.
 func TestTreeIsSmall(t *testing.T) {
-	p, err := load("../..", "rebudget")
+	p, err := tree()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -618,5 +784,17 @@ func TestFixtureFindings(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	got = p.graphFindings("fixture", []layer{
+		{pkgs: []string{"cmd/tool"}, deny: func(dep string) bool { return dep == "q" }, why: "stays off q"},
+		{pkgs: []string{"p", "q"}, deny: func(dep string) bool { return dep == "cmd/tool" }, why: "stays off cmd/tool"},
+		{pkgs: []string{"gone"}, deny: func(string) bool { return true }, why: "is checked"},
+	})
+	want = []string{
+		"cmd/tool stays off q, but depends on q (cmd/tool → p → q)",
+		"gone is not a package of the module",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("graph findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

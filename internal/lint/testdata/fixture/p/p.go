@@ -1,6 +1,8 @@
 // Package p holds one case of each kind the analyser must tell apart.
 package p
 
+import "fixture/q"
+
 // Config has a field its default copies from a parameter (Cores), one only
 // its default sets (Fixed), and a wire field nothing reads (Label).
 type Config struct {
@@ -28,7 +30,7 @@ func (s Spec) withDefaults() Spec {
 func Run(c Config, s Spec) float64 {
 	var t tally
 	s = s.withDefaults()
-	return float64(t.note(c.Cores)+len(s.Name)+s.Depth) * c.Fixed
+	return q.Scale(float64(t.note(c.Cores)+len(s.Name)+s.Depth) * c.Fixed)
 }
 
 func dead() int { return onlyFromDead() }

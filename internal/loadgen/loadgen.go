@@ -31,7 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rebudget/internal/server"
+	"rebudget/internal/api"
 	"rebudget/internal/server/client"
 )
 
@@ -457,7 +457,7 @@ func parseTenantMix(arg string) ([]tenantMix, error) {
 // and, under a tenant mix, the tenant it is labelled with.
 type member struct {
 	class  string // "cheap" or "expensive"
-	spec   server.SessionSpec
+	spec   api.SessionSpec
 	tenant tenantMix
 }
 
@@ -466,12 +466,12 @@ type member struct {
 // weight. The same seed yields the same population.
 func buildMix(cfg Config, tenants []tenantMix, rng *rand.Rand) []member {
 	cold := false
-	cheap := server.SessionSpec{
-		Workload:  server.WorkloadSpec{Category: "CPBN", Cores: cfg.CheapCores},
+	cheap := api.SessionSpec{
+		Workload:  api.WorkloadSpec{Category: "CPBN", Cores: cfg.CheapCores},
 		Mechanism: cfg.CheapMech,
 	}
-	expensive := server.SessionSpec{
-		Workload:  server.WorkloadSpec{Category: "CPBN", Cores: expensiveCores},
+	expensive := api.SessionSpec{
+		Workload:  api.WorkloadSpec{Category: "CPBN", Cores: expensiveCores},
 		Mechanism: cfg.ExpensiveMech,
 		WarmStart: &cold,
 	}
@@ -515,9 +515,9 @@ func buildMix(cfg Config, tenants []tenantMix, rng *rand.Rand) []member {
 func residents(cfg Config) []member {
 	pop := make([]member, cfg.Resident)
 	for i := range pop {
-		pop[i] = member{class: "resident", spec: server.SessionSpec{
+		pop[i] = member{class: "resident", spec: api.SessionSpec{
 			ID:        fmt.Sprintf("dn-%06d", i),
-			Workload:  server.WorkloadSpec{Category: "CPBN", Cores: residentCores, Seed: uint64(cfg.Seed)*1_000_003 + uint64(i)},
+			Workload:  api.WorkloadSpec{Category: "CPBN", Cores: residentCores, Seed: uint64(cfg.Seed)*1_000_003 + uint64(i)},
 			Mechanism: residentMech,
 		}}
 	}
@@ -590,7 +590,7 @@ func percentile(sorted []float64, p float64) float64 {
 
 // createWithRetry rides out transient 429s during the setup burst: session
 // creation also passes admission, and a saturated daemon may push back.
-func createWithRetry(ctx context.Context, cl *client.Client, spec server.SessionSpec) (server.SessionView, error) {
+func createWithRetry(ctx context.Context, cl *client.Client, spec api.SessionSpec) (api.SessionView, error) {
 	for {
 		view, err := cl.CreateSession(ctx, spec)
 		if err == nil || !client.IsBusy(err) {
@@ -603,7 +603,7 @@ func createWithRetry(ctx context.Context, cl *client.Client, spec server.Session
 		}
 		select {
 		case <-ctx.Done():
-			return server.SessionView{}, ctx.Err()
+			return api.SessionView{}, ctx.Err()
 		case <-time.After(wait):
 		}
 	}

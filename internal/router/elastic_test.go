@@ -13,16 +13,18 @@ import (
 	"testing"
 	"time"
 
+	"rebudget/internal/api"
 	"rebudget/internal/server"
 	"rebudget/internal/server/client"
+	"rebudget/internal/snapshot"
 )
 
 // newElasticTier boots n shards over one shared in-memory snapshot store
 // plus an elastic router (admin token "secret", fast migrator, probes
 // driven explicitly by tests).
-func newElasticTier(t *testing.T, n int, extra func(*Config)) ([]*shard, *server.MemorySnapshotStore, *Router, string) {
+func newElasticTier(t *testing.T, n int, extra func(*Config)) ([]*shard, *snapshot.MemoryStore, *Router, string) {
 	t.Helper()
-	snaps := server.NewMemorySnapshotStore()
+	snaps := snapshot.NewMemoryStore()
 	shards := make([]*shard, n)
 	bases := make([]string, n)
 	for i := range shards {
@@ -276,7 +278,7 @@ func TestAdminAPIOverHTTP(t *testing.T) {
 	// The epoch header rides every response (stamped at request start, so
 	// the new epoch shows from the next request on).
 	resp, _ = do(http.MethodGet, "/admin/membership", "secret", nil)
-	if got := resp.Header.Get(server.EpochHeader); got != "2" {
+	if got := resp.Header.Get(api.EpochHeader); got != "2" {
 		t.Fatalf("epoch header after add = %q, want \"2\"", got)
 	}
 
@@ -296,7 +298,7 @@ func TestAdminAPIOverHTTP(t *testing.T) {
 // Two router replicas converge on a killed shard within one gossip round
 // (full mesh of two) — the pinned convergence bound.
 func TestGossipConvergesOnKilledShard(t *testing.T) {
-	snaps := server.NewMemorySnapshotStore()
+	snaps := snapshot.NewMemoryStore()
 	shardA := newShard(t, server.Config{Snapshots: snaps})
 	shardB := newShard(t, server.Config{Snapshots: snaps})
 	bases := []string{shardA.ts.URL, shardB.ts.URL}
@@ -359,7 +361,7 @@ func TestGossipConvergesOnKilledShard(t *testing.T) {
 // A membership change on one replica reaches its peer through gossip:
 // epoch, member list, and routing all follow.
 func TestGossipPropagatesMembership(t *testing.T) {
-	snaps := server.NewMemorySnapshotStore()
+	snaps := snapshot.NewMemoryStore()
 	shardA := newShard(t, server.Config{Snapshots: snaps})
 	shardB := newShard(t, server.Config{Snapshots: snaps})
 	bases := []string{shardA.ts.URL, shardB.ts.URL}
@@ -476,7 +478,7 @@ func TestFixedMembershipSurface(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		resp, _ := do(ts.URL, http.MethodPost, "/v1/sessions/fixed/epoch")
-		if got := resp.Header.Get(server.EpochHeader); resp.StatusCode != http.StatusOK || got != "1" {
+		if got := resp.Header.Get(api.EpochHeader); resp.StatusCode != http.StatusOK || got != "1" {
 			t.Fatalf("request %d: status %d, epoch header %q, want 200 and \"1\"", i, resp.StatusCode, got)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rebudget/internal/api"
 	"rebudget/internal/numeric"
 )
 
@@ -54,12 +55,6 @@ func (b *backend) observation() (healthy bool, seq uint64) {
 	return b.healthy.Load(), b.obsSeq.Load()
 }
 
-// healthzBody mirrors the daemon's /healthz response.
-type healthzBody struct {
-	Status   string `json:"status"`
-	Sessions int    `json:"sessions"`
-}
-
 // probe checks one backend's /healthz and updates its state, reporting
 // whether the backend is healthy.
 func (b *backend) probe(ctx context.Context, client *http.Client) bool {
@@ -75,7 +70,7 @@ func (b *backend) probe(ctx context.Context, client *http.Client) bool {
 		return false
 	}
 	defer resp.Body.Close()
-	var body healthzBody
+	var body api.Healthz
 	ok := resp.StatusCode == http.StatusOK &&
 		json.NewDecoder(resp.Body).Decode(&body) == nil && body.Status == "ok"
 	if ok {

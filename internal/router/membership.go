@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"rebudget/internal/api"
 	"rebudget/internal/cluster"
 )
 
@@ -247,11 +248,7 @@ func (rt *Router) listShardResidents(ctx context.Context, b *backend) []string {
 		return nil
 	}
 	defer resp.Body.Close()
-	var out struct {
-		Sessions []struct {
-			ID string `json:"id"`
-		} `json:"sessions"`
-	}
+	var out api.SessionList
 	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&out) != nil {
 		return nil
 	}

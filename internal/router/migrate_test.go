@@ -11,6 +11,7 @@ import (
 
 	"rebudget/internal/server"
 	"rebudget/internal/server/client"
+	"rebudget/internal/snapshot"
 )
 
 // Cross-shard migration under churn: sessions step continuously through the
@@ -19,7 +20,7 @@ import (
 // lost progress — with only transient errors during the handoff. Run with
 // -race (make race-router): the interesting failures here are concurrent.
 func TestMigrationUnderChurn(t *testing.T) {
-	st, err := server.NewFileSnapshotStore(t.TempDir())
+	st, err := snapshot.NewFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

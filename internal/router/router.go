@@ -21,15 +21,16 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"rebudget/internal/api"
 	"rebudget/internal/cluster"
 	"rebudget/internal/expo"
-	"rebudget/internal/server"
 )
 
 // probeTimeout bounds one probe sweep, a joining shard's admission probe
@@ -242,7 +243,7 @@ func (rt *Router) Handler() http.Handler {
 		start := time.Now()
 		// The epoch header is how a caller learns membership moved between
 		// two of its requests.
-		w.Header().Set(server.EpochHeader, strconv.FormatUint(rt.epoch.Load(), 10))
+		w.Header().Set(api.EpochHeader, strconv.FormatUint(rt.epoch.Load(), 10))
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		rt.mux.ServeHTTP(rec, r)
 		dur := time.Since(start)
@@ -545,7 +546,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, b *backend, id
 	// the shard from this header, so tenancy works through the router. The
 	// client's bearer token is forwarded for keyed shards; when the client
 	// sent none, the router's own backend key (if any) fills the hop.
-	for _, h := range []string{"Content-Type", server.TenantHeader, "Authorization"} {
+	for _, h := range []string{"Content-Type", api.TenantHeader, "Authorization"} {
 		if v := r.Header.Get(h); v != "" {
 			req.Header.Set(h, v)
 		}
@@ -600,7 +601,7 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	var spec server.SessionSpec
+	var spec api.SessionSpec
 	if raw.Len() > 0 {
 		dec := json.NewDecoder(bytes.NewReader(raw.Bytes()))
 		dec.DisallowUnknownFields()
@@ -643,7 +644,8 @@ func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleList fans a list out to every healthy shard and merges the views.
+// handleList fans a list out to every healthy shard and merges the views,
+// most recently used first like a single daemon's list (ties by id).
 // Shards that fail mid-list are skipped (and marked) rather than failing
 // the whole listing — a partial inventory beats none during an outage.
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
@@ -651,7 +653,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	order := rt.activeBackends()
 	type shardList struct {
-		views []server.SessionView
+		views []api.SessionView
 		err   error
 	}
 	results := make([]shardList, len(order))
@@ -675,9 +677,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			defer resp.Body.Close()
-			var out struct {
-				Sessions []server.SessionView `json:"sessions"`
-			}
+			var out api.SessionList
 			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 				results[i].err = err
 				return
@@ -686,11 +686,17 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		}(i, b)
 	}
 	wg.Wait()
-	merged := []server.SessionView{}
+	merged := api.SessionList{Sessions: []api.SessionView{}}
 	for _, res := range results {
-		merged = append(merged, res.views...)
+		merged.Sessions = append(merged.Sessions, res.views...)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"sessions": merged})
+	slices.SortFunc(merged.Sessions, func(a, b api.SessionView) int {
+		if c := b.LastUsed.Compare(a.LastUsed); c != 0 {
+			return c
+		}
+		return strings.Compare(a.ID, b.ID)
+	})
+	writeJSON(w, http.StatusOK, merged)
 }
 
 // ShardHealth is one backend's state in the router's /healthz body.
@@ -764,5 +770,5 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func writeErr(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+	writeJSON(w, code, api.Error{Error: msg})
 }

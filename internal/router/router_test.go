@@ -9,10 +9,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"rebudget/internal/api"
 	"rebudget/internal/server"
 	"rebudget/internal/server/client"
 )
@@ -57,7 +59,7 @@ func newTier(t *testing.T, n int, cfg server.Config) ([]*shard, *Router, *client
 	return shards, rt, client.New(ts.URL)
 }
 
-func mustCreate(t *testing.T, c *client.Client, spec server.SessionSpec) server.SessionView {
+func mustCreate(t *testing.T, c *client.Client, spec api.SessionSpec) api.SessionView {
 	t.Helper()
 	v, err := c.CreateSession(context.Background(), spec)
 	if err != nil {
@@ -66,9 +68,9 @@ func mustCreate(t *testing.T, c *client.Client, spec server.SessionSpec) server.
 	return v
 }
 
-func fig3Spec(id string) server.SessionSpec {
-	return server.SessionSpec{
-		ID: id, Workload: server.WorkloadSpec{Fig3: true}, Mechanism: "rebudget-0.05",
+func fig3Spec(id string) api.SessionSpec {
+	return api.SessionSpec{
+		ID: id, Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "rebudget-0.05",
 	}
 }
 
@@ -132,8 +134,8 @@ func TestRouterPlacement(t *testing.T) {
 	}
 
 	// Router-generated ids: unique, routable, placed.
-	v1 := mustCreate(t, rc, server.SessionSpec{Workload: server.WorkloadSpec{Fig3: true}, Mechanism: "equalshare"})
-	v2 := mustCreate(t, rc, server.SessionSpec{Workload: server.WorkloadSpec{Fig3: true}, Mechanism: "equalshare"})
+	v1 := mustCreate(t, rc, api.SessionSpec{Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "equalshare"})
+	v2 := mustCreate(t, rc, api.SessionSpec{Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "equalshare"})
 	if v1.ID == "" || v1.ID == v2.ID {
 		t.Fatalf("router-generated ids broken: %q, %q", v1.ID, v2.ID)
 	}
@@ -205,7 +207,7 @@ func TestRouterFailover(t *testing.T) {
 		t.Fatal("failover counter did not move")
 	}
 	// New sessions still place, wherever their primary was.
-	v := mustCreate(t, rc, server.SessionSpec{Workload: server.WorkloadSpec{Fig3: true}, Mechanism: "equalshare"})
+	v := mustCreate(t, rc, api.SessionSpec{Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "equalshare"})
 	if _, err := rc.StepEpoch(ctx, v.ID); err != nil {
 		t.Fatalf("create/step after shard loss: %v", err)
 	}
@@ -287,6 +289,54 @@ func TestRouterListMergesShards(t *testing.T) {
 	}
 	if len(views) == 0 || len(views) >= len(ids) {
 		t.Fatalf("partial list has %d sessions, want 1..%d", len(views), len(ids)-1)
+	}
+}
+
+// A list through the router is most recently used first across shards, as
+// a single daemon's is: touches alternate between two shards, so a merge in
+// shard order cannot match.
+func TestRouterListMostRecentFirst(t *testing.T) {
+	ctx := context.Background()
+	shards, _, rc := newTier(t, 2, server.Config{})
+	held := make([][]string, len(shards))
+	for i := 0; len(held[0]) < 2 || len(held[1]) < 2; i++ {
+		if i >= 64 {
+			t.Fatal("could not place two sessions on each shard")
+		}
+		id := fmt.Sprintf("mru-%02d", i)
+		mustCreate(t, rc, fig3Spec(id))
+		for j, sh := range shards {
+			if views, err := client.New(sh.ts.URL).ListSessions(ctx); err == nil && len(views) > len(held[j]) {
+				held[j] = append(held[j], id)
+			}
+		}
+	}
+	var touched []string
+	for k := 0; k < 2; k++ {
+		for j := range shards {
+			touched = append(touched, held[j][k])
+		}
+	}
+	for _, id := range touched {
+		time.Sleep(time.Millisecond) // distinct LastUsed on a coarse clock
+		if _, err := rc.StepEpoch(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	views, err := rc.ListSessions(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, v := range views {
+		if slices.Contains(touched, v.ID) {
+			got = append(got, v.ID)
+		}
+	}
+	want := slices.Clone(touched)
+	slices.Reverse(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("list order %v, want most recently used first %v", got, want)
 	}
 }
 
@@ -415,7 +465,7 @@ func TestRetiredL2FieldRefused(t *testing.T) {
 func (s *shard) sessions() int {
 	rec := httptest.NewRecorder()
 	s.srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	var body healthzBody
+	var body api.Healthz
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		return -1
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"rebudget/internal/api"
 	"rebudget/internal/server"
 	"rebudget/internal/server/client"
 )
@@ -50,7 +51,7 @@ func TestRouterPassesTenantThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(server.TenantHeader, "acme/dev")
+	req.Header.Set(api.TenantHeader, "acme/dev")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"rebudget/internal/api"
 	"rebudget/internal/market"
 )
 
@@ -20,8 +21,8 @@ func (h hiddenUtility) Value(alloc []float64) float64 { return h.u.Value(alloc) 
 // envy-freeness must agree bit for bit, and a scaled utility's identity
 // must carry the demand factor's current value.
 func TestSessionClassesFollowDemand(t *testing.T) {
-	spec := SessionSpec{
-		Workload:  WorkloadSpec{Category: "CPBB", Cores: 64, Seed: 3},
+	spec := api.SessionSpec{
+		Workload:  api.WorkloadSpec{Category: "CPBB", Cores: 64, Seed: 3},
 		Mechanism: "rebudget-20",
 	}
 	bundle, err := buildBundle(spec.Workload)
@@ -67,7 +68,7 @@ func TestSessionClassesFollowDemand(t *testing.T) {
 
 	for epoch, demand := range []float64{0, 0, 1.3, 0, 1.0, 0} {
 		if demand > 0 {
-			tele := TelemetrySpec{Players: []PlayerTelemetry{{Player: 0, Demand: demand}}}
+			tele := api.TelemetrySpec{Players: []api.PlayerTelemetry{{Player: 0, Demand: demand}}}
 			if err := named.telemetry(tele); err != nil {
 				t.Fatal(err)
 			}

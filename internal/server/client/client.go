@@ -1,7 +1,8 @@
 // Package client is the typed Go client for the rebudgetd HTTP API
-// (internal/server). It speaks the same spec/view structs the daemon
-// serves, maps error responses onto *APIError (with Retry-After surfaced
-// for 429 backpressure), and takes a context on every call.
+// (internal/server). It speaks the wire contract of internal/api, the
+// spec/view structs the daemon serves, maps error responses onto *APIError
+// (with Retry-After surfaced for 429 backpressure), and takes a context on
+// every call. It links none of the daemon.
 package client
 
 import (
@@ -16,7 +17,7 @@ import (
 	"sync"
 	"time"
 
-	"rebudget/internal/server"
+	"rebudget/internal/api"
 )
 
 // Client talks to one rebudgetd instance or one rebudget-router.
@@ -121,9 +122,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		ae := &APIError{Status: resp.StatusCode}
-		var eb struct {
-			Error string `json:"error"`
-		}
+		var eb api.Error
 		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 		if json.Unmarshal(raw, &eb) == nil && eb.Error != "" {
 			ae.Message = eb.Error
@@ -147,7 +146,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		// A view decodes itself in one validating pass; going through
 		// json.Unmarshal would first run its validation pre-pass over the
 		// whole body.
-		if v, ok := out.(*server.SessionView); ok {
+		if v, ok := out.(*api.SessionView); ok {
 			err = v.UnmarshalJSON(rb.Bytes())
 		} else {
 			err = json.Unmarshal(rb.Bytes(), out)
@@ -176,24 +175,22 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, hasBody boo
 }
 
 // CreateSession registers a new chip session and returns its initial view.
-func (c *Client) CreateSession(ctx context.Context, spec server.SessionSpec) (server.SessionView, error) {
-	var v server.SessionView
+func (c *Client) CreateSession(ctx context.Context, spec api.SessionSpec) (api.SessionView, error) {
+	var v api.SessionView
 	err := c.do(ctx, http.MethodPost, "/v1/sessions", spec, &v)
 	return v, err
 }
 
 // ListSessions returns every live session, most recently used first.
-func (c *Client) ListSessions(ctx context.Context) ([]server.SessionView, error) {
-	var out struct {
-		Sessions []server.SessionView `json:"sessions"`
-	}
+func (c *Client) ListSessions(ctx context.Context) ([]api.SessionView, error) {
+	var out api.SessionList
 	err := c.do(ctx, http.MethodGet, "/v1/sessions", nil, &out)
 	return out.Sessions, err
 }
 
 // GetSession returns one session's current view.
-func (c *Client) GetSession(ctx context.Context, id string) (server.SessionView, error) {
-	var v server.SessionView
+func (c *Client) GetSession(ctx context.Context, id string) (api.SessionView, error) {
+	var v api.SessionView
 	err := c.do(ctx, http.MethodGet, "/v1/sessions/"+id, nil, &v)
 	return v, err
 }
@@ -204,18 +201,18 @@ func (c *Client) DeleteSession(ctx context.Context, id string) error {
 }
 
 // StepEpoch advances the session one allocation epoch.
-func (c *Client) StepEpoch(ctx context.Context, id string) (server.SessionView, error) {
+func (c *Client) StepEpoch(ctx context.Context, id string) (api.SessionView, error) {
 	return c.StepEpochs(ctx, id, 1)
 }
 
 // StepEpochs advances the session n epochs under one request.
-func (c *Client) StepEpochs(ctx context.Context, id string, n int) (server.SessionView, error) {
-	var v server.SessionView
+func (c *Client) StepEpochs(ctx context.Context, id string, n int) (api.SessionView, error) {
+	var v api.SessionView
 	// One epoch is the daemon's default for a bodyless POST, which skips its
 	// body decoder — and the router's buffering of it — altogether.
 	var body any
 	if n != 1 {
-		body = map[string]int{"epochs": n}
+		body = api.EpochBody{Epochs: n}
 	}
 	err := c.do(ctx, http.MethodPost, "/v1/sessions/"+id+"/epoch", body, &v)
 	return v, err
@@ -223,23 +220,16 @@ func (c *Client) StepEpochs(ctx context.Context, id string, n int) (server.Sessi
 
 // Telemetry applies monitor updates (market: demand/weight; sim: context
 // switches) between epochs.
-func (c *Client) Telemetry(ctx context.Context, id string, t server.TelemetrySpec) (server.SessionView, error) {
-	var v server.SessionView
+func (c *Client) Telemetry(ctx context.Context, id string, t api.TelemetrySpec) (api.SessionView, error) {
+	var v api.SessionView
 	err := c.do(ctx, http.MethodPost, "/v1/sessions/"+id+"/telemetry", t, &v)
 	return v, err
 }
 
-// Health is the /healthz response.
-type Health struct {
-	Status        string `json:"status"`
-	Sessions      int    `json:"sessions"`
-	UptimeSeconds int64  `json:"uptime_seconds"`
-}
-
 // Healthz probes daemon liveness. A draining daemon answers HTTP 503, which
 // surfaces here as an *APIError.
-func (c *Client) Healthz(ctx context.Context) (Health, error) {
-	var h Health
+func (c *Client) Healthz(ctx context.Context) (api.Healthz, error) {
+	var h api.Healthz
 	err := c.do(ctx, http.MethodGet, "/healthz", nil, &h)
 	return h, err
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"rebudget/internal/api"
 	"rebudget/internal/server"
 	"rebudget/internal/server/client"
 )
@@ -32,9 +33,9 @@ func ExampleClient() {
 	ctx := context.Background()
 
 	// --- Analytic market, warm-started ReBudget epochs ---
-	mkt, err := c.CreateSession(ctx, server.SessionSpec{
+	mkt, err := c.CreateSession(ctx, api.SessionSpec{
 		ID:        "edge-cluster",
-		Workload:  server.WorkloadSpec{Fig3: true},
+		Workload:  api.WorkloadSpec{Fig3: true},
 		Mechanism: "rebudget-0.05",
 	})
 	if err != nil {
@@ -55,8 +56,8 @@ func ExampleClient() {
 	}
 	// A phase change: player 0's monitors report doubled demand; the next
 	// warm-started epoch re-converges from the previous bids.
-	if _, err := c.Telemetry(ctx, mkt.ID, server.TelemetrySpec{
-		Players: []server.PlayerTelemetry{{Player: 0, Demand: 2}},
+	if _, err := c.Telemetry(ctx, mkt.ID, api.TelemetrySpec{
+		Players: []api.PlayerTelemetry{{Player: 0, Demand: 2}},
 	}); err != nil {
 		log.Fatal(err)
 	}

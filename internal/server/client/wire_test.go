@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"rebudget/internal/api"
 	"rebudget/internal/server"
 )
 
@@ -36,16 +37,16 @@ func okBody(body []byte) *http.Response {
 
 // view64 is a real 64-core ReBudget-20 view — the serve_heavy response —
 // from an in-process daemon.
-func view64(t testing.TB, seed uint64) server.SessionView {
+func view64(t testing.TB, seed uint64) api.SessionView {
 	t.Helper()
 	srv := server.New(server.Config{IdleTTL: -1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	ts := httptest.NewServer(srv.Handler())
 	defer func() { ts.Close(); srv.Close() }()
 	c := New(ts.URL)
 	id := fmt.Sprintf("v64-%d", seed)
-	_, err := c.CreateSession(context.Background(), server.SessionSpec{
+	_, err := c.CreateSession(context.Background(), api.SessionSpec{
 		ID:        id,
-		Workload:  server.WorkloadSpec{Category: "CPBB", Cores: 64, Seed: seed},
+		Workload:  api.WorkloadSpec{Category: "CPBB", Cores: 64, Seed: seed},
 		Mechanism: "rebudget-20",
 	})
 	if err != nil {
@@ -111,7 +112,7 @@ func TestStepEpochSendsNoBody(t *testing.T) {
 // Run under -race, this is what keeps SessionView free of json.RawMessage
 // (or any other field that keeps the input bytes).
 func TestPooledDecodeDoesNotAlias(t *testing.T) {
-	views := map[string]server.SessionView{"a": view64(t, 1), "b": view64(t, 2)}
+	views := map[string]api.SessionView{"a": view64(t, 1), "b": view64(t, 2)}
 	if reflect.DeepEqual(views["a"].Alloc, views["b"].Alloc) {
 		t.Fatal("the two canned views must differ")
 	}
@@ -157,9 +158,7 @@ func TestPooledDecodeDoesNotAlias(t *testing.T) {
 // per pool slot forever.
 func TestOversizeResponseIsNotPinned(t *testing.T) {
 	v := view64(t, 1)
-	var list struct {
-		Sessions []server.SessionView `json:"sessions"`
-	}
+	var list api.SessionList
 	for i := 0; i < 1<<20/len(mustJSON(t, v))+1; i++ {
 		list.Sessions = append(list.Sessions, v)
 	}
@@ -204,7 +203,7 @@ func TestCompactAndIndentedDecodeEqual(t *testing.T) {
 	if len(compact)*5 > indented.Len()*4 {
 		t.Fatalf("compact %d B vs indented %d B: expected at least a fifth less", len(compact), indented.Len())
 	}
-	decode := func(body []byte) server.SessionView {
+	decode := func(body []byte) api.SessionView {
 		c := stubClient(func(*http.Request) (*http.Response, error) { return okBody(body), nil })
 		out, err := c.GetSession(context.Background(), v.ID)
 		if err != nil {

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rebudget/internal/api"
 )
 
 func TestDispatcherBackpressure(t *testing.T) {
@@ -356,7 +358,7 @@ func TestAdmissionDefaults(t *testing.T) {
 	procs := float64(runtime.GOMAXPROCS(0))
 	srv, ts := newTestDaemon(t, Config{SessionRPS: 3, Tenancy: &TenancyConfig{Epoch: time.Hour}})
 	slow, slowTS := newTestDaemon(t, Config{SessionRPS: 0.25})
-	spec := SessionSpec{ID: "d", Workload: WorkloadSpec{Fig3: true}, Mechanism: "equalshare"}
+	spec := api.SessionSpec{ID: "d", Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "equalshare"}
 	for _, url := range []string{ts.URL, slowTS.URL} {
 		if resp := doJSON(t, "POST", url+"/v1/sessions", spec, nil); resp.StatusCode != http.StatusCreated {
 			t.Fatalf("create: %d", resp.StatusCode)

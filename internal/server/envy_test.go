@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"rebudget/internal/api"
 	"rebudget/internal/core"
 	"rebudget/internal/market"
 	"rebudget/internal/metrics"
@@ -156,7 +157,7 @@ func TestEnvyFreenessAllocsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := newMarketEngine(SessionSpec{Mechanism: "rebudget-20"}, bundle, nil)
+	e, err := newMarketEngine(api.SessionSpec{Mechanism: "rebudget-20"}, bundle, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

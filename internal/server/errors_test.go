@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"rebudget/internal/api"
 	"rebudget/internal/expo"
+	"rebudget/internal/snapshot"
 )
 
 func errMapServer(t *testing.T) *Server {
@@ -25,9 +27,7 @@ func errMapServer(t *testing.T) *Server {
 
 func decodeErrBody(t *testing.T, rec *httptest.ResponseRecorder) string {
 	t.Helper()
-	var body struct {
-		Error string `json:"error"`
-	}
+	var body api.Error
 	if err := json.NewDecoder(rec.Body).Decode(&body); err != nil {
 		t.Fatalf("error body not JSON: %v", err)
 	}
@@ -204,14 +204,14 @@ func TestSpineErrorMapping(t *testing.T) {
 	}
 }
 
-// scriptedStore is a SnapshotStore whose Load is the test's to script.
+// scriptedStore is a snapshot.Store whose Load is the test's to script.
 type scriptedStore struct {
-	load func(id string) (*SessionSnapshot, error)
+	load func(id string) (*snapshot.Session, error)
 }
 
-func (scriptedStore) Save(*SessionSnapshot) error { return nil }
-func (scriptedStore) Delete(string) error         { return nil }
-func (st scriptedStore) Load(id string) (*SessionSnapshot, error) {
+func (scriptedStore) Save(*snapshot.Session) error { return nil }
+func (scriptedStore) Delete(string) error          { return nil }
+func (st scriptedStore) Load(id string) (*snapshot.Session, error) {
 	return st.load(id)
 }
 
@@ -238,28 +238,30 @@ func TestResolveErrorMapping(t *testing.T) {
 	var srv *Server // set per case; the race case reaches back into it
 	cases := []struct {
 		name      string
-		load      func(id string) (*SessionSnapshot, error)
+		load      func(id string) (*snapshot.Session, error)
 		drain     bool
 		wantCode  int
 		wantOp    string // snapshots{op} that moves; "" = none
 		wantRejct string // rejected{reason} that moves; "" = none
 	}{
 		{name: "absent", wantCode: 404,
-			load: func(string) (*SessionSnapshot, error) { return nil, ErrNoSnapshot }},
+			load: func(string) (*snapshot.Session, error) { return nil, snapshot.ErrNoSnapshot }},
 		{name: "corrupt snapshot", wantCode: 404, wantOp: `op="corrupt"`,
-			load: func(string) (*SessionSnapshot, error) { return nil, fmt.Errorf("%w: checksum mismatch", ErrNoSnapshot) }},
+			load: func(string) (*snapshot.Session, error) {
+				return nil, fmt.Errorf("%w: checksum mismatch", snapshot.ErrNoSnapshot)
+			}},
 		{name: "load error", wantCode: 404, wantOp: `op="load_error"`,
-			load: func(string) (*SessionSnapshot, error) { return nil, errors.New("input/output error") }},
+			load: func(string) (*snapshot.Session, error) { return nil, errors.New("input/output error") }},
 		{name: "unrestorable snapshot", wantCode: 404, wantOp: `op="restore_error"`,
-			load: func(string) (*SessionSnapshot, error) { cp := unrestorable; return &cp, nil }},
+			load: func(string) (*snapshot.Session, error) { cp := unrestorable; return &cp, nil }},
 		{name: "draining", drain: true, wantCode: 503, wantRejct: `reason="draining"`,
-			load: func(string) (*SessionSnapshot, error) { cp := *good; return &cp, nil }},
+			load: func(string) (*snapshot.Session, error) { cp := *good; return &cp, nil }},
 		{name: "restored", wantCode: 200, wantOp: `op="restore"`,
-			load: func(string) (*SessionSnapshot, error) { cp := *good; return &cp, nil }},
+			load: func(string) (*snapshot.Session, error) { cp := *good; return &cp, nil }},
 		{name: "lost rehydrate race", wantCode: 200,
 			// A concurrent touch wins the race between this request's store
 			// miss and its install: by the time Load returns, "v" is resident.
-			load: func(string) (*SessionSnapshot, error) {
+			load: func(string) (*snapshot.Session, error) {
 				if _, err := srv.install(context.Background(), "v", good.Spec, good); err != nil {
 					return nil, err
 				}
@@ -274,7 +276,7 @@ func TestResolveErrorMapping(t *testing.T) {
 			if tc.drain {
 				srv.StartDrain()
 			}
-			var view SessionView
+			var view api.SessionView
 			resp := doJSON(t, "GET", ts.URL+"/v1/sessions/v", nil, &view)
 			if resp.StatusCode != tc.wantCode {
 				t.Fatalf("status = %d, want %d", resp.StatusCode, tc.wantCode)

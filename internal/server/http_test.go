@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"rebudget/internal/api"
 	"rebudget/internal/expo"
+	"rebudget/internal/snapshot"
 )
 
 func quietLogger() *slog.Logger {
@@ -67,20 +69,20 @@ func TestDegradedSessionReportsStateThroughMetrics(t *testing.T) {
 	// /metrics carries the by-state population gauge; one session's state
 	// is in its view.
 	_, ts := newTestDaemon(t, Config{})
-	spec := SessionSpec{
+	spec := api.SessionSpec{
 		ID:        "faulty-chip",
-		Mode:      ModeSim,
-		Workload:  WorkloadSpec{Fig3: true},
+		Mode:      api.ModeSim,
+		Workload:  api.WorkloadSpec{Fig3: true},
 		Mechanism: "rebudget-0.05",
-		Sim: &SimSpec{
+		Sim: &api.SimSpec{
 			WarmupEpochs: 1,
 			// Poisoned utility evaluations make Allocate fail outright
 			// (solver stalls alone are absorbed by the §6.4 Settle
 			// fail-safe as non-converged successes).
-			Faults: &FaultSpec{UtilityRate: 0.9, Seed: 11},
+			Faults: &api.FaultSpec{UtilityRate: 0.9, Seed: 11},
 		},
 	}
-	var created SessionView
+	var created api.SessionView
 	if resp := doJSON(t, "POST", ts.URL+"/v1/sessions", spec, &created); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: %d", resp.StatusCode)
 	}
@@ -88,7 +90,7 @@ func TestDegradedSessionReportsStateThroughMetrics(t *testing.T) {
 	// at a 90% per-evaluation poisoning rate — a handful of epochs).
 	degraded := false
 	for i := 0; i < 60 && !degraded; i++ {
-		var v SessionView
+		var v api.SessionView
 		if resp := doJSON(t, "POST", ts.URL+"/v1/sessions/faulty-chip/epoch", nil, &v); resp.StatusCode != http.StatusOK {
 			t.Fatalf("epoch %d: %d", i, resp.StatusCode)
 		}
@@ -110,7 +112,7 @@ func TestDegradedSessionReportsStateThroughMetrics(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	var v SessionView
+	var v api.SessionView
 	if resp := doJSON(t, "GET", ts.URL+"/v1/sessions/faulty-chip", nil, &v); resp.StatusCode != http.StatusOK || v.Health != "degraded" {
 		t.Fatalf("GET view: %d, health %q, want degraded", resp.StatusCode, v.Health)
 	}
@@ -120,7 +122,7 @@ func TestEpochBackpressureReturns429(t *testing.T) {
 	srv, ts := newTestDaemon(t, Config{RequestTimeout: 300 * time.Millisecond})
 	// A queue that holds one waiter, in place before any request arrives.
 	srv.disp = newDispatcher(1, 1, 0)
-	spec := SessionSpec{ID: "bp", Workload: WorkloadSpec{Fig3: true}, Mechanism: "equalbudget"}
+	spec := api.SessionSpec{ID: "bp", Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "equalbudget"}
 	if resp := doJSON(t, "POST", ts.URL+"/v1/sessions", spec, nil); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: %d", resp.StatusCode)
 	}
@@ -173,16 +175,16 @@ func TestEpochBackpressureReturns429(t *testing.T) {
 
 func TestHealthzAndDrain(t *testing.T) {
 	srv, ts := newTestDaemon(t, Config{})
-	var h healthzBody
+	var h api.Healthz
 	if resp := doJSON(t, "GET", ts.URL+"/healthz", nil, &h); resp.StatusCode != http.StatusOK || h.Status != "ok" {
 		t.Fatalf("healthz: %d %q", resp.StatusCode, h.Status)
 	}
 	srv.StartDrain()
-	var hd healthzBody
+	var hd api.Healthz
 	if resp := doJSON(t, "GET", ts.URL+"/healthz", nil, &hd); resp.StatusCode != http.StatusServiceUnavailable || hd.Status != "draining" {
 		t.Fatalf("draining healthz: %d %q", resp.StatusCode, hd.Status)
 	}
-	spec := SessionSpec{Workload: WorkloadSpec{Fig3: true}, Mechanism: "equalbudget"}
+	spec := api.SessionSpec{Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "equalbudget"}
 	if resp := doJSON(t, "POST", ts.URL+"/v1/sessions", spec, nil); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("create while draining: %d", resp.StatusCode)
 	}
@@ -196,22 +198,22 @@ func TestBadRequests(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		spec SessionSpec
+		spec api.SessionSpec
 	}{
-		{"bad id", SessionSpec{ID: "no spaces!", Workload: WorkloadSpec{Fig3: true}, Mechanism: "equalbudget"}},
-		{"bad mode", SessionSpec{Mode: "quantum", Workload: WorkloadSpec{Fig3: true}, Mechanism: "equalbudget"}},
-		{"bad mechanism", SessionSpec{Workload: WorkloadSpec{Fig3: true}, Mechanism: "lottery"}},
-		{"no workload", SessionSpec{Mechanism: "equalbudget"}},
-		{"rebudget without min_ef", SessionSpec{Workload: WorkloadSpec{Fig3: true}, Mechanism: "rebudget"}},
-		{"bad fault rate", SessionSpec{Mode: ModeSim, Workload: WorkloadSpec{Fig3: true}, Mechanism: "equalbudget",
-			Sim: &SimSpec{Faults: &FaultSpec{SolverRate: 1.5}}}},
-		{"infinite rebudget step", SessionSpec{Workload: WorkloadSpec{Fig3: true}, Mechanism: "rebudget-Inf"}},
-		{"NaN rebudget step", SessionSpec{Workload: WorkloadSpec{Fig3: true}, Mechanism: "rebudget-NaN"}},
-		{"negative rebudget step", SessionSpec{Workload: WorkloadSpec{Fig3: true}, Mechanism: "rebudget--5"}},
-		{"zero rebudget step", SessionSpec{Workload: WorkloadSpec{Fig3: true}, Mechanism: "rebudget-0"}},
-		{"min_ef above Theorem 2", SessionSpec{Workload: WorkloadSpec{Fig3: true}, Mechanism: "rebudget", MinEnvyFreeness: 0.9}},
-		{"too many cores", SessionSpec{Workload: WorkloadSpec{Category: "CPBN", Cores: maxCores + 4}, Mechanism: "equalshare"}},
-		{"too many apps", SessionSpec{Workload: WorkloadSpec{Apps: tooManyApps}, Mechanism: "equalshare"}},
+		{"bad id", api.SessionSpec{ID: "no spaces!", Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "equalbudget"}},
+		{"bad mode", api.SessionSpec{Mode: "quantum", Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "equalbudget"}},
+		{"bad mechanism", api.SessionSpec{Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "lottery"}},
+		{"no workload", api.SessionSpec{Mechanism: "equalbudget"}},
+		{"rebudget without min_ef", api.SessionSpec{Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "rebudget"}},
+		{"bad fault rate", api.SessionSpec{Mode: api.ModeSim, Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "equalbudget",
+			Sim: &api.SimSpec{Faults: &api.FaultSpec{SolverRate: 1.5}}}},
+		{"infinite rebudget step", api.SessionSpec{Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "rebudget-Inf"}},
+		{"NaN rebudget step", api.SessionSpec{Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "rebudget-NaN"}},
+		{"negative rebudget step", api.SessionSpec{Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "rebudget--5"}},
+		{"zero rebudget step", api.SessionSpec{Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "rebudget-0"}},
+		{"min_ef above Theorem 2", api.SessionSpec{Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "rebudget", MinEnvyFreeness: 0.9}},
+		{"too many cores", api.SessionSpec{Workload: api.WorkloadSpec{Category: "CPBN", Cores: maxCores + 4}, Mechanism: "equalshare"}},
+		{"too many apps", api.SessionSpec{Workload: api.WorkloadSpec{Apps: tooManyApps}, Mechanism: "equalshare"}},
 	}
 	for _, tc := range cases {
 		if resp := doJSON(t, "POST", ts.URL+"/v1/sessions", tc.spec, nil); resp.StatusCode != http.StatusBadRequest {
@@ -228,7 +230,7 @@ func TestBadRequests(t *testing.T) {
 
 func TestDuplicateSessionConflicts(t *testing.T) {
 	_, ts := newTestDaemon(t, Config{})
-	spec := SessionSpec{ID: "twin", Workload: WorkloadSpec{Fig3: true}, Mechanism: "equalbudget"}
+	spec := api.SessionSpec{ID: "twin", Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "equalbudget"}
 	if resp := doJSON(t, "POST", ts.URL+"/v1/sessions", spec, nil); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: %d", resp.StatusCode)
 	}
@@ -239,22 +241,22 @@ func TestDuplicateSessionConflicts(t *testing.T) {
 
 func TestTelemetryValidation(t *testing.T) {
 	_, ts := newTestDaemon(t, Config{})
-	spec := SessionSpec{ID: "tele", Workload: WorkloadSpec{Fig3: true}, Mechanism: "equalbudget"}
+	spec := api.SessionSpec{ID: "tele", Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "equalbudget"}
 	if resp := doJSON(t, "POST", ts.URL+"/v1/sessions", spec, nil); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: %d", resp.StatusCode)
 	}
 	// Context switches are sim-only.
-	bad := TelemetrySpec{Switches: []SwitchSpec{{Core: 0, App: "mcf"}}}
+	bad := api.TelemetrySpec{Switches: []api.SwitchSpec{{Core: 0, App: "mcf"}}}
 	if resp := doJSON(t, "POST", ts.URL+"/v1/sessions/tele/telemetry", bad, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("switches on market session: expected 400, got %d", resp.StatusCode)
 	}
 	// Out-of-range player.
-	bad = TelemetrySpec{Players: []PlayerTelemetry{{Player: 99, Demand: 2}}}
+	bad = api.TelemetrySpec{Players: []api.PlayerTelemetry{{Player: 99, Demand: 2}}}
 	if resp := doJSON(t, "POST", ts.URL+"/v1/sessions/tele/telemetry", bad, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad player index: expected 400, got %d", resp.StatusCode)
 	}
 	// A weight the budget cannot hold.
-	bad = TelemetrySpec{Players: []PlayerTelemetry{{Player: 0, Weight: 1e307}}}
+	bad = api.TelemetrySpec{Players: []api.PlayerTelemetry{{Player: 0, Weight: 1e307}}}
 	if resp := doJSON(t, "POST", ts.URL+"/v1/sessions/tele/telemetry", bad, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("overflowing weight: expected 400, got %d", resp.StatusCode)
 	}
@@ -269,7 +271,7 @@ func TestTelemetryValidation(t *testing.T) {
 // last-known-good outcome forever. Neither way in — telemetry, a restored
 // snapshot — may install one.
 func TestOverflowingWeightRejected(t *testing.T) {
-	spec := SessionSpec{Workload: WorkloadSpec{Fig3: true}, Mechanism: "rebudget-20"}
+	spec := api.SessionSpec{Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "rebudget-20"}
 	bundle, err := buildBundle(spec.Workload)
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +284,7 @@ func TestOverflowingWeightRejected(t *testing.T) {
 		return e
 	}
 	e := build()
-	tele := TelemetrySpec{Players: []PlayerTelemetry{{Player: 0, Weight: 1e307}}}
+	tele := api.TelemetrySpec{Players: []api.PlayerTelemetry{{Player: 0, Weight: 1e307}}}
 	if err := e.telemetry(tele); err == nil {
 		t.Error("telemetry accepted a weight that overflows the budget")
 	}
@@ -290,7 +292,7 @@ func TestOverflowingWeightRejected(t *testing.T) {
 		t.Errorf("rejected weight was installed: %g", w)
 	}
 
-	var snap SessionSnapshot
+	var snap snapshot.Session
 	e.snapshot(&snap)
 	if err := build().restore(&snap); err != nil {
 		t.Fatalf("clean snapshot: %v", err)
@@ -325,8 +327,8 @@ func TestRouteLabelBoundsCardinality(t *testing.T) {
 func TestLRUEvictionOverHTTP(t *testing.T) {
 	_, ts := newTestDaemon(t, Config{MaxSessions: 2})
 	for i := 0; i < 3; i++ {
-		spec := SessionSpec{ID: fmt.Sprintf("lru-%d", i),
-			Workload: WorkloadSpec{Fig3: true}, Mechanism: "equalbudget"}
+		spec := api.SessionSpec{ID: fmt.Sprintf("lru-%d", i),
+			Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "equalbudget"}
 		if resp := doJSON(t, "POST", ts.URL+"/v1/sessions", spec, nil); resp.StatusCode != http.StatusCreated {
 			t.Fatalf("create %d: %d", i, resp.StatusCode)
 		}
@@ -345,7 +347,7 @@ func TestLRUEvictionOverHTTP(t *testing.T) {
 // Prometheus.
 func TestAPIKeyAuth(t *testing.T) {
 	_, ts := newTestDaemon(t, Config{APIKey: "s3kr1t"})
-	spec := SessionSpec{ID: "guarded", Workload: WorkloadSpec{Fig3: true}, Mechanism: "equalshare"}
+	spec := api.SessionSpec{ID: "guarded", Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "equalshare"}
 
 	do := func(method, path, auth string, body any) int {
 		t.Helper()

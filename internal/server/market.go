@@ -5,9 +5,11 @@ import (
 	"math"
 	"time"
 
+	"rebudget/internal/api"
 	"rebudget/internal/core"
 	"rebudget/internal/market"
 	"rebudget/internal/metrics"
+	"rebudget/internal/snapshot"
 	"rebudget/internal/workload"
 )
 
@@ -63,7 +65,7 @@ func (u scaledUtility) Identity() (key any, scale float64) {
 // newMarketEngine profiles the bundle analytically and assembles the
 // session's hardened allocator. The observer receives every equilibrium's
 // convergence cost (the server-wide profile).
-func newMarketEngine(spec SessionSpec, bundle workload.Bundle,
+func newMarketEngine(spec api.SessionSpec, bundle workload.Bundle,
 	observer func(rounds, bidSteps int, wall time.Duration)) (*marketEngine, error) {
 	var setup *workload.Setup
 	var err error
@@ -83,7 +85,7 @@ func newMarketEngine(spec SessionSpec, bundle workload.Bundle,
 		players:  setup.Players,
 		capacity: setup.Capacity,
 		demand:   make([]float64, len(setup.Players)),
-		warm:     spec.warmStart(),
+		warm:     warmStart(spec),
 	}
 	for i := range e.players {
 		e.names = append(e.names, e.players[i].Name)
@@ -91,7 +93,7 @@ func newMarketEngine(spec SessionSpec, bundle workload.Bundle,
 		e.players[i].Utility = scaledUtility{inner: e.players[i].Utility, scale: &e.demand[i]}
 	}
 	alloc := mech
-	if spec.resilient() {
+	if resilient(spec) {
 		e.resil = core.NewResilient(mech, core.ResilientConfig{})
 		alloc = e.resil
 	}
@@ -131,8 +133,8 @@ func (e *marketEngine) step() error {
 // snapshot fills the market side of a session snapshot: the warm bid
 // matrix plus the telemetry-adjusted demand/weight vectors. Called only
 // after the owning session loop has exited, so the engine is quiescent.
-func (e *marketEngine) snapshot(snap *SessionSnapshot) {
-	m := &MarketSnapshot{
+func (e *marketEngine) snapshot(snap *snapshot.Session) {
+	m := &snapshot.Market{
 		Demand:  append([]float64(nil), e.demand...),
 		Weights: make([]float64, len(e.players)),
 	}
@@ -151,7 +153,7 @@ func (e *marketEngine) snapshot(snap *SessionSnapshot) {
 // restore installs a snapshot's durable state on a freshly built engine.
 // Vectors of the wrong shape (a snapshot taken against a different bundle)
 // are rejected — the restored session must be the same problem or nothing.
-func (e *marketEngine) restore(snap *SessionSnapshot) error {
+func (e *marketEngine) restore(snap *snapshot.Session) error {
 	m := snap.Market
 	if m == nil {
 		return fmt.Errorf("snapshot for market session has no market state")
@@ -187,7 +189,7 @@ func budgetOverflows(weight float64) bool {
 }
 
 // telemetry applies per-player monitor updates between epochs.
-func (e *marketEngine) telemetry(t TelemetrySpec) error {
+func (e *marketEngine) telemetry(t api.TelemetrySpec) error {
 	if len(t.Switches) > 0 {
 		return fmt.Errorf("market sessions take player telemetry, not context switches")
 	}
@@ -212,8 +214,8 @@ func (e *marketEngine) telemetry(t TelemetrySpec) error {
 }
 
 // view renders the mode-specific part of the session view.
-func (e *marketEngine) view() SessionView {
-	v := SessionView{Mode: ModeMarket, Cores: len(e.players)}
+func (e *marketEngine) view() api.SessionView {
+	v := api.SessionView{Mode: api.ModeMarket, Cores: len(e.players)}
 	if e.last != nil {
 		v.Alloc = allocationView(e.names, e.last, finitePtr(e.lastEF))
 	}
@@ -221,7 +223,7 @@ func (e *marketEngine) view() SessionView {
 }
 
 // result is sim-only.
-func (e *marketEngine) result() (*SimResultView, error) {
+func (e *marketEngine) result() (*api.SimResultView, error) {
 	return nil, fmt.Errorf("result is only available for sim sessions")
 }
 
@@ -239,8 +241,8 @@ func (e *marketEngine) healthState() metrics.HealthState {
 }
 
 // allocationView converts an outcome for JSON.
-func allocationView(names []string, out *core.Outcome, ef *float64) *AllocationView {
-	return &AllocationView{
+func allocationView(names []string, out *core.Outcome, ef *float64) *api.AllocationView {
+	return &api.AllocationView{
 		Players:         names,
 		Allocations:     out.Allocations,
 		Budgets:         out.Budgets,
@@ -259,8 +261,8 @@ func allocationView(names []string, out *core.Outcome, ef *float64) *AllocationV
 }
 
 // healthView converts pipeline telemetry for JSON.
-func healthView(h metrics.Health) HealthView {
-	return HealthView{
+func healthView(h metrics.Health) api.HealthView {
+	return api.HealthView{
 		State:           h.State.String(),
 		AllocAttempts:   h.AllocAttempts,
 		AllocFailures:   h.AllocFailures,
@@ -272,8 +274,8 @@ func healthView(h metrics.Health) HealthView {
 }
 
 // equilibriumView converts convergence-cost counters for JSON.
-func equilibriumView(s metrics.EquilibriumStats) EquilibriumView {
-	return EquilibriumView{
+func equilibriumView(s metrics.EquilibriumStats) api.EquilibriumView {
+	return api.EquilibriumView{
 		Runs:        s.Runs,
 		Rounds:      s.Rounds,
 		BidSteps:    s.BidSteps,

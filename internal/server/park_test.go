@@ -10,20 +10,22 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rebudget/internal/api"
 )
 
 // spawnSession builds a session through the same install path handleCreate
 // uses, bypassing HTTP — the fixture for density tests where 10k round-trips
 // would dominate the test budget.
-func spawnSession(srv *Server, spec SessionSpec) (*session, error) {
-	if err := spec.validate(); err != nil {
+func spawnSession(srv *Server, spec api.SessionSpec) (*session, error) {
+	if err := validate(spec); err != nil {
 		return nil, err
 	}
 	return srv.install(context.Background(), spec.ID, spec, nil)
 }
 
-func fig3Spec(id, mech string) SessionSpec {
-	return SessionSpec{ID: id, Workload: WorkloadSpec{Fig3: true}, Mechanism: mech}
+func fig3Spec(id, mech string) api.SessionSpec {
+	return api.SessionSpec{ID: id, Workload: api.WorkloadSpec{Fig3: true}, Mechanism: mech}
 }
 
 // TestParkUnparkBitIdentity: a session that hibernates mid-run and is woken
@@ -37,8 +39,8 @@ func TestParkUnparkBitIdentity(t *testing.T) {
 			t.Fatalf("create %s: %d", id, resp.StatusCode)
 		}
 	}
-	step := func(id string) SessionView {
-		var v SessionView
+	step := func(id string) api.SessionView {
+		var v api.SessionView
 		if resp := doJSON(t, "POST", ts.URL+"/v1/sessions/"+id+"/epoch", nil, &v); resp.StatusCode != http.StatusOK {
 			t.Fatalf("epoch %s: %d", id, resp.StatusCode)
 		}
@@ -61,7 +63,7 @@ func TestParkUnparkBitIdentity(t *testing.T) {
 	}
 	// A parked session still answers reads from its cached view — without
 	// waking up.
-	var view SessionView
+	var view api.SessionView
 	if resp := doJSON(t, "GET", ts.URL+"/v1/sessions/cold", nil, &view); resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET parked: %d", resp.StatusCode)
 	}
@@ -212,7 +214,7 @@ func Test10kParkedSessionsGoroutineBound(t *testing.T) {
 	}
 
 	// A random resident still wakes on touch.
-	var v SessionView
+	var v api.SessionView
 	if resp := doJSON(t, "POST", ts.URL+"/v1/sessions/d-04321/epoch", nil, &v); resp.StatusCode != http.StatusOK {
 		t.Fatalf("epoch on parked resident: %d", resp.StatusCode)
 	}
@@ -296,7 +298,7 @@ func TestUnparkChargesTenant(t *testing.T) {
 	}
 
 	srv.gov.release("gold", held)
-	var view SessionView
+	var view api.SessionView
 	if resp := doJSON(t, "POST", ts.URL+"/v1/sessions/g/epoch", nil, &view); resp.StatusCode != http.StatusOK {
 		t.Fatalf("epoch after budget freed: %d", resp.StatusCode)
 	}

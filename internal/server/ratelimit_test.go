@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"rebudget/internal/api"
 	"rebudget/internal/server"
 	"rebudget/internal/server/client"
 )
@@ -17,8 +18,8 @@ func TestSessionRateLimit(t *testing.T) {
 	// 1 epoch/s derives a burst of 2.
 	_, c, _ := startDaemonWith(t, server.Config{SessionRPS: 1})
 	ctx := context.Background()
-	if _, err := c.CreateSession(ctx, server.SessionSpec{
-		ID: "rl", Workload: server.WorkloadSpec{Fig3: true}, Mechanism: "equalshare",
+	if _, err := c.CreateSession(ctx, api.SessionSpec{
+		ID: "rl", Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "equalshare",
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +77,8 @@ func TestSessionRateLimit(t *testing.T) {
 func TestSessionRateLimitUnarmed(t *testing.T) {
 	_, c, _ := startDaemonWith(t, server.Config{})
 	ctx := context.Background()
-	if _, err := c.CreateSession(ctx, server.SessionSpec{
-		ID: "free", Workload: server.WorkloadSpec{Fig3: true}, Mechanism: "equalshare",
+	if _, err := c.CreateSession(ctx, api.SessionSpec{
+		ID: "free", Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "equalshare",
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rebudget/internal/api"
 	"rebudget/internal/expo"
+	"rebudget/internal/snapshot"
 )
 
 // Config sizes the daemon. Zero values select the documented defaults.
@@ -53,9 +55,9 @@ type Config struct {
 	// shutdown: evicted/drained sessions are serialized to the store, and a
 	// request touching a non-resident id lazily rehydrates it (warm bids,
 	// telemetry state, sim replay) instead of answering 404. Sharing one
-	// store (e.g. a FileSnapshotStore directory) across shards is what lets
+	// store (e.g. a snapshot.FileStore directory) across shards is what lets
 	// the router migrate sessions between backends.
-	Snapshots SnapshotStore
+	Snapshots snapshot.Store
 	// SessionRPS arms a per-session token bucket: each session may spend at
 	// most this many epochs per second on average, and a quiet session may
 	// burst max(1, 2×SessionRPS) epochs before the rate gates. Beyond it
@@ -250,7 +252,7 @@ func (s *Server) retire(sess *session, reason string) {
 // to the engine's actual core count (construction-time solves — sim warmup,
 // replay — are drained so they don't inflate the first served epoch's
 // sample).
-func (s *Server) buildEngine(spec SessionSpec, snap *SessionSnapshot, est *costEstimator) (engine, error) {
+func (s *Server) buildEngine(spec api.SessionSpec, snap *snapshot.Session, est *costEstimator) (engine, error) {
 	bundle, err := buildBundle(spec.Workload)
 	if err != nil {
 		return nil, err
@@ -260,8 +262,8 @@ func (s *Server) buildEngine(spec SessionSpec, snap *SessionSnapshot, est *costE
 		est.observe(rounds, bidSteps, wall)
 	}
 	var eng engine
-	switch spec.mode() {
-	case ModeSim:
+	switch mode(spec) {
+	case api.ModeSim:
 		eng, err = newSimEngine(spec, bundle, observer)
 	default:
 		eng, err = newMarketEngine(spec, bundle, observer)
@@ -368,7 +370,7 @@ func (s *Server) admit(ctx context.Context, tenant string, cost float64) (releas
 // and release. Engine construction is allocation-grade work (sim warmup runs
 // whole epochs), so it competes for capacity like any epoch. A build failure
 // comes back as kindBadInput; what that means is the caller's call.
-func (s *Server) materialise(ctx context.Context, spec SessionSpec, snap *SessionSnapshot, est *costEstimator) (engine, error) {
+func (s *Server) materialise(ctx context.Context, spec api.SessionSpec, snap *snapshot.Session, est *costEstimator) (engine, error) {
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
 	release, err := s.admit(ctx, spec.Tenant, est.epochCost())
@@ -388,8 +390,8 @@ func (s *Server) materialise(ctx context.Context, spec SessionSpec, snap *Sessio
 // analytic prior — materialise the engine, wrap it in a session with the
 // server's dispatcher, metrics and rate limit, add it to the store, and
 // retire whatever the store evicted to make room.
-func (s *Server) install(ctx context.Context, id string, spec SessionSpec, snap *SessionSnapshot) (*session, error) {
-	est := newCostEstimator(spec.guessCores())
+func (s *Server) install(ctx context.Context, id string, spec api.SessionSpec, snap *snapshot.Session) (*session, error) {
+	est := newCostEstimator(guessCores(spec))
 	var epochs int64
 	if snap != nil {
 		est.restore(snap.EpochCost)
@@ -446,10 +448,10 @@ func (s *Server) fromSnapshot(ctx context.Context, id string) (*session, error) 
 	}
 	snap, err := s.cfg.Snapshots.Load(id)
 	if err != nil {
-		if !errors.Is(err, ErrNoSnapshot) {
+		if !errors.Is(err, snapshot.ErrNoSnapshot) {
 			s.met.snapshots.Inc(`op="load_error"`)
 			s.log.Warn("snapshot load failed, cold start", "id", id, "err", err)
-		} else if err != ErrNoSnapshot {
+		} else if err != snapshot.ErrNoSnapshot {
 			// A file exists but is unusable: cold start, counted.
 			s.met.snapshots.Inc(`op="corrupt"`)
 			s.log.Warn("snapshot unusable, cold start", "id", id, "err", err)
@@ -560,10 +562,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	putJSONWriter(jw)
 }
 
-type errorBody struct {
-	Error string `json:"error"`
-}
-
 // decodeBody decodes a bounded JSON body into v; an empty body leaves v as
 // the zero value.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
@@ -656,7 +654,7 @@ func (s *Server) replyError(w http.ResponseWriter, err error) {
 		// Whole seconds, rounded up, min 1: the header cannot carry fractions.
 		w.Header().Set("Retry-After", strconv.Itoa(max(1, int(math.Ceil(retryAfter.Seconds())))))
 	}
-	writeJSON(w, code, errorBody{Error: msg})
+	writeJSON(w, code, api.Error{Error: msg})
 }
 
 // replyEngineError answers an engine-mediated failure (telemetry, result):
@@ -677,11 +675,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) error {
 	if s.draining.Load() {
 		return errDraining
 	}
-	var spec SessionSpec
+	var spec api.SessionSpec
 	if err := decodeBody(w, r, &spec); err != nil {
 		return errBadInput(err)
 	}
-	if err := spec.validate(); err != nil {
+	if err := validate(spec); err != nil {
 		return errBadInput(err)
 	}
 	// Under the tenant economy every session carries a label: the spec's,
@@ -689,10 +687,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) error {
 	// self-registers in the tree (with an immediate rebalance, so the
 	// newcomer holds its floor before its first admission check).
 	if s.gov != nil && spec.Tenant == "" {
-		spec.Tenant = r.Header.Get(TenantHeader)
+		spec.Tenant = r.Header.Get(api.TenantHeader)
 		if spec.Tenant != "" && !validTenantPath(spec.Tenant) {
 			return errBadInput(fmt.Errorf("header %s: tenant %q must be %s segments joined by \"/\"",
-				TenantHeader, spec.Tenant, idPattern))
+				api.TenantHeader, spec.Tenant, api.IDPattern))
 		}
 	}
 	var err error
@@ -715,18 +713,18 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) error {
 		}
 	}
 	s.met.sessionsCreated.Add(1)
-	s.log.Info("session created", "id", id, "mode", spec.mode(), "mechanism", spec.Mechanism)
+	s.log.Info("session created", "id", id, "mode", mode(spec), "mechanism", spec.Mechanism)
 	writeJSON(w, http.StatusCreated, sess.View())
 	return nil
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	sessions := s.store.list()
-	views := make([]SessionView, len(sessions))
+	list := api.SessionList{Sessions: make([]api.SessionView, len(sessions))}
 	for i, sess := range sessions {
-		views[i] = sess.View()
+		list.Sessions[i] = sess.View()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"sessions": views})
+	writeJSON(w, http.StatusOK, list)
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) error {
@@ -767,17 +765,12 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// epochBody is the optional POST body for /epoch.
-type epochBody struct {
-	Epochs int `json:"epochs,omitempty"`
-}
-
 func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) error {
 	sess, err := s.resolve(r, true)
 	if err != nil {
 		return err
 	}
-	var body epochBody
+	var body api.EpochBody
 	if err := decodeBody(w, r, &body); err != nil {
 		return errBadInput(err)
 	}
@@ -835,7 +828,7 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	var tele TelemetrySpec
+	var tele api.TelemetrySpec
 	if err := decodeBody(w, r, &tele); err != nil {
 		return errBadInput(err)
 	}
@@ -866,15 +859,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// healthzBody is the /healthz response.
-type healthzBody struct {
-	Status        string `json:"status"`
-	Sessions      int    `json:"sessions"`
-	UptimeSeconds int64  `json:"uptime_seconds"`
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	body := healthzBody{
+	body := api.Healthz{
 		Status:        "ok",
 		Sessions:      s.store.len(),
 		UptimeSeconds: int64(time.Since(s.started).Seconds()),

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"rebudget/internal/api"
 	"rebudget/internal/core"
 	"rebudget/internal/server"
 	"rebudget/internal/server/client"
@@ -89,9 +90,9 @@ func TestWarmStartBitIdenticalToOfflineRun(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := offlineEpochs(t, tc.alloc, epochs, true)
-			v, err := c.CreateSession(ctx, server.SessionSpec{
+			v, err := c.CreateSession(ctx, api.SessionSpec{
 				ID:        "warm-" + tc.name,
-				Workload:  server.WorkloadSpec{Fig3: true},
+				Workload:  api.WorkloadSpec{Fig3: true},
 				Mechanism: tc.mechanism,
 				Resilient: boolPtr(tc.resilient),
 			})
@@ -118,9 +119,9 @@ func TestColdSessionsMatchFreshSolves(t *testing.T) {
 	_, c := startDaemon(t, server.Config{})
 	ctx := context.Background()
 	want := offlineEpochs(t, core.EqualBudget{}, 1, false)[0]
-	v, err := c.CreateSession(ctx, server.SessionSpec{
+	v, err := c.CreateSession(ctx, api.SessionSpec{
 		ID:        "cold",
-		Workload:  server.WorkloadSpec{Fig3: true},
+		Workload:  api.WorkloadSpec{Fig3: true},
 		Mechanism: "equalbudget",
 		Resilient: boolPtr(false),
 		WarmStart: boolPtr(false),
@@ -143,8 +144,8 @@ func TestClientLifecycle(t *testing.T) {
 	_, c := startDaemon(t, server.Config{})
 	ctx := context.Background()
 
-	v, err := c.CreateSession(ctx, server.SessionSpec{
-		Workload:  server.WorkloadSpec{Fig3: true},
+	v, err := c.CreateSession(ctx, api.SessionSpec{
+		Workload:  api.WorkloadSpec{Fig3: true},
 		Mechanism: "rebudget-0.05",
 	})
 	if err != nil {
@@ -153,7 +154,7 @@ func TestClientLifecycle(t *testing.T) {
 	if v.ID == "" {
 		t.Fatal("daemon did not generate a session id")
 	}
-	if v.Mode != server.ModeMarket || v.Cores != 8 {
+	if v.Mode != api.ModeMarket || v.Cores != 8 {
 		t.Fatalf("unexpected view: mode %q cores %d", v.Mode, v.Cores)
 	}
 
@@ -176,8 +177,8 @@ func TestClientLifecycle(t *testing.T) {
 		t.Fatal("market outcome missing MUR/MBR")
 	}
 
-	if _, err := c.Telemetry(ctx, v.ID, server.TelemetrySpec{
-		Players: []server.PlayerTelemetry{{Player: 1, Demand: 1.5}},
+	if _, err := c.Telemetry(ctx, v.ID, api.TelemetrySpec{
+		Players: []api.PlayerTelemetry{{Player: 1, Demand: 1.5}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -219,9 +220,9 @@ func TestConcurrent64Sessions(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			id := fmt.Sprintf("stress-%02d", i)
-			spec := server.SessionSpec{
+			spec := api.SessionSpec{
 				ID:        id,
-				Workload:  server.WorkloadSpec{Fig3: true},
+				Workload:  api.WorkloadSpec{Fig3: true},
 				Mechanism: "equalbudget",
 				Resilient: boolPtr(false),
 			}
@@ -233,7 +234,7 @@ func TestConcurrent64Sessions(t *testing.T) {
 				return
 			}
 			for e := 0; e < epochs; e++ {
-				var v server.SessionView
+				var v api.SessionView
 				if err := withBusyRetry(func() error {
 					var err error
 					v, err = c.StepEpoch(ctx, id)
@@ -306,9 +307,9 @@ func TestConcurrentCreateTickEvict(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 6; k++ {
 				id := fmt.Sprintf("churn-%d-%d", g, k)
-				spec := server.SessionSpec{
+				spec := api.SessionSpec{
 					ID:           id,
-					Workload:     server.WorkloadSpec{Fig3: true},
+					Workload:     api.WorkloadSpec{Fig3: true},
 					Mechanism:    "equalbudget",
 					Resilient:    boolPtr(false),
 					TickerMillis: 20,
@@ -362,9 +363,9 @@ func TestDensityOffConfigBitIdentical(t *testing.T) {
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
 			_, c := startDaemon(t, tc.cfg)
-			v, err := c.CreateSession(ctx, server.SessionSpec{
+			v, err := c.CreateSession(ctx, api.SessionSpec{
 				ID:        "pin",
-				Workload:  server.WorkloadSpec{Fig3: true},
+				Workload:  api.WorkloadSpec{Fig3: true},
 				Mechanism: "rebudget-0.05",
 			})
 			if err != nil {
@@ -393,7 +394,7 @@ func TestClientAPIKeyRoundTrip(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	ctx := context.Background()
-	spec := server.SessionSpec{ID: "keyed", Workload: server.WorkloadSpec{Fig3: true}, Mechanism: "equalshare"}
+	spec := api.SessionSpec{ID: "keyed", Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "equalshare"}
 
 	bare := client.New(ts.URL)
 	if _, err := bare.CreateSession(ctx, spec); err == nil {

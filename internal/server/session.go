@@ -8,7 +8,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rebudget/internal/api"
 	"rebudget/internal/metrics"
+	"rebudget/internal/snapshot"
 )
 
 // engine is what a session goroutine drives: one allocation step per epoch,
@@ -17,9 +19,9 @@ import (
 // these methods, so they need no locking.
 type engine interface {
 	step() error
-	telemetry(TelemetrySpec) error
-	view() SessionView
-	result() (*SimResultView, error)
+	telemetry(api.TelemetrySpec) error
+	view() api.SessionView
+	result() (*api.SimResultView, error)
 	healthState() metrics.HealthState
 	// cores reports the engine's actual problem size, recalibrating the
 	// admission-cost prior once the bundle is built.
@@ -27,10 +29,10 @@ type engine interface {
 	// snapshot fills the engine's durable state into snap. Only called
 	// once the session loop has exited, so the single-owner invariant
 	// still holds.
-	snapshot(snap *SessionSnapshot)
+	snapshot(snap *snapshot.Session)
 	// restore installs a snapshot's durable state on a freshly built
 	// engine (before the session loop starts).
-	restore(snap *SessionSnapshot) error
+	restore(snap *snapshot.Session) error
 }
 
 // request kinds flowing through a session's mailbox.
@@ -42,14 +44,14 @@ const (
 
 type request struct {
 	kind   int
-	epochs int           // reqEpoch: how many epochs to step under one slot
-	tele   TelemetrySpec // reqTelemetry payload
-	reply  chan response // buffered(1); the loop never blocks replying
+	epochs int               // reqEpoch: how many epochs to step under one slot
+	tele   api.TelemetrySpec // reqTelemetry payload
+	reply  chan response     // buffered(1); the loop never blocks replying
 }
 
 type response struct {
-	view   SessionView
-	result *SimResultView
+	view   api.SessionView
+	result *api.SimResultView
 	err    error
 }
 
@@ -88,7 +90,7 @@ type session struct {
 	mechanism string
 	category  string
 	created   time.Time
-	spec      SessionSpec // retained for snapshots
+	spec      api.SessionSpec // retained for snapshots
 
 	eng  engine // nil while parked; guarded by the lifecycle, not a mutex
 	disp *dispatcher
@@ -106,13 +108,13 @@ type session struct {
 	state    int
 	stop     chan struct{}
 	done     chan struct{}
-	hib      *SessionSnapshot // in-memory hibernation snapshot while parked
-	parkedFl atomic.Bool      // mirror of state == stateParked, for lock-free reads
+	hib      *snapshot.Session // in-memory hibernation snapshot while parked
+	parkedFl atomic.Bool       // mirror of state == stateParked, for lock-free reads
 
 	mu       sync.Mutex
 	lastUsed time.Time
 	epochs   int64
-	cached   SessionView
+	cached   api.SessionView
 	lastErr  string
 	health   metrics.HealthState
 
@@ -132,12 +134,12 @@ const mailboxDepth = 8
 // newSession wraps an engine and starts its loop. A spec with a ticker
 // period additionally has the loop step one epoch per period. rps > 0 arms
 // the per-session token bucket, max(1, 2×rps) tokens deep and full.
-func newSession(id string, spec SessionSpec, eng engine, est *costEstimator,
+func newSession(id string, spec api.SessionSpec, eng engine, est *costEstimator,
 	disp *dispatcher, met *srvMetrics, rps float64, epochs int64, now time.Time) *session {
 	burst := max(1, 2*rps)
 	s := &session{
 		id:        id,
-		mode:      spec.mode(),
+		mode:      mode(spec),
 		mechanism: spec.Mechanism,
 		category:  spec.Workload.Category,
 		created:   now,
@@ -199,20 +201,20 @@ func (s *session) costEstimate() float64 { return s.cost.epochCost() }
 // after close() or park() — the loop has exited, so reading the engine
 // off-loop is safe. A hibernating session already holds its snapshot in
 // memory and hands that back.
-func (s *session) snapshot(now time.Time) *SessionSnapshot {
+func (s *session) snapshot(now time.Time) *snapshot.Session {
 	s.lifeMu.Lock()
 	defer s.lifeMu.Unlock()
 	return s.snapshotLocked(now)
 }
 
-func (s *session) snapshotLocked(now time.Time) *SessionSnapshot {
+func (s *session) snapshotLocked(now time.Time) *snapshot.Session {
 	if s.hib != nil {
 		s.hib.SavedAt = now
 		return s.hib
 	}
 	s.mu.Lock()
-	snap := &SessionSnapshot{
-		Version:   SnapshotVersion,
+	snap := &snapshot.Session{
+		Version:   snapshot.Version,
 		ID:        s.id,
 		Spec:      s.spec,
 		Epochs:    s.epochs,
@@ -363,7 +365,7 @@ func (s *session) enqueue(ctx context.Context, req *request) response {
 }
 
 // View returns the last published snapshot of the session.
-func (s *session) View() SessionView {
+func (s *session) View() api.SessionView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v := s.cached

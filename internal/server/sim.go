@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"time"
 
+	"rebudget/internal/api"
 	"rebudget/internal/app"
 	"rebudget/internal/cmpsim"
 	"rebudget/internal/core"
 	"rebudget/internal/market"
 	"rebudget/internal/metrics"
+	"rebudget/internal/snapshot"
 	"rebudget/internal/workload"
 )
 
@@ -22,13 +24,13 @@ type simEngine struct {
 	bandwidth bool
 	// journal records every applied context switch so a snapshot can
 	// replay the (deterministic, seeded) run bit-identically elsewhere.
-	journal []SwitchEvent
+	journal []snapshot.SwitchEvent
 }
 
 // newSimEngine builds the chip, installs the server-wide equilibrium
 // observer on the allocator (the chip chains its own profiler behind it),
 // and runs warmup via Begin so the first StepEpoch is already measured.
-func newSimEngine(spec SessionSpec, bundle workload.Bundle,
+func newSimEngine(spec api.SessionSpec, bundle workload.Bundle,
 	observer func(rounds, bidSteps int, wall time.Duration)) (*simEngine, error) {
 	mech, err := core.ParseMechanism(spec.Mechanism, spec.MinEnvyFreeness)
 	if err != nil {
@@ -36,7 +38,7 @@ func newSimEngine(spec SessionSpec, bundle workload.Bundle,
 	}
 	cfg := cmpsim.DefaultConfig(len(bundle.Apps))
 	cfg.BandwidthMarket = spec.Bandwidth
-	cfg.Faults = spec.faultConfig()
+	cfg.Faults = faultConfig(spec)
 	if s := spec.Sim; s != nil {
 		if s.Seed != 0 {
 			cfg.Seed = s.Seed
@@ -56,7 +58,7 @@ func newSimEngine(spec SessionSpec, bundle workload.Bundle,
 		return nil, err
 	}
 	var alloc core.Allocator = mech
-	if spec.resilient() {
+	if resilient(spec) {
 		alloc = core.NewResilient(mech, core.ResilientConfig{})
 	}
 	alloc = core.WithMarketConfig(alloc, func(mc market.Config) market.Config {
@@ -81,7 +83,7 @@ func (e *simEngine) step() error {
 }
 
 // telemetry applies context switches (§4.3) between epochs.
-func (e *simEngine) telemetry(t TelemetrySpec) error {
+func (e *simEngine) telemetry(t api.TelemetrySpec) error {
 	if len(t.Players) > 0 {
 		return fmt.Errorf("sim sessions take context switches, not player telemetry")
 	}
@@ -94,7 +96,7 @@ func (e *simEngine) telemetry(t TelemetrySpec) error {
 			return err
 		}
 		e.names[sw.Core] = fmt.Sprintf("%s#%d", spec.Name, sw.Core)
-		e.journal = append(e.journal, SwitchEvent{
+		e.journal = append(e.journal, snapshot.SwitchEvent{
 			AfterEpoch: e.chip.Stepped(), Core: sw.Core, App: sw.App,
 		})
 	}
@@ -104,10 +106,10 @@ func (e *simEngine) telemetry(t TelemetrySpec) error {
 // snapshot fills the sim side of a session snapshot: the measured epoch
 // count plus the context-switch journal. Called only after the owning
 // session loop has exited.
-func (e *simEngine) snapshot(snap *SessionSnapshot) {
-	snap.Sim = &SimSnapshot{
+func (e *simEngine) snapshot(snap *snapshot.Session) {
+	snap.Sim = &snapshot.Sim{
 		Epochs:   e.chip.Stepped(),
-		Switches: append([]SwitchEvent(nil), e.journal...),
+		Switches: append([]snapshot.SwitchEvent(nil), e.journal...),
 	}
 }
 
@@ -117,7 +119,7 @@ func (e *simEngine) snapshot(snap *SessionSnapshot) {
 // chip is seeded and deterministic, so the replayed state — cache stacks,
 // thermal history, degradation FSM, warm equilibrium bids — is
 // bit-identical to the uninterrupted run's.
-func (e *simEngine) restore(snap *SessionSnapshot) error {
+func (e *simEngine) restore(snap *snapshot.Session) error {
 	s := snap.Sim
 	if s == nil {
 		return fmt.Errorf("snapshot for sim session has no sim state")
@@ -129,7 +131,7 @@ func (e *simEngine) restore(snap *SessionSnapshot) error {
 	apply := func() error {
 		for next < len(s.Switches) && s.Switches[next].AfterEpoch <= e.chip.Stepped() {
 			sw := s.Switches[next]
-			if err := e.telemetry(TelemetrySpec{Switches: []SwitchSpec{{Core: sw.Core, App: sw.App}}}); err != nil {
+			if err := e.telemetry(api.TelemetrySpec{Switches: []api.SwitchSpec{{Core: sw.Core, App: sw.App}}}); err != nil {
 				return fmt.Errorf("replaying switch at epoch %d: %w", sw.AfterEpoch, err)
 			}
 			next++
@@ -149,9 +151,9 @@ func (e *simEngine) restore(snap *SessionSnapshot) error {
 
 // view renders the chip's hardware-facing state plus the latest allocator
 // outcome.
-func (e *simEngine) view() SessionView {
-	v := SessionView{Mode: ModeSim, Cores: len(e.names)}
-	sv := &SimView{
+func (e *simEngine) view() api.SessionView {
+	v := api.SessionView{Mode: api.ModeSim, Cores: len(e.names)}
+	sv := &api.SimView{
 		Epochs:         e.chip.Stepped(),
 		VirtualSeconds: e.chip.Elapsed(),
 		RegionTargets:  e.chip.Regions(),
@@ -172,12 +174,12 @@ func (e *simEngine) view() SessionView {
 
 // result summarises the run so far (normalised performance, weighted
 // speedup, envy-freeness on the latest monitored utilities).
-func (e *simEngine) result() (*SimResultView, error) {
+func (e *simEngine) result() (*api.SimResultView, error) {
 	res, err := e.chip.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	return &SimResultView{
+	return &api.SimResultView{
 		Mechanism:       res.Mechanism,
 		NormPerf:        res.NormPerf,
 		WeightedSpeedup: res.WeightedSpeedup,

@@ -7,7 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"rebudget/internal/server"
+	"rebudget/internal/api"
+	"rebudget/internal/snapshot"
 )
 
 // FuzzSnapshotLoad hammers the snapshot decode path with arbitrary bytes:
@@ -17,18 +18,18 @@ import (
 // never surface any other error: the rehydrate path's contract is "no worse
 // than cold".
 func FuzzSnapshotLoad(f *testing.F) {
-	valid := &server.SessionSnapshot{
-		Version: server.SnapshotVersion,
+	valid := &snapshot.Session{
+		Version: snapshot.Version,
 		ID:      "fuzz",
-		Spec: server.SessionSpec{
+		Spec: api.SessionSpec{
 			ID: "fuzz", Tenant: "acme/prod",
-			Workload: server.WorkloadSpec{Fig3: true}, Mechanism: "equalshare",
+			Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "equalshare",
 		},
 		Epochs:  3,
 		Health:  "ok",
 		SavedAt: time.Unix(1700000000, 0).UTC(),
 	}
-	seedStore, err := server.NewFileSnapshotStore(f.TempDir())
+	seedStore, err := snapshot.NewFileStore(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add([]byte(`{"version":3,"id":"fuzz","epochs":1}`)) // v3, checksum never written
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := server.NewFileSnapshotStore(t.TempDir())
+		st, err := snapshot.NewFileStore(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +76,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 		}
 		snap, err := st.Load("fuzz")
 		if err != nil {
-			if !errors.Is(err, server.ErrNoSnapshot) {
+			if !errors.Is(err, snapshot.ErrNoSnapshot) {
 				t.Fatalf("Load returned a non-ErrNoSnapshot error: %v", err)
 			}
 			return
@@ -85,7 +86,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 		if snap.ID != "fuzz" {
 			t.Fatalf("accepted snapshot with mismatched id %q", snap.ID)
 		}
-		if snap.Version != server.SnapshotVersion {
+		if snap.Version != snapshot.Version {
 			t.Fatalf("accepted snapshot with version %d", snap.Version)
 		}
 		if snap.Checksum == "" {

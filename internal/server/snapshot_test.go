@@ -16,8 +16,10 @@ import (
 	"testing"
 	"time"
 
+	"rebudget/internal/api"
 	"rebudget/internal/server"
 	"rebudget/internal/server/client"
+	"rebudget/internal/snapshot"
 )
 
 // startDaemonWith stands up a daemon with a snapshot store and a typed
@@ -42,10 +44,10 @@ func startDaemonWith(t *testing.T, cfg server.Config) (*server.Server, *client.C
 	return srv, client.New(ts.URL), shutdown
 }
 
-func fileStore(t *testing.T) (*server.FileSnapshotStore, string) {
+func fileStore(t *testing.T) (*snapshot.FileStore, string) {
 	t.Helper()
 	dir := t.TempDir()
-	st, err := server.NewFileSnapshotStore(dir)
+	st, err := snapshot.NewFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,14 +56,14 @@ func fileStore(t *testing.T) (*server.FileSnapshotStore, string) {
 
 func TestFileSnapshotStoreRoundTrip(t *testing.T) {
 	st, _ := fileStore(t)
-	snap := &server.SessionSnapshot{
-		Version: server.SnapshotVersion,
+	snap := &snapshot.Session{
+		Version: snapshot.Version,
 		ID:      "rt-1",
-		Spec:    server.SessionSpec{Mechanism: "equalshare", Workload: server.WorkloadSpec{Fig3: true}},
+		Spec:    api.SessionSpec{Mechanism: "equalshare", Workload: api.WorkloadSpec{Fig3: true}},
 		Epochs:  7,
 		Health:  "healthy",
 		SavedAt: time.Now().UTC(),
-		Market:  &server.MarketSnapshot{WarmBids: [][]float64{{1, 2}, {3, 4}}, Demand: []float64{1, 2}, Weights: []float64{1, 1}},
+		Market:  &snapshot.Market{WarmBids: [][]float64{{1, 2}, {3, 4}}, Demand: []float64{1, 2}, Weights: []float64{1, 1}},
 	}
 	if err := st.Save(snap); err != nil {
 		t.Fatal(err)
@@ -93,9 +95,9 @@ func TestFileSnapshotStoreUnusableFiles(t *testing.T) {
 	// Valid bytes for a snapshot of "other": filed under "mismatch" they
 	// fail on the id alone, and with the checksum's key damaged (a one-bit
 	// flip, 'e' to 'd') and the body edited they must still not load.
-	other, err := server.EncodeSnapshot(&server.SessionSnapshot{
-		Version: server.SnapshotVersion, ID: "other", Epochs: 3, Health: "healthy",
-		Spec: server.SessionSpec{Mechanism: "equalshare", Workload: server.WorkloadSpec{Fig3: true}},
+	other, err := snapshot.Encode(&snapshot.Session{
+		Version: snapshot.Version, ID: "other", Epochs: 3, Health: "healthy",
+		Spec: api.SessionSpec{Mechanism: "equalshare", Workload: api.WorkloadSpec{Fig3: true}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,12 +126,12 @@ func TestFileSnapshotStoreUnusableFiles(t *testing.T) {
 		}
 		if _, err := st.Load(id); err == nil {
 			t.Fatalf("%s: load should fail", id)
-		} else if !errors.Is(err, server.ErrNoSnapshot) {
+		} else if !errors.Is(err, snapshot.ErrNoSnapshot) {
 			t.Fatalf("%s: want ErrNoSnapshot, got %v", id, err)
 		}
 	}
 	// An id that cannot be a session id never hits the filesystem.
-	if _, err := st.Load("../escape"); !errors.Is(err, server.ErrNoSnapshot) {
+	if _, err := st.Load("../escape"); !errors.Is(err, snapshot.ErrNoSnapshot) {
 		t.Fatalf("path-escape id: want ErrNoSnapshot, got %v", err)
 	}
 }
@@ -139,12 +141,12 @@ func TestFileSnapshotStoreUnusableFiles(t *testing.T) {
 // allocations, same utilities — and its first post-restore equilibrium
 // must be warm (strictly fewer rounds than a cold solve).
 func TestMarketSnapshotRehydrateBitIdentical(t *testing.T) {
-	spec := server.SessionSpec{
+	spec := api.SessionSpec{
 		ID:        "mkt",
-		Workload:  server.WorkloadSpec{Fig3: true},
+		Workload:  api.WorkloadSpec{Fig3: true},
 		Mechanism: "rebudget-0.05",
 	}
-	tele := server.TelemetrySpec{Players: []server.PlayerTelemetry{{Player: 0, Demand: 2}}}
+	tele := api.TelemetrySpec{Players: []api.PlayerTelemetry{{Player: 0, Demand: 2}}}
 	ctx := context.Background()
 	const preEpochs, postEpochs = 3, 3
 
@@ -153,7 +155,7 @@ func TestMarketSnapshotRehydrateBitIdentical(t *testing.T) {
 	if _, err := ref.CreateSession(ctx, spec); err != nil {
 		t.Fatal(err)
 	}
-	var want []server.SessionView
+	var want []api.SessionView
 	for e := 0; e < preEpochs; e++ {
 		v, err := ref.StepEpoch(ctx, "mkt")
 		if err != nil {
@@ -179,7 +181,7 @@ func TestMarketSnapshotRehydrateBitIdentical(t *testing.T) {
 	if _, err := a.CreateSession(ctx, spec); err != nil {
 		t.Fatal(err)
 	}
-	var got []server.SessionView
+	var got []api.SessionView
 	for e := 0; e < preEpochs; e++ {
 		v, err := a.StepEpoch(ctx, "mkt")
 		if err != nil {
@@ -235,13 +237,13 @@ func TestMarketSnapshotRehydrateBitIdentical(t *testing.T) {
 // A sim session replayed from its snapshot (deterministic epochs + the
 // context-switch journal) must match the uninterrupted run bit-for-bit.
 func TestSimSnapshotRehydrateBitIdentical(t *testing.T) {
-	spec := server.SessionSpec{
+	spec := api.SessionSpec{
 		ID:        "sim",
-		Mode:      server.ModeSim,
-		Workload:  server.WorkloadSpec{Category: "CCPP", Seed: 7},
+		Mode:      api.ModeSim,
+		Workload:  api.WorkloadSpec{Category: "CCPP", Seed: 7},
 		Mechanism: "rebudget-0.05",
 	}
-	sw := server.TelemetrySpec{Switches: []server.SwitchSpec{{Core: 3, App: "mcf"}}}
+	sw := api.TelemetrySpec{Switches: []api.SwitchSpec{{Core: 3, App: "mcf"}}}
 	ctx := context.Background()
 
 	run := func(c *client.Client, pre bool) {
@@ -332,8 +334,8 @@ func TestCorruptSnapshotColdStart(t *testing.T) {
 	if !ok || ae.Status != 404 {
 		t.Fatalf("corrupt snapshot should 404 (cold start), got %v", err)
 	}
-	if _, err := c.CreateSession(ctx, server.SessionSpec{
-		ID: "broken", Workload: server.WorkloadSpec{Fig3: true}, Mechanism: "equalshare",
+	if _, err := c.CreateSession(ctx, api.SessionSpec{
+		ID: "broken", Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "equalshare",
 	}); err != nil {
 		t.Fatalf("cold re-create after corrupt snapshot: %v", err)
 	}
@@ -382,11 +384,11 @@ func TestRetiredL2FieldSnapshotIsColdStart(t *testing.T) {
 			",\n      \"faults\": {\n        \"solver_rate\": 0.1\n      }", "ce3ad9d6"},
 	} {
 		withField := fmt.Sprintf(written, tc.withField, tc.sumWith)
-		if _, err := server.DecodeSnapshot("ways", []byte(withField)); !errors.Is(err, server.ErrNoSnapshot) {
+		if _, err := snapshot.Decode("ways", []byte(withField)); !errors.Is(err, snapshot.ErrNoSnapshot) {
 			t.Errorf("snapshot with %s decoded: %v, want ErrNoSnapshot", tc.field, err)
 		}
 		without := fmt.Sprintf(written, tc.twin, tc.sumTwin)
-		if _, err := server.DecodeSnapshot("ways", []byte(without)); err != nil {
+		if _, err := snapshot.Decode("ways", []byte(without)); err != nil {
 			t.Errorf("the same snapshot without %s: %v", tc.field, err)
 		}
 	}
@@ -397,7 +399,7 @@ func TestRetiredL2FieldSnapshotIsColdStart(t *testing.T) {
 func TestDeleteRemovesSnapshot(t *testing.T) {
 	st, _ := fileStore(t)
 	ctx := context.Background()
-	spec := server.SessionSpec{ID: "gone", Workload: server.WorkloadSpec{Fig3: true}, Mechanism: "equalshare"}
+	spec := api.SessionSpec{ID: "gone", Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "equalshare"}
 
 	_, a, shutdownA := startDaemonWith(t, server.Config{Snapshots: st})
 	if _, err := a.CreateSession(ctx, spec); err != nil {
@@ -423,14 +425,14 @@ func TestDeleteRemovesSnapshot(t *testing.T) {
 // ErrNoSnapshot, deterministically a cold start.
 func TestFileSnapshotStoreChecksumCatchesBitFlips(t *testing.T) {
 	st, _ := fileStore(t)
-	snap := &server.SessionSnapshot{
-		Version: server.SnapshotVersion,
+	snap := &snapshot.Session{
+		Version: snapshot.Version,
 		ID:      "bits",
-		Spec:    server.SessionSpec{Mechanism: "equalshare", Workload: server.WorkloadSpec{Fig3: true}},
+		Spec:    api.SessionSpec{Mechanism: "equalshare", Workload: api.WorkloadSpec{Fig3: true}},
 		Epochs:  9,
 		Health:  "healthy",
 		SavedAt: time.Now().UTC(),
-		Market:  &server.MarketSnapshot{Demand: []float64{1.5, 2.5}},
+		Market:  &snapshot.Market{Demand: []float64{1.5, 2.5}},
 	}
 	if err := st.Save(snap); err != nil {
 		t.Fatal(err)
@@ -454,7 +456,7 @@ func TestFileSnapshotStoreChecksumCatchesBitFlips(t *testing.T) {
 	if err := st.SaveRaw("bits", tampered); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Load("bits"); !errors.Is(err, server.ErrNoSnapshot) {
+	if _, err := st.Load("bits"); !errors.Is(err, snapshot.ErrNoSnapshot) {
 		t.Fatalf("tampered snapshot: want ErrNoSnapshot, got %v", err)
 	}
 }
@@ -474,17 +476,17 @@ func TestFileSnapshotStoreRawRoundTrip(t *testing.T) {
 	if string(got) != string(data) {
 		t.Fatalf("raw round-trip mismatch: %q", got)
 	}
-	if _, err := st.Load("raw"); !errors.Is(err, server.ErrNoSnapshot) {
+	if _, err := st.Load("raw"); !errors.Is(err, snapshot.ErrNoSnapshot) {
 		t.Fatalf("torn raw file: want ErrNoSnapshot, got %v", err)
 	}
 }
 
 // simResult reads a sim session's run summary from srv's /result endpoint.
-func simResult(t *testing.T, srv *server.Server, id string) server.SimResultView {
+func simResult(t *testing.T, srv *server.Server, id string) api.SimResultView {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/sessions/"+id+"/result", nil))
-	var v server.SimResultView
+	var v api.SimResultView
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET result: %d %s", rec.Code, rec.Body)
 	}

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"rebudget/internal/api"
 	"rebudget/internal/core"
 )
 
@@ -33,12 +34,12 @@ func FuzzSessionSpec(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var spec SessionSpec
+		var spec api.SessionSpec
 		r := httptest.NewRequest("POST", "/v1/sessions", bytes.NewReader(body))
 		if err := decodeBody(httptest.NewRecorder(), r, &spec); err != nil {
 			return
 		}
-		if err := spec.validate(); err != nil {
+		if err := validate(spec); err != nil {
 			return
 		}
 		if spec.Workload.Cores > maxCores || len(spec.Workload.Apps) > maxCores {

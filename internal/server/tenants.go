@@ -9,18 +9,9 @@ import (
 	"sync"
 	"time"
 
+	"rebudget/internal/api"
 	"rebudget/internal/tenant"
 )
-
-// TenantHeader is the HTTP header carrying a tenant label when the session
-// spec doesn't: the router forwards it verbatim, and handleCreate uses it
-// as the spec's default.
-const TenantHeader = "X-Rebudget-Tenant"
-
-// EpochHeader is the HTTP header a router stamps on every response with its
-// current membership epoch, so a caller can tell a membership change
-// happened between two of its requests.
-const EpochHeader = "X-Rebudget-Epoch"
 
 // defaultTenant labels sessions that arrive with neither a spec tenant nor
 // a TenantHeader.
@@ -272,7 +263,7 @@ func ParseTenants(arg string) ([]tenant.NodeSpec, error) {
 		parts := strings.Split(item, ":")
 		path := parts[0]
 		if !validTenantPath(path) {
-			return nil, fmt.Errorf("tenant path %q must be %s segments joined by \"/\"", path, idPattern)
+			return nil, fmt.Errorf("tenant path %q must be %s segments joined by \"/\"", path, api.IDPattern)
 		}
 		cur := root
 		for _, seg := range strings.Split(path, "/") {

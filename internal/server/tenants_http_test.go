@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"rebudget/internal/api"
 	"rebudget/internal/server"
 	"rebudget/internal/server/client"
+	"rebudget/internal/snapshot"
 )
 
 // tenancy builds a quiet TenancyConfig for tests: the ticker is pushed out
@@ -30,7 +32,7 @@ func tenancy(t *testing.T, tenants string) *server.TenancyConfig {
 
 // rawCreate posts a session spec over plain HTTP so the test can set
 // headers the typed client doesn't expose.
-func rawCreate(t *testing.T, url, body, tenantHeader string) (*http.Response, server.SessionView) {
+func rawCreate(t *testing.T, url, body, tenantHeader string) (*http.Response, api.SessionView) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, url+"/v1/sessions", strings.NewReader(body))
 	if err != nil {
@@ -38,14 +40,14 @@ func rawCreate(t *testing.T, url, body, tenantHeader string) (*http.Response, se
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if tenantHeader != "" {
-		req.Header.Set(server.TenantHeader, tenantHeader)
+		req.Header.Set(api.TenantHeader, tenantHeader)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var v server.SessionView
+	var v api.SessionView
 	if resp.StatusCode == http.StatusCreated || resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
 			t.Fatal(err)
@@ -67,9 +69,9 @@ func TestTenantLabelFlow(t *testing.T) {
 	c := client.New(ts.URL)
 	ctx := context.Background()
 
-	v, err := c.CreateSession(ctx, server.SessionSpec{
+	v, err := c.CreateSession(ctx, api.SessionSpec{
 		ID: "g1", Tenant: "gold",
-		Workload: server.WorkloadSpec{Fig3: true}, Mechanism: "equalshare",
+		Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "equalshare",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,8 +80,8 @@ func TestTenantLabelFlow(t *testing.T) {
 		t.Fatalf("create view tenant = %q, want gold", v.Tenant)
 	}
 
-	v, err = c.CreateSession(ctx, server.SessionSpec{
-		ID: "d1", Workload: server.WorkloadSpec{Fig3: true}, Mechanism: "equalshare",
+	v, err = c.CreateSession(ctx, api.SessionSpec{
+		ID: "d1", Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "equalshare",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,9 +179,9 @@ func TestTenantSnapshotRoundTrip(t *testing.T) {
 	ctx := context.Background()
 
 	_, a, shutdownA := startDaemonWith(t, server.Config{Snapshots: st, Tenancy: tenancy(t, "")})
-	if _, err := a.CreateSession(ctx, server.SessionSpec{
+	if _, err := a.CreateSession(ctx, api.SessionSpec{
 		ID: "mkt", Tenant: "acme/prod",
-		Workload: server.WorkloadSpec{Fig3: true}, Mechanism: "equalshare",
+		Workload: api.WorkloadSpec{Fig3: true}, Mechanism: "equalshare",
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -193,12 +195,12 @@ func TestTenantSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap server.SessionSnapshot
+	var snap snapshot.Session
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Version != 3 || server.SnapshotVersion != 3 {
-		t.Fatalf("snapshot version %d (const %d), want 3", snap.Version, server.SnapshotVersion)
+	if snap.Version != 3 || snapshot.Version != 3 {
+		t.Fatalf("snapshot version %d (const %d), want 3", snap.Version, snapshot.Version)
 	}
 	if snap.Spec.Tenant != "acme/prod" {
 		t.Fatalf("snapshot spec tenant = %q, want acme/prod", snap.Spec.Tenant)
