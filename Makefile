@@ -50,14 +50,11 @@ race:
 # build, the -tenants grammar against non-finite budgets, the mechanism
 # grammar against steps whose fairness floor would not resolve to a finite
 # value in [0, 1], and the utility's integer-region hull index against
-# PWL.Eval, bit for bit.
+# PWL.Eval, bit for bit. scripts/fuzz_smoke.sh holds the list; it bounds
+# input minimization to 1s per input, prints each fuzzer's exec count and
+# fails a fuzzer that ran no input past its seed corpus.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotLoad$$' -fuzztime 5s ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzSessionViewDecode$$' -fuzztime 5s ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzSessionSpec$$' -fuzztime 5s ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzParseTenants$$' -fuzztime 5s ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzParseMechanism$$' -fuzztime 5s ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzHullIndex$$' -fuzztime 5s ./internal/app
+	GO=$(GO) scripts/fuzz_smoke.sh
 
 # bench/ is its own module: root `go build ./...` does not compile it, so a
 # Config field or exported name it uses could be removed here and surface

@@ -23,15 +23,11 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
+	"log/slog"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"rebudget/internal/e2e/bootline"
@@ -105,61 +101,29 @@ func main() {
 		os.Exit(1)
 	}
 
-	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		log.Error("listen failed", "addr", o.addr, "err", err)
-		os.Exit(1)
-	}
-	hs := &http.Server{Handler: rt.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	bootline.Log(log, "rebudget-router", ln.Addr().String(), "shards", len(bases))
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+	sh := bootline.Shell{Name: "rebudget-router", Log: log, Grace: 10 * time.Second, Close: rt.Close}
 	if o.backendsFile != "" {
-		signal.Notify(sigc, syscall.SIGHUP)
+		sh.Reload = func() { reload(log, rt, o.backendsFile) }
 	}
-	for {
-		select {
-		case sig := <-sigc:
-			if sig == syscall.SIGHUP {
-				// Config reload: re-read the shard list and reconcile the
-				// ring against it (adds and drains happen under traffic).
-				fileBases, err := readBackendsFile(o.backendsFile)
-				if err != nil {
-					log.Warn("reload skipped: backends file unreadable", "err", err)
-					continue
-				}
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				err = rt.SetBackends(ctx, fileBases)
-				cancel()
-				if err != nil {
-					log.Warn("reload failed", "err", err)
-					continue
-				}
-				log.Info("backends reloaded", "shards", len(fileBases), "epoch", rt.Epoch())
-				continue
-			}
-			log.Info("signal received, shutting down", "signal", sig.String())
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			if err := hs.Shutdown(ctx); err != nil {
-				log.Warn("shutdown incomplete", "err", err)
-			}
-			rt.Close()
-			log.Info("rebudget-router stopped")
-			return
-		case err := <-errc:
-			if !errors.Is(err, http.ErrServerClosed) {
-				log.Error("serve failed", "err", err)
-				rt.Close()
-				os.Exit(1)
-			}
-			return
-		}
+	sh.Run(o.addr, rt.Handler(), "shards", len(bases))
+	log.Info("rebudget-router stopped")
+}
+
+// reload is the SIGHUP config reload: re-read the shard list and reconcile
+// the ring against it (adds and drains happen under traffic).
+func reload(log *slog.Logger, rt *router.Router, path string) {
+	fileBases, err := readBackendsFile(path)
+	if err != nil {
+		log.Warn("reload skipped: backends file unreadable", "err", err)
+		return
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := rt.SetBackends(ctx, fileBases); err != nil {
+		log.Warn("reload failed", "err", err)
+		return
+	}
+	log.Info("backends reloaded", "shards", len(fileBases), "epoch", rt.Epoch())
 }
 
 // readBackendsFile parses a shard-list file: one URL per line, blank

@@ -8,8 +8,8 @@ import (
 	"strings"
 	"time"
 
+	"rebudget/internal/api"
 	"rebudget/internal/e2e"
-	"rebudget/internal/router"
 	"rebudget/internal/server/client"
 )
 
@@ -17,7 +17,7 @@ const churnToken = "churn-smoke-token"
 
 // admin makes one authenticated call against a router's admin API and
 // returns the membership view every admin route answers with.
-func admin(h *e2e.Harness, method, target, body string) (m router.MembershipBody, err error) {
+func admin(h *e2e.Harness, method, target, body string) (m api.Membership, err error) {
 	req, err := http.NewRequestWithContext(h.Ctx, method, target, strings.NewReader(body))
 	if err != nil {
 		return m, err

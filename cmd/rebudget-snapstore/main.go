@@ -12,15 +12,9 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"rebudget/internal/cluster"
@@ -51,32 +45,6 @@ func main() {
 
 	ss := cluster.NewSnapServer(0, log)
 
-	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		log.Error("listen failed", "addr", o.addr, "err", err)
-		os.Exit(1)
-	}
-	hs := &http.Server{Handler: ss.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	bootline.Log(log, "rebudget-snapstore", ln.Addr().String())
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case sig := <-sigc:
-		log.Info("signal received, shutting down", "signal", sig.String())
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(ctx); err != nil {
-			log.Warn("shutdown incomplete", "err", err)
-		}
-		log.Info("rebudget-snapstore stopped", "snapshots", ss.Len())
-	case err := <-errc:
-		if !errors.Is(err, http.ErrServerClosed) {
-			log.Error("serve failed", "err", err)
-			os.Exit(1)
-		}
-	}
+	bootline.Shell{Name: "rebudget-snapstore", Log: log, Grace: 10 * time.Second}.Run(o.addr, ss.Handler())
+	log.Info("rebudget-snapstore stopped", "snapshots", ss.Len())
 }

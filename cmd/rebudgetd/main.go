@@ -13,16 +13,10 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"math"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"rebudget/internal/cluster"
@@ -136,35 +130,7 @@ func main() {
 	o.cfg.Logger = log
 	srv := server.New(o.cfg)
 
-	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		log.Error("listen failed", "addr", o.addr, "err", err)
-		os.Exit(1)
-	}
-	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	bootline.Log(log, "rebudgetd", ln.Addr().String())
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case sig := <-sigc:
-		log.Info("signal received, draining", "signal", sig.String())
-		srv.StartDrain()
-		ctx, cancel := context.WithTimeout(context.Background(), o.drainWait)
-		defer cancel()
-		if err := hs.Shutdown(ctx); err != nil {
-			log.Warn("shutdown incomplete", "err", err)
-		}
-		srv.Close()
-		log.Info("rebudgetd stopped")
-	case err := <-errc:
-		if !errors.Is(err, http.ErrServerClosed) {
-			log.Error("serve failed", "err", err)
-			srv.Close()
-			os.Exit(1)
-		}
-	}
+	bootline.Shell{Name: "rebudgetd", Log: log, Grace: o.drainWait,
+		Drain: srv.StartDrain, Close: srv.Close}.Run(o.addr, srv.Handler())
+	log.Info("rebudgetd stopped")
 }

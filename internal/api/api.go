@@ -1,6 +1,7 @@
 // Package api is the serving tier's wire contract: the JSON bodies that
-// rebudgetd, rebudget-router and their clients exchange, and the headers
-// they stamp. It holds data and its encoding only (standard library
+// rebudgetd, rebudget-router, rebudget-snapstore and their clients
+// exchange, the headers they stamp, the one JSON reply writer and the
+// bearer-token check. It holds data and its encoding only (standard library
 // imports, no behaviour of the daemon), so a client, router or load
 // generator that speaks the contract links none of the allocation engine.
 // What a spec means (validation, defaults, the bundle it builds) is the
@@ -37,9 +38,11 @@ type SessionSpec struct {
 	Mode string `json:"mode,omitempty"`
 	// Bandwidth adds memory bandwidth as a third market resource.
 	Bandwidth bool `json:"bandwidth,omitempty"`
-	// Resilient wraps the mechanism in the core.Resilient fallback chain.
-	// Defaults to true in market mode; in sim mode the chip's own
-	// degraded-mode state machine plays that role, so it defaults to false.
+	// Resilient wraps a market-mode mechanism in the core.Resilient
+	// fallback chain (default true). In sim mode the chip's own
+	// degraded-mode state machine plays that role, and true is refused
+	// with a 400: the wrapper would absorb every failure before the state
+	// machine saw it, and the session would report healthy under faults.
 	Resilient *bool `json:"resilient,omitempty"`
 	// WarmStart (market mode, default true) threads each epoch's final bid
 	// matrix into the next epoch's equilibrium via market.FindEquilibriumFrom,
@@ -129,6 +132,41 @@ type SessionList struct {
 type Healthz struct {
 	Status        string `json:"status"`
 	Sessions      int    `json:"sessions"`
+	UptimeSeconds int64  `json:"uptime_seconds"`
+}
+
+// RouterHealthz is a router's /healthz body: "ok" while every active shard
+// is healthy, "degraded" while some are (both HTTP 200), "down" with HTTP
+// 503 when none is.
+type RouterHealthz struct {
+	Status          string        `json:"status"`
+	Shards          []ShardHealth `json:"shards"`
+	UptimeSeconds   int64         `json:"uptime_seconds"`
+	MembershipEpoch uint64        `json:"membership_epoch"`
+}
+
+// ShardHealth is one active shard in a RouterHealthz: the router's probe
+// verdict and the session count of its last good /healthz.
+type ShardHealth struct {
+	Shard    string `json:"shard"`
+	Healthy  bool   `json:"healthy"`
+	Sessions int64  `json:"sessions"`
+}
+
+// Membership is a router's view of its ring, the body of GET
+// /admin/membership and of every admin change, so one call shows its
+// effect. Draining lists removed shards still handing off sessions.
+type Membership struct {
+	Epoch     uint64   `json:"epoch"`
+	Members   []string `json:"members"`
+	Draining  []string `json:"draining,omitempty"`
+	Migrating int      `json:"migrating"`
+}
+
+// SnapstoreHealthz is rebudget-snapstore's /healthz body, always "ok".
+type SnapstoreHealthz struct {
+	Snapshots     int    `json:"snapshots"`
+	Status        string `json:"status"`
 	UptimeSeconds int64  `json:"uptime_seconds"`
 }
 

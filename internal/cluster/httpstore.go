@@ -68,15 +68,7 @@ func (hs *HTTPSnapshotStore) Delete(id string) error {
 	if err != nil {
 		return err
 	}
-	resp, err := hs.client.Do(req)
-	if err != nil {
-		return err
-	}
-	drain(resp)
-	if resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("snapstore delete %s: %s", id, resp.Status)
-	}
-	return nil
+	return hs.send(req, "delete", id)
 }
 
 // SaveRaw implements snapshot.RawStore: data lands verbatim.
@@ -86,13 +78,20 @@ func (hs *HTTPSnapshotStore) SaveRaw(id string, data []byte) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
+	return hs.send(req, "put", id)
+}
+
+// send issues a write whose success is 204, reading the response to its
+// end so the connection goes back to the pool.
+func (hs *HTTPSnapshotStore) send(req *http.Request, op, id string) error {
 	resp, err := hs.client.Do(req)
 	if err != nil {
 		return err
 	}
-	drain(resp)
+	defer resp.Body.Close()
+	_, _ = io.Copy(io.Discard, resp.Body)
 	if resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("snapstore put %s: %s", id, resp.Status)
+		return fmt.Errorf("snapstore %s %s: %s", op, id, resp.Status)
 	}
 	return nil
 }
@@ -126,9 +125,4 @@ func (hs *HTTPSnapshotStore) LoadRaw(id string) ([]byte, error) {
 
 func (hs *HTTPSnapshotStore) blobURL(id string) string {
 	return hs.base + "/v1/blobs/" + id
-}
-
-func drain(resp *http.Response) {
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
 }

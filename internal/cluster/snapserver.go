@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"hash/crc32"
 	"io"
 	"log/slog"
@@ -144,12 +143,10 @@ func (ss *SnapServer) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (ss *SnapServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	n := ss.Len()
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]any{
-		"status":         "ok",
-		"snapshots":      n,
-		"uptime_seconds": int64(time.Since(ss.started).Seconds()),
+	api.WriteJSON(w, http.StatusOK, api.SnapstoreHealthz{
+		Snapshots:     ss.Len(),
+		Status:        "ok",
+		UptimeSeconds: int64(time.Since(ss.started).Seconds()),
 	})
 }
 

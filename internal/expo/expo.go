@@ -1,21 +1,25 @@
-// Package expo owns the Prometheus text exposition format for the serving
-// tier and nothing else: a pooled line writer, the counter types the hot
-// paths increment, a fixed-bucket latency histogram and the bounded route
-// label. rebudgetd, rebudget-router and rebudget-snapstore keep their own
-// series definitions and render through it. No client library — the repo
-// takes no dependencies — but the output is scrape-compatible.
+// Package expo is the serving tier's observability: the Prometheus text
+// exposition format (a pooled line writer, the counter types the hot paths
+// increment, a fixed-bucket latency histogram and the bounded route label)
+// and the one request-instrumenting wrapper that feeds it. rebudgetd,
+// rebudget-router and rebudget-snapstore keep their own series definitions
+// and render through it. No client library — the repo takes no
+// dependencies — but the output is scrape-compatible.
 package expo
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Writer assembles exposition lines with strconv.Append* into one buffered
@@ -302,4 +306,48 @@ func RouteLabel(path string) string {
 	default:
 		return "other"
 	}
+}
+
+// StatusRecorder remembers the status code a handler wrote (200 when it
+// wrote none).
+type StatusRecorder struct {
+	http.ResponseWriter
+	Code int
+}
+
+// WriteHeader records code and passes it on.
+func (r *StatusRecorder) WriteHeader(code int) {
+	r.Code = code
+	r.ResponseWriter.WriteHeader(code)
+}
+
+// Requests is a daemon's request accounting: served requests by route and
+// status code, and their latency. Each daemon renders both families under
+// its own names.
+type Requests struct {
+	Codes   RouteCodeCounters
+	Latency Histogram
+}
+
+// Observe records one served request.
+func (m *Requests) Observe(route string, code int, dur time.Duration) {
+	m.Codes.Inc(route, code)
+	m.Latency.Observe(dur.Seconds())
+}
+
+// Instrument wraps next so that every request is counted, timed and logged
+// as one msg line on log. It is the one place the serving tier observes a
+// request from the outside.
+func (m *Requests) Instrument(log *slog.Logger, msg string, next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		rec := &StatusRecorder{ResponseWriter: w, Code: http.StatusOK}
+		next.ServeHTTP(rec, r)
+		dur := time.Since(start)
+		route := RouteLabel(r.URL.Path)
+		m.Observe(route, rec.Code, dur)
+		log.Info(msg,
+			"method", r.Method, "route", route, "path", r.URL.Path,
+			"code", rec.Code, "dur_ms", float64(dur.Microseconds())/1000)
+	})
 }

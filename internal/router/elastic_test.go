@@ -262,7 +262,7 @@ func TestAdminAPIOverHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("authorized membership: %d (%s)", resp.StatusCode, body)
 	}
-	var mb MembershipBody
+	var mb api.Membership
 	if err := json.Unmarshal(body, &mb); err != nil || mb.Epoch != 1 || len(mb.Members) != 2 {
 		t.Fatalf("membership body: %s (%v)", body, err)
 	}
@@ -482,7 +482,7 @@ func TestFixedMembershipSurface(t *testing.T) {
 			t.Fatalf("request %d: status %d, epoch header %q, want 200 and \"1\"", i, resp.StatusCode, got)
 		}
 	}
-	var hz HealthzBody
+	var hz api.RouterHealthz
 	if _, body := do(ts.URL, http.MethodGet, "/healthz"); json.Unmarshal(body, &hz) != nil || hz.MembershipEpoch != 1 {
 		t.Fatalf("healthz without membership epoch 1: %s", body)
 	}

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"time"
 
+	"rebudget/internal/api"
 	"rebudget/internal/cluster"
 )
 
@@ -89,7 +91,7 @@ func (rt *Router) adoptMembership(members []string, epoch uint64) {
 	// Add the new members.
 	for _, m := range members {
 		if _, ok := rt.backends[m]; !ok {
-			b := &backend{base: m, br: newBreaker(breakerFailures, rt.cfg.Breaker)}
+			b := rt.newBackend(m)
 			rt.backends[m] = b
 			rt.order = append(rt.order, b)
 		}
@@ -172,7 +174,8 @@ func (rt *Router) gossipOnce(ctx context.Context) {
 		if resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&reply) == nil {
 			rt.mergeDigest(reply)
 		}
-		drainBody(resp)
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
 		cancel()
 	}
 }
@@ -183,15 +186,15 @@ func (rt *Router) gossipOnce(ctx context.Context) {
 // source would let anyone re-shape the fleet.
 func (rt *Router) handleGossip(w http.ResponseWriter, r *http.Request) {
 	if rt.cfg.AdminToken != "" && !rt.authorized(r) {
-		writeErr(w, http.StatusUnauthorized, "gossip token required")
+		api.WriteError(w, http.StatusUnauthorized, "gossip token required")
 		return
 	}
 	var d cluster.Digest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	if err := dec.Decode(&d); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+		api.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	rt.mergeDigest(d)
-	writeJSON(w, http.StatusOK, rt.digest())
+	api.WriteJSON(w, http.StatusOK, rt.digest())
 }

@@ -2,14 +2,12 @@ package router
 
 import (
 	"context"
-	"encoding/json"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"rebudget/internal/api"
 	"rebudget/internal/numeric"
+	"rebudget/internal/server/client"
 )
 
 // backend is one rebudgetd shard behind the router: its base URL plus the
@@ -23,6 +21,11 @@ type backend struct {
 	base string
 	br   *breaker // data-path circuit breaker (see breaker.go)
 
+	// shard carries the router's own calls to the shard (listings, evicts)
+	// over the proxy transport with Config.BackendAPIKey; health carries
+	// its /healthz probes over the probe client, off that transport.
+	shard, health *client.Client
+
 	healthy  atomic.Bool
 	sessions atomic.Int64 // /healthz-reported resident session count
 	probes   atomic.Int64 // completed probes (telemetry)
@@ -32,6 +35,17 @@ type backend struct {
 	// observation outranks anything peers still gossip about the old state.
 	// See internal/cluster gossip.go for the merge rule.
 	obsSeq atomic.Uint64
+}
+
+// newBackend builds the router's handle on the shard at base. Every backend
+// the router ever holds is built here.
+func (rt *Router) newBackend(base string) *backend {
+	return &backend{
+		base:   base,
+		br:     newBreaker(breakerFailures, rt.cfg.Breaker),
+		shard:  client.New(base, client.WithHTTPClient(rt.proxyClient), client.WithAPIKey(rt.cfg.BackendAPIKey)),
+		health: client.New(base, client.WithHTTPClient(rt.probeClient)),
+	}
 }
 
 // setHealthy records a first-hand health observation, bumping the gossip
@@ -57,22 +71,10 @@ func (b *backend) observation() (healthy bool, seq uint64) {
 
 // probe checks one backend's /healthz and updates its state, reporting
 // whether the backend is healthy.
-func (b *backend) probe(ctx context.Context, client *http.Client) bool {
+func (b *backend) probe(ctx context.Context) bool {
 	b.probes.Add(1)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+"/healthz", nil)
-	if err != nil {
-		b.setHealthy(false)
-		return false
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		b.setHealthy(false)
-		return false
-	}
-	defer resp.Body.Close()
-	var body api.Healthz
-	ok := resp.StatusCode == http.StatusOK &&
-		json.NewDecoder(resp.Body).Decode(&body) == nil && body.Status == "ok"
+	body, err := b.health.Healthz(ctx)
+	ok := err == nil && body.Status == "ok"
 	if ok {
 		b.sessions.Store(int64(body.Sessions))
 	}
@@ -91,7 +93,7 @@ func (rt *Router) probeAll(ctx context.Context) {
 		go func(b *backend) {
 			defer wg.Done()
 			was := b.healthy.Load()
-			now := b.probe(ctx, rt.probeClient)
+			now := b.probe(ctx)
 			// Probe outcomes feed the breaker: a good probe lets an open
 			// breaker try the data path again (half-open); a bad one can
 			// open the breaker before any request has to discover the

@@ -2,11 +2,9 @@ package router
 
 import (
 	"context"
-	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -14,12 +12,8 @@ import (
 
 	"rebudget/internal/api"
 	"rebudget/internal/cluster"
+	"rebudget/internal/server/client"
 )
-
-func drainBody(resp *http.Response) {
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-}
 
 // Elastic membership: live shard add/remove under traffic, with snapshots
 // as the migration vehicle and the move rate bounded by the fleet-level
@@ -66,9 +60,9 @@ func (rt *Router) AddShard(ctx context.Context, raw string) (moved int, err erro
 	if active {
 		return 0, fmt.Errorf("router: shard %q is already a member", base)
 	}
-	b := &backend{base: base, br: newBreaker(breakerFailures, rt.cfg.Breaker)}
+	b := rt.newBackend(base)
 	probeCtx, cancel := context.WithTimeout(ctx, probeTimeout)
-	ok := b.probe(probeCtx, rt.probeClient)
+	ok := b.probe(probeCtx)
 	cancel()
 	if !ok {
 		return 0, fmt.Errorf("router: shard %q failed its admission probe", base)
@@ -100,7 +94,7 @@ func (rt *Router) AddShard(ctx context.Context, raw string) (moved int, err erro
 		if !resident || rt.movedSince(id, seqStart) {
 			continue
 		}
-		rt.pins[id] = from
+		rt.pins[id] = from.base
 		plan = append(plan, migration{id: id, from: from})
 	}
 	rt.backends[base] = b
@@ -152,7 +146,7 @@ func (rt *Router) RemoveShard(ctx context.Context, raw string) (moved int, err e
 			continue // moved off this shard while we were listing it
 		}
 		rt.pins[id] = base
-		plan = append(plan, migration{id: id, from: base})
+		plan = append(plan, migration{id: id, from: b})
 	}
 	rt.ring.Remove(base)
 	rt.retired[base] = b
@@ -222,14 +216,14 @@ func (rt *Router) SetBackends(ctx context.Context, desired []string) error {
 // listResidents maps every resident session id to the shard holding it,
 // by asking each active shard directly (the router's own /v1/sessions
 // merge loses the shard attribution).
-func (rt *Router) listResidents(ctx context.Context) map[string]string {
-	out := make(map[string]string)
+func (rt *Router) listResidents(ctx context.Context) map[string]*backend {
+	out := make(map[string]*backend)
 	for _, b := range rt.activeBackends() {
 		if !b.healthy.Load() {
 			continue
 		}
 		for _, id := range rt.listShardResidents(ctx, b) {
-			out[id] = b.base
+			out[id] = b
 		}
 	}
 	return out
@@ -239,21 +233,12 @@ func (rt *Router) listResidents(ctx context.Context) map[string]string {
 func (rt *Router) listShardResidents(ctx context.Context, b *backend) []string {
 	ctx, cancel := context.WithTimeout(ctx, rt.cfg.ProxyTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+"/v1/sessions", nil)
+	views, err := b.shard.ListSessions(ctx)
 	if err != nil {
 		return nil
 	}
-	resp, err := rt.proxyClient.Do(req)
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	var out api.SessionList
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&out) != nil {
-		return nil
-	}
-	ids := make([]string, 0, len(out.Sessions))
-	for _, s := range out.Sessions {
+	ids := make([]string, 0, len(views))
+	for _, s := range views {
 		ids = append(ids, s.ID)
 	}
 	sort.Strings(ids)
@@ -273,16 +258,16 @@ func (rt *Router) reconcile(ctx context.Context) {
 	residents := rt.listResidents(ctx)
 	var plan []migration
 	rt.mu.Lock()
-	for id, shard := range residents {
+	for id, b := range residents {
 		if _, pinned := rt.pins[id]; pinned {
 			continue
 		}
 		if rt.movedSince(id, seqStart) {
 			continue
 		}
-		if rt.ring.Primary(id) != shard {
-			rt.pins[id] = shard
-			plan = append(plan, migration{id: id, from: shard})
+		if rt.ring.Primary(id) != b.base {
+			rt.pins[id] = b.base
+			plan = append(plan, migration{id: id, from: b})
 		}
 	}
 	rt.mu.Unlock()
@@ -367,7 +352,7 @@ func (rt *Router) migrateOne(m migration) {
 	rt.clearPin(m.id)
 	rt.evict(m.from, m.id) // close the resurrect window; 404 is the norm
 	rt.met.migrations.Add(1)
-	rt.log.Info("session migrated", "id", m.id, "from", m.from)
+	rt.log.Info("session migrated", "id", m.id, "from", m.from.base)
 }
 
 // isPinned reports whether id is mid-migration: pinned to its old owner
@@ -422,29 +407,18 @@ func (rt *Router) movedSince(id string, since uint64) bool {
 
 // evict asks a shard to retire a session to its snapshot. ok means the
 // session is no longer resident there (evicted now, or already gone);
-// retry means the shard didn't answer and the move should be retried.
-func (rt *Router) evict(base, id string) (ok, retry bool) {
+// retry means the shard didn't answer and the move should be retried. The
+// migrator speaks for itself, not for a client: keyed shards get the
+// router's own backend token, which b.shard carries.
+func (rt *Router) evict(b *backend, id string) (ok, retry bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProxyTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		base+"/v1/sessions/"+id+"/evict", nil)
-	if err != nil {
-		return false, false
-	}
-	// The migrator speaks for itself, not for a client — keyed shards get
-	// the router's own backend token.
-	if rt.cfg.BackendAPIKey != "" {
-		req.Header.Set("Authorization", "Bearer "+rt.cfg.BackendAPIKey)
-	}
-	resp, err := rt.proxyClient.Do(req)
-	if err != nil {
-		return false, true
-	}
-	drainBody(resp)
-	switch resp.StatusCode {
-	case http.StatusNoContent:
+	err := b.shard.Evict(ctx, id)
+	var ae *client.APIError
+	switch {
+	case err == nil:
 		return true, false
-	case http.StatusNotFound, http.StatusGone:
+	case errors.As(err, &ae) && (ae.Status == http.StatusNotFound || ae.Status == http.StatusGone):
 		// Not resident (idled out to its snapshot already, or deleted).
 		return true, false
 	default:
@@ -484,18 +458,9 @@ func (rt *Router) finalizeRetired() {
 
 // --- admin API ---
 
-// authorized checks the bearer token in constant time.
-func (rt *Router) authorized(r *http.Request) bool {
-	if rt.cfg.AdminToken == "" {
-		return false
-	}
-	auth := r.Header.Get("Authorization")
-	const prefix = "Bearer "
-	if !strings.HasPrefix(auth, prefix) {
-		return false
-	}
-	return subtle.ConstantTimeCompare([]byte(auth[len(prefix):]), []byte(rt.cfg.AdminToken)) == 1
-}
+// authorized checks the admin bearer token; with none configured, nobody
+// is.
+func (rt *Router) authorized(r *http.Request) bool { return api.Bearer(r, rt.cfg.AdminToken) }
 
 // adminShardArg extracts the shard URL from body {"shard": "..."} or the
 // ?shard= query parameter.
@@ -513,16 +478,8 @@ func adminShardArg(r *http.Request) (string, error) {
 	return body.Shard, nil
 }
 
-// MembershipBody is the admin API's view of the ring, also returned by
-// every mutation so one call shows its effect.
-type MembershipBody struct {
-	Epoch     uint64   `json:"epoch"`
-	Members   []string `json:"members"`
-	Draining  []string `json:"draining,omitempty"`
-	Migrating int      `json:"migrating"`
-}
-
-func (rt *Router) membershipBody() MembershipBody {
+// membershipBody is the admin API's view of the ring.
+func (rt *Router) membershipBody() api.Membership {
 	rt.mu.RLock()
 	members := rt.ring.Members()
 	var draining []string
@@ -531,7 +488,7 @@ func (rt *Router) membershipBody() MembershipBody {
 	}
 	rt.mu.RUnlock()
 	sort.Strings(draining)
-	return MembershipBody{
+	return api.Membership{
 		Epoch:     rt.epoch.Load(),
 		Members:   members,
 		Draining:  draining,
@@ -541,34 +498,34 @@ func (rt *Router) membershipBody() MembershipBody {
 
 func (rt *Router) handleAdminAdd(w http.ResponseWriter, r *http.Request) {
 	if !rt.authorized(r) {
-		writeErr(w, http.StatusUnauthorized, "admin token required")
+		api.WriteError(w, http.StatusUnauthorized, "admin token required")
 		return
 	}
 	shard, err := adminShardArg(r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+		api.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	moved, err := rt.AddShard(r.Context(), shard)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+		api.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	body := rt.membershipBody()
 	if moved > body.Migrating {
 		body.Migrating = moved
 	}
-	writeJSON(w, http.StatusOK, body)
+	api.WriteJSON(w, http.StatusOK, body)
 }
 
 func (rt *Router) handleAdminRemove(w http.ResponseWriter, r *http.Request) {
 	if !rt.authorized(r) {
-		writeErr(w, http.StatusUnauthorized, "admin token required")
+		api.WriteError(w, http.StatusUnauthorized, "admin token required")
 		return
 	}
 	shard, err := adminShardArg(r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+		api.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	moved, err := rt.RemoveShard(r.Context(), shard)
@@ -577,20 +534,20 @@ func (rt *Router) handleAdminRemove(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrNotMember) {
 			code = http.StatusNotFound
 		}
-		writeErr(w, code, err.Error())
+		api.WriteError(w, code, err.Error())
 		return
 	}
 	body := rt.membershipBody()
 	if moved > body.Migrating {
 		body.Migrating = moved
 	}
-	writeJSON(w, http.StatusOK, body)
+	api.WriteJSON(w, http.StatusOK, body)
 }
 
 func (rt *Router) handleMembership(w http.ResponseWriter, r *http.Request) {
 	if !rt.authorized(r) {
-		writeErr(w, http.StatusUnauthorized, "admin token required")
+		api.WriteError(w, http.StatusUnauthorized, "admin token required")
 		return
 	}
-	writeJSON(w, http.StatusOK, rt.membershipBody())
+	api.WriteJSON(w, http.StatusOK, rt.membershipBody())
 }

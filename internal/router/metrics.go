@@ -9,7 +9,7 @@ import (
 )
 
 // rtrMetrics is the router's observability state and series definitions,
-// rendered through internal/expo like the daemon's.
+// rendered through internal/expo.
 type rtrMetrics struct {
 	sessionsPlaced atomic.Int64 // creates proxied successfully
 	failovers      atomic.Int64 // requests skipped past an unhealthy/unreachable shard
@@ -28,14 +28,7 @@ type rtrMetrics struct {
 	gossipAdopted     atomic.Int64 // peer observations adopted locally
 	gossipFailures    atomic.Int64 // unreachable peers
 
-	requests expo.RouteCodeCounters // route × status code
-	latency  expo.Histogram
-}
-
-// observe records one routed request.
-func (m *rtrMetrics) observe(route string, code int, dur time.Duration) {
-	m.requests.Inc(route, code)
-	m.latency.Observe(dur.Seconds())
+	requests expo.Requests // route × status code, and latency
 }
 
 // render writes the exposition: router counters, per-shard gauges (health,
@@ -90,8 +83,8 @@ func (m *rtrMetrics) render(w io.Writer, backends []*backend, uptime time.Durati
 		}
 	}
 
-	e.Labelled("rebudget_router_requests_total", "Requests routed, by route and status code.", &m.requests)
-	e.Histogram("rebudget_router_request_seconds", "Proxied request latency.", &m.latency)
+	e.Labelled("rebudget_router_requests_total", "Requests routed, by route and status code.", &m.requests.Codes)
+	e.Histogram("rebudget_router_request_seconds", "Proxied request latency.", &m.requests.Latency)
 
 	e.Gauge("rebudget_router_membership_epoch", "Current membership epoch (1 until the first change).", float64(epoch))
 	e.Counter("rebudget_router_membership_changes_total", "Ring flips applied (admin API, config reload, or gossip adoption).", float64(m.membershipChanges.Load()))

@@ -2,10 +2,11 @@ package router
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"sync"
+
+	"rebudget/internal/api"
 )
 
 // The proxy must buffer every request body (it may replay it across ring
@@ -13,10 +14,6 @@ import (
 // Pooled buffers amortise that across the 100k-session load the tier is
 // sized for; relayBufs below do the same for the response.
 var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// poolBufCap bounds what a pooled buffer retains, so one giant body does
-// not pin its high-water mark in the pool forever.
-const poolBufCap = 64 << 10
 
 // readBody buffers r's body (bounded by maxBody) into a pooled buffer. The
 // caller owns the buffer until it calls putBodyBuf — the returned bytes
@@ -32,14 +29,14 @@ func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
 }
 
 func putBodyBuf(buf *bytes.Buffer) {
-	if buf.Cap() > poolBufCap {
+	if buf.Cap() > api.PoolBufCap {
 		return
 	}
 	bodyBufs.Put(buf)
 }
 
 // relayBufs are the copy buffers of the response side. io.Copy would make a
-// fresh 32 kB one per relayed body: statusRecorder hides the ResponseWriter's
+// fresh 32 kB one per relayed body: expo.StatusRecorder hides the ResponseWriter's
 // ReaderFrom, and with it net/http's own pooled buffer.
 var relayBufs = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
 
@@ -64,36 +61,4 @@ func relay(w io.Writer, body io.Reader) error {
 			return rerr
 		}
 	}
-}
-
-// jsonWriter pools a response buffer with an encoder bound to it, mirroring
-// the daemon's hot-path encoder pool.
-type jsonWriter struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var jsonWriters = sync.Pool{New: func() any {
-	jw := &jsonWriter{}
-	jw.enc = json.NewEncoder(&jw.buf)
-	return jw
-}}
-
-func encodeJSON(w io.Writer, v any) error {
-	jw := jsonWriters.Get().(*jsonWriter)
-	jw.buf.Reset()
-	if err := jw.enc.Encode(v); err != nil {
-		putJSONWriter(jw)
-		return err
-	}
-	_, err := w.Write(jw.buf.Bytes())
-	putJSONWriter(jw)
-	return err
-}
-
-func putJSONWriter(jw *jsonWriter) {
-	if jw.buf.Cap() > poolBufCap {
-		return
-	}
-	jsonWriters.Put(jw)
 }

@@ -21,6 +21,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -153,8 +154,9 @@ type Router struct {
 // migration is one session move: evict id from shard `from`, then let the
 // ring's new owner rehydrate it.
 type migration struct {
-	id, from string
-	retries  int
+	id      string
+	from    *backend
+	retries int
 }
 
 // New builds a router over the configured backends, probes them once
@@ -199,7 +201,7 @@ func New(cfg Config) (*Router, error) {
 		if _, dup := rt.backends[base]; dup {
 			return nil, fmt.Errorf("router: duplicate backend %q", base)
 		}
-		b := &backend{base: base, br: newBreaker(breakerFailures, cfg.Breaker)}
+		b := rt.newBackend(base)
 		rt.backends[base] = b
 		rt.order = append(rt.order, b)
 		rt.ring.Add(base)
@@ -238,21 +240,13 @@ func (rt *Router) routes() {
 }
 
 // Handler returns the router's HTTP handler (logging + metrics wrapped).
+// The epoch header is how a caller learns membership moved between two of
+// its requests; it is stamped before the mux runs, so every reply has it.
 func (rt *Router) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		// The epoch header is how a caller learns membership moved between
-		// two of its requests.
+	return rt.met.requests.Instrument(rt.log, "routed", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(api.EpochHeader, strconv.FormatUint(rt.epoch.Load(), 10))
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		rt.mux.ServeHTTP(rec, r)
-		dur := time.Since(start)
-		route := expo.RouteLabel(r.URL.Path)
-		rt.met.observe(route, rec.code, dur)
-		rt.log.Info("routed",
-			"method", r.Method, "route", route, "path", r.URL.Path,
-			"code", rec.code, "dur_ms", float64(dur.Microseconds())/1000)
-	})
+		rt.mux.ServeHTTP(w, r)
+	}))
 }
 
 // Close stops the health prober, the migrator and the gossip loop. The HTTP
@@ -343,6 +337,14 @@ func (rt *Router) routeFor(id string) *backend {
 	return rt.backends[p]
 }
 
+// unreachable reports whether a call to a shard failed in transport: only
+// that marks the shard unhealthy. A shard that answered, with an error
+// status or a body that does not decode, is up.
+func unreachable(err error) bool {
+	var ue *url.Error
+	return errors.As(err, &ue)
+}
+
 // errSessionMoved reports a swallowed 410: the shard answered "gone", which
 // mid-migration means the session was just evicted to its snapshot and the
 // ring's current primary can rehydrate it.
@@ -391,7 +393,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id string, body 
 	seq := rt.sequenceFor(id)
 	if len(seq) == 0 {
 		rt.met.noShard.Add(1)
-		writeErr(w, http.StatusServiceUnavailable, "no shards configured")
+		api.WriteError(w, http.StatusServiceUnavailable, "no shards configured")
 		return bodySafe
 	}
 	isEpoch := strings.HasSuffix(r.URL.Path, "/epoch")
@@ -519,7 +521,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id string, body 
 	if outOfBudget {
 		msg = "no healthy shard (retry budget exhausted)"
 	}
-	writeErr(w, http.StatusServiceUnavailable, msg)
+	api.WriteError(w, http.StatusServiceUnavailable, msg)
 	return bodySafe
 }
 
@@ -598,7 +600,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, b *backend, id
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 	raw, err := readBody(w, r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+		api.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	var spec api.SessionSpec
@@ -607,7 +609,7 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
 			putBodyBuf(raw)
-			writeErr(w, http.StatusBadRequest, err.Error())
+			api.WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 	}
@@ -617,12 +619,12 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := json.Marshal(spec)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err.Error())
+		api.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
+	rec := &expo.StatusRecorder{ResponseWriter: w, Code: http.StatusOK}
 	rt.proxy(rec, r, spec.ID, body)
-	if rec.code == http.StatusCreated {
+	if rec.Code == http.StatusCreated {
 		rt.met.sessionsPlaced.Add(1)
 	}
 }
@@ -631,12 +633,12 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if id == "" {
-		writeErr(w, http.StatusBadRequest, "missing session id")
+		api.WriteError(w, http.StatusBadRequest, "missing session id")
 		return
 	}
 	buf, err := readBody(w, r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+		api.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if rt.proxy(w, r, id, buf.Bytes()) {
@@ -652,11 +654,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.ProxyTimeout)
 	defer cancel()
 	order := rt.activeBackends()
-	type shardList struct {
-		views []api.SessionView
-		err   error
-	}
-	results := make([]shardList, len(order))
+	results := make([][]api.SessionView, len(order))
 	var wg sync.WaitGroup
 	for i, b := range order {
 		if !b.healthy.Load() {
@@ -665,30 +663,17 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, b *backend) {
 			defer wg.Done()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+"/v1/sessions", nil)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			resp, err := rt.proxyClient.Do(req)
-			if err != nil {
+			views, err := b.shard.ListSessions(ctx)
+			if unreachable(err) {
 				b.setHealthy(false)
-				results[i].err = err
-				return
 			}
-			defer resp.Body.Close()
-			var out api.SessionList
-			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-				results[i].err = err
-				return
-			}
-			results[i].views = out.Sessions
+			results[i] = views
 		}(i, b)
 	}
 	wg.Wait()
 	merged := api.SessionList{Sessions: []api.SessionView{}}
-	for _, res := range results {
-		merged.Sessions = append(merged.Sessions, res.views...)
+	for _, views := range results {
+		merged.Sessions = append(merged.Sessions, views...)
 	}
 	slices.SortFunc(merged.Sessions, func(a, b api.SessionView) int {
 		if c := b.LastUsed.Compare(a.LastUsed); c != 0 {
@@ -696,28 +681,13 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		return strings.Compare(a.ID, b.ID)
 	})
-	writeJSON(w, http.StatusOK, merged)
-}
-
-// ShardHealth is one backend's state in the router's /healthz body.
-type ShardHealth struct {
-	Shard    string `json:"shard"`
-	Healthy  bool   `json:"healthy"`
-	Sessions int64  `json:"sessions"`
-}
-
-// HealthzBody is the router's /healthz response.
-type HealthzBody struct {
-	Status          string        `json:"status"`
-	Shards          []ShardHealth `json:"shards"`
-	UptimeSeconds   int64         `json:"uptime_seconds"`
-	MembershipEpoch uint64        `json:"membership_epoch"`
+	api.WriteJSON(w, http.StatusOK, merged)
 }
 
 // handleHealthz reports the router healthy while at least one shard is:
 // a degraded tier still serves (rerouted) traffic.
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	body := HealthzBody{
+	body := api.RouterHealthz{
 		UptimeSeconds:   int64(time.Since(rt.started).Seconds()),
 		MembershipEpoch: rt.epoch.Load(),
 	}
@@ -728,7 +698,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		if h {
 			healthyN++
 		}
-		body.Shards = append(body.Shards, ShardHealth{
+		body.Shards = append(body.Shards, api.ShardHealth{
 			Shard: b.base, Healthy: h, Sessions: b.sessions.Load(),
 		})
 	}
@@ -742,33 +712,11 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		body.Status = "down"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, body)
+	api.WriteJSON(w, code, body)
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	rt.met.render(w, rt.activeBackends(), time.Since(rt.started),
 		rt.epoch.Load(), rt.pendingMigrations())
-}
-
-// --- HTTP plumbing (mirrors the daemon's) ---
-
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.code = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = encodeJSON(w, v)
-}
-
-func writeErr(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, api.Error{Error: msg})
 }

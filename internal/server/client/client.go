@@ -102,10 +102,6 @@ func IsBusy(err error) bool {
 // json.RawMessage).
 var respBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// poolBufCap bounds what a pooled buffer retains, like the router's and the
-// daemon's: one giant listing must not pin its high-water mark forever.
-const poolBufCap = 64 << 10
-
 // do issues one request and decodes the JSON response into out (if non-nil).
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var buf []byte
@@ -152,7 +148,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 			err = json.Unmarshal(rb.Bytes(), out)
 		}
 	}
-	if rb.Cap() <= poolBufCap {
+	if rb.Cap() <= api.PoolBufCap {
 		respBufs.Put(rb)
 	}
 	return err
@@ -198,6 +194,13 @@ func (c *Client) GetSession(ctx context.Context, id string) (api.SessionView, er
 // DeleteSession removes a session.
 func (c *Client) DeleteSession(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/sessions/"+id, nil, nil)
+}
+
+// Evict retires a session to its snapshot on its shard: the next touch
+// rehydrates it, there or on any shard sharing the store. A session not
+// resident answers 404 (*APIError).
+func (c *Client) Evict(ctx context.Context, id string) error {
+	return c.do(ctx, http.MethodPost, "/v1/sessions/"+id+"/evict", nil, nil)
 }
 
 // StepEpoch advances the session one allocation epoch.

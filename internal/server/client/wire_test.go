@@ -178,8 +178,8 @@ func TestOversizeResponseIsNotPinned(t *testing.T) {
 	// put it, so the big one would be among these had it been kept.
 	for i := 0; i < 64; i++ {
 		buf := respBufs.Get().(*bytes.Buffer)
-		if buf.Cap() > poolBufCap {
-			t.Fatalf("pool retained a %d-byte buffer (cap %d)", buf.Cap(), poolBufCap)
+		if buf.Cap() > api.PoolBufCap {
+			t.Fatalf("pool retained a %d-byte buffer (cap %d)", buf.Cap(), api.PoolBufCap)
 		}
 		if buf.Cap() == 0 {
 			break // a fresh one: the pool is empty

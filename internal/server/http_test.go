@@ -118,6 +118,29 @@ func TestDegradedSessionReportsStateThroughMetrics(t *testing.T) {
 	}
 }
 
+// TestSimRefusesResilient: in sim mode the chip's degraded-mode state
+// machine handles allocation faults. A core.Resilient inside the chip would
+// absorb every failure first, and this session, under 90 % utility
+// poisoning, would report healthy with zero failures. The create is
+// refused instead, naming the field.
+func TestSimRefusesResilient(t *testing.T) {
+	_, ts := newTestDaemon(t, Config{})
+	on := true
+	spec := api.SessionSpec{
+		ID:        "masked-chip",
+		Mode:      api.ModeSim,
+		Workload:  api.WorkloadSpec{Fig3: true},
+		Mechanism: "rebudget-0.05",
+		Resilient: &on,
+		Sim:       &api.SimSpec{WarmupEpochs: 1, Faults: &api.FaultSpec{UtilityRate: 0.9, Seed: 11}},
+	}
+	var e api.Error
+	if resp := doJSON(t, "POST", ts.URL+"/v1/sessions", spec, &e); resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(e.Error, "resilient") {
+		t.Fatalf("create: %d %q, want a 400 naming resilient", resp.StatusCode, e.Error)
+	}
+}
+
 func TestEpochBackpressureReturns429(t *testing.T) {
 	srv, ts := newTestDaemon(t, Config{RequestTimeout: 300 * time.Millisecond})
 	// A queue that holds one waiter, in place before any request arrives.

@@ -31,23 +31,16 @@ type srvMetrics struct {
 	parked          atomic.Int64 // sessions ever hibernated
 	unparked        atomic.Int64 // sessions ever woken from hibernation
 
-	evicted   expo.LabelCounters     // reason: capacity | idle | deleted | drain
-	rejected  expo.LabelCounters     // reason: busy | mailbox | draining | timeout | ratelimit | tenant | auth
-	requests  expo.RouteCodeCounters // route × status code
-	snapshots expo.LabelCounters     // op: save | restore | verified | corrupt | save_error | load_error | restore_error
+	evicted   expo.LabelCounters // reason: capacity | idle | deleted | drain
+	rejected  expo.LabelCounters // reason: busy | mailbox | draining | timeout | ratelimit | tenant | auth
+	snapshots expo.LabelCounters // op: save | restore | verified | corrupt | save_error | load_error | restore_error
 
-	latency expo.Histogram
+	requests expo.Requests // route × status code, and latency
 
 	// eq is the server-wide equilibrium profile: the observer installed on
 	// every session's allocator, surviving session eviction so the counters
 	// stay monotonic (as Prometheus counters must).
 	eq metrics.EquilibriumProfile
-}
-
-// observeRequest records one served HTTP request.
-func (m *srvMetrics) observeRequest(route string, code int, dur time.Duration) {
-	m.requests.Inc(route, code)
-	m.latency.Observe(dur.Seconds())
 }
 
 // render writes the exposition. Cardinality stays bounded: population
@@ -149,8 +142,8 @@ func (m *srvMetrics) render(w io.Writer, sessions []*session, disp *dispatcher,
 	e.Counter("rebudgetd_equilibrium_wall_seconds_total", "Wall time spent inside equilibrium computations.", eq.Wall.Seconds())
 
 	// Request accounting.
-	e.Labelled("rebudgetd_requests_total", "HTTP requests served, by route and status code.", &m.requests)
-	e.Histogram("rebudgetd_request_seconds", "HTTP request latency.", &m.latency)
+	e.Labelled("rebudgetd_requests_total", "HTTP requests served, by route and status code.", &m.requests.Codes)
+	e.Histogram("rebudgetd_request_seconds", "HTTP request latency.", &m.requests.Latency)
 
 	// Degradation FSM: population counts per state.
 	byState := map[metrics.HealthState]int{}

@@ -57,11 +57,9 @@ func newSimEngine(spec api.SessionSpec, bundle workload.Bundle,
 	if err != nil {
 		return nil, err
 	}
-	var alloc core.Allocator = mech
-	if resilient(spec) {
-		alloc = core.NewResilient(mech, core.ResilientConfig{})
-	}
-	alloc = core.WithMarketConfig(alloc, func(mc market.Config) market.Config {
+	// No core.Resilient here: the chip's own degraded-mode state machine
+	// must see every allocation failure (validate refuses resilient: true).
+	alloc := core.WithMarketConfig(mech, func(mc market.Config) market.Config {
 		mc.Observer = observer
 		return mc
 	})
