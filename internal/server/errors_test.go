@@ -234,6 +234,18 @@ func TestResolveErrorMapping(t *testing.T) {
 	good := sess.snapshot(time.Now())
 	unrestorable := *good
 	unrestorable.Spec.Mechanism = "no-such-mechanism"
+	// A sim session saved while sim specs still accepted resilient: true.
+	simSpec := fig3Spec("v", "rebudget-0.05")
+	simSpec.Mode, simSpec.Sim = api.ModeSim, &api.SimSpec{WarmupEpochs: 1}
+	simSess, err := spawnSession(donor, simSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	donor.store.remove("v")
+	simSess.close()
+	resilientSim := simSess.snapshot(time.Now())
+	on := true
+	resilientSim.Spec.Resilient = &on
 
 	var srv *Server // set per case; the race case reaches back into it
 	cases := []struct {
@@ -254,6 +266,8 @@ func TestResolveErrorMapping(t *testing.T) {
 			load: func(string) (*snapshot.Session, error) { return nil, errors.New("input/output error") }},
 		{name: "unrestorable snapshot", wantCode: 404, wantOp: `op="restore_error"`,
 			load: func(string) (*snapshot.Session, error) { cp := unrestorable; return &cp, nil }},
+		{name: "resilient sim snapshot", wantCode: 404, wantOp: `op="restore_error"`,
+			load: func(string) (*snapshot.Session, error) { cp := *resilientSim; return &cp, nil }},
 		{name: "draining", drain: true, wantCode: 503, wantRejct: `reason="draining"`,
 			load: func(string) (*snapshot.Session, error) { cp := *good; return &cp, nil }},
 		{name: "restored", wantCode: 200, wantOp: `op="restore"`,
