@@ -85,7 +85,8 @@ func NewBandwidthUtility(m *Model, curve *cache.MissCurve) (*BandwidthUtility, e
 func (u *BandwidthUtility) Twin() *BandwidthUtility { return &BandwidthUtility{prof: u.prof} }
 
 // Identity names the function this utility computes (see
-// market.Identified).
+// market.Identified). As for Utility, the profile is immutable once built,
+// so the key names one function for its whole lifetime.
 func (u *BandwidthUtility) Identity() (key any, scale float64) { return u.prof, 1 }
 
 // MaxPowerAlloc is the watts beyond the floor that saturate frequency.

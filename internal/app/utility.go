@@ -156,7 +156,10 @@ func (u *Utility) Twin() *Utility { return &Utility{prof: u.prof} }
 
 // Identity names the function this utility computes (see
 // market.Identified): twins share a profile and therefore a key, and no
-// scale is applied.
+// scale is applied. The profile never changes after newUtility returns and
+// Value reads nothing else but the instance's exact frequency memo, so the
+// key names one function for its whole lifetime, as a memo across calls
+// needs.
 func (u *Utility) Identity() (key any, scale float64) { return u.prof, 1 }
 
 // Value implements market.Utility. alloc[0] is Δregions, alloc[1] Δwatts.

@@ -267,9 +267,10 @@ func (EqualShare) Allocate(capacity []float64, players []PlayerSpec) (*Outcome, 
 // marketOutcome runs one equilibrium with the given budgets and wraps it.
 // Non-convergence is accepted explicitly (Settle) and reported through the
 // outcome's Converged field, matching the paper's §6.4 fail-safe. A non-nil
-// warm matrix seeds the search from a previous equilibrium's bids.
+// warm matrix seeds the search from a previous equilibrium's bids; a cold
+// search of an equal-budget market (equal set) goes through the memo.
 func marketOutcome(name string, capacity []float64, players []PlayerSpec,
-	budgets []float64, warm [][]float64, cfg market.Config) (*Outcome, error) {
+	budgets []float64, warm [][]float64, cfg market.Config, equal bool) (*Outcome, error) {
 	mp := make([]*market.Player, len(players))
 	for i, p := range players {
 		mp[i] = &market.Player{Name: p.Name, Utility: p.Utility, Budget: budgets[i]}
@@ -278,7 +279,12 @@ func marketOutcome(name string, capacity []float64, players []PlayerSpec,
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w: %w", name, ErrBadInput, err)
 	}
-	eq, err := market.Settle(m.FindEquilibriumFrom(warm))
+	var eq *market.Equilibrium
+	if equal && warm == nil {
+		eq, err = coldEquilibrium(m, capacity, players, budgets, cfg)
+	} else {
+		eq, err = market.Settle(m.FindEquilibriumFrom(warm))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w: %w", name, ErrBadInput, err)
 	}
@@ -330,7 +336,7 @@ func (a EqualBudget) Allocate(capacity []float64, players []PlayerSpec) (*Outcom
 	for i := range budgets {
 		budgets[i] = players[i].weight() * InitialBudget
 	}
-	return marketOutcome("EqualBudget", capacity, players, budgets, a.WarmBids, a.Market)
+	return marketOutcome("EqualBudget", capacity, players, budgets, a.WarmBids, a.Market, true)
 }
 
 // Balanced is XChange's wealth-redistribution baseline: each player's
@@ -401,5 +407,5 @@ func (a Balanced) Allocate(capacity []float64, players []PlayerSpec) (*Outcome, 
 			budgets[i] = weights[i] / sum * InitialBudget * float64(n)
 		}
 	}
-	return marketOutcome("Balanced", capacity, players, budgets, a.WarmBids, a.Market)
+	return marketOutcome("Balanced", capacity, players, budgets, a.WarmBids, a.Market, false)
 }

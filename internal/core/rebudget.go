@@ -207,7 +207,14 @@ func (r ReBudget) Allocate(capacity []float64, players []PlayerSpec) (*Outcome, 
 		// best-effort state); any other equilibrium failure — a NaN/Inf
 		// utility mid-round, say — aborts with a typed error so callers
 		// never see NaN budgets.
-		eq, err = market.Settle(m.FindEquilibriumInto(eq, warmBids))
+		//
+		// The first, cold run is EqualBudget's search, so it goes through
+		// the memo; nothing but its bids carries over to the next round.
+		if round == 0 && warmBids == nil {
+			eq, err = coldEquilibrium(m, capacity, players, budgets, cfg.Market)
+		} else {
+			eq, err = market.Settle(m.FindEquilibriumInto(eq, warmBids))
+		}
 		if err != nil {
 			return nil, fmt.Errorf("core: ReBudget round %d: %w: %w", round, ErrBadInput, err)
 		}

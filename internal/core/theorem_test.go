@@ -75,7 +75,7 @@ func randomMarket(rng *numeric.Rand, n int) ([]float64, []PlayerSpec, []float64)
 // runWithBudgets runs one equilibrium under explicit budgets.
 func runWithBudgets(t *testing.T, capacity []float64, players []PlayerSpec, budgets []float64) *Outcome {
 	t.Helper()
-	out, err := marketOutcome("test", capacity, players, budgets, nil, market.Config{})
+	out, err := marketOutcome("test", capacity, players, budgets, nil, market.Config{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,13 @@ package experiments
 import (
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rebudget/internal/cmpsim"
+	"rebudget/internal/core"
+	"rebudget/internal/market"
 )
 
 // engineTestConfig is a reduced detailed-simulation config small enough to
@@ -114,6 +118,49 @@ func TestEngineSweepDeterminism(t *testing.T) {
 		if !bundlesBitEqual(t, serial.Bundles[bi], parallel.Bundles[bi]) {
 			t.Errorf("bundle %d (%s): parallel sweep diverged from serial",
 				bi, serial.Bundles[bi].Bundle.Category)
+		}
+	}
+}
+
+// TestSweepSolvesColdOncePerBundle pins the cold equal-budget memo's
+// saving in a sweep: ReBudget-20's and ReBudget-40's first runs read the
+// equilibrium each bundle's EqualBudget stored instead of searching it, so
+// the sweep runs at most one cold equal-budget search per bundle (exactly
+// one in a fresh process; an earlier run of this test may have left entries
+// EqualBudget hits). Serially that holds for every bundle. In parallel, a
+// worker starved of CPU while the others store 2 × GOMAXPROCS entries loses
+// its own, and its ReBudgets search again, so most, not all, bundles must
+// hit there.
+func TestSweepSolvesColdOncePerBundle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("64-core sweep in -short mode")
+	}
+	for _, e := range []Engine{{Workers: 1}, {}} {
+		mechs := DefaultMechanisms()
+		searches := make([]atomic.Int64, len(mechs))
+		for i := range mechs {
+			mechs[i] = core.WithMarketConfig(mechs[i], func(mc market.Config) market.Config {
+				mc.Observer = func(int, int, time.Duration) { searches[i].Add(1) }
+				return mc
+			})
+		}
+		s, err := e.RunSweep(64, 1, 17, mechs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bundles := int64(len(s.Bundles))
+		if got := searches[s.mechIndex("EqualBudget")].Load(); got > bundles {
+			t.Errorf("workers %d: EqualBudget searched %d times over %d bundles", e.Workers, got, bundles)
+		}
+		for _, name := range []string{"ReBudget-20", "ReBudget-40"} {
+			i, warm := s.mechIndex(name), int64(0)
+			for _, b := range s.Bundles {
+				warm += int64(b.Runs[i] - 1)
+			}
+			misses := searches[i].Load() - warm
+			if e.Workers == 1 && misses != 0 || 2*misses > bundles {
+				t.Errorf("workers %d: %s searched its cold run on %d of %d bundles", e.Workers, name, misses, bundles)
+			}
 		}
 	}
 }

@@ -173,8 +173,7 @@ func (m *Market) FindEquilibriumInto(dst *Equilibrium, initial [][]float64) (*Eq
 	return eq, nil
 }
 
-// shaped returns dst if it has this market's shape, else a fresh Equilibrium
-// whose Bids and Allocations are row views over one flat array each.
+// shaped returns dst if it has this market's shape, else a fresh one.
 func (m *Market) shaped(dst *Equilibrium) *Equilibrium {
 	n, mm := len(m.players), len(m.capacity)
 	fits := dst != nil && len(dst.Prices) == mm && len(dst.Bids) == n &&
@@ -185,6 +184,14 @@ func (m *Market) shaped(dst *Equilibrium) *Equilibrium {
 	if fits {
 		return dst
 	}
+	return m.NewEquilibrium()
+}
+
+// NewEquilibrium returns a zero Equilibrium of m's shape, whose Bids and
+// Allocations are row views over one flat array each: FindEquilibriumInto
+// fills it in place.
+func (m *Market) NewEquilibrium() *Equilibrium {
+	n, mm := len(m.players), len(m.capacity)
 	eq := &Equilibrium{Prices: make([]float64, mm), Bids: make([][]float64, n), Allocations: make([][]float64, n),
 		Utilities: make([]float64, n), Lambdas: make([]float64, n)}
 	bidBuf, allocBuf := make([]float64, n*mm), make([]float64, n*mm)

@@ -28,11 +28,16 @@ type Utility interface {
 // answer to the other (see classify). The key must be comparable — in
 // practice a pointer to the immutable state the implementations share — and
 // scale is the single factor a wrapper multiplies that function by, 1 for
-// none. Identity is called once per player per equilibrium run and must not
-// allocate, which is why it returns two words rather than a struct boxed
-// into an interface; it may return a different answer from one run to the
-// next. A nil key, like not implementing the interface at all, keeps the
-// player in a class of its own.
+// none. A (key, scale) pair names one function for the key's whole
+// lifetime, not only within one run: internal/core memoizes a cold
+// equilibrium across calls on these pairs, so state a key points to must
+// never change what Value computes. A utility may return a different pair
+// from one call to the next (a wrapper whose factor moved names another
+// function). Identity is called at least once per player per equilibrium
+// run and must not allocate, which is why it returns two words rather than
+// a struct boxed into an interface. A nil key, like not implementing the
+// interface at all, keeps the player in a class of its own and out of the
+// memo.
 type Identified interface {
 	Utility
 	Identity() (key any, scale float64)

@@ -52,7 +52,11 @@ func (u scaledUtility) Value(alloc []float64) float64 {
 // one class while their demands agree and a player whose telemetry moved
 // sits alone until its demand returns. Only an unscaled inner utility is
 // forwarded — a product of two scales would not name the two roundings
-// Value performs.
+// Value performs. The pair names one function for the inner key's whole
+// lifetime, as a memo across calls needs: the inner function never changes,
+// and the factor read here is the one Value multiplies by until the session
+// goroutine moves it between epochs, after which the pair names the new
+// product.
 func (u scaledUtility) Identity() (key any, scale float64) {
 	if id, ok := u.inner.(market.Identified); ok {
 		if key, scale = id.Identity(); scale == 1 {

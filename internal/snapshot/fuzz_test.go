@@ -1,4 +1,4 @@
-package server_test
+package snapshot_test
 
 import (
 	"bytes"

@@ -28,7 +28,7 @@ while read -r name pkg; do
 		exit 1
 	fi
 done <<'LIST'
-FuzzSnapshotLoad ./internal/server
+FuzzSnapshotLoad ./internal/snapshot
 FuzzSessionViewDecode ./internal/server
 FuzzSessionSpec ./internal/server
 FuzzParseTenants ./internal/server
